@@ -54,7 +54,6 @@ from .kernels import (
     ScaledKernel,
     SeriesKernel,
     fock_kernel,
-    kernel_eval,
     kernel_from_gram,
     kernel_from_json,
     kernel_to_json,

@@ -294,14 +294,19 @@ def _series_kernel(weight: Weight, degree: int,
     return kernel_from_gram(gram)
 
 
+def _with_origin(dim: int, points) -> list[np.ndarray]:
+    """The origin followed by the sample points, for one batched evaluation."""
+    return [np.zeros(dim, dtype=complex), *points]
+
+
 def _proportionality_report(series: SeriesKernel, reference, points,
                             degree: int, match_tol: float,
                             mismatch_tol: float,
                             extra_checks=None) -> CharacterizationReport:
-    zero = np.zeros(series.base.dim, dtype=complex)
-    k00 = series.eval(zero, zero).real
-    ref00 = reference.eval(zero, zero).real
-    c = k00 / ref00
+    stacked = _with_origin(series.base.dim, points)
+    K = series.eval_grid(stacked, stacked).tolist()
+    R = reference.eval_grid(stacked, stacked).tolist()
+    c = K[0][0].real / R[0][0].real
 
     worst = 0.0
     worst_diag = 0.0
@@ -309,8 +314,8 @@ def _proportionality_report(series: SeriesKernel, reference, points,
     witness = None
     for i, z in enumerate(points):
         for j, w in enumerate(points):
-            kv = series.eval(z, w)
-            rv = c * reference.eval(z, w)
+            kv = K[i + 1][j + 1]
+            rv = c * R[i + 1][j + 1]
             dev = abs(kv - rv) / abs(rv)
             if dev > worst:
                 worst, witness = dev, (z, w)
@@ -385,12 +390,10 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
     reference = PowerKernel(base, m * mu)
     points = _sample_points(base.dim, rmax, npts, seed)
 
-    zero = np.zeros(base.dim, dtype=complex)
-    k00 = series.eval(zero, zero).real
+    k00, *kdiag = series.diagonal(_with_origin(base.dim, points)).tolist()
     diag_worst = 0.0
     expo = -(m * mu + base.genus)
-    for z in points:
-        lhs = series.eval(z, z).real
+    for z, lhs in zip(points, kdiag):
         rhs = k00 * generic_norm(base, z, z).real ** expo
         diag_worst = max(diag_worst, abs(lhs - rhs) / abs(rhs))
     extra = [SubCheck("diagonal_power_law",
@@ -513,9 +516,7 @@ def family_condition_check(domain: HartogsDomain,
         z = (rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n))
         check_pts.append(z)
 
-    records = []
-    const = None
-    worst = 0.0
+    validated = []
     worst_fiber = 0.0
     for aut in maps:
         if aut.target != domain:
@@ -531,7 +532,13 @@ def family_condition_check(domain: HartogsDomain,
         if float(np.max(np.abs(img))) > 1e-10:
             raise ValueError("map fails to send its base point to the origin")
         jac2 = abs(jacobian_base_slice(aut, z0)) ** 2
-        kdiag = series.eval(z0, z0).real
+        validated.append((z0, jac2, fiber_defect))
+
+    kdiags = series.diagonal([z0 for z0, _, _ in validated]).tolist()
+    records = []
+    const = None
+    worst = 0.0
+    for (z0, jac2, fiber_defect), kdiag in zip(validated, kdiags):
         ratio = jac2 / kdiag
         if const is None:
             const = ratio

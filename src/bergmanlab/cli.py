@@ -28,6 +28,7 @@ from . import jsonio
 from .core import (
     DomainSpec,
     Weight,
+    as_points,
     full_space,
     gaussian_weight,
     generic_norm_weight,
@@ -130,8 +131,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a JSON object")
+    raw = _json_object(raw, "config file")
     return {k: _validate_value(k, v) for k, v in raw.items()}
 
 
@@ -186,12 +186,19 @@ def parse_weight(spec: str, domain: DomainSpec) -> Weight:
     raise ConfigError(f"cannot parse weight descriptor {spec!r}")
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must hold a JSON object, "
+                          f"not {type(value).__name__}")
+    return value
+
+
 def _load_json_arg(text: str) -> dict:
     """Inline JSON object or a path to one."""
     t = text.strip()
     if t.startswith("{"):
         return json.loads(t)
-    return json.loads(Path(t).read_text())
+    return _json_object(json.loads(Path(t).read_text()), t)
 
 
 def _domain_of(cfg: dict, default: str | None = None) -> DomainSpec:
@@ -270,7 +277,8 @@ def _cmd_kernel_eval(cfg: dict):
 
     n = model.domain.dim
     if "points_file" in cfg:
-        obj = json.loads(Path(cfg["points_file"]).read_text())
+        path = cfg["points_file"]
+        obj = _json_object(json.loads(Path(path).read_text()), path)
         zs = [jsonio.as_cpoint(p) for p in obj["z"]]
         ws = [jsonio.as_cpoint(p) for p in obj["w"]]
     else:
@@ -279,15 +287,15 @@ def _cmd_kernel_eval(cfg: dict):
                               "use --points-file")
         count = cfg.get("grid", 10)
         radius = cfg.get("radius", 0.5)
-        axis = np.linspace(-radius, radius, count)
-        zs = [np.array([complex(x, 0.0)]) for x in axis]
-        ws = [np.array([complex(x, 0.0)]) for x in axis]
+        zs = ws = np.linspace(-radius, radius, count).reshape(count, 1)
+    zs = as_points(zs, n)
+    ws = as_points(ws, n)
+    grid = model.eval_grid(zs, ws).tolist()
 
     rows = [("re(z)", "im(z)", "re(w)", "im(w)", "re(K)", "im(K)")]
     values = []
-    for z in zs:
-        for w in ws:
-            k = model.eval(z, w)
+    for z, krow in zip(zs.tolist(), grid):
+        for w, k in zip(ws.tolist(), krow):
             values.append({"z": jsonio.cpoint(z), "w": jsonio.cpoint(w),
                            "K": jsonio.cnum(k)})
             if n == 1:

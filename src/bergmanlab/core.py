@@ -180,6 +180,20 @@ def as_point(z, dim: int) -> np.ndarray:
     return arr
 
 
+def as_points(zs, dim: int) -> np.ndarray:
+    """Validate and convert a set of points of C^dim to a (k, dim) complex
+    array; the whole set is checked at once and an empty list gives k = 0."""
+    arr = np.asarray(zs, dtype=complex)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, dim)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"expected points of C^{dim} as shape (k, {dim}), "
+                         f"got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("point set has non-finite entries")
+    return arr
+
+
 def _as_matrix(domain: DomainSpec, z: np.ndarray) -> np.ndarray:
     p, q = domain.shape
     return z.reshape(p, q)
@@ -276,13 +290,20 @@ def generic_norm(domain: DomainSpec, z, w) -> complex:
     return complex(np.prod(generic_norm_factors(domain, z, w)))
 
 
-def generic_norm_power(domain: DomainSpec, z, w, exponent: complex) -> complex:
-    """N(z, w)^exponent via principal logarithms of the per-eigenvalue factors."""
-    factors = generic_norm_factors(domain, z, w)
+def principal_log(factors: np.ndarray) -> np.ndarray:
+    """Principal logarithms of generic-norm factors, elementwise.  A factor
+    on the branch cut (the closed negative real axis) means a point is not
+    interior."""
     if np.any((factors.real <= 0) & (factors.imag == 0)):
         raise ValueError("generic-norm factor on the branch cut; "
                          "points must be interior")
-    return complex(np.exp(exponent * np.sum(np.log(factors))))
+    return np.log(factors)
+
+
+def generic_norm_power(domain: DomainSpec, z, w, exponent: complex) -> complex:
+    """N(z, w)^exponent via principal logarithms of the per-eigenvalue factors."""
+    factors = generic_norm_factors(domain, z, w)
+    return complex(np.exp(exponent * np.sum(principal_log(factors))))
 
 
 def genus(domain: DomainSpec) -> int:

@@ -29,6 +29,7 @@ import numpy as np
 from .core import DomainSpec, Weight, as_point, contains, weight_eval, hermitian_inner
 from .kernels import KernelModel, kernel_from_gram, weighted_kernel_closed_form
 from .moments import QuadratureScheme, gram_exact, gram_quadrature
+from . import jsonio
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,10 @@ class FrcResult:
     last_ratio: float | None = None
 
     def as_dict(self) -> dict:
-        return {"value": [self.value.real, self.value.imag],
+        return {"value": [jsonio.rnum(self.value.real),
+                          jsonio.rnum(self.value.imag)],
                 "terms_used": self.terms_used,
-                "tail_estimate": self.tail_estimate,
+                "tail_estimate": jsonio.rnum(self.tail_estimate),
                 "converged": self.converged}
 
 

@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
+
+
+def rnum(x):
+    """A real number for strict JSON: a non-finite float becomes the string
+    "inf", "-inf" or "nan"; any other value is returned unchanged."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(float(x))
+    return x
 
 
 def cnum(z) -> list[float]:

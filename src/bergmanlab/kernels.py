@@ -16,7 +16,10 @@ Raw-measure closed forms are expressed as ``ScaledKernel`` wrappers so that
 exactly one measure convention (raw dV) is used internally and normalized
 conventions appear only as explicitly stored constants.
 
-Kernel models are immutable after construction; evaluation is pure.
+Every model evaluates one pair with ``eval(z, w)`` and a whole grid with
+``eval_grid(zs, ws)``, which returns K(z_i, w_j) with shape
+(len(zs), len(ws)) and validates each point set once.  Kernel models are
+immutable after construction; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ from .core import (
     DomainKind,
     DomainSpec,
     as_point,
+    as_points,
     full_space,
     generic_norm_power,
     hermitian_inner,
     hua_normalization,
     monomial_values,
     multiindex_enumerate,
+    principal_log,
     weight_radial_fn,
     GaussianPower,
     GenericNormPower,
@@ -69,6 +74,11 @@ class FockKernel:
         w = as_point(w, self.n)
         return complex(np.exp(self.mu * hermitian_inner(z, w)))
 
+    def eval_grid(self, zs, ws) -> np.ndarray:
+        Z = as_points(zs, self.n)
+        W = as_points(ws, self.n)
+        return np.exp(self.mu * (Z @ W.conj().T))
+
 
 @dataclass(frozen=True)
 class PowerKernel:
@@ -93,6 +103,19 @@ class PowerKernel:
     def eval(self, z, w) -> complex:
         return self.scale * generic_norm_power(self.base, z, w, -self.exponent)
 
+    def eval_grid(self, zs, ws) -> np.ndarray:
+        Z = as_points(zs, self.base.dim)
+        W = as_points(ws, self.base.dim)
+        if self.base.kind is DomainKind.TYPE_I_MATRIX_BALL:
+            # N(z, w) = det(I - Z W*) needs an eigen-solve per pair
+            out = np.empty((len(Z), len(W)), dtype=complex)
+            for i, z in enumerate(Z):
+                for j, w in enumerate(W):
+                    out[i, j] = self.eval(z, w)
+            return out
+        factors = 1.0 - Z @ W.conj().T
+        return self.scale * np.exp(-self.exponent * principal_log(factors))
+
 
 @dataclass(frozen=True)
 class ScaledKernel:
@@ -107,6 +130,9 @@ class ScaledKernel:
 
     def eval(self, z, w) -> complex:
         return self.scale * self.inner.eval(z, w)
+
+    def eval_grid(self, zs, ws) -> np.ndarray:
+        return self.scale * self.inner.eval_grid(zs, ws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,15 +167,21 @@ class SeriesKernel:
     def eval(self, z, w) -> complex:
         z = as_point(z, self.base.dim)
         w = as_point(w, self.base.dim)
-        ez = self.basis_values(z[None, :])[0]
-        ew = self.basis_values(w[None, :])[0]
-        return complex(np.dot(ez, ew.conj()))
+        return complex(self.eval_grid(z[None, :], w[None, :])[0, 0])
 
     def eval_grid(self, zs, ws) -> np.ndarray:
         """K(z_i, w_j) for all pairs, shape (len(zs), len(ws))."""
-        Ez = self.basis_values(np.atleast_2d(np.asarray(zs, dtype=complex)))
-        Ew = self.basis_values(np.atleast_2d(np.asarray(ws, dtype=complex)))
-        return Ez @ Ew.conj().T
+        Z = as_points(zs, self.base.dim)
+        W = as_points(ws, self.base.dim)
+        # one monomial table for both point sets
+        E = self.basis_values(np.concatenate([Z, W]))
+        return E[:len(Z)] @ E[len(Z):].conj().T
+
+    def diagonal(self, zs) -> np.ndarray:
+        """K(z_i, z_i) for all points, real, shape (len(zs),), without the
+        off-diagonal products of a full grid."""
+        E = self.basis_values(as_points(zs, self.base.dim))
+        return np.sum(E.real ** 2 + E.imag ** 2, axis=1)
 
 
 KernelModel = FockKernel | PowerKernel | ScaledKernel | SeriesKernel
@@ -267,11 +299,6 @@ def kernel_from_gram(gram: GramMatrix, method: str = "auto",
 
 # ---------------------------------------------------------------------------
 # evaluation helpers
-
-def kernel_eval(model: KernelModel, z, w) -> complex:
-    """Evaluate a kernel model at a point pair."""
-    return model.eval(z, w)
-
 
 def normalized_kernel(model: KernelModel, z, w) -> complex:
     """k_w(z) = K(z, w)/sqrt(K(w, w)); needs a positive diagonal at w."""

@@ -89,7 +89,7 @@ class GramDiagnostics:
     psd_tol: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {k: jsonio.rnum(v) for k, v in asdict(self).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bergmanlab as bl
+from bergmanlab import jsonio
 from bergmanlab.cli import main, parse_domain, parse_weight, load_config, ConfigError
 
 from conftest import child_env
@@ -235,3 +236,130 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr.decode(errors="replace")
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+def strict_json(text):
+    """Parse JSON that must hold no NaN/Infinity literals."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestKernelEvalGrid:
+    def test_values_equal_pairwise_eval_in_row_order(self, capsys, tmp_path):
+        model = bl.weighted_kernel_closed_form(
+            bl.generic_norm_weight(bl.unit_ball(2), 1.5))
+        zs = [[[0.1, 0.2], [0.0, -0.3]], [[0.4, 0.0], [0.1, 0.1]]]
+        ws = [[[-0.2, 0.1], [0.3, 0.0]], [[0.0, 0.0], [0.0, 0.5]],
+              [[0.2, 0.2], [-0.1, 0.0]]]
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"z": zs, "w": ws}))
+        code, out, _ = run_cli(
+            ["kernel-eval", "--domain", "ball:2", "--weight", "npower:1.5",
+             "--closed-form", "--points-file", str(pts)], capsys)
+        assert code == 0
+        values = strict_json(out)["values"]
+        pairs = [(z, w) for z in zs for w in ws]
+        assert len(values) == len(pairs)
+        for entry, (z, w) in zip(values, pairs):
+            assert entry["z"] == z and entry["w"] == w
+            zc = [complex(*c) for c in z]
+            wc = [complex(*c) for c in w]
+            ref = model.eval(zc, wc)
+            assert abs(complex(*entry["K"]) - ref) <= 1e-13 * abs(ref)
+
+    def test_grid_csv_holds_plain_numbers(self, capsys):
+        code, out, _ = run_cli(
+            ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+             "--degree", "10", "--grid", "3", "--radius", "0.5",
+             "--format", "csv"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        axis = [-0.5, 0.0, 0.5]
+        assert [(float(r[0]), float(r[2])) for r in rows] == \
+            [(x, y) for x in axis for y in axis]
+        assert all(float(r[1]) == 0.0 and float(r[3]) == 0.0 for r in rows)
+
+    def test_empty_point_lists(self, capsys, tmp_path):
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"z": [], "w": [[0.1, 0.0]]}))
+        code, out, _ = run_cli(
+            ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+             "--degree", "6", "--points-file", str(pts)], capsys)
+        assert code == 0
+        assert strict_json(out)["values"] == []
+
+    def test_points_of_the_wrong_dimension(self, capsys, tmp_path):
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"z": [[[0.1, 0.0], [0.2, 0.0]]],
+                                   "w": [[0.1, 0.0]]}))
+        code, _, err = run_cli(
+            ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+             "--degree", "6", "--points-file", str(pts)], capsys)
+        assert code == 2
+        assert "C^1" in err
+
+
+class TestJsonArguments:
+    """JSON files that hold something other than an object are
+    configuration errors (exit 2), not tracebacks."""
+
+    @pytest.fixture
+    def list_file(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[[0.1, 0.0]]")
+        return str(path)
+
+    def test_points_file_list(self, capsys, list_file):
+        code, _, err = run_cli(
+            ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+             "--degree", "6", "--points-file", list_file], capsys)
+        assert code == 2
+        assert "JSON object" in err and "Traceback" not in err
+
+    def test_kernel_file_list(self, capsys, list_file):
+        code, _, err = run_cli(["kernel-eval", "--kernel", list_file], capsys)
+        assert code == 2
+        assert "JSON object" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", ["transform-check", "jacobian-check"])
+    def test_map_file_list(self, capsys, list_file, cmd):
+        code, _, err = run_cli(
+            [cmd, "--domain", "cn:1", "--weight", "gaussian:1", "--m", "1",
+             "--map", list_file], capsys)
+        assert code == 2
+        assert "JSON object" in err and "Traceback" not in err
+
+    def test_subprocess_has_no_traceback(self, tmp_path, list_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bergmanlab.cli", "transform-check",
+             "--domain", "cn:1", "--weight", "gaussian:1", "--map", list_file],
+            capture_output=True, env=child_env("1"), cwd=str(tmp_path))
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+
+
+class TestNonFiniteDiagnostics:
+    def test_rnum(self):
+        assert jsonio.rnum(math.inf) == "inf"
+        assert jsonio.rnum(-math.inf) == "-inf"
+        assert jsonio.rnum(math.nan) == "nan"
+        assert jsonio.rnum(np.float64(-np.inf)) == "-inf"
+        assert jsonio.rnum(1.5) == 1.5
+        assert jsonio.rnum(True) is True
+
+    def test_gram_inf_condition_reported(self, capsys):
+        code, out, _ = run_cli(
+            ["gram", "--domain", "cn:1", "--weight", "gaussian:1",
+             "--method", "quadrature", "--degree", "20"], capsys)
+        assert code == 0
+        assert strict_json(out)["diagnostics"]["condition"] == "inf"
+
+    def test_frc_inf_tail_fails_the_verdict(self, capsys):
+        code, out, _ = run_cli(
+            ["frc-check", "--m", "2", "--pairs", "30", "--max-terms", "2",
+             "--seed", "3"], capsys)
+        assert code == 1
+        rep = strict_json(out)
+        assert rep["passed"] is False and rep["converged"] is False
+        assert rep["worst_pair_evaluation"]["tail_estimate"] == "inf"

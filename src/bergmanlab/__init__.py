@@ -38,6 +38,7 @@ from .core import (
 from .moments import (
     GramMatrix,
     QuadratureScheme,
+    gram_auto,
     gram_exact,
     gram_from_json,
     gram_montecarlo,

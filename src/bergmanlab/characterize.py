@@ -51,8 +51,7 @@ from .core import (
 from .moments import (
     GramMatrix,
     QuadratureScheme,
-    gram_exact,
-    gram_quadrature,
+    gram_auto,
 )
 from .kernels import FockKernel, PowerKernel, SeriesKernel, kernel_from_gram
 from .hartogs import HartogsDomain
@@ -80,10 +79,7 @@ class MomentTable:
 def moment_table(weight: Weight, degree: int,
                  scheme: QuadratureScheme | None = None) -> MomentTable:
     """Gram matrix of the weight, closed-form when available."""
-    try:
-        gram = gram_exact(weight.base, weight, degree)
-    except ValueError:
-        gram = gram_quadrature(weight.base, weight, degree, scheme)
+    gram = gram_auto(weight, degree, scheme)
     mass = float(gram.entries[0, 0].real)
     if mass <= 0:
         raise ValueError("weight has non-positive mass")
@@ -287,11 +283,7 @@ def _sample_points(n: int, rmax: float, count: int, seed: int) -> list[np.ndarra
 
 def _series_kernel(weight: Weight, degree: int,
                    scheme: QuadratureScheme | None) -> SeriesKernel:
-    try:
-        gram = gram_exact(weight.base, weight, degree)
-    except ValueError:
-        gram = gram_quadrature(weight.base, weight, degree, scheme)
-    return kernel_from_gram(gram)
+    return kernel_from_gram(gram_auto(weight, degree, scheme))
 
 
 def _with_origin(dim: int, points) -> list[np.ndarray]:

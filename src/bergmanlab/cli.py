@@ -40,6 +40,7 @@ from .core import (
 )
 from .moments import (
     describe_weight,
+    gram_auto,
     gram_exact,
     gram_montecarlo,
     gram_quadrature,
@@ -99,6 +100,11 @@ _SCHEMA: dict[str, type] = {
 
 _DEFAULTS = {"degree": 20, "tolerance": 1e-8, "seed": 0, "format": "json",
              "m": 1, "n": 1, "mu": 1.0}
+
+# largest monomial basis C(n+d, n) a command may build a Gram matrix over:
+# every base of dimension <= 2 at the largest degree, 64.  The dense complex
+# matrix then takes 70 MiB, and its factorizations a few times more.
+MAX_BASIS = math.comb(2 + 64, 2)
 
 
 def _validate_value(key: str, value):
@@ -193,6 +199,14 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _point_list(obj: dict, key: str, path: str) -> list:
+    points = obj[key]
+    if not isinstance(points, list):
+        raise ConfigError(f"{path}: {key!r} must hold a list of points, "
+                          f"not {type(points).__name__}")
+    return [jsonio.as_cpoint(p) for p in points]
+
+
 def _load_json_arg(text: str) -> dict:
     """Inline JSON object or a path to one."""
     t = text.strip()
@@ -206,6 +220,24 @@ def _domain_of(cfg: dict, default: str | None = None) -> DomainSpec:
     if spec is None:
         raise ConfigError("this command needs --domain")
     return parse_domain(spec)
+
+
+def _check_basis(n: int, degree: int) -> None:
+    """Refuse a Gram matrix too large to allocate before building it."""
+    size = math.comb(n + degree, n)
+    if size > MAX_BASIS:
+        raise ConfigError(
+            f"degree {degree} in {n} complex dimensions needs {size} "
+            f"monomials; a Gram matrix may have at most {MAX_BASIS}")
+
+
+def _matrix_rows(matrix: np.ndarray) -> list[tuple]:
+    """CSV rows (i, j, re, im) of a complex matrix, as plain numbers."""
+    rows = [("i", "j", "re", "im")]
+    for i, row in enumerate(matrix.tolist()):
+        rows.extend((i, j, repr(z.real), repr(z.imag))
+                    for j, z in enumerate(row))
+    return rows
 
 
 def _weight_of(cfg: dict, domain: DomainSpec, key: str = "weight") -> Weight:
@@ -228,17 +260,15 @@ def _sample_disk_points(rng, count: int, radius: float) -> list[complex]:
 
 def _cmd_gram(cfg: dict):
     domain = _domain_of(cfg)
+    _check_basis(domain.dim, cfg["degree"])
     weight = _weight_of(cfg, domain)
     if cfg.get("m", 1) > 1:
         weight = weight.pow(cfg["m"])
     method = cfg.get("method", "auto")
-    if method in ("auto", "exact"):
-        try:
-            gram = gram_exact(domain, weight, cfg["degree"])
-        except ValueError:
-            if method == "exact":
-                raise
-            gram = gram_quadrature(domain, weight, cfg["degree"])
+    if method == "auto":
+        gram = gram_auto(weight, cfg["degree"])
+    elif method == "exact":
+        gram = gram_exact(domain, weight, cfg["degree"])
     elif method == "quadrature":
         gram = gram_quadrature(domain, weight, cfg["degree"])
     elif method == "montecarlo":
@@ -249,13 +279,7 @@ def _cmd_gram(cfg: dict):
     report = gram_to_json(gram)
     report["command"] = "gram"
     report["diagnostics"] = gram_validate(gram).as_dict()
-    csv_rows = [("i", "j", "re", "im")]
-    B = gram.size
-    for i in range(B):
-        for j in range(B):
-            z = gram.entries[i, j]
-            csv_rows.append((i, j, repr(z.real), repr(z.imag)))
-    return report, False, csv_rows
+    return report, False, _matrix_rows(gram.entries)
 
 
 def _cmd_kernel_eval(cfg: dict):
@@ -269,18 +293,14 @@ def _cmd_kernel_eval(cfg: dict):
         if cfg.get("closed_form"):
             model = weighted_kernel_closed_form(weight)
         else:
-            try:
-                gram = gram_exact(domain, weight, cfg["degree"])
-            except ValueError:
-                gram = gram_quadrature(domain, weight, cfg["degree"])
-            model = kernel_from_gram(gram)
+            _check_basis(domain.dim, cfg["degree"])
+            model = kernel_from_gram(gram_auto(weight, cfg["degree"]))
 
     n = model.domain.dim
     if "points_file" in cfg:
         path = cfg["points_file"]
         obj = _json_object(json.loads(Path(path).read_text()), path)
-        zs = [jsonio.as_cpoint(p) for p in obj["z"]]
-        ws = [jsonio.as_cpoint(p) for p in obj["w"]]
+        zs, ws = (_point_list(obj, key, path) for key in ("z", "w"))
     else:
         if n != 1:
             raise ConfigError("--grid synthesis needs a one-dimensional base; "
@@ -378,11 +398,8 @@ def _slice_kernel_of(cfg: dict, H: HartogsDomain):
             return weighted_kernel_closed_form(w)
         except ValueError:
             pass
-    try:
-        gram = gram_exact(H.base, w, cfg["degree"])
-    except ValueError:
-        gram = gram_quadrature(H.base, w, cfg["degree"])
-    return kernel_from_gram(gram)
+    _check_basis(H.base.dim, cfg["degree"])
+    return kernel_from_gram(gram_auto(w, cfg["degree"]))
 
 
 def _map_of(cfg: dict, H: HartogsDomain):
@@ -438,6 +455,7 @@ def _cmd_jacobian_check(cfg: dict):
 
 def _cmd_moment_mismatch(cfg: dict):
     domain = _domain_of(cfg)
+    _check_basis(domain.dim, cfg["degree"])
     w1 = _weight_of(cfg, domain, "weight")
     w2 = _weight_of(cfg, domain, "weight2")
     if cfg.get("normalize"):
@@ -451,17 +469,12 @@ def _cmd_moment_mismatch(cfg: dict):
               "normalized": bool(cfg.get("normalize", False)),
               "tolerance": tol,
               "verdict": "mismatch" if mismatched else "match"}
-    B = res.difference.shape[0]
-    rows = [("i", "j", "re", "im")]
-    for i in range(B):
-        for j in range(B):
-            z = res.difference[i, j]
-            rows.append((i, j, repr(z.real), repr(z.imag)))
-    return report, mismatched, rows
+    return report, mismatched, _matrix_rows(res.difference)
 
 
 def _cmd_recover_weight(cfg: dict):
     domain = _domain_of(cfg)
+    _check_basis(domain.dim, cfg["degree"])
     weight = _weight_of(cfg, domain)
     table = moment_table(weight, cfg["degree"])
     basis = cfg.get("basis")
@@ -477,6 +490,7 @@ def _cmd_recover_weight(cfg: dict):
 
 
 def _cmd_characterize_fbh(cfg: dict):
+    _check_basis(cfg["n"], cfg["degree"])
     domain = full_space(cfg["n"])
     weight = _weight_of(cfg, domain)
     kwargs = {}
@@ -492,6 +506,7 @@ def _cmd_characterize_fbh(cfg: dict):
 
 def _cmd_characterize_ch(cfg: dict):
     domain = _domain_of(cfg, default="disk")
+    _check_basis(domain.dim, cfg["degree"])
     weight = _weight_of(cfg, domain)
     kwargs = {}
     if "rmax" in cfg:
@@ -522,6 +537,7 @@ def _cmd_boundary_check(cfg: dict):
 
 def _cmd_family_check(cfg: dict):
     family = cfg.get("family", "fbh")
+    _check_basis(cfg["n"] if family == "fbh" else 1, cfg["degree"])
     rng = np.random.default_rng(cfg["seed"])
     count = cfg.get("points", 6)
     if family == "fbh":

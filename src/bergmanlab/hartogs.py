@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import DomainSpec, Weight, as_point, contains, weight_eval, hermitian_inner
 from .kernels import KernelModel, kernel_from_gram, weighted_kernel_closed_form
-from .moments import QuadratureScheme, gram_exact, gram_quadrature
+from .moments import QuadratureScheme, gram_auto
 from . import jsonio
 
 
@@ -105,13 +105,8 @@ class SeriesFamily:
     def __call__(self, k: int) -> KernelModel:
         if k not in self._cache:
             power = k + self.domain.fiber_dim
-            w = self.domain.weight.pow(power)
-            try:
-                gram = gram_exact(self.domain.base, w, self.degree)
-            except ValueError:
-                gram = gram_quadrature(self.domain.base, w, self.degree,
-                                       self.scheme)
-            self._cache[k] = kernel_from_gram(gram)
+            self._cache[k] = kernel_from_gram(gram_auto(
+                self.domain.weight.pow(power), self.degree, self.scheme))
         return self._cache[k]
 
 
@@ -213,12 +208,8 @@ def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,
     zeros = np.zeros(m, dtype=complex)
 
     if reference is None:
-        w = domain.weight.pow(m)
-        try:
-            gram = gram_exact(domain.base, w, degree)
-        except ValueError:
-            gram = gram_quadrature(domain.base, w, degree, scheme)
-        reference = kernel_from_gram(gram)
+        reference = kernel_from_gram(
+            gram_auto(domain.weight.pow(m), degree, scheme))
 
     lhs = kernel_omega((z, zeros), (z2, zeros))
     ref = math.factorial(m) / math.pi ** m * reference.eval(z, z2)

@@ -43,7 +43,10 @@ def cpoint(z) -> list[list[float]]:
 
 def as_cpoint(obj) -> np.ndarray:
     """A point is either one [re, im] pair or a list of them."""
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"point must hold numbers: {exc}") from exc
     if arr.ndim == 1 and arr.size == 2:
         return np.array([complex(arr[0], arr[1])])
     if arr.ndim == 2 and arr.shape[1] == 2:

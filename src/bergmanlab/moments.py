@@ -6,11 +6,24 @@ The entry at multi-indices (alpha, beta) is the inner product
     G[alpha][beta] = <z^alpha, z^beta> = integral_D z^alpha conj(z)^beta p(z) dV(z)
 
 over the base domain with respect to the raw Euclidean volume; measure
-normalizations are expressed by rescaled weights, never baked in.  Three
-assembly routes are provided: closed-form moments where the (domain, weight)
-pair admits them, product quadrature (Gauss-Legendre in t = r^2 on bounded
-domains, Gauss-Laguerre radially on the full space, equispaced angular
-nodes), and importance-sampled Monte Carlo with per-entry standard errors.
+normalizations are expressed by rescaled weights, never baked in.
+
+Every weight on the disk, the ball and C^n depends on s = |z|^2 alone, so
+its Gram matrix is diagonal and follows from one sequence of radial moments
+R_j = integral s^j w(s) ds (over [0, 1] on disk/ball, [0, inf) on C^n) by
+the shell reduction
+
+    G[alpha][alpha] = pi^n alpha! / (|alpha|+n-1)! * R_{|alpha|+n-1}
+
+(polar coordinates t_j = |z_j|^2 per coordinate, then the Dirichlet
+integral over each shell t_1 + ... + t_n = s).  The moments come from one
+of two routes: closed forms (Gaussian and generic-norm powers) and
+Gauss-Legendre rules exact for the degree of a polynomial weight
+(``gram_exact``), or a 1-D Gauss rule in s -- Legendre on [0, 1], Laguerre
+on C^n, Legendre up to the last knot of a tabulated profile
+(``gram_quadrature``).  ``gram_auto`` takes the closed form where one
+exists.  Importance-sampled Monte Carlo with per-entry standard errors
+(``gram_montecarlo``) estimates the dense matrix directly.
 
 Assembly is deterministic: node sets and summation order are fixed by the
 scheme and by the seed, independent of any threading in the BLAS.
@@ -39,16 +52,19 @@ from .core import (
 )
 from . import jsonio
 
-_HALF = 0.5
-
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Product-quadrature parameters.
+    """Quadrature parameters of the 1-D radial rules in s = |z|^2.
 
-    ``angular_margin`` fixes the equispaced angular node count at
-    2*degree + margin per coordinate, enough to annihilate every angular
-    frequency a monomial pair of degree <= d can produce, with margin.
+    Bounded domains use ``radial_nodes`` Gauss-Legendre nodes on [0, 1] per
+    complex dimension, the full space ``fullspace_nodes`` Gauss-Laguerre
+    nodes, and tabulated full-space profiles ``table_nodes`` Gauss-Legendre
+    nodes up to their last knot, whose neglected tail must stay below
+    ``tail_rtol``.  ``angular_margin`` fixes the equispaced angular node
+    count of the explicit points of ``quadrature_points_1d`` at
+    2*degree + margin, enough to annihilate every angular frequency a
+    monomial pair of degree <= d can produce, with margin.
     """
 
     radial_nodes: int = 64
@@ -93,7 +109,7 @@ class GramDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# closed-form moments
+# the radial moment sequence and the shell reduction
 
 def _reduce_weight(weight: Weight) -> tuple[float, object, int]:
     """Collapse Scaled wrappers and lazy powers to (scale, form, total_power)."""
@@ -108,12 +124,69 @@ def _reduce_weight(weight: Weight) -> tuple[float, object, int]:
     return scale, form, power
 
 
-def _poly_power(coeffs: tuple[float, ...], m: int) -> np.ndarray:
-    out = np.array([1.0])
-    base = np.asarray(coeffs, dtype=float)
-    for _ in range(m):
-        out = np.convolve(out, base)
-    return out
+def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = roots_legendre(nodes)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def _power_sums(s: np.ndarray, f: np.ndarray, top: int) -> np.ndarray:
+    """sum_i f_i s_i^j for j = 0..top, each a fixed-order pairwise sum."""
+    powers = s[None, :] ** np.arange(top + 1)[:, None]
+    return np.sum(powers * f[None, :], axis=1)
+
+
+def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
+    """Closed-form R_0..R_top; raises ValueError where none exists.
+
+    Gaussian powers on C^n and generic-norm powers on disk/ball have closed
+    forms.  A polynomial weight on disk/ball is integrated by a
+    Gauss-Legendre rule with enough nodes to be exact for s^top p(s)^m: the
+    weights are positive and the weight is evaluated as it is everywhere
+    else, so no alternating coefficient sum can cancel.
+    """
+    if weight.base != domain:
+        raise ValueError("weight is attached to a different base domain")
+    scale, form, power = _reduce_weight(weight)
+    if isinstance(form, GaussianPower):
+        mu = form.mu * power
+        return scale * np.array([math.factorial(j) / mu ** (j + 1)
+                                 for j in range(top + 1)])
+    if not isinstance(form, (GenericNormPower, PolynomialRadial)):
+        raise ValueError("no closed-form moments for this weight form")
+    if domain.kind not in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
+        raise ValueError("closed-form generic-norm and polynomial moments: "
+                         "disk/ball only")
+    if isinstance(form, GenericNormPower):
+        # R_j = B(j+1, s+1) = j!/prod_{i=1..j+1}(s+i)
+        s = form.mu * power
+        out = np.empty(top + 1)
+        denom = 1.0
+        for j in range(top + 1):
+            denom *= s + j + 1
+            out[j] = math.factorial(j) / denom
+        return scale * out
+    nodes = (top + power * (len(form.coefficients) - 1)) // 2 + 1
+    s, w = _gauss01(nodes)
+    return _power_sums(s, w * weight_radial_fn(weight)(s), top)
+
+
+def _shell_factor(alpha: tuple[int, ...]) -> float:
+    """pi^n alpha!/(|alpha|+n-1)!, the multiplier of R_{|alpha|+n-1}."""
+    n = len(alpha)
+    num = math.prod(math.factorial(a) for a in alpha)
+    return math.pi ** n * (num / math.factorial(sum(alpha) + n - 1))
+
+
+def _radial_gram(domain: DomainSpec, weight: Weight, degree: int,
+                 moments: np.ndarray, method: dict) -> GramMatrix:
+    """The diagonal Gram matrix of a radial weight from R_0..R_{degree+n-1}."""
+    n = domain.dim
+    basis = multiindex_enumerate(n, degree)
+    G = np.zeros((len(basis), len(basis)), dtype=complex)
+    for i, a in enumerate(basis):
+        G[i, i] = _shell_factor(a) * moments[sum(a) + n - 1]
+    return GramMatrix(domain, degree, basis, G, method,
+                      weight_label=describe_weight(weight))
 
 
 def moment_exact(domain: DomainSpec, weight: Weight, alpha, beta) -> complex:
@@ -121,103 +194,28 @@ def moment_exact(domain: DomainSpec, weight: Weight, alpha, beta) -> complex:
 
     Supported: Gaussian powers on C^n, generic-norm powers on disk/ball,
     and radial polynomial weights on disk/ball (all radial, so the result
-    vanishes unless alpha == beta).  Raises ValueError otherwise; callers
-    fall back to gram_quadrature.
+    vanishes unless alpha == beta).  Raises ValueError otherwise.
     """
     alpha = tuple(int(a) for a in alpha)
     beta = tuple(int(b) for b in beta)
     n = domain.dim
     if len(alpha) != n or len(beta) != n:
         raise ValueError("multi-index length must match the domain dimension")
-    if weight.base != domain:
-        raise ValueError("weight is attached to a different base domain")
-    scale, form, power = _reduce_weight(weight)
-
+    moments = _exact_moments(domain, weight, sum(alpha) + n - 1)
     if alpha != beta:
-        if isinstance(form, (GaussianPower, GenericNormPower, PolynomialRadial)):
-            return 0.0 + 0.0j
-        raise ValueError("no closed-form moments for this weight form")
-
-    k = sum(alpha)
-    fact_alpha = 1.0
-    for a in alpha:
-        fact_alpha *= math.factorial(a)
-
-    if isinstance(form, GaussianPower):
-        if domain.kind is not DomainKind.FULL_SPACE:
-            raise ValueError("Gaussian moments require the full space")
-        mu_eff = form.mu * power
-        return complex(scale * math.pi ** n * fact_alpha / mu_eff ** (k + n))
-
-    if isinstance(form, GenericNormPower):
-        if domain.kind not in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
-            raise ValueError("closed-form generic-norm moments: disk/ball only")
-        s = form.mu * power
-        # Gamma(s+1)/Gamma(n+k+s+1) = 1/prod_{i=1..n+k}(s+i)
-        denom = 1.0
-        for i in range(1, n + k + 1):
-            denom *= s + i
-        return complex(scale * math.pi ** n * fact_alpha / denom)
-
-    if isinstance(form, PolynomialRadial):
-        if domain.kind not in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
-            raise ValueError("radial polynomial moments: disk/ball only")
-        coeffs = _poly_power(form.coefficients, power)
-        # pi^n alpha!/(k+n-1)! * sum_j c_j / (k+n+j), by the shell reduction
-        shell = fact_alpha / math.factorial(k + n - 1)
-        acc = 0.0
-        for j, c in enumerate(coeffs):
-            acc += c / (k + n + j)
-        return complex(scale * math.pi ** n * shell * acc)
-
-    raise ValueError("no closed-form moments for this weight form")
+        return 0.0 + 0.0j
+    return complex(_shell_factor(alpha) * moments[-1])
 
 
 def gram_exact(domain: DomainSpec, weight: Weight, degree: int) -> GramMatrix:
-    """Assemble the Gram matrix entirely from closed-form moments."""
-    basis = multiindex_enumerate(domain.dim, degree)
-    B = len(basis)
-    G = np.zeros((B, B), dtype=complex)
-    for i, a in enumerate(basis):
-        G[i, i] = moment_exact(domain, weight, a, a)
-    return GramMatrix(domain, degree, basis, G, {"kind": "exact"},
-                      weight_label=describe_weight(weight))
+    """Assemble the Gram matrix entirely from closed-form moments; raises
+    ValueError where the (domain, weight) pair has none."""
+    moments = _exact_moments(domain, weight, degree + domain.dim - 1)
+    return _radial_gram(domain, weight, degree, moments, {"kind": "exact"})
 
 
 # ---------------------------------------------------------------------------
-# product quadrature
-
-def _angular_integrals(degree: int, count: int) -> np.ndarray:
-    """Equispaced-rule values of integral_0^{2pi} e^{i k theta} d(theta),
-    indexed by k = -degree..degree.  Computed by literally summing the
-    nodes so the discretization is the one actually applied."""
-    thetas = 2.0 * np.pi * np.arange(count) / count
-    ks = np.arange(-degree, degree + 1)
-    vals = np.exp(1j * np.outer(ks, thetas)).sum(axis=1) * (2.0 * np.pi / count)
-    return vals
-
-
-def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(nodes)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-def _simplex_nodes(n: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nested Gauss-Legendre rule on the simplex {t_j >= 0, sum t <= 1}."""
-    x, w = _gauss01(nodes)
-    T = np.zeros((1, 0))
-    wts = np.ones(1)
-    rem = np.ones(1)
-    for _ in range(n):
-        m = T.shape[0]
-        newT = np.repeat(T, nodes, axis=0)
-        t_new = (rem[:, None] * x[None, :]).reshape(-1)
-        newT = np.concatenate([newT, t_new[:, None]], axis=1)
-        wts = (wts[:, None] * (rem[:, None] * w[None, :])).reshape(-1)
-        rem = np.repeat(rem, nodes) - t_new
-        T = newT
-    return T, wts
-
+# quadrature
 
 def _gaussian_decay(weight: Weight) -> float | None:
     scale, form, power = _reduce_weight(weight)
@@ -240,7 +238,7 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
     the last node is an upper incomplete gamma ratio; for tabulated
     profiles an exponential decay rate is fitted to the last knots.
     """
-    a = degree + n  # the largest radial monomial power is t^degree
+    a = degree + n  # the largest radial moment is R_{degree+n-1}
     mu = _gaussian_decay(weight)
     if mu is not None:
         rel = float(gammaincc(a, mu * t_max))
@@ -272,40 +270,34 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
 
 def _radial_rule(domain: DomainSpec, weight: Weight, degree: int,
                  scheme: QuadratureScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes T (N, n) in t_j = |z_j|^2 and plain-dV weights."""
+    """Nodes s = |z|^2 and plain-ds weights of the 1-D radial rule.
+
+    No rule has fewer nodes than integrate s^(degree+n-1) exactly.  On
+    bounded domains the Legendre count grows n-fold: the moments of a
+    fractional generic-norm power (1 - s)^mu meet its endpoint singularity
+    with the weight s^(n-1) of the shell, and 64 nodes left ball:2 and
+    ball:3 short of the accuracy of the nested tensor rules they replaced.
+    """
     n = domain.dim
+    floor = (degree + n - 1) // 2 + 1
     if domain.bounded:
-        if n > 3:
-            raise ValueError("bounded-domain quadrature supports n <= 3")
-        return _simplex_nodes(n, scheme.radial_nodes)
+        return _gauss01(max(n * scheme.radial_nodes, floor))
     mu = _gaussian_decay(weight)
     if mu is not None:
-        if n > 3:
-            raise ValueError("full-space quadrature supports n <= 3")
-        x, w = roots_laguerre(scheme.fullspace_nodes)
-        t1 = x / mu
+        x, w = roots_laguerre(max(scheme.fullspace_nodes, floor))
+        s = x / mu
         with np.errstate(divide="ignore"):
-            w1 = np.where(w > 0, np.exp(np.log(np.where(w > 0, w, 1.0)) + x), 0.0) / mu
-        T = np.zeros((1, 0))
-        wts = np.ones(1)
-        for _ in range(n):
-            T = np.concatenate([np.repeat(T, t1.size, axis=0),
-                                np.tile(t1, T.shape[0])[:, None]], axis=1)
-            wts = (wts[:, None] * w1[None, :]).reshape(-1)
-        _fullspace_tail_check(weight, degree, n, scheme, float(t1[-1]), 1.0)
-        return T, wts
+            ws = np.where(w > 0, np.exp(np.log(np.where(w > 0, w, 1.0)) + x), 0.0) / mu
+        _fullspace_tail_check(weight, degree, n, scheme, float(s[-1]), 1.0)
+        return s, ws
     prof = _profile_of(weight)
     if prof is not None:
-        if n != 1:
-            raise ValueError("tabulated full-space weights support n = 1 only")
         t_max = float(prof.knots[-1])
         x, w = _gauss01(scheme.table_nodes)
-        T = (x * t_max)[:, None]
-        wts = w * t_max
-        wfun = weight_radial_fn(weight)
-        ref = float(np.sum(wts * wfun(T[:, 0]) * T[:, 0] ** degree))
+        s, ws = x * t_max, w * t_max
+        ref = float(np.sum(ws * weight_radial_fn(weight)(s) * s ** (degree + n - 1)))
         _fullspace_tail_check(weight, degree, n, scheme, t_max, abs(ref) + 1e-300)
-        return T, wts
+        return s, ws
     raise ValueError("weight not integrable against a full-space scheme")
 
 
@@ -314,71 +306,49 @@ def quadrature_points_1d(domain: DomainSpec, weight: Weight, degree: int,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit product-rule nodes z_s and plain-dV weights for n = 1.
 
-    These are the points the Gram assembly integrates over (radial in
-    t = |z|^2 times equispaced angles), exposed so reproducing-property
-    checks can integrate against exactly the same discretization.
+    These are the radial nodes the Gram assembly integrates over (in
+    t = |z|^2) times equispaced angles, exposed so reproducing-property
+    checks can integrate against exactly the same radial discretization.
     """
     if domain.dim != 1:
         raise ValueError("explicit quadrature points are provided for n = 1 only")
     scheme = scheme or QuadratureScheme()
-    T, wts = _radial_rule(domain, weight, degree, scheme)
-    t = T[:, 0]
+    t, wt = _radial_rule(domain, weight, degree, scheme)
     M = scheme.angular_count(degree)
     thetas = 2.0 * np.pi * np.arange(M) / M
-    r = np.sqrt(t)
-    pts = (r[:, None] * np.exp(1j * thetas)[None, :]).reshape(-1)
-    wq = (wts[:, None] * np.full((1, M), 2.0 * np.pi / M * _HALF)).reshape(-1)
-    return pts, wq
+    pts = (np.sqrt(t)[:, None] * np.exp(1j * thetas)[None, :]).reshape(-1)
+    # dV = dt d(theta) / 2 in t = |z|^2
+    return pts, np.repeat(wt, M) * (math.pi / M)
 
 
 def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int,
                     scheme: QuadratureScheme | None = None) -> GramMatrix:
-    """Assemble the Gram matrix by product quadrature.
+    """Assemble the Gram matrix from radial moments by 1-D quadrature in s.
 
-    Per complex coordinate the rule is radial-in-t times an equispaced
-    angular rule with 2*degree + margin nodes; the angular sums are computed
-    numerically, so off-diagonal entries of radial weights vanish only to
-    roundoff, which is what the sparsity diagnostics measure.
+    A numerical route independent of the closed forms: the moments R_j are
+    sums over the nodes of ``_radial_rule``, and the shell reduction makes
+    every off-diagonal entry exactly zero.
     """
     if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         raise ValueError("no quadrature scheme for type-I matrix balls")
     if weight.base != domain:
         raise ValueError("weight is attached to a different base domain")
     scheme = scheme or QuadratureScheme()
-    n = domain.dim
-    basis = multiindex_enumerate(n, degree)
-    B = len(basis)
+    s, ws = _radial_rule(domain, weight, degree, scheme)
+    moments = _power_sums(s, ws * weight_radial_fn(weight)(s),
+                          degree + domain.dim - 1)
+    return _radial_gram(domain, weight, degree, moments,
+                        {"kind": "quadrature", "scheme": asdict(scheme)})
 
-    T, wts = _radial_rule(domain, weight, degree, scheme)
-    wfun = weight_radial_fn(weight)
-    vals = wts * wfun(T.sum(axis=1)) * _HALF ** n
-    sqrtT = np.sqrt(T)
 
-    # radial moments for every needed exponent-sum vector gamma = alpha+beta
-    gammas = {}
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            gammas.setdefault(tuple(x + y for x, y in zip(a, b)), None)
-    for gamma in gammas:
-        p = vals.copy()
-        for c, g in enumerate(gamma):
-            if g:
-                p = p * sqrtT[:, c] ** g
-        gammas[gamma] = p.sum()
-
-    ang = _angular_integrals(degree, scheme.angular_count(degree))
-
-    G = np.empty((B, B), dtype=complex)
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            f = 1.0 + 0.0j
-            for c in range(n):
-                f *= ang[a[c] - b[c] + degree]
-            G[i, j] = f * gammas[tuple(x + y for x, y in zip(a, b))]
-    G = (G + G.conj().T) / 2.0
-    return GramMatrix(domain, degree, basis, G,
-                      {"kind": "quadrature", "scheme": asdict(scheme)},
-                      weight_label=describe_weight(weight))
+def gram_auto(weight: Weight, degree: int,
+              scheme: QuadratureScheme | None = None) -> GramMatrix:
+    """The closed-form Gram where the weight admits one, else the quadrature
+    Gram; ``gram.method["kind"]`` records the route taken."""
+    try:
+        return gram_exact(weight.base, weight, degree)
+    except ValueError:
+        return gram_quadrature(weight.base, weight, degree, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +481,7 @@ def repair_psd(entries: np.ndarray, psd_tol: float = 1e-10) -> tuple[np.ndarray,
 
 def weight_mass(weight: Weight, scheme: QuadratureScheme | None = None) -> float:
     """Total integral <1, 1> of the weight over its base domain."""
-    zero = tuple([0] * weight.base.dim)
-    try:
-        return moment_exact(weight.base, weight, zero, zero).real
-    except ValueError:
-        gram = gram_quadrature(weight.base, weight, 0, scheme)
-        return float(gram.entries[0, 0].real)
+    return float(gram_auto(weight, 0, scheme).entries[0, 0].real)
 
 
 def unit_mass_weight(weight: Weight, scheme: QuadratureScheme | None = None) -> Weight:

@@ -149,6 +149,26 @@ class TestVerdictExitCodes:
         assert code == 0
         assert rep["residual"] <= 1e-10
 
+    def test_lazy_power_weight_matches_like_its_closed_form(self, capsys):
+        # (1 - t)^12 through the lazy power of poly:1,-1 is npower:12
+        code, out, _ = run_cli(
+            ["characterize-ch", "--domain", "disk", "--weight", "poly:1,-1",
+             "--m", "12", "--mu", "1.0", "--degree", "30", "--rmax", "0.44",
+             "--seed", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["max_deviation"] <= 1e-11
+
+    @pytest.mark.parametrize("argv", [
+        ["gram", "--domain", "ball:3", "--weight", "npower:1"],
+        ["characterize-fbh", "--n", "3", "--weight", "gaussian:1"],
+        ["family-check", "--family", "fbh", "--n", "3"],
+    ])
+    def test_oversized_basis_is_a_config_error(self, capsys, argv):
+        # C(3+64, 3) = 47905 monomials: a 34 GiB dense Gram matrix
+        code, _, err = run_cli(argv + ["--degree", "64"], capsys)
+        assert code == 2
+        assert "47905 monomials" in err and "Traceback" not in err
+
     def test_usage_error_exits_two(self, capsys):
         code, _, err = run_cli(["gram", "--domain", "disk"], capsys)
         assert code == 2  # missing --weight
@@ -166,6 +186,20 @@ class TestOutputs:
         lines = out.strip().splitlines()
         assert lines[0] == "i,j,re,im"
         assert len(lines) == 1 + 16  # header + basis^2
+
+    @pytest.mark.parametrize("argv,code", [
+        (["gram", "--domain", "disk", "--weight", "npower:1"], 0),
+        (["moment-mismatch", "--domain", "disk", "--weight", "npower:1",
+          "--weight2", "npower:2"], 1),
+    ])
+    def test_matrix_csv_cells_are_plain_numbers(self, capsys, argv, code):
+        got, out, _ = run_cli(argv + ["--degree", "2", "--format", "csv"],
+                              capsys)
+        assert got == code
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 9
+        for i, j, re, im in rows:
+            float(re), float(im)
 
     def test_kernel_grid_csv(self, capsys):
         code, out, _ = run_cli(
@@ -310,12 +344,19 @@ class TestJsonArguments:
         path.write_text("[[0.1, 0.0]]")
         return str(path)
 
-    def test_points_file_list(self, capsys, list_file):
-        code, _, err = run_cli(
-            ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
-             "--degree", "6", "--points-file", list_file], capsys)
-        assert code == 2
-        assert "JSON object" in err and "Traceback" not in err
+    def test_points_file_list(self, capsys, list_file, tmp_path):
+        scalar_z = tmp_path / "scalar-z.json"
+        scalar_z.write_text('{"z": 1, "w": []}')
+        object_z = tmp_path / "object-z.json"
+        object_z.write_text('{"z": [{"re": 1}], "w": []}')
+        for path, message in ((list_file, "JSON object"),
+                              (str(scalar_z), "list of points"),
+                              (str(object_z), "numbers")):
+            code, _, err = run_cli(
+                ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+                 "--degree", "6", "--points-file", path], capsys)
+            assert code == 2
+            assert message in err and "Traceback" not in err
 
     def test_kernel_file_list(self, capsys, list_file):
         code, _, err = run_cli(["kernel-eval", "--kernel", list_file], capsys)
@@ -349,9 +390,11 @@ class TestNonFiniteDiagnostics:
         assert jsonio.rnum(True) is True
 
     def test_gram_inf_condition_reported(self, capsys):
+        # 1 - 2t changes sign on the disk: R_j = -j/((j+1)(j+2)) < 0 for
+        # j >= 1, so the Gram matrix has a negative eigenvalue
         code, out, _ = run_cli(
-            ["gram", "--domain", "cn:1", "--weight", "gaussian:1",
-             "--method", "quadrature", "--degree", "20"], capsys)
+            ["gram", "--domain", "disk", "--weight", "poly:1,-2",
+             "--method", "quadrature", "--degree", "4"], capsys)
         assert code == 0
         assert strict_json(out)["diagnostics"]["condition"] == "inf"
 

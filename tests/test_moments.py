@@ -51,6 +51,18 @@ class TestMomentExact:
             b = bl.moment_exact(DISK, power, (k,), (k,))
             assert a == pytest.approx(b, rel=1e-14)
 
+    @pytest.mark.parametrize("s", [4, 8, 16, 24])
+    def test_lazy_power_of_one_minus_t_against_mpmath(self, s):
+        # the expanded coefficients of (1 - t)^s alternate in sign and
+        # cancel in any sum over them; the moments are pi B(k+1, s+1)
+        mpmath = pytest.importorskip("mpmath")
+        G = bl.gram_exact(DISK, bl.polynomial_weight(DISK, [1.0, -1.0]).pow(s),
+                          30)
+        for k in range(31):
+            with mpmath.workdps(40):
+                ref = float(mpmath.pi * mpmath.beta(k + 1, s + 1))
+            assert abs(G.entries[k, k].real - ref) <= 1e-13 * ref
+
     def test_unsupported_pairs_raise(self):
         with pytest.raises(ValueError):
             bl.moment_exact(DISK, bl.gaussian_weight(1, 1.0), (0,), (0,))
@@ -67,6 +79,9 @@ class TestGramQuadrature:
         (DISK, bl.polynomial_weight(DISK, [1.0, -1.0]).pow(2)),
         (C1, bl.gaussian_weight(1, 1.0)),
         (C1, bl.gaussian_weight(1, 2.0)),
+        (bl.unit_ball(4), bl.generic_norm_weight(bl.unit_ball(4), 1.0)),
+        (bl.full_space(3), bl.gaussian_weight(3, 1.0)),
+        (bl.full_space(4), bl.gaussian_weight(4, 1.5)),
     ])
     def test_matches_exact_moments(self, domain, weight):
         Gq = bl.gram_quadrature(domain, weight, 10)
@@ -81,6 +96,30 @@ class TestGramQuadrature:
         Ge = bl.gram_exact(b2, w, 6)
         defect = np.abs(Gq.entries - Ge.entries) / (1.0 + scale_matrix(Ge.entries))
         assert defect.max() <= 1e-12
+
+    # Diagonal relative errors, rounded to four digits, of the nested
+    # tensor-product Legendre rule (64 nodes per coordinate over the simplex
+    # of t_j = |z_j|^2) that the 1-D rule in s replaced, at both ends of the
+    # degree ranges the benchmark assembles: fractional exponents put an
+    # endpoint singularity in the integrand that no Gauss rule integrates
+    # exactly.
+    @pytest.mark.parametrize("n,mu,degree,nested_error", [
+        (2, 0.5, 6, 8.450e-06), (2, 0.5, 16, 3.111e-05),
+        (2, 0.77, 6, 8.338e-07), (2, 0.77, 16, 3.814e-06),
+        (2, 1.5, 6, 9.225e-09), (2, 1.5, 16, 7.413e-08),
+        (2, 2.9, 6, 4.613e-13), (2, 2.9, 16, 9.890e-12),
+        (3, 0.5, 2, 2.519e-06), (3, 0.5, 4, 5.198e-06),
+        (3, 0.77, 2, 2.071e-07), (3, 0.77, 4, 4.753e-07),
+        (3, 1.5, 2, 1.455e-09), (3, 1.5, 4, 4.337e-09),
+        (3, 2.9, 2, 4.436e-14), (3, 2.9, 4, 1.695e-13),
+    ])
+    def test_fractional_exponents_within_nested_rule_error(
+            self, n, mu, degree, nested_error):
+        ball = bl.unit_ball(n)
+        w = bl.generic_norm_weight(ball, mu)
+        q = np.real(np.diag(bl.gram_quadrature(ball, w, degree).entries))
+        e = np.real(np.diag(bl.gram_exact(ball, w, degree).entries))
+        assert np.max(np.abs(q - e) / e) <= nested_error
 
     def test_unit_weight_degree_zero_gives_area(self):
         G = bl.gram_quadrature(DISK, bl.polynomial_weight(DISK, [1.0]), 0)
@@ -113,6 +152,17 @@ class TestGramQuadrature:
         dom = bl.matrix_ball(2, 2)
         with pytest.raises(ValueError, match="quadrature"):
             bl.gram_quadrature(dom, bl.generic_norm_weight(dom, 1.0), 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tabulated_gaussian_on_higher_dimensional_full_space(self, n):
+        # monotone-cubic interpolation at knot spacing 0.1 costs ~1e-6
+        knots = np.linspace(0.0, 60.0, 601)
+        w = bl.Weight(bl.full_space(n),
+                      bl.RadialProfile(tuple(knots), tuple(np.exp(-knots))))
+        q = np.real(np.diag(bl.gram_quadrature(w.base, w, 6).entries))
+        e = np.real(np.diag(bl.gram_exact(
+            w.base, bl.gaussian_weight(n, 1.0), 6).entries))
+        assert np.max(np.abs(q - e) / e) <= 1e-5
 
     def test_nondecaying_fullspace_table_rejected(self):
         knots = tuple(np.linspace(0.0, 10.0, 50))

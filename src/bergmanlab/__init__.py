@@ -37,7 +37,6 @@ from .core import (
 )
 from .moments import (
     GramMatrix,
-    QuadratureScheme,
     gram_auto,
     gram_exact,
     gram_from_json,

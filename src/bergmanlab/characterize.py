@@ -46,13 +46,10 @@ from .core import (
     Weight,
     as_point,
     generic_norm,
+    sample_ball,
     weight_eval,
 )
-from .moments import (
-    GramMatrix,
-    QuadratureScheme,
-    gram_auto,
-)
+from .moments import GramMatrix, gram_auto
 from .kernels import FockKernel, PowerKernel, SeriesKernel, kernel_from_gram
 from .hartogs import HartogsDomain
 from .automorphisms import (
@@ -76,10 +73,9 @@ class MomentTable:
     mass: float
 
 
-def moment_table(weight: Weight, degree: int,
-                 scheme: QuadratureScheme | None = None) -> MomentTable:
+def moment_table(weight: Weight, degree: int) -> MomentTable:
     """Gram matrix of the weight, closed-form when available."""
-    gram = gram_auto(weight, degree, scheme)
+    gram = gram_auto(weight, degree)
     mass = float(gram.entries[0, 0].real)
     if mass <= 0:
         raise ValueError("weight has non-positive mass")
@@ -99,8 +95,7 @@ class MismatchResult:
         return self.frobenius
 
 
-def moment_mismatch(w1: Weight, w2: Weight, degree: int,
-                    scheme: QuadratureScheme | None = None) -> MismatchResult:
+def moment_mismatch(w1: Weight, w2: Weight, degree: int) -> MismatchResult:
     """Entrywise difference of two moment tables on a common base.
 
     A zero difference (to tolerance) is the rank-d necessary condition for
@@ -109,8 +104,8 @@ def moment_mismatch(w1: Weight, w2: Weight, degree: int,
     """
     if w1.base != w2.base:
         raise ValueError("weights live on different base domains")
-    t1 = moment_table(w1, degree, scheme)
-    t2 = moment_table(w2, degree, scheme)
+    t1 = moment_table(w1, degree)
+    t2 = moment_table(w2, degree)
     diff = t1.moments.entries - t2.moments.entries
     return MismatchResult(diff, float(np.linalg.norm(diff)),
                           float(np.max(np.abs(diff))), degree)
@@ -269,23 +264,6 @@ class CharacterizationReport:
         return out
 
 
-def _sample_points(n: int, rmax: float, count: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    pts = [np.zeros(n, dtype=complex)]
-    while len(pts) < count:
-        re = rng.uniform(-1.0, 1.0, n)
-        im = rng.uniform(-1.0, 1.0, n)
-        z = (re + 1j * im) * rmax / math.sqrt(n)
-        if np.sqrt(np.sum(np.abs(z) ** 2)) <= rmax:
-            pts.append(z)
-    return pts
-
-
-def _series_kernel(weight: Weight, degree: int,
-                   scheme: QuadratureScheme | None) -> SeriesKernel:
-    return kernel_from_gram(gram_auto(weight, degree, scheme))
-
-
 def _with_origin(dim: int, points) -> list[np.ndarray]:
     """The origin followed by the sample points, for one batched evaluation."""
     return [np.zeros(dim, dtype=complex), *points]
@@ -338,8 +316,7 @@ def _proportionality_report(series: SeriesKernel, reference, points,
 
 def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
                      rmax: float | None = None, npts: int = 12, seed: int = 0,
-                     match_tol: float = 1e-8, mismatch_tol: float = 1e-6,
-                     scheme: QuadratureScheme | None = None
+                     match_tol: float = 1e-8, mismatch_tol: float = 1e-6
                      ) -> CharacterizationReport:
     """Does the weighted kernel of p^m on C^n match the Gaussian model?
 
@@ -352,20 +329,21 @@ def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
         raise ValueError("the Gaussian-model characterization lives on C^n")
     if m < 1 or mu <= 0:
         raise ValueError("need m >= 1 and mu > 0")
-    series = _series_kernel(p.pow(m), degree, scheme)
+    series = kernel_from_gram(gram_auto(p.pow(m), degree))
     reference = FockKernel(m * mu, p.base.dim)
     if rmax is None:
         # keeps the rank-10 truncation tail below the match tolerance
         rmax = 0.9 / math.sqrt(m * mu)
-    points = _sample_points(p.base.dim, rmax, npts, seed)
+    rng = np.random.default_rng(seed)
+    n = p.base.dim
+    points = _with_origin(n, sample_ball(rng, n, rmax, npts - 1))
     return _proportionality_report(series, reference, points, degree,
                                    match_tol, mismatch_tol)
 
 
 def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
                     rmax: float = 0.55, npts: int = 12, seed: int = 0,
-                    match_tol: float = 1e-8, mismatch_tol: float = 1e-6,
-                    scheme: QuadratureScheme | None = None
+                    match_tol: float = 1e-8, mismatch_tol: float = 1e-6
                     ) -> CharacterizationReport:
     """Does the weighted kernel of q^m match the generic-norm power model?
 
@@ -378,9 +356,10 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
         raise ValueError("the generic-norm characterization needs disk/ball")
     if m < 1 or mu <= 0:
         raise ValueError("need m >= 1 and mu > 0")
-    series = _series_kernel(q.pow(m), degree, scheme)
+    series = kernel_from_gram(gram_auto(q.pow(m), degree))
     reference = PowerKernel(base, m * mu)
-    points = _sample_points(base.dim, rmax, npts, seed)
+    rng = np.random.default_rng(seed)
+    points = _with_origin(base.dim, sample_ball(rng, base.dim, rmax, npts - 1))
 
     k00, *kdiag = series.diagonal(_with_origin(base.dim, points)).tolist()
     diag_worst = 0.0
@@ -478,11 +457,13 @@ class FamilyConditionReport:
                 "maps": [m.as_dict() for m in self.maps]}
 
 
+# sampled base points on which each map must keep the zero section
+_FIBER_CHECKS = 5
+
+
 def family_condition_check(domain: HartogsDomain,
                            maps: list[AutomorphismSpec], degree: int, *,
                            tol: float = 1e-9,
-                           scheme: QuadratureScheme | None = None,
-                           fiber_check_count: int = 5,
                            seed: int = 0) -> FamilyConditionReport:
     """Check the shared-constant Jacobian/kernel condition over a map family.
 
@@ -499,12 +480,12 @@ def family_condition_check(domain: HartogsDomain,
     if not maps:
         raise ValueError("need at least one map")
     m = domain.fiber_dim
-    series = _series_kernel(domain.weight.pow(m), degree, scheme)
+    series = kernel_from_gram(gram_auto(domain.weight.pow(m), degree))
 
     rng = np.random.default_rng(seed)
     n = domain.base.dim
     check_pts = []
-    for _ in range(fiber_check_count):
+    for _ in range(_FIBER_CHECKS):
         z = (rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n))
         check_pts.append(z)
 

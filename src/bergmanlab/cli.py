@@ -35,6 +35,7 @@ from .core import (
     load_radial_profile,
     matrix_ball,
     polynomial_weight,
+    sample_ball,
     unit_ball,
     unit_disk,
 )
@@ -246,15 +247,6 @@ def _weight_of(cfg: dict, domain: DomainSpec, key: str = "weight") -> Weight:
     return parse_weight(cfg[key], domain)
 
 
-def _sample_disk_points(rng, count: int, radius: float) -> list[complex]:
-    pts = []
-    while len(pts) < count:
-        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if abs(z) <= radius:
-            pts.append(z)
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # commands; each returns (report dict, failed flag, payload for csv)
 
@@ -347,7 +339,7 @@ def _cmd_frc_check(cfg: dict):
     terms_max = 0
     all_converged = True
     for _ in range(pairs):
-        z, z2 = _sample_disk_points(rng, 2, 0.9)
+        z, z2 = (complex(p[0]) for p in sample_ball(rng, 1, 0.9, 2))
         pz = 1.0 - abs(z) ** 2
         pz2 = 1.0 - abs(z2) ** 2
         ratio = 0.7 * rng.random(2)
@@ -369,7 +361,7 @@ def _cmd_frc_check(cfg: dict):
         gram_exact(domain.base, domain.weight.pow(m), 40))
     worst_rest = 0.0
     for _ in range(20):
-        z, z2 = _sample_disk_points(rng, 2, 0.5)
+        z, z2 = (complex(p[0]) for p in sample_ball(rng, 1, 0.5, 2))
         worst_rest = max(worst_rest, frc_restriction_check(
             domain, [z], [z2],
             lambda a, b: frc_eval(domain, a, b, family).value,
@@ -415,8 +407,7 @@ def _cmd_transform_check(cfg: dict):
     rng = np.random.default_rng(cfg["seed"])
     count = cfg.get("points", 8)
     radius = cfg.get("radius", 0.6 if H.base.bounded else 1.0)
-    pts = [[z] for z in _sample_disk_points(rng, count, radius)] \
-        if H.base.dim == 1 else \
+    pts = sample_ball(rng, 1, radius, count) if H.base.dim == 1 else \
         [(rng.uniform(-radius, radius, H.base.dim)
           + 1j * rng.uniform(-radius, radius, H.base.dim)) / math.sqrt(H.base.dim)
          for _ in range(count)]
@@ -552,8 +543,8 @@ def _cmd_family_check(cfg: dict):
     elif family == "thullen":
         domain = HartogsDomain(unit_disk(),
                                generic_norm_weight(unit_disk(), cfg["mu"]), 1)
-        maps = [thullen_mobius(domain, z)
-                for z in _sample_disk_points(rng, count, 0.6)]
+        maps = [thullen_mobius(domain, z[0])
+                for z in sample_ball(rng, 1, 0.6, count)]
     else:
         raise ConfigError(f"unknown family {family!r}; use fbh or thullen")
     rep = family_condition_check(domain, maps, cfg["degree"],

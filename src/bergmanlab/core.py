@@ -194,6 +194,23 @@ def as_points(zs, dim: int) -> np.ndarray:
     return arr
 
 
+def sample_ball(rng, n: int, radius: float, count: int) -> list[np.ndarray]:
+    """count points of the closed ball of the given radius in C^n.
+
+    Each point draws the real parts, then the imaginary parts, uniformly
+    from [-1, 1]^n, scales them by radius/sqrt(n), and is rejected outside
+    the ball, so the accepted points are uniform in it.
+    """
+    pts = []
+    while len(pts) < count:
+        re = rng.uniform(-1.0, 1.0, n)
+        im = rng.uniform(-1.0, 1.0, n)
+        z = (re + 1j * im) * radius / math.sqrt(n)
+        if np.sqrt(np.sum(np.abs(z) ** 2)) <= radius:
+            pts.append(z)
+    return pts
+
+
 def _as_matrix(domain: DomainSpec, z: np.ndarray) -> np.ndarray:
     p, q = domain.shape
     return z.reshape(p, q)
@@ -449,31 +466,30 @@ def polynomial_weight(domain: DomainSpec, coefficients) -> Weight:
     return Weight(domain, PolynomialRadial(tuple(float(c) for c in coefficients)))
 
 
-def _form_eval(form: WeightForm, base: DomainSpec, z: np.ndarray) -> float:
-    if isinstance(form, GaussianPower):
-        return math.exp(-form.mu * float(np.sum(np.abs(z) ** 2)))
-    if isinstance(form, GenericNormPower):
-        nz = generic_norm(base, z, z).real
-        if nz <= 0:
-            raise ValueError("point outside the open base domain")
-        return nz ** form.mu
-    if isinstance(form, PolynomialRadial):
-        t = float(np.sum(np.abs(z) ** 2))
-        return float(npoly.polyval(t, np.asarray(form.coefficients)))
-    if isinstance(form, RadialProfile):
-        t = float(np.sum(np.abs(z) ** 2))
-        return float(form(t))
-    if isinstance(form, Scaled):
-        return form.factor * weight_eval(form.inner, z)
-    raise TypeError(f"unknown weight form {form!r}")
-
-
 def weight_eval(weight: Weight, z) -> float:
-    """Evaluate the weight at an interior point; strictly positive there."""
-    z = as_point(z, weight.base.dim)
-    if contains(weight.base, z) >= 0:
+    """Evaluate the weight at an interior point; strictly positive there.
+
+    Weights on disk, ball and C^n go through ``weight_radial_fn`` at
+    t = |z|^2.  On type-I bases, which are not radial in |z|^2, generic-norm
+    powers (and rescalings of them) are evaluated through det(I - Z Z*);
+    other forms are refused there.  The base form is evaluated and checked
+    before the power is applied.
+    """
+    base, form = weight.base, weight.form
+    z = as_point(z, base.dim)
+    if contains(base, z) >= 0:
         raise ValueError("point outside the open base domain")
-    val = _form_eval(weight.form, weight.base, z)
+    if base.kind is DomainKind.TYPE_I_MATRIX_BALL:
+        if isinstance(form, Scaled):
+            val = form.factor * weight_eval(form.inner, z)
+        elif isinstance(form, GenericNormPower):
+            val = max(generic_norm(base, z, z).real, 0.0) ** form.mu
+        else:
+            raise ValueError("type-I weights are evaluated for generic-norm "
+                             "powers only")
+    else:
+        t = float(np.sum(np.abs(z) ** 2))
+        val = float(weight_radial_fn(Weight(base, form))(t))
     if val <= 0:
         raise ValueError("weight evaluated non-positive (inadmissible table?)")
     return val ** weight.power_exponent

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import DomainSpec, Weight, as_point, contains, weight_eval, hermitian_inner
 from .kernels import KernelModel, kernel_from_gram, weighted_kernel_closed_form
-from .moments import QuadratureScheme, gram_auto
+from .moments import gram_auto
 from . import jsonio
 
 
@@ -91,22 +91,20 @@ class ClosedFormFamily:
 class SeriesFamily:
     """k -> Gram-series K_{D, p^(k+m)} at a fixed truncation degree.
 
-    Grams are assembled lazily (closed-form moments when available, product
+    Grams are assembled lazily (closed-form moments when available, radial
     quadrature otherwise) and cached per k.
     """
 
-    def __init__(self, domain: HartogsDomain, degree: int,
-                 scheme: QuadratureScheme | None = None):
+    def __init__(self, domain: HartogsDomain, degree: int):
         self.domain = domain
         self.degree = degree
-        self.scheme = scheme
         self._cache: dict[int, KernelModel] = {}
 
     def __call__(self, k: int) -> KernelModel:
         if k not in self._cache:
             power = k + self.domain.fiber_dim
             self._cache[k] = kernel_from_gram(gram_auto(
-                self.domain.weight.pow(power), self.degree, self.scheme))
+                self.domain.weight.pow(power), self.degree))
         return self._cache[k]
 
 
@@ -192,8 +190,7 @@ def frc_eval(domain: HartogsDomain, point, point2, kernel_family,
 
 def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,
                           reference: KernelModel | None = None,
-                          degree: int = 40,
-                          scheme: QuadratureScheme | None = None) -> float:
+                          degree: int = 40) -> float:
     """Residual of the zero-fiber restriction identity.
 
     Compares K_Omega((z,0),(z',0)) -- where ``kernel_omega`` is any callable
@@ -209,7 +206,7 @@ def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,
 
     if reference is None:
         reference = kernel_from_gram(
-            gram_auto(domain.weight.pow(m), degree, scheme))
+            gram_auto(domain.weight.pow(m), degree))
 
     lhs = kernel_omega((z, zeros), (z2, zeros))
     ref = math.factorial(m) / math.pi ** m * reference.eval(z, z2)

@@ -48,8 +48,9 @@ from .core import (
     Weight,
 )
 from .moments import (
+    PSD_TOL,
     GramMatrix,
-    QuadratureScheme,
+    _equilibrate,
     _reduce_weight,
     domain_from_json,
     domain_to_json,
@@ -226,30 +227,21 @@ def weighted_kernel_closed_form(weight: Weight) -> KernelModel:
 # ---------------------------------------------------------------------------
 # series kernels from Gram matrices
 
-def _equilibrate(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Symmetric scaling to unit diagonal; None when the diagonal is not
-    strictly positive.  Gram diagonals span many orders of magnitude
-    (Gaussian moments grow like k!), and eigenvalue computations are only
-    trustworthy after this normalization."""
-    d = np.real(np.diag(entries))
-    if entries.size == 0 or np.any(d <= 0):
-        return None
-    s = 1.0 / np.sqrt(d)
-    scaled = entries * s[:, None] * s[None, :]
-    return (scaled + scaled.conj().T) / 2.0, s
+# Relative size of the smallest unit-diagonal eigenvalue (or squared
+# Cholesky pivot) below which a basis direction counts as numerically
+# dependent and is dropped.
+RANK_RTOL = 1e-13
 
 
-def kernel_from_gram(gram: GramMatrix, method: str = "auto",
-                     psd_tol: float = 1e-10,
-                     rank_rtol: float = 1e-13) -> SeriesKernel:
+def kernel_from_gram(gram: GramMatrix, method: str = "auto") -> SeriesKernel:
     """Orthonormalize the monomials against a Gram matrix.
 
     ``method`` is "auto" (Cholesky with eigendecomposition fallback),
     "cholesky", or "eig".  The matrix is equilibrated to unit diagonal
     first; a successful Cholesky certifies positive definiteness outright.
-    Otherwise the scaled spectrum decides: below -tol relative is rejected
-    as indefinite, eigenvalues in (-tol, 0) are clipped with the
-    perturbation recorded, and numerically singular directions are dropped.
+    Otherwise the scaled spectrum decides: below -PSD_TOL relative is
+    rejected as indefinite, eigenvalues in (-PSD_TOL, 0) are clipped with the
+    perturbation recorded, and directions below RANK_RTOL are dropped.
     More than 10% dropped directions is a hard error.
     """
     if method not in ("auto", "cholesky", "eig"):
@@ -270,7 +262,7 @@ def kernel_from_gram(gram: GramMatrix, method: str = "auto",
             # a collapsing pivot means a basis direction is numerically
             # collinear with earlier ones; defer to the dropping route
             pivots = np.abs(np.diag(L)) ** 2
-            if method == "cholesky" or pivots.min() > rank_rtol * pivots.max():
+            if method == "cholesky" or pivots.min() > RANK_RTOL * pivots.max():
                 coeff = solve_triangular(L, np.eye(B, dtype=complex), lower=True)
                 coeff = coeff * s[None, :]
         except np.linalg.LinAlgError:
@@ -279,11 +271,11 @@ def kernel_from_gram(gram: GramMatrix, method: str = "auto",
     if coeff is None:
         eigs, vecs = np.linalg.eigh(scaled)
         lam_max = float(eigs[-1])
-        if eigs[0] <= -psd_tol * max(lam_max, 1e-300):
+        if eigs[0] <= -PSD_TOL * max(lam_max, 1e-300):
             raise ValueError(
                 f"Gram matrix indefinite: scaled lambda_min = {eigs[0]:.3e}")
         perturbation = max(0.0, float(-eigs[0]))
-        keep = eigs > rank_rtol * max(lam_max, 1e-300)
+        keep = eigs > RANK_RTOL * max(lam_max, 1e-300)
         dropped = int(B - np.count_nonzero(keep))
         if dropped > 0.1 * B:
             raise ValueError(
@@ -308,8 +300,8 @@ def normalized_kernel(model: KernelModel, z, w) -> complex:
     return model.eval(z, w) / math.sqrt(kww.real)
 
 
-def reproducing_residual(model: SeriesKernel, poly: dict, z, weight: Weight,
-                         scheme: QuadratureScheme | None = None) -> float:
+def reproducing_residual(model: SeriesKernel, poly: dict, z,
+                         weight: Weight) -> float:
     """| f(z) - integral f(w) K(z, w) p(w) dV(w) | for a polynomial f.
 
     ``poly`` maps exponent multi-indices to coefficients; its degree should
@@ -324,7 +316,7 @@ def reproducing_residual(model: SeriesKernel, poly: dict, z, weight: Weight,
         raise ValueError("weight base mismatch")
     z = as_point(z, base.dim)
 
-    pts, wq = quadrature_points_1d(base, weight, model.degree, scheme)
+    pts, wq = quadrature_points_1d(base, weight, model.degree)
     pts2 = pts[:, None]
 
     terms = [(alpha[0] if isinstance(alpha, tuple) else int(alpha), c)

@@ -25,8 +25,8 @@ on C^n, Legendre up to the last knot of a tabulated profile
 exists.  Importance-sampled Monte Carlo with per-entry standard errors
 (``gram_montecarlo``) estimates the dense matrix directly.
 
-Assembly is deterministic: node sets and summation order are fixed by the
-scheme and by the seed, independent of any threading in the BLAS.
+Assembly is deterministic: node sets and summation order are fixed by
+``QUADRATURE`` and by the seed, independent of any threading in the BLAS.
 """
 
 from __future__ import annotations
@@ -53,28 +53,21 @@ from .core import (
 from . import jsonio
 
 
-@dataclass(frozen=True)
-class QuadratureScheme:
-    """Quadrature parameters of the 1-D radial rules in s = |z|^2.
+# The 1-D radial rules in s = |z|^2, written into every quadrature Gram's
+# ``method["scheme"]``.  Bounded domains use ``radial_nodes`` Gauss-Legendre
+# nodes on [0, 1] per complex dimension, the full space ``fullspace_nodes``
+# Gauss-Laguerre nodes, and tabulated full-space profiles ``table_nodes``
+# Gauss-Legendre nodes up to their last knot, whose neglected tail must stay
+# below ``tail_rtol``.  ``angular_margin`` fixes the equispaced angular node
+# count of the explicit points of ``quadrature_points_1d`` at
+# 2*degree + margin, enough to annihilate every angular frequency a monomial
+# pair of degree <= d can produce, with margin.
+QUADRATURE = {"radial_nodes": 64, "angular_margin": 8, "fullspace_nodes": 96,
+              "table_nodes": 256, "tail_rtol": 1e-12}
 
-    Bounded domains use ``radial_nodes`` Gauss-Legendre nodes on [0, 1] per
-    complex dimension, the full space ``fullspace_nodes`` Gauss-Laguerre
-    nodes, and tabulated full-space profiles ``table_nodes`` Gauss-Legendre
-    nodes up to their last knot, whose neglected tail must stay below
-    ``tail_rtol``.  ``angular_margin`` fixes the equispaced angular node
-    count of the explicit points of ``quadrature_points_1d`` at
-    2*degree + margin, enough to annihilate every angular frequency a
-    monomial pair of degree <= d can produce, with margin.
-    """
-
-    radial_nodes: int = 64
-    angular_margin: int = 8
-    fullspace_nodes: int = 96
-    table_nodes: int = 256
-    tail_rtol: float = 1e-12
-
-    def angular_count(self, degree: int) -> int:
-        return 2 * degree + self.angular_margin
+# Relative size of the most negative eigenvalue of a unit-diagonal Gram
+# matrix that still counts as roundoff around a positive semidefinite one.
+PSD_TOL = 1e-10
 
 
 @dataclass
@@ -230,9 +223,8 @@ def _profile_of(weight: Weight) -> RadialProfile | None:
 
 
 def _fullspace_tail_check(weight: Weight, degree: int, n: int,
-                          scheme: QuadratureScheme,
                           t_max: float, current_scale: float) -> None:
-    """Reject schemes whose radial truncation is not negligible.
+    """Reject full-space rules whose radial truncation is not negligible.
 
     For Gaussian decay mu the neglected mass of t^(d+n-1) e^(-mu t) beyond
     the last node is an upper incomplete gamma ratio; for tabulated
@@ -245,11 +237,12 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
         if rel > 1e-16:
             raise ValueError(
                 f"radial tail test failed: relative Gaussian tail {rel:.2e} "
-                f"beyond t = {t_max:.3g} exceeds 1e-16; increase nodes")
+                f"of the degree-{degree} moments beyond the last Laguerre "
+                f"node t = {t_max:.3g} exceeds 1e-16")
         return
     prof = _profile_of(weight)
     if prof is None:
-        raise ValueError("weight is not integrable against a full-space scheme")
+        raise ValueError("weight is not integrable against a full-space rule")
     tk = np.asarray(prof.knots[-2:], dtype=float)
     vk = np.asarray(prof.values[-2:], dtype=float)
     if vk[-1] <= 0.0:
@@ -262,14 +255,14 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
                 + gammaln(a) + math.log(max(float(gammaincc(a, lam * t_max)),
                                             1e-300)))
     log_ref = math.log(current_scale) if current_scale > 0 else 0.0
-    if log_tail - log_ref > math.log(scheme.tail_rtol):
+    if log_tail - log_ref > math.log(QUADRATURE["tail_rtol"]):
         raise ValueError(
             "radial tail test failed: tabulated weight leaves an estimated "
             f"relative tail exp({log_tail - log_ref:.1f}) beyond its table")
 
 
-def _radial_rule(domain: DomainSpec, weight: Weight, degree: int,
-                 scheme: QuadratureScheme) -> tuple[np.ndarray, np.ndarray]:
+def _radial_rule(domain: DomainSpec, weight: Weight,
+                 degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s = |z|^2 and plain-ds weights of the 1-D radial rule.
 
     No rule has fewer nodes than integrate s^(degree+n-1) exactly.  On
@@ -281,28 +274,27 @@ def _radial_rule(domain: DomainSpec, weight: Weight, degree: int,
     n = domain.dim
     floor = (degree + n - 1) // 2 + 1
     if domain.bounded:
-        return _gauss01(max(n * scheme.radial_nodes, floor))
+        return _gauss01(max(n * QUADRATURE["radial_nodes"], floor))
     mu = _gaussian_decay(weight)
     if mu is not None:
-        x, w = roots_laguerre(max(scheme.fullspace_nodes, floor))
+        x, w = roots_laguerre(max(QUADRATURE["fullspace_nodes"], floor))
         s = x / mu
         with np.errstate(divide="ignore"):
             ws = np.where(w > 0, np.exp(np.log(np.where(w > 0, w, 1.0)) + x), 0.0) / mu
-        _fullspace_tail_check(weight, degree, n, scheme, float(s[-1]), 1.0)
+        _fullspace_tail_check(weight, degree, n, float(s[-1]), 1.0)
         return s, ws
     prof = _profile_of(weight)
     if prof is not None:
         t_max = float(prof.knots[-1])
-        x, w = _gauss01(scheme.table_nodes)
+        x, w = _gauss01(QUADRATURE["table_nodes"])
         s, ws = x * t_max, w * t_max
         ref = float(np.sum(ws * weight_radial_fn(weight)(s) * s ** (degree + n - 1)))
-        _fullspace_tail_check(weight, degree, n, scheme, t_max, abs(ref) + 1e-300)
+        _fullspace_tail_check(weight, degree, n, t_max, abs(ref) + 1e-300)
         return s, ws
-    raise ValueError("weight not integrable against a full-space scheme")
+    raise ValueError("weight not integrable against a full-space rule")
 
 
-def quadrature_points_1d(domain: DomainSpec, weight: Weight, degree: int,
-                         scheme: QuadratureScheme | None = None
+def quadrature_points_1d(domain: DomainSpec, weight: Weight, degree: int
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit product-rule nodes z_s and plain-dV weights for n = 1.
 
@@ -312,17 +304,15 @@ def quadrature_points_1d(domain: DomainSpec, weight: Weight, degree: int,
     """
     if domain.dim != 1:
         raise ValueError("explicit quadrature points are provided for n = 1 only")
-    scheme = scheme or QuadratureScheme()
-    t, wt = _radial_rule(domain, weight, degree, scheme)
-    M = scheme.angular_count(degree)
+    t, wt = _radial_rule(domain, weight, degree)
+    M = 2 * degree + QUADRATURE["angular_margin"]
     thetas = 2.0 * np.pi * np.arange(M) / M
     pts = (np.sqrt(t)[:, None] * np.exp(1j * thetas)[None, :]).reshape(-1)
     # dV = dt d(theta) / 2 in t = |z|^2
     return pts, np.repeat(wt, M) * (math.pi / M)
 
 
-def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int,
-                    scheme: QuadratureScheme | None = None) -> GramMatrix:
+def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int) -> GramMatrix:
     """Assemble the Gram matrix from radial moments by 1-D quadrature in s.
 
     A numerical route independent of the closed forms: the moments R_j are
@@ -333,22 +323,20 @@ def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int,
         raise ValueError("no quadrature scheme for type-I matrix balls")
     if weight.base != domain:
         raise ValueError("weight is attached to a different base domain")
-    scheme = scheme or QuadratureScheme()
-    s, ws = _radial_rule(domain, weight, degree, scheme)
+    s, ws = _radial_rule(domain, weight, degree)
     moments = _power_sums(s, ws * weight_radial_fn(weight)(s),
                           degree + domain.dim - 1)
     return _radial_gram(domain, weight, degree, moments,
-                        {"kind": "quadrature", "scheme": asdict(scheme)})
+                        {"kind": "quadrature", "scheme": dict(QUADRATURE)})
 
 
-def gram_auto(weight: Weight, degree: int,
-              scheme: QuadratureScheme | None = None) -> GramMatrix:
+def gram_auto(weight: Weight, degree: int) -> GramMatrix:
     """The closed-form Gram where the weight admits one, else the quadrature
     Gram; ``gram.method["kind"]`` records the route taken."""
     try:
         return gram_exact(weight.base, weight, degree)
     except ValueError:
-        return gram_quadrature(weight.base, weight, degree, scheme)
+        return gram_quadrature(weight.base, weight, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +408,22 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
 
 
 # ---------------------------------------------------------------------------
-# diagnostics, repair, mass
+# diagnostics and mass
 
-def gram_validate(gram: GramMatrix, psd_tol: float = 1e-10) -> GramDiagnostics:
+def _equilibrate(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Symmetric scaling to unit diagonal; None when the diagonal is not
+    strictly positive.  Gram diagonals span many orders of magnitude
+    (Gaussian moments grow like k!), and eigenvalue computations are only
+    trustworthy after this normalization."""
+    d = np.real(np.diag(entries))
+    if entries.size == 0 or np.any(d <= 0):
+        return None
+    s = 1.0 / np.sqrt(d)
+    scaled = entries * s[:, None] * s[None, :]
+    return (scaled + scaled.conj().T) / 2.0, s
+
+
+def gram_validate(gram: GramMatrix) -> GramDiagnostics:
     """Finite-rank health report: Hermitian defect, spectrum range,
     condition number, and how far off-diagonal mass strays for radial
     weights.  Always succeeds; ``cholesky_ok`` flags factorizability,
@@ -438,17 +439,16 @@ def gram_validate(gram: GramMatrix, psd_tol: float = 1e-10) -> GramDiagnostics:
     cond = float(lam_max / lam_min) if lam_min > 0 else math.inf
     off = G - np.diag(np.diag(G))
 
-    d = np.real(np.diag(G))
     ok = False
-    if G.size and np.all(d > 0):
-        s = 1.0 / np.sqrt(d)
-        scaled = H * s[:, None] * s[None, :]
+    eq = _equilibrate(G)
+    if eq is not None:
+        scaled, _ = eq
         try:
-            np.linalg.cholesky((scaled + scaled.conj().T) / 2.0)
+            np.linalg.cholesky(scaled)
             ok = True
         except np.linalg.LinAlgError:
-            se = np.linalg.eigvalsh((scaled + scaled.conj().T) / 2.0)
-            ok = bool(se[0] > -psd_tol * max(float(se[-1]), 1e-300))
+            se = np.linalg.eigvalsh(scaled)
+            ok = bool(se[0] > -PSD_TOL * max(float(se[-1]), 1e-300))
     return GramDiagnostics(
         hermitian_defect=herm,
         lambda_min=lam_min,
@@ -456,36 +456,17 @@ def gram_validate(gram: GramMatrix, psd_tol: float = 1e-10) -> GramDiagnostics:
         condition=cond,
         radial_offdiag_max=float(np.max(np.abs(off))) if G.size else 0.0,
         cholesky_ok=ok,
-        psd_tol=psd_tol,
+        psd_tol=PSD_TOL,
     )
 
 
-def repair_psd(entries: np.ndarray, psd_tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Clip tiny negative eigenvalues to the PSD cone.
-
-    Returns (repaired matrix, perturbation size).  Raises if the most
-    negative eigenvalue exceeds the tolerance relative to the spectral
-    radius: such a matrix is not a roundoff-perturbed Gram matrix.
-    """
-    H = (entries + entries.conj().T) / 2.0
-    eigs, vecs = np.linalg.eigh(H)
-    lam_max = float(eigs[-1])
-    if eigs[0] >= 0:
-        return H, 0.0
-    if eigs[0] <= -psd_tol * max(lam_max, 1e-300):
-        raise ValueError(f"Gram matrix is indefinite: lambda_min = {eigs[0]:.3e}")
-    clipped = np.clip(eigs, 0.0, None)
-    repaired = (vecs * clipped) @ vecs.conj().T
-    return (repaired + repaired.conj().T) / 2.0, float(-eigs[0])
-
-
-def weight_mass(weight: Weight, scheme: QuadratureScheme | None = None) -> float:
+def weight_mass(weight: Weight) -> float:
     """Total integral <1, 1> of the weight over its base domain."""
-    return float(gram_auto(weight, 0, scheme).entries[0, 0].real)
+    return float(gram_auto(weight, 0).entries[0, 0].real)
 
 
-def unit_mass_weight(weight: Weight, scheme: QuadratureScheme | None = None) -> Weight:
-    return weight.scaled(1.0 / weight_mass(weight, scheme))
+def unit_mass_weight(weight: Weight) -> Weight:
+    return weight.scaled(1.0 / weight_mass(weight))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The batched evaluation protocol: ``eval_grid`` on every kernel model and
-the characterize verdicts built on it, against scalar-loop oracles."""
+the verdicts built on it, against scalar-loop oracles."""
 
 import math
 
@@ -9,6 +9,7 @@ import pytest
 import bergmanlab as bl
 from bergmanlab import automorphisms as am
 from bergmanlab import characterize as ch
+from bergmanlab.core import sample_ball
 from bergmanlab.hartogs import HartogsDomain
 
 from conftest import interior_ball_points, interior_disk_points
@@ -153,6 +154,13 @@ def _scalar_series(series, z, w):
     return complex(np.dot(ez, ew.conj()))
 
 
+def _verdict_points(n, rmax, npts, seed):
+    """The points a characterize verdict samples: the origin, then npts - 1
+    seeded draws from the ball of radius rmax."""
+    rng = np.random.default_rng(seed)
+    return [np.zeros(n, dtype=complex), *sample_ball(rng, n, rmax, npts - 1)]
+
+
 def _oracle_proportionality(series, reference, points, match_tol,
                             mismatch_tol):
     zero = np.zeros(series.base.dim, dtype=complex)
@@ -214,9 +222,9 @@ CH_CASES = [
 @pytest.mark.parametrize("base,q,m,mu,degree,expected", CH_CASES)
 def test_characterize_ch_matches_scalar_oracle(base, q, m, mu, degree, expected):
     rep = ch.characterize_ch(q, m, mu, degree, seed=3)
-    series = ch._series_kernel(q.pow(m), degree, None)
+    series = bl.kernel_from_gram(bl.gram_auto(q.pow(m), degree))
     reference = bl.PowerKernel(base, m * mu)
-    points = ch._sample_points(base.dim, 0.55, 12, 3)
+    points = _verdict_points(base.dim, 0.55, 12, 3)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
     assert oracle[0] == expected
     _assert_same_report(rep, oracle, points)
@@ -244,9 +252,9 @@ FBH_CASES = [
 @pytest.mark.parametrize("n,p,m,mu,expected", FBH_CASES)
 def test_characterize_fbh_matches_scalar_oracle(n, p, m, mu, expected):
     rep = ch.characterize_fbh(p, m, mu, 20, seed=297)
-    series = ch._series_kernel(p.pow(m), 20, None)
+    series = bl.kernel_from_gram(bl.gram_auto(p.pow(m), 20))
     reference = bl.FockKernel(m * mu, n)
-    points = ch._sample_points(n, 0.9 / math.sqrt(m * mu), 12, 297)
+    points = _verdict_points(n, 0.9 / math.sqrt(m * mu), 12, 297)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
     assert oracle[0] == expected
     _assert_same_report(rep, oracle, points)
@@ -274,7 +282,8 @@ def _thullen_family():
 def test_family_condition_matches_scalar_oracle(family):
     H, maps, degree = family()
     rep = ch.family_condition_check(H, maps, degree)
-    series = ch._series_kernel(H.weight.pow(H.fiber_dim), degree, None)
+    series = bl.kernel_from_gram(
+        bl.gram_auto(H.weight.pow(H.fiber_dim), degree))
     ratios = []
     for aut, rec in zip(maps, rep.maps):
         z0 = am.zero_preimage(aut)
@@ -294,3 +303,64 @@ def test_family_condition_validates_every_map_before_evaluating():
     maps.append(am.make_fbh_map(foreign, "translation", v=[0.2]))
     with pytest.raises(ValueError, match="does not act"):
         ch.family_condition_check(H, maps, degree)
+
+
+def _scalar_transform_residual(aut, kernel, points):
+    """The pairwise loop of scalar ``eval`` calls that transform_residual
+    replaced."""
+    m = aut.target.fiber_dim
+    c = math.factorial(m) / math.pi ** m
+    jacs = [am.jacobian_base_slice(aut, p) for p in points]
+    imgs = [am.base_apply(aut, p) for p in points]
+    worst = 0.0
+    for i, zi in enumerate(points):
+        for j, zj in enumerate(points):
+            lhs = c * kernel.eval(zi, zj)
+            rhs = jacs[i] * np.conj(jacs[j]) * c * kernel.eval(imgs[i], imgs[j])
+            if abs(lhs) >= 1e-300:
+                worst = max(worst, abs(lhs - rhs) / abs(lhs))
+    return worst
+
+
+def _transform_case(name):
+    """(map, kernel of p^m, kernel of another weight, points) per base."""
+    rng = np.random.default_rng(21)
+    if name == "disk":
+        H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.5), 2)
+        aut = am.make_ch_map(H, [0.3 - 0.2j])
+        pts = [[z] for z in interior_disk_points(rng, 7, 0.6)]
+    elif name == "ball2":
+        ball2 = bl.unit_ball(2)
+        H = HartogsDomain(ball2, bl.generic_norm_weight(ball2, 2.0), 1)
+        aut = am.make_ch_map(H, [0.2 + 0.1j, -0.3j])
+        pts = interior_ball_points(rng, 2, 7, 0.6)
+    else:
+        H = HartogsDomain(bl.full_space(2), bl.gaussian_weight(2, 1.0), 2)
+        aut = am.make_fbh_map(H, "translation", v=[0.3 + 0.1j, -0.2])
+        pts = _full_space_points(rng, 2, 7, 1.5)
+    same = bl.weighted_kernel_closed_form(H.weight.pow(H.fiber_dim))
+    other = bl.weighted_kernel_closed_form(H.weight.pow(H.fiber_dim + 1))
+    return aut, same, other, pts
+
+
+@pytest.mark.parametrize("name", ["disk", "ball2", "cn2"])
+def test_transform_residual_matches_scalar_oracle(name):
+    aut, same, other, pts = _transform_case(name)
+    # the law holds for the kernel of p^m: both sides sit at roundoff
+    assert am.transform_residual(aut, same, pts) <= 1e-12
+    assert _scalar_transform_residual(aut, same, pts) <= 1e-12
+    # and fails for the kernel of p^(m+1), by the same amount either way
+    got = am.transform_residual(aut, other, pts)
+    ref = _scalar_transform_residual(aut, other, pts)
+    assert ref > 1e-3
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_transform_residual_truncated_series_matches_scalar_oracle():
+    aut, _, _, pts = _transform_case("disk")
+    w = aut.target.weight.pow(aut.target.fiber_dim)
+    series = bl.kernel_from_gram(bl.gram_exact(DISK, w, 40))
+    # the degree-40 truncation tail leaves a residual near 3e-8
+    got = am.transform_residual(aut, series, pts)
+    ref = _scalar_transform_residual(aut, series, pts)
+    assert abs(got - ref) <= 1e-13

@@ -241,6 +241,17 @@ class TestOutputs:
             a, b = K1.eval([z], [z]), K2.eval([z], [z])
             assert abs(a - b) <= 1e-15 * abs(a)
 
+    def test_gram_quadrature_method_block(self, capsys):
+        code, out, _ = run_cli(
+            ["gram", "--domain", "ball:2", "--weight", "npower:1",
+             "--degree", "2", "--method", "quadrature"], capsys)
+        assert code == 0
+        assert json.loads(out)["method"] == {
+            "kind": "quadrature",
+            "scheme": {"radial_nodes": 64, "angular_margin": 8,
+                       "fullspace_nodes": 96, "table_nodes": 256,
+                       "tail_rtol": 1e-12}}
+
     def test_kernel_json_argument(self, capsys, tmp_path):
         kj = json.dumps(bl.kernel_to_json(bl.fock_kernel(1.0, 1)))
         pts = tmp_path / "pts.json"

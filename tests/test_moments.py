@@ -9,7 +9,6 @@ from bergmanlab.moments import (
     GramMatrix,
     describe_weight,
     quadrature_points_1d,
-    repair_psd,
 )
 
 DISK = bl.unit_disk()
@@ -236,17 +235,6 @@ class TestGramValidate:
         diag = bl.gram_validate(G)
         assert 1.0 < diag.condition < math.inf
         assert diag.cholesky_ok
-
-    def test_repair_psd_clips_small_negatives(self):
-        M = np.diag([1.0, 1e-12]).astype(complex)
-        M[0, 1] = M[1, 0] = 1.001e-6  # makes lambda_min slightly negative
-        fixed, pert = repair_psd(M, psd_tol=1e-10)
-        assert pert > 0
-        assert np.linalg.eigvalsh(fixed)[0] >= -1e-18
-
-    def test_repair_psd_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="indefinite"):
-            repair_psd(np.diag([1.0, -0.5]).astype(complex))
 
 
 class TestSerialization:

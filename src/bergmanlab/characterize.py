@@ -45,7 +45,6 @@ from .core import (
     RadialProfile,
     Weight,
     as_point,
-    generic_norm,
     sample_ball,
     weight_eval,
 )
@@ -173,9 +172,13 @@ def _legendre_to_monomial(coeffs: np.ndarray) -> np.ndarray:
     return np.asarray(total.coef, dtype=float)
 
 
+# condition number of the unridged moment system above which recovery
+# refuses and asks for a ridge parameter
+_CONDITION_LIMIT = 1e12
+
+
 def recover_weight(table: MomentTable, basis: str | None = None,
-                   ridge: float = 0.0,
-                   condition_limit: float = 1e12) -> RecoveredWeight:
+                   ridge: float = 0.0) -> RecoveredWeight:
     """Invert the diagonal (radial) moment sequence m_k = <z^k, z^k>.
 
     One complex variable only.  The profile is expanded in shifted Legendre
@@ -202,9 +205,9 @@ def recover_weight(table: MomentTable, basis: str | None = None,
          else _design_laguerre(d))
     cond = float(np.linalg.cond(A))
     if ridge == 0.0:
-        if cond > condition_limit:
+        if cond > _CONDITION_LIMIT:
             raise ValueError(
-                f"moment system condition {cond:.2e} exceeds {condition_limit:.0e}; "
+                f"moment system condition {cond:.2e} exceeds {_CONDITION_LIMIT:.0e}; "
                 "retry with a positive ridge parameter")
         coeffs, *_ = np.linalg.lstsq(A, m, rcond=None)
     else:
@@ -264,35 +267,30 @@ class CharacterizationReport:
         return out
 
 
-def _with_origin(dim: int, points) -> list[np.ndarray]:
-    """The origin followed by the sample points, for one batched evaluation."""
-    return [np.zeros(dim, dtype=complex), *points]
-
-
 def _proportionality_report(series: SeriesKernel, reference, points,
                             degree: int, match_tol: float,
                             mismatch_tol: float,
-                            extra_checks=None) -> CharacterizationReport:
-    stacked = _with_origin(series.base.dim, points)
-    K = series.eval_grid(stacked, stacked).tolist()
-    R = reference.eval_grid(stacked, stacked).tolist()
-    c = K[0][0].real / R[0][0].real
+                            power_law: bool = False) -> CharacterizationReport:
+    """Worst relative deviation of K from c R over all pairs of points, c
+    fitted at points[0] = 0.  ``power_law`` adds K(z, z) = K(0, 0) R(z, z),
+    the generic-norm power law, read off the same grids as R(0, 0) = 1."""
+    with np.errstate(all="ignore"):    # refused by name below instead
+        K = series.eval_grid(points, points)
+        R = reference.eval_grid(points, points)
+        c = K[0, 0].real / R[0, 0].real
+        dev = np.abs(K - c * R) / np.abs(c * R)
+    if not R.all():
+        raise ValueError("the reference kernel underflows to 0 on the sample grid")
+    for grid, what in ((K, "series kernel"), (R, "reference kernel"),
+                       (dev, f"deviation from c * reference (c = {c:.3e})")):
+        if not np.isfinite(grid).all():
+            raise ValueError(f"the {what} is not finite on the sample grid")
 
-    worst = 0.0
-    worst_diag = 0.0
-    worst_off = 0.0
-    witness = None
-    for i, z in enumerate(points):
-        for j, w in enumerate(points):
-            kv = K[i + 1][j + 1]
-            rv = c * R[i + 1][j + 1]
-            dev = abs(kv - rv) / abs(rv)
-            if dev > worst:
-                worst, witness = dev, (z, w)
-            if i == j:
-                worst_diag = max(worst_diag, dev)
-            else:
-                worst_off = max(worst_off, dev)
+    # the first maximum in row-major order names the witness pair
+    i, j = np.unravel_index(dev.argmax(), dev.shape)
+    worst = float(dev[i, j])
+    worst_diag = float(dev.diagonal().max())
+    worst_off = float(dev[~np.eye(len(dev), dtype=bool)].max(initial=0.0))
 
     if worst <= match_tol:
         verdict = "match"
@@ -307,11 +305,17 @@ def _proportionality_report(series: SeriesKernel, reference, points,
         SubCheck("kernel_proportionality_offdiagonal",
                  "K_w(z,w) = c * K_model(z,w), z != w", worst_off),
     ]
-    if extra_checks:
-        checks.extend(extra_checks)
+    if power_law:
+        lhs = K.diagonal().real
+        rhs = K[0, 0].real * R.diagonal().real
+        checks.append(SubCheck(
+            "diagonal_power_law",
+            "K_q^m(z0,z0) = K_q^m(0,0) * N(z0,z0)^(-m*mu-g)",
+            float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))))
     return CharacterizationReport(verdict, float(c), degree, float(worst),
                                   match_tol, mismatch_tol, checks,
-                                  witness if verdict != "match" else None)
+                                  None if verdict == "match"
+                                  else (points[i], points[j]))
 
 
 def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
@@ -336,7 +340,7 @@ def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
         rmax = 0.9 / math.sqrt(m * mu)
     rng = np.random.default_rng(seed)
     n = p.base.dim
-    points = _with_origin(n, sample_ball(rng, n, rmax, npts - 1))
+    points = [np.zeros(n, dtype=complex), *sample_ball(rng, n, rmax, npts - 1)]
     return _proportionality_report(series, reference, points, degree,
                                    match_tol, mismatch_tol)
 
@@ -359,19 +363,10 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
     series = kernel_from_gram(gram_auto(q.pow(m), degree))
     reference = PowerKernel(base, m * mu)
     rng = np.random.default_rng(seed)
-    points = _with_origin(base.dim, sample_ball(rng, base.dim, rmax, npts - 1))
-
-    k00, *kdiag = series.diagonal(_with_origin(base.dim, points)).tolist()
-    diag_worst = 0.0
-    expo = -(m * mu + base.genus)
-    for z, lhs in zip(points, kdiag):
-        rhs = k00 * generic_norm(base, z, z).real ** expo
-        diag_worst = max(diag_worst, abs(lhs - rhs) / abs(rhs))
-    extra = [SubCheck("diagonal_power_law",
-                      "K_q^m(z0,z0) = K_q^m(0,0) * N(z0,z0)^(-m*mu-g)",
-                      diag_worst)]
+    n = base.dim
+    points = [np.zeros(n, dtype=complex), *sample_ball(rng, n, rmax, npts - 1)]
     return _proportionality_report(series, reference, points, degree,
-                                   match_tol, mismatch_tol, extra)
+                                   match_tol, mismatch_tol, power_law=True)
 
 
 # ---------------------------------------------------------------------------

@@ -189,25 +189,37 @@ def as_points(zs, dim: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"expected points of C^{dim} as shape (k, {dim}), "
                          f"got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("point set has non-finite entries")
     return arr
 
 
 def sample_ball(rng, n: int, radius: float, count: int) -> list[np.ndarray]:
-    """count points of the closed ball of the given radius in C^n.
+    """count points drawn uniformly from the closed ball of the given radius
+    in C^n.
 
-    Each point draws the real parts, then the imaginary parts, uniformly
-    from [-1, 1]^n, scales them by radius/sqrt(n), and is rejected outside
-    the ball, so the accepted points are uniform in it.
+    For n <= 3 each point draws its real parts, then its imaginary parts,
+    uniformly from [-radius, radius]^n and is rejected outside the ball.
+    The cube's share inside the ball, pi^n / (n! 4^n), is 31 % at n = 2 and
+    8 % at n = 3 but falls below 2 % from n = 4 on, so there a point is a
+    normal direction in R^(2n) scaled to the radius radius * U^(1/(2n)).
     """
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"sampling radius must be finite and >= 0, "
+                         f"not {radius!r}")
+    if n > 3:
+        g = rng.standard_normal((count, 2, n))
+        z = g[:, 0] + 1j * g[:, 1]
+        r = radius * rng.random(count) ** (1.0 / (2 * n))
+        z *= (r / np.sqrt(np.sum(g ** 2, axis=(1, 2))))[:, None]
+        return list(z)
     pts = []
     while len(pts) < count:
         re = rng.uniform(-1.0, 1.0, n)
         im = rng.uniform(-1.0, 1.0, n)
-        z = (re + 1j * im) * radius / math.sqrt(n)
-        if np.sqrt(np.sum(np.abs(z) ** 2)) <= radius:
-            pts.append(z)
+        # tested before scaling, which cannot overflow
+        if np.sum(re ** 2 + im ** 2) <= 1.0:
+            pts.append((re + 1j * im) * radius)
     return pts
 
 
@@ -311,7 +323,7 @@ def principal_log(factors: np.ndarray) -> np.ndarray:
     """Principal logarithms of generic-norm factors, elementwise.  A factor
     on the branch cut (the closed negative real axis) means a point is not
     interior."""
-    if np.any((factors.real <= 0) & (factors.imag == 0)):
+    if ((factors.real <= 0) & (factors.imag == 0)).any():
         raise ValueError("generic-norm factor on the branch cut; "
                          "points must be interior")
     return np.log(factors)

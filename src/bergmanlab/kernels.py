@@ -16,10 +16,10 @@ Raw-measure closed forms are expressed as ``ScaledKernel`` wrappers so that
 exactly one measure convention (raw dV) is used internally and normalized
 conventions appear only as explicitly stored constants.
 
-Every model evaluates one pair with ``eval(z, w)`` and a whole grid with
-``eval_grid(zs, ws)``, which returns K(z_i, w_j) with shape
-(len(zs), len(ws)) and validates each point set once.  Kernel models are
-immutable after construction; evaluation is pure.
+Every model has one evaluation path, ``eval_grid(zs, ws)``, which returns
+K(z_i, w_j) with shape (len(zs), len(ws)) and validates each point set
+once; ``eval(z, w)`` is its 1x1 view, the (0, 0) entry of a one-point grid.
+Kernel models are immutable after construction; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .core import (
     as_point,
     as_points,
     full_space,
-    generic_norm_power,
-    hermitian_inner,
     hua_normalization,
     monomial_values,
     multiindex_enumerate,
@@ -59,6 +57,13 @@ from .moments import (
 from . import jsonio
 
 
+def _grid_entry(model, z, w) -> complex:
+    """K(z, w) as the (0, 0) entry of a 1x1 ``eval_grid``; each kernel
+    model binds it as its ``eval``."""
+    return complex(model.eval_grid(np.reshape(z, (1, -1)),
+                                   np.reshape(w, (1, -1)))[0, 0])
+
+
 @dataclass(frozen=True)
 class FockKernel:
     """K(z, w) = exp(mu <z, w>) on C^n."""
@@ -70,10 +75,7 @@ class FockKernel:
     def domain(self) -> DomainSpec:
         return full_space(self.n)
 
-    def eval(self, z, w) -> complex:
-        z = as_point(z, self.n)
-        w = as_point(w, self.n)
-        return complex(np.exp(self.mu * hermitian_inner(z, w)))
+    eval = _grid_entry
 
     def eval_grid(self, zs, ws) -> np.ndarray:
         Z = as_points(zs, self.n)
@@ -101,21 +103,21 @@ class PowerKernel:
     def exponent(self) -> float:
         return self.base.genus + self.mu
 
-    def eval(self, z, w) -> complex:
-        return self.scale * generic_norm_power(self.base, z, w, -self.exponent)
+    eval = _grid_entry
 
     def eval_grid(self, zs, ws) -> np.ndarray:
         Z = as_points(zs, self.base.dim)
         W = as_points(ws, self.base.dim)
         if self.base.kind is DomainKind.TYPE_I_MATRIX_BALL:
-            # N(z, w) = det(I - Z W*) needs an eigen-solve per pair
-            out = np.empty((len(Z), len(W)), dtype=complex)
-            for i, z in enumerate(Z):
-                for j, w in enumerate(W):
-                    out[i, j] = self.eval(z, w)
-            return out
-        factors = 1.0 - Z @ W.conj().T
-        return self.scale * np.exp(-self.exponent * principal_log(factors))
+            # N(z, w) = det(I - Z W*) = prod (1 - lambda) over the eigenvalues
+            # of Z W*; one batched eigen-solve over every pair's product
+            p, q = self.base.shape
+            Zm = Z.reshape(len(Z), 1, p, q)
+            Wh = W.reshape(1, len(W), p, q).conj().swapaxes(-1, -2)
+            logs = principal_log(1.0 - np.linalg.eigvals(Zm @ Wh)).sum(axis=-1)
+        else:
+            logs = principal_log(1.0 - Z @ W.conj().T)
+        return self.scale * np.exp(-self.exponent * logs)
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,7 @@ class ScaledKernel:
     def domain(self) -> DomainSpec:
         return self.inner.domain
 
-    def eval(self, z, w) -> complex:
-        return self.scale * self.inner.eval(z, w)
+    eval = _grid_entry
 
     def eval_grid(self, zs, ws) -> np.ndarray:
         return self.scale * self.inner.eval_grid(zs, ws)
@@ -165,10 +166,7 @@ class SeriesKernel:
         V = monomial_values(self.index_map, points)
         return V @ self.coeff.T
 
-    def eval(self, z, w) -> complex:
-        z = as_point(z, self.base.dim)
-        w = as_point(w, self.base.dim)
-        return complex(self.eval_grid(z[None, :], w[None, :])[0, 0])
+    eval = _grid_entry
 
     def eval_grid(self, zs, ws) -> np.ndarray:
         """K(z_i, w_j) for all pairs, shape (len(zs), len(ws))."""

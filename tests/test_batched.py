@@ -1,6 +1,11 @@
 """The batched evaluation protocol: ``eval_grid`` on every kernel model and
-the verdicts built on it, against scalar-loop oracles."""
+the verdicts built on it, against scalar-loop oracles.
 
+``eval`` is the 1x1 view of ``eval_grid``, so the oracles take their kernel
+values from the scalar closed forms in ``core`` (``generic_norm_power``,
+exp(mu <z, w>)) and from the orthonormal basis expansion instead."""
+
+import cmath
 import math
 
 import numpy as np
@@ -9,7 +14,7 @@ import pytest
 import bergmanlab as bl
 from bergmanlab import automorphisms as am
 from bergmanlab import characterize as ch
-from bergmanlab.core import sample_ball
+from bergmanlab.core import hermitian_inner, sample_ball
 from bergmanlab.hartogs import HartogsDomain
 
 from conftest import interior_ball_points, interior_disk_points
@@ -23,11 +28,11 @@ def _full_space_points(rng, n, count, radius=1.0):
             * radius / math.sqrt(2 * n) for _ in range(count)]
 
 
-def _type_i_points(rng, count):
+def _type_i_points(rng, count, dim=4):
     # operator norm <= Frobenius norm < 1 keeps every point interior
     pts = []
     while len(pts) < count:
-        z = (rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)) * 0.4
+        z = (rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim)) * 0.4
         if np.linalg.norm(z) < 0.9:
             pts.append(z)
     return pts
@@ -53,11 +58,32 @@ def _models():
          _full_space_points(rng, 2, 5)),
         ("series-disk", series_disk, disk_pts),
         ("series-ball2", series_ball, interior_ball_points(rng, 2, 5, 0.6)),
+        ("power-typei2x3", bl.power_kernel(bl.matrix_ball(2, 3), 0.5, 1.7),
+         _type_i_points(rng, 4, 6)),
     ]
 
 
 MODELS = _models()
 IDS = [name for name, _, _ in MODELS]
+
+
+def _scalar_series(series, z, w):
+    ez = series.basis_values(np.asarray(z)[None, :])[0]
+    ew = series.basis_values(np.asarray(w)[None, :])[0]
+    return complex(np.dot(ez, ew.conj()))
+
+
+def _reference(model, z, w) -> complex:
+    """K(z, w) of one pair, computed without any ``eval_grid``."""
+    if isinstance(model, bl.FockKernel):
+        return cmath.exp(model.mu * hermitian_inner(np.asarray(z),
+                                                    np.asarray(w)))
+    if isinstance(model, bl.PowerKernel):
+        return model.scale * bl.generic_norm_power(model.base, z, w,
+                                                   -model.exponent)
+    if isinstance(model, bl.ScaledKernel):
+        return model.scale * _reference(model.inner, z, w)
+    return _scalar_series(model, z, w)
 
 
 @pytest.mark.parametrize("name,model,pts", MODELS, ids=IDS)
@@ -67,8 +93,9 @@ def test_grid_equals_pairwise_eval(name, model, pts):
     assert grid.shape == (len(zs), len(ws))
     for i, z in enumerate(zs):
         for j, w in enumerate(ws):
-            ref = model.eval(z, w)
+            ref = _reference(model, z, w)
             assert abs(grid[i, j] - ref) <= 1e-13 * abs(ref), (i, j)
+            assert abs(model.eval(z, w) - ref) <= 1e-13 * abs(ref), (i, j)
 
 
 def test_scalar_series_eval_matches_basis_expansion():
@@ -87,7 +114,7 @@ def test_series_diagonal_equals_eval(name):
     diag = model.diagonal(pts)
     assert diag.shape == (len(pts),) and diag.dtype == float
     for d, z in zip(diag, pts):
-        ref = model.eval(z, z)
+        ref = _scalar_series(model, z, z)
         assert abs(d - ref) <= 1e-13 * abs(ref)
     with pytest.raises(ValueError, match="non-finite"):
         model.diagonal([np.full(model.domain.dim, np.nan)])
@@ -148,12 +175,6 @@ def test_power_grid_rejects_branch_cut(domain, mu):
 # ---------------------------------------------------------------------------
 # the verdicts against the scalar loops they replace
 
-def _scalar_series(series, z, w):
-    ez = series.basis_values(np.asarray(z)[None, :])[0]
-    ew = series.basis_values(np.asarray(w)[None, :])[0]
-    return complex(np.dot(ez, ew.conj()))
-
-
 def _verdict_points(n, rmax, npts, seed):
     """The points a characterize verdict samples: the origin, then npts - 1
     seeded draws from the ball of radius rmax."""
@@ -164,13 +185,14 @@ def _verdict_points(n, rmax, npts, seed):
 def _oracle_proportionality(series, reference, points, match_tol,
                             mismatch_tol):
     zero = np.zeros(series.base.dim, dtype=complex)
-    c = _scalar_series(series, zero, zero).real / reference.eval(zero, zero).real
+    c = (_scalar_series(series, zero, zero).real
+         / _reference(reference, zero, zero).real)
     worst, worst_diag, worst_off, witness = 0.0, 0.0, 0.0, None
     devs = {}
     for i, z in enumerate(points):
         for j, w in enumerate(points):
             kv = _scalar_series(series, z, w)
-            rv = c * reference.eval(z, w)
+            rv = c * _reference(reference, z, w)
             dev = abs(kv - rv) / abs(rv)
             devs[i, j] = dev
             if dev > worst:
@@ -260,6 +282,25 @@ def test_characterize_fbh_matches_scalar_oracle(n, p, m, mu, expected):
     _assert_same_report(rep, oracle, points)
 
 
+@pytest.mark.parametrize("verdict", ["ch", "fbh"])
+def test_verdict_grids_hold_npts_points(monkeypatch, verdict):
+    # the sampled points start at the origin: npts points, one npts x npts
+    # grid per kernel
+    shapes = []
+    for cls in (bl.SeriesKernel, bl.PowerKernel, bl.FockKernel):
+        def spy(self, zs, ws, original=cls.eval_grid):
+            out = original(self, zs, ws)
+            shapes.append(out.shape)
+            return out
+        monkeypatch.setattr(cls, "eval_grid", spy)
+    if verdict == "ch":
+        ch.characterize_ch(bl.generic_norm_weight(DISK, 1.0), 1, 1.0, 20,
+                           npts=12)
+    else:
+        ch.characterize_fbh(bl.gaussian_weight(1, 1.0), 1, 1.0, 20, npts=12)
+    assert shapes == [(12, 12), (12, 12)]
+
+
 def _fbh_family(n):
     H = HartogsDomain(bl.full_space(n), bl.gaussian_weight(n, 1.0), 1)
     rng = np.random.default_rng(4)
@@ -315,8 +356,9 @@ def _scalar_transform_residual(aut, kernel, points):
     worst = 0.0
     for i, zi in enumerate(points):
         for j, zj in enumerate(points):
-            lhs = c * kernel.eval(zi, zj)
-            rhs = jacs[i] * np.conj(jacs[j]) * c * kernel.eval(imgs[i], imgs[j])
+            lhs = c * _reference(kernel, zi, zj)
+            rhs = (jacs[i] * np.conj(jacs[j]) * c
+                   * _reference(kernel, imgs[i], imgs[j]))
             if abs(lhs) >= 1e-300:
                 worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return worst

@@ -169,12 +169,46 @@ class TestVerdictExitCodes:
         assert code == 2
         assert "47905 monomials" in err and "Traceback" not in err
 
+    def test_frc_reports_the_first_pair_with_the_most_terms(self, capsys):
+        for seed in range(3):
+            code, out, _ = run_cli(["frc-check", "--pairs", "12",
+                                    "--seed", str(seed)], capsys)
+            rep = strict_json(out)
+            assert code == 0
+            assert rep["worst_pair_evaluation"]["terms_used"] == \
+                rep["max_terms_used"]
+
     def test_usage_error_exits_two(self, capsys):
         code, _, err = run_cli(["gram", "--domain", "disk"], capsys)
         assert code == 2  # missing --weight
         code, _, err = run_cli(["gram", "--domain", "disk",
                                 "--weight", "martian:1"], capsys)
         assert code == 2
+
+
+# inputs whose arithmetic overflows or divides by zero
+ARITHMETIC_FAILURES = [
+    # (1+m)!/pi^(1+m) of the ball-kernel oracle overflows a float
+    ["frc-check", "--m", "200", "--pairs", "2"],
+    # the moments k!/mu^(k+1) divide by a mu that underflows to 0
+    ["gram", "--domain", "cn:1", "--weight", "gaussian:1e-320",
+     "--degree", "3"],
+    # N(z, z)^(-9002) overflows on the sample grid
+    ["characterize-ch", "--weight", "npower:3000", "--mu", "3000",
+     "--degree", "4", "--rmax", "0.55"],
+    # exp(2000 <z, w>) overflows on the sample grid
+    ["characterize-fbh", "--n", "1", "--weight", "gaussian:2000",
+     "--mu", "2000", "--degree", "4", "--rmax", "0.9"],
+]
+
+
+@pytest.mark.parametrize("argv", ARITHMETIC_FAILURES,
+                         ids=[a[0] for a in ARITHMETIC_FAILURES])
+def test_arithmetic_failure_is_an_error_not_a_verdict(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestOutputs:
@@ -308,9 +342,9 @@ class TestKernelEvalGrid:
         assert len(values) == len(pairs)
         for entry, (z, w) in zip(values, pairs):
             assert entry["z"] == z and entry["w"] == w
-            zc = [complex(*c) for c in z]
-            wc = [complex(*c) for c in w]
-            ref = model.eval(zc, wc)
+            ref = model.scale * bl.generic_norm_power(
+                bl.unit_ball(2), [complex(*c) for c in z],
+                [complex(*c) for c in w], -(3 + 1.5))
             assert abs(complex(*entry["K"]) - ref) <= 1e-13 * abs(ref)
 
     def test_grid_csv_holds_plain_numbers(self, capsys):
@@ -410,8 +444,10 @@ class TestNonFiniteDiagnostics:
         assert strict_json(out)["diagnostics"]["condition"] == "inf"
 
     def test_frc_inf_tail_fails_the_verdict(self, capsys):
+        # one term leaves no ratio to extrapolate, so every pair's tail
+        # estimate, the reported one's included, is inf
         code, out, _ = run_cli(
-            ["frc-check", "--m", "2", "--pairs", "30", "--max-terms", "2",
+            ["frc-check", "--m", "2", "--pairs", "30", "--max-terms", "1",
              "--seed", "3"], capsys)
         assert code == 1
         rep = strict_json(out)

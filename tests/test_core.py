@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad, dblquad
 
 import bergmanlab as bl
-from bergmanlab.core import grlex_key, monomial_values
+from bergmanlab.core import grlex_key, monomial_values, sample_ball
 
 from conftest import interior_ball_points, interior_disk_points
 
@@ -236,3 +236,35 @@ class TestRadialProfileCsv:
                            "t,value\n0,1\n0.2,1\n0.4,1\n0.6,1\n")
         with pytest.raises(ValueError, match="cover"):
             bl.load_radial_profile(path)
+
+
+class TestSampleBall:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_uniform_in_the_ball(self, n):
+        # uniform in the ball of radius r: P(|z| <= s) = (s/r)^(2n)
+        count, r = 4000, 1.3
+        rng = np.random.default_rng(n)
+        pts = np.array(sample_ball(rng, n, r, count))
+        assert pts.shape == (count, n)
+        radii = np.sqrt(np.sum(np.abs(pts) ** 2, axis=1))
+        assert radii.max() <= r
+        for frac in (0.5, 0.7, 0.8, 0.9, 0.95):
+            p = frac ** (2 * n)
+            got = np.mean(radii <= frac * r)
+            assert abs(got - p) <= 5 * math.sqrt(p * (1 - p) / count) + 1e-3
+        # the whole ball is reached, not only the cube of half-width r/sqrt(n)
+        edge = r / math.sqrt(n)
+        assert np.abs(pts.real).max() > edge
+        assert np.abs(pts.imag).max() > edge
+
+    def test_disk_draws_keep_their_stream(self):
+        # n = 1: Re, then Im, uniform in [-r, r], rejected outside the disk
+        r = 0.9
+        got = sample_ball(np.random.default_rng(7), 1, r, 50)
+        rng = np.random.default_rng(7)
+        want = []
+        while len(want) < 50:
+            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) * r
+            if abs(z) <= r:
+                want.append(z)
+        assert [complex(p[0]) for p in got] == want

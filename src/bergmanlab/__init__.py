@@ -18,7 +18,6 @@ from .core import (
     GenericNormPower,
     PolynomialRadial,
     RadialProfile,
-    Scaled,
     contains,
     full_space,
     gaussian_weight,
@@ -51,7 +50,6 @@ from .moments import (
 from .kernels import (
     FockKernel,
     PowerKernel,
-    ScaledKernel,
     SeriesKernel,
     fock_kernel,
     kernel_from_gram,

@@ -40,7 +40,6 @@ from .core import (
     hermitian_inner,
 )
 from .hartogs import HartogsDomain
-from .moments import _reduce_weight
 from . import jsonio
 
 _UNITARY_TOL = 1e-12
@@ -57,20 +56,20 @@ def _check_unitary(U: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 def _gaussian_rate(domain: HartogsDomain) -> float:
-    scale, form, power = _reduce_weight(domain.weight)
+    form = domain.weight.form
     if not isinstance(form, GaussianPower) or domain.base.bounded:
         raise ValueError("target is not a Gaussian-weighted Hartogs domain "
                          "over the full space")
-    return form.mu * power
+    return form.mu * domain.weight.power_exponent
 
 
 def _norm_power_rate(domain: HartogsDomain) -> float:
-    scale, form, power = _reduce_weight(domain.weight)
+    form = domain.weight.form
     if not isinstance(form, GenericNormPower) or domain.base.kind not in (
             DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
         raise ValueError("target is not a generic-norm-weighted Hartogs "
                          "domain over the disk or ball")
-    return form.mu * power
+    return form.mu * domain.weight.power_exponent
 
 
 @dataclass(frozen=True)
@@ -411,9 +410,9 @@ def map_from_json(obj: dict, domain: HartogsDomain) -> AutomorphismSpec:
     kind = obj["kind"]
     n, m = domain.base.dim, domain.fiber_dim
     if kind == "base_unitary":
-        U = jsonio.as_cmatrix(obj["matrix"], (n, n))
-        return make_fbh_map(domain, "base_unitary", matrix=U) \
-            if not domain.base.bounded else BaseUnitary(domain, tuple(map(tuple, _check_unitary(U, n, "base unitary"))))
+        U = _check_unitary(jsonio.as_cmatrix(obj["matrix"], (n, n)), n,
+                           "base unitary")
+        return BaseUnitary(domain, tuple(map(tuple, U)))
     if kind == "fiber_unitary":
         U = _check_unitary(jsonio.as_cmatrix(obj["matrix"], (m, m)), m,
                            "fiber unitary")

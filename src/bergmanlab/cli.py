@@ -12,7 +12,10 @@ Reports are canonical JSON (sorted keys, complex numbers as [re, im]) or
 CSV for matrix/grid payloads, written to --out or stdout.  Reports carry no
 wall-clock data, so a fixed configuration and seed reproduce byte-identical
 output; BLAS threading is controlled by the usual OMP_NUM_THREADS /
-OPENBLAS_NUM_THREADS variables and does not affect report contents.
+OPENBLAS_NUM_THREADS variables and does not affect report contents, except
+that ``gram --method montecarlo`` sums its samples with BLAS matrix
+products, so its entries can change in the last digit with the thread
+count.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ polynomial chi giving the normalization integral
     integral_D N(z,z)^mu dV(z) = chi(0)/chi(mu) * Vol(D).
 
 Weights of integration are radial on disk/ball/full space (Gaussian powers,
-generic-norm powers, polynomials in t = |z|^2, tabulated radial profiles,
-and positive rescalings), with an integer power exponent applied lazily so
-that p^m is again a weight.
+generic-norm powers, polynomials in t = |z|^2, tabulated radial profiles).
+A weight is scale * form^power_exponent: the integer power applies lazily
+and the positive constant is a field, so p^m and c * p are again weights.
 
 All functions here are pure and operate on immutable values; they are safe
 to call concurrently from any number of threads.
@@ -420,50 +420,43 @@ class RadialProfile:
         return out
 
 
-@dataclass(frozen=True)
-class Scaled:
-    """w = factor * inner, factor > 0."""
-    factor: float
-    inner: "Weight"
-
-    def __post_init__(self):
-        if self.factor <= 0:
-            raise ValueError("scale factor must be positive")
-
-
-WeightForm = GaussianPower | GenericNormPower | PolynomialRadial | RadialProfile | Scaled
+WeightForm = GaussianPower | GenericNormPower | PolynomialRadial | RadialProfile
 
 
 @dataclass(frozen=True)
 class Weight:
     """A positive weight of integration on a base domain.
 
-    ``power_exponent`` applies lazily: the weight evaluates to the m-th
-    power of its base form, so p^m is again a Weight.
+    The weight evaluates to scale * form^power_exponent: the power applies
+    lazily, so p^m is again a Weight, and so is c * p.
     """
 
     base: DomainSpec
     form: WeightForm
     power_exponent: int = 1
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.power_exponent < 1:
             raise ValueError("power exponent must be >= 1")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"weight scale must be finite and positive, "
+                             f"not {self.scale!r}")
         if isinstance(self.form, GaussianPower) and self.base.bounded:
             raise ValueError("Gaussian weights live on the full space")
         if isinstance(self.form, GenericNormPower) and not self.base.bounded:
             raise ValueError("generic-norm weights need a bounded base")
-        if isinstance(self.form, Scaled) and self.form.inner.base != self.base:
-            raise ValueError("scaled weight must share its inner weight's base")
 
     def pow(self, m: int) -> "Weight":
+        """(scale * form^k)^m = scale^m * form^(k m)."""
         if m < 1:
             raise ValueError("power must be >= 1")
-        return Weight(self.base, self.form, self.power_exponent * m)
+        return Weight(self.base, self.form, self.power_exponent * m,
+                      self.scale ** m)
 
     def scaled(self, c: float) -> "Weight":
-        return Weight(self.base, Scaled(c, Weight(self.base, self.form,
-                                                  self.power_exponent)))
+        return Weight(self.base, self.form, self.power_exponent,
+                      self.scale * c)
 
 
 def gaussian_weight(n: int, mu: float) -> Weight:
@@ -483,28 +476,25 @@ def weight_eval(weight: Weight, z) -> float:
 
     Weights on disk, ball and C^n go through ``weight_radial_fn`` at
     t = |z|^2.  On type-I bases, which are not radial in |z|^2, generic-norm
-    powers (and rescalings of them) are evaluated through det(I - Z Z*);
-    other forms are refused there.  The base form is evaluated and checked
-    before the power is applied.
+    powers are evaluated through det(I - Z Z*); other forms are refused
+    there.  The base form is evaluated and checked before the power and the
+    scale are applied.
     """
     base, form = weight.base, weight.form
     z = as_point(z, base.dim)
     if contains(base, z) >= 0:
         raise ValueError("point outside the open base domain")
     if base.kind is DomainKind.TYPE_I_MATRIX_BALL:
-        if isinstance(form, Scaled):
-            val = form.factor * weight_eval(form.inner, z)
-        elif isinstance(form, GenericNormPower):
-            val = max(generic_norm(base, z, z).real, 0.0) ** form.mu
-        else:
+        if not isinstance(form, GenericNormPower):
             raise ValueError("type-I weights are evaluated for generic-norm "
                              "powers only")
+        val = max(generic_norm(base, z, z).real, 0.0) ** form.mu
     else:
         t = float(np.sum(np.abs(z) ** 2))
         val = float(weight_radial_fn(Weight(base, form))(t))
     if val <= 0:
         raise ValueError("weight evaluated non-positive (inadmissible table?)")
-    return val ** weight.power_exponent
+    return weight.scale * val ** weight.power_exponent
 
 
 def weight_radial_fn(weight: Weight):
@@ -515,22 +505,20 @@ def weight_radial_fn(weight: Weight):
     """
     if weight.base.kind is DomainKind.TYPE_I_MATRIX_BALL:
         raise ValueError("type-I weights are not radial in |z|^2")
-    m = weight.power_exponent
-    form = weight.form
+    m, scale, form = weight.power_exponent, weight.scale, weight.form
 
     if isinstance(form, GaussianPower):
-        return lambda t: np.exp(-form.mu * m * np.asarray(t, dtype=float))
-    if isinstance(form, GenericNormPower):
-        return lambda t: (1.0 - np.asarray(t, dtype=float)) ** (form.mu * m)
-    if isinstance(form, PolynomialRadial):
+        fn = lambda t: np.exp(-form.mu * m * t)
+    elif isinstance(form, GenericNormPower):
+        fn = lambda t: (1.0 - t) ** (form.mu * m)
+    elif isinstance(form, PolynomialRadial):
         c = np.asarray(form.coefficients)
-        return lambda t: npoly.polyval(np.asarray(t, dtype=float), c) ** m
-    if isinstance(form, RadialProfile):
-        return lambda t: np.asarray(form(t), dtype=float) ** m
-    if isinstance(form, Scaled):
-        inner = weight_radial_fn(form.inner)
-        return lambda t: (form.factor ** m) * inner(t) ** m
-    raise TypeError(f"unknown weight form {form!r}")
+        fn = lambda t: npoly.polyval(t, c) ** m
+    elif isinstance(form, RadialProfile):
+        fn = lambda t: np.asarray(form(t), dtype=float) ** m
+    else:
+        raise TypeError(f"unknown weight form {form!r}")
+    return lambda t: scale * fn(np.asarray(t, dtype=float))
 
 
 def load_radial_profile(path, base: DomainSpec | None = None) -> Weight:

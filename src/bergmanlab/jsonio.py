@@ -50,7 +50,9 @@ def as_cpoint(obj) -> np.ndarray:
     if arr.ndim == 1 and arr.size == 2:
         return np.array([complex(arr[0], arr[1])])
     if arr.ndim == 2 and arr.shape[1] == 2:
-        return arr[:, 0] + 1j * arr[:, 1]
+        out = np.empty(len(arr), dtype=complex)
+        out.real, out.imag = arr[:, 0], arr[:, 1]
+        return out
     raise ValueError("point must be [re, im] or a list of [re, im] pairs")
 
 

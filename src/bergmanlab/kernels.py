@@ -2,9 +2,10 @@
 
 Two closed forms and one reconstruction:
 
-* ``FockKernel(mu, n)`` evaluates exp(mu <z, w>), the reproducing kernel of
-  entire functions square-integrable against the normalized Gaussian
-  measure (mu/pi)^n exp(-mu |z|^2) dV.
+* ``FockKernel(mu, n, scale)`` evaluates scale * exp(mu <z, w>); at
+  scale 1 it is the reproducing kernel of entire functions
+  square-integrable against the normalized Gaussian measure
+  (mu/pi)^n exp(-mu |z|^2) dV.
 * ``PowerKernel(domain, mu, scale)`` evaluates scale * N(z, w)^(-g - mu)
   on a bounded symmetric model domain with genus g, the weighted kernel of
   the generic-norm weight in its normalized-measure convention.
@@ -12,9 +13,10 @@ Two closed forms and one reconstruction:
   sum_k e_k(z) conj(e_k(w)) with e_k obtained by factorizing a Gram matrix;
   it is the raw-dV weighted Bergman kernel at finite rank.
 
-Raw-measure closed forms are expressed as ``ScaledKernel`` wrappers so that
-exactly one measure convention (raw dV) is used internally and normalized
-conventions appear only as explicitly stored constants.
+Raw-measure closed forms carry their normalization in the ``scale`` field
+of the closed form, so that exactly one measure convention (raw dV) is used
+internally and normalized conventions appear only as explicitly stored
+constants.
 
 Every model has one evaluation path, ``eval_grid(zs, ws)``, which returns
 K(z_i, w_j) with shape (len(zs), len(ws)) and validates each point set
@@ -49,7 +51,6 @@ from .moments import (
     PSD_TOL,
     GramMatrix,
     _equilibrate,
-    _reduce_weight,
     domain_from_json,
     domain_to_json,
     quadrature_points_1d,
@@ -66,10 +67,11 @@ def _grid_entry(model, z, w) -> complex:
 
 @dataclass(frozen=True)
 class FockKernel:
-    """K(z, w) = exp(mu <z, w>) on C^n."""
+    """K(z, w) = scale * exp(mu <z, w>) on C^n."""
 
     mu: float
     n: int
+    scale: float = 1.0
 
     @property
     def domain(self) -> DomainSpec:
@@ -80,7 +82,7 @@ class FockKernel:
     def eval_grid(self, zs, ws) -> np.ndarray:
         Z = as_points(zs, self.n)
         W = as_points(ws, self.n)
-        return np.exp(self.mu * (Z @ W.conj().T))
+        return self.scale * np.exp(self.mu * (Z @ W.conj().T))
 
 
 @dataclass(frozen=True)
@@ -118,23 +120,6 @@ class PowerKernel:
         else:
             logs = principal_log(1.0 - Z @ W.conj().T)
         return self.scale * np.exp(-self.exponent * logs)
-
-
-@dataclass(frozen=True)
-class ScaledKernel:
-    """scale * inner(z, w)."""
-
-    scale: float
-    inner: "KernelModel"
-
-    @property
-    def domain(self) -> DomainSpec:
-        return self.inner.domain
-
-    eval = _grid_entry
-
-    def eval_grid(self, zs, ws) -> np.ndarray:
-        return self.scale * self.inner.eval_grid(zs, ws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +168,7 @@ class SeriesKernel:
         return np.sum(E.real ** 2 + E.imag ** 2, axis=1)
 
 
-KernelModel = FockKernel | PowerKernel | ScaledKernel | SeriesKernel
+KernelModel = FockKernel | PowerKernel | SeriesKernel
 
 
 def fock_kernel(mu: float, n: int = 1) -> FockKernel:
@@ -206,19 +191,18 @@ def weighted_kernel_closed_form(weight: Weight) -> KernelModel:
     normalization integral.  Rescaling the weight by c rescales the kernel
     by 1/c.  Raises ValueError when no closed form applies.
     """
-    scale_c, form, power = _reduce_weight(weight)
-    base = weight.base
+    base, form, power = weight.base, weight.form, weight.power_exponent
     if isinstance(form, GaussianPower):
         mu_eff = form.mu * power
         n = base.dim
-        return ScaledKernel((mu_eff / math.pi) ** n / scale_c,
-                            FockKernel(mu_eff, n))
+        return FockKernel(mu_eff, n, (mu_eff / math.pi) ** n / weight.scale)
     if isinstance(form, GenericNormPower):
         if base.kind not in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL,
                              DomainKind.TYPE_I_MATRIX_BALL):
             raise ValueError("generic-norm kernels need a bounded symmetric base")
         s = form.mu * power
-        return PowerKernel(base, s, 1.0 / (scale_c * hua_normalization(base, s)))
+        return PowerKernel(base, s,
+                           1.0 / (weight.scale * hua_normalization(base, s)))
     raise ValueError("no closed-form weighted kernel for this weight")
 
 
@@ -339,13 +323,11 @@ def reproducing_residual(model: SeriesKernel, poly: dict, z,
 
 def kernel_to_json(model: KernelModel) -> dict:
     if isinstance(model, FockKernel):
-        return {"form": "fock", "mu": model.mu, "n": model.n}
+        return {"form": "fock", "mu": model.mu, "n": model.n,
+                "scale": model.scale}
     if isinstance(model, PowerKernel):
         return {"form": "power", "domain": domain_to_json(model.base),
                 "mu": model.mu, "scale": model.scale}
-    if isinstance(model, ScaledKernel):
-        return {"form": "scaled", "scale": model.scale,
-                "inner": kernel_to_json(model.inner)}
     if isinstance(model, SeriesKernel):
         return {"form": "series", "domain": domain_to_json(model.base),
                 "degree": model.degree, "rank": model.rank,
@@ -358,12 +340,11 @@ def kernel_to_json(model: KernelModel) -> dict:
 def kernel_from_json(obj: dict) -> KernelModel:
     form = obj["form"]
     if form == "fock":
-        return FockKernel(float(obj["mu"]), int(obj["n"]))
+        return FockKernel(float(obj["mu"]), int(obj["n"]),
+                          float(obj.get("scale", 1.0)))
     if form == "power":
         return PowerKernel(domain_from_json(obj["domain"]), float(obj["mu"]),
                            float(obj.get("scale", 1.0)))
-    if form == "scaled":
-        return ScaledKernel(float(obj["scale"]), kernel_from_json(obj["inner"]))
     if form == "series":
         domain = domain_from_json(obj["domain"])
         degree = int(obj["degree"])

@@ -26,7 +26,9 @@ exists.  Importance-sampled Monte Carlo with per-entry standard errors
 (``gram_montecarlo``) estimates the dense matrix directly.
 
 Assembly is deterministic: node sets and summation order are fixed by
-``QUADRATURE`` and by the seed, independent of any threading in the BLAS.
+``QUADRATURE`` and by the seed.  The radial routes are independent of any
+threading in the BLAS; the Monte Carlo sums are BLAS matrix products, whose
+last digit can change with the thread count.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .core import (
     GenericNormPower,
     PolynomialRadial,
     RadialProfile,
-    Scaled,
     Weight,
     monomial_values,
     multiindex_enumerate,
@@ -68,6 +69,12 @@ QUADRATURE = {"radial_nodes": 64, "angular_margin": 8, "fullspace_nodes": 96,
 # Relative size of the most negative eigenvalue of a unit-diagonal Gram
 # matrix that still counts as roundoff around a positive semidefinite one.
 PSD_TOL = 1e-10
+
+# Monte Carlo samples are taken in chunks of at most 200 000 whose
+# per-sample arrays (the monomial table, its weighted copy and conjugate,
+# squared moduli: about 50 bytes per sample and monomial, counted as 64)
+# fit in this many bytes.
+MC_CHUNK_BYTES = 256 * 2 ** 20
 
 
 @dataclass
@@ -104,19 +111,6 @@ class GramDiagnostics:
 # ---------------------------------------------------------------------------
 # the radial moment sequence and the shell reduction
 
-def _reduce_weight(weight: Weight) -> tuple[float, object, int]:
-    """Collapse Scaled wrappers and lazy powers to (scale, form, total_power)."""
-    scale = 1.0
-    form = weight.form
-    power = weight.power_exponent
-    while isinstance(form, Scaled):
-        scale *= form.factor ** power
-        inner = form.inner
-        power *= inner.power_exponent
-        form = inner.form
-    return scale, form, power
-
-
 def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_legendre(nodes)
     return (x + 1.0) / 2.0, w / 2.0
@@ -139,11 +133,11 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
     """
     if weight.base != domain:
         raise ValueError("weight is attached to a different base domain")
-    scale, form, power = _reduce_weight(weight)
+    form, power = weight.form, weight.power_exponent
     if isinstance(form, GaussianPower):
         mu = form.mu * power
-        return scale * np.array([math.factorial(j) / mu ** (j + 1)
-                                 for j in range(top + 1)])
+        return weight.scale * np.array([math.factorial(j) / mu ** (j + 1)
+                                        for j in range(top + 1)])
     if not isinstance(form, (GenericNormPower, PolynomialRadial)):
         raise ValueError("no closed-form moments for this weight form")
     if domain.kind not in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
@@ -157,7 +151,7 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
         for j in range(top + 1):
             denom *= s + j + 1
             out[j] = math.factorial(j) / denom
-        return scale * out
+        return weight.scale * out
     nodes = (top + power * (len(form.coefficients) - 1)) // 2 + 1
     s, w = _gauss01(nodes)
     return _power_sums(s, w * weight_radial_fn(weight)(s), top)
@@ -211,15 +205,13 @@ def gram_exact(domain: DomainSpec, weight: Weight, degree: int) -> GramMatrix:
 # quadrature
 
 def _gaussian_decay(weight: Weight) -> float | None:
-    scale, form, power = _reduce_weight(weight)
-    if isinstance(form, GaussianPower):
-        return form.mu * power
+    if isinstance(weight.form, GaussianPower):
+        return weight.form.mu * weight.power_exponent
     return None
 
 
 def _profile_of(weight: Weight) -> RadialProfile | None:
-    _, form, _ = _reduce_weight(weight)
-    return form if isinstance(form, RadialProfile) else None
+    return weight.form if isinstance(weight.form, RadialProfile) else None
 
 
 def _fullspace_tail_check(weight: Weight, degree: int, n: int,
@@ -228,7 +220,8 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
 
     For Gaussian decay mu the neglected mass of t^(d+n-1) e^(-mu t) beyond
     the last node is an upper incomplete gamma ratio; for tabulated
-    profiles an exponential decay rate is fitted to the last knots.
+    profiles an exponential decay rate lam is fitted to the last knots, and
+    the tail of scale * p^m continues scale * v_end^m at the rate m * lam.
     """
     a = degree + n  # the largest radial moment is R_{degree+n-1}
     mu = _gaussian_decay(weight)
@@ -249,9 +242,12 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
         return  # table ends at zero: compactly supported truncation
     if vk[0] <= vk[1]:
         raise ValueError("radial tail test failed: table does not decay")
-    lam = math.log(vk[0] / vk[1]) / (tk[1] - tk[0])
-    # tail ~ v_end * integral_{t_max}^inf t^(a-1) e^{-lam (t - t_max)} dt
-    log_tail = (math.log(vk[-1]) + lam * t_max - a * math.log(lam)
+    m = weight.power_exponent
+    lam = m * math.log(vk[0] / vk[1]) / (tk[1] - tk[0])
+    # tail ~ scale v_end^m
+    #        * integral_{t_max}^inf t^(a-1) e^{-lam (t - t_max)} dt
+    log_tail = (math.log(weight.scale) + m * math.log(vk[-1]) + lam * t_max
+                - a * math.log(lam)
                 + gammaln(a) + math.log(max(float(gammaincc(a, lam * t_max)),
                                             1e-300)))
     log_ref = math.log(current_scale) if current_scale > 0 else 0.0
@@ -359,8 +355,10 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
 
     Uniform proposal on bounded domains, complex-Gaussian proposal on the
     full space.  The generator is counter-based (Philox keyed by the seed),
-    and sampling is a single fixed-order pass, so the estimate is
-    reproducible bit-for-bit for a given seed.
+    and sampling is a single fixed-order pass in chunks sized by the basis
+    (``MC_CHUNK_BYTES``), so the estimate is reproducible bit-for-bit for a
+    given seed at a given BLAS thread count.  The chunk sums are BLAS
+    matrix products, whose last digit can change with the thread count.
     """
     if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         raise ValueError("Monte Carlo sampling supports disk/ball/full space")
@@ -372,9 +370,9 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
     rng = np.random.Generator(np.random.Philox(key=seed))
     wfun = weight_radial_fn(weight)
 
+    chunk = max(1, min(200_000, MC_CHUNK_BYTES // (64 * B)))
     sum_x = np.zeros((B, B), dtype=complex)
     sum_abs2 = np.zeros((B, B), dtype=float)
-    chunk = 200_000
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
@@ -473,7 +471,7 @@ def unit_mass_weight(weight: Weight) -> Weight:
 # descriptions and serialization
 
 def describe_weight(weight: Weight) -> str:
-    scale, form, power = _reduce_weight(weight)
+    scale, form, power = weight.scale, weight.form, weight.power_exponent
     if isinstance(form, GaussianPower):
         body = f"exp(-{form.mu:g}|z|^2)"
     elif isinstance(form, GenericNormPower):

@@ -54,7 +54,10 @@ def _models():
          interior_ball_points(rng, 2, 5)),
         ("power-typei", bl.power_kernel(bl.matrix_ball(2, 2), 1.0),
          _type_i_points(rng, 4)),
-        ("scaled", bl.weighted_kernel_closed_form(bl.gaussian_weight(2, 1.5)),
+        # the raw-measure kernel of 0.3 exp(-1.5|z|^2): a FockKernel whose
+        # scale field is (1.5/pi)^2 / 0.3
+        ("scaled", bl.weighted_kernel_closed_form(
+            bl.gaussian_weight(2, 1.5).scaled(0.3)),
          _full_space_points(rng, 2, 5)),
         ("series-disk", series_disk, disk_pts),
         ("series-ball2", series_ball, interior_ball_points(rng, 2, 5, 0.6)),
@@ -76,13 +79,11 @@ def _scalar_series(series, z, w):
 def _reference(model, z, w) -> complex:
     """K(z, w) of one pair, computed without any ``eval_grid``."""
     if isinstance(model, bl.FockKernel):
-        return cmath.exp(model.mu * hermitian_inner(np.asarray(z),
-                                                    np.asarray(w)))
+        return model.scale * cmath.exp(model.mu * hermitian_inner(
+            np.asarray(z), np.asarray(w)))
     if isinstance(model, bl.PowerKernel):
         return model.scale * bl.generic_norm_power(model.base, z, w,
                                                    -model.exponent)
-    if isinstance(model, bl.ScaledKernel):
-        return model.scale * _reference(model.inner, z, w)
     return _scalar_series(model, z, w)
 
 
@@ -167,7 +168,7 @@ def test_power_grid_rejects_branch_cut(domain, mu):
         K.eval(edge, edge)
     with pytest.raises(ValueError, match="branch cut"):
         K.eval_grid([inner, edge], [inner, edge])
-    scaled = bl.ScaledKernel(2.0, K)
+    scaled = bl.power_kernel(domain, mu, 2.0)
     with pytest.raises(ValueError, match="branch cut"):
         scaled.eval_grid([edge], [edge])
 

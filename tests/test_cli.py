@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -379,6 +381,50 @@ class TestKernelEvalGrid:
         assert "C^1" in err
 
 
+def _exp_table(path, t_max, step):
+    """CSV table of e^(-t) on [0, t_max]."""
+    ts = np.arange(0.0, t_max + step / 2, step)
+    path.write_text("t,value\n" + "".join(
+        f"{t!r},{math.exp(-t)!r}\n" for t in ts.tolist()))
+    return str(path)
+
+
+class TestTabulatedFullSpace:
+    def _tail(self, capsys, table, c, m):
+        """Exit code and reported log relative tail (None on success) of
+        the quadrature Gram of c * table^m on C^1 at degree 10."""
+        code, _, err = run_cli(
+            ["gram", "--domain", "cn:1", "--weight", f"scaled:{c}:table:{table}",
+             "--m", str(m), "--degree", "10", "--method", "quadrature"],
+            capsys)
+        found = re.search(r"relative tail exp\((\S+)\)", err)
+        return code, float(found.group(1)) if found else None
+
+    def test_tail_check_ignores_the_scale(self, capsys, tmp_path):
+        table = _exp_table(tmp_path / "exp40.csv", 40.0, 0.1)
+        for m, expect in ((1, (2, -17.9)), (2, (0, None))):
+            for c in ("1e-8", "1", "1e8"):
+                assert self._tail(capsys, table, c, m) == expect, (c, m)
+
+    def test_tail_check_follows_the_power(self, capsys, tmp_path):
+        # e^(-mt) decays faster for larger m, so its relative tail is smaller
+        table = _exp_table(tmp_path / "exp20.csv", 20.0, 0.1)
+        code1, tail1 = self._tail(capsys, table, "1", 1)
+        code2, tail2 = self._tail(capsys, table, "1", 2)
+        assert code1 == code2 == 2
+        assert tail2 < tail1
+
+    def test_base_unitary_on_a_tabulated_target(self, capsys, tmp_path):
+        table = _exp_table(tmp_path / "exp100.csv", 100.0, 0.25)
+        for kind in ("base_unitary", "fiber_unitary"):
+            code, out, err = run_cli(
+                ["transform-check", "--domain", "cn:1", "--weight",
+                 f"table:{table}", "--m", "1", "--map",
+                 json.dumps({"kind": kind, "matrix": [[0.6, 0.8]]})], capsys)
+            assert code == 0, err
+            assert strict_json(out)["max_rel_residual"] <= 1e-14
+
+
 class TestJsonArguments:
     """JSON files that hold something other than an object are
     configuration errors (exit 2), not tracebacks."""
@@ -402,6 +448,14 @@ class TestJsonArguments:
                  "--degree", "6", "--points-file", path], capsys)
             assert code == 2
             assert message in err and "Traceback" not in err
+
+    def test_scaled_kernel_form_is_unknown(self, capsys):
+        kernel = {"form": "scaled", "scale": 2.0,
+                  "inner": {"form": "fock", "mu": 1.0, "n": 1}}
+        code, _, err = run_cli(["kernel-eval", "--kernel", json.dumps(kernel)],
+                               capsys)
+        assert code == 2
+        assert "unknown kernel form" in err and "Traceback" not in err
 
     def test_kernel_file_list(self, capsys, list_file):
         code, _, err = run_cli(["kernel-eval", "--kernel", list_file], capsys)
@@ -433,6 +487,19 @@ class TestNonFiniteDiagnostics:
         assert jsonio.rnum(np.float64(-np.inf)) == "-inf"
         assert jsonio.rnum(1.5) == 1.5
         assert jsonio.rnum(True) is True
+
+    def test_infinite_imaginary_part(self, capsys, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = jsonio.as_cpoint([[0.0, math.inf]])
+        assert z.tolist() == [complex(0.0, math.inf)]
+        pts = tmp_path / "pts.json"
+        pts.write_text('{"z": [[[0.0, Infinity]]], "w": [[[0.1, 0.0]]]}')
+        code, _, err = run_cli(
+            ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+             "--closed-form", "--points-file", str(pts)], capsys)
+        assert code == 2
+        assert "non-finite" in err
 
     def test_gram_inf_condition_reported(self, capsys):
         # 1 - 2t changes sign on the disk: R_j = -j/((j+1)(j+2)) < 0 for

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad, dblquad
 
 import bergmanlab as bl
-from bergmanlab.core import grlex_key, monomial_values, sample_ball
+from bergmanlab.core import (grlex_key, monomial_values, sample_ball,
+                             weight_radial_fn)
 
 from conftest import interior_ball_points, interior_disk_points
 
@@ -185,6 +186,61 @@ class TestWeightEval:
         assert bl.weight_eval(w, [0.1]) > 0
         with pytest.raises(ValueError):
             bl.weight_eval(w, [0.95])
+
+
+class TestWeightScale:
+    """A weight is scale * form^power_exponent: ``scaled`` multiplies the
+    scale, ``pow`` multiplies the power and raises the scale to it."""
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, c):
+        w = bl.generic_norm_weight(bl.unit_disk(), 1.0)
+        with pytest.raises(ValueError, match="scale"):
+            w.scaled(c)
+        with pytest.raises(ValueError, match="scale"):
+            bl.Weight(w.base, w.form, 1, c)
+
+    def test_fields(self):
+        w = bl.gaussian_weight(1, 2.0).scaled(3.0).pow(2).scaled(0.5)
+        assert w.form == bl.GaussianPower(2.0)
+        assert (w.power_exponent, w.scale) == (2, 4.5)
+
+    @pytest.mark.parametrize("weight", [
+        bl.polynomial_weight(bl.unit_disk(), [1.0, -0.5, 0.2]),
+        bl.generic_norm_weight(bl.unit_disk(), 1.5),
+        bl.generic_norm_weight(bl.unit_ball(2), 0.7),
+        bl.gaussian_weight(1, 1.3),
+    ], ids=["poly-disk", "npower-disk", "npower-ball2", "gaussian-cn1"])
+    def test_scaled_power_scaled(self, weight):
+        a, m, b = 1.7, 3, 0.4
+        w = weight.scaled(a).pow(m).scaled(b)
+        c = b * a ** m
+        G = bl.gram_exact(w.base, w, 6).entries
+        ref = c * bl.gram_exact(w.base, weight.pow(m), 6).entries
+        assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+        t = np.linspace(0.0, 0.9, 7)
+        got = weight_radial_fn(w)(t)
+        ref = c * weight_radial_fn(weight)(t) ** m
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+        rng = np.random.default_rng(4)
+        n = w.base.dim
+        pts = interior_disk_points(rng, 5) if n == 1 else \
+            interior_ball_points(rng, n, 5)
+        for z in pts:
+            z = np.atleast_1d(z)
+            ref = c * bl.weight_eval(weight, z) ** m
+            assert abs(bl.weight_eval(w, z) - ref) <= 1e-14 * ref
+
+    def test_scaled_power_scaled_type_i(self):
+        dom = bl.matrix_ball(2, 2)
+        weight = bl.generic_norm_weight(dom, 1.5)
+        a, m, b = 2.5, 2, 0.3
+        w = weight.scaled(a).pow(m).scaled(b)
+        z = np.array([0.3, 0.1j, -0.2, 0.25])
+        nzz = np.linalg.det(np.eye(2) - z.reshape(2, 2)
+                            @ z.reshape(2, 2).conj().T).real
+        ref = b * a ** m * nzz ** (1.5 * m)
+        assert abs(bl.weight_eval(w, z) - ref) <= 1e-14 * ref
 
 
 class TestContains:

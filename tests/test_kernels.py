@@ -242,6 +242,21 @@ class TestReproducingResidual:
 
 
 class TestKernelSerialization:
+    def test_fock_scale_round_trip(self):
+        K = bl.weighted_kernel_closed_form(
+            bl.gaussian_weight(2, 1.5).scaled(0.3))
+        obj = bl.kernel_to_json(K)
+        assert obj == {"form": "fock", "mu": 1.5, "n": 2,
+                       "scale": (1.5 / math.pi) ** 2 / 0.3}
+        assert bl.kernel_from_json(obj) == K
+        assert bl.kernel_from_json({"form": "fock", "mu": 1.5, "n": 2}) \
+            == bl.FockKernel(1.5, 2, 1.0)
+
+    def test_scaled_form_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown kernel form"):
+            bl.kernel_from_json({"form": "scaled", "scale": 2.0,
+                                 "inner": {"form": "fock", "mu": 1.0, "n": 1}})
+
     @pytest.mark.parametrize("make", [
         lambda: bl.fock_kernel(1.5, 2),
         lambda: bl.power_kernel(DISK, 2.0, 0.5),

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bergmanlab as bl
+from bergmanlab import moments
 from bergmanlab.moments import (
     GramMatrix,
     describe_weight,
@@ -206,6 +208,22 @@ class TestGramMonteCarlo:
         se2 = bl.gram_montecarlo(DISK, w, 2, 400_000, seed=12).stderr
         ratio = np.mean(se1 / se2)
         assert abs(ratio - math.sqrt(2)) <= 0.1 * math.sqrt(2)
+
+    def test_chunk_fits_the_byte_budget(self, monkeypatch):
+        # ball:2 at degree 20 has 231 monomials: one 8 000-sample chunk
+        # would hold about 90 MB of per-sample arrays
+        budget = 16 * 2 ** 20
+        monkeypatch.setattr(moments, "MC_CHUNK_BYTES", budget)
+        ball = bl.unit_ball(2)
+        tracemalloc.start()
+        try:
+            G = bl.gram_montecarlo(ball, bl.generic_norm_weight(ball, 1.0),
+                                   20, 8_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.size == 231
+        assert peak <= budget + 8 * 2 ** 20
 
     def test_deterministic_given_seed(self):
         a = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,

@@ -62,11 +62,13 @@ from .kernels import (
 )
 from .hartogs import (
     ClosedFormFamily,
+    FrcPairs,
     FrcResult,
     HartogsDomain,
     SeriesFamily,
     ball_kernel,
     frc_eval,
+    frc_eval_pairs,
     frc_restriction_check,
     hartogs_contains,
     pochhammer,

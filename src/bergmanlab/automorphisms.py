@@ -13,7 +13,9 @@ Generators (all preserve the zero section {zeta = 0}):
   involutive exchange of 0 and a on the ball);
 * finite compositions of the above.
 
-The closed-form Jacobian determinants on the zero section come with a
+The action, the fiber factors and the closed-form Jacobian determinants on
+the zero section take one point or (k, dim) rows of points; one point is
+the 1-row view of the same array expressions.  The Jacobians come with a
 finite-difference oracle that also checks holomorphy via the Cauchy-Riemann
 defect, so a buggy non-holomorphic map is detected rather than assumed away.
 
@@ -34,6 +36,8 @@ from .core import (
     GaussianPower,
     GenericNormPower,
     as_point,
+    as_point_rows,
+    as_points,
     contains,
     generic_norm,
     generic_norm_power,
@@ -98,10 +102,11 @@ class FockTranslation:
     v: tuple
     mu: float
 
-    def fiber_factor(self, z: np.ndarray) -> complex:
+    def fiber_factor(self, z: np.ndarray):
+        """k_v(z), one value per row of z."""
         v = np.asarray(self.v, dtype=complex)
-        return complex(np.exp(self.mu * hermitian_inner(z, v)
-                              - 0.5 * self.mu * float(np.sum(np.abs(v) ** 2))))
+        return np.exp(self.mu * hermitian_inner(z, v)
+                      - 0.5 * self.mu * float(np.sum(np.abs(v) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -119,14 +124,15 @@ class MobiusMap:
     def _U(self) -> np.ndarray:
         return np.asarray(self.fiber_unitary, dtype=complex)
 
-    def fiber_factor(self, z: np.ndarray) -> complex:
+    def fiber_factor(self, z: np.ndarray):
+        """N(a,a)^(mu/2) N(z,a)^(-mu), one value per row of z."""
         a = self._a()
         base = self.target.base
         naa = generic_norm(base, a, a).real
-        return complex(naa ** (self.mu / 2.0)
-                       * generic_norm_power(base, z, a, -self.mu))
+        return naa ** (self.mu / 2.0) * generic_norm_power(base, z, a, -self.mu)
 
     def base_apply(self, z: np.ndarray) -> np.ndarray:
+        """phi(z) for one point or each row of z."""
         a = self._a()
         base = self.target.base
         if np.all(a == 0):
@@ -136,24 +142,25 @@ class MobiusMap:
         # involutive ball Moebius exchanging 0 and a
         na2 = float(np.sum(np.abs(a) ** 2))
         s = math.sqrt(1.0 - na2)
-        za = hermitian_inner(z, a)
+        za = hermitian_inner(z, a)[..., None]
         Pz = (za / na2) * a
         Qz = z - Pz
         return (a - Pz - s * Qz) / (1.0 - za)
 
-    def base_jacobian(self, z: np.ndarray) -> complex:
+    def base_jacobian(self, z: np.ndarray):
+        """det J(phi, z), one value per row of z."""
         a = self._a()
         base = self.target.base
         if np.all(a == 0):
-            return 1.0 + 0.0j
+            return np.ones(np.shape(z)[:-1], dtype=complex)
         if base.kind is DomainKind.UNIT_DISK:
-            return complex((1.0 - abs(a[0]) ** 2)
-                           / (1.0 - np.conj(a[0]) * z[0]) ** 2)
+            return ((1.0 - abs(a[0]) ** 2)
+                    / (1.0 - np.conj(a[0]) * z[..., 0]) ** 2)
         n = base.dim
         na2 = float(np.sum(np.abs(a) ** 2))
         s = math.sqrt(1.0 - na2)
-        return complex((-1.0) ** n * s ** (n + 1)
-                       / (1.0 - hermitian_inner(z, a)) ** (n + 1))
+        return ((-1.0) ** n * s ** (n + 1)
+                / (1.0 - hermitian_inner(z, a)) ** (n + 1))
 
 
 @dataclass(frozen=True)
@@ -221,30 +228,40 @@ def thullen_mobius(domain: HartogsDomain, a: complex) -> MobiusMap:
 # action, inverses, base points
 
 def apply(aut: AutomorphismSpec, point) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the map at (z, zeta); composites apply left to right."""
+    """Evaluate the map at (z, zeta); composites apply left to right.
+
+    z and zeta are one point each, or (k, n) and (k, m) rows of points
+    mapped at once; one point is the 1-row view of the same expressions.
+    """
     z, zeta = point
-    z = as_point(z, aut.target.base.dim)
-    zeta = as_point(zeta, aut.target.fiber_dim)
+    Z, one = as_point_rows(z, aut.target.base.dim)
+    ZETA, _ = as_point_rows(zeta, aut.target.fiber_dim)
     if isinstance(aut, BaseUnitary):
-        return aut._U() @ z, zeta.copy()
-    if isinstance(aut, FiberUnitary):
-        return z.copy(), aut._U() @ zeta
-    if isinstance(aut, FockTranslation):
-        return z - np.asarray(aut.v, dtype=complex), aut.fiber_factor(z) * zeta
-    if isinstance(aut, MobiusMap):
-        return aut.base_apply(z), aut.fiber_factor(z) * (aut._U() @ zeta)
-    if isinstance(aut, Composite):
-        cur = (z, zeta)
+        out = Z @ aut._U().T, ZETA.copy()
+    elif isinstance(aut, FiberUnitary):
+        out = Z.copy(), ZETA @ aut._U().T
+    elif isinstance(aut, FockTranslation):
+        out = (Z - np.asarray(aut.v, dtype=complex),
+               aut.fiber_factor(Z)[:, None] * ZETA)
+    elif isinstance(aut, MobiusMap):
+        out = (aut.base_apply(Z),
+               aut.fiber_factor(Z)[:, None] * (ZETA @ aut._U().T))
+    elif isinstance(aut, Composite):
+        out = Z, ZETA
         for part in aut.parts:
-            cur = apply(part, cur)
-        return cur
-    raise TypeError(f"unknown automorphism {aut!r}")
+            out = apply(part, out)
+    else:
+        raise TypeError(f"unknown automorphism {aut!r}")
+    return (out[0][0], out[1][0]) if one else out
 
 
 def base_apply(aut: AutomorphismSpec, z) -> np.ndarray:
-    """The base component of the action (the zero section is preserved)."""
-    out, _ = apply(aut, (z, np.zeros(aut.target.fiber_dim, dtype=complex)))
-    return out
+    """The base component of the action (the zero section is preserved),
+    at one point or each row of z."""
+    Z, one = as_point_rows(z, aut.target.base.dim)
+    out, _ = apply(aut, (Z, np.zeros((len(Z), aut.target.fiber_dim),
+                                     dtype=complex)))
+    return out[0] if one else out
 
 
 def inverse(aut: AutomorphismSpec) -> AutomorphismSpec:
@@ -285,69 +302,68 @@ def zero_preimage(aut: AutomorphismSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Jacobians
 
-def jacobian_base_slice(aut: AutomorphismSpec, z) -> complex:
-    """Closed-form full Jacobian determinant at (z, 0).
+def jacobian_base_slice(aut: AutomorphismSpec, z):
+    """Closed-form full Jacobian determinant at (z, 0), one value per row
+    of z (a complex number for one point).
 
     Unitaries contribute det U; translations k_v(z)^m; Moebius maps
     N(a,a)^(m mu/2) N(z,a)^(-m mu) det J(phi, z) det U'.  Composites chain
     through the base orbit, which is valid because every generator fixes
     the zero section with a fiber block linear in zeta.
     """
-    z = as_point(z, aut.target.base.dim)
+    Z, one = as_point_rows(z, aut.target.base.dim)
     m = aut.target.fiber_dim
-    if isinstance(aut, BaseUnitary):
-        return complex(np.linalg.det(aut._U()))
-    if isinstance(aut, FiberUnitary):
-        return complex(np.linalg.det(aut._U()))
-    if isinstance(aut, FockTranslation):
-        return aut.fiber_factor(z) ** m
-    if isinstance(aut, MobiusMap):
+    if isinstance(aut, (BaseUnitary, FiberUnitary)):
+        jac = np.full(len(Z), complex(np.linalg.det(aut._U())))
+    elif isinstance(aut, FockTranslation):
+        jac = aut.fiber_factor(Z) ** m
+    elif isinstance(aut, MobiusMap):
         detU = complex(np.linalg.det(aut._U()))
-        return aut.fiber_factor(z) ** m * aut.base_jacobian(z) * detU
-    if isinstance(aut, Composite):
-        total = 1.0 + 0.0j
-        cur = z
+        jac = aut.fiber_factor(Z) ** m * aut.base_jacobian(Z) * detU
+    elif isinstance(aut, Composite):
+        jac = np.ones(len(Z), dtype=complex)
         for part in aut.parts:
-            total *= jacobian_base_slice(part, cur)
-            cur = base_apply(part, cur)
-        return total
-    raise TypeError(f"unknown automorphism {aut!r}")
+            jac = jac * jacobian_base_slice(part, Z)
+            Z = base_apply(part, Z)
+    else:
+        raise TypeError(f"unknown automorphism {aut!r}")
+    return complex(jac[0]) if one else jac
 
 
-def jacobian_fd_matrix(aut: AutomorphismSpec, point, h: float = 1e-5
-                       ) -> tuple[np.ndarray, float]:
+def jacobian_fd_matrix(aut: AutomorphismSpec, point, h: float = 1e-5):
     """Central finite-difference holomorphic Jacobian of the full map.
 
     Returns the (n+m) x (n+m) matrix of dF_i/dx_j and the largest
     Cauchy-Riemann defect |dF/d conj(x)| seen; a defect above 1e-6 raises,
-    because it means the map under test is not holomorphic.
+    because it means the map under test is not holomorphic.  For (k, n)
+    and (k, m) rows of points it returns k matrices and k defects.  The
+    4 (n+m) steps +-h, +-ih along each coordinate of every point go through
+    one ``apply``.
     """
     z, zeta = point
-    z = as_point(z, aut.target.base.dim)
-    zeta = as_point(zeta, aut.target.fiber_dim)
-    x0 = np.concatenate([z, zeta])
+    Z, one = as_point_rows(z, aut.target.base.dim)
+    ZETA, _ = as_point_rows(zeta, aut.target.fiber_dim)
+    X0 = np.concatenate([Z, ZETA], axis=1)
     n = aut.target.base.dim
-    dim = x0.size
+    count, dim = X0.shape
 
-    if aut.target.base.bounded and contains(aut.target.base, z) > -4.0 * h:
+    if aut.target.base.bounded and (contains(aut.target.base, Z) > -4.0 * h).any():
         raise ValueError("step too large for the domain margin at this point")
 
-    def F(x: np.ndarray) -> np.ndarray:
-        out_z, out_zeta = apply(aut, (x[:n], x[n:]))
-        return np.concatenate([out_z, out_zeta])
-
-    J = np.empty((dim, dim), dtype=complex)
-    cr_defect = 0.0
-    for j in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[j] = 1.0
-        dx = (F(x0 + h * e) - F(x0 - h * e)) / (2.0 * h)
-        dy = (F(x0 + 1j * h * e) - F(x0 - 1j * h * e)) / (2.0 * h)
-        J[:, j] = (dx - 1j * dy) / 2.0
-        cr_defect = max(cr_defect, float(np.max(np.abs((dx + 1j * dy) / 2.0))))
-    if cr_defect > 1e-6:
-        raise ValueError(f"map is not holomorphic: CR defect {cr_defect:.2e}")
-    return J, cr_defect
+    E = np.eye(dim, dtype=complex)
+    steps = np.concatenate([h * E, -h * E, 1j * h * E, -1j * h * E])
+    X = (X0[:, None, :] + steps).reshape(-1, dim)
+    out_z, out_zeta = apply(aut, (X[:, :n], X[:, n:]))
+    # F[p, s, j] is the image of point p under step s along coordinate j
+    F = np.concatenate([out_z, out_zeta], axis=1).reshape(count, 4, dim, dim)
+    dx = (F[:, 0] - F[:, 1]) / (2.0 * h)
+    dy = (F[:, 2] - F[:, 3]) / (2.0 * h)
+    J = ((dx - 1j * dy) / 2.0).swapaxes(1, 2)
+    cr_defect = np.max(np.abs((dx + 1j * dy) / 2.0), axis=(1, 2))
+    if (cr_defect > 1e-6).any():
+        raise ValueError(f"map is not holomorphic: CR defect "
+                         f"{cr_defect.max():.2e}")
+    return (J[0], float(cr_defect[0])) if one else (J, cr_defect)
 
 
 def jacobian_fd(aut: AutomorphismSpec, point, h: float = 1e-5) -> complex:
@@ -375,9 +391,9 @@ def transform_residual(aut: AutomorphismSpec, slice_kernel, points) -> float:
     """
     m = aut.target.fiber_dim
     c = math.factorial(m) / math.pi ** m
-    pts = [as_point(p, aut.target.base.dim) for p in points]
-    jacs = np.array([jacobian_base_slice(aut, p) for p in pts], dtype=complex)
-    imgs = [base_apply(aut, p) for p in pts]
+    pts = as_points(points, aut.target.base.dim)
+    jacs = jacobian_base_slice(aut, pts)
+    imgs = base_apply(aut, pts)
     lhs = c * slice_kernel.eval_grid(pts, pts)
     rhs = np.outer(jacs, jacs.conj()) * c * slice_kernel.eval_grid(imgs, imgs)
     denom = np.abs(lhs)

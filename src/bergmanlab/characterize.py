@@ -479,20 +479,18 @@ def family_condition_check(domain: HartogsDomain,
 
     rng = np.random.default_rng(seed)
     n = domain.base.dim
-    check_pts = []
-    for _ in range(_FIBER_CHECKS):
-        z = (rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n))
-        check_pts.append(z)
+    # per point the real parts, then the imaginary parts
+    draws = rng.uniform(-0.3, 0.3, (_FIBER_CHECKS, 2, n))
+    check_pts = draws[:, 0] + 1j * draws[:, 1]
+    zero_fibers = np.zeros((_FIBER_CHECKS, m), dtype=complex)
 
     validated = []
     worst_fiber = 0.0
     for aut in maps:
         if aut.target != domain:
             raise ValueError("map does not act on the supplied Hartogs domain")
-        fiber_defect = 0.0
-        for z in check_pts:
-            _, zeta_img = apply_map(aut, (z, np.zeros(m, dtype=complex)))
-            fiber_defect = max(fiber_defect, float(np.max(np.abs(zeta_img))))
+        _, zeta_img = apply_map(aut, (check_pts, zero_fibers))
+        fiber_defect = float(np.max(np.abs(zeta_img)))
         worst_fiber = max(worst_fiber, fiber_defect)
 
         z0 = zero_preimage(aut)

@@ -6,7 +6,9 @@ pipelines and CI can consume them directly:
     0   computation succeeded; any verdict passed
     1   a verdict failed (mismatch / violated / inconclusive / above tol)
     2   usage, configuration, or I/O error, or an arithmetic failure
-        (overflow, division by zero) of the requested computation
+        (overflow, division by zero) of the requested computation; the
+        fiber-series and automorphism verdicts raise every floating-point
+        overflow or invalid value as such a failure
 
 Reports are canonical JSON (sorted keys, complex numbers as [re, im]) or
 CSV for matrix/grid payloads, written to --out or stdout.  Reports carry no
@@ -63,7 +65,7 @@ from .hartogs import (
     ClosedFormFamily,
     HartogsDomain,
     ball_kernel,
-    frc_eval,
+    frc_eval_pairs,
     frc_restriction_check,
 )
 from .automorphisms import (
@@ -343,12 +345,20 @@ def _cmd_kernel_eval(cfg: dict):
     return report, False, rows if n == 1 else None
 
 
+# The fiber-series and automorphism verdicts evaluate closed forms over
+# whole point arrays; there an overflow, an invalid value or a division by
+# zero is an arithmetic failure (exit 2), never an inf or NaN to compare.
+_ARITHMETIC_RAISES = np.errstate(over="raise", invalid="raise", divide="raise")
+
+
+@_ARITHMETIC_RAISES
 def _cmd_frc_check(cfg: dict):
     """Fiber series vs the closed ball kernel for the original construction.
 
     The Hartogs domain over the disk with weight 1 - |z|^2 and fiber
     dimension m is the unit ball of C^(1+m), whose Bergman kernel is known
-    in closed form; the series must reproduce it pair by pair.
+    in closed form; the series must reproduce it pair by pair.  All pairs
+    are summed in one batched call and checked against the oracle at once.
     """
     m = cfg["m"]
     tol = cfg["tolerance"]
@@ -358,39 +368,39 @@ def _cmd_frc_check(cfg: dict):
     rng = np.random.default_rng(cfg["seed"])
     pairs = cfg.get("pairs", 100)
 
-    worst = 0.0
-    worst_eval = None
-    terms_max = 0
-    all_converged = True
+    # (z, zeta, z2, zeta2) per pair, drawn in the order of the generator
+    drawn = []
     for _ in range(pairs):
         z, z2 = (complex(p[0]) for p in sample_ball(rng, 1, 0.9, 2))
         pz = 1.0 - abs(z) ** 2
         pz2 = 1.0 - abs(z2) ** 2
         ratio = 0.7 * rng.random(2)
         phase = np.exp(2j * np.pi * rng.random(2 * m))
-        zeta = ratio[0] * math.sqrt(pz) * phase[:m] / math.sqrt(m)
-        zeta2 = ratio[1] * math.sqrt(pz2) * phase[m:] / math.sqrt(m)
-        res = frc_eval(domain, ([z], zeta), ([z2], zeta2), family,
-                       max_terms=cfg.get("max_terms", 200), tol=1e-14)
-        all_converged &= res.converged
-        # the reported pair is the first to need the most terms; the errors
-        # all sit at roundoff, where ulp noise would decide an argmax
-        if res.terms_used > terms_max:
-            terms_max, worst_eval = res.terms_used, res.as_dict()
-        ref = oracle(np.concatenate([[z], zeta]), np.concatenate([[z2], zeta2]))
-        worst = max(worst, abs(res.value - ref) / abs(ref))
+        drawn.append(([z], ratio[0] * math.sqrt(pz) * phase[:m] / math.sqrt(m),
+                      [z2], ratio[1] * math.sqrt(pz2) * phase[m:] / math.sqrt(m)))
+    Z, ZETA, Z2, ZETA2 = (np.array(col).reshape(pairs, -1)
+                          for col in zip(*drawn))
+    res = frc_eval_pairs(domain, (Z, ZETA), (Z2, ZETA2), family,
+                         max_terms=cfg.get("max_terms", 200), tol=1e-14)
+    all_converged = bool(res.converged.all())
+    # the reported pair is the first to need the most terms; the errors
+    # all sit at roundoff, where ulp noise would decide an argmax
+    first_most = int(np.argmax(res.terms_used))
+    terms_max = int(res.terms_used[first_most])
+    worst_eval = res.pair(first_most).as_dict()
+    ref = oracle(np.concatenate([Z, ZETA], axis=1),
+                 np.concatenate([Z2, ZETA2], axis=1))
+    worst = float(np.max(np.abs(res.value - ref) / np.abs(ref)))
 
     # zero-fiber restriction against an independent Gram-series reference,
     # sampled closer to the center where the degree-40 series has converged
     reference = kernel_from_gram(
         gram_exact(domain.base, domain.weight.pow(m), 40))
-    worst_rest = 0.0
-    for _ in range(20):
-        z, z2 = (complex(p[0]) for p in sample_ball(rng, 1, 0.5, 2))
-        worst_rest = max(worst_rest, frc_restriction_check(
-            domain, [z], [z2],
-            lambda a, b: frc_eval(domain, a, b, family).value,
-            reference=reference))
+    rest = np.array(sample_ball(rng, 1, 0.5, 2 * 20)).reshape(20, 2)
+    worst_rest = float(np.max(frc_restriction_check(
+        domain, rest[:, :1], rest[:, 1:],
+        lambda a, b: frc_eval_pairs(domain, a, b, family).value,
+        reference=reference)))
 
     passed = worst <= tol and worst_rest <= tol and all_converged
     report = {"command": "frc-check", "fiber_dim": m, "pairs": pairs,
@@ -425,6 +435,7 @@ def _map_of(cfg: dict, H: HartogsDomain):
     return _decode(map_from_json, cfg["map"], H)
 
 
+@_ARITHMETIC_RAISES
 def _cmd_transform_check(cfg: dict):
     H = _hartogs_of(cfg)
     aut = _map_of(cfg, H)
@@ -444,6 +455,7 @@ def _cmd_transform_check(cfg: dict):
     return report, worst > tol, None
 
 
+@_ARITHMETIC_RAISES
 def _cmd_jacobian_check(cfg: dict):
     H = _hartogs_of(cfg)
     aut = _map_of(cfg, H)
@@ -453,15 +465,13 @@ def _cmd_jacobian_check(cfg: dict):
     radius = cfg.get("radius", 0.6 if H.base.bounded else 1.0)
     tol = cfg["tolerance"]
     n, m = H.base.dim, H.fiber_dim
-    worst = 0.0
-    worst_block = 0.0
-    for _ in range(count):
-        z = (rng.uniform(-radius, radius, n) + 1j * rng.uniform(-radius, radius, n)) \
-            / math.sqrt(n)
-        closed = jacobian_base_slice(aut, z)
-        J, _ = jacobian_fd_matrix(aut, (z, np.zeros(m, dtype=complex)), h)
-        worst = max(worst, abs(closed - complex(np.linalg.det(J))))
-        worst_block = max(worst_block, float(np.max(np.abs(J[:n, n:]))))
+    # per point the real parts, then the imaginary parts
+    draws = rng.uniform(-radius, radius, (count, 2, n))
+    Z = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(n)
+    J, _ = jacobian_fd_matrix(aut, (Z, np.zeros((count, m), dtype=complex)), h)
+    closed = jacobian_base_slice(aut, Z)
+    worst = float(np.max(np.abs(closed - np.linalg.det(J))))
+    worst_block = float(np.max(np.abs(J[:, :n, n:])))
     passed = worst <= tol
     report = {"command": "jacobian-check", "max_det_difference": worst,
               "max_offblock": worst_block, "points": count, "step": h,

@@ -194,6 +194,16 @@ def as_points(zs, dim: int) -> np.ndarray:
     return arr
 
 
+def as_point_rows(z, dim: int) -> tuple[np.ndarray, bool]:
+    """Points as rows: one point of C^dim becomes a validated (1, dim) array
+    and the flag True, a (k, dim) point array goes through ``as_points`` and
+    gives False.  A function written over rows returns its 1-row view when
+    the flag is set, so one point and many take the same path."""
+    if np.ndim(z) <= 1:
+        return as_point(z, dim)[None, :], True
+    return as_points(z, dim), False
+
+
 def sample_ball(rng, n: int, radius: float, count: int) -> list[np.ndarray]:
     """count points drawn uniformly from the closed ball of the given radius
     in C^n.
@@ -224,13 +234,22 @@ def sample_ball(rng, n: int, radius: float, count: int) -> list[np.ndarray]:
 
 
 def _as_matrix(domain: DomainSpec, z: np.ndarray) -> np.ndarray:
+    """Points of C^(pq), one or rows, as p x q matrices."""
     p, q = domain.shape
-    return z.reshape(p, q)
+    return z.reshape(z.shape[:-1] + (p, q))
 
 
-def hermitian_inner(z: np.ndarray, w: np.ndarray) -> complex:
-    """<z, w> = sum z_j conj(w_j), conjugate-linear in the second slot."""
-    return complex(np.dot(z, np.conj(w)))
+def hermitian_inner(z, w):
+    """<z, w> = sum z_j conj(w_j) over the last axis, conjugate-linear in
+    the second slot.  Two points give one complex number; rows of points
+    (against rows or one point) give one inner product per row.  The real
+    and imaginary parts are summed separately, so <w, z> is exactly
+    conj(<z, w>)."""
+    z, w = np.asarray(z), np.asarray(w)
+    out = np.empty(np.broadcast_shapes(z.shape, w.shape)[:-1], dtype=complex)
+    out.real = np.sum(z.real * w.real + z.imag * w.imag, axis=-1)
+    out.imag = np.sum(z.imag * w.real - z.real * w.imag, axis=-1)
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +318,26 @@ def generic_norm_factors(domain: DomainSpec, z, w) -> np.ndarray:
     For disk/ball there is a single factor 1 - <z, w>; for type-I balls the
     lambda_i are the eigenvalues of Z W*.  On interior points every factor
     lies in the open right half-plane, so principal logarithms per factor
-    give an unambiguous branch for complex powers of N.
+    give an unambiguous branch for complex powers of N.  Two points give
+    one row of factors; rows of points, paired with as many rows or with
+    one point, give one row of factors per pair.
     """
-    z = as_point(z, domain.dim)
-    w = as_point(w, domain.dim)
+    Z, one_z = as_point_rows(z, domain.dim)
+    W, one_w = as_point_rows(w, domain.dim)
     if domain.kind in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
-        return np.array([1.0 - hermitian_inner(z, w)])
-    if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
-        Z = _as_matrix(domain, z)
-        W = _as_matrix(domain, w)
-        lam = np.linalg.eigvals(Z @ W.conj().T)
-        return 1.0 - lam
-    raise ValueError("the full space has no generic norm")
+        factors = 1.0 - hermitian_inner(Z, W)[:, None]
+    elif domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
+        Wh = _as_matrix(domain, W).conj().swapaxes(-1, -2)
+        factors = 1.0 - np.linalg.eigvals(_as_matrix(domain, Z) @ Wh)
+    else:
+        raise ValueError("the full space has no generic norm")
+    return factors[0] if one_z and one_w else factors
 
 
-def generic_norm(domain: DomainSpec, z, w) -> complex:
+def generic_norm(domain: DomainSpec, z, w):
     """N(z, w): 1 - z conj(w) on the disk, 1 - <z,w> on the ball,
-    det(I - Z W*) on type-I matrix balls."""
-    return complex(np.prod(generic_norm_factors(domain, z, w)))
+    det(I - Z W*) on type-I matrix balls; one value per pair of rows."""
+    return np.prod(generic_norm_factors(domain, z, w), axis=-1)
 
 
 def principal_log(factors: np.ndarray) -> np.ndarray:
@@ -329,10 +350,11 @@ def principal_log(factors: np.ndarray) -> np.ndarray:
     return np.log(factors)
 
 
-def generic_norm_power(domain: DomainSpec, z, w, exponent: complex) -> complex:
-    """N(z, w)^exponent via principal logarithms of the per-eigenvalue factors."""
+def generic_norm_power(domain: DomainSpec, z, w, exponent: complex):
+    """N(z, w)^exponent via principal logarithms of the per-eigenvalue
+    factors; one value per pair of rows."""
     factors = generic_norm_factors(domain, z, w)
-    return complex(np.exp(exponent * np.sum(principal_log(factors))))
+    return np.exp(exponent * np.sum(principal_log(factors), axis=-1))
 
 
 def genus(domain: DomainSpec) -> int:
@@ -347,17 +369,19 @@ def hua_normalization(domain: DomainSpec, mu: float) -> float:
     return chi(0.0) / chi(mu) * domain.volume
 
 
-def contains(domain: DomainSpec, z) -> float:
+def contains(domain: DomainSpec, z):
     """Continuous boundary defect: negative inside, 0 on the boundary,
-    positive outside.  The full space contains everything (defect -1)."""
-    z = as_point(z, domain.dim)
+    positive outside.  The full space contains everything (defect -1).
+    One point gives a float, (k, dim) rows of points k defects."""
+    Z, one = as_point_rows(z, domain.dim)
     if domain.kind is DomainKind.FULL_SPACE:
-        return -1.0
-    if domain.kind in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
-        return float(np.sum(np.abs(z) ** 2) - 1.0)
-    Z = _as_matrix(domain, z)
-    smax = np.linalg.svd(Z, compute_uv=False)[0]
-    return float(smax ** 2 - 1.0)
+        defect = np.full(len(Z), -1.0)
+    elif domain.kind in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
+        defect = np.sum(np.abs(Z) ** 2, axis=1) - 1.0
+    else:
+        smax = np.linalg.svd(_as_matrix(domain, Z), compute_uv=False)[:, 0]
+        defect = smax ** 2 - 1.0
+    return float(defect[0]) if one else defect
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +472,18 @@ class Weight:
             raise ValueError("generic-norm weights need a bounded base")
 
     def pow(self, m: int) -> "Weight":
-        """(scale * form^k)^m = scale^m * form^(k m)."""
+        """(scale * form^k)^m = scale^m * form^(k m).  A scale^m outside
+        the positive float range is refused by name."""
         if m < 1:
             raise ValueError("power must be >= 1")
-        return Weight(self.base, self.form, self.power_exponent * m,
-                      self.scale ** m)
+        try:
+            scale = self.scale ** m
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            flow = "overflows" if scale else "underflows"
+            raise ValueError(f"weight scale {self.scale!r} {flow} at power {m}")
+        return Weight(self.base, self.form, self.power_exponent * m, scale)
 
     def scaled(self, c: float) -> "Weight":
         return Weight(self.base, self.form, self.power_exponent,
@@ -471,30 +502,36 @@ def polynomial_weight(domain: DomainSpec, coefficients) -> Weight:
     return Weight(domain, PolynomialRadial(tuple(float(c) for c in coefficients)))
 
 
-def weight_eval(weight: Weight, z) -> float:
-    """Evaluate the weight at an interior point; strictly positive there.
+def weight_eval(weight: Weight, z):
+    """Evaluate the weight at interior points; strictly positive there.
 
-    Weights on disk, ball and C^n go through ``weight_radial_fn`` at
-    t = |z|^2.  On type-I bases, which are not radial in |z|^2, generic-norm
-    powers are evaluated through det(I - Z Z*); other forms are refused
-    there.  The base form is evaluated and checked before the power and the
-    scale are applied.
+    One point gives a float, (k, dim) rows of points k values.  Weights on
+    disk, ball and C^n go through ``weight_radial_fn`` at t = |z|^2.  On
+    type-I bases, which are not radial in |z|^2, generic-norm powers are
+    evaluated through det(I - Z Z*); other forms are refused there.  The
+    base form is evaluated and checked before the power and the scale are
+    applied; a value beyond the float range raises.
     """
     base, form = weight.base, weight.form
-    z = as_point(z, base.dim)
-    if contains(base, z) >= 0:
+    Z, one = as_point_rows(z, base.dim)
+    if (contains(base, Z) >= 0).any():
         raise ValueError("point outside the open base domain")
     if base.kind is DomainKind.TYPE_I_MATRIX_BALL:
         if not isinstance(form, GenericNormPower):
             raise ValueError("type-I weights are evaluated for generic-norm "
                              "powers only")
-        val = max(generic_norm(base, z, z).real, 0.0) ** form.mu
+        val = np.maximum(generic_norm(base, Z, Z).real, 0.0) ** form.mu
     else:
-        t = float(np.sum(np.abs(z) ** 2))
-        val = float(weight_radial_fn(Weight(base, form))(t))
-    if val <= 0:
+        t = np.sum(np.abs(Z) ** 2, axis=1)
+        val = np.asarray(weight_radial_fn(Weight(base, form))(t), dtype=float)
+    if (val <= 0).any():
         raise ValueError("weight evaluated non-positive (inadmissible table?)")
-    return weight.scale * val ** weight.power_exponent
+    with np.errstate(over="ignore"):
+        out = weight.scale * val ** weight.power_exponent
+    if not np.isfinite(out).all():
+        raise ValueError(f"weight value overflows at scale {weight.scale!r} "
+                         f"and power {weight.power_exponent}")
+    return float(out[0]) if one else out
 
 
 def weight_radial_fn(weight: Weight):

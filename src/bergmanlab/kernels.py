@@ -65,6 +65,14 @@ def _grid_entry(model, z, w) -> complex:
                                    np.reshape(w, (1, -1)))[0, 0])
 
 
+def _check_scale(scale: float) -> None:
+    """A closed-form kernel's constant must be finite and positive, as a
+    weight's is; a reproducing kernel has K(z, z) > 0."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"kernel scale must be finite and positive, "
+                         f"not {scale!r}")
+
+
 @dataclass(frozen=True)
 class FockKernel:
     """K(z, w) = scale * exp(mu <z, w>) on C^n."""
@@ -72,6 +80,9 @@ class FockKernel:
     mu: float
     n: int
     scale: float = 1.0
+
+    def __post_init__(self):
+        _check_scale(self.scale)
 
     @property
     def domain(self) -> DomainSpec:
@@ -96,6 +107,7 @@ class PowerKernel:
     def __post_init__(self):
         if not self.base.bounded:
             raise ValueError("power kernels need a bounded symmetric base")
+        _check_scale(self.scale)
 
     @property
     def domain(self) -> DomainSpec:

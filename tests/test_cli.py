@@ -201,6 +201,12 @@ ARITHMETIC_FAILURES = [
     # exp(2000 <z, w>) overflows on the sample grid
     ["characterize-fbh", "--n", "1", "--weight", "gaussian:2000",
      "--mu", "2000", "--degree", "4", "--rmax", "0.9"],
+    # the closed Jacobian k_v(z)^2 = exp(2000 <z, v> - ...) overflows
+    ["jacobian-check", "--domain", "cn:1", "--weight", "gaussian:1000",
+     "--m", "2", "--map", '{"kind": "translation", "v": [[0.5, 0.0]]}'],
+    # exp(2000 <z, w>) overflows in the kernel grid of the sample points
+    ["transform-check", "--domain", "cn:1", "--weight", "gaussian:1000",
+     "--m", "2", "--map", '{"kind": "translation", "v": [[0.5, 0.0]]}'],
 ]
 
 
@@ -477,6 +483,32 @@ class TestJsonArguments:
             capture_output=True, env=child_env("1"), cwd=str(tmp_path))
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr
+
+
+# a closed-form kernel's scale read from JSON must be finite and positive
+BAD_KERNEL_SCALES = [
+    '{"form": "fock", "mu": 1, "n": 1, "scale": -1}',
+    '{"form": "power", "domain": {"kind": "disk", "dim": 1}, "mu": 1, '
+    '"scale": 0}',
+]
+
+
+@pytest.mark.parametrize("kernel", BAD_KERNEL_SCALES, ids=["fock", "power"])
+def test_kernel_json_scale_is_checked(capsys, kernel):
+    code, out, err = run_cli(["kernel-eval", "--kernel", kernel, "--grid", "2"],
+                             capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: kernel scale must be finite and positive")
+
+
+def test_weight_scale_overflow_is_named(capsys):
+    code, out, err = run_cli(
+        ["gram", "--domain", "cn:1", "--weight", "scaled:1e200:gaussian:1",
+         "--m", "2", "--degree", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: weight scale 1e+200 overflows at power 2\n"
 
 
 class TestNonFiniteDiagnostics:

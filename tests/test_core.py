@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, dblquad
 
 import bergmanlab as bl
-from bergmanlab.core import (grlex_key, monomial_values, sample_ball,
-                             weight_radial_fn)
+from bergmanlab.core import (grlex_key, hermitian_inner, monomial_values,
+                             sample_ball, weight_radial_fn)
 
 from conftest import interior_ball_points, interior_disk_points
 
@@ -200,6 +201,20 @@ class TestWeightScale:
         with pytest.raises(ValueError, match="scale"):
             bl.Weight(w.base, w.form, 1, c)
 
+    @pytest.mark.parametrize("c,flow", [(1e200, "overflows"),
+                                        (1e-200, "underflows")])
+    def test_power_out_of_float_range_is_named(self, c, flow):
+        w = bl.gaussian_weight(1, 1.0).scaled(c)
+        with pytest.raises(ValueError, match=re.escape(
+                f"weight scale {c!r} {flow} at power 2")):
+            w.pow(2)
+        assert w.pow(1).scale == c
+
+    def test_value_out_of_float_range_is_named(self):
+        w = bl.polynomial_weight(bl.unit_disk(), [1e10]).scaled(1e300)
+        with pytest.raises(ValueError, match="weight value overflows"):
+            bl.weight_eval(w, [0.1])
+
     def test_fields(self):
         w = bl.gaussian_weight(1, 2.0).scaled(3.0).pow(2).scaled(0.5)
         assert w.form == bl.GaussianPower(2.0)
@@ -261,6 +276,37 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             bl.contains(bl.unit_ball(2), [0.1])
+
+
+class TestRowsOfPoints:
+    """One point is the 1-row view of the same array path."""
+
+    @pytest.mark.parametrize("domain,weight", [
+        (bl.unit_disk(), bl.generic_norm_weight(bl.unit_disk(), 1.5)),
+        (bl.unit_ball(2), bl.polynomial_weight(bl.unit_ball(2), [1.0, -0.5])),
+        (bl.matrix_ball(2, 2), bl.generic_norm_weight(bl.matrix_ball(2, 2), 2.0)),
+        (bl.full_space(2), bl.gaussian_weight(2, 0.7).scaled(3.0).pow(2)),
+    ], ids=["disk", "ball2", "typei", "cn2"])
+    def test_rows_match_single_points(self, domain, weight):
+        rng = np.random.default_rng(8)
+        n = domain.dim
+        Z = (rng.uniform(-1, 1, (6, n)) + 1j * rng.uniform(-1, 1, (6, n))) \
+            * 0.3 / math.sqrt(n)
+        W = Z[::-1].copy()
+        defects = bl.contains(domain, Z)
+        values = bl.weight_eval(weight, Z)
+        inner = hermitian_inner(Z, W)
+        for i in range(len(Z)):
+            assert defects[i] == bl.contains(domain, Z[i])
+            assert abs(values[i] - bl.weight_eval(weight, Z[i])) \
+                <= 1e-15 * values[i]
+            assert inner[i] == hermitian_inner(Z[i], W[i])
+            assert inner[i] == np.conj(hermitian_inner(W[i], Z[i]))
+        if domain.bounded:
+            norms = bl.generic_norm(domain, Z, W)
+            for i in range(len(Z)):
+                assert abs(norms[i] - bl.generic_norm(domain, Z[i], W[i])) \
+                    <= 1e-15
 
 
 class TestRadialProfileCsv:

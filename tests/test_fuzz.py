@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from bergmanlab.cli import main
 
-from test_cli import ARITHMETIC_FAILURES
+from test_cli import ARITHMETIC_FAILURES, BAD_KERNEL_SCALES
 
 # the edge values next to ordinary ones
 EDGES = ["0", "1e-320", "1e308", "inf", "nan", "-1"]
@@ -196,6 +196,12 @@ def run(argv, points=None) -> int:
 @example((ARITHMETIC_FAILURES[1], None))
 @example((ARITHMETIC_FAILURES[2], None))
 @example((ARITHMETIC_FAILURES[3], None))
+@example((ARITHMETIC_FAILURES[4], None))
+@example((ARITHMETIC_FAILURES[5], None))
+@example((["kernel-eval", "--kernel", BAD_KERNEL_SCALES[0], "--grid", "2"],
+          None))
+@example((["kernel-eval", "--kernel", BAD_KERNEL_SCALES[1], "--grid", "2"],
+          None))
 def test_exit_code_is_a_verdict_or_an_error(invocation):
     argv, points = invocation
     assert run(argv, points) in (0, 1, 2)

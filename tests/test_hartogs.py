@@ -178,6 +178,8 @@ class TestRestrictionIdentity:
             base = DISK
             def eval(self, z, w):
                 return 0.0 + 0.0j
+            def eval_grid(self, zs, ws):
+                return np.zeros((len(zs), len(ws)), dtype=complex)
 
         res = frc_restriction_check(H, [0.1], [0.2], zero_kernel,
                                     reference=NullModel())

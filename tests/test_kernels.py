@@ -252,6 +252,19 @@ class TestKernelSerialization:
         assert bl.kernel_from_json({"form": "fock", "mu": 1.5, "n": 2}) \
             == bl.FockKernel(1.5, 2, 1.0)
 
+    @pytest.mark.parametrize("obj", [
+        {"form": "fock", "mu": 1.0, "n": 1, "scale": -1.0},
+        {"form": "fock", "mu": 1.0, "n": 1, "scale": math.inf},
+        {"form": "power", "domain": {"kind": "disk", "dim": 1}, "mu": 1.0,
+         "scale": 0.0},
+        {"form": "power", "domain": {"kind": "disk", "dim": 1}, "mu": 1.0,
+         "scale": math.nan},
+    ], ids=["fock-negative", "fock-inf", "power-zero", "power-nan"])
+    def test_scale_must_be_finite_and_positive(self, obj):
+        with pytest.raises(ValueError, match="kernel scale must be finite "
+                                             "and positive"):
+            bl.kernel_from_json(obj)
+
     def test_scaled_form_is_unknown(self):
         with pytest.raises(ValueError, match="unknown kernel form"):
             bl.kernel_from_json({"form": "scaled", "scale": 2.0,

@@ -50,6 +50,7 @@ from .moments import (
 from .kernels import (
     FockKernel,
     PowerKernel,
+    RadialSeriesKernel,
     SeriesKernel,
     fock_kernel,
     kernel_from_gram,

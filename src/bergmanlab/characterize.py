@@ -49,7 +49,7 @@ from .core import (
     weight_eval,
 )
 from .moments import GramMatrix, gram_auto
-from .kernels import FockKernel, PowerKernel, SeriesKernel, kernel_from_gram
+from .kernels import FockKernel, KernelModel, PowerKernel, kernel_from_gram
 from .hartogs import HartogsDomain
 from .automorphisms import (
     AutomorphismSpec,
@@ -267,7 +267,7 @@ class CharacterizationReport:
         return out
 
 
-def _proportionality_report(series: SeriesKernel, reference, points,
+def _proportionality_report(series: KernelModel, reference, points,
                             degree: int, match_tol: float,
                             mismatch_tol: float,
                             power_law: bool = False) -> CharacterizationReport:

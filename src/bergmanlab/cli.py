@@ -56,6 +56,7 @@ from .moments import (
     unit_mass_weight,
 )
 from .kernels import (
+    PowerKernel,
     kernel_from_gram,
     kernel_from_json,
     kernel_to_json,
@@ -392,10 +393,10 @@ def _cmd_frc_check(cfg: dict):
                  np.concatenate([Z2, ZETA2], axis=1))
     worst = float(np.max(np.abs(res.value - ref) / np.abs(ref)))
 
-    # zero-fiber restriction against an independent Gram-series reference,
-    # sampled closer to the center where the degree-40 series has converged
-    reference = kernel_from_gram(
-        gram_exact(domain.base, domain.weight.pow(m), 40))
+    # zero-fiber restriction against the closed kernel of (1 - |z|^2)^m,
+    # (m+1)/pi (1 - z conj(z'))^-(m+2), its constant written out rather than
+    # taken from the Hua normalization the family's k = 0 term uses
+    reference = PowerKernel(domain.base, float(m), (m + 1) / math.pi)
     rest = np.array(sample_ball(rng, 1, 0.5, 2 * 20)).reshape(20, 2)
     worst_rest = float(np.max(frc_restriction_check(
         domain, rest[:, :1], rest[:, 1:],

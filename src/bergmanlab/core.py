@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import PchipInterpolator
 
 
 class DomainKind(Enum):
@@ -424,9 +423,12 @@ class RadialProfile:
     """
     knots: tuple[float, ...]
     values: tuple[float, ...]
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _interp: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # imported here: scipy.interpolate is slow to import, and only
+        # tabulated weights need it
+        from scipy.interpolate import PchipInterpolator
         t = np.asarray(self.knots, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 4 or t.size != v.size:

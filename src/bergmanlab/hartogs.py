@@ -148,11 +148,9 @@ class SeriesFamily:
         return self._cache[k]
 
     def pair_values(self, Z, Z2, ks) -> np.ndarray:
-        points = np.concatenate([Z, Z2])
         out = np.empty((len(Z), len(ks)), dtype=complex)
         for j, k in enumerate(ks):
-            E = self(k).basis_values(points)
-            out[:, j] = np.sum(E[:len(Z)] * E[len(Z):].conj(), axis=1)
+            out[:, j] = self(k).eval_pairs(Z, Z2)
         return out
 
 

@@ -1,6 +1,6 @@
 """Evaluable reproducing-kernel models.
 
-Two closed forms and one reconstruction:
+Two closed forms and two reconstructions:
 
 * ``FockKernel(mu, n, scale)`` evaluates scale * exp(mu <z, w>); at
   scale 1 it is the reproducing kernel of entire functions
@@ -9,9 +9,13 @@ Two closed forms and one reconstruction:
 * ``PowerKernel(domain, mu, scale)`` evaluates scale * N(z, w)^(-g - mu)
   on a bounded symmetric model domain with genus g, the weighted kernel of
   the generic-norm weight in its normalized-measure convention.
+* ``RadialSeriesKernel(base, degree, c)`` evaluates the power series
+  sum_{k <= degree} c_k <z, w>^k in one variable: the raw-dV weighted
+  Bergman kernel at finite rank of a radial weight on the disk, the ball
+  or C^n, whose Gram matrix is diagonal.
 * ``SeriesKernel`` is the truncated orthonormal expansion
-  sum_k e_k(z) conj(e_k(w)) with e_k obtained by factorizing a Gram matrix;
-  it is the raw-dV weighted Bergman kernel at finite rank.
+  sum_k e_k(z) conj(e_k(w)) with e_k obtained by factorizing a dense Gram
+  matrix (type-I bases, Monte Carlo and JSON-loaded Grams).
 
 Raw-measure closed forms carry their normalization in the ``scale`` field
 of the closed form, so that exactly one measure convention (raw dV) is used
@@ -30,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.linalg import solve_triangular
 
 from .core import (
@@ -38,6 +43,7 @@ from .core import (
     as_point,
     as_points,
     full_space,
+    hermitian_inner,
     hua_normalization,
     monomial_values,
     multiindex_enumerate,
@@ -179,8 +185,75 @@ class SeriesKernel:
         E = self.basis_values(as_points(zs, self.base.dim))
         return np.sum(E.real ** 2 + E.imag ** 2, axis=1)
 
+    def eval_pairs(self, zs, ws) -> np.ndarray:
+        """K(z_i, w_i) for paired rows, shape (len(zs),)."""
+        Z = as_points(zs, self.base.dim)
+        W = as_points(ws, self.base.dim)
+        E = self.basis_values(np.concatenate([Z, W]))
+        return np.sum(E[:len(Z)] * E[len(Z):].conj(), axis=1)
 
-KernelModel = FockKernel | PowerKernel | SeriesKernel
+
+_RADIAL_KINDS = (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL,
+                 DomainKind.FULL_SPACE)
+
+
+@dataclass(frozen=True, eq=False)
+class RadialSeriesKernel:
+    """K(z, w) = sum_{k <= degree} c_k <z, w>^k on the disk, ball or C^n.
+
+    A radial weight has the diagonal Gram matrix
+    G_aa = pi^n a!/(|a|+n-1)! R_{|a|+n-1}, so by the multinomial theorem its
+    orthonormal expansion sums to this series with
+    c_k = (k+n-1)!/(pi^n k! R_{k+n-1}).  Evaluation is one Horner pass over
+    c, on the matrix Z W* for a grid.
+    """
+
+    base: DomainSpec
+    degree: int
+    c: np.ndarray
+    weight_label: str = ""
+
+    def __post_init__(self):
+        if self.base.kind not in _RADIAL_KINDS:
+            raise ValueError("radial series kernels need a disk, ball or "
+                             "C^n base")
+        if self.degree < 0:
+            raise ValueError(f"radial series degree must be >= 0, "
+                             f"not {self.degree}")
+        if np.shape(self.c) != (self.degree + 1,):
+            raise ValueError(f"a degree-{self.degree} radial series needs "
+                             f"{self.degree + 1} coefficients, not shape "
+                             f"{np.shape(self.c)}")
+        if not (np.isfinite(self.c).all() and (self.c > 0).all()):
+            raise ValueError("radial series coefficients must be finite "
+                             "and positive")
+
+    @property
+    def domain(self) -> DomainSpec:
+        return self.base
+
+    eval = _grid_entry
+
+    def eval_grid(self, zs, ws) -> np.ndarray:
+        """K(z_i, w_j) for all pairs, shape (len(zs), len(ws))."""
+        Z = as_points(zs, self.base.dim)
+        W = as_points(ws, self.base.dim)
+        return npoly.polyval(Z @ W.conj().T, self.c)
+
+    def eval_pairs(self, zs, ws) -> np.ndarray:
+        """K(z_i, w_i) for paired rows, shape (len(zs),)."""
+        Z = as_points(zs, self.base.dim)
+        W = as_points(ws, self.base.dim)
+        return npoly.polyval(hermitian_inner(Z, W), self.c)
+
+    def diagonal(self, zs) -> np.ndarray:
+        """K(z_i, z_i) for all points, real, shape (len(zs),)."""
+        Z = as_points(zs, self.base.dim)
+        return npoly.polyval(np.sum(Z.real ** 2 + Z.imag ** 2, axis=1),
+                             self.c)
+
+
+KernelModel = FockKernel | PowerKernel | RadialSeriesKernel | SeriesKernel
 
 
 def fock_kernel(mu: float, n: int = 1) -> FockKernel:
@@ -227,19 +300,25 @@ def weighted_kernel_closed_form(weight: Weight) -> KernelModel:
 RANK_RTOL = 1e-13
 
 
-def kernel_from_gram(gram: GramMatrix, method: str = "auto") -> SeriesKernel:
+def kernel_from_gram(gram: GramMatrix, method: str = "auto"
+                     ) -> RadialSeriesKernel | SeriesKernel:
     """Orthonormalize the monomials against a Gram matrix.
 
-    ``method`` is "auto" (Cholesky with eigendecomposition fallback),
-    "cholesky", or "eig".  The matrix is equilibrated to unit diagonal
-    first; a successful Cholesky certifies positive definiteness outright.
-    Otherwise the scaled spectrum decides: below -PSD_TOL relative is
-    rejected as indefinite, eigenvalues in (-PSD_TOL, 0) are clipped with the
-    perturbation recorded, and directions below RANK_RTOL are dropped.
-    More than 10% dropped directions is a hard error.
+    ``method`` is "auto", "cholesky", or "eig".  With "auto", a Gram built
+    from radial moments (``gram.moments``) gives the ``RadialSeriesKernel``
+    of those moments, and any other Gram is factorized by Cholesky with an
+    eigendecomposition fallback.  The dense route equilibrates the matrix
+    to unit diagonal first; a successful Cholesky certifies positive
+    definiteness outright.  Otherwise the scaled spectrum decides: below
+    -PSD_TOL relative is rejected as indefinite, eigenvalues in
+    (-PSD_TOL, 0) are clipped with the perturbation recorded, and
+    directions below RANK_RTOL are dropped.  More than 10% dropped
+    directions is a hard error.
     """
     if method not in ("auto", "cholesky", "eig"):
         raise ValueError(f"unknown factorization method {method!r}")
+    if method == "auto" and gram.moments is not None:
+        return _radial_kernel(gram)
     entries = gram.entries
     B = entries.shape[0]
     eq = _equilibrate(entries)
@@ -283,6 +362,26 @@ def kernel_from_gram(gram: GramMatrix, method: str = "auto") -> SeriesKernel:
                         psd_perturbation=perturbation)
 
 
+def _radial_kernel(gram: GramMatrix) -> RadialSeriesKernel:
+    """c_k = (k+n-1)!/(pi^n k! R_{k+n-1}) from the moments of a radial Gram.
+
+    Its diagonal is positive exactly when the moments R_{n-1}.. are, and
+    an equilibrated diagonal matrix is the identity, so positivity is the
+    only check the dense route would make.
+    """
+    n, d = gram.domain.dim, gram.degree
+    R = gram.moments[n - 1:d + n]
+    if not (np.isfinite(R).all() and (R > 0).all()):
+        raise ValueError("Gram diagonal is not strictly positive")
+    k = np.arange(d + 1.0)
+    # (k+n-1)!/k! as a product of n - 1 factors
+    rising = np.prod(k[:, None] + np.arange(1.0, n)[None, :], axis=1)
+    with np.errstate(over="ignore"):   # refused by name in the model
+        c = rising / (math.pi ** n * R)
+    return RadialSeriesKernel(gram.domain, d, c,
+                              weight_label=gram.weight_label)
+
+
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
@@ -294,8 +393,8 @@ def normalized_kernel(model: KernelModel, z, w) -> complex:
     return model.eval(z, w) / math.sqrt(kww.real)
 
 
-def reproducing_residual(model: SeriesKernel, poly: dict, z,
-                         weight: Weight) -> float:
+def reproducing_residual(model: RadialSeriesKernel | SeriesKernel,
+                         poly: dict, z, weight: Weight) -> float:
     """| f(z) - integral f(w) K(z, w) p(w) dV(w) | for a polynomial f.
 
     ``poly`` maps exponent multi-indices to coefficients; its degree should
@@ -322,9 +421,7 @@ def reproducing_residual(model: SeriesKernel, poly: dict, z,
 
     pvals = weight_radial_fn(weight)(np.abs(pts) ** 2)
 
-    Ez = model.basis_values(z[None, :])[0]
-    Ew = model.basis_values(pts2)
-    kzw = Ew.conj() @ Ez  # K(z, w_s)
+    kzw = model.eval_grid(z[None, :], pts2)[0]  # K(z, w_s)
 
     integral = complex(np.sum(fvals * kzw * pvals * wq))
     return abs(fz - integral)
@@ -340,6 +437,10 @@ def kernel_to_json(model: KernelModel) -> dict:
     if isinstance(model, PowerKernel):
         return {"form": "power", "domain": domain_to_json(model.base),
                 "mu": model.mu, "scale": model.scale}
+    if isinstance(model, RadialSeriesKernel):
+        return {"form": "radial", "domain": domain_to_json(model.base),
+                "degree": model.degree, "c": model.c.tolist(),
+                "weight": model.weight_label}
     if isinstance(model, SeriesKernel):
         return {"form": "series", "domain": domain_to_json(model.base),
                 "degree": model.degree, "rank": model.rank,
@@ -357,6 +458,11 @@ def kernel_from_json(obj: dict) -> KernelModel:
     if form == "power":
         return PowerKernel(domain_from_json(obj["domain"]), float(obj["mu"]),
                            float(obj.get("scale", 1.0)))
+    if form == "radial":
+        return RadialSeriesKernel(domain_from_json(obj["domain"]),
+                                  int(obj["degree"]),
+                                  np.array(obj["c"], dtype=float),
+                                  weight_label=obj.get("weight", ""))
     if form == "series":
         domain = domain_from_json(obj["domain"])
         degree = int(obj["degree"])

@@ -79,7 +79,12 @@ MC_CHUNK_BYTES = 256 * 2 ** 20
 
 @dataclass
 class GramMatrix:
-    """Hermitian matrix of monomial inner products up to a degree cap."""
+    """Hermitian matrix of monomial inner products up to a degree cap.
+
+    ``moments`` holds the radial moments R_0..R_{degree+n-1} the entries
+    were built from on the disk, the ball and C^n (``_radial_gram``); it is
+    None for Monte Carlo, type-I and JSON-loaded Grams.
+    """
 
     domain: DomainSpec
     degree: int
@@ -88,6 +93,7 @@ class GramMatrix:
     method: dict
     stderr: np.ndarray | None = None
     weight_label: str = ""
+    moments: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -173,7 +179,7 @@ def _radial_gram(domain: DomainSpec, weight: Weight, degree: int,
     for i, a in enumerate(basis):
         G[i, i] = _shell_factor(a) * moments[sum(a) + n - 1]
     return GramMatrix(domain, degree, basis, G, method,
-                      weight_label=describe_weight(weight))
+                      weight_label=describe_weight(weight), moments=moments)
 
 
 def moment_exact(domain: DomainSpec, weight: Weight, alpha, beta) -> complex:

@@ -38,15 +38,27 @@ def _type_i_points(rng, count, dim=4):
     return pts
 
 
+# the dense orthonormal expansion of the same Gram for each radial series
+# kernel: its oracle
+DENSE = {}
+
+
+def _series_pair(gram):
+    """The radial series kernel of a radial Gram and its dense expansion."""
+    radial = bl.kernel_from_gram(gram)
+    DENSE[radial] = bl.kernel_from_gram(gram, method="cholesky")
+    return radial, DENSE[radial]
+
+
 def _models():
     rng = np.random.default_rng(11)
     ball2 = bl.unit_ball(2)
-    series_disk = bl.kernel_from_gram(
+    radial_disk, series_disk = _series_pair(
         bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 1.0), 16))
-    series_ball = bl.kernel_from_gram(
+    radial_ball, series_ball = _series_pair(
         bl.gram_exact(ball2, bl.generic_norm_weight(ball2, 2.0), 10))
     disk_pts = [np.array([z]) for z in interior_disk_points(rng, 5)]
-    return [
+    models = [
         ("fock-n1", bl.fock_kernel(1.3, 1), _full_space_points(rng, 1, 5, 2.0)),
         ("fock-n2", bl.fock_kernel(0.7, 2), _full_space_points(rng, 2, 5, 2.0)),
         ("power-disk", bl.power_kernel(DISK, 1.5, 0.3), disk_pts),
@@ -64,6 +76,9 @@ def _models():
         ("power-typei2x3", bl.power_kernel(bl.matrix_ball(2, 3), 0.5, 1.7),
          _type_i_points(rng, 4, 6)),
     ]
+    points = {name: pts for name, _, pts in models}
+    return models + [("radial-disk", radial_disk, points["series-disk"]),
+                     ("radial-ball2", radial_ball, points["series-ball2"])]
 
 
 MODELS = _models()
@@ -71,6 +86,7 @@ IDS = [name for name, _, _ in MODELS]
 
 
 def _scalar_series(series, z, w):
+    series = DENSE.get(series, series)
     ez = series.basis_values(np.asarray(z)[None, :])[0]
     ew = series.basis_values(np.asarray(w)[None, :])[0]
     return complex(np.dot(ez, ew.conj()))
@@ -109,7 +125,8 @@ def test_scalar_series_eval_matches_basis_expansion():
             assert abs(model.eval(z, w) - ref) <= 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("name", ["series-disk", "series-ball2"])
+@pytest.mark.parametrize("name", ["series-disk", "series-ball2",
+                                  "radial-disk", "radial-ball2"])
 def test_series_diagonal_equals_eval(name):
     _, model, pts = MODELS[IDS.index(name)]
     diag = model.diagonal(pts)
@@ -121,6 +138,18 @@ def test_series_diagonal_equals_eval(name):
         model.diagonal([np.full(model.domain.dim, np.nan)])
     with pytest.raises(ValueError, match="shape"):
         model.diagonal(np.zeros((2, model.domain.dim + 1)))
+
+
+@pytest.mark.parametrize("name", ["series-disk", "series-ball2",
+                                  "radial-disk", "radial-ball2"])
+def test_series_pairs_equal_eval(name):
+    _, model, pts = MODELS[IDS.index(name)]
+    ws = pts[1:] + pts[:1]
+    pairs = model.eval_pairs(pts, ws)
+    assert pairs.shape == (len(pts),)
+    for value, z, w in zip(pairs, pts, ws):
+        ref = _reference(model, z, w)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("name,model,pts", MODELS, ids=IDS)
@@ -245,7 +274,8 @@ CH_CASES = [
 @pytest.mark.parametrize("base,q,m,mu,degree,expected", CH_CASES)
 def test_characterize_ch_matches_scalar_oracle(base, q, m, mu, degree, expected):
     rep = ch.characterize_ch(q, m, mu, degree, seed=3)
-    series = bl.kernel_from_gram(bl.gram_auto(q.pow(m), degree))
+    series = bl.kernel_from_gram(bl.gram_auto(q.pow(m), degree),
+                                 method="cholesky")
     reference = bl.PowerKernel(base, m * mu)
     points = _verdict_points(base.dim, 0.55, 12, 3)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
@@ -275,7 +305,8 @@ FBH_CASES = [
 @pytest.mark.parametrize("n,p,m,mu,expected", FBH_CASES)
 def test_characterize_fbh_matches_scalar_oracle(n, p, m, mu, expected):
     rep = ch.characterize_fbh(p, m, mu, 20, seed=297)
-    series = bl.kernel_from_gram(bl.gram_auto(p.pow(m), 20))
+    series = bl.kernel_from_gram(bl.gram_auto(p.pow(m), 20),
+                                 method="cholesky")
     reference = bl.FockKernel(m * mu, n)
     points = _verdict_points(n, 0.9 / math.sqrt(m * mu), 12, 297)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
@@ -288,7 +319,8 @@ def test_verdict_grids_hold_npts_points(monkeypatch, verdict):
     # the sampled points start at the origin: npts points, one npts x npts
     # grid per kernel
     shapes = []
-    for cls in (bl.SeriesKernel, bl.PowerKernel, bl.FockKernel):
+    for cls in (bl.RadialSeriesKernel, bl.SeriesKernel, bl.PowerKernel,
+                bl.FockKernel):
         def spy(self, zs, ws, original=cls.eval_grid):
             out = original(self, zs, ws)
             shapes.append(out.shape)
@@ -300,6 +332,25 @@ def test_verdict_grids_hold_npts_points(monkeypatch, verdict):
     else:
         ch.characterize_fbh(bl.gaussian_weight(1, 1.0), 1, 1.0, 20, npts=12)
     assert shapes == [(12, 12), (12, 12)]
+
+
+def test_radial_verdict_makes_no_factorization(monkeypatch, capsys):
+    # a radial Gram gives its kernel as one series in <z, w>: no Cholesky,
+    # no triangular inverse, no monomial table
+    from bergmanlab import cli, core, kernels
+    calls = []
+    for owner, name in ((np.linalg, "cholesky"), (kernels, "solve_triangular"),
+                        (kernels, "monomial_values"),
+                        (core, "monomial_values")):
+        def spy(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    # inconclusive: the degree-16 truncation tail exceeds the match tolerance
+    assert cli.main(["characterize-ch", "--domain", "ball:3", "--weight",
+                     "npower:1", "--degree", "16"]) == 1
+    assert calls == []
+    capsys.readouterr()
 
 
 def _fbh_family(n):
@@ -325,7 +376,7 @@ def test_family_condition_matches_scalar_oracle(family):
     H, maps, degree = family()
     rep = ch.family_condition_check(H, maps, degree)
     series = bl.kernel_from_gram(
-        bl.gram_auto(H.weight.pow(H.fiber_dim), degree))
+        bl.gram_auto(H.weight.pow(H.fiber_dim), degree), method="cholesky")
     ratios = []
     for aut, rec in zip(maps, rep.maps):
         z0 = am.zero_preimage(aut)
@@ -402,8 +453,8 @@ def test_transform_residual_matches_scalar_oracle(name):
 def test_transform_residual_truncated_series_matches_scalar_oracle():
     aut, _, _, pts = _transform_case("disk")
     w = aut.target.weight.pow(aut.target.fiber_dim)
-    series = bl.kernel_from_gram(bl.gram_exact(DISK, w, 40))
+    series, dense = _series_pair(bl.gram_exact(DISK, w, 40))
     # the degree-40 truncation tail leaves a residual near 3e-8
     got = am.transform_residual(aut, series, pts)
-    ref = _scalar_transform_residual(aut, series, pts)
+    ref = _scalar_transform_residual(aut, dense, pts)
     assert abs(got - ref) <= 1e-13

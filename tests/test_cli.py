@@ -131,6 +131,14 @@ class TestVerdictExitCodes:
                                capsys)
         assert code == 0 and json.loads(out)["passed"]
 
+    def test_frc_restriction_reference_does_not_truncate(self, capsys):
+        # a degree-40 Gram series of (1 - |z|^2)^30 left 2.3e-8 here
+        code, out, _ = run_cli(["frc-check", "--m", "30", "--pairs", "5"],
+                               capsys)
+        rep = strict_json(out)
+        assert code == 0 and rep["passed"]
+        assert rep["max_restriction_residual"] <= 1e-14
+
     def test_transform_and_jacobian(self, capsys):
         mapjson = '{"kind":"translation","v":[[0.4,0.3]],"mu":1.0}'
         code, out, _ = run_cli(
@@ -305,6 +313,16 @@ class TestOutputs:
         assert val[0] == pytest.approx(1.0)
 
 
+def test_cli_import_leaves_scipy_interpolate_out(tmp_path):
+    # only tabulated weights interpolate; the module is slow to import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bergmanlab.cli; "
+         "print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, env=child_env("1"), cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout.decode().strip() == "False"
+
+
 class TestDeterminism:
     def test_identical_bytes_across_runs(self, capsys):
         args = ["characterize-fbh", "--mu", "1", "--m", "1",
@@ -366,6 +384,39 @@ class TestKernelEvalGrid:
         assert [(float(r[0]), float(r[2])) for r in rows] == \
             [(x, y) for x in axis for y in axis]
         assert all(float(r[1]) == 0.0 and float(r[3]) == 0.0 for r in rows)
+
+    def test_weight_kernel_is_written_in_radial_form(self, capsys):
+        code, out, _ = run_cli(
+            ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+             "--degree", "12", "--grid", "3"], capsys)
+        assert code == 0
+        kernel = strict_json(out)["kernel"]
+        assert kernel["form"] == "radial" and "coeff" not in kernel
+        assert len(kernel["c"]) == 13
+        assert kernel["c"][0] == pytest.approx(2 / math.pi, rel=1e-15)
+
+    # the closed-form Gaussian moments overflow to inf with a NumPy warning
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("domain,weight", [
+        ("disk", "poly:1,-2"),                    # R_0 = 0
+        ("cn:1", "scaled:1e300:gaussian:0.001"),  # R_1 = inf
+    ], ids=["zero", "infinite"])
+    def test_bad_moments_are_refused_by_name(self, capsys, domain, weight):
+        code, out, err = run_cli(
+            ["kernel-eval", "--domain", domain, "--weight", weight,
+             "--degree", "4", "--grid", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.strip().splitlines()[-1] == \
+            "error: Gram diagonal is not strictly positive"
+
+    @pytest.mark.parametrize("c", ["[1, -1]", "[1, 2, 3]"])
+    def test_radial_kernel_json_is_checked(self, capsys, c):
+        kernel = ('{"form": "radial", "domain": {"kind": "disk", "dim": 1}, '
+                  f'"degree": 1, "c": {c}}}')
+        code, out, err = run_cli(["kernel-eval", "--kernel", kernel,
+                                  "--grid", "2"], capsys)
+        assert code == 2 and out == ""
+        assert "radial series" in err and "Traceback" not in err
 
     def test_empty_point_lists(self, capsys, tmp_path):
         pts = tmp_path / "pts.json"

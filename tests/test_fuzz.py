@@ -95,6 +95,16 @@ kernels = st.one_of(
                            "degree": st.integers(-1, 2),
                            "rank": st.integers(0, 3),
                            "coeff": st.lists(cpair, max_size=6)}),
+    st.fixed_dictionaries({"form": st.just("radial"),
+                           "domain": domain_json,
+                           "degree": st.integers(-1, 2),
+                           # positive and finite, else anything
+                           "c": st.one_of(
+                               st.lists(st.sampled_from([0.3, 1.0, 1e-320,
+                                                         1e308]),
+                                        min_size=1, max_size=3),
+                               st.lists(json_number, max_size=4),
+                               json_number)}),
     # unknown forms, among them the removed "scaled" wrapper
     st.sampled_from([{}, {"form": "spline"},
                      {"form": "scaled", "scale": 2.0,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bergmanlab as bl
-from bergmanlab.core import hermitian_inner
+from bergmanlab.core import hermitian_inner, sample_ball
 
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
@@ -104,6 +104,78 @@ class TestKernelFromGram:
         gram = GramMatrix(DISK, 1, basis, G, {"kind": "exact"})
         with pytest.raises(ValueError):
             bl.kernel_from_gram(gram)
+
+
+RADIAL_CASES = [
+    (DISK, bl.generic_norm_weight(DISK, 1.0), 30, 0.6),
+    (bl.unit_ball(2), bl.generic_norm_weight(bl.unit_ball(2), 1.0), 30, 0.6),
+    (bl.unit_ball(3), bl.generic_norm_weight(bl.unit_ball(3), 1.0), 16, 0.6),
+    (C1, bl.gaussian_weight(1, 1.0), 30, 1.5),
+    (bl.full_space(2), bl.gaussian_weight(2, 1.0), 30, 1.5),
+]
+RADIAL_IDS = ["disk", "ball2", "ball3", "cn1", "cn2"]
+
+
+class TestRadialSeriesKernel:
+    """The 1-D series of a radial Gram against the dense orthonormal
+    expansion of the same Gram."""
+
+    @pytest.mark.parametrize("domain,weight,degree,radius", RADIAL_CASES,
+                             ids=RADIAL_IDS)
+    def test_matches_dense_oracle(self, domain, weight, degree, radius):
+        gram = bl.gram_auto(weight, degree)
+        K = bl.kernel_from_gram(gram)
+        dense = bl.kernel_from_gram(gram, method="cholesky")
+        assert isinstance(K, bl.RadialSeriesKernel)
+        assert isinstance(dense, bl.SeriesKernel)
+        assert K.c.shape == (degree + 1,)
+        n = domain.dim
+        rng = np.random.default_rng(31)
+        pts = [np.zeros(n, dtype=complex),
+               *sample_ball(rng, n, radius, 7)]
+        ref = dense.eval_grid(pts, pts)
+        grid = K.eval_grid(pts, pts)
+        assert np.all(np.abs(grid - ref) <= 1e-13 * np.abs(ref))
+        for i, z in enumerate(pts):
+            for j, w in enumerate(pts):
+                assert abs(K.eval(z, w) - ref[i, j]) <= 1e-13 * abs(ref[i, j])
+        diag, ref_diag = K.diagonal(pts), dense.diagonal(pts)
+        assert diag.dtype == float
+        assert np.all(np.abs(diag - ref_diag) <= 1e-13 * ref_diag)
+        pairs, ref_pairs = K.eval_pairs(pts, pts[::-1]), np.diagonal(
+            ref[:, ::-1])
+        assert np.all(np.abs(pairs - ref_pairs) <= 1e-13 * np.abs(ref_pairs))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("domain,weight,degree,radius", RADIAL_CASES[:2],
+                             ids=RADIAL_IDS[:2])
+    def test_bad_moment_is_refused(self, domain, weight, degree, radius, bad):
+        gram = bl.gram_auto(weight, degree)
+        gram.moments[domain.dim + 3] = bad
+        with pytest.raises(ValueError,
+                           match="Gram diagonal is not strictly positive"):
+            bl.kernel_from_gram(gram)
+
+    def test_unused_moments_are_not_read(self):
+        # on ball:2 the series reads R_1.., so R_0 does not enter
+        gram = bl.gram_auto(bl.generic_norm_weight(bl.unit_ball(2), 1.0), 4)
+        gram.moments[0] = np.nan
+        assert np.isfinite(bl.kernel_from_gram(gram).c).all()
+
+    def test_explicit_methods_stay_dense(self):
+        gram = bl.gram_auto(bl.generic_norm_weight(DISK, 1.0), 6)
+        for method in ("cholesky", "eig"):
+            assert isinstance(bl.kernel_from_gram(gram, method),
+                              bl.SeriesKernel)
+
+    def test_grams_without_moments_stay_dense(self):
+        gram = bl.gram_auto(bl.generic_norm_weight(DISK, 1.0), 6)
+        loaded = bl.gram_from_json(json.loads(json.dumps(bl.gram_to_json(gram))))
+        assert loaded.moments is None
+        assert isinstance(bl.kernel_from_gram(loaded), bl.SeriesKernel)
+        mc = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
+                                1000, 0)
+        assert mc.moments is None
 
 
 class TestSeriesAgainstClosedForm:
@@ -276,6 +348,11 @@ class TestKernelSerialization:
         lambda: bl.weighted_kernel_closed_form(bl.gaussian_weight(1, 2.0)),
         lambda: bl.kernel_from_gram(
             bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8)),
+        lambda: bl.kernel_from_gram(
+            bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8),
+            method="cholesky"),
+        lambda: bl.kernel_from_gram(
+            bl.gram_exact(bl.full_space(2), bl.gaussian_weight(2, 1.0), 12)),
     ])
     def test_round_trip_evaluations(self, make):
         K = make()
@@ -287,3 +364,34 @@ class TestKernelSerialization:
             w = (rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.4, 0.4, n))
             a, b = K.eval(z, w), K2.eval(z, w)
             assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
+
+    def test_radial_form(self):
+        K = bl.kernel_from_gram(
+            bl.gram_exact(bl.unit_ball(2), bl.generic_norm_weight(
+                bl.unit_ball(2), 1.0), 5))
+        obj = bl.kernel_to_json(K)
+        assert obj == {"form": "radial", "domain": {"kind": "ball", "dim": 2},
+                       "degree": 5, "c": K.c.tolist(), "weight": "N(z,z)^1"}
+        K2 = bl.kernel_from_json(json.loads(json.dumps(obj)))
+        assert isinstance(K2, bl.RadialSeriesKernel)
+        assert np.array_equal(K2.c, K.c) and K2.base == K.base
+        assert K2.weight_label == K.weight_label
+
+    @pytest.mark.parametrize("change,message", [
+        ({"c": [1.0, math.inf]}, "finite and positive"),
+        ({"c": [1.0, math.nan]}, "finite and positive"),
+        ({"c": [1.0, 0.0]}, "finite and positive"),
+        ({"c": [1.0, -2.0]}, "finite and positive"),
+        ({"c": [1.0, 2.0, 3.0]}, "degree-1 radial series needs 2 "
+                                 "coefficients"),
+        ({"c": [[1.0, 2.0]]}, "needs 2 coefficients"),
+        ({"degree": -1, "c": []}, "degree must be >= 0"),
+        ({"domain": {"kind": "typeI", "shape": [2, 2]}},
+         "disk, ball or C\\^n base"),
+    ])
+    def test_radial_form_is_checked(self, change, message):
+        obj = {"form": "radial", "domain": {"kind": "disk", "dim": 1},
+               "degree": 1, "c": [1.0, 2.0], "weight": ""}
+        obj.update(change)
+        with pytest.raises(ValueError, match=message):
+            bl.kernel_from_json(obj)

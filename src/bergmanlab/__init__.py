@@ -36,6 +36,7 @@ from .core import (
 )
 from .moments import (
     GramMatrix,
+    RadialGram,
     gram_auto,
     gram_exact,
     gram_from_json,

@@ -48,7 +48,7 @@ from .core import (
     sample_ball,
     weight_eval,
 )
-from .moments import GramMatrix, gram_auto
+from .moments import Gram, gram_auto
 from .kernels import FockKernel, KernelModel, PowerKernel, kernel_from_gram
 from .hartogs import HartogsDomain
 from .automorphisms import (
@@ -68,7 +68,7 @@ from . import jsonio
 class MomentTable:
     weight: Weight
     degree: int
-    moments: GramMatrix
+    moments: Gram
     mass: float
 
 

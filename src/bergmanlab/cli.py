@@ -109,11 +109,6 @@ _SCHEMA: dict[str, type] = {
 _DEFAULTS = {"degree": 20, "tolerance": 1e-8, "seed": 0, "format": "json",
              "m": 1, "n": 1, "mu": 1.0}
 
-# largest monomial basis C(n+d, n) a command may build a Gram matrix over:
-# every base of dimension <= 2 at the largest degree, 64.  The dense complex
-# matrix then takes 70 MiB, and its factorizations a few times more.
-MAX_BASIS = math.comb(2 + 64, 2)
-
 
 def _validate_value(key: str, value):
     if key not in _SCHEMA:
@@ -250,22 +245,13 @@ def _domain_of(cfg: dict, default: str | None = None) -> DomainSpec:
     return parse_domain(spec)
 
 
-def _check_basis(n: int, degree: int) -> None:
-    """Refuse a Gram matrix too large to allocate before building it."""
-    size = math.comb(n + degree, n)
-    if size > MAX_BASIS:
-        raise ConfigError(
-            f"degree {degree} in {n} complex dimensions needs {size} "
-            f"monomials; a Gram matrix may have at most {MAX_BASIS}")
-
-
-def _matrix_rows(matrix: np.ndarray) -> list[tuple]:
-    """CSV rows (i, j, re, im) of a complex matrix, as plain numbers."""
-    rows = [("i", "j", "re", "im")]
+def _matrix_rows(matrix: np.ndarray):
+    """CSV rows (i, j, re, im) of a complex matrix, as plain numbers; made
+    only when a CSV report consumes them."""
+    yield ("i", "j", "re", "im")
     for i, row in enumerate(matrix.tolist()):
-        rows.extend((i, j, repr(z.real), repr(z.imag))
-                    for j, z in enumerate(row))
-    return rows
+        for j, z in enumerate(row):
+            yield (i, j, repr(z.real), repr(z.imag))
 
 
 def _weight_of(cfg: dict, domain: DomainSpec, key: str = "weight") -> Weight:
@@ -279,7 +265,6 @@ def _weight_of(cfg: dict, domain: DomainSpec, key: str = "weight") -> Weight:
 
 def _cmd_gram(cfg: dict):
     domain = _domain_of(cfg)
-    _check_basis(domain.dim, cfg["degree"])
     weight = _weight_of(cfg, domain)
     if cfg.get("m", 1) > 1:
         weight = weight.pow(cfg["m"])
@@ -312,7 +297,6 @@ def _cmd_kernel_eval(cfg: dict):
         if cfg.get("closed_form"):
             model = weighted_kernel_closed_form(weight)
         else:
-            _check_basis(domain.dim, cfg["degree"])
             model = kernel_from_gram(gram_auto(weight, cfg["degree"]))
 
     n = model.domain.dim
@@ -426,7 +410,6 @@ def _slice_kernel_of(cfg: dict, H: HartogsDomain):
             return weighted_kernel_closed_form(w)
         except ValueError:
             pass
-    _check_basis(H.base.dim, cfg["degree"])
     return kernel_from_gram(gram_auto(w, cfg["degree"]))
 
 
@@ -482,7 +465,6 @@ def _cmd_jacobian_check(cfg: dict):
 
 def _cmd_moment_mismatch(cfg: dict):
     domain = _domain_of(cfg)
-    _check_basis(domain.dim, cfg["degree"])
     w1 = _weight_of(cfg, domain, "weight")
     w2 = _weight_of(cfg, domain, "weight2")
     if cfg.get("normalize"):
@@ -501,7 +483,6 @@ def _cmd_moment_mismatch(cfg: dict):
 
 def _cmd_recover_weight(cfg: dict):
     domain = _domain_of(cfg)
-    _check_basis(domain.dim, cfg["degree"])
     weight = _weight_of(cfg, domain)
     table = moment_table(weight, cfg["degree"])
     basis = cfg.get("basis")
@@ -517,7 +498,6 @@ def _cmd_recover_weight(cfg: dict):
 
 
 def _cmd_characterize_fbh(cfg: dict):
-    _check_basis(cfg["n"], cfg["degree"])
     domain = full_space(cfg["n"])
     weight = _weight_of(cfg, domain)
     kwargs = {}
@@ -533,7 +513,6 @@ def _cmd_characterize_fbh(cfg: dict):
 
 def _cmd_characterize_ch(cfg: dict):
     domain = _domain_of(cfg, default="disk")
-    _check_basis(domain.dim, cfg["degree"])
     weight = _weight_of(cfg, domain)
     kwargs = {}
     if "rmax" in cfg:
@@ -564,7 +543,6 @@ def _cmd_boundary_check(cfg: dict):
 
 def _cmd_family_check(cfg: dict):
     family = cfg.get("family", "fbh")
-    _check_basis(cfg["n"] if family == "fbh" else 1, cfg["degree"])
     rng = np.random.default_rng(cfg["seed"])
     count = cfg.get("points", 6)
     if family == "fbh":

@@ -254,13 +254,31 @@ def hermitian_inner(z, w):
 # ---------------------------------------------------------------------------
 # multi-indices (graded lexicographic order, globally fixed)
 
+# largest monomial basis C(n+d, n) that may be enumerated: every base of
+# dimension <= 2 at the largest degree, 64.  A dense complex Gram matrix over
+# it takes 70 MiB, and its factorizations a few times more.
+MAX_BASIS = math.comb(2 + 64, 2)
+
+
 def _compositions(n: int, total: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(n - 1, total - first):
-            yield (first,) + rest
+    """The compositions of total into n parts, leading part largest first.
+
+    Iterative, so n is not bounded by the recursion limit: each step takes
+    one unit from the last nonzero part before the final one and moves it,
+    with the whole final part, into the part after it.
+    """
+    a = [total] + [0] * (n - 1)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        last = a[n - 1]
+        a[i] -= 1
+        a[n - 1] = 0
+        a[i + 1] = last + 1
 
 
 def multiindex_enumerate(n: int, d: int) -> list[tuple[int, ...]]:
@@ -268,12 +286,18 @@ def multiindex_enumerate(n: int, d: int) -> list[tuple[int, ...]]:
 
     Grlex compares total degree first and breaks ties lexicographically with
     the leading variable largest, e.g. for n = 2: (0,0), (1,0), (0,1),
-    (2,0), (1,1), (0,2), ...  The count is C(n+d, n).
+    (2,0), (1,1), (0,2), ...  The count is C(n+d, n); a count above
+    ``MAX_BASIS`` is refused before anything is enumerated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
+    size = math.comb(n + d, n)
+    if size > MAX_BASIS:
+        raise ValueError(
+            f"degree {d} in {n} complex dimensions needs {size} "
+            f"monomials; a monomial basis may have at most {MAX_BASIS}")
     out = []
     for deg in range(d + 1):
         out.extend(_compositions(n, deg))

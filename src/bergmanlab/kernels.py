@@ -12,10 +12,11 @@ Two closed forms and two reconstructions:
 * ``RadialSeriesKernel(base, degree, c)`` evaluates the power series
   sum_{k <= degree} c_k <z, w>^k in one variable: the raw-dV weighted
   Bergman kernel at finite rank of a radial weight on the disk, the ball
-  or C^n, whose Gram matrix is diagonal.
+  or C^n, built from the moments of a ``RadialGram``.
 * ``SeriesKernel`` is the truncated orthonormal expansion
-  sum_k e_k(z) conj(e_k(w)) with e_k obtained by factorizing a dense Gram
-  matrix (type-I bases, Monte Carlo and JSON-loaded Grams).
+  sum_k e_k(z) conj(e_k(w)) with e_k obtained by factorizing a dense
+  ``GramMatrix``: a Monte Carlo estimate or a JSON-loaded Gram, which is
+  the only way a type-I Gram arises.
 
 Raw-measure closed forms carry their normalization in the ``scale`` field
 of the closed form, so that exactly one measure convention (raw dV) is used
@@ -55,7 +56,8 @@ from .core import (
 )
 from .moments import (
     PSD_TOL,
-    GramMatrix,
+    Gram,
+    RadialGram,
     _equilibrate,
     domain_from_json,
     domain_to_json,
@@ -300,24 +302,19 @@ def weighted_kernel_closed_form(weight: Weight) -> KernelModel:
 RANK_RTOL = 1e-13
 
 
-def kernel_from_gram(gram: GramMatrix, method: str = "auto"
-                     ) -> RadialSeriesKernel | SeriesKernel:
+def kernel_from_gram(gram: Gram) -> RadialSeriesKernel | SeriesKernel:
     """Orthonormalize the monomials against a Gram matrix.
 
-    ``method`` is "auto", "cholesky", or "eig".  With "auto", a Gram built
-    from radial moments (``gram.moments``) gives the ``RadialSeriesKernel``
-    of those moments, and any other Gram is factorized by Cholesky with an
-    eigendecomposition fallback.  The dense route equilibrates the matrix
-    to unit diagonal first; a successful Cholesky certifies positive
-    definiteness outright.  Otherwise the scaled spectrum decides: below
-    -PSD_TOL relative is rejected as indefinite, eigenvalues in
-    (-PSD_TOL, 0) are clipped with the perturbation recorded, and
-    directions below RANK_RTOL are dropped.  More than 10% dropped
-    directions is a hard error.
+    A ``RadialGram`` gives the ``RadialSeriesKernel`` of its moments.  A
+    dense ``GramMatrix`` is factorized by Cholesky with an
+    eigendecomposition fallback, after equilibration to unit diagonal; a
+    Cholesky without collapsing pivots certifies positive definiteness
+    outright.  Otherwise the scaled spectrum decides: below -PSD_TOL
+    relative is rejected as indefinite, eigenvalues in (-PSD_TOL, 0) are
+    clipped with the perturbation recorded, and directions below RANK_RTOL
+    are dropped.  More than 10% dropped directions is a hard error.
     """
-    if method not in ("auto", "cholesky", "eig"):
-        raise ValueError(f"unknown factorization method {method!r}")
-    if method == "auto" and gram.moments is not None:
+    if isinstance(gram, RadialGram):
         return _radial_kernel(gram)
     entries = gram.entries
     B = entries.shape[0]
@@ -329,18 +326,16 @@ def kernel_from_gram(gram: GramMatrix, method: str = "auto"
     coeff = None
     dropped = 0
     perturbation = 0.0
-    if method in ("auto", "cholesky"):
-        try:
-            L = np.linalg.cholesky(scaled)
-            # a collapsing pivot means a basis direction is numerically
-            # collinear with earlier ones; defer to the dropping route
-            pivots = np.abs(np.diag(L)) ** 2
-            if method == "cholesky" or pivots.min() > RANK_RTOL * pivots.max():
-                coeff = solve_triangular(L, np.eye(B, dtype=complex), lower=True)
-                coeff = coeff * s[None, :]
-        except np.linalg.LinAlgError:
-            if method == "cholesky":
-                raise
+    try:
+        L = np.linalg.cholesky(scaled)
+        # a collapsing pivot means a basis direction is numerically
+        # collinear with earlier ones; defer to the dropping route
+        pivots = np.abs(np.diag(L)) ** 2
+        if pivots.min() > RANK_RTOL * pivots.max():
+            coeff = solve_triangular(L, np.eye(B, dtype=complex), lower=True)
+            coeff = coeff * s[None, :]
+    except np.linalg.LinAlgError:
+        pass
     if coeff is None:
         eigs, vecs = np.linalg.eigh(scaled)
         lam_max = float(eigs[-1])
@@ -362,7 +357,7 @@ def kernel_from_gram(gram: GramMatrix, method: str = "auto"
                         psd_perturbation=perturbation)
 
 
-def _radial_kernel(gram: GramMatrix) -> RadialSeriesKernel:
+def _radial_kernel(gram: RadialGram) -> RadialSeriesKernel:
     """c_k = (k+n-1)!/(pi^n k! R_{k+n-1}) from the moments of a radial Gram.
 
     Its diagonal is positive exactly when the moments R_{n-1}.. are, and

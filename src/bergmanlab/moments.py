@@ -16,14 +16,17 @@ the shell reduction
     G[alpha][alpha] = pi^n alpha! / (|alpha|+n-1)! * R_{|alpha|+n-1}
 
 (polar coordinates t_j = |z_j|^2 per coordinate, then the Dirichlet
-integral over each shell t_1 + ... + t_n = s).  The moments come from one
+integral over each shell t_1 + ... + t_n = s).  Such a Gram is a
+``RadialGram``: it holds R_0..R_{degree+n-1} and builds the dense matrix
+only where ``entries`` is read.  The moments come from one
 of two routes: closed forms (Gaussian and generic-norm powers) and
 Gauss-Legendre rules exact for the degree of a polynomial weight
 (``gram_exact``), or a 1-D Gauss rule in s -- Legendre on [0, 1], Laguerre
 on C^n, Legendre up to the last knot of a tabulated profile
 (``gram_quadrature``).  ``gram_auto`` takes the closed form where one
 exists.  Importance-sampled Monte Carlo with per-entry standard errors
-(``gram_montecarlo``) estimates the dense matrix directly.
+(``gram_montecarlo``) estimates the dense matrix directly, a
+``GramMatrix``, as is every Gram loaded from JSON.
 
 Assembly is deterministic: node sets and summation order are fixed by
 ``QUADRATURE`` and by the seed.  The radial routes are independent of any
@@ -35,11 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 from scipy.special import roots_legendre, roots_laguerre, gammaincc, gammaln
 
 from .core import (
+    MAX_BASIS,
     DomainKind,
     DomainSpec,
     GaussianPower,
@@ -79,12 +84,8 @@ MC_CHUNK_BYTES = 256 * 2 ** 20
 
 @dataclass
 class GramMatrix:
-    """Hermitian matrix of monomial inner products up to a degree cap.
-
-    ``moments`` holds the radial moments R_0..R_{degree+n-1} the entries
-    were built from on the disk, the ball and C^n (``_radial_gram``); it is
-    None for Monte Carlo, type-I and JSON-loaded Grams.
-    """
+    """Hermitian matrix of monomial inner products up to a degree cap, held
+    dense: the Monte Carlo estimate and every JSON-loaded Gram."""
 
     domain: DomainSpec
     degree: int
@@ -93,11 +94,49 @@ class GramMatrix:
     method: dict
     stderr: np.ndarray | None = None
     weight_label: str = ""
-    moments: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return len(self.index_map)
+
+
+@dataclass(frozen=True, eq=False)
+class RadialGram:
+    """The diagonal Gram matrix of a radial weight on the disk, the ball or
+    C^n, held as its moments R_0..R_{degree+n-1}.
+
+    ``index_map`` and ``entries`` are built by the shell reduction on first
+    read, so nothing of size C(n+degree, n) exists until a caller needs the
+    matrix itself.
+    """
+
+    domain: DomainSpec
+    degree: int
+    moments: np.ndarray
+    method: dict
+    weight_label: str = ""
+
+    # closed forms and quadrature carry no sampling error
+    stderr = None
+
+    @property
+    def size(self) -> int:
+        return math.comb(self.domain.dim + self.degree, self.degree)
+
+    @cached_property
+    def index_map(self) -> list[tuple[int, ...]]:
+        return multiindex_enumerate(self.domain.dim, self.degree)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        n, basis = self.domain.dim, self.index_map
+        G = np.zeros((len(basis), len(basis)), dtype=complex)
+        for i, a in enumerate(basis):
+            G[i, i] = _shell_factor(a) * self.moments[sum(a) + n - 1]
+        return G
+
+
+Gram = GramMatrix | RadialGram
 
 
 @dataclass
@@ -122,6 +161,21 @@ def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
+class NoClosedForm(ValueError):
+    """The (domain, weight) pair has no closed-form moments: the one refusal
+    of ``gram_exact`` after which ``gram_auto`` turns to quadrature."""
+
+
+def _check_power_table(top: int, nodes: int) -> None:
+    """Refuse the (top + 1) x nodes table of node powers s_i^j before the
+    nodes are computed; it may hold as many numbers as a dense Gram matrix
+    over ``MAX_BASIS`` monomials."""
+    if (top + 1) * nodes > MAX_BASIS ** 2:
+        raise ValueError(
+            f"the moments R_0..R_{top} need a {top + 1} x {nodes} table of "
+            f"node powers; it may hold at most {MAX_BASIS ** 2} numbers")
+
+
 def _power_sums(s: np.ndarray, f: np.ndarray, top: int) -> np.ndarray:
     """sum_i f_i s_i^j for j = 0..top, each a fixed-order pairwise sum."""
     powers = s[None, :] ** np.arange(top + 1)[:, None]
@@ -142,13 +196,14 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
     form, power = weight.form, weight.power_exponent
     if isinstance(form, GaussianPower):
         mu = form.mu * power
-        return weight.scale * np.array([math.factorial(j) / mu ** (j + 1)
-                                        for j in range(top + 1)])
+        with np.errstate(over="ignore"):   # an infinite R_j is refused by name
+            return weight.scale * np.array([math.factorial(j) / mu ** (j + 1)
+                                            for j in range(top + 1)])
     if not isinstance(form, (GenericNormPower, PolynomialRadial)):
-        raise ValueError("no closed-form moments for this weight form")
+        raise NoClosedForm("no closed-form moments for this weight form")
     if domain.kind not in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
-        raise ValueError("closed-form generic-norm and polynomial moments: "
-                         "disk/ball only")
+        raise NoClosedForm("closed-form generic-norm and polynomial moments: "
+                           "disk/ball only")
     if isinstance(form, GenericNormPower):
         # R_j = B(j+1, s+1) = j!/prod_{i=1..j+1}(s+i)
         s = form.mu * power
@@ -159,6 +214,7 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
             out[j] = math.factorial(j) / denom
         return weight.scale * out
     nodes = (top + power * (len(form.coefficients) - 1)) // 2 + 1
+    _check_power_table(top, nodes)
     s, w = _gauss01(nodes)
     return _power_sums(s, w * weight_radial_fn(weight)(s), top)
 
@@ -168,18 +224,6 @@ def _shell_factor(alpha: tuple[int, ...]) -> float:
     n = len(alpha)
     num = math.prod(math.factorial(a) for a in alpha)
     return math.pi ** n * (num / math.factorial(sum(alpha) + n - 1))
-
-
-def _radial_gram(domain: DomainSpec, weight: Weight, degree: int,
-                 moments: np.ndarray, method: dict) -> GramMatrix:
-    """The diagonal Gram matrix of a radial weight from R_0..R_{degree+n-1}."""
-    n = domain.dim
-    basis = multiindex_enumerate(n, degree)
-    G = np.zeros((len(basis), len(basis)), dtype=complex)
-    for i, a in enumerate(basis):
-        G[i, i] = _shell_factor(a) * moments[sum(a) + n - 1]
-    return GramMatrix(domain, degree, basis, G, method,
-                      weight_label=describe_weight(weight), moments=moments)
 
 
 def moment_exact(domain: DomainSpec, weight: Weight, alpha, beta) -> complex:
@@ -200,11 +244,12 @@ def moment_exact(domain: DomainSpec, weight: Weight, alpha, beta) -> complex:
     return complex(_shell_factor(alpha) * moments[-1])
 
 
-def gram_exact(domain: DomainSpec, weight: Weight, degree: int) -> GramMatrix:
-    """Assemble the Gram matrix entirely from closed-form moments; raises
-    ValueError where the (domain, weight) pair has none."""
+def gram_exact(domain: DomainSpec, weight: Weight, degree: int) -> RadialGram:
+    """The Gram matrix of closed-form moments; raises ValueError where the
+    (domain, weight) pair has none."""
     moments = _exact_moments(domain, weight, degree + domain.dim - 1)
-    return _radial_gram(domain, weight, degree, moments, {"kind": "exact"})
+    return RadialGram(domain, degree, moments, {"kind": "exact"},
+                      describe_weight(weight))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +319,17 @@ def _radial_rule(domain: DomainSpec, weight: Weight,
     ball:3 short of the accuracy of the nested tensor rules they replaced.
     """
     n = domain.dim
-    floor = (degree + n - 1) // 2 + 1
+    top = degree + n - 1
+    floor = top // 2 + 1
     if domain.bounded:
-        return _gauss01(max(n * QUADRATURE["radial_nodes"], floor))
+        nodes = max(n * QUADRATURE["radial_nodes"], floor)
+        _check_power_table(top, nodes)
+        return _gauss01(nodes)
     mu = _gaussian_decay(weight)
     if mu is not None:
-        x, w = roots_laguerre(max(QUADRATURE["fullspace_nodes"], floor))
+        nodes = max(QUADRATURE["fullspace_nodes"], floor)
+        _check_power_table(top, nodes)
+        x, w = roots_laguerre(nodes)
         s = x / mu
         with np.errstate(divide="ignore"):
             ws = np.where(w > 0, np.exp(np.log(np.where(w > 0, w, 1.0)) + x), 0.0) / mu
@@ -288,9 +338,10 @@ def _radial_rule(domain: DomainSpec, weight: Weight,
     prof = _profile_of(weight)
     if prof is not None:
         t_max = float(prof.knots[-1])
+        _check_power_table(top, QUADRATURE["table_nodes"])
         x, w = _gauss01(QUADRATURE["table_nodes"])
         s, ws = x * t_max, w * t_max
-        ref = float(np.sum(ws * weight_radial_fn(weight)(s) * s ** (degree + n - 1)))
+        ref = float(np.sum(ws * weight_radial_fn(weight)(s) * s ** top))
         _fullspace_tail_check(weight, degree, n, t_max, abs(ref) + 1e-300)
         return s, ws
     raise ValueError("weight not integrable against a full-space rule")
@@ -314,7 +365,7 @@ def quadrature_points_1d(domain: DomainSpec, weight: Weight, degree: int
     return pts, np.repeat(wt, M) * (math.pi / M)
 
 
-def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int) -> GramMatrix:
+def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int) -> RadialGram:
     """Assemble the Gram matrix from radial moments by 1-D quadrature in s.
 
     A numerical route independent of the closed forms: the moments R_j are
@@ -328,16 +379,19 @@ def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int) -> GramMatr
     s, ws = _radial_rule(domain, weight, degree)
     moments = _power_sums(s, ws * weight_radial_fn(weight)(s),
                           degree + domain.dim - 1)
-    return _radial_gram(domain, weight, degree, moments,
-                        {"kind": "quadrature", "scheme": dict(QUADRATURE)})
+    return RadialGram(domain, degree, moments,
+                      {"kind": "quadrature", "scheme": dict(QUADRATURE)},
+                      describe_weight(weight))
 
 
-def gram_auto(weight: Weight, degree: int) -> GramMatrix:
+def gram_auto(weight: Weight, degree: int) -> RadialGram:
     """The closed-form Gram where the weight admits one, else the quadrature
-    Gram; ``gram.method["kind"]`` records the route taken."""
+    Gram; ``gram.method["kind"]`` records the route taken.  A closed form
+    refused for its size is refused here too, not replaced by a coarser
+    rule."""
     try:
         return gram_exact(weight.base, weight, degree)
-    except ValueError:
+    except NoClosedForm:
         return gram_quadrature(weight.base, weight, degree)
 
 
@@ -427,7 +481,7 @@ def _equilibrate(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return (scaled + scaled.conj().T) / 2.0, s
 
 
-def gram_validate(gram: GramMatrix) -> GramDiagnostics:
+def gram_validate(gram: Gram) -> GramDiagnostics:
     """Finite-rank health report: Hermitian defect, spectrum range,
     condition number, and how far off-diagonal mass strays for radial
     weights.  Always succeeds; ``cholesky_ok`` flags factorizability,
@@ -521,7 +575,7 @@ def domain_from_json(obj: dict) -> DomainSpec:
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def gram_to_json(gram: GramMatrix) -> dict:
+def gram_to_json(gram: Gram) -> dict:
     out = {
         "n": gram.domain.dim,
         "degree": gram.degree,

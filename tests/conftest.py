@@ -24,6 +24,14 @@ def perturbed_gaussian_weight(perturbed_gaussian_csv):
     return bl.load_radial_profile(perturbed_gaussian_csv, bl.full_space(1))
 
 
+def dense_gram(gram):
+    """A Gram's dense entries as a ``GramMatrix``, which ``kernel_from_gram``
+    factorizes: the oracle of the radial series of a ``RadialGram``."""
+    return bl.GramMatrix(gram.domain, gram.degree, gram.index_map,
+                         gram.entries, gram.method,
+                         weight_label=gram.weight_label)
+
+
 def interior_disk_points(rng, count, radius=0.9):
     pts = []
     while len(pts) < count:

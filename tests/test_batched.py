@@ -17,7 +17,7 @@ from bergmanlab import characterize as ch
 from bergmanlab.core import hermitian_inner, sample_ball
 from bergmanlab.hartogs import HartogsDomain
 
-from conftest import interior_ball_points, interior_disk_points
+from conftest import dense_gram, interior_ball_points, interior_disk_points
 
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
@@ -46,7 +46,7 @@ DENSE = {}
 def _series_pair(gram):
     """The radial series kernel of a radial Gram and its dense expansion."""
     radial = bl.kernel_from_gram(gram)
-    DENSE[radial] = bl.kernel_from_gram(gram, method="cholesky")
+    DENSE[radial] = bl.kernel_from_gram(dense_gram(gram))
     return radial, DENSE[radial]
 
 
@@ -274,8 +274,7 @@ CH_CASES = [
 @pytest.mark.parametrize("base,q,m,mu,degree,expected", CH_CASES)
 def test_characterize_ch_matches_scalar_oracle(base, q, m, mu, degree, expected):
     rep = ch.characterize_ch(q, m, mu, degree, seed=3)
-    series = bl.kernel_from_gram(bl.gram_auto(q.pow(m), degree),
-                                 method="cholesky")
+    series = bl.kernel_from_gram(dense_gram(bl.gram_auto(q.pow(m), degree)))
     reference = bl.PowerKernel(base, m * mu)
     points = _verdict_points(base.dim, 0.55, 12, 3)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
@@ -305,8 +304,7 @@ FBH_CASES = [
 @pytest.mark.parametrize("n,p,m,mu,expected", FBH_CASES)
 def test_characterize_fbh_matches_scalar_oracle(n, p, m, mu, expected):
     rep = ch.characterize_fbh(p, m, mu, 20, seed=297)
-    series = bl.kernel_from_gram(bl.gram_auto(p.pow(m), 20),
-                                 method="cholesky")
+    series = bl.kernel_from_gram(dense_gram(bl.gram_auto(p.pow(m), 20)))
     reference = bl.FockKernel(m * mu, n)
     points = _verdict_points(n, 0.9 / math.sqrt(m * mu), 12, 297)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
@@ -336,19 +334,29 @@ def test_verdict_grids_hold_npts_points(monkeypatch, verdict):
 
 def test_radial_verdict_makes_no_factorization(monkeypatch, capsys):
     # a radial Gram gives its kernel as one series in <z, w>: no Cholesky,
-    # no triangular inverse, no monomial table
-    from bergmanlab import cli, core, kernels
+    # no triangular inverse, no monomial table, and no dense Gram matrix
+    from bergmanlab import cli, core, kernels, moments
     calls = []
     for owner, name in ((np.linalg, "cholesky"), (kernels, "solve_triangular"),
                         (kernels, "monomial_values"),
-                        (core, "monomial_values")):
+                        (core, "monomial_values"),
+                        (core, "multiindex_enumerate"),
+                        (moments, "multiindex_enumerate"),
+                        (kernels, "multiindex_enumerate"),
+                        (moments, "_shell_factor")):
         def spy(*args, _name=name, _original=getattr(owner, name), **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, spy)
-    # inconclusive: the degree-16 truncation tail exceeds the match tolerance
+    # mismatch (1.45e-6): the degree-16 truncation tail exceeds the
+    # mismatch tolerance
     assert cli.main(["characterize-ch", "--domain", "ball:3", "--weight",
                      "npower:1", "--degree", "16"]) == 1
+    # at degree 64 the basis has 47905 monomials, which are never listed
+    assert cli.main(["characterize-ch", "--domain", "ball:3", "--weight",
+                     "npower:1", "--degree", "64"]) == 0
+    assert cli.main(["characterize-fbh", "--n", "3", "--weight",
+                     "gaussian:1", "--degree", "64"]) == 0
     assert calls == []
     capsys.readouterr()
 
@@ -375,8 +383,8 @@ def _thullen_family():
 def test_family_condition_matches_scalar_oracle(family):
     H, maps, degree = family()
     rep = ch.family_condition_check(H, maps, degree)
-    series = bl.kernel_from_gram(
-        bl.gram_auto(H.weight.pow(H.fiber_dim), degree), method="cholesky")
+    series = bl.kernel_from_gram(dense_gram(
+        bl.gram_auto(H.weight.pow(H.fiber_dim), degree)))
     ratios = []
     for aut, rec in zip(maps, rep.maps):
         z0 = am.zero_preimage(aut)

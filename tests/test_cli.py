@@ -21,6 +21,11 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+# a series-form kernel over a basis of C(2+1500, 2) monomials
+SERIES_1500 = ('{"form": "series", "domain": {"kind": "ball", "dim": 2}, '
+               '"degree": 1500, "rank": 1, "coeff": []}')
+
+
 class TestDescriptors:
     def test_domains(self):
         assert parse_domain("disk") == bl.unit_disk()
@@ -169,15 +174,46 @@ class TestVerdictExitCodes:
         assert json.loads(out)["max_deviation"] <= 1e-11
 
     @pytest.mark.parametrize("argv", [
-        ["gram", "--domain", "ball:3", "--weight", "npower:1"],
-        ["characterize-fbh", "--n", "3", "--weight", "gaussian:1"],
-        ["family-check", "--family", "fbh", "--n", "3"],
+        # C(3+64, 3) = 47905 monomials: a 34 GiB dense Gram matrix
+        ["gram", "--domain", "ball:3", "--weight", "npower:1",
+         "--degree", "64"],
+        pytest.param(["gram", "--domain", "ball:3", "--weight", "npower:1",
+                      "--degree", "64", "--method", "montecarlo"],
+                     id="gram-montecarlo"),
+        pytest.param(["moment-mismatch", "--domain", "ball:3", "--weight",
+                      "npower:1", "--weight2", "npower:2", "--degree", "64"],
+                     id="moment-mismatch"),
+        # 1 127 251 multi-indices before the coefficient shape is checked
+        pytest.param(["kernel-eval", "--kernel", SERIES_1500, "--grid", "2"],
+                     id="series-json"),
     ])
     def test_oversized_basis_is_a_config_error(self, capsys, argv):
-        # C(3+64, 3) = 47905 monomials: a 34 GiB dense Gram matrix
-        code, _, err = run_cli(argv + ["--degree", "64"], capsys)
-        assert code == 2
-        assert "47905 monomials" in err and "Traceback" not in err
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        found = re.fullmatch(r"error: degree (\d+) in (\d+) complex dimensions "
+                             r"needs (\d+) monomials; a monomial basis may "
+                             r"have at most 2145", lines[0])
+        d, n, size = (int(g) for g in found.groups())
+        assert size == math.comb(n + d, n) > 2145
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["characterize-fbh", "--n", "3", "--weight", "gaussian:1",
+                      "--degree", "64"], id="characterize-fbh"),
+        pytest.param(["family-check", "--family", "fbh", "--n", "3",
+                      "--degree", "64"], id="family-check"),
+        pytest.param(["characterize-ch", "--domain", "ball:3", "--weight",
+                      "npower:1", "--degree", "30"], id="characterize-ch"),
+    ])
+    def test_radial_verdicts_are_not_refused(self, capsys, argv):
+        # a radial verdict reads the d + n moments, not the C(n+d, n)
+        # monomials of a dense basis, however many those are
+        code, out, _ = run_cli(argv, capsys)
+        rep = strict_json(out)
+        assert code == 0
+        assert rep.get("verdict", "match") == "match"
+        assert rep["degree"] == int(argv[-1])
 
     def test_frc_reports_the_first_pair_with_the_most_terms(self, capsys):
         for seed in range(3):
@@ -215,9 +251,15 @@ ARITHMETIC_FAILURES = [
     # exp(2000 <z, w>) overflows in the kernel grid of the sample points
     ["transform-check", "--domain", "cn:1", "--weight", "gaussian:1000",
      "--m", "2", "--map", '{"kind": "translation", "v": [[0.5, 0.0]]}'],
+    # the Gaussian moments 1e300 * k!/0.001^(k+1) overflow from R_2 on
+    ["kernel-eval", "--domain", "cn:1", "--weight",
+     "scaled:1e300:gaussian:0.001", "--degree", "4", "--grid", "2"],
 ]
 
 
+# a NumPy warning on stderr would precede the error line, but pytest keeps
+# warnings from capsys: turned into errors, they fail the test instead
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", ARITHMETIC_FAILURES,
                          ids=[a[0] for a in ARITHMETIC_FAILURES])
 def test_arithmetic_failure_is_an_error_not_a_verdict(capsys, argv):
@@ -395,8 +437,6 @@ class TestKernelEvalGrid:
         assert len(kernel["c"]) == 13
         assert kernel["c"][0] == pytest.approx(2 / math.pi, rel=1e-15)
 
-    # the closed-form Gaussian moments overflow to inf with a NumPy warning
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("domain,weight", [
         ("disk", "poly:1,-2"),                    # R_0 = 0
         ("cn:1", "scaled:1e300:gaussian:0.001"),  # R_1 = inf

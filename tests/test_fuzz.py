@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from bergmanlab.cli import main
 
-from test_cli import ARITHMETIC_FAILURES, BAD_KERNEL_SCALES
+from test_cli import ARITHMETIC_FAILURES, BAD_KERNEL_SCALES, SERIES_1500
 
 # the edge values next to ordinary ones
 EDGES = ["0", "1e-320", "1e308", "inf", "nan", "-1"]
@@ -208,6 +208,24 @@ def run(argv, points=None) -> int:
 @example((ARITHMETIC_FAILURES[3], None))
 @example((ARITHMETIC_FAILURES[4], None))
 @example((ARITHMETIC_FAILURES[5], None))
+@example((ARITHMETIC_FAILURES[6], None))
+# degree 64 in three dimensions: radial verdicts read moments, not a basis
+@example((["characterize-ch", "--domain", "ball:3", "--weight", "npower:1",
+           "--degree", "64"], None))
+@example((["characterize-fbh", "--n", "3", "--weight", "gaussian:1",
+           "--degree", "64"], None))
+@example((["kernel-eval", "--domain", "cn:3", "--weight", "gaussian:1",
+           "--degree", "64"],
+          {"z": [[[0.1, 0.2], [0.0, -0.3], [0.2, 0.0]]],
+           "w": [[[0.3, 0.0], [0.1, 0.1], [0.0, 0.0]]]}))
+# many dimensions: shell factors that overflow, moment tables too large
+@example((["gram", "--domain", "ball:1500", "--weight", "poly:1,-1",
+           "--degree", "1"], None))
+@example((["moment-mismatch", "--domain", "ball:1500", "--weight",
+           "poly:1,-1", "--weight2", "npower:1", "--degree", "1"], None))
+@example((["characterize-ch", "--domain", "ball:20000", "--weight",
+           "poly:1,-1", "--degree", "1"], None))
+@example((["kernel-eval", "--kernel", SERIES_1500, "--grid", "2"], None))
 @example((["kernel-eval", "--kernel", BAD_KERNEL_SCALES[0], "--grid", "2"],
           None))
 @example((["kernel-eval", "--kernel", BAD_KERNEL_SCALES[1], "--grid", "2"],

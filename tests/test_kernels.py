@@ -8,6 +8,8 @@ import pytest
 import bergmanlab as bl
 from bergmanlab.core import hermitian_inner, sample_ball
 
+from conftest import dense_gram
+
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
 
@@ -125,7 +127,7 @@ class TestRadialSeriesKernel:
     def test_matches_dense_oracle(self, domain, weight, degree, radius):
         gram = bl.gram_auto(weight, degree)
         K = bl.kernel_from_gram(gram)
-        dense = bl.kernel_from_gram(gram, method="cholesky")
+        dense = bl.kernel_from_gram(dense_gram(gram))
         assert isinstance(K, bl.RadialSeriesKernel)
         assert isinstance(dense, bl.SeriesKernel)
         assert K.c.shape == (degree + 1,)
@@ -162,20 +164,15 @@ class TestRadialSeriesKernel:
         gram.moments[0] = np.nan
         assert np.isfinite(bl.kernel_from_gram(gram).c).all()
 
-    def test_explicit_methods_stay_dense(self):
-        gram = bl.gram_auto(bl.generic_norm_weight(DISK, 1.0), 6)
-        for method in ("cholesky", "eig"):
-            assert isinstance(bl.kernel_from_gram(gram, method),
-                              bl.SeriesKernel)
-
     def test_grams_without_moments_stay_dense(self):
         gram = bl.gram_auto(bl.generic_norm_weight(DISK, 1.0), 6)
+        assert isinstance(gram, bl.RadialGram)
         loaded = bl.gram_from_json(json.loads(json.dumps(bl.gram_to_json(gram))))
-        assert loaded.moments is None
+        assert isinstance(loaded, bl.GramMatrix)
         assert isinstance(bl.kernel_from_gram(loaded), bl.SeriesKernel)
         mc = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
                                 1000, 0)
-        assert mc.moments is None
+        assert isinstance(mc, bl.GramMatrix)
 
 
 class TestSeriesAgainstClosedForm:
@@ -238,10 +235,18 @@ class TestSeriesAgainstClosedForm:
         eigs = np.linalg.eigvalsh((M + M.conj().T) / 2)
         assert eigs[0] >= -1e-10 * np.linalg.norm(M)
 
-    def test_factorization_independence(self):
-        G = bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 15)
-        Kc = bl.kernel_from_gram(G, method="cholesky")
-        Ke = bl.kernel_from_gram(G, method="eig")
+    def test_factorization_independence(self, monkeypatch):
+        G = dense_gram(
+            bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 15))
+        Kc = bl.kernel_from_gram(G)
+        tried = []
+
+        def failed_cholesky(a):
+            tried.append(a.shape)
+            raise np.linalg.LinAlgError("forced eigendecomposition fallback")
+        monkeypatch.setattr(np.linalg, "cholesky", failed_cholesky)
+        Ke = bl.kernel_from_gram(G)
+        assert tried == [(16, 16)]
         rng = np.random.default_rng(8)
         for _ in range(25):
             z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
@@ -348,9 +353,8 @@ class TestKernelSerialization:
         lambda: bl.weighted_kernel_closed_form(bl.gaussian_weight(1, 2.0)),
         lambda: bl.kernel_from_gram(
             bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8)),
-        lambda: bl.kernel_from_gram(
-            bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8),
-            method="cholesky"),
+        lambda: bl.kernel_from_gram(dense_gram(
+            bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8))),
         lambda: bl.kernel_from_gram(
             bl.gram_exact(bl.full_space(2), bl.gaussian_weight(2, 1.0), 12)),
     ])

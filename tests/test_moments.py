@@ -180,6 +180,60 @@ class TestGramQuadrature:
         assert mass == pytest.approx(math.pi / 2, rel=1e-13)
 
 
+class TestRadialGram:
+    def test_holds_only_its_moments(self):
+        ball3 = bl.unit_ball(3)
+        gram = bl.gram_auto(bl.generic_norm_weight(ball3, 1.0), 64)
+        assert isinstance(gram, bl.RadialGram)
+        assert gram.moments.shape == (64 + 3,)
+        assert gram.size == math.comb(3 + 64, 3) == 47905
+        assert "index_map" not in vars(gram) and "entries" not in vars(gram)
+        with pytest.raises(ValueError, match="needs 47905 monomials"):
+            gram.entries
+
+    @pytest.mark.parametrize("weight", [
+        bl.generic_norm_weight(bl.unit_ball(2), 1.5),
+        bl.gaussian_weight(3, 0.7),
+    ], ids=["ball2", "cn3"])
+    def test_entries_are_the_shell_reduction(self, weight):
+        gram = bl.gram_exact(weight.base, weight, 6)
+        assert gram.index_map == bl.multiindex_enumerate(weight.base.dim, 6)
+        assert gram.size == len(gram.index_map)
+        G = gram.entries
+        assert gram.entries is G
+        for i, a in enumerate(gram.index_map):
+            assert G[i, i] == bl.moment_exact(weight.base, weight, a, a)
+        assert not np.any(G - np.diag(np.diag(G)))
+
+    @pytest.mark.parametrize("build,weight", [
+        (bl.gram_exact, bl.polynomial_weight(bl.unit_ball(20000), [1.0, -1.0])),
+        (bl.gram_quadrature,
+         bl.polynomial_weight(bl.unit_ball(20000), [1.0, -1.0])),
+        (bl.gram_quadrature, bl.gaussian_weight(3100, 1.0)),
+        (bl.gram_quadrature, bl.Weight(bl.full_space(18000), bl.RadialProfile(
+            tuple(np.linspace(0.0, 60.0, 61)),
+            tuple(np.exp(-np.linspace(0.0, 60.0, 61)))))),
+    ], ids=["exact-poly", "legendre", "laguerre", "table"])
+    def test_power_table_is_refused_before_its_nodes(self, monkeypatch,
+                                                     build, weight):
+        # (d + n) x nodes powers beyond 2145^2 numbers: refused before the
+        # Gauss nodes are computed
+        def no_nodes(*args):
+            raise AssertionError("nodes computed")
+        monkeypatch.setattr(moments, "_gauss01", no_nodes)
+        monkeypatch.setattr(moments, "roots_laguerre", no_nodes)
+        with pytest.raises(ValueError, match="table of node powers; it may "
+                                             "hold at most 4601025 numbers"):
+            build(weight.base, weight, 1)
+
+    def test_auto_keeps_a_refused_closed_form(self):
+        # (1 - t)^300000 at degree 30 needs 150016 exact nodes; the 128-node
+        # quadrature rule would give a mass off by eight orders
+        weight = bl.polynomial_weight(bl.unit_ball(2), [1.0, -1.0]).pow(300000)
+        with pytest.raises(ValueError, match="a 32 x 150016 table"):
+            bl.gram_auto(weight, 30)
+
+
 class TestGramMonteCarlo:
     def test_disk_area_within_three_se(self):
         G = bl.gram_montecarlo(DISK, bl.polynomial_weight(DISK, [1.0]), 0,

@@ -35,9 +35,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import laguerre, legendre
 from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.legendre import Legendre
-from scipy.special import eval_laguerre
 
 from .core import (
     DomainKind,
@@ -115,15 +114,9 @@ def moment_mismatch(w1: Weight, w2: Weight, degree: int) -> MismatchResult:
 
 def _profile_from_coeffs(basis: str, coefficients, t):
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
     if basis == "shifted_legendre":
-        x = 2.0 * t - 1.0
-        for j, c in enumerate(coefficients):
-            out += c * Legendre.basis(j)(x)
-        return out
-    for j, c in enumerate(coefficients):
-        out += c * eval_laguerre(j, t)
-    return out * np.exp(-t)
+        return legendre.legval(2.0 * t - 1.0, coefficients)
+    return laguerre.lagval(t, coefficients) * np.exp(-t)
 
 
 @dataclass
@@ -164,12 +157,10 @@ def _design_laguerre(degree: int) -> np.ndarray:
 
 
 def _legendre_to_monomial(coeffs: np.ndarray) -> np.ndarray:
-    shift = npoly.Polynomial([-1.0, 2.0])
-    total = npoly.Polynomial([0.0])
-    for j, c in enumerate(coeffs):
-        pj = Legendre.basis(j).convert(kind=npoly.Polynomial)
-        total = total + c * pj(shift)
-    return np.asarray(total.coef, dtype=float)
+    """Monomial coefficients in t of sum_j coeffs[j] P_j(2t - 1)."""
+    series = legendre.Legendre(coeffs, domain=[0.0, 1.0])
+    return series.convert(kind=npoly.Polynomial, domain=[-1.0, 1.0],
+                          window=[-1.0, 1.0]).coef
 
 
 # condition number of the unridged moment system above which recovery

@@ -567,18 +567,62 @@ def _cmd_family_check(cfg: dict):
     return report, not rep.passed, None
 
 
+def _flag(*names, **options):
+    return names, options
+
+
+_RADIUS = _flag("--radius", type=float)
+_CLOSED_FORM = _flag("--closed-form", dest="closed_form", action="store_true",
+                     default=None)
+_MAP = _flag("--map", help="map JSON (inline or path)")
+
+# name -> (handler, help, the command's own flags); every command also
+# takes the shared flags of ``_build_parser``
 _COMMANDS = {
-    "gram": _cmd_gram,
-    "kernel-eval": _cmd_kernel_eval,
-    "frc-check": _cmd_frc_check,
-    "transform-check": _cmd_transform_check,
-    "jacobian-check": _cmd_jacobian_check,
-    "moment-mismatch": _cmd_moment_mismatch,
-    "recover-weight": _cmd_recover_weight,
-    "characterize-fbh": _cmd_characterize_fbh,
-    "characterize-ch": _cmd_characterize_ch,
-    "boundary-check": _cmd_boundary_check,
-    "family-check": _cmd_family_check,
+    "gram": (
+        _cmd_gram, "assemble a Gram matrix of monomials",
+        [_flag("--method", choices=["auto", "exact", "quadrature",
+                                    "montecarlo"]),
+         _flag("--samples", type=int)]),
+    "kernel-eval": (
+        _cmd_kernel_eval, "evaluate a kernel model on points or a grid",
+        [_flag("--kernel", help="kernel JSON (inline or path)"),
+         _flag("--points-file", dest="points_file"),
+         _flag("--grid", type=int), _RADIUS, _CLOSED_FORM]),
+    "frc-check": (
+        _cmd_frc_check, "fiber series vs the closed ball-kernel oracle",
+        [_flag("--pairs", type=int),
+         _flag("--max-terms", dest="max_terms", type=int)]),
+    "transform-check": (
+        _cmd_transform_check, "kernel transformation law along a map",
+        [_MAP, _flag("--points", type=int), _RADIUS, _CLOSED_FORM]),
+    "jacobian-check": (
+        _cmd_jacobian_check, "closed-form vs finite-difference Jacobians",
+        [_MAP, _flag("--points", type=int), _flag("--step", type=float),
+         _RADIUS]),
+    "moment-mismatch": (
+        _cmd_moment_mismatch, "difference of two weights' moment tables",
+        [_flag("--weight2"),
+         _flag("--normalize", action="store_true", default=None,
+               help="rescale both weights to unit mass first")]),
+    "recover-weight": (
+        _cmd_recover_weight, "invert radial moments to a weight profile",
+        [_flag("--basis", choices=["shifted-legendre", "laguerre"]),
+         _flag("--ridge", type=float)]),
+    "characterize-fbh": (
+        _cmd_characterize_fbh,
+        "is the weighted kernel a Gaussian model kernel?",
+        [_flag("--rmax", type=float), _flag("--npts", type=int)]),
+    "characterize-ch": (
+        _cmd_characterize_ch, "is the weighted kernel a generic-norm power?",
+        [_flag("--rmax", type=float), _flag("--npts", type=int)]),
+    "boundary-check": (
+        _cmd_boundary_check, "boundary inequality p(z)e^{mu|z|^2} vs p(0)",
+        [_flag("--samples", type=int), _RADIUS]),
+    "family-check": (
+        _cmd_family_check, "shared-constant Jacobian/kernel family condition",
+        [_flag("--family", choices=["fbh", "thullen"]),
+         _flag("--points", type=int)]),
 }
 
 
@@ -603,7 +647,10 @@ def emit_report(report: dict, fmt: str, path: str | None,
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with the subcommands ``names``.  Built with one of them,
+    it still names every command in its usage line, so its usage errors
+    read as those of the whole table."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file; flags override it")
     shared.add_argument("--out", help="output path (default stdout)")
@@ -623,86 +670,30 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bergmanlab",
         description="Weighted Bergman kernels, Hartogs domain series, "
                     "automorphism checks, and moment-uniqueness verdicts.")
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("gram", parents=[shared],
-                        help="assemble a Gram matrix of monomials")
-    sp.add_argument("--method", choices=["auto", "exact", "quadrature",
-                                         "montecarlo"])
-    sp.add_argument("--samples", type=int)
-
-    sp = sub.add_parser("kernel-eval", parents=[shared],
-                        help="evaluate a kernel model on points or a grid")
-    sp.add_argument("--kernel", help="kernel JSON (inline or path)")
-    sp.add_argument("--points-file", dest="points_file")
-    sp.add_argument("--grid", type=int)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--closed-form", dest="closed_form", action="store_true",
-                    default=None)
-
-    sp = sub.add_parser("frc-check", parents=[shared],
-                        help="fiber series vs the closed ball-kernel oracle")
-    sp.add_argument("--pairs", type=int)
-    sp.add_argument("--max-terms", dest="max_terms", type=int)
-
-    sp = sub.add_parser("transform-check", parents=[shared],
-                        help="kernel transformation law along a map")
-    sp.add_argument("--map", help="map JSON (inline or path)")
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--closed-form", dest="closed_form", action="store_true",
-                    default=None)
-
-    sp = sub.add_parser("jacobian-check", parents=[shared],
-                        help="closed-form vs finite-difference Jacobians")
-    sp.add_argument("--map", help="map JSON (inline or path)")
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--step", type=float)
-    sp.add_argument("--radius", type=float)
-
-    sp = sub.add_parser("moment-mismatch", parents=[shared],
-                        help="difference of two weights' moment tables")
-    sp.add_argument("--weight2")
-    sp.add_argument("--normalize", action="store_true", default=None,
-                    help="rescale both weights to unit mass first")
-
-    sp = sub.add_parser("recover-weight", parents=[shared],
-                        help="invert radial moments to a weight profile")
-    sp.add_argument("--basis", choices=["shifted-legendre", "laguerre"])
-    sp.add_argument("--ridge", type=float)
-
-    sp = sub.add_parser("characterize-fbh", parents=[shared],
-                        help="is the weighted kernel a Gaussian model kernel?")
-    sp.add_argument("--rmax", type=float)
-    sp.add_argument("--npts", type=int)
-
-    sp = sub.add_parser("characterize-ch", parents=[shared],
-                        help="is the weighted kernel a generic-norm power?")
-    sp.add_argument("--rmax", type=float)
-    sp.add_argument("--npts", type=int)
-
-    sp = sub.add_parser("boundary-check", parents=[shared],
-                        help="boundary inequality p(z)e^{mu|z|^2} vs p(0)")
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--radius", type=float)
-
-    sp = sub.add_parser("family-check", parents=[shared],
-                        help="shared-constant Jacobian/kernel family condition")
-    sp.add_argument("--family", choices=["fbh", "thullen"])
-    sp.add_argument("--points", type=int)
-
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="cmd", required=True,
+                           metavar=None if len(names) == len(_COMMANDS)
+                           else every)
+    for name in names:
+        _, help_text, flags = _COMMANDS[name]
+        sp = sub.add_parser(name, parents=[shared], help=help_text)
+        for flag_names, options in flags:
+            sp.add_argument(*flag_names, **options)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked command's parser; -h and unknown commands get all
+    parser = _build_parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS
+                           else tuple(_COMMANDS))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = _effective(args)
-        report, failed, csv_rows = _COMMANDS[cfg["command"]](cfg)
+        report, failed, csv_rows = _COMMANDS[cfg["command"]][0](cfg)
         emit_report(report, cfg.get("format", "json"), cfg.get("out"),
                     csv_rows)
     except ConfigError as exc:

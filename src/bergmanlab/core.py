@@ -447,12 +447,9 @@ class RadialProfile:
     """
     knots: tuple[float, ...]
     values: tuple[float, ...]
-    _interp: object = field(init=False, repr=False, compare=False)
+    _cubic: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # imported here: scipy.interpolate is slow to import, and only
-        # tabulated weights need it
-        from scipy.interpolate import PchipInterpolator
         t = np.asarray(self.knots, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 4 or t.size != v.size:
@@ -461,13 +458,58 @@ class RadialProfile:
             raise ValueError("radial profile must start at t = 0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("radial profile knots must be strictly increasing")
-        object.__setattr__(self, "_interp", PchipInterpolator(t, v, extrapolate=False))
+        object.__setattr__(self, "_cubic", (t, _pchip_coefficients(t, v)))
 
     def __call__(self, t):
-        out = self._interp(t)
+        out = _pchip_eval(*self._cubic, t)
         if np.any(np.isnan(out)):
             raise ValueError("radial profile evaluated outside its table")
         return out
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point end slope, set to 0 or 3 m0 where it would
+    break the shape of the data (Moler, Numerical Computing with MATLAB,
+    section 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows c3, c2, c1, c0 of the monotone piecewise cubic through (t, v):
+    on [t_i, t_(i+1)] it is c0 + c1 s + c2 s^2 + c3 s^3 with s = x - t_i.
+
+    The knot slopes are Fritsch and Butland's weighted harmonic means of
+    the neighbouring secants, 0 where those differ in sign or vanish (SIAM
+    J. Sci. Stat. Comput. 5 (1984)), in the arithmetic order of SciPy's
+    ``PchipInterpolator``.
+    """
+    h = t[1:] - t[:-1]
+    m = (v[1:] - v[:-1]) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):   # flat knots: 0
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])],
+                        np.where(flat, 0.0, inner),
+                        [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+    bend = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([bend / h, (m - d[:-1]) / h - bend, d[:-1], v[:-1]])
+
+
+def _pchip_eval(t: np.ndarray, coef: np.ndarray, x) -> np.ndarray:
+    """The piecewise cubic at x; NaN outside [t_0, t_last].  Interval i
+    holds t_i <= x < t_(i+1), the last one also its right end."""
+    x = np.asarray(x, dtype=float)
+    i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+    s = x - t[i]
+    c3, c2, c1, c0 = coef[:, i]
+    out = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+    return np.where((x >= t[0]) & (x <= t[-1]), out, np.nan)
 
 
 WeightForm = GaussianPower | GenericNormPower | PolynomialRadial | RadialProfile

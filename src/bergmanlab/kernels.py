@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import solve_triangular
 
 from .core import (
     DomainKind,
@@ -332,7 +331,7 @@ def kernel_from_gram(gram: Gram) -> RadialSeriesKernel | SeriesKernel:
         # collinear with earlier ones; defer to the dropping route
         pivots = np.abs(np.diag(L)) ** 2
         if pivots.min() > RANK_RTOL * pivots.max():
-            coeff = solve_triangular(L, np.eye(B, dtype=complex), lower=True)
+            coeff = np.linalg.solve(L, np.eye(B, dtype=complex))
             coeff = coeff * s[None, :]
     except np.linalg.LinAlgError:
         pass
@@ -362,17 +361,32 @@ def _radial_kernel(gram: RadialGram) -> RadialSeriesKernel:
 
     Its diagonal is positive exactly when the moments R_{n-1}.. are, and
     an equilibrated diagonal matrix is the identity, so positivity is the
-    only check the dense route would make.
+    only check the dense route would make.  Where (k+n-1)!/k! or pi^n
+    leaves the float range, c_k is formed in log space instead, and a c_k
+    outside the float range is refused by name.
     """
     n, d = gram.domain.dim, gram.degree
     R = gram.moments[n - 1:d + n]
     if not (np.isfinite(R).all() and (R > 0).all()):
         raise ValueError("Gram diagonal is not strictly positive")
     k = np.arange(d + 1.0)
-    # (k+n-1)!/k! as a product of n - 1 factors
-    rising = np.prod(k[:, None] + np.arange(1.0, n)[None, :], axis=1)
-    with np.errstate(over="ignore"):   # refused by name in the model
-        c = rising / (math.pi ** n * R)
+    with np.errstate(over="ignore", invalid="ignore"):   # redone below
+        # (k+n-1)!/k! as a product of n - 1 factors
+        rising = np.prod(k[:, None] + np.arange(1.0, n)[None, :], axis=1)
+        c = rising / (np.float64(math.pi) ** n * R)
+    if not (np.isfinite(c) & (c > 0)).all():
+        log_c = (np.array([math.lgamma(j + n) - math.lgamma(j + 1)
+                           for j in range(d + 1)])
+                 - n * math.log(math.pi) - np.log(R))
+        with np.errstate(over="ignore"):
+            c = np.exp(log_c)
+        outside = ~(np.isfinite(c) & (c > 0))
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise ValueError(
+                f"the radial series coefficient c_{j} = (k+n-1)!/(pi^n k! "
+                f"R_(k+n-1)) at n = {n} is exp({log_c[j]:.1f}), outside "
+                f"the float range")
     return RadialSeriesKernel(gram.domain, d, c,
                               weight_label=gram.weight_label)
 

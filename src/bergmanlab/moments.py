@@ -37,11 +37,11 @@ last digit can change with the thread count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre, roots_laguerre, gammaincc, gammaln
 
 from .core import (
     MAX_BASIS,
@@ -156,9 +156,110 @@ class GramDiagnostics:
 # ---------------------------------------------------------------------------
 # the radial moment sequence and the shell reduction
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(nodes)
-    return (x + 1.0) / 2.0, w / 2.0
+    """Gauss-Legendre nodes (ascending) and weights on [0, 1], computed once
+    per node count.
+
+    Newton's method on the three-term recurrence from Tricomi's initial
+    guess, on the nodes in [0, 1) of the symmetric rule (Hale & Townsend,
+    SIAM J. Sci. Comput. 35 (2013)).  The weight 2(1-x^2)/((1-x^2)P_n'(x))^2
+    is read at the polished node, and (1-x^2)P_n' = n (P_{n-1} - x P_n)
+    carries the first-order correction for the node's rounding.
+    """
+    n = nodes
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1)
+                                                   / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0     # the middle node
+    for _ in range(8):
+        p, dp = _legendre_newton_terms(x, n)
+        step = p * ((1.0 - x) * (1.0 + x)) / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-16:
+            break
+    _, dp = _legendre_newton_terms(x, n)
+    w = 2.0 * ((1.0 - x) * (1.0 + x)) / dp ** 2
+    middle = n % 2
+    x = np.concatenate([-x, x[::-1][middle:]])
+    w = np.concatenate([w, w[::-1][middle:]])
+    return _read_only((x + 1.0) / 2.0, w / 2.0)
+
+
+def _legendre_newton_terms(x: np.ndarray, n: int):
+    """P_n(x) and (1 - x^2) P_n'(x) = n (P_{n-1}(x) - x P_n(x))."""
+    prev, p = np.zeros_like(x), np.ones_like(x)
+    for k in range(n):
+        prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+    return p, n * (prev - x * p)
+
+
+@lru_cache(maxsize=None)
+def _gauss_laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes x (ascending) and log(w) + x, computed once per
+    node count.
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch,
+    Math. Comp. 23 (1969)) polished by one Newton pass or more on the
+    recurrence; the weights w = 1/(x L_n'(x)^2) are kept in log form, where
+    e^(-x) cannot underflow them.
+    """
+    n = nodes
+    off = np.arange(1.0, n)
+    J = np.diag(2.0 * np.arange(n) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(J)
+    for _ in range(8):
+        p, d, _ = _laguerre_newton_terms(x, n)
+        step = x * p / (n * d)       # L_n / L_n', with L_n' = n d / x
+        x = x - step
+        if np.max(np.abs(step / x)) < 1e-15:
+            break
+    _, d, log_scale = _laguerre_newton_terms(x, n)
+    log_w = np.log(x) - 2.0 * (np.log(n * np.abs(d)) + log_scale)
+    return _read_only(x, log_w + x)
+
+
+def _laguerre_newton_terms(x: np.ndarray, n: int):
+    """L_n(x) and d = L_n(x) - L_{n-1}(x), both divided by e^log_scale.
+
+    The recurrence runs on the differences, d_k = (k d_{k-1} - x L_k)/(k+1),
+    which do not cancel at small x, and is rescaled every 16 steps, since
+    L_n grows like e^(x/2) at the largest nodes.
+    """
+    p, d, log_scale = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    for k in range(n):
+        d = (k * d - x * p) / (k + 1)
+        p = p + d
+        if k % 16 == 15:
+            s = np.abs(p) + np.abs(d)
+            p, d, log_scale = p / s, d / s, log_scale + np.log(s)
+    return p, d, log_scale
+
+
+def _log_gammaincc(a: int, x: float) -> float:
+    """log Q(a, x), the regularized upper incomplete gamma function, for an
+    integer a >= 1 and x >= 0: Q = e^(-x) sum_{k<a} x^k/k!.
+
+    For x >= a - 1 the terms fall from the last one down, and their sum is
+    that term times 1 + (a-1)/x + (a-1)(a-2)/x^2 + ...; below, Q = 1 - P
+    with P = sum_{k>=a}, whose terms fall from the first.  No sum cancels.
+    """
+    if x == 0.0:
+        return 0.0
+    b = a - 1
+    log_last = b * math.log(x) - x - math.lgamma(a)    # log(x^b e^-x / b!)
+    if x >= b:
+        falling = np.cumprod(np.arange(b, 0, -1) / x)
+        return log_last + math.log1p(float(np.sum(falling)))
+    rising = np.cumprod(x / np.arange(a, a + int(12 * math.sqrt(a)) + 64))
+    return math.log1p(-math.exp(log_last) * float(np.sum(rising)))
 
 
 class NoClosedForm(ValueError):
@@ -220,10 +321,26 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
 
 
 def _shell_factor(alpha: tuple[int, ...]) -> float:
-    """pi^n alpha!/(|alpha|+n-1)!, the multiplier of R_{|alpha|+n-1}."""
-    n = len(alpha)
-    num = math.prod(math.factorial(a) for a in alpha)
-    return math.pi ** n * (num / math.factorial(sum(alpha) + n - 1))
+    """pi^n alpha!/(|alpha|+n-1)!, the multiplier of R_{|alpha|+n-1}.
+
+    The factorial ratio is an integer quotient rounded once.  Where it is
+    no normal float (always from n = 172 on, before pi^n overflows at 621),
+    the factor is formed in log space; one below the float range is
+    refused by name.
+    """
+    n, top = len(alpha), sum(alpha) + len(alpha) - 1
+    ratio = math.prod(math.factorial(a) for a in alpha) / math.factorial(top)
+    if ratio >= sys.float_info.min:
+        return math.pi ** n * ratio
+    log_factor = (n * math.log(math.pi) - math.lgamma(top + 1)
+                  + sum(math.lgamma(a + 1) for a in alpha))
+    factor = math.exp(log_factor)
+    if factor < sys.float_info.min:
+        raise ValueError(
+            f"the shell factor pi^n alpha!/(|alpha|+n-1)! at n = {n}, "
+            f"|alpha| = {sum(alpha)} is exp({log_factor:.1f}), below the "
+            f"float range")
+    return factor
 
 
 def moment_exact(domain: DomainSpec, weight: Weight, alpha, beta) -> complex:
@@ -277,7 +394,7 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
     a = degree + n  # the largest radial moment is R_{degree+n-1}
     mu = _gaussian_decay(weight)
     if mu is not None:
-        rel = float(gammaincc(a, mu * t_max))
+        rel = math.exp(_log_gammaincc(a, mu * t_max))
         if rel > 1e-16:
             raise ValueError(
                 f"radial tail test failed: relative Gaussian tail {rel:.2e} "
@@ -299,8 +416,8 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
     #        * integral_{t_max}^inf t^(a-1) e^{-lam (t - t_max)} dt
     log_tail = (math.log(weight.scale) + m * math.log(vk[-1]) + lam * t_max
                 - a * math.log(lam)
-                + gammaln(a) + math.log(max(float(gammaincc(a, lam * t_max)),
-                                            1e-300)))
+                + math.lgamma(a) + max(_log_gammaincc(a, lam * t_max),
+                                       math.log(1e-300)))
     log_ref = math.log(current_scale) if current_scale > 0 else 0.0
     if log_tail - log_ref > math.log(QUADRATURE["tail_rtol"]):
         raise ValueError(
@@ -329,10 +446,8 @@ def _radial_rule(domain: DomainSpec, weight: Weight,
     if mu is not None:
         nodes = max(QUADRATURE["fullspace_nodes"], floor)
         _check_power_table(top, nodes)
-        x, w = roots_laguerre(nodes)
-        s = x / mu
-        with np.errstate(divide="ignore"):
-            ws = np.where(w > 0, np.exp(np.log(np.where(w > 0, w, 1.0)) + x), 0.0) / mu
+        x, log_we = _gauss_laguerre(nodes)
+        s, ws = x / mu, np.exp(log_we) / mu
         _fullspace_tail_check(weight, degree, n, float(s[-1]), 1.0)
         return s, ws
     prof = _profile_of(weight)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bergmanlab as bl
-from bergmanlab import jsonio
+from bergmanlab import cli, jsonio
 from bergmanlab.cli import main, parse_domain, parse_weight, load_config, ConfigError
 
 from conftest import child_env
@@ -269,6 +269,47 @@ def test_arithmetic_failure_is_an_error_not_a_verdict(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+class TestManyDimensions:
+    """pi^n overflows from n = 621 and the factorial ratio of the shell
+    factor leaves the normal float range from n = 172: such values are
+    formed in log space, and one outside the float range is named."""
+
+    def test_shell_factor_below_the_float_range_is_named(self, capsys):
+        code, out, err = run_cli(["gram", "--domain", "ball:1500", "--weight",
+                                  "poly:1,-1", "--degree", "1"], capsys)
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: the shell factor pi\^n "
+                            r"alpha!/\(\|alpha\|\+n-1\)! at n = 1500, "
+                            r"\|alpha\| = 0 is exp\(-\d+\.\d\), below the "
+                            r"float range\n", err)
+
+    def test_shell_factor_past_the_factorial_range(self, capsys):
+        # 1/199! is below the float range, pi^200/199! * R_199 is not
+        code, out, _ = run_cli(["gram", "--domain", "ball:200", "--weight",
+                                "poly:1,-1", "--degree", "1"], capsys)
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        import mpmath as mp
+        with mp.workdps(30):
+            for i, top in ((0, 199), (1, 200)):
+                # pi^n alpha!/(|alpha|+n-1)! * integral s^top (1 - s) ds
+                ref = (mp.pi ** 200 / mp.factorial(top)
+                       / ((top + 1) * (top + 2)))
+                got = entries[i * 202][0]
+                assert abs(float((got - ref) / ref)) <= 1e-12
+
+    def test_radial_coefficient_outside_the_float_range_is_named(self,
+                                                                  capsys):
+        code, out, err = run_cli(["characterize-ch", "--domain", "ball:400",
+                                  "--weight", "poly:1,-1", "--degree", "2"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the radial series coefficient c_0 = "
+                              "(k+n-1)!/(pi^n k! R_(k+n-1)) at n = 400 is "
+                              "exp(")
+        assert len(err.splitlines()) == 1
+
+
 class TestOutputs:
     def test_gram_csv_row_count(self, capsys):
         code, out, _ = run_cli(
@@ -355,14 +396,59 @@ class TestOutputs:
         assert val[0] == pytest.approx(1.0)
 
 
-def test_cli_import_leaves_scipy_interpolate_out(tmp_path):
-    # only tabulated weights interpolate; the module is slow to import
+# the cheapest verdict of each benchmark workload, a tabulated weight's
+# among them; "TABLE" stands for the path of a CSV table
+NO_SCIPY_VERDICTS = {
+    "characterize-ch": ["characterize-ch", "--domain", "disk", "--weight",
+                        "npower:1", "--degree", "16"],
+    "frc-check": ["frc-check", "--m", "1", "--pairs", "50"],
+    "gram-quadrature": ["gram", "--domain", "cn:1", "--weight", "gaussian:1",
+                        "--degree", "10", "--method", "quadrature"],
+    "recover-weight": ["recover-weight", "--domain", "disk", "--weight",
+                       "table:TABLE", "--degree", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_SCIPY_VERDICTS.values(),
+                         ids=NO_SCIPY_VERDICTS.keys())
+def test_verdict_process_loads_no_scipy(tmp_path, argv):
+    # a fresh verdict process imports numpy and the standard library only
+    table = tmp_path / "table.csv"
+    table.write_text("t,value\n" + "".join(
+        f"{k / 20!r},{(1 - k / 20) ** 2 * (1 + k / 40)!r}\n"
+        for k in range(21)))
+    argv = [a.replace("TABLE", str(table)) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bergmanlab.cli; "
-         "print('scipy.interpolate' in sys.modules)"],
+        [sys.executable, "-c", "import sys; from bergmanlab.cli import main; "
+         "code = main(sys.argv[1:]); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+         " file=sys.stderr); sys.exit(code)", *argv],
         capture_output=True, env=child_env("1"), cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    assert proc.stdout.decode().strip() == "False"
+    assert proc.stderr.decode().strip() == "[]"
+
+
+# help, every command's help and usage errors: the parser built for the
+# invoked command alone answers as the parser of every command does
+PARSER_CASES = ([["--help"], ["-h", "gram"], [], ["bogus"], ["--degree", "3"],
+                 ["gram", "--bogus"], ["gram", "extra"],
+                 ["gram", "--degree", "x"], ["gram", "--method", "nope"],
+                 ["frc-check", "--pairs"], ["family-check", "--fam", "x"]]
+                + [[cmd, "--help"] for cmd in cli._COMMANDS])
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=[" ".join(a) or "empty" for a in PARSER_CASES])
+def test_parser_of_one_command_answers_as_the_whole_table(capsys, argv):
+    try:
+        cli._build_parser().parse_args(argv)
+        expected_code = None
+    except SystemExit as exc:
+        expected_code = int(exc.code or 0)
+    expected = capsys.readouterr()
+    assert expected_code is not None
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (expected_code, expected.out, expected.err)
 
 
 class TestDeterminism:

@@ -218,9 +218,14 @@ def run(argv, points=None) -> int:
            "--degree", "64"],
           {"z": [[[0.1, 0.2], [0.0, -0.3], [0.2, 0.0]]],
            "w": [[[0.3, 0.0], [0.1, 0.1], [0.0, 0.0]]]}))
-# many dimensions: shell factors that overflow, moment tables too large
+# many dimensions: shell factors and radial coefficients past the float
+# range of pi^n or of a factorial, moment tables too large
 @example((["gram", "--domain", "ball:1500", "--weight", "poly:1,-1",
            "--degree", "1"], None))
+@example((["gram", "--domain", "ball:200", "--weight", "poly:1,-1",
+           "--degree", "1"], None))
+@example((["characterize-ch", "--domain", "ball:400", "--weight",
+           "poly:1,-1", "--degree", "2"], None))
 @example((["moment-mismatch", "--domain", "ball:1500", "--weight",
            "poly:1,-1", "--weight2", "npower:1", "--degree", "1"], None))
 @example((["characterize-ch", "--domain", "ball:20000", "--weight",

@@ -221,7 +221,7 @@ class TestRadialGram:
         def no_nodes(*args):
             raise AssertionError("nodes computed")
         monkeypatch.setattr(moments, "_gauss01", no_nodes)
-        monkeypatch.setattr(moments, "roots_laguerre", no_nodes)
+        monkeypatch.setattr(moments, "_gauss_laguerre", no_nodes)
         with pytest.raises(ValueError, match="table of node powers; it may "
                                              "hold at most 4601025 numbers"):
             build(weight.base, weight, 1)

@@ -264,12 +264,17 @@ def _proportionality_report(series: KernelModel, reference, points,
                             power_law: bool = False) -> CharacterizationReport:
     """Worst relative deviation of K from c R over all pairs of points, c
     fitted at points[0] = 0.  ``power_law`` adds K(z, z) = K(0, 0) R(z, z),
-    the generic-norm power law, read off the same grids as R(0, 0) = 1."""
+    the generic-norm power law, read off the same grids as R(0, 0) = 1.
+
+    With c = m 2^e (``math.frexp``) the deviation is |K 2^-e - m R|/|m R|:
+    scaling by 2^-e is exact, so c R need not be representable, and a
+    deviation that is a normal float has the bits of |K - c R|/|c R|."""
     with np.errstate(all="ignore"):    # refused by name below instead
         K = series.eval_grid(points, points)
         R = reference.eval_grid(points, points)
         c = K[0, 0].real / R[0, 0].real
-        dev = np.abs(K - c * R) / np.abs(c * R)
+        m, e = math.frexp(c)
+        dev = np.abs(K * np.ldexp(1.0, -e) - m * R) / np.abs(m * R)
     if not R.all():
         raise ValueError("the reference kernel underflows to 0 on the sample grid")
     for grid, what in ((K, "series kernel"), (R, "reference kernel"),
@@ -297,8 +302,10 @@ def _proportionality_report(series: KernelModel, reference, points,
                  "K_w(z,w) = c * K_model(z,w), z != w", worst_off),
     ]
     if power_law:
-        lhs = K.diagonal().real
-        rhs = K[0, 0].real * R.diagonal().real
+        # K(0, 0) = m 2^e as for c
+        m, e = math.frexp(K[0, 0].real)
+        lhs = K.diagonal().real * np.ldexp(1.0, -e)
+        rhs = m * R.diagonal().real
         checks.append(SubCheck(
             "diagonal_power_law",
             "K_q^m(z0,z0) = K_q^m(0,0) * N(z0,z0)^(-m*mu-g)",

@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -246,12 +247,15 @@ def _domain_of(cfg: dict, default: str | None = None) -> DomainSpec:
 
 
 def _matrix_rows(matrix: np.ndarray):
-    """CSV rows (i, j, re, im) of a complex matrix, as plain numbers; made
-    only when a CSV report consumes them."""
+    """CSV rows (i, j, re, im) of a complex matrix as strings, equal
+    entries sharing one repr; made only when a CSV report consumes them."""
     yield ("i", "j", "re", "im")
-    for i, row in enumerate(matrix.tolist()):
-        for j, z in enumerate(row):
-            yield (i, j, repr(z.real), repr(z.imag))
+    rows, cols = matrix.shape
+    index = [str(k) for k in range(max(rows, cols))]
+    parts = np.stack((matrix.real, matrix.imag)).reshape(2, -1)
+    re, im = jsonio.float_reprs(parts).tolist()
+    i_cells = chain.from_iterable(repeat(i, cols) for i in index[:rows])
+    yield from zip(i_cells, index[:cols] * rows, re, im)
 
 
 def _weight_of(cfg: dict, domain: DomainSpec, key: str = "weight") -> Weight:
@@ -635,7 +639,7 @@ def emit_report(report: dict, fmt: str, path: str | None,
     if fmt == "csv":
         if csv_rows is None:
             raise ConfigError("this command has no CSV representation; use json")
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
+        text = "\n".join(map(",".join, csv_rows)) + "\n"
     else:
         text = jsonio.canonical_dumps(report) + "\n"
     if path:

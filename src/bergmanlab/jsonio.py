@@ -1,9 +1,11 @@
-"""JSON encoding helpers: complex scalars as [re, im], matrices row-major."""
+"""JSON encoding helpers: complex scalars as [re, im], matrices row-major,
+and the canonical report encoder."""
 
 from __future__ import annotations
 
-import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -29,7 +31,7 @@ def as_cnum(pair) -> complex:
 def cmatrix(m: np.ndarray) -> list[list[float]]:
     """Row-major flattening of a complex matrix into [re, im] pairs."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
-    return [cnum(z) for z in flat]
+    return np.stack((flat.real, flat.imag), 1).tolist()
 
 
 def as_cmatrix(entries, shape) -> np.ndarray:
@@ -56,6 +58,125 @@ def as_cpoint(obj) -> np.ndarray:
     raise ValueError("point must be [re, im] or a list of [re, im] pairs")
 
 
+def float_reprs(values: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of every element of a float array, as an object
+    array of the same shape.  Each distinct bit pattern is formatted once,
+    so equal entries share one string and -0.0 stays apart from 0.0."""
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.reshape(-1).view(np.uint64),
+                              return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
+                     dtype=object)
+    return texts[inverse.reshape(values.shape)]
+
+
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, no trailing whitespace drift."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """Deterministic JSON text, byte for byte
+    ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``.
+
+    ``obj`` is a report: dicts with str keys, lists, tuples, str, int,
+    float, bool and None, subclasses included.  A non-finite float raises
+    that call's ValueError, naming the first one in document order, and a
+    value of another type its TypeError; a key that is not a str raises a
+    TypeError.  A long list of floats or of [re, im] pairs is written over
+    whole arrays, each distinct float formatted once.
+    """
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    return "".join(out)
+
+
+# a list of floats or of [re, im] pairs at least this long is written by
+# array operations, a shorter one item by item: about where the fixed cost
+# of the numpy calls falls below that of the per-item path for pairs
+_BULK_MIN = 16
+
+
+def _float_text(x) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError("Out of range float values are not JSON compliant: "
+                     + repr(x))
+
+
+def _is_floats(types) -> bool:
+    return all(issubclass(t, float) for t in types)
+
+
+def _bulk_text(items, nl: str) -> str | None:
+    """The text of a long list of floats or of [re, im] pairs at the
+    indentation ``nl``, or None for any other list."""
+    if len(items) < _BULK_MIN:
+        return None
+    types = set(map(type, items))
+    if _is_floats(types):
+        flat = items
+    elif types <= {list, tuple} and set(map(len, items)) == {2}:
+        flat = list(chain.from_iterable(items))
+        if not _is_floats(set(map(type, flat))):
+            return None
+    else:
+        return None
+    values = np.fromiter(flat, np.float64, len(flat))
+    finite = np.isfinite(values)
+    if not finite.all():
+        _float_text(flat[int(finite.argmin())])    # raises, naming it
+    texts = float_reprs(values).tolist()
+    inner = nl + "  "
+    if flat is items:    # a list of floats
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    # each pair joined by the separator inside it, the pairs by the one
+    # between them
+    row = inner + "  "
+    pairs = map(("," + row).join, zip(texts[0::2], texts[1::2]))
+    return ("[" + inner + "[" + row + (inner + "]," + inner + "[" + row)
+            .join(pairs) + inner + "]" + nl + "]")
+
+
+def _encode(o, nl: str, out: list[str]) -> None:
+    """Append the text of ``o`` at the indentation ``nl`` (a newline and
+    the spaces of the current level), testing types in json's order."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        bulk = _bulk_text(o, nl)
+        if bulk is not None:
+            out.append(bulk)
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError("report keys must be str, "
+                                f"not {key.__class__.__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        "is not JSON serializable")

@@ -283,14 +283,46 @@ def _power_sums(s: np.ndarray, f: np.ndarray, top: int) -> np.ndarray:
     return np.sum(powers * f[None, :], axis=1)
 
 
+# j! converts to a float up to j = 170; a moment past it, or one whose
+# power or product of j + 1 factors leaves the float range, is formed in
+# log space instead
+_FLOAT_FACTORIAL = 170
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _moment_from_log(weight: Weight, j: int, log_r: float) -> float:
+    """R_j = exp(log_r); one outside the normal float range is refused by
+    name."""
+    value = math.exp(log_r) if log_r < _LOG_FLOAT_MAX else math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(
+            f"the moment R_{j} of {describe_weight(weight)} is "
+            f"exp({log_r:.1f}), outside the float range")
+    return value
+
+
+def _gaussian_moment(weight: Weight, mu: float, j: int) -> float:
+    """R_j = j!/mu^(j+1)."""
+    if j <= _FLOAT_FACTORIAL:
+        try:
+            power = mu ** (j + 1)
+        except OverflowError:
+            power = math.inf
+        if sys.float_info.min <= power < math.inf:
+            return math.factorial(j) / power
+    return _moment_from_log(weight, j,
+                            math.lgamma(j + 1) - (j + 1) * math.log(mu))
+
+
 def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
     """Closed-form R_0..R_top; raises ValueError where none exists.
 
     Gaussian powers on C^n and generic-norm powers on disk/ball have closed
-    forms.  A polynomial weight on disk/ball is integrated by a
-    Gauss-Legendre rule with enough nodes to be exact for s^top p(s)^m: the
-    weights are positive and the weight is evaluated as it is everywhere
-    else, so no alternating coefficient sum can cancel.
+    forms, formed in log space past ``_FLOAT_FACTORIAL``.  A polynomial
+    weight on disk/ball is integrated by a Gauss-Legendre rule with enough
+    nodes to be exact for s^top p(s)^m: the weights are positive and the
+    weight is evaluated as it is everywhere else, so no alternating
+    coefficient sum can cancel.
     """
     if weight.base != domain:
         raise ValueError("weight is attached to a different base domain")
@@ -298,7 +330,7 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
     if isinstance(form, GaussianPower):
         mu = form.mu * power
         with np.errstate(over="ignore"):   # an infinite R_j is refused by name
-            return weight.scale * np.array([math.factorial(j) / mu ** (j + 1)
+            return weight.scale * np.array([_gaussian_moment(weight, mu, j)
                                             for j in range(top + 1)])
     if not isinstance(form, (GenericNormPower, PolynomialRadial)):
         raise NoClosedForm("no closed-form moments for this weight form")
@@ -312,7 +344,12 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
         denom = 1.0
         for j in range(top + 1):
             denom *= s + j + 1
-            out[j] = math.factorial(j) / denom
+            if j <= _FLOAT_FACTORIAL and denom < math.inf:
+                out[j] = math.factorial(j) / denom
+            else:
+                out[j] = _moment_from_log(weight, j, math.lgamma(j + 1)
+                                          + math.lgamma(s + 1)
+                                          - math.lgamma(j + s + 2))
         return weight.scale * out
     nodes = (top + power * (len(form.coefficients) - 1)) // 2 + 1
     _check_power_table(top, nodes)

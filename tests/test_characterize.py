@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bergmanlab as bl
 from bergmanlab import characterize as ch
+from bergmanlab.cli import main
 from bergmanlab.hartogs import HartogsDomain
 from bergmanlab import automorphisms as am
 
@@ -178,6 +180,49 @@ class TestCharacterizeCh:
         obj = rep.as_dict()
         assert obj["verdict"] == "match"
         assert all({"name", "identity", "residual"} <= set(c) for c in obj["checks"])
+
+
+def test_seed_5_characterize_verdicts_keep_their_deviations(
+        monkeypatch, tmp_path, capsys):
+    """Comparing K 2^-e with m R, c = m 2^e, changes no bit of a deviation
+    that |K - c R|/|c R| represents: on the seed-5 characterize verdicts of
+    the benchmark workloads, c, every residual and the worst deviation are
+    those of the direct formula."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "verdictbench"))
+    import workloads
+    calls = []
+    report = ch._proportionality_report
+
+    def record(series, reference, points, *args, **kwargs):
+        rep = report(series, reference, points, *args, **kwargs)
+        calls.append((series, reference, points,
+                      kwargs.get("power_law", False), rep))
+        return rep
+
+    monkeypatch.setattr(ch, "_proportionality_report", record)
+    verdicts = []
+    for name in ("series-verdicts", "moment-assembly"):
+        work = workloads.generate(name, 5, tmp_path)
+        verdicts += [v for v in work.verdicts + work.defects
+                     if v.command.startswith("characterize")]
+    for v in verdicts:
+        assert main(list(v.argv)) == v.expect
+    capsys.readouterr()
+    assert len(calls) == len(verdicts) > 0
+    for series, reference, points, power_law, rep in calls:
+        K = series.eval_grid(points, points)
+        R = reference.eval_grid(points, points)
+        c = K[0, 0].real / R[0, 0].real
+        dev = np.abs(K - c * R) / np.abs(c * R)
+        residuals = [dev.diagonal().max(),
+                     dev[~np.eye(len(dev), dtype=bool)].max(initial=0.0)]
+        if power_law:
+            rhs = K[0, 0].real * R.diagonal().real
+            residuals.append(np.max(np.abs(K.diagonal().real - rhs)
+                                    / np.abs(rhs)))
+        assert rep.c == c and rep.max_deviation == dev.max()
+        assert [check.residual for check in rep.checks] == residuals
 
 
 class TestBoundaryInequality:

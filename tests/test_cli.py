@@ -236,7 +236,7 @@ class TestVerdictExitCodes:
 ARITHMETIC_FAILURES = [
     # (1+m)!/pi^(1+m) of the ball-kernel oracle overflows a float
     ["frc-check", "--m", "200", "--pairs", "2"],
-    # the moments k!/mu^(k+1) divide by a mu that underflows to 0
+    # mu^(k+1) underflows to 0: the moments k!/mu^(k+1) leave the float range
     ["gram", "--domain", "cn:1", "--weight", "gaussian:1e-320",
      "--degree", "3"],
     # N(z, z)^(-9002) overflows on the sample grid
@@ -297,6 +297,39 @@ class TestManyDimensions:
                        / ((top + 1) * (top + 2)))
                 got = entries[i * 202][0]
                 assert abs(float((got - ref) / ref)) <= 1e-12
+
+    def test_generic_norm_moments_past_the_factorial_range(self, capsys):
+        # R_199 and R_200 need 199! and 200!, beyond the float range
+        code, out, _ = run_cli(["gram", "--domain", "ball:200", "--weight",
+                                "npower:1", "--degree", "1"], capsys)
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        import mpmath as mp
+        with mp.workdps(30):
+            for i, top in ((0, 199), (1, 200)):
+                # pi^n alpha!/(|alpha|+n-1)! * B(top + 1, 2)
+                ref = mp.pi ** 200 / mp.factorial(top) * mp.beta(top + 1, 2)
+                got = entries[i * 202][0]
+                assert abs(float((got - ref) / ref)) <= 1e-11
+
+    def test_characterize_past_the_factorial_range_is_named(self, capsys):
+        # the moments exist; c_0 = 299!/(pi^300 R_299) does not
+        code, out, err = run_cli(["characterize-ch", "--domain", "ball:300",
+                                  "--weight", "npower:1", "--degree", "4"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the radial series coefficient c_0 = ")
+        assert len(err.splitlines()) == 1
+
+    def test_deviation_from_an_unrepresentable_c_reference(self, capsys):
+        # c = 5.9e277 and c * R overflows on the grid; K/(c R) does not
+        code, out, err = run_cli(["characterize-ch", "--domain", "ball:200",
+                                  "--weight", "poly:1,-1", "--degree", "2"],
+                                 capsys)
+        assert (code, err) == (1, "")
+        rep = strict_json(out)
+        assert rep["verdict"] == "mismatch" and 5e277 < rep["c"] < 6e277
+        assert all(math.isfinite(c["residual"]) for c in rep["checks"])
 
     def test_radial_coefficient_outside_the_float_range_is_named(self,
                                                                   capsys):
@@ -469,6 +502,73 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr.decode(errors="replace")
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+# reports written by the bulk encoders: Grams of every shape (diagonal
+# quadrature Grams, a dense Monte Carlo Gram with its standard errors),
+# moment differences, a kernel grid and small verdict reports
+EMISSION_ARGV = [
+    ["gram", "--domain", "disk", "--weight", "npower:1.5", "--degree", "12"],
+    ["gram", "--domain", "disk", "--weight", "npower:1.5", "--degree", "12",
+     "--format", "csv"],
+    ["gram", "--domain", "ball:2", "--weight", "npower:0.5", "--degree", "6",
+     "--method", "quadrature"],
+    ["gram", "--domain", "ball:2", "--weight", "npower:0.5", "--degree", "6",
+     "--method", "quadrature", "--format", "csv"],
+    ["gram", "--domain", "cn:2", "--weight", "gaussian:1.5", "--degree", "5",
+     "--method", "quadrature"],
+    ["gram", "--domain", "cn:2", "--weight", "gaussian:1.5", "--degree", "5",
+     "--method", "quadrature", "--format", "csv"],
+    ["gram", "--domain", "disk", "--weight", "npower:1", "--degree", "5",
+     "--method", "montecarlo", "--samples", "5000", "--seed", "3"],
+    ["gram", "--domain", "ball:2", "--weight", "npower:1", "--degree", "3",
+     "--method", "montecarlo", "--samples", "5000", "--format", "csv"],
+    ["moment-mismatch", "--domain", "disk", "--weight", "poly:1,-2,1",
+     "--weight2", "npower:3", "--degree", "8", "--normalize"],
+    ["moment-mismatch", "--domain", "disk", "--weight", "poly:1,-2,1",
+     "--weight2", "npower:3", "--degree", "8", "--normalize",
+     "--format", "csv"],
+    ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+     "--degree", "6", "--grid", "5", "--format", "csv"],
+    ["frc-check", "--pairs", "3", "--seed", "2"],
+    ["characterize-ch", "--domain", "ball:2", "--weight", "npower:1",
+     "--degree", "8", "--npts", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", EMISSION_ARGV, ids=" ".join)
+def test_reports_are_the_reference_encodings(capsys, monkeypatch, argv):
+    """The emitted bytes are those of json.dumps(sort_keys, indent=2) of the
+    report, or of the per-cell CSV join over (i, j, repr(re), repr(im)),
+    computed here from the same report objects."""
+    seen = {}
+    matrix_rows, emit = cli._matrix_rows, cli.emit_report
+
+    def record_matrix(matrix):
+        seen["matrix"] = matrix
+        return matrix_rows(matrix)
+
+    def record_emit(report, fmt, path, csv_rows=None):
+        seen["rows"] = None if csv_rows is None else list(csv_rows)
+        seen["report"] = report
+        emit(report, fmt, path, seen["rows"])
+
+    monkeypatch.setattr(cli, "_matrix_rows", record_matrix)
+    monkeypatch.setattr(cli, "emit_report", record_emit)
+    code, out, err = run_cli(argv, capsys)
+    assert code in (0, 1) and err == ""
+    if "csv" not in argv:
+        expected = json.dumps(seen["report"], sort_keys=True, indent=2,
+                              allow_nan=False)
+    else:
+        rows = seen["rows"]
+        if "matrix" in seen:
+            rows = [("i", "j", "re", "im")] + [
+                (i, j, repr(z.real), repr(z.imag))
+                for i, row in enumerate(seen["matrix"].tolist())
+                for j, z in enumerate(row)]
+        expected = "\n".join(",".join(str(c) for c in row) for row in rows)
+    assert out == expected + "\n"
 
 
 def strict_json(text):

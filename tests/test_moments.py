@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -71,6 +73,59 @@ class TestMomentExact:
                                                 (1, 1, 1, 1)))
         with pytest.raises(ValueError):
             bl.moment_exact(DISK, prof, (0,), (0,))
+
+
+class TestMomentsPastTheFactorialRange:
+    """j! leaves the float range from j = 171, and mu^(j+1) or the j + 1
+    factors of a generic-norm moment may leave it before: such moments are
+    formed in log space, and one outside the float range is named."""
+
+    @staticmethod
+    def tolerance(j, *log_terms):
+        # j + 1 roundings of the product, or exp of a sum of lgamma values
+        # each within a few ulps of its magnitude
+        return 8 * sys.float_info.epsilon * (j + 1 + sum(map(abs, log_terms)))
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 7.25, 40.0])
+    def test_generic_norm_moments_against_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        ball = bl.unit_ball(400)
+        R = moments._exact_moments(ball, bl.generic_norm_weight(ball, s), 420)
+        denom = 1.0
+        for j in range(421):
+            denom *= s + j + 1
+            if j <= 170 and denom < math.inf:
+                # the product form, bit for bit where it holds
+                assert R[j] == math.factorial(j) / denom
+            with mpmath.workdps(40):
+                ref = float(mpmath.beta(j + 1, s + 1))
+            tol = self.tolerance(j, math.lgamma(j + 1), math.lgamma(s + 1),
+                                 math.lgamma(j + s + 2))
+            assert abs(R[j] - ref) <= tol * ref, j
+
+    # mu^(j+1) overflows from j = 153 at mu = 100, j! from j = 171
+    @pytest.mark.parametrize("mu,top", [(3.0, 215), (100.0, 300)])
+    def test_gaussian_moments_against_mpmath(self, mu, top):
+        mpmath = pytest.importorskip("mpmath")
+        cn = bl.full_space(2)
+        R = moments._exact_moments(cn, bl.gaussian_weight(2, mu), top)
+        for j in range(top + 1):
+            with mpmath.workdps(40):
+                ref = float(mpmath.factorial(j) / mpmath.mpf(mu) ** (j + 1))
+            tol = self.tolerance(j, math.lgamma(j + 1),
+                                 (j + 1) * math.log(mu))
+            assert abs(R[j] - ref) <= tol * ref, j
+
+    @pytest.mark.parametrize("weight,j", [
+        (bl.gaussian_weight(2, 3.0), 216),
+        (bl.gaussian_weight(2, 1e-3), 102),
+        (bl.generic_norm_weight(bl.unit_ball(2), 1e4), 132),
+    ])
+    def test_a_moment_outside_the_float_range_is_named(self, weight, j):
+        label = re.escape(describe_weight(weight))
+        with pytest.raises(ValueError, match=rf"^the moment R_{j} of {label} "
+                           r"is exp\(-?\d+\.\d\), outside the float range$"):
+            moments._exact_moments(weight.base, weight, j + 5)
 
 
 class TestGramQuadrature:

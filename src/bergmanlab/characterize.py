@@ -45,6 +45,7 @@ from .core import (
     Weight,
     as_point,
     sample_ball,
+    sample_cube,
     weight_eval,
 )
 from .moments import Gram, gram_auto
@@ -258,6 +259,22 @@ class CharacterizationReport:
         return out
 
 
+# most sample points of a characterize verdict: its kernels and deviations
+# are npts x npts grids, 16 MiB each at this size
+MAX_NPTS = 1024
+
+
+def _sample_points(n: int, rmax: float, npts: int, seed: int) -> np.ndarray:
+    """The origin, then npts - 1 seeded draws from the ball of radius rmax
+    in C^n; npts above ``MAX_NPTS`` is refused before anything is drawn."""
+    if npts > MAX_NPTS:
+        raise ValueError(f"npts = {npts} exceeds MAX_NPTS = {MAX_NPTS}: the "
+                         "verdict tables its kernels over npts x npts pairs")
+    rng = np.random.default_rng(seed)
+    return np.concatenate([np.zeros((1, n), dtype=complex),
+                           sample_ball(rng, n, rmax, npts - 1)])
+
+
 def _proportionality_report(series: KernelModel, reference, points,
                             degree: int, match_tol: float,
                             mismatch_tol: float,
@@ -336,9 +353,7 @@ def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
     if rmax is None:
         # keeps the rank-10 truncation tail below the match tolerance
         rmax = 0.9 / math.sqrt(m * mu)
-    rng = np.random.default_rng(seed)
-    n = p.base.dim
-    points = [np.zeros(n, dtype=complex), *sample_ball(rng, n, rmax, npts - 1)]
+    points = _sample_points(p.base.dim, rmax, npts, seed)
     return _proportionality_report(series, reference, points, degree,
                                    match_tol, mismatch_tol)
 
@@ -360,9 +375,7 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
         raise ValueError("need m >= 1 and mu > 0")
     series = kernel_from_gram(gram_auto(q.pow(m), degree))
     reference = PowerKernel(base, m * mu)
-    rng = np.random.default_rng(seed)
-    n = base.dim
-    points = [np.zeros(n, dtype=complex), *sample_ball(rng, n, rmax, npts - 1)]
+    points = _sample_points(base.dim, rmax, npts, seed)
     return _proportionality_report(series, reference, points, degree,
                                    match_tol, mismatch_tol, power_law=True)
 
@@ -476,10 +489,7 @@ def family_condition_check(domain: HartogsDomain,
     series = kernel_from_gram(gram_auto(domain.weight.pow(m), degree))
 
     rng = np.random.default_rng(seed)
-    n = domain.base.dim
-    # per point the real parts, then the imaginary parts
-    draws = rng.uniform(-0.3, 0.3, (_FIBER_CHECKS, 2, n))
-    check_pts = draws[:, 0] + 1j * draws[:, 1]
+    check_pts = sample_cube(rng, domain.base.dim, 0.3, _FIBER_CHECKS)
     zero_fibers = np.zeros((_FIBER_CHECKS, m), dtype=complex)
 
     validated = []

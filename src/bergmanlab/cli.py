@@ -33,6 +33,7 @@ import numpy as np
 
 from . import jsonio
 from .core import (
+    MAX_POINTS,
     DomainSpec,
     Weight,
     as_points,
@@ -43,6 +44,7 @@ from .core import (
     matrix_ball,
     polynomial_weight,
     sample_ball,
+    sample_cube,
     unit_ball,
     unit_disk,
 )
@@ -258,6 +260,17 @@ def _matrix_rows(matrix: np.ndarray):
     yield from zip(i_cells, index[:cols] * rows, re, im)
 
 
+def _count(cfg: dict, key: str, default: int, points_each: int = 1) -> int:
+    """The count under key, refused by name before anything is drawn when
+    its points_each points per item would overfill one draw."""
+    count = cfg.get(key, default)
+    if count * points_each > MAX_POINTS:
+        raise ValueError(f"{key} = {count} asks for {count * points_each} "
+                         f"points; one draw holds at most MAX_POINTS = "
+                         f"{MAX_POINTS}")
+    return count
+
+
 def _weight_of(cfg: dict, domain: DomainSpec, key: str = "weight") -> Weight:
     if key not in cfg:
         raise ConfigError(f"this command needs --{key.replace('_', '-')}")
@@ -284,10 +297,14 @@ def _cmd_gram(cfg: dict):
                                cfg.get("samples", 100_000), cfg["seed"])
     else:
         raise ConfigError(f"unknown gram method {method!r}")
+    rows = _matrix_rows(gram.entries)
+    if cfg["format"] == "csv":
+        # the entries alone: no JSON report, no spectrum for its diagnostics
+        return None, False, rows
     report = gram_to_json(gram)
     report["command"] = "gram"
     report["diagnostics"] = gram_validate(gram).as_dict()
-    return report, False, _matrix_rows(gram.entries)
+    return report, False, rows
 
 
 def _cmd_kernel_eval(cfg: dict):
@@ -355,20 +372,16 @@ def _cmd_frc_check(cfg: dict):
     family = ClosedFormFamily(domain)
     oracle = ball_kernel(1 + m)
     rng = np.random.default_rng(cfg["seed"])
-    pairs = cfg.get("pairs", 100)
+    pairs = _count(cfg, "pairs", 100, points_each=2)
 
-    # (z, zeta, z2, zeta2) per pair, drawn in the order of the generator
-    drawn = []
-    for _ in range(pairs):
-        z, z2 = (complex(p[0]) for p in sample_ball(rng, 1, 0.9, 2))
-        pz = 1.0 - abs(z) ** 2
-        pz2 = 1.0 - abs(z2) ** 2
-        ratio = 0.7 * rng.random(2)
-        phase = np.exp(2j * np.pi * rng.random(2 * m))
-        drawn.append(([z], ratio[0] * math.sqrt(pz) * phase[:m] / math.sqrt(m),
-                      [z2], ratio[1] * math.sqrt(pz2) * phase[m:] / math.sqrt(m)))
-    Z, ZETA, Z2, ZETA2 = (np.array(col).reshape(pairs, -1)
-                          for col in zip(*drawn))
+    # per pair the base points z, z', then the radius ratios |zeta|/
+    # sqrt(1 - |z|^2) < 0.7, then the phases of zeta and zeta'
+    z = sample_ball(rng, 1, 0.9, 2 * pairs).reshape(pairs, 2)
+    ratio = 0.7 * rng.random((pairs, 2))
+    phase = np.exp(2j * np.pi * rng.random((pairs, 2 * m))).reshape(pairs, 2, m)
+    zeta = ((ratio * np.sqrt(1.0 - np.abs(z) ** 2))[:, :, None] * phase
+            / math.sqrt(m))
+    Z, Z2, ZETA, ZETA2 = z[:, :1], z[:, 1:], zeta[:, 0], zeta[:, 1]
     res = frc_eval_pairs(domain, (Z, ZETA), (Z2, ZETA2), family,
                          max_terms=cfg.get("max_terms", 200), tol=1e-14)
     all_converged = bool(res.converged.all())
@@ -385,7 +398,7 @@ def _cmd_frc_check(cfg: dict):
     # (m+1)/pi (1 - z conj(z'))^-(m+2), its constant written out rather than
     # taken from the Hua normalization the family's k = 0 term uses
     reference = PowerKernel(domain.base, float(m), (m + 1) / math.pi)
-    rest = np.array(sample_ball(rng, 1, 0.5, 2 * 20)).reshape(20, 2)
+    rest = sample_ball(rng, 1, 0.5, 2 * 20).reshape(20, 2)
     worst_rest = float(np.max(frc_restriction_check(
         domain, rest[:, :1], rest[:, 1:],
         lambda a, b: frc_eval_pairs(domain, a, b, family).value,
@@ -429,12 +442,11 @@ def _cmd_transform_check(cfg: dict):
     aut = _map_of(cfg, H)
     slice_kernel = _slice_kernel_of(cfg, H)
     rng = np.random.default_rng(cfg["seed"])
-    count = cfg.get("points", 8)
+    count = _count(cfg, "points", 8)
     radius = cfg.get("radius", 0.6 if H.base.bounded else 1.0)
-    pts = sample_ball(rng, 1, radius, count) if H.base.dim == 1 else \
-        [(rng.uniform(-radius, radius, H.base.dim)
-          + 1j * rng.uniform(-radius, radius, H.base.dim)) / math.sqrt(H.base.dim)
-         for _ in range(count)]
+    n = H.base.dim
+    pts = sample_ball(rng, 1, radius, count) if n == 1 else \
+        sample_cube(rng, n, radius, count) / math.sqrt(n)
     worst = transform_residual(aut, slice_kernel, pts)
     tol = cfg["tolerance"]
     report = {"command": "transform-check", "max_rel_residual": worst,
@@ -448,14 +460,12 @@ def _cmd_jacobian_check(cfg: dict):
     H = _hartogs_of(cfg)
     aut = _map_of(cfg, H)
     rng = np.random.default_rng(cfg["seed"])
-    count = cfg.get("points", 20)
+    count = _count(cfg, "points", 20)
     h = cfg.get("step", 1e-5)
     radius = cfg.get("radius", 0.6 if H.base.bounded else 1.0)
     tol = cfg["tolerance"]
     n, m = H.base.dim, H.fiber_dim
-    # per point the real parts, then the imaginary parts
-    draws = rng.uniform(-radius, radius, (count, 2, n))
-    Z = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(n)
+    Z = sample_cube(rng, n, radius, count) / math.sqrt(n)
     J, _ = jacobian_fd_matrix(aut, (Z, np.zeros((count, m), dtype=complex)), h)
     closed = jacobian_base_slice(aut, Z)
     worst = float(np.max(np.abs(closed - np.linalg.det(J))))
@@ -533,11 +543,8 @@ def _cmd_boundary_check(cfg: dict):
     domain = full_space(cfg["n"])
     weight = _weight_of(cfg, domain)
     rng = np.random.default_rng(cfg["seed"])
-    count = cfg.get("samples", 64)
-    radius = cfg.get("radius", 1.5)
-    n = domain.dim
-    samples = [(rng.uniform(-radius, radius, n)
-                + 1j * rng.uniform(-radius, radius, n)) for _ in range(count)]
+    count = _count(cfg, "samples", 64)
+    samples = sample_cube(rng, domain.dim, cfg.get("radius", 1.5), count)
     rep = boundary_inequality_check(weight, cfg["mu"], samples,
                                     tol=cfg.get("tolerance", 1e-10))
     report = {"command": "boundary-check", **rep.as_dict(),
@@ -548,16 +555,15 @@ def _cmd_boundary_check(cfg: dict):
 def _cmd_family_check(cfg: dict):
     family = cfg.get("family", "fbh")
     rng = np.random.default_rng(cfg["seed"])
-    count = cfg.get("points", 6)
+    count = _count(cfg, "points", 6)
     if family == "fbh":
-        domain = HartogsDomain(full_space(cfg["n"]),
-                               gaussian_weight(cfg["n"], cfg["mu"]), cfg["m"])
+        n = cfg["n"]
+        domain = HartogsDomain(full_space(n), gaussian_weight(n, cfg["mu"]),
+                               cfg["m"])
         maps = [make_fbh_map(domain, "base_unitary",
-                             matrix=np.eye(cfg["n"], dtype=complex))]
-        for _ in range(count):
-            v = (rng.uniform(-0.8, 0.8, cfg["n"])
-                 + 1j * rng.uniform(-0.8, 0.8, cfg["n"])) / math.sqrt(cfg["n"])
-            maps.append(make_fbh_map(domain, "translation", v=v))
+                             matrix=np.eye(n, dtype=complex))]
+        maps += [make_fbh_map(domain, "translation", v=v)
+                 for v in sample_cube(rng, n, 0.8, count) / math.sqrt(n)]
     elif family == "thullen":
         domain = HartogsDomain(unit_disk(),
                                generic_norm_weight(unit_disk(), cfg["mu"]), 1)

@@ -203,33 +203,69 @@ def as_point_rows(z, dim: int) -> tuple[np.ndarray, bool]:
     return as_points(z, dim), False
 
 
-def sample_ball(rng, n: int, radius: float, count: int) -> list[np.ndarray]:
-    """count points drawn uniformly from the closed ball of the given radius
-    in C^n.
+# largest number of points one draw may hold: a draw allocates its count x
+# 2n doubles up front, before a point is accepted or used
+MAX_POINTS = 1 << 20
 
-    For n <= 3 each point draws its real parts, then its imaginary parts,
-    uniformly from [-radius, radius]^n and is rejected outside the ball.
-    The cube's share inside the ball, pi^n / (n! 4^n), is 31 % at n = 2 and
-    8 % at n = 3 but falls below 2 % from n = 4 on, so there a point is a
-    normal direction in R^(2n) scaled to the radius radius * U^(1/(2n)).
+
+def _check_draw(count: int) -> None:
+    if count > MAX_POINTS:
+        raise ValueError(f"cannot draw {count} points; one draw holds at most "
+                         f"MAX_POINTS = {MAX_POINTS}")
+
+
+def sample_cube(rng, n: int, radius: float, count: int) -> np.ndarray:
+    """count points of C^n as a (count, n) array, each drawing its real
+    parts, then its imaginary parts, uniformly from [-radius, radius]^n:
+    the doubles ``count`` calls of ``rng.uniform(-radius, radius, n)``, two
+    per point, would draw."""
+    _check_draw(count)
+    c = rng.uniform(-radius, radius, (count, 2, n))
+    return c[:, 0] + 1j * c[:, 1]
+
+
+def sample_ball_polar(rng, n: int, radius: float, count: int) -> np.ndarray:
+    """count points drawn uniformly from the closed ball of the given radius
+    in C^n, as a (count, n) array: a normal direction in R^(2n), real parts
+    first, scaled to the radius radius * U^(1/(2n))."""
+    _check_draw(count)
+    g = rng.standard_normal((count, 2 * n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    r = rng.random(count) ** (1.0 / (2 * n))
+    pts = g * (radius * r)[:, None]
+    return pts[:, :n] + 1j * pts[:, n:]
+
+
+def sample_ball(rng, n: int, radius: float, count: int) -> np.ndarray:
+    """count points drawn uniformly from the closed ball of the given radius
+    in C^n, as a (count, n) complex array.
+
+    For n <= 3 each candidate draws its real parts, then its imaginary
+    parts, uniformly from [-1, 1]^n, is rejected outside the unit ball and
+    scaled by radius once accepted.  Candidates are drawn in blocks sized
+    from the cube's share inside the ball, pi^n / (n! 4^n); the points are
+    bit for bit those a candidate-by-candidate loop accepts, but the
+    generator has also drawn the unused rest of the last block, so its
+    state afterwards differs from that loop's.  The share is 31 % at n = 2
+    and 8 % at n = 3 but falls below 2 % from n = 4 on, so there the points
+    come from ``sample_ball_polar``.
     """
     if not (math.isfinite(radius) and radius >= 0):
         raise ValueError(f"sampling radius must be finite and >= 0, "
                          f"not {radius!r}")
     if n > 3:
-        g = rng.standard_normal((count, 2, n))
-        z = g[:, 0] + 1j * g[:, 1]
-        r = radius * rng.random(count) ** (1.0 / (2 * n))
-        z *= (r / np.sqrt(np.sum(g ** 2, axis=(1, 2))))[:, None]
-        return list(z)
-    pts = []
+        return sample_ball_polar(rng, n, radius, count)
+    _check_draw(count)
+    inside_share = math.pi ** n / (math.factorial(n) * 4 ** n)
+    pts = np.empty((0, n), dtype=complex)
     while len(pts) < count:
-        re = rng.uniform(-1.0, 1.0, n)
-        im = rng.uniform(-1.0, 1.0, n)
+        short = count - len(pts)
+        block = min(MAX_POINTS, int(1.25 * short / inside_share) + 16)
+        c = sample_cube(rng, n, 1.0, block)
         # tested before scaling, which cannot overflow
-        if np.sum(re ** 2 + im ** 2) <= 1.0:
-            pts.append((re + 1j * im) * radius)
-    return pts
+        inside = np.sum(c.real ** 2 + c.imag ** 2, axis=1) <= 1.0
+        pts = np.concatenate([pts, c[inside][:short]])
+    return pts * radius
 
 
 def _as_matrix(domain: DomainSpec, z: np.ndarray) -> np.ndarray:

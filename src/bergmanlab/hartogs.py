@@ -196,6 +196,9 @@ class FrcPairs:
 # term indices of the first pass; each later pass doubles them for the
 # pairs that have not stopped
 _FIRST_TERMS = 16
+# largest pairs x terms table of a pass: a dozen arrays of its shape, the
+# complex ones 32 MiB each, are live at once
+MAX_TERM_TABLE = 1 << 21
 
 
 def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
@@ -215,6 +218,8 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     it.  A term index whose constants leave the float range raises only if
     some pair still needs it, and a partial sum that leaves it raises
     FloatingPointError; terms evaluated past a pair's stop may overflow.
+    A pass whose pairs x terms table would hold more than
+    ``MAX_TERM_TABLE`` entries is refused before it is allocated.
     """
     (z, zeta), (z2, zeta2) = points, points2
     n, m = domain.base.dim, domain.fiber_dim
@@ -249,6 +254,10 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
                 break
         if K == 0:
             raise pending
+        if active.size * K > MAX_TERM_TABLE:
+            raise ValueError(f"{active.size} pairs x {K} terms exceed the "
+                             f"MAX_TERM_TABLE = {MAX_TERM_TABLE} entries of "
+                             "one fiber-series pass")
         a, idx = active, np.arange(K)
         # terms past a pair's stop are never used, so they may leave the
         # float range; the used ones are checked below

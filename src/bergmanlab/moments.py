@@ -54,6 +54,7 @@ from .core import (
     Weight,
     monomial_values,
     multiindex_enumerate,
+    sample_ball_polar,
     weight_radial_fn,
 )
 from . import jsonio
@@ -283,11 +284,16 @@ def _power_sums(s: np.ndarray, f: np.ndarray, top: int) -> np.ndarray:
     return np.sum(powers * f[None, :], axis=1)
 
 
-# j! converts to a float up to j = 170; a moment past it, or one whose
-# power or product of j + 1 factors leaves the float range, is formed in
-# log space instead
+# j! converts to a float up to j = 170; a Gaussian moment past it, or one
+# whose power mu^(j+1) leaves the float range, is formed in log space
+# instead, a generic-norm moment by recurrence
 _FLOAT_FACTORIAL = 170
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _moment_outside(weight: Weight, j: int, log_r: float) -> ValueError:
+    return ValueError(f"the moment R_{j} of {describe_weight(weight)} is "
+                      f"exp({log_r:.1f}), outside the float range")
 
 
 def _moment_from_log(weight: Weight, j: int, log_r: float) -> float:
@@ -295,9 +301,7 @@ def _moment_from_log(weight: Weight, j: int, log_r: float) -> float:
     name."""
     value = math.exp(log_r) if log_r < _LOG_FLOAT_MAX else math.inf
     if not sys.float_info.min <= value < math.inf:
-        raise ValueError(
-            f"the moment R_{j} of {describe_weight(weight)} is "
-            f"exp({log_r:.1f}), outside the float range")
+        raise _moment_outside(weight, j, log_r)
     return value
 
 
@@ -318,11 +322,11 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
     """Closed-form R_0..R_top; raises ValueError where none exists.
 
     Gaussian powers on C^n and generic-norm powers on disk/ball have closed
-    forms, formed in log space past ``_FLOAT_FACTORIAL``.  A polynomial
-    weight on disk/ball is integrated by a Gauss-Legendre rule with enough
-    nodes to be exact for s^top p(s)^m: the weights are positive and the
-    weight is evaluated as it is everywhere else, so no alternating
-    coefficient sum can cancel.
+    forms, formed past ``_FLOAT_FACTORIAL`` in log space (Gaussian) or by
+    recurrence (generic norm).  A polynomial weight on disk/ball is
+    integrated by a Gauss-Legendre rule with enough nodes to be exact for
+    s^top p(s)^m: the weights are positive and the weight is evaluated as
+    it is everywhere else, so no alternating coefficient sum can cancel.
     """
     if weight.base != domain:
         raise ValueError("weight is attached to a different base domain")
@@ -338,7 +342,9 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
         raise NoClosedForm("closed-form generic-norm and polynomial moments: "
                            "disk/ball only")
     if isinstance(form, GenericNormPower):
-        # R_j = B(j+1, s+1) = j!/prod_{i=1..j+1}(s+i)
+        # R_j = B(j+1, s+1) = j!/prod_{i=1..j+1}(s+i); past the product's
+        # range R_j = R_(j-1) j/(s+j+1), a few roundings a step where an
+        # lgamma difference loses digits with the size of its terms
         s = form.mu * power
         out = np.empty(top + 1)
         denom = 1.0
@@ -347,9 +353,11 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
             if j <= _FLOAT_FACTORIAL and denom < math.inf:
                 out[j] = math.factorial(j) / denom
             else:
-                out[j] = _moment_from_log(weight, j, math.lgamma(j + 1)
-                                          + math.lgamma(s + 1)
-                                          - math.lgamma(j + s + 2))
+                out[j] = out[j - 1] * j / (s + j + 1) if j else 0.0
+                if out[j] < sys.float_info.min:
+                    log_r = (math.lgamma(j + 1) + math.lgamma(s + 1)
+                             - math.lgamma(j + s + 2))
+                    raise _moment_outside(weight, j, log_r)
         return weight.scale * out
     nodes = (top + power * (len(form.coefficients) - 1)) // 2 + 1
     _check_power_table(top, nodes)
@@ -550,13 +558,6 @@ def gram_auto(weight: Weight, degree: int) -> RadialGram:
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-def _sample_bounded(rng, n: int, count: int) -> np.ndarray:
-    g = rng.standard_normal((count, 2 * n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = rng.random(count) ** (1.0 / (2 * n))
-    pts = g * r[:, None]
-    return pts[:, :n] + 1j * pts[:, n:]
-
 def _ball_volume(n: int) -> float:
     return math.pi ** n / math.factorial(n)
 
@@ -589,7 +590,7 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
     while done < samples:
         m = min(chunk, samples - done)
         if domain.bounded:
-            pts = _sample_bounded(rng, n, m)
+            pts = sample_ball_polar(rng, n, 1.0, m)
             t = np.sum(np.abs(pts) ** 2, axis=1)
             dens = np.full(m, 1.0 / _ball_volume(n))
         else:

@@ -136,6 +136,16 @@ class TestVerdictExitCodes:
                                capsys)
         assert code == 0 and json.loads(out)["passed"]
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_frc_passes_over_seeds_with_repeatable_bytes(self, m, capsys):
+        for seed in range(20):
+            argv = ["frc-check", "--m", str(m), "--pairs", "40",
+                    "--seed", str(seed)]
+            code, out, _ = run_cli(argv, capsys)
+            rep = strict_json(out)
+            assert code == 0 and rep["passed"] and rep["converged"], seed
+            assert run_cli(argv, capsys)[1] == out
+
     def test_frc_restriction_reference_does_not_truncate(self, capsys):
         # a degree-40 Gram series of (1 - |z|^2)^30 left 2.3e-8 here
         code, out, _ = run_cli(["frc-check", "--m", "30", "--pairs", "5"],
@@ -267,6 +277,30 @@ def test_arithmetic_failure_is_an_error_not_a_verdict(capsys, argv):
     assert code == 2 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# counts past what one draw or one verdict grid may hold
+OVERSIZED_COUNTS = [
+    (["frc-check", "--pairs", "1000000000"], "pairs"),
+    (["characterize-ch", "--weight", "npower:1", "--npts", "1000000000"],
+     "npts"),
+    (["characterize-fbh", "--weight", "gaussian:1", "--npts", "1025"], "npts"),
+    (["boundary-check", "--weight", "gaussian:1", "--samples", "1000000000"],
+     "samples"),
+    (["family-check", "--points", "1000000000"], "points"),
+    (["jacobian-check", "--domain", "disk", "--weight", "npower:1", "--map",
+      '{"kind": "mobius", "a": [[0.1, 0.0]]}', "--points", "1000000000"],
+     "points"),
+]
+
+
+@pytest.mark.parametrize("argv,key", OVERSIZED_COUNTS,
+                         ids=[a[0] for a, _ in OVERSIZED_COUNTS])
+def test_an_oversized_count_is_refused_by_name(capsys, argv, key):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"error: {key} = \d+ [^\n]*MAX_\w+ = \d+[^\n]*\n",
+                        err)
 
 
 class TestManyDimensions:
@@ -569,6 +603,35 @@ def test_reports_are_the_reference_encodings(capsys, monkeypatch, argv):
                 for j, z in enumerate(row)]
         expected = "\n".join(",".join(str(c) for c in row) for row in rows)
     assert out == expected + "\n"
+
+
+def test_csv_gram_builds_no_json_report(capsys, monkeypatch):
+    """A CSV gram writes the entries alone: neither the JSON report nor the
+    spectrum of its diagnostics is computed, and the bytes are the per-cell
+    join of the Gram's entries."""
+    def refuse(*args):
+        raise AssertionError("called for a CSV report")
+
+    monkeypatch.setattr(cli, "gram_validate", refuse)
+    monkeypatch.setattr(cli, "gram_to_json", refuse)
+    for method, extra in (("auto", []), ("quadrature", []),
+                          ("montecarlo", ["--samples", "2000"])):
+        argv = ["gram", "--domain", "disk", "--weight", "npower:1.5",
+                "--degree", "6", "--method", method, *extra,
+                "--format", "csv"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        domain = bl.unit_disk()
+        weight = bl.generic_norm_weight(domain, 1.5)
+        gram = {"auto": lambda: bl.gram_auto(weight, 6),
+                "quadrature": lambda: bl.gram_quadrature(domain, weight, 6),
+                "montecarlo": lambda: bl.gram_montecarlo(domain, weight, 6,
+                                                         2000, 0)}[method]()
+        rows = [("i", "j", "re", "im")] + [
+            (str(i), str(j), repr(z.real), repr(z.imag))
+            for i, row in enumerate(gram.entries.tolist())
+            for j, z in enumerate(row)]
+        assert out == "\n".join(map(",".join, rows)) + "\n"
 
 
 def strict_json(text):

@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import quad, dblquad
 
 import bergmanlab as bl
-from bergmanlab.core import (grlex_key, hermitian_inner, monomial_values,
-                             sample_ball, weight_radial_fn)
+from bergmanlab.core import (MAX_POINTS, grlex_key, hermitian_inner,
+                             monomial_values, sample_ball, sample_ball_polar,
+                             weight_radial_fn)
 
 from conftest import interior_ball_points, interior_disk_points
 
@@ -370,3 +371,49 @@ class TestSampleBall:
             if abs(z) <= r:
                 want.append(z)
         assert [complex(p[0]) for p in got] == want
+
+    @staticmethod
+    def per_point_loop(rng, n, radius, count):
+        # one candidate at a time: Re, then Im, from [-1, 1]^n, rejected
+        # outside the unit ball, scaled once accepted
+        pts = []
+        while len(pts) < count:
+            re_ = rng.uniform(-1.0, 1.0, n)
+            im_ = rng.uniform(-1.0, 1.0, n)
+            if np.sum(re_ ** 2 + im_ ** 2) <= 1.0:
+                pts.append((re_ + 1j * im_) * radius)
+        return np.array(pts, dtype=complex).reshape(count, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 7, 1000])
+    def test_block_draws_are_the_per_point_draws(self, n, count):
+        for seed, radius in ((0, 0.9), (1, 1.3), (2, 0.0)):
+            got = sample_ball(np.random.default_rng(seed), n, radius, count)
+            want = self.per_point_loop(np.random.default_rng(seed), n, radius,
+                                       count)
+            assert got.shape == (count, n) and got.dtype == np.complex128
+            # bit for bit, signed zeros included
+            assert got.tobytes() == want.tobytes()
+
+    def test_an_oversized_draw_is_refused_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for n in (1, 5):
+            with pytest.raises(ValueError, match="MAX_POINTS"):
+                sample_ball(rng, n, 1.0, MAX_POINTS + 1)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_polar_draws_keep_the_monte_carlo_stream(self, n):
+        # the Monte Carlo Gram's proposal: a normal direction, real parts
+        # first, times U^(1/(2n)) in the unit ball
+        key = 11
+        got = sample_ball_polar(np.random.Generator(np.random.Philox(key=key)),
+                                n, 1.0, 500)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        g = rng.standard_normal((500, 2 * n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        r = rng.random(500) ** (1.0 / (2 * n))
+        pts = g * r[:, None]
+        want = pts[:, :n] + 1j * pts[:, n:]
+        assert got.tobytes() == want.tobytes()

@@ -170,6 +170,20 @@ def test_term_out_of_float_range_raises_only_when_a_pair_needs_it():
         _scalar_frc(H, (z[0], [1e14]), (z2[0], [1e14]), family)
 
 
+def test_a_pass_past_the_term_table_limit_is_refused(monkeypatch):
+    # four pairs fit a first pass of 16 terms, five do not
+    from bergmanlab import hartogs
+    monkeypatch.setattr(hartogs, "MAX_TERM_TABLE", 4 * 16)
+    H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), 1)
+    family = ClosedFormFamily(H)
+    z, zeta = np.full((5, 1), 0.3 + 0.1j), np.full((5, 1), 0.2j)
+    got = frc_eval_pairs(H, (z[:4], zeta[:4]), (z[:4], zeta[:4]), family)
+    assert got.converged.all()
+    with pytest.raises(ValueError, match=r"^5 pairs x 16 terms exceed the "
+                       r"MAX_TERM_TABLE = 64 entries"):
+        frc_eval_pairs(H, (z, zeta), (z, zeta), family)
+
+
 class _LeavesFloatRange:
     """A family whose kernels are inf from k = 3 on."""
 

@@ -235,6 +235,10 @@ def run(argv, points=None) -> int:
           None))
 @example((["kernel-eval", "--kernel", BAD_KERNEL_SCALES[1], "--grid", "2"],
           None))
+# counts whose draws or grids would not fit: refused before any allocation
+@example((["frc-check", "--pairs", "1000000000"], None))
+@example((["characterize-ch", "--weight", "npower:1", "--npts",
+           "1000000000"], None))
 def test_exit_code_is_a_verdict_or_an_error(invocation):
     argv, points = invocation
     assert run(argv, points) in (0, 1, 2)

@@ -77,8 +77,10 @@ class TestMomentExact:
 
 class TestMomentsPastTheFactorialRange:
     """j! leaves the float range from j = 171, and mu^(j+1) or the j + 1
-    factors of a generic-norm moment may leave it before: such moments are
-    formed in log space, and one outside the float range is named."""
+    factors of a generic-norm moment may leave it before: such Gaussian
+    moments are formed in log space, such generic-norm moments by the
+    recurrence R_j = R_(j-1) j/(s+j+1), and one outside the float range is
+    named."""
 
     @staticmethod
     def tolerance(j, *log_terms):
@@ -99,8 +101,9 @@ class TestMomentsPastTheFactorialRange:
                 assert R[j] == math.factorial(j) / denom
             with mpmath.workdps(40):
                 ref = float(mpmath.beta(j + 1, s + 1))
-            tol = self.tolerance(j, math.lgamma(j + 1), math.lgamma(s + 1),
-                                 math.lgamma(j + s + 2))
+            # a few roundings per factor or recurrence step; measured at
+            # most 0.1 eps (j + 1) for these s
+            tol = sys.float_info.epsilon * (j + 1) / 4
             assert abs(R[j] - ref) <= tol * ref, j
 
     # mu^(j+1) overflows from j = 153 at mu = 100, j! from j = 171

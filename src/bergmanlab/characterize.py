@@ -43,7 +43,7 @@ from .core import (
     PolynomialRadial,
     RadialProfile,
     Weight,
-    as_point,
+    as_points,
     sample_ball,
     sample_cube,
     weight_eval,
@@ -411,18 +411,21 @@ def boundary_inequality_check(p: Weight, mu: float, samples,
         raise ValueError("the boundary inequality is posed on C^n")
     n = p.base.dim
     p0 = weight_eval(p, np.zeros(n, dtype=complex))
-    worst = 0.0
-    violated_at = None
-    violated_amt = 0.0
-    for z in samples:
-        z = as_point(z, n)
-        g = weight_eval(p, z) * math.exp(mu * float(np.sum(np.abs(z) ** 2)))
-        worst = max(worst, abs(g - p0))
-        if g > p0 * (1.0 + tol) and g - p0 > violated_amt:
-            violated_amt = g - p0
-            violated_at = z
-    if violated_at is not None:
-        return BoundaryReport("violated", worst, violated_at, tol)
+    Z = as_points(samples, n)
+    # as in float arithmetic, products overflow to inf; an exponential
+    # past the float range of a finite exponent raises
+    with np.errstate(over="ignore"):
+        exponent = mu * np.sum(np.abs(Z) ** 2, axis=1)
+        with np.errstate(over="raise"):
+            growth = np.exp(exponent)
+        g = weight_eval(p, Z) * growth
+    excess = g - p0
+    worst = float(np.max(np.abs(excess), initial=0.0))
+    # the witness is the first sample of largest excess among the violations
+    violations = (g > p0 * (1.0 + tol)) & (excess > 0.0)
+    if violations.any():
+        witness = Z[int(np.argmax(np.where(violations, excess, -np.inf)))]
+        return BoundaryReport("violated", worst, witness, tol)
     if worst <= tol * p0:
         return BoundaryReport("equality", worst, None, tol)
     return BoundaryReport("inconclusive", worst, None, tol)

@@ -15,9 +15,9 @@ CSV for matrix/grid payloads, written to --out or stdout.  Reports carry no
 wall-clock data, so a fixed configuration and seed reproduce byte-identical
 output; BLAS threading is controlled by the usual OMP_NUM_THREADS /
 OPENBLAS_NUM_THREADS variables and does not affect report contents, except
-that ``gram --method montecarlo`` sums its samples with BLAS matrix
-products, so its entries can change in the last digit with the thread
-count.
+that ``gram --method montecarlo`` sums its samples in cache-sized blocks
+with BLAS matrix products, so its entries are reproducible bit for bit at a
+fixed thread count and can change in the last digit with the thread count.
 """
 
 from __future__ import annotations
@@ -271,6 +271,19 @@ def _count(cfg: dict, key: str, default: int, points_each: int = 1) -> int:
     return count
 
 
+# largest number of (z, w) pairs one kernel-eval evaluates and reports:
+# its table and report grow with the pair count, which is refused before
+# either is built
+MAX_EVAL_PAIRS = 1 << 20
+
+
+def _check_pairs(nz: int, nw: int) -> None:
+    if nz * nw > MAX_EVAL_PAIRS:
+        raise ValueError(f"{nz} z and {nw} w points make {nz * nw} pairs; "
+                         f"kernel-eval evaluates at most MAX_EVAL_PAIRS = "
+                         f"{MAX_EVAL_PAIRS}")
+
+
 def _weight_of(cfg: dict, domain: DomainSpec, key: str = "weight") -> Weight:
     if key not in cfg:
         raise ConfigError(f"this command needs --{key.replace('_', '-')}")
@@ -325,11 +338,13 @@ def _cmd_kernel_eval(cfg: dict):
         path = cfg["points_file"]
         obj = _json_object(json.loads(Path(path).read_text()), path)
         zs, ws = (_point_list(obj, key, path) for key in ("z", "w"))
+        _check_pairs(len(zs), len(ws))
     else:
         if n != 1:
             raise ConfigError("--grid synthesis needs a one-dimensional base; "
                               "use --points-file")
         count = cfg.get("grid", 10)
+        _check_pairs(count, count)
         radius = cfg.get("radius", 0.5)
         zs = ws = np.linspace(-radius, radius, count).reshape(count, 1)
     zs = as_points(zs, n)

@@ -345,27 +345,33 @@ def grlex_key(alpha: tuple[int, ...]):
     return (sum(alpha), tuple(-a for a in alpha))
 
 
-def monomial_values(basis: list[tuple[int, ...]], points: np.ndarray) -> np.ndarray:
-    """Evaluate all basis monomials at points, shape (npoints, nbasis).
+def monomial_rows(exponents, points) -> np.ndarray:
+    """Evaluate basis monomials at points as rows, shape (nbasis, npoints).
 
-    Coordinate power tables are built once per call, so each monomial costs
-    one product of precomputed powers.
+    ``exponents`` holds one multi-index per monomial, as a list of tuples
+    or an (nbasis, n) integer array.  The coordinate power table is built
+    once per call; each coordinate then contributes one fancy index into
+    it, multiplied into the rows in place.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     npts, n = pts.shape
-    dmax = max((sum(a) for a in basis), default=0)
-    # pows[j][k] = z_j^k per point
-    pows = np.empty((n, dmax + 1, npts), dtype=complex)
+    A = np.asarray(exponents, dtype=np.intp).reshape(-1, n)
+    # pows[j, k] = z_j^k per point
+    pows = np.empty((n, int(A.max(initial=0)) + 1, npts), dtype=complex)
     pows[:, 0, :] = 1.0
-    for k in range(1, dmax + 1):
-        pows[:, k, :] = pows[:, k - 1, :] * pts.T
-    out = np.empty((npts, len(basis)), dtype=complex)
-    for i, alpha in enumerate(basis):
-        acc = pows[0, alpha[0]].copy()
-        for j in range(1, n):
-            acc *= pows[j, alpha[j]]
-        out[:, i] = acc
-    return out
+    cols = np.ascontiguousarray(pts.T)
+    for k in range(1, pows.shape[1]):
+        np.multiply(pows[:, k - 1, :], cols, out=pows[:, k, :])
+    rows = pows[0, A[:, 0]]
+    for j in range(1, n):
+        rows *= pows[j, A[:, j]]
+    return rows
+
+
+def monomial_values(basis: list[tuple[int, ...]], points) -> np.ndarray:
+    """Evaluate all basis monomials at points, shape (npoints, nbasis): the
+    transposed (column-major) view of ``monomial_rows``."""
+    return monomial_rows(basis, points).T
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .core import (
     PolynomialRadial,
     RadialProfile,
     Weight,
-    monomial_values,
+    monomial_rows,
     multiindex_enumerate,
     sample_ball_polar,
     weight_radial_fn,
@@ -76,11 +76,18 @@ QUADRATURE = {"radial_nodes": 64, "angular_margin": 8, "fullspace_nodes": 96,
 # matrix that still counts as roundoff around a positive semidefinite one.
 PSD_TOL = 1e-10
 
-# Monte Carlo samples are taken in chunks of at most 200 000 whose
-# per-sample arrays (the monomial table, its weighted copy and conjugate,
-# squared moduli: about 50 bytes per sample and monomial, counted as 64)
-# fit in this many bytes.
+# Monte Carlo samples are drawn in chunks of at most 200 000, sized as if
+# each sample held 64 bytes per monomial within this many bytes.  The
+# budget fixes only the draw stream, which a seed's points depend on; a
+# chunk holds O(n) arrays per sample (points, weights), while its monomial
+# values live one block of rows at a time (``_MC_BLOCK_BYTES``).
 MC_CHUNK_BYTES = 256 * 2 ** 20
+
+# A draw chunk is summed over blocks of about this many bytes of monomial
+# rows (16 bytes per monomial and point), so a block's rows stay in cache
+# through its two products; a block never holds fewer than 4 points per
+# monomial, since thinner B x k x B products lose their BLAS efficiency.
+_MC_BLOCK_BYTES = 256 * 2 ** 10
 
 
 @dataclass
@@ -562,16 +569,30 @@ def _ball_volume(n: int) -> float:
     return math.pi ** n / math.factorial(n)
 
 
+def _block_sums(exponents: np.ndarray, pts: np.ndarray, f: np.ndarray):
+    """One block's sums of f w w^H and of f^2 |w|^2 (|w|^2)^T over its
+    samples, where w are the (B, k) monomial rows at its points."""
+    W = monomial_rows(exponents, pts)
+    A2 = W.real ** 2 + W.imag ** 2
+    abs2 = (A2 * f ** 2) @ A2.T
+    del A2
+    Wc = W.conj()
+    W *= f
+    return W @ Wc.T, abs2
+
+
 def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
                     samples: int, seed: int) -> GramMatrix:
     """Importance-sampled Gram estimate with per-entry standard errors.
 
     Uniform proposal on bounded domains, complex-Gaussian proposal on the
-    full space.  The generator is counter-based (Philox keyed by the seed),
-    and sampling is a single fixed-order pass in chunks sized by the basis
-    (``MC_CHUNK_BYTES``), so the estimate is reproducible bit-for-bit for a
-    given seed at a given BLAS thread count.  The chunk sums are BLAS
-    matrix products, whose last digit can change with the thread count.
+    full space.  The generator is counter-based (Philox keyed by the seed)
+    and draws its samples in a fixed-order pass of chunks sized by the
+    basis (``MC_CHUNK_BYTES``).  Each chunk is summed over blocks of
+    monomial rows small enough to stay in cache (``_MC_BLOCK_BYTES``); the
+    block sums are BLAS matrix products, so the estimate is reproducible
+    bit for bit for a given seed at a given BLAS thread count, whose
+    change can move its last digit.
     """
     if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         raise ValueError("Monte Carlo sampling supports disk/ball/full space")
@@ -580,10 +601,12 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
     n = domain.dim
     basis = multiindex_enumerate(n, degree)
     B = len(basis)
+    exponents = np.array(basis, dtype=np.intp)
     rng = np.random.Generator(np.random.Philox(key=seed))
     wfun = weight_radial_fn(weight)
 
     chunk = max(1, min(200_000, MC_CHUNK_BYTES // (64 * B)))
+    block = max(4 * B, _MC_BLOCK_BYTES // (16 * B))
     sum_x = np.zeros((B, B), dtype=complex)
     sum_abs2 = np.zeros((B, B), dtype=float)
     done = 0
@@ -601,11 +624,11 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
             t = np.sum(np.abs(pts) ** 2, axis=1)
             dens = np.exp(-t / sigma2) / (math.pi * sigma2) ** n
         f = wfun(t) / dens
-        V = monomial_values(basis, pts)
-        Vw = V * f[:, None]
-        sum_x += Vw.T @ V.conj()
-        A2 = np.abs(V) ** 2
-        sum_abs2 += (A2 * f[:, None] ** 2).T @ A2
+        for lo in range(0, m, block):
+            x, abs2 = _block_sums(exponents, pts[lo:lo + block],
+                                  f[lo:lo + block])
+            sum_x += x
+            sum_abs2 += abs2
         done += m
 
     mean = sum_x / samples
@@ -741,7 +764,7 @@ def gram_to_json(gram: Gram) -> dict:
     if gram.method.get("kind") == "montecarlo":
         out["seed"] = gram.method.get("seed")
     if gram.stderr is not None:
-        out["stderr"] = [float(x) for x in gram.stderr.reshape(-1)]
+        out["stderr"] = gram.stderr.reshape(-1).tolist()
     return out
 
 

@@ -32,6 +32,38 @@ def dense_gram(gram):
                          weight_label=gram.weight_label)
 
 
+def one_table_montecarlo(domain, weight, degree, samples, seed):
+    """Reference Monte Carlo Gram: the draw calls and chunks of
+    ``gram_montecarlo``, each chunk reduced over one (samples, B) monomial
+    table.  Returns the symmetrized mean and the standard errors."""
+    from bergmanlab import core, moments
+    n = domain.dim
+    basis = core.multiindex_enumerate(n, degree)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    chunk = max(1, min(200_000, moments.MC_CHUNK_BYTES // (64 * len(basis))))
+    mu = None if domain.bounded else moments._gaussian_decay(weight)
+    sigma2 = 1.0 / mu if mu is not None else 1.0
+    sum_x = sum_abs2 = 0.0
+    for done in range(0, samples, chunk):
+        m = min(chunk, samples - done)
+        if domain.bounded:
+            pts = core.sample_ball_polar(rng, n, 1.0, m)
+        else:
+            pts = np.sqrt(sigma2 / 2.0) * (rng.standard_normal((m, n))
+                                           + 1j * rng.standard_normal((m, n)))
+        t = np.sum(np.abs(pts) ** 2, axis=1)
+        dens = (np.full(m, 1.0 / moments._ball_volume(n)) if domain.bounded
+                else np.exp(-t / sigma2) / (np.pi * sigma2) ** n)
+        f = core.weight_radial_fn(weight)(t) / dens
+        V = core.monomial_values(basis, pts)
+        sum_x = sum_x + (V * f[:, None]).T @ V.conj()
+        A2 = np.abs(V) ** 2
+        sum_abs2 = sum_abs2 + (A2 * f[:, None] ** 2).T @ A2
+    mean = sum_x / samples
+    var = np.maximum(sum_abs2 / samples - np.abs(mean) ** 2, 0.0)
+    return (mean + mean.conj().T) / 2.0, np.sqrt(var / samples)
+
+
 def interior_disk_points(rng, count, radius=0.9):
     pts = []
     while len(pts) < count:

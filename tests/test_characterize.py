@@ -248,6 +248,47 @@ class TestBoundaryInequality:
                                            self._samples())
         assert rep.verdict == "inconclusive"
 
+    @staticmethod
+    def _per_sample(p, mu, samples, tol=1e-10):
+        """The verdict one sample at a time: (p(0), worst, witness)."""
+        n = p.base.dim
+        p0 = bl.weight_eval(p, np.zeros(n, dtype=complex))
+        worst, witness, amount = 0.0, None, 0.0
+        for z in samples:
+            z = np.asarray(z, dtype=complex)
+            g = bl.weight_eval(p, z) * math.exp(mu * float(np.sum(abs(z) ** 2)))
+            worst = max(worst, abs(g - p0))
+            if g > p0 * (1.0 + tol) and g - p0 > amount:
+                amount, witness = g - p0, z
+        return p0, worst, witness
+
+    @pytest.mark.parametrize("case,verdict", [
+        ("gaussian", "equality"), ("gaussian-c2", "equality"),
+        ("table", "violated"), ("poly-c2", "violated"),
+        ("over-decay", "inconclusive")])
+    def test_matches_the_per_sample_loop(self, case, verdict,
+                                         perturbed_gaussian_weight):
+        weight, mu, n, radius = {
+            "gaussian": (bl.gaussian_weight(1, 2.0), 2.0, 1, 1.5),
+            "gaussian-c2": (bl.gaussian_weight(2, 1.0), 1.0, 2, 1.5),
+            "table": (perturbed_gaussian_weight, 1.0, 1, 1.2),
+            "poly-c2": (bl.polynomial_weight(bl.full_space(2), [1.0, 2.0]),
+                        1.0, 2, 1.5),
+            "over-decay": (bl.gaussian_weight(1, 4.0), 2.0, 1, 1.5)}[case]
+        rng = np.random.default_rng(7)
+        samples = (rng.uniform(-radius, radius, (500, n))
+                   + 1j * rng.uniform(-radius, radius, (500, n)))
+        rep = ch.boundary_inequality_check(weight, mu, samples)
+        p0, worst, witness = self._per_sample(weight, mu, samples)
+        assert rep.verdict == verdict
+        # np.exp and math.exp may differ in the last place
+        assert rep.max_residual == pytest.approx(worst, rel=1e-14,
+                                                 abs=1e-15 * p0)
+        if witness is None:
+            assert rep.witness is None
+        else:
+            assert np.array_equal(rep.witness, witness)
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-2, 1e-1])
     def test_only_gaussian_decay_reaches_equality(self, eps):
         knots = np.linspace(0.0, 60.0, 1501)

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -301,6 +302,48 @@ def test_an_oversized_count_is_refused_by_name(capsys, argv, key):
     assert code == 2 and out == ""
     assert re.fullmatch(rf"error: {key} = \d+ [^\n]*MAX_\w+ = \d+[^\n]*\n",
                         err)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelEvalPairBound:
+    """kernel-eval refuses more than MAX_EVAL_PAIRS (z, w) pairs by name,
+    before its grid, its table or its report is built."""
+
+    def test_an_oversized_grid_is_refused(self, capsys):
+        # 200 000 grid points: 1.6 MB of abscissae, a 640 GB table
+        code, peak = _traced_peak(lambda: main(
+            ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+             "--degree", "4", "--grid", "200000"]))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: 200000 z and 200000 w points make 40000000000 "
+                       "pairs; kernel-eval evaluates at most MAX_EVAL_PAIRS "
+                       "= 1048576\n")
+        assert peak < 2 ** 20
+
+    def test_an_oversized_points_file_is_refused(self, capsys, tmp_path):
+        # 1025 x 1025 pairs, one past the bound: a 16.8 MB table
+        rng = np.random.default_rng(0)
+        pts = [[[float(x), float(y)]] for x, y in rng.uniform(-0.5, 0.5,
+                                                               (1025, 2))]
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"z": pts, "w": pts}))
+        code, peak = _traced_peak(lambda: main(
+            ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+             "--degree", "4", "--points-file", str(path)]))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: 1025 z and 1025 w points make 1050625 "
+                            r"pairs; [^\n]*MAX_EVAL_PAIRS = 1048576\n", err)
+        assert peak < 4 * 2 ** 20
 
 
 class TestManyDimensions:

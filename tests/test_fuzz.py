@@ -239,6 +239,8 @@ def run(argv, points=None) -> int:
 @example((["frc-check", "--pairs", "1000000000"], None))
 @example((["characterize-ch", "--weight", "npower:1", "--npts",
            "1000000000"], None))
+@example((["kernel-eval", "--domain", "disk", "--weight", "npower:1",
+           "--degree", "4", "--grid", "200000"], None))
 def test_exit_code_is_a_verdict_or_an_error(invocation):
     argv, points = invocation
     assert run(argv, points) in (0, 1, 2)

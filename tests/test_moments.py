@@ -15,6 +15,8 @@ from bergmanlab.moments import (
     quadrature_points_1d,
 )
 
+from conftest import one_table_montecarlo
+
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
 
@@ -344,6 +346,68 @@ class TestGramMonteCarlo:
                                50_000, seed=9)
         assert np.array_equal(a.entries, b.entries)
         assert np.array_equal(a.stderr, b.stderr)
+
+
+def _mc_block(domain, degree):
+    B = len(bl.multiindex_enumerate(domain.dim, degree))
+    return max(4 * B, moments._MC_BLOCK_BYTES // (16 * B))
+
+
+_MC_CASES = {"disk": (DISK, bl.generic_norm_weight(DISK, 1.0), 6),
+             "ball2": (bl.unit_ball(2),
+                       bl.generic_norm_weight(bl.unit_ball(2), 0.5), 5),
+             "ball3": (bl.unit_ball(3),
+                       bl.polynomial_weight(bl.unit_ball(3), [1.0, 0.5]), 3),
+             "cn2": (bl.full_space(2), bl.gaussian_weight(2, 1.5), 4)}
+
+
+class TestBlockedMonteCarlo:
+    """The block-summed estimate against one table per draw chunk: the
+    same points, so entries agree to roundoff (other samples would move
+    them by about 1e-3)."""
+
+    @staticmethod
+    def _assert_matches_one_table(domain, weight, degree, samples):
+        G = bl.gram_montecarlo(domain, weight, degree, samples, seed=5)
+        ref, se = one_table_montecarlo(domain, weight, degree, samples, 5)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(G.entries - ref)) <= 1e-13 * scale
+        if samples == 1:
+            # one sample's variance is zero up to the roundoff of its
+            # cancellation, in either grouping of the sums
+            assert np.max(G.stderr) <= 1e-7 * scale
+            assert np.max(se) <= 1e-7 * scale
+        else:
+            assert np.all(np.abs(G.stderr - se) <= 1e-12 * se)
+
+    @pytest.mark.parametrize("case", sorted(_MC_CASES))
+    @pytest.mark.parametrize("where", ["one", "block-1", "block+1",
+                                       "ragged"])
+    def test_matches_one_table(self, case, where):
+        domain, weight, degree = _MC_CASES[case]
+        block = _mc_block(domain, degree)
+        samples = {"one": 1, "block-1": block - 1, "block+1": block + 1,
+                   "ragged": 2 * block + block // 3}[where]
+        self._assert_matches_one_table(domain, weight, degree, samples)
+
+    def test_matches_one_table_across_draw_chunks(self):
+        # 231 monomials: chunks of 18 157 draws, so three chunks
+        ball = bl.unit_ball(2)
+        self._assert_matches_one_table(ball, bl.generic_norm_weight(ball, 1.0),
+                                       20, 40_000)
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # one chunk-wide table of 18 157 x 231 values would take 67 MB
+        ball = bl.unit_ball(2)
+        tracemalloc.start()
+        try:
+            G = bl.gram_montecarlo(ball, bl.generic_norm_weight(ball, 1.0),
+                                   20, 20_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.size == 231
+        assert peak < 16 * 2 ** 20
 
 
 class TestGramValidate:

@@ -2,11 +2,12 @@
 
 Computes Gram matrices of monomials under admissible-style weights on model
 domains (disk, ball, type-I matrix balls, full space), reconstructs weighted
-Bergman kernels as truncated orthonormal series, evaluates the closed-form
-Fock-Bargmann and generic-norm power kernels, sums the Forelli-Rudin series
-for Hartogs domains, applies the classical automorphism generators with
-their analytic Jacobians, and turns the kernel-transformation law and the
-Diederich-Ohsawa moment machinery into executable pass/fail verdicts.
+Bergman kernels as truncated series in <z, w> from radial moments,
+evaluates the closed-form Fock-Bargmann and generic-norm power kernels,
+sums the Forelli-Rudin series for Hartogs domains, applies the classical
+automorphism generators with their analytic Jacobians, and turns the
+kernel-transformation law and the Diederich-Ohsawa moment machinery into
+executable pass/fail verdicts.
 """
 
 from .core import (
@@ -52,7 +53,6 @@ from .kernels import (
     FockKernel,
     PowerKernel,
     RadialSeriesKernel,
-    SeriesKernel,
     fock_kernel,
     kernel_from_gram,
     kernel_from_json,

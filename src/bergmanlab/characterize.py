@@ -410,14 +410,21 @@ def boundary_inequality_check(p: Weight, mu: float, samples,
     if p.base.bounded:
         raise ValueError("the boundary inequality is posed on C^n")
     n = p.base.dim
-    p0 = weight_eval(p, np.zeros(n, dtype=complex))
     Z = as_points(samples, n)
-    # as in float arithmetic, products overflow to inf; an exponential
-    # past the float range of a finite exponent raises
+    # as in float arithmetic, products overflow to inf; a finite exponent
+    # whose exponential leaves the float range is refused by name, before
+    # any weight is evaluated
     with np.errstate(over="ignore"):
         exponent = mu * np.sum(np.abs(Z) ** 2, axis=1)
-        with np.errstate(over="raise"):
-            growth = np.exp(exponent)
+        growth = np.exp(exponent)
+    past = np.isinf(growth) & np.isfinite(exponent)
+    if past.any():
+        raise ValueError(f"--mu {mu!r} puts exp(mu |z|^2) past the float "
+                         "range: the largest exponent mu max|z|^2 is "
+                         f"{float(np.max(exponent[past])):.6g}, and exp "
+                         "overflows above 709.78")
+    p0 = weight_eval(p, np.zeros(n, dtype=complex))
+    with np.errstate(over="ignore"):
         g = weight_eval(p, Z) * growth
     excess = g - p0
     worst = float(np.max(np.abs(excess), initial=0.0))

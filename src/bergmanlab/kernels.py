@@ -1,6 +1,6 @@
 """Evaluable reproducing-kernel models.
 
-Two closed forms and two reconstructions:
+Two closed forms and one reconstruction:
 
 * ``FockKernel(mu, n, scale)`` evaluates scale * exp(mu <z, w>); at
   scale 1 it is the reproducing kernel of entire functions
@@ -12,11 +12,11 @@ Two closed forms and two reconstructions:
 * ``RadialSeriesKernel(base, degree, c)`` evaluates the power series
   sum_{k <= degree} c_k <z, w>^k in one variable: the raw-dV weighted
   Bergman kernel at finite rank of a radial weight on the disk, the ball
-  or C^n, built from the moments of a ``RadialGram``.
-* ``SeriesKernel`` is the truncated orthonormal expansion
-  sum_k e_k(z) conj(e_k(w)) with e_k obtained by factorizing a dense
-  ``GramMatrix``: a Monte Carlo estimate or a JSON-loaded Gram, which is
-  the only way a type-I Gram arises.
+  or C^n, built from the moments of a ``RadialGram``.  Every supported
+  weight on those bases is radial, so this is the one way a Gram becomes a
+  kernel; a dense ``GramMatrix`` (Monte Carlo or JSON-loaded) holds no
+  moments and has no kernel here, and type-I bases have their closed form
+  only.
 
 Raw-measure closed forms carry their normalization in the ``scale`` field
 of the closed form, so that exactly one measure convention (raw dV) is used
@@ -45,8 +45,6 @@ from .core import (
     full_space,
     hermitian_inner,
     hua_normalization,
-    monomial_values,
-    multiindex_enumerate,
     principal_log,
     weight_radial_fn,
     GaussianPower,
@@ -54,15 +52,11 @@ from .core import (
     Weight,
 )
 from .moments import (
-    PSD_TOL,
-    Gram,
     RadialGram,
-    _equilibrate,
     domain_from_json,
     domain_to_json,
     quadrature_points_1d,
 )
-from . import jsonio
 
 
 def _grid_entry(model, z, w) -> complex:
@@ -141,59 +135,6 @@ class PowerKernel:
         return self.scale * np.exp(-self.exponent * logs)
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesKernel:
-    """Truncated orthonormal series from a Gram factorization.
-
-    ``coeff`` holds the basis expansion row-wise: e_k = sum_a coeff[k, a] z^a
-    over the grlex monomials of degree <= degree.
-    """
-
-    base: DomainSpec
-    degree: int
-    coeff: np.ndarray
-    index_map: list[tuple[int, ...]]
-    weight_label: str = ""
-    dropped: int = 0
-    psd_perturbation: float = 0.0
-
-    @property
-    def domain(self) -> DomainSpec:
-        return self.base
-
-    @property
-    def rank(self) -> int:
-        return self.coeff.shape[0]
-
-    def basis_values(self, points) -> np.ndarray:
-        """Values e_k(z) for all k, shape (npoints, rank)."""
-        V = monomial_values(self.index_map, points)
-        return V @ self.coeff.T
-
-    eval = _grid_entry
-
-    def eval_grid(self, zs, ws) -> np.ndarray:
-        """K(z_i, w_j) for all pairs, shape (len(zs), len(ws))."""
-        Z = as_points(zs, self.base.dim)
-        W = as_points(ws, self.base.dim)
-        # one monomial table for both point sets
-        E = self.basis_values(np.concatenate([Z, W]))
-        return E[:len(Z)] @ E[len(Z):].conj().T
-
-    def diagonal(self, zs) -> np.ndarray:
-        """K(z_i, z_i) for all points, real, shape (len(zs),), without the
-        off-diagonal products of a full grid."""
-        E = self.basis_values(as_points(zs, self.base.dim))
-        return np.sum(E.real ** 2 + E.imag ** 2, axis=1)
-
-    def eval_pairs(self, zs, ws) -> np.ndarray:
-        """K(z_i, w_i) for paired rows, shape (len(zs),)."""
-        Z = as_points(zs, self.base.dim)
-        W = as_points(ws, self.base.dim)
-        E = self.basis_values(np.concatenate([Z, W]))
-        return np.sum(E[:len(Z)] * E[len(Z):].conj(), axis=1)
-
-
 _RADIAL_KINDS = (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL,
                  DomainKind.FULL_SPACE)
 
@@ -254,7 +195,7 @@ class RadialSeriesKernel:
                              self.c)
 
 
-KernelModel = FockKernel | PowerKernel | RadialSeriesKernel | SeriesKernel
+KernelModel = FockKernel | PowerKernel | RadialSeriesKernel
 
 
 def fock_kernel(mu: float, n: int = 1) -> FockKernel:
@@ -293,78 +234,23 @@ def weighted_kernel_closed_form(weight: Weight) -> KernelModel:
 
 
 # ---------------------------------------------------------------------------
-# series kernels from Gram matrices
+# the series kernel of a radial Gram
 
-# Relative size of the smallest unit-diagonal eigenvalue (or squared
-# Cholesky pivot) below which a basis direction counts as numerically
-# dependent and is dropped.
-RANK_RTOL = 1e-13
+def kernel_from_gram(gram: RadialGram) -> RadialSeriesKernel:
+    """The ``RadialSeriesKernel`` of a radial Gram's moments,
+    c_k = (k+n-1)!/(pi^n k! R_{k+n-1}).
 
-
-def kernel_from_gram(gram: Gram) -> RadialSeriesKernel | SeriesKernel:
-    """Orthonormalize the monomials against a Gram matrix.
-
-    A ``RadialGram`` gives the ``RadialSeriesKernel`` of its moments.  A
-    dense ``GramMatrix`` is factorized by Cholesky with an
-    eigendecomposition fallback, after equilibration to unit diagonal; a
-    Cholesky without collapsing pivots certifies positive definiteness
-    outright.  Otherwise the scaled spectrum decides: below -PSD_TOL
-    relative is rejected as indefinite, eigenvalues in (-PSD_TOL, 0) are
-    clipped with the perturbation recorded, and directions below RANK_RTOL
-    are dropped.  More than 10% dropped directions is a hard error.
+    A radial Gram is diagonal and its diagonal is positive exactly when the
+    moments R_{n-1}.. are, so positivity is the only check a factorization
+    would make.  Where (k+n-1)!/k! or pi^n leaves the float range, c_k is
+    formed in log space instead, and a c_k outside the float range is
+    refused by name.  A dense ``GramMatrix`` (a Monte Carlo estimate or a
+    JSON-loaded Gram) holds no moments and is refused.
     """
-    if isinstance(gram, RadialGram):
-        return _radial_kernel(gram)
-    entries = gram.entries
-    B = entries.shape[0]
-    eq = _equilibrate(entries)
-    if eq is None:
-        raise ValueError("Gram diagonal is not strictly positive")
-    scaled, s = eq
-
-    coeff = None
-    dropped = 0
-    perturbation = 0.0
-    try:
-        L = np.linalg.cholesky(scaled)
-        # a collapsing pivot means a basis direction is numerically
-        # collinear with earlier ones; defer to the dropping route
-        pivots = np.abs(np.diag(L)) ** 2
-        if pivots.min() > RANK_RTOL * pivots.max():
-            coeff = np.linalg.solve(L, np.eye(B, dtype=complex))
-            coeff = coeff * s[None, :]
-    except np.linalg.LinAlgError:
-        pass
-    if coeff is None:
-        eigs, vecs = np.linalg.eigh(scaled)
-        lam_max = float(eigs[-1])
-        if eigs[0] <= -PSD_TOL * max(lam_max, 1e-300):
-            raise ValueError(
-                f"Gram matrix indefinite: scaled lambda_min = {eigs[0]:.3e}")
-        perturbation = max(0.0, float(-eigs[0]))
-        keep = eigs > RANK_RTOL * max(lam_max, 1e-300)
-        dropped = int(B - np.count_nonzero(keep))
-        if dropped > 0.1 * B:
-            raise ValueError(
-                f"Gram matrix numerically singular: {dropped}/{B} directions dropped")
-        lam = eigs[keep]
-        U = vecs[:, keep]
-        coeff = (U / np.sqrt(lam)).conj().T * s[None, :]
-
-    return SeriesKernel(gram.domain, gram.degree, coeff, list(gram.index_map),
-                        weight_label=gram.weight_label, dropped=dropped,
-                        psd_perturbation=perturbation)
-
-
-def _radial_kernel(gram: RadialGram) -> RadialSeriesKernel:
-    """c_k = (k+n-1)!/(pi^n k! R_{k+n-1}) from the moments of a radial Gram.
-
-    Its diagonal is positive exactly when the moments R_{n-1}.. are, and
-    an equilibrated diagonal matrix is the identity, so positivity is the
-    only check the dense route would make.  Where (k+n-1)!/k! or pi^n
-    leaves the float range, c_k is formed in log space instead, and a c_k
-    outside the float range is refused by name.
-    """
+    if not isinstance(gram, RadialGram):
+        raise ValueError("only a radial Gram has a kernel: a dense "
+                         "GramMatrix (a Monte Carlo estimate or a Gram "
+                         "loaded from JSON) holds no moments")
     n, d = gram.domain.dim, gram.degree
     R = gram.moments[n - 1:d + n]
     if not (np.isfinite(R).all() and (R > 0).all()):
@@ -402,8 +288,8 @@ def normalized_kernel(model: KernelModel, z, w) -> complex:
     return model.eval(z, w) / math.sqrt(kww.real)
 
 
-def reproducing_residual(model: RadialSeriesKernel | SeriesKernel,
-                         poly: dict, z, weight: Weight) -> float:
+def reproducing_residual(model: RadialSeriesKernel, poly: dict, z,
+                         weight: Weight) -> float:
     """| f(z) - integral f(w) K(z, w) p(w) dV(w) | for a polynomial f.
 
     ``poly`` maps exponent multi-indices to coefficients; its degree should
@@ -450,12 +336,6 @@ def kernel_to_json(model: KernelModel) -> dict:
         return {"form": "radial", "domain": domain_to_json(model.base),
                 "degree": model.degree, "c": model.c.tolist(),
                 "weight": model.weight_label}
-    if isinstance(model, SeriesKernel):
-        return {"form": "series", "domain": domain_to_json(model.base),
-                "degree": model.degree, "rank": model.rank,
-                "coeff": jsonio.cmatrix(model.coeff),
-                "weight": model.weight_label, "dropped": model.dropped,
-                "psd_perturbation": model.psd_perturbation}
     raise TypeError(f"unknown kernel model {model!r}")
 
 
@@ -472,13 +352,5 @@ def kernel_from_json(obj: dict) -> KernelModel:
                                   int(obj["degree"]),
                                   np.array(obj["c"], dtype=float),
                                   weight_label=obj.get("weight", ""))
-    if form == "series":
-        domain = domain_from_json(obj["domain"])
-        degree = int(obj["degree"])
-        basis = multiindex_enumerate(domain.dim, degree)
-        coeff = jsonio.as_cmatrix(obj["coeff"], (int(obj["rank"]), len(basis)))
-        return SeriesKernel(domain, degree, coeff, basis,
-                            weight_label=obj.get("weight", ""),
-                            dropped=int(obj.get("dropped", 0)),
-                            psd_perturbation=float(obj.get("psd_perturbation", 0.0)))
-    raise ValueError(f"unknown kernel form {form!r}")
+    raise ValueError(f"unknown kernel form {form!r}; supported forms: fock, "
+                     "power, radial")

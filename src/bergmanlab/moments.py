@@ -24,9 +24,11 @@ Gauss-Legendre rules exact for the degree of a polynomial weight
 (``gram_exact``), or a 1-D Gauss rule in s -- Legendre on [0, 1], Laguerre
 on C^n, Legendre up to the last knot of a tabulated profile
 (``gram_quadrature``).  ``gram_auto`` takes the closed form where one
-exists.  Importance-sampled Monte Carlo with per-entry standard errors
+exists; ``kernels.kernel_from_gram`` turns the moments into the kernel
+series.  Importance-sampled Monte Carlo with per-entry standard errors
 (``gram_montecarlo``) estimates the dense matrix directly, a
-``GramMatrix``, as is every Gram loaded from JSON.
+``GramMatrix``, as is every Gram loaded from JSON.  A ``GramMatrix`` holds
+no moments and has no kernel; ``gram_validate`` reports its health.
 
 Assembly is deterministic: node sets and summation order are fixed by
 ``QUADRATURE`` and by the seed.  The radial routes are independent of any

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bergmanlab as bl
+from bergmanlab import core
 
 
 @pytest.fixture(scope="session")
@@ -24,19 +25,45 @@ def perturbed_gaussian_weight(perturbed_gaussian_csv):
     return bl.load_radial_profile(perturbed_gaussian_csv, bl.full_space(1))
 
 
-def dense_gram(gram):
-    """A Gram's dense entries as a ``GramMatrix``, which ``kernel_from_gram``
-    factorizes: the oracle of the radial series of a ``RadialGram``."""
-    return bl.GramMatrix(gram.domain, gram.degree, gram.index_map,
-                         gram.entries, gram.method,
-                         weight_label=gram.weight_label)
+class dense_kernel:
+    """The orthonormal expansion sum_k e_k(z) conj(e_k(w)) of a Gram's dense
+    ``entries``: the Cholesky factor of the unit-diagonal matrix, inverted,
+    over ``core.monomial_values``.  The oracle of the radial series."""
+
+    def __init__(self, gram):
+        self.base = self.domain = gram.domain
+        self.index_map = gram.index_map
+        s = 1.0 / np.sqrt(np.real(np.diag(gram.entries)))
+        scaled = gram.entries * s[:, None] * s[None, :]
+        L = np.linalg.cholesky((scaled + scaled.conj().T) / 2.0)
+        self.coeff = np.linalg.solve(L, np.eye(len(s), dtype=complex)) * s
+
+    def basis_values(self, points):
+        """e_k(z) for every point and k, shape (npoints, rank)."""
+        pts = core.as_points(points, self.base.dim)
+        return core.monomial_values(self.index_map, pts) @ self.coeff.T
+
+    def eval_grid(self, zs, ws):
+        return self.basis_values(zs) @ self.basis_values(ws).conj().T
+
+    def eval(self, z, w):
+        return complex(self.eval_grid(np.reshape(z, (1, -1)),
+                                      np.reshape(w, (1, -1)))[0, 0])
+
+    def diagonal(self, zs):
+        E = self.basis_values(zs)
+        return np.sum(E.real ** 2 + E.imag ** 2, axis=1)
+
+    def eval_pairs(self, zs, ws):
+        return np.sum(self.basis_values(zs) * self.basis_values(ws).conj(),
+                      axis=1)
 
 
 def one_table_montecarlo(domain, weight, degree, samples, seed):
     """Reference Monte Carlo Gram: the draw calls and chunks of
     ``gram_montecarlo``, each chunk reduced over one (samples, B) monomial
     table.  Returns the symmetrized mean and the standard errors."""
-    from bergmanlab import core, moments
+    from bergmanlab import moments
     n = domain.dim
     basis = core.multiindex_enumerate(n, degree)
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -17,7 +17,7 @@ from bergmanlab import characterize as ch
 from bergmanlab.core import hermitian_inner, sample_ball
 from bergmanlab.hartogs import HartogsDomain
 
-from conftest import dense_gram, interior_ball_points, interior_disk_points
+from conftest import dense_kernel, interior_ball_points, interior_disk_points
 
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
@@ -39,14 +39,15 @@ def _type_i_points(rng, count, dim=4):
 
 
 # the dense orthonormal expansion of the same Gram for each radial series
-# kernel: its oracle
+# kernel: its oracle.  The "series-*" models below are these oracles, so
+# the batched protocol is checked on them too.
 DENSE = {}
 
 
 def _series_pair(gram):
     """The radial series kernel of a radial Gram and its dense expansion."""
     radial = bl.kernel_from_gram(gram)
-    DENSE[radial] = bl.kernel_from_gram(dense_gram(gram))
+    DENSE[radial] = dense_kernel(gram)
     return radial, DENSE[radial]
 
 
@@ -274,7 +275,7 @@ CH_CASES = [
 @pytest.mark.parametrize("base,q,m,mu,degree,expected", CH_CASES)
 def test_characterize_ch_matches_scalar_oracle(base, q, m, mu, degree, expected):
     rep = ch.characterize_ch(q, m, mu, degree, seed=3)
-    series = bl.kernel_from_gram(dense_gram(bl.gram_auto(q.pow(m), degree)))
+    series = dense_kernel(bl.gram_auto(q.pow(m), degree))
     reference = bl.PowerKernel(base, m * mu)
     points = _verdict_points(base.dim, 0.55, 12, 3)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
@@ -304,7 +305,7 @@ FBH_CASES = [
 @pytest.mark.parametrize("n,p,m,mu,expected", FBH_CASES)
 def test_characterize_fbh_matches_scalar_oracle(n, p, m, mu, expected):
     rep = ch.characterize_fbh(p, m, mu, 20, seed=297)
-    series = bl.kernel_from_gram(dense_gram(bl.gram_auto(p.pow(m), 20)))
+    series = dense_kernel(bl.gram_auto(p.pow(m), 20))
     reference = bl.FockKernel(m * mu, n)
     points = _verdict_points(n, 0.9 / math.sqrt(m * mu), 12, 297)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
@@ -317,8 +318,7 @@ def test_verdict_grids_hold_npts_points(monkeypatch, verdict):
     # the sampled points start at the origin: npts points, one npts x npts
     # grid per kernel
     shapes = []
-    for cls in (bl.RadialSeriesKernel, bl.SeriesKernel, bl.PowerKernel,
-                bl.FockKernel):
+    for cls in (bl.RadialSeriesKernel, bl.PowerKernel, bl.FockKernel):
         def spy(self, zs, ws, original=cls.eval_grid):
             out = original(self, zs, ws)
             shapes.append(out.shape)
@@ -335,14 +335,12 @@ def test_verdict_grids_hold_npts_points(monkeypatch, verdict):
 def test_radial_verdict_makes_no_factorization(monkeypatch, capsys):
     # a radial Gram gives its kernel as one series in <z, w>: no Cholesky,
     # no triangular inverse, no monomial table, and no dense Gram matrix
-    from bergmanlab import cli, core, kernels, moments
+    from bergmanlab import cli, core, moments
     calls = []
     for owner, name in ((np.linalg, "cholesky"), (np.linalg, "solve"),
-                        (kernels, "monomial_values"),
                         (core, "monomial_values"),
                         (core, "multiindex_enumerate"),
                         (moments, "multiindex_enumerate"),
-                        (kernels, "multiindex_enumerate"),
                         (moments, "_shell_factor")):
         def spy(*args, _name=name, _original=getattr(owner, name), **kwargs):
             calls.append(_name)
@@ -383,8 +381,7 @@ def _thullen_family():
 def test_family_condition_matches_scalar_oracle(family):
     H, maps, degree = family()
     rep = ch.family_condition_check(H, maps, degree)
-    series = bl.kernel_from_gram(dense_gram(
-        bl.gram_auto(H.weight.pow(H.fiber_dim), degree)))
+    series = dense_kernel(bl.gram_auto(H.weight.pow(H.fiber_dim), degree))
     ratios = []
     for aut, rec in zip(maps, rep.maps):
         z0 = am.zero_preimage(aut)

@@ -13,18 +13,13 @@ import bergmanlab as bl
 from bergmanlab import cli, jsonio
 from bergmanlab.cli import main, parse_domain, parse_weight, load_config, ConfigError
 
-from conftest import child_env
+from conftest import child_env, dense_kernel
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-# a series-form kernel over a basis of C(2+1500, 2) monomials
-SERIES_1500 = ('{"form": "series", "domain": {"kind": "ball", "dim": 2}, '
-               '"degree": 1500, "rank": 1, "coeff": []}')
 
 
 class TestDescriptors:
@@ -118,6 +113,16 @@ class TestVerdictExitCodes:
              "--mu", "1"], capsys)
         assert code == 1 and json.loads(out)["verdict"] == "violated"
 
+    def test_boundary_check_overflow_names_mu(self, capsys):
+        code, out, err = run_cli(
+            ["boundary-check", "--weight", "gaussian:1", "--mu", "400"],
+            capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: --mu 400.0 ")
+        assert "largest exponent" in lines[0]
+
     def test_moment_mismatch_codes(self, capsys):
         code, out, _ = run_cli(
             ["moment-mismatch", "--domain", "disk", "--weight", "npower:1",
@@ -194,9 +199,6 @@ class TestVerdictExitCodes:
         pytest.param(["moment-mismatch", "--domain", "ball:3", "--weight",
                       "npower:1", "--weight2", "npower:2", "--degree", "64"],
                      id="moment-mismatch"),
-        # 1 127 251 multi-indices before the coefficient shape is checked
-        pytest.param(["kernel-eval", "--kernel", SERIES_1500, "--grid", "2"],
-                     id="series-json"),
     ])
     def test_oversized_basis_is_a_config_error(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
@@ -479,7 +481,7 @@ class TestOutputs:
         G1 = bl.gram_quadrature(bl.unit_disk(),
                                 bl.generic_norm_weight(bl.unit_disk(), 1.0), 8)
         K1 = bl.kernel_from_gram(G1)
-        K2 = bl.kernel_from_gram(G2)
+        K2 = dense_kernel(G2)
         for z in (0.1, 0.4 - 0.2j, 0.55j):
             a, b = K1.eval([z], [z]), K2.eval([z], [z])
             assert abs(a - b) <= 1e-15 * abs(a)
@@ -845,6 +847,17 @@ class TestJsonArguments:
                                capsys)
         assert code == 2
         assert "unknown kernel form" in err and "Traceback" not in err
+
+    def test_series_kernel_form_is_unknown(self, capsys):
+        # a form kernel_to_json does not write is refused, naming those it does
+        kernel = {"form": "series", "domain": {"kind": "disk", "dim": 1},
+                  "degree": 1, "rank": 1, "coeff": [[1.0, 0.0], [0.0, 0.0]]}
+        code, out, err = run_cli(["kernel-eval", "--kernel",
+                                  json.dumps(kernel), "--grid", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: unknown kernel form 'series'; supported forms: fock, "
+            "power, radial"]
 
     def test_kernel_file_list(self, capsys, list_file):
         code, _, err = run_cli(["kernel-eval", "--kernel", list_file], capsys)

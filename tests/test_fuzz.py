@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from bergmanlab.cli import main
 
-from test_cli import ARITHMETIC_FAILURES, BAD_KERNEL_SCALES, SERIES_1500
+from test_cli import ARITHMETIC_FAILURES, BAD_KERNEL_SCALES
 
 # the edge values next to ordinary ones
 EDGES = ["0", "1e-320", "1e308", "inf", "nan", "-1"]
@@ -90,11 +90,6 @@ kernels = st.one_of(
     st.fixed_dictionaries({"form": st.just("power"),
                            "domain": domain_json, "mu": json_number,
                            "scale": json_number}),
-    st.fixed_dictionaries({"form": st.just("series"),
-                           "domain": domain_json,
-                           "degree": st.integers(-1, 2),
-                           "rank": st.integers(0, 3),
-                           "coeff": st.lists(cpair, max_size=6)}),
     st.fixed_dictionaries({"form": st.just("radial"),
                            "domain": domain_json,
                            "degree": st.integers(-1, 2),
@@ -105,10 +100,14 @@ kernels = st.one_of(
                                         min_size=1, max_size=3),
                                st.lists(json_number, max_size=4),
                                json_number)}),
-    # unknown forms, among them the removed "scaled" wrapper
+    # unknown forms, among them the removed "scaled" wrapper and the
+    # removed dense "series" form
     st.sampled_from([{}, {"form": "spline"},
                      {"form": "scaled", "scale": 2.0,
-                      "inner": {"form": "fock", "mu": 1.0, "n": 1}}]),
+                      "inner": {"form": "fock", "mu": 1.0, "n": 1}},
+                     {"form": "series", "domain": {"kind": "disk", "dim": 1},
+                      "degree": 1, "rank": 1,
+                      "coeff": [[1.0, 0.0], [0.0, 0.0]]}]),
 )
 
 
@@ -230,7 +229,6 @@ def run(argv, points=None) -> int:
            "poly:1,-1", "--weight2", "npower:1", "--degree", "1"], None))
 @example((["characterize-ch", "--domain", "ball:20000", "--weight",
            "poly:1,-1", "--degree", "1"], None))
-@example((["kernel-eval", "--kernel", SERIES_1500, "--grid", "2"], None))
 @example((["kernel-eval", "--kernel", BAD_KERNEL_SCALES[0], "--grid", "2"],
           None))
 @example((["kernel-eval", "--kernel", BAD_KERNEL_SCALES[1], "--grid", "2"],

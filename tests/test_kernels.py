@@ -1,14 +1,17 @@
 import cmath
 import json
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
 
 import bergmanlab as bl
+from bergmanlab import kernels
 from bergmanlab.core import hermitian_inner, sample_ball
 
-from conftest import dense_gram
+from conftest import dense_kernel
 
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
@@ -77,36 +80,6 @@ class TestKernelFromGram:
         K = bl.kernel_from_gram(G)
         assert K.eval([0.3], [0.1j]) == pytest.approx(1 / math.pi, rel=1e-15)
 
-    def test_rank_deficient_grams_drop_directions(self):
-        # rank deficiency means collinear basis directions, not small norms
-        from bergmanlab.moments import GramMatrix
-        basis = bl.multiindex_enumerate(1, 20)
-        B = len(basis)
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((B, B - 1)) + 1j * rng.standard_normal((B, B - 1))
-        G = A @ A.conj().T
-        gram = GramMatrix(DISK, 20, basis, G.astype(complex), {"kind": "exact"})
-        K = bl.kernel_from_gram(gram)
-        assert K.dropped == 1
-        assert K.rank == B - 1
-
-    def test_too_many_dropped_is_hard_error(self):
-        from bergmanlab.moments import GramMatrix
-        basis = bl.multiindex_enumerate(1, 3)
-        v = np.array([1.0, 0.5, -0.25, 2.0], dtype=complex)
-        G = np.outer(v, v.conj())  # rank one of four
-        gram = GramMatrix(DISK, 3, basis, G, {"kind": "exact"})
-        with pytest.raises(ValueError, match="singular"):
-            bl.kernel_from_gram(gram)
-
-    def test_indefinite_rejected(self):
-        from bergmanlab.moments import GramMatrix
-        basis = bl.multiindex_enumerate(1, 1)
-        G = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
-        gram = GramMatrix(DISK, 1, basis, G, {"kind": "exact"})
-        with pytest.raises(ValueError):
-            bl.kernel_from_gram(gram)
-
 
 RADIAL_CASES = [
     (DISK, bl.generic_norm_weight(DISK, 1.0), 30, 0.6),
@@ -127,9 +100,8 @@ class TestRadialSeriesKernel:
     def test_matches_dense_oracle(self, domain, weight, degree, radius):
         gram = bl.gram_auto(weight, degree)
         K = bl.kernel_from_gram(gram)
-        dense = bl.kernel_from_gram(dense_gram(gram))
+        dense = dense_kernel(gram)
         assert isinstance(K, bl.RadialSeriesKernel)
-        assert isinstance(dense, bl.SeriesKernel)
         assert K.c.shape == (degree + 1,)
         n = domain.dim
         rng = np.random.default_rng(31)
@@ -169,10 +141,14 @@ class TestRadialSeriesKernel:
         assert isinstance(gram, bl.RadialGram)
         loaded = bl.gram_from_json(json.loads(json.dumps(bl.gram_to_json(gram))))
         assert isinstance(loaded, bl.GramMatrix)
-        assert isinstance(bl.kernel_from_gram(loaded), bl.SeriesKernel)
         mc = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
                                 1000, 0)
         assert isinstance(mc, bl.GramMatrix)
+        # a dense Gram holds no moments, so it has no kernel
+        for dense in (loaded, mc):
+            with pytest.raises(ValueError, match="only a radial Gram has a "
+                                                 "kernel"):
+                bl.kernel_from_gram(dense)
 
 
 class TestSeriesAgainstClosedForm:
@@ -236,17 +212,18 @@ class TestSeriesAgainstClosedForm:
         assert eigs[0] >= -1e-10 * np.linalg.norm(M)
 
     def test_factorization_independence(self, monkeypatch):
-        G = dense_gram(
-            bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 15))
-        Kc = bl.kernel_from_gram(G)
+        # the radial series needs no factorization, and agrees with the
+        # Cholesky expansion of the same Gram
+        gram = bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 15)
+        Kc = dense_kernel(gram)
         tried = []
 
         def failed_cholesky(a):
             tried.append(a.shape)
-            raise np.linalg.LinAlgError("forced eigendecomposition fallback")
+            raise np.linalg.LinAlgError("no factorization")
         monkeypatch.setattr(np.linalg, "cholesky", failed_cholesky)
-        Ke = bl.kernel_from_gram(G)
-        assert tried == [(16, 16)]
+        Ke = bl.kernel_from_gram(gram)
+        assert tried == []
         rng = np.random.default_rng(8)
         for _ in range(25):
             z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
@@ -318,6 +295,20 @@ class TestReproducingResidual:
         assert np.isfinite(res)  # reported, not asserted small
 
 
+# kernels of every model, each written by kernel_to_json and read back
+ROUND_TRIP = [
+    lambda: bl.fock_kernel(1.5, 2),
+    lambda: bl.power_kernel(DISK, 2.0, 0.5),
+    lambda: bl.weighted_kernel_closed_form(bl.gaussian_weight(1, 2.0)),
+    lambda: bl.kernel_from_gram(
+        bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8)),
+    lambda: bl.kernel_from_gram(bl.gram_quadrature(
+        bl.unit_ball(2), bl.generic_norm_weight(bl.unit_ball(2), 1.0), 8)),
+    lambda: bl.kernel_from_gram(
+        bl.gram_exact(bl.full_space(2), bl.gaussian_weight(2, 1.0), 12)),
+]
+
+
 class TestKernelSerialization:
     def test_fock_scale_round_trip(self):
         K = bl.weighted_kernel_closed_form(
@@ -347,17 +338,26 @@ class TestKernelSerialization:
             bl.kernel_from_json({"form": "scaled", "scale": 2.0,
                                  "inner": {"form": "fock", "mu": 1.0, "n": 1}})
 
-    @pytest.mark.parametrize("make", [
-        lambda: bl.fock_kernel(1.5, 2),
-        lambda: bl.power_kernel(DISK, 2.0, 0.5),
-        lambda: bl.weighted_kernel_closed_form(bl.gaussian_weight(1, 2.0)),
-        lambda: bl.kernel_from_gram(
-            bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8)),
-        lambda: bl.kernel_from_gram(dense_gram(
-            bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8))),
-        lambda: bl.kernel_from_gram(
-            bl.gram_exact(bl.full_space(2), bl.gaussian_weight(2, 1.0), 12)),
-    ])
+    @pytest.mark.parametrize("model", typing.get_args(kernels.KernelModel),
+                             ids=lambda model: model.__name__)
+    def test_every_model_round_trips(self, model):
+        # a kernel model without a JSON form, or without a ROUND_TRIP entry
+        # that makes one, fails here
+        made = [K for K in (make() for make in ROUND_TRIP) if type(K) is model]
+        assert made, f"no ROUND_TRIP entry makes a {model.__name__}"
+        for K in made:
+            obj = json.loads(json.dumps(bl.kernel_to_json(K)))
+            assert bl.kernel_to_json(bl.kernel_from_json(obj)) == obj
+
+    def test_refusal_lists_the_written_forms(self):
+        with pytest.raises(ValueError) as info:
+            bl.kernel_from_json({"form": "series", "degree": 2})
+        found = re.fullmatch(r"unknown kernel form 'series'; supported "
+                             r"forms: (.*)", str(info.value))
+        written = {bl.kernel_to_json(make())["form"] for make in ROUND_TRIP}
+        assert found.group(1).split(", ") == sorted(written)
+
+    @pytest.mark.parametrize("make", ROUND_TRIP)
     def test_round_trip_evaluations(self, make):
         K = make()
         K2 = bl.kernel_from_json(json.loads(json.dumps(bl.kernel_to_json(K))))

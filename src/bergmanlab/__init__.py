@@ -40,7 +40,6 @@ from .moments import (
     RadialGram,
     gram_auto,
     gram_exact,
-    gram_from_json,
     gram_montecarlo,
     gram_quadrature,
     gram_to_json,

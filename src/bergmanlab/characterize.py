@@ -244,10 +244,6 @@ class CharacterizationReport:
     checks: list[SubCheck] = field(default_factory=list)
     witness: tuple | None = None
 
-    @property
-    def matched(self) -> bool:
-        return self.verdict == "match"
-
     def as_dict(self) -> dict:
         out = {"verdict": self.verdict, "c": self.c, "degree": self.degree,
                "max_deviation": self.max_deviation,

@@ -28,12 +28,14 @@ import math
 import sys
 from itertools import chain, repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import jsonio
 from .core import (
     MAX_POINTS,
+    DomainKind,
     DomainSpec,
     Weight,
     as_points,
@@ -99,7 +101,7 @@ class ConfigError(Exception):
 # configuration schema
 
 _SCHEMA: dict[str, type] = {
-    "command": str, "domain": str, "weight": str, "weight2": str,
+    "domain": str, "weight": str, "weight2": str,
     "kernel": str, "map": str, "family": str, "basis": str, "method": str,
     "points_file": str, "out": str, "format": str,
     "mu": float, "tolerance": float, "radius": float, "rmax": float,
@@ -150,10 +152,16 @@ def load_config(path: str) -> dict:
 
 
 def _effective(args: argparse.Namespace) -> dict:
-    """Merge file config and CLI flags; explicit flags win."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    """Merge file config and CLI flags; explicit flags win.  A config key
+    the command does not read is refused by name."""
+    keys = _keys(args.cmd)
+    cfg = {k: v for k, v in _DEFAULTS.items() if k in keys}
+    if args.config:
         file_cfg = load_config(args.config)
+        for key in file_cfg:
+            if key not in keys:
+                raise ConfigError(f"{args.cmd} does not read configuration "
+                                  f"key {key!r}")
         cfg.update(file_cfg)
     for key in _SCHEMA:
         val = getattr(args, key, None)
@@ -216,6 +224,8 @@ def _json_object(value, what: str) -> dict:
 
 
 def _point_list(obj: dict, key: str, path: str) -> list:
+    if key not in obj:
+        raise ConfigError(f"points file {path} has no field {key!r}")
     points = obj[key]
     if not isinstance(points, list):
         raise ConfigError(f"{path}: {key!r} must hold a list of points, "
@@ -223,29 +233,33 @@ def _point_list(obj: dict, key: str, path: str) -> list:
     return [jsonio.as_cpoint(p) for p in points]
 
 
-def _load_json_arg(text: str) -> dict:
-    """Inline JSON object or a path to one."""
+def _decode(parse, what: str, text: str, *args):
+    """Build the ``what`` (kernel or map) from an inline JSON object or a
+    path to one; a missing field or one of the wrong JSON type is a
+    configuration error, not a traceback."""
     t = text.strip()
-    if t.startswith("{"):
-        return json.loads(t)
-    return _json_object(json.loads(Path(t).read_text()), t)
-
-
-def _decode(parse, text: str, *args):
-    """Build a kernel or map from a JSON argument; a field of the wrong JSON
-    type is a configuration error, not a traceback."""
-    obj = _load_json_arg(text)
+    obj = json.loads(t) if t.startswith("{") else \
+        _json_object(json.loads(Path(t).read_text()), t)
     try:
         return parse(obj, *args)
+    except KeyError as exc:
+        raise ConfigError(f"{what} JSON has no field {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ConfigError(f"malformed JSON argument: {exc}") from exc
 
 
 def _domain_of(cfg: dict, default: str | None = None) -> DomainSpec:
+    """The --domain of the command, refused unless of a kind it takes."""
     spec = cfg.get("domain", default)
     if spec is None:
         raise ConfigError("this command needs --domain")
-    return parse_domain(spec)
+    domain = parse_domain(spec)
+    command = cfg["command"]
+    forms = _COMMANDS[command].domains
+    if _FORMS[domain.kind] not in forms:
+        raise ConfigError(f"{command} does not take the domain {spec!r}; "
+                          f"its --domain is {' | '.join(forms)}")
+    return domain
 
 
 def _matrix_rows(matrix: np.ndarray):
@@ -296,7 +310,7 @@ def _weight_of(cfg: dict, domain: DomainSpec, key: str = "weight") -> Weight:
 def _cmd_gram(cfg: dict):
     domain = _domain_of(cfg)
     weight = _weight_of(cfg, domain)
-    if cfg.get("m", 1) > 1:
+    if cfg["m"] > 1:
         weight = weight.pow(cfg["m"])
     method = cfg.get("method", "auto")
     if method == "auto":
@@ -322,11 +336,11 @@ def _cmd_gram(cfg: dict):
 
 def _cmd_kernel_eval(cfg: dict):
     if "kernel" in cfg:
-        model = _decode(kernel_from_json, cfg["kernel"])
+        model = _decode(kernel_from_json, "kernel", cfg["kernel"])
     else:
         domain = _domain_of(cfg)
         weight = _weight_of(cfg, domain)
-        if cfg.get("m", 1) > 1:
+        if cfg["m"] > 1:
             weight = weight.pow(cfg["m"])
         if cfg.get("closed_form"):
             model = weighted_kernel_closed_form(weight)
@@ -429,33 +443,25 @@ def _cmd_frc_check(cfg: dict):
     return report, not passed, None
 
 
-def _hartogs_of(cfg: dict) -> HartogsDomain:
+def _hartogs_and_map(cfg: dict):
+    """The Hartogs domain of --domain, --weight and --m, and --map on it."""
     domain = _domain_of(cfg)
-    weight = _weight_of(cfg, domain)
-    return HartogsDomain(domain, weight, cfg["m"])
-
-
-def _slice_kernel_of(cfg: dict, H: HartogsDomain):
-    w = H.weight.pow(H.fiber_dim)
-    if cfg.get("closed_form", True):
-        try:
-            return weighted_kernel_closed_form(w)
-        except ValueError:
-            pass
-    return kernel_from_gram(gram_auto(w, cfg["degree"]))
-
-
-def _map_of(cfg: dict, H: HartogsDomain):
+    H = HartogsDomain(domain, _weight_of(cfg, domain), cfg["m"])
     if "map" not in cfg:
         raise ConfigError("this command needs --map")
-    return _decode(map_from_json, cfg["map"], H)
+    return H, _decode(map_from_json, "map", cfg["map"], H)
 
 
 @_ARITHMETIC_RAISES
 def _cmd_transform_check(cfg: dict):
-    H = _hartogs_of(cfg)
-    aut = _map_of(cfg, H)
-    slice_kernel = _slice_kernel_of(cfg, H)
+    H, aut = _hartogs_and_map(cfg)
+    # the closed kernel of the slice weight where one exists, else its
+    # radial series
+    w = H.weight.pow(H.fiber_dim)
+    try:
+        slice_kernel = weighted_kernel_closed_form(w)
+    except ValueError:
+        slice_kernel = kernel_from_gram(gram_auto(w, cfg["degree"]))
     rng = np.random.default_rng(cfg["seed"])
     count = _count(cfg, "points", 8)
     radius = cfg.get("radius", 0.6 if H.base.bounded else 1.0)
@@ -472,8 +478,7 @@ def _cmd_transform_check(cfg: dict):
 
 @_ARITHMETIC_RAISES
 def _cmd_jacobian_check(cfg: dict):
-    H = _hartogs_of(cfg)
-    aut = _map_of(cfg, H)
+    H, aut = _hartogs_and_map(cfg)
     rng = np.random.default_rng(cfg["seed"])
     count = _count(cfg, "points", 20)
     h = cfg.get("step", 1e-5)
@@ -529,11 +534,7 @@ def _cmd_recover_weight(cfg: dict):
 def _cmd_characterize_fbh(cfg: dict):
     domain = full_space(cfg["n"])
     weight = _weight_of(cfg, domain)
-    kwargs = {}
-    if "rmax" in cfg:
-        kwargs["rmax"] = cfg["rmax"]
-    if "npts" in cfg:
-        kwargs["npts"] = cfg["npts"]
+    kwargs = {k: cfg[k] for k in ("rmax", "npts") if k in cfg}
     rep = characterize_fbh(weight, cfg["m"], cfg["mu"], cfg["degree"],
                            seed=cfg["seed"], **kwargs)
     report = {"command": "characterize-fbh", **rep.as_dict()}
@@ -543,11 +544,7 @@ def _cmd_characterize_fbh(cfg: dict):
 def _cmd_characterize_ch(cfg: dict):
     domain = _domain_of(cfg, default="disk")
     weight = _weight_of(cfg, domain)
-    kwargs = {}
-    if "rmax" in cfg:
-        kwargs["rmax"] = cfg["rmax"]
-    if "npts" in cfg:
-        kwargs["npts"] = cfg["npts"]
+    kwargs = {k: cfg[k] for k in ("rmax", "npts") if k in cfg}
     rep = characterize_ch(weight, cfg["m"], cfg["mu"], cfg["degree"],
                           seed=cfg["seed"], **kwargs)
     report = {"command": "characterize-ch", **rep.as_dict()}
@@ -561,7 +558,7 @@ def _cmd_boundary_check(cfg: dict):
     count = _count(cfg, "samples", 64)
     samples = sample_cube(rng, domain.dim, cfg.get("radius", 1.5), count)
     rep = boundary_inequality_check(weight, cfg["mu"], samples,
-                                    tol=cfg.get("tolerance", 1e-10))
+                                    tol=cfg["tolerance"])
     report = {"command": "boundary-check", **rep.as_dict(),
               "samples": count, "seed": cfg["seed"]}
     return report, rep.verdict != "equality", None
@@ -587,68 +584,101 @@ def _cmd_family_check(cfg: dict):
     else:
         raise ConfigError(f"unknown family {family!r}; use fbh or thullen")
     rep = family_condition_check(domain, maps, cfg["degree"],
-                                 tol=cfg.get("tolerance", 1e-9))
+                                 tol=cfg["tolerance"])
     report = {"command": "family-check", "family": family, **rep.as_dict()}
     return report, not rep.passed, None
 
 
-def _flag(*names, **options):
-    return names, options
+# argparse options of a flag beyond the type its _SCHEMA key gives it
+_OPTIONS = {
+    "config": dict(help="JSON config file; flags override it"),
+    "out": dict(help="output path (default stdout)"),
+    "format": dict(choices=["json", "csv"]),
+    "weight": dict(help="gaussian:MU | npower:MU | poly:c0,c1,.. | "
+                        "table:PATH | scaled:C:SPEC"),
+    "kernel": dict(help="kernel JSON (inline or path)"),
+    "map": dict(help="map JSON (inline or path)"),
+    "m": dict(help="fiber dimension / weight power"),
+    "n": dict(help="complex dimension of the C^n base"),
+    "method": dict(choices=["auto", "exact", "quadrature", "montecarlo"]),
+    "basis": dict(choices=["shifted-legendre", "laguerre"]),
+    "family": dict(choices=["fbh", "thullen"]),
+    "normalize": dict(help="rescale both weights to unit mass first"),
+}
+
+# the descriptor form of each domain kind, as --domain help names it
+_FORMS = {DomainKind.UNIT_DISK: "disk", DomainKind.UNIT_BALL: "ball:N",
+          DomainKind.TYPE_I_MATRIX_BALL: "typei:PxQ",
+          DomainKind.FULL_SPACE: "cn:N"}
+_RADIAL = ("disk", "ball:N", "cn:N")
 
 
-_RADIUS = _flag("--radius", type=float)
-_CLOSED_FORM = _flag("--closed-form", dest="closed_form", action="store_true",
-                     default=None)
-_MAP = _flag("--map", help="map JSON (inline or path)")
+class _Command(NamedTuple):
+    """A command: its handler, its help line, the configuration keys the
+    handler reads, one flag each, and the domain forms its --domain takes
+    (none, no --domain).  Every command also takes --out and --format."""
+    handler: Callable
+    help: str
+    keys: str
+    domains: tuple = ()
 
-# name -> (handler, help, the command's own flags); every command also
-# takes the shared flags of ``_build_parser``
+
 _COMMANDS = {
-    "gram": (
+    "gram": _Command(
         _cmd_gram, "assemble a Gram matrix of monomials",
-        [_flag("--method", choices=["auto", "exact", "quadrature",
-                                    "montecarlo"]),
-         _flag("--samples", type=int)]),
-    "kernel-eval": (
+        "weight m degree method samples seed", _RADIAL),
+    "kernel-eval": _Command(
         _cmd_kernel_eval, "evaluate a kernel model on points or a grid",
-        [_flag("--kernel", help="kernel JSON (inline or path)"),
-         _flag("--points-file", dest="points_file"),
-         _flag("--grid", type=int), _RADIUS, _CLOSED_FORM]),
-    "frc-check": (
-        _cmd_frc_check, "fiber series vs the closed ball-kernel oracle",
-        [_flag("--pairs", type=int),
-         _flag("--max-terms", dest="max_terms", type=int)]),
-    "transform-check": (
+        "kernel weight m degree closed_form points_file grid radius",
+        tuple(_FORMS.values())),
+    "frc-check": _Command(
+        _cmd_frc_check, "fiber series vs the closed ball-kernel oracle "
+                        "(disk, weight 1 - |z|^2)",
+        "m pairs max_terms seed tolerance"),
+    "transform-check": _Command(
         _cmd_transform_check, "kernel transformation law along a map",
-        [_MAP, _flag("--points", type=int), _RADIUS, _CLOSED_FORM]),
-    "jacobian-check": (
+        "weight m map degree points radius seed tolerance", _RADIAL),
+    "jacobian-check": _Command(
         _cmd_jacobian_check, "closed-form vs finite-difference Jacobians",
-        [_MAP, _flag("--points", type=int), _flag("--step", type=float),
-         _RADIUS]),
-    "moment-mismatch": (
+        "weight m map points step radius seed tolerance", _RADIAL),
+    "moment-mismatch": _Command(
         _cmd_moment_mismatch, "difference of two weights' moment tables",
-        [_flag("--weight2"),
-         _flag("--normalize", action="store_true", default=None,
-               help="rescale both weights to unit mass first")]),
-    "recover-weight": (
+        "weight weight2 degree normalize tolerance", _RADIAL),
+    "recover-weight": _Command(
         _cmd_recover_weight, "invert radial moments to a weight profile",
-        [_flag("--basis", choices=["shifted-legendre", "laguerre"]),
-         _flag("--ridge", type=float)]),
-    "characterize-fbh": (
+        "weight degree basis ridge", _RADIAL),
+    "characterize-fbh": _Command(
         _cmd_characterize_fbh,
         "is the weighted kernel a Gaussian model kernel?",
-        [_flag("--rmax", type=float), _flag("--npts", type=int)]),
-    "characterize-ch": (
+        "n weight m mu degree rmax npts seed"),
+    "characterize-ch": _Command(
         _cmd_characterize_ch, "is the weighted kernel a generic-norm power?",
-        [_flag("--rmax", type=float), _flag("--npts", type=int)]),
-    "boundary-check": (
+        "weight m mu degree rmax npts seed", ("disk", "ball:N")),
+    "boundary-check": _Command(
         _cmd_boundary_check, "boundary inequality p(z)e^{mu|z|^2} vs p(0)",
-        [_flag("--samples", type=int), _RADIUS]),
-    "family-check": (
+        "n weight mu samples radius seed tolerance"),
+    "family-check": _Command(
         _cmd_family_check, "shared-constant Jacobian/kernel family condition",
-        [_flag("--family", choices=["fbh", "thullen"]),
-         _flag("--points", type=int)]),
+        "family n m mu degree points seed tolerance"),
 }
+
+
+def _keys(name: str) -> set:
+    """The configuration keys the command reads."""
+    command = _COMMANDS[name]
+    keys = set(command.keys.split()) | {"out", "format"}
+    return keys | {"domain"} if command.domains else keys
+
+
+def _add_flag(parser: argparse.ArgumentParser, key: str, **options) -> None:
+    """The flag of a configuration key, typed as _SCHEMA types the key."""
+    names = ["--" + key.replace("_", "-")] + ["--tol"] * (key == "tolerance")
+    kind = _SCHEMA.get(key, str)     # --config has no key
+    if kind is bool:
+        options.update(action="store_true", default=None)
+    elif kind is not str:
+        options["type"] = kind
+    parser.add_argument(*names, **options, **_OPTIONS.get(key, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -675,22 +705,8 @@ def emit_report(report: dict, fmt: str, path: str | None,
 def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
     """The parser with the subcommands ``names``.  Built with one of them,
     it still names every command in its usage line, so its usage errors
-    read as those of the whole table."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file; flags override it")
-    shared.add_argument("--out", help="output path (default stdout)")
-    shared.add_argument("--format", choices=["json", "csv"])
-    shared.add_argument("--degree", type=int)
-    shared.add_argument("--tolerance", "--tol", dest="tolerance", type=float)
-    shared.add_argument("--seed", type=int)
-    shared.add_argument("--domain", help="disk | ball:N | typei:PxQ | cn:N")
-    shared.add_argument("--weight",
-                        help="gaussian:MU | npower:MU | poly:c0,c1,.. | "
-                             "table:PATH | scaled:C:SPEC")
-    shared.add_argument("--m", type=int, help="fiber dimension / weight power")
-    shared.add_argument("--n", type=int, help="complex dimension of C^n bases")
-    shared.add_argument("--mu", type=float)
-
+    read as those of the whole table.  A flag is never abbreviated, so one
+    the command does not take is refused by name."""
     p = argparse.ArgumentParser(
         prog="bergmanlab",
         description="Weighted Bergman kernels, Hartogs domain series, "
@@ -700,10 +716,14 @@ def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
                            metavar=None if len(names) == len(_COMMANDS)
                            else every)
     for name in names:
-        _, help_text, flags = _COMMANDS[name]
-        sp = sub.add_parser(name, parents=[shared], help=help_text)
-        for flag_names, options in flags:
-            sp.add_argument(*flag_names, **options)
+        command = _COMMANDS[name]
+        sp = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for key in ("config", "out", "format"):
+            _add_flag(sp, key)
+        if command.domains:
+            _add_flag(sp, "domain", help=" | ".join(command.domains))
+        for key in command.keys.split():
+            _add_flag(sp, key)
     return p
 
 
@@ -718,9 +738,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _effective(args)
-        report, failed, csv_rows = _COMMANDS[cfg["command"]][0](cfg)
-        emit_report(report, cfg.get("format", "json"), cfg.get("out"),
-                    csv_rows)
+        report, failed, csv_rows = _COMMANDS[args.cmd].handler(cfg)
+        emit_report(report, cfg["format"], cfg.get("out"), csv_rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

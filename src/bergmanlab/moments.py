@@ -27,7 +27,7 @@ on C^n, Legendre up to the last knot of a tabulated profile
 exists; ``kernels.kernel_from_gram`` turns the moments into the kernel
 series.  Importance-sampled Monte Carlo with per-entry standard errors
 (``gram_montecarlo``) estimates the dense matrix directly, a
-``GramMatrix``, as is every Gram loaded from JSON.  A ``GramMatrix`` holds
+``GramMatrix``.  A ``GramMatrix`` holds
 no moments and has no kernel; ``gram_validate`` reports its health.
 
 Assembly is deterministic: node sets and summation order are fixed by
@@ -95,7 +95,7 @@ _MC_BLOCK_BYTES = 256 * 2 ** 10
 @dataclass
 class GramMatrix:
     """Hermitian matrix of monomial inner products up to a degree cap, held
-    dense: the Monte Carlo estimate and every JSON-loaded Gram."""
+    dense: the Monte Carlo estimate."""
 
     domain: DomainSpec
     degree: int
@@ -768,17 +768,3 @@ def gram_to_json(gram: Gram) -> dict:
     if gram.stderr is not None:
         out["stderr"] = gram.stderr.reshape(-1).tolist()
     return out
-
-
-def gram_from_json(obj: dict) -> GramMatrix:
-    if obj.get("order") != "grlex":
-        raise ValueError("serialized Gram matrices must use grlex order")
-    domain = domain_from_json(obj["domain"])
-    degree = int(obj["degree"])
-    basis = multiindex_enumerate(domain.dim, degree)
-    ent = jsonio.as_cmatrix(obj["entries"], (len(basis), len(basis)))
-    se = None
-    if "stderr" in obj:
-        se = np.asarray(obj["stderr"], dtype=float).reshape(len(basis), len(basis))
-    return GramMatrix(domain, degree, basis, ent, dict(obj["method"]),
-                      stderr=se, weight_label=obj.get("weight", ""))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -477,11 +478,12 @@ class TestOutputs:
             ["gram", "--domain", "disk", "--weight", "npower:1",
              "--degree", "8", "--method", "quadrature"], capsys)
         obj = json.loads(out)
-        G2 = bl.gram_from_json(obj)
         G1 = bl.gram_quadrature(bl.unit_disk(),
                                 bl.generic_norm_weight(bl.unit_disk(), 1.0), 8)
+        entries = jsonio.as_cmatrix(obj["entries"], (G1.size, G1.size))
         K1 = bl.kernel_from_gram(G1)
-        K2 = dense_kernel(G2)
+        K2 = dense_kernel(bl.GramMatrix(G1.domain, obj["degree"],
+                                        G1.index_map, entries, obj["method"]))
         for z in (0.1, 0.4 - 0.2j, 0.55j):
             a, b = K1.eval([z], [z]), K2.eval([z], [z])
             assert abs(a - b) <= 1e-15 * abs(a)
@@ -948,3 +950,228 @@ class TestNonFiniteDiagnostics:
         rep = strict_json(out)
         assert rep["passed"] is False and rep["converged"] is False
         assert rep["worst_pair_evaluation"]["tail_estimate"] == "inf"
+
+
+# ---------------------------------------------------------------------------
+# the flag table: a command takes exactly the flags its handler reads
+
+class _Recording(dict):
+    """A configuration mapping that records every key looked up."""
+
+    def __init__(self, cfg, seen):
+        super().__init__(cfg)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+
+_ROTATION = '{"kind": "base_unitary", "matrix": [[0.6, 0.8]]}'
+_MOBIUS = '{"kind": "mobius", "a": [[0.3, 0.0]], "mu": 1.0}'
+_FOCK = '{"form": "fock", "mu": 1.0, "n": 1}'
+
+# per command the paths that together read every key it takes; "OUT" and
+# "POINTS" stand for an output path and a points file
+READING_PATHS = {
+    "gram": [
+        ["--domain", "disk", "--weight", "npower:1", "--degree", "2"],
+        ["--domain", "disk", "--weight", "npower:1", "--m", "2", "--degree",
+         "2", "--method", "montecarlo", "--samples", "100", "--seed", "1",
+         "--format", "csv", "--out", "OUT"]],
+    "kernel-eval": [
+        ["--domain", "disk", "--weight", "npower:1", "--m", "2", "--degree",
+         "2", "--grid", "2", "--radius", "0.3"],
+        ["--domain", "disk", "--weight", "npower:1", "--closed-form",
+         "--points-file", "POINTS"],
+        ["--kernel", _FOCK, "--points-file", "POINTS"]],
+    "frc-check": [
+        ["--m", "1", "--pairs", "2", "--max-terms", "50", "--seed", "1",
+         "--tolerance", "1e-8"]],
+    "transform-check": [
+        # no closed kernel for poly:1,-1: the series path reads --degree
+        ["--domain", "disk", "--weight", "poly:1,-1", "--m", "1", "--map",
+         _ROTATION, "--degree", "10", "--points", "2", "--radius", "0.5",
+         "--seed", "1", "--tolerance", "1e-6"]],
+    "jacobian-check": [
+        ["--domain", "disk", "--weight", "npower:1", "--m", "1", "--map",
+         _MOBIUS, "--points", "2", "--step", "1e-5", "--radius", "0.5",
+         "--seed", "1", "--tolerance", "1e-6"]],
+    "moment-mismatch": [
+        ["--domain", "disk", "--weight", "npower:1", "--weight2", "npower:2",
+         "--degree", "2", "--normalize", "--tolerance", "1e-8"]],
+    "recover-weight": [
+        ["--domain", "disk", "--weight", "poly:1,-2,1", "--degree", "4",
+         "--basis", "shifted-legendre", "--ridge", "0"]],
+    "characterize-fbh": [
+        ["--n", "1", "--weight", "gaussian:1", "--m", "1", "--mu", "1",
+         "--degree", "10", "--rmax", "0.5", "--npts", "4", "--seed", "1"]],
+    "characterize-ch": [
+        ["--domain", "disk", "--weight", "npower:1", "--m", "1", "--mu", "1",
+         "--degree", "10", "--rmax", "0.3", "--npts", "4", "--seed", "1"]],
+    "boundary-check": [
+        ["--n", "1", "--weight", "gaussian:1", "--mu", "1", "--samples", "4",
+         "--radius", "1", "--seed", "1", "--tolerance", "1e-8"]],
+    "family-check": [
+        ["--family", "fbh", "--n", "1", "--m", "1", "--mu", "1", "--degree",
+         "10", "--points", "2", "--seed", "1", "--tolerance", "1e-8"],
+        ["--family", "thullen", "--mu", "1", "--degree", "10"]],
+}
+
+
+def test_reading_paths_cover_every_command():
+    assert sorted(READING_PATHS) == sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("cmd", sorted(READING_PATHS))
+def test_every_key_a_command_takes_is_read(capsys, monkeypatch, tmp_path,
+                                           cmd):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"z": [[0.1, 0.0]], "w": [[0.2, 0.1]]}))
+    seen = set()
+    effective = cli._effective
+    monkeypatch.setattr(cli, "_effective",
+                        lambda args: _Recording(effective(args), seen))
+    for path in READING_PATHS[cmd]:
+        argv = [cmd] + [{"OUT": str(tmp_path / "out"),
+                         "POINTS": str(points)}.get(a, a) for a in path]
+        code, _, err = run_cli(argv, capsys)
+        assert code in (0, 1) and err == "", (argv, err)
+    assert cli._keys(cmd) <= set(cli._SCHEMA)
+    assert cli._keys(cmd) - seen == set()
+
+
+# the (command, flag) pairs a command accepted without reading them
+UNREAD = {
+    "gram": ["--tolerance", "--n", "--mu"],
+    "kernel-eval": ["--tolerance", "--seed", "--n", "--mu"],
+    "frc-check": ["--domain", "--weight", "--degree", "--n", "--mu"],
+    "transform-check": ["--n", "--mu", "--closed-form"],
+    "jacobian-check": ["--degree", "--n", "--mu"],
+    "moment-mismatch": ["--seed", "--m", "--n", "--mu"],
+    "recover-weight": ["--tolerance", "--seed", "--m", "--n", "--mu"],
+    "characterize-fbh": ["--domain", "--tolerance"],
+    "characterize-ch": ["--n", "--tolerance"],
+    "boundary-check": ["--domain", "--degree", "--m"],
+    "family-check": ["--domain", "--weight"],
+}
+UNREAD_PAIRS = [(cmd, flag) for cmd, flags in UNREAD.items()
+                for flag in flags]
+# a value of each flag, on the command line and in a config file
+VALUES = {"--domain": ("disk", "disk"), "--weight": ("npower:1", "npower:1"),
+          "--degree": ("3", 3), "--tolerance": ("1e-8", 1e-8),
+          "--seed": ("1", 1), "--m": ("1", 1), "--n": ("1", 1),
+          "--mu": ("1", 1.0), "--closed-form": (None, False)}
+
+
+@pytest.mark.parametrize("cmd,flag", UNREAD_PAIRS,
+                         ids=[f"{c} {f}" for c, f in UNREAD_PAIRS])
+def test_an_unread_flag_is_refused_by_name(capsys, tmp_path, cmd, flag):
+    value, config_value = VALUES[flag]
+    argv = [cmd, flag] + ([] if value is None else [value])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}\n" in err
+
+    key = flag[2:].replace("-", "_")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: config_value}))
+    code, out, err = run_cli([cmd, "--config", str(config)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {cmd} does not read configuration key " \
+                  f"{key!r}\n"
+
+
+def test_accepted_pairs_are_the_read_ones():
+    # 150 (command, flag) pairs were accepted before the table named
+    # exactly the flags each handler reads
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    pairs = {(cmd, flag) for cmd, p in sub.choices.items()
+             for a in p._actions for flag in a.option_strings[:1]
+             if flag != "-h"}
+    assert len(pairs) == 114
+    assert not pairs & set(UNREAD_PAIRS)
+
+
+# the commands that take --domain, with what else each needs to reach it
+DOMAIN_COMMANDS = {
+    "gram": ["--weight", "npower:1"],
+    "transform-check": ["--weight", "npower:1", "--map", _ROTATION],
+    "jacobian-check": ["--weight", "npower:1", "--map", _ROTATION],
+    "moment-mismatch": ["--weight", "npower:1", "--weight2", "npower:2"],
+    "recover-weight": ["--weight", "npower:1"],
+    "characterize-ch": ["--weight", "npower:1"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(DOMAIN_COMMANDS))
+def test_a_matrix_ball_is_refused_by_command(capsys, cmd):
+    code, out, err = run_cli([cmd, "--domain", "typei:2x2"]
+                             + DOMAIN_COMMANDS[cmd], capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"config error: {cmd} does not take the domain "
+                        r"'typei:2x2'; its --domain is disk \| ball:N"
+                        r"( \| cn:N)?\n", err)
+
+
+def test_domain_commands_are_those_with_domain_kinds():
+    takes = {cmd for cmd, c in cli._COMMANDS.items() if c.domains}
+    assert takes == set(DOMAIN_COMMANDS) | {"kernel-eval"}
+    assert "typei:PxQ" in cli._COMMANDS["kernel-eval"].domains
+
+
+def test_characterize_ch_refuses_a_full_space(capsys):
+    code, out, err = run_cli(["characterize-ch", "--domain", "cn:1",
+                              "--weight", "gaussian:1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("config error: characterize-ch does not take the domain "
+                   "'cn:1'; its --domain is disk | ball:N\n")
+
+
+def test_flags_are_not_abbreviated(capsys):
+    # --n would otherwise read as --npts, and --m as --mu
+    for argv in (["characterize-ch", "--weight", "npower:1", "--n", "2"],
+                 ["boundary-check", "--weight", "gaussian:1", "--m", "2"],
+                 ["moment-mismatch", "--n", "1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+class TestMissingJsonFields:
+    """A JSON argument without a field its decoder needs is a configuration
+    error naming the argument and the field."""
+
+    @pytest.mark.parametrize("kernel,field", [
+        ("{}", "form"), ('{"form": "fock", "mu": 1}', "n")])
+    def test_kernel(self, capsys, kernel, field):
+        code, out, err = run_cli(["kernel-eval", "--kernel", kernel,
+                                  "--grid", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: kernel JSON has no field {field!r}\n"
+
+    def test_map(self, capsys):
+        code, out, err = run_cli(["transform-check", "--domain", "cn:1",
+                                  "--weight", "gaussian:1", "--map", "{}"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: map JSON has no field 'kind'\n"
+
+    def test_points_file(self, capsys, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text('{"z": [[0.1, 0.0]]}')
+        code, out, err = run_cli(["kernel-eval", "--domain", "disk",
+                                  "--weight", "npower:1", "--points-file",
+                                  str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: points file {path} has no field 'w'\n"

@@ -18,6 +18,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from bergmanlab import cli
 from bergmanlab.cli import main
 
 from test_cli import ARITHMETIC_FAILURES, BAD_KERNEL_SCALES
@@ -135,35 +136,47 @@ OPTIONAL = {
     "--closed-form": st.none(),
     "--normalize": st.none(),
 }
-SHARED = ["--m", "--n", "--mu", "--tolerance", "--seed", "--format"]
 # per command: what it always gets (D = --domain, W = --weight, W2 =
-# --weight2, M = --map; counts stay <= 3, so no default draws more), and
-# the options it may get
+# --weight2, M = --map; counts stay <= 3, so no default draws more); of the
+# OPTIONAL flags it may get those of its entry in cli._COMMANDS
 COMMANDS = {
-    "gram": ("DW", ["--samples"], ["--method"]),
-    "kernel-eval": ("DW", ["--grid"], ["--kernel", "--radius",
-                                       "--closed-form"]),
-    "frc-check": ("", ["--pairs"], ["--max-terms"]),
-    "transform-check": ("DWM", ["--points"], ["--radius", "--closed-form"]),
-    "jacobian-check": ("DWM", ["--points"], ["--step", "--radius"]),
-    "moment-mismatch": ("DWV", [], ["--normalize"]),
-    "recover-weight": ("DW", [], ["--basis", "--ridge"]),
-    "characterize-fbh": ("W", ["--npts"], ["--rmax"]),
-    "characterize-ch": ("DW", ["--npts"], ["--rmax"]),
-    "boundary-check": ("W", ["--samples"], ["--radius"]),
-    "family-check": ("", ["--points"], ["--family"]),
+    "gram": ("DW", ["--samples"]),
+    "kernel-eval": ("DW", ["--grid"]),
+    "frc-check": ("", ["--pairs"]),
+    "transform-check": ("DWM", ["--points"]),
+    "jacobian-check": ("DWM", ["--points"]),
+    "moment-mismatch": ("DWV", []),
+    "recover-weight": ("DW", []),
+    "characterize-fbh": ("W", ["--npts"]),
+    "characterize-ch": ("DW", ["--npts"]),
+    "boundary-check": ("W", ["--samples"]),
+    "family-check": ("", ["--points"]),
 }
+
+
+def takes(cmd: str) -> set:
+    """The flags of the command's entry in the table."""
+    return {"--" + key.replace("_", "-") for key in cli._keys(cmd)}
+
+
+# flags and a value each, for flags a command does not take
+FOREIGN = {"--domain": "disk", "--weight": "npower:1", "--degree": "3",
+           "--tolerance": "1e-8", "--seed": "1", "--m": "1", "--n": "1",
+           "--mu": "1", "--closed-form": None, "--map": "{}",
+           "--points": "2", "--kernel": "{}"}
 
 
 @st.composite
 def invocations(draw):
     """(argv, points-file payload or None) for one command."""
     cmd = draw(st.sampled_from(sorted(COMMANDS)))
-    always, counts, extra = COMMANDS[cmd]
+    always, counts = COMMANDS[cmd]
     domain = draw(st.sampled_from((BOUNDED + FULL) * 2 + MALFORMED))
     full_space = domain.startswith("cn") or cmd in ("characterize-fbh",
                                                     "boundary-check")
-    argv = [cmd, "--degree", draw(degree)]
+    argv = [cmd]
+    if "--degree" in takes(cmd):
+        argv += ["--degree", draw(degree)]
     if "D" in always:
         argv += ["--domain", domain]
     if "W" in always:
@@ -174,10 +187,15 @@ def invocations(draw):
         argv += ["--map", draw(inline_map)]
     for opt in counts:
         argv += [opt, draw(count)]
-    for opt in draw(st.lists(st.sampled_from(SHARED + extra), unique=True,
+    for opt in draw(st.lists(st.sampled_from(sorted(takes(cmd) & set(OPTIONAL))), unique=True,
                              max_size=4)):
         value = draw(OPTIONAL[opt])
         argv += [opt] if value is None else [opt, value]
+    # one draw in ten or so a flag the command does not take, refused
+    foreign = sorted(set(FOREIGN) - takes(cmd))
+    opt = draw(st.sampled_from([None] * (9 * len(foreign)) + foreign))
+    if opt is not None:
+        argv += [opt] if FOREIGN[opt] is None else [opt, FOREIGN[opt]]
     points = None
     if cmd == "kernel-eval" and draw(st.booleans()):
         points = draw(st.one_of(
@@ -241,4 +259,7 @@ def run(argv, points=None) -> int:
            "--degree", "4", "--grid", "200000"], None))
 def test_exit_code_is_a_verdict_or_an_error(invocation):
     argv, points = invocation
-    assert run(argv, points) in (0, 1, 2)
+    code = run(argv, points)
+    assert code in (0, 1, 2)
+    if any(a.startswith("--") and a not in takes(argv[0]) for a in argv):
+        assert code == 2

@@ -139,16 +139,13 @@ class TestRadialSeriesKernel:
     def test_grams_without_moments_stay_dense(self):
         gram = bl.gram_auto(bl.generic_norm_weight(DISK, 1.0), 6)
         assert isinstance(gram, bl.RadialGram)
-        loaded = bl.gram_from_json(json.loads(json.dumps(bl.gram_to_json(gram))))
-        assert isinstance(loaded, bl.GramMatrix)
         mc = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
                                 1000, 0)
         assert isinstance(mc, bl.GramMatrix)
         # a dense Gram holds no moments, so it has no kernel
-        for dense in (loaded, mc):
-            with pytest.raises(ValueError, match="only a radial Gram has a "
-                                                 "kernel"):
-                bl.kernel_from_gram(dense)
+        with pytest.raises(ValueError, match="only a radial Gram has a "
+                                             "kernel"):
+            bl.kernel_from_gram(mc)
 
 
 class TestSeriesAgainstClosedForm:

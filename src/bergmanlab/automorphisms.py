@@ -425,20 +425,21 @@ def map_to_json(aut: AutomorphismSpec) -> dict:
 def map_from_json(obj: dict, domain: HartogsDomain) -> AutomorphismSpec:
     kind = obj["kind"]
     n, m = domain.base.dim, domain.fiber_dim
+
+    def matrix(field: str, dim: int) -> np.ndarray:
+        return jsonio.as_cmatrix(obj[field], (dim, dim),
+                                 f"{kind} map field {field!r}")
+
     if kind == "base_unitary":
-        U = _check_unitary(jsonio.as_cmatrix(obj["matrix"], (n, n)), n,
-                           "base unitary")
+        U = _check_unitary(matrix("matrix", n), n, "base unitary")
         return BaseUnitary(domain, tuple(map(tuple, U)))
     if kind == "fiber_unitary":
-        U = _check_unitary(jsonio.as_cmatrix(obj["matrix"], (m, m)), m,
-                           "fiber unitary")
+        U = _check_unitary(matrix("matrix", m), m, "fiber unitary")
         return FiberUnitary(domain, tuple(map(tuple, U)))
     if kind == "translation":
         return make_fbh_map(domain, "translation", v=jsonio.as_cpoint(obj["v"]))
     if kind == "mobius":
-        U = None
-        if "fiber_unitary" in obj:
-            U = jsonio.as_cmatrix(obj["fiber_unitary"], (m, m))
+        U = matrix("fiber_unitary", m) if "fiber_unitary" in obj else None
         return make_ch_map(domain, jsonio.as_cpoint(obj["a"]), U)
     if kind == "composite":
         return Composite(domain, tuple(map_from_json(p, domain)

@@ -18,14 +18,26 @@ OPENBLAS_NUM_THREADS variables and does not affect report contents, except
 that ``gram --method montecarlo`` sums its samples in cache-sized blocks
 with BLAS matrix products, so its entries are reproducible bit for bit at a
 fixed thread count and can change in the last digit with the thread count.
+
+``bergmanlab batch FILE|-`` runs many verdicts in one process: each
+non-empty line of FILE (``-``: standard input) is the JSON list of one
+command line, and each gives one JSON line holding its line number, exit
+code, standard output and standard error text, in input order.  The batch
+exits with the largest exit code of its lines (0 for no lines).  Between
+verdicts the process keeps only each command's argument parser and the
+quadrature rules per node count, neither of which changes a report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import io
 import json
 import math
 import sys
+import warnings
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -256,7 +268,8 @@ def _domain_of(cfg: dict, default: str | None = None) -> DomainSpec:
     domain = parse_domain(spec)
     command = cfg["command"]
     forms = _COMMANDS[command].domains
-    if _FORMS[domain.kind] not in forms:
+    form = _FORMS[domain.kind]
+    if form not in forms and form.replace("N", str(domain.dim)) not in forms:
         raise ConfigError(f"{command} does not take the domain {spec!r}; "
                           f"its --domain is {' | '.join(forms)}")
     return domain
@@ -616,7 +629,8 @@ _RADIAL = ("disk", "ball:N", "cn:N")
 class _Command(NamedTuple):
     """A command: its handler, its help line, the configuration keys the
     handler reads, one flag each, and the domain forms its --domain takes
-    (none, no --domain).  Every command also takes --out and --format."""
+    (none, no --domain; ``ball:1`` rather than ``ball:N`` for one
+    dimension only).  Every command also takes --out and --format."""
     handler: Callable
     help: str
     keys: str
@@ -646,7 +660,7 @@ _COMMANDS = {
         "weight weight2 degree normalize tolerance", _RADIAL),
     "recover-weight": _Command(
         _cmd_recover_weight, "invert radial moments to a weight profile",
-        "weight degree basis ridge", _RADIAL),
+        "weight degree basis ridge", ("disk", "ball:1", "cn:1")),
     "characterize-fbh": _Command(
         _cmd_characterize_fbh,
         "is the weighted kernel a Gaussian model kernel?",
@@ -661,6 +675,10 @@ _COMMANDS = {
         _cmd_family_check, "shared-constant Jacobian/kernel family condition",
         "family n m mu degree points seed tolerance"),
 }
+
+
+# every command line's first word: a verdict command or the batch runner
+_EVERY = (*_COMMANDS, "batch")
 
 
 def _keys(name: str) -> set:
@@ -702,8 +720,11 @@ def emit_report(report: dict, fmt: str, path: str | None,
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The parser with the subcommands ``names``.  Built with one of them,
+@functools.cache
+def _build_parser(names: tuple = _EVERY) -> argparse.ArgumentParser:
+    """The parser with the subcommands ``names``, built once per process
+    and names and then reused: parsing leaves a parser as it was, and help
+    reads the terminal width when it is printed.  Built with one of them,
     it still names every command in its usage line, so its usage errors
     read as those of the whole table.  A flag is never abbreviated, so one
     the command does not take is refused by name."""
@@ -711,11 +732,19 @@ def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
         prog="bergmanlab",
         description="Weighted Bergman kernels, Hartogs domain series, "
                     "automorphism checks, and moment-uniqueness verdicts.")
-    every = "{" + ",".join(_COMMANDS) + "}"
+    every = "{" + ",".join(_EVERY) + "}"
     sub = p.add_subparsers(dest="cmd", required=True,
-                           metavar=None if len(names) == len(_COMMANDS)
+                           metavar=None if len(names) == len(_EVERY)
                            else every)
     for name in names:
+        if name == "batch":
+            sub.add_parser(
+                "batch", allow_abbrev=False,
+                help="run one command line per line of FILE in this process"
+            ).add_argument("file", metavar="FILE|-",
+                           help="JSON lists of command-line words, one per "
+                                "line; - reads standard input")
+            continue
         command = _COMMANDS[name]
         sp = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for key in ("config", "out", "format"):
@@ -727,15 +756,70 @@ def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
     return p
 
 
+# ---------------------------------------------------------------------------
+# many verdicts in one process
+
+def _batch_line(line: str, number: int) -> int:
+    """The exit code of one batch line, run through main."""
+    try:
+        argv = json.loads(line)
+    except json.JSONDecodeError:
+        argv = None
+    if not isinstance(argv, list) or not all(isinstance(a, str)
+                                             for a in argv):
+        print(f"config error: batch line {number} is not a JSON list of "
+              "strings", file=sys.stderr)
+        return 2
+    if argv[:1] == ["batch"]:
+        print(f"config error: batch line {number} is a batch itself",
+              file=sys.stderr)
+        return 2
+    return main(argv)
+
+
+def _run_batch(path: str) -> int:
+    """Run every non-empty line of the file (``-``: standard input), a JSON
+    list of command-line words, through main in this process, and write
+    for each one a JSON line, keys sorted, with its line number, exit code
+    and captured standard output and error.  Returns the largest exit code.
+
+    Each line starts with fresh warning registries, so a warning shows as
+    it would in a process of its own."""
+    try:
+        source = contextlib.nullcontext(sys.stdin) if path == "-" else \
+            open(path, encoding="utf-8", errors="replace")
+    except OSError as exc:
+        print(f"error: cannot read batch file {path}: {exc}", file=sys.stderr)
+        return 2
+    worst = 0
+    with source as lines:
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), warnings.catch_warnings():
+                code = _batch_line(line, number)
+            worst = max(worst, code)
+            sys.stdout.write(json.dumps(
+                {"line": number, "exit_code": code, "stdout": out.getvalue(),
+                 "stderr": err.getvalue()}, sort_keys=True) + "\n")
+            sys.stdout.flush()
+    return worst
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the invoked command's parser; -h and unknown commands get all
-    parser = _build_parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS
-                           else tuple(_COMMANDS))
+    first = tuple(argv[:1])
+    parser = _build_parser(first) if first and first[0] in _EVERY \
+        else _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.cmd == "batch":
+        return _run_batch(args.file)
     try:
         cfg = _effective(args)
         report, failed, csv_rows = _COMMANDS[args.cmd].handler(cfg)

@@ -23,19 +23,27 @@ def cnum(z) -> list[float]:
     return [z.real, z.imag]
 
 
-def as_cnum(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
-
-
 def cmatrix(m: np.ndarray) -> list[list[float]]:
     """Row-major flattening of a complex matrix into [re, im] pairs."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
     return np.stack((flat.real, flat.imag), 1).tolist()
 
 
-def as_cmatrix(entries, shape) -> np.ndarray:
-    out = np.array([as_cnum(p) for p in entries], dtype=complex)
+def as_cmatrix(entries, shape, what: str = "matrix") -> np.ndarray:
+    """The complex matrix of the given shape whose entries, row by row, are
+    the [re, im] pairs of ``entries``.  Entries of another nesting, count or
+    type are a TypeError naming ``what``, as a JSON value of the wrong type
+    is."""
+    rows, cols = shape
+    try:
+        pairs = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or pairs.shape != (rows * cols, 2):
+        raise TypeError(f"{what} must be the {rows}x{cols} matrix as a "
+                        f"row-major list of {rows * cols} [re, im] pairs")
+    out = np.empty(rows * cols, dtype=complex)
+    out.real, out.imag = pairs[:, 0], pairs[:, 1]
     return out.reshape(shape)
 
 

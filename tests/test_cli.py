@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1120,8 +1122,36 @@ def test_a_matrix_ball_is_refused_by_command(capsys, cmd):
                              + DOMAIN_COMMANDS[cmd], capsys)
     assert (code, out) == (2, "")
     assert re.fullmatch(rf"config error: {cmd} does not take the domain "
-                        r"'typei:2x2'; its --domain is disk \| ball:N"
-                        r"( \| cn:N)?\n", err)
+                        r"'typei:2x2'; its --domain is disk \| ball:[N1]"
+                        r"( \| cn:[N1])?\n", err)
+
+
+# the commands whose --domain takes one dimension only, with the domains of
+# more dimensions they refuse
+ONE_DIMENSION = {"recover-weight": ["ball:2", "cn:2", "ball:3"]}
+ONE_DIMENSION_CASES = [(cmd, d) for cmd, ds in ONE_DIMENSION.items()
+                       for d in ds]
+
+
+@pytest.mark.parametrize("cmd,domain", ONE_DIMENSION_CASES,
+                         ids=[" ".join(c) for c in ONE_DIMENSION_CASES])
+def test_a_domain_of_more_dimensions_is_refused_by_command(capsys, cmd,
+                                                          domain):
+    # refused before the weight, which here would not parse, is read
+    code, out, err = run_cli([cmd, "--domain", domain, "--weight",
+                              "martian:1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"config error: {cmd} does not take the domain "
+                   f"{domain!r}; its --domain is disk | ball:1 | cn:1\n")
+
+
+@pytest.mark.parametrize("domain,weight", [("ball:1", "npower:1"),
+                                           ("cn:1", "gaussian:1")])
+def test_recover_weight_takes_one_dimension(capsys, domain, weight):
+    code, out, err = run_cli(["recover-weight", "--domain", domain,
+                              "--weight", weight, "--degree", "4"], capsys)
+    assert (code, err) == (0, "")
+    assert strict_json(out)["command"] == "recover-weight"
 
 
 def test_domain_commands_are_those_with_domain_kinds():
@@ -1175,3 +1205,152 @@ class TestMissingJsonFields:
                                   str(path)], capsys)
         assert (code, out) == (2, "")
         assert err == f"config error: points file {path} has no field 'w'\n"
+
+
+# a 1x1 unitary of a map JSON nested wrongly, of the wrong size or holding
+# no numbers
+BAD_MATRICES = {"nested": [[[1, 0]]], "size": [[1, 0], [0, 0]],
+                "flat": [1, 0], "text": [["x", 0]], "number": 7}
+MATRIX_CASES = [(kind, field, name)
+                for kind, field in [("base_unitary", "matrix"),
+                                    ("fiber_unitary", "matrix"),
+                                    ("mobius", "fiber_unitary")]
+                for name in BAD_MATRICES]
+
+
+@pytest.mark.parametrize("kind,field,name", MATRIX_CASES,
+                         ids=[" ".join(c) for c in MATRIX_CASES])
+def test_a_malformed_unitary_names_its_map_and_field(capsys, kind, field,
+                                                    name):
+    obj = {"kind": kind, field: BAD_MATRICES[name]}
+    if kind == "mobius":
+        obj["a"] = [[0.1, 0.0]]
+    code, out, err = run_cli(["transform-check", "--domain", "disk",
+                              "--weight", "npower:1", "--m", "1", "--map",
+                              json.dumps(obj)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"config error: malformed JSON argument: {kind} map field "
+                   f"{field!r} must be the 1x1 matrix as a row-major list of "
+                   "1 [re, im] pairs\n")
+
+
+# ---------------------------------------------------------------------------
+# many verdicts in one process
+
+def test_a_parser_is_built_once_per_command():
+    assert cli._build_parser(("gram",)) is cli._build_parser(("gram",))
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser(("gram",)) is not cli._build_parser(
+        ("frc-check",))
+
+
+def test_reused_parsers_answer_as_fresh_ones(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"degree": 3}')
+    sequence = [["frc-check", "--pairs", "3"], ["gram", "--bogus"],
+                ["gram", "--help"], ["bogus"],
+                ["frc-check", "--config", str(config)],
+                ["frc-check", "--pairs", "3"]]
+    first = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        first.append(run_cli(argv, capsys))
+    assert [code for code, _, _ in first] == [0, 2, 0, 2, 2, 0]
+    assert [run_cli(argv, capsys) for argv in sequence] == first
+
+
+def _batch(tmp_path, capsys, lines):
+    path = tmp_path / "batch.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run_cli(["batch", str(path)], capsys)
+    assert err == ""
+    return code, [json.loads(line) for line in out.splitlines()]
+
+
+def test_batch_refuses_a_line_and_goes_on(capsys, tmp_path):
+    verdict = ["frc-check", "--pairs", "3"]
+    code, records = _batch(tmp_path, capsys, [
+        json.dumps(verdict), "", '["gram", 1]', "{", json.dumps(verdict),
+        json.dumps(["batch", str(tmp_path / "batch.txt")]), "  ",
+        json.dumps(verdict)])
+    expected_code, report, _ = run_cli(verdict, capsys)
+    assert (code, expected_code) == (2, 0)
+    assert [(r["line"], r["exit_code"]) for r in records] == [
+        (1, 0), (3, 2), (4, 2), (5, 0), (6, 2), (8, 0)]
+    for r in records:
+        assert sorted(r) == ["exit_code", "line", "stderr", "stdout"]
+        if r["exit_code"] == 0:
+            assert (r["stdout"], r["stderr"]) == (report, "")
+        else:
+            assert r["stdout"] == ""
+    assert [r["stderr"] for r in records if r["exit_code"] == 2] == [
+        "config error: batch line 3 is not a JSON list of strings\n",
+        "config error: batch line 4 is not a JSON list of strings\n",
+        "config error: batch line 6 is a batch itself\n"]
+
+
+def test_batch_exits_with_the_largest_code(capsys, tmp_path):
+    assert _batch(tmp_path, capsys, []) == (0, [])
+    failed = ["frc-check", "--pairs", "3", "--tolerance", "1e-300"]
+    code, records = _batch(tmp_path, capsys, [json.dumps(failed)] * 2)
+    assert code == 1 and [r["exit_code"] for r in records] == [1, 1]
+
+
+def test_batch_reads_standard_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('["bogus"]\n'))
+    code, out, err = run_cli(["batch", "-"], capsys)
+    assert (code, err) == (2, "")
+    record = json.loads(out)
+    assert (record["line"], record["exit_code"]) == (1, 2)
+    assert "invalid choice: 'bogus'" in record["stderr"]
+
+
+def test_batch_is_listed_and_refuses_a_missing_file(capsys, tmp_path):
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0 and "batch" in out
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(["batch", str(missing)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read batch file {missing}: ")
+
+
+def test_batch_equals_fresh_runs_of_every_workload_template(monkeypatch,
+                                                            tmp_path):
+    """One verdict of every template of the benchmark workloads at seed 5:
+    each batch line holds the exit code, standard error and report of a
+    fresh process, and the --out files it writes are the same bytes."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "verdictbench"))
+    import workloads
+    verdicts = {}
+    for name in workloads.WORKLOADS:
+        work = workloads.generate(name, 5, tmp_path)
+        for v in work.verdicts:
+            verdicts.setdefault((name, v.template), v)
+    fresh = []
+    for v in verdicts.values():
+        proc = subprocess.run([sys.executable, "-m", "bergmanlab.cli",
+                               *v.argv], capture_output=True,
+                              env=child_env("1"), cwd=str(tmp_path))
+        out = Path(v.out).read_bytes() if v.out else None
+        if v.out:
+            Path(v.out).unlink()
+        fresh.append((proc.returncode, proc.stdout.decode(),
+                      proc.stderr.decode(), out))
+    assert [f[0] for f in fresh] == [v.expect for v in verdicts.values()]
+
+    lines = tmp_path / "batch.txt"
+    lines.write_text("".join(json.dumps(v.argv) + "\n"
+                             for v in verdicts.values()))
+    proc = subprocess.run([sys.executable, "-m", "bergmanlab.cli", "batch",
+                           str(lines)], capture_output=True,
+                          env=child_env("1"), cwd=str(tmp_path))
+    records = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+    assert proc.stderr == b""
+    assert proc.returncode == max(f[0] for f in fresh)
+    assert len(records) == len(fresh)
+    for number, (v, r, f) in enumerate(zip(verdicts.values(), records, fresh),
+                                       1):
+        out = Path(v.out).read_bytes() if v.out else None
+        assert r["line"] == number
+        assert (r["exit_code"], r["stdout"], r["stderr"], out) == f, v.argv

@@ -205,15 +205,27 @@ def invocations(draw):
     return argv, points
 
 
+def with_points(argv, points, directory, name="points.json"):
+    """argv, reading the points payload from a file in directory if there
+    is one."""
+    if points is None:
+        return argv
+    path = Path(directory) / name
+    path.write_text(json.dumps(points))
+    return argv + ["--points-file", str(path)]
+
+
+def captured(argv):
+    """main's exit code, standard output and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run(argv, points=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        if points is not None:
-            path = Path(tmp) / "points.json"
-            path.write_text(json.dumps(points))
-            argv = argv + ["--points-file", str(path)]
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            return main(argv)
+        return captured(with_points(argv, points, tmp))[0]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,
@@ -263,3 +275,22 @@ def test_exit_code_is_a_verdict_or_an_error(invocation):
     assert code in (0, 1, 2)
     if any(a.startswith("--") and a not in takes(argv[0]) for a in argv):
         assert code == 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(invocations(), max_size=4))
+def test_a_batch_is_the_sequence_of_its_lines(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = [with_points(argv, points, tmp, f"points-{i}.json")
+                 for i, (argv, points) in enumerate(lines)]
+        expected = [captured(argv) for argv in argvs]
+        path = Path(tmp) / "batch.txt"
+        path.write_text("".join(json.dumps(argv) + "\n" for argv in argvs))
+        code, out, err = captured(["batch", str(path)])
+    records = [json.loads(line) for line in out.splitlines()]
+    assert err == ""
+    assert [r["line"] for r in records] == list(range(1, len(argvs) + 1))
+    assert [(r["exit_code"], r["stdout"], r["stderr"])
+            for r in records] == expected
+    assert code == max((e[0] for e in expected), default=0)

@@ -1,8 +1,9 @@
 """bergmanlab: a numerical laboratory for weighted Bergman kernels.
 
 Computes Gram matrices of monomials under admissible-style weights on model
-domains (disk, ball, type-I matrix balls, full space), reconstructs weighted
-Bergman kernels as truncated series in <z, w> from radial moments,
+domains (balls, the disk being B^1, type-I matrix balls, full space),
+reconstructs weighted Bergman kernels as truncated series in <z, w> from
+radial moments,
 evaluates the closed-form Fock-Bargmann and generic-norm power kernels,
 sums the Forelli-Rudin series for Hartogs domains, applies the classical
 automorphism generators with their analytic Jacobians, and turns the
@@ -25,7 +26,6 @@ from .core import (
     generic_norm,
     generic_norm_power,
     generic_norm_weight,
-    genus,
     hua_normalization,
     load_radial_profile,
     matrix_ball,

@@ -9,8 +9,9 @@ Generators (all preserve the zero section {zeta = 0}):
   the normalized Gaussian-space kernel;
 * Moebius maps on generic-norm-weighted Hartogs domains over disk/ball,
   (z, zeta) -> (phi(z), U' * N(a,a)^(mu/2) / N(z,a)^mu * zeta) where phi is
-  the base Moebius sending a to 0 ((z-a)/(1 - conj(a) z) on the disk, the
-  involutive exchange of 0 and a on the ball);
+  the base Moebius sending a to 0 ((z-a)/(1 - conj(a) z) on the disk B^1,
+  the involutive exchange of 0 and a on the ball B^n, n > 1; at n = 1 that
+  involution is the negative of the disk's map);
 * finite compositions of the above.
 
 The action, the fiber factors and the closed-form Jacobian determinants on
@@ -42,6 +43,7 @@ from .core import (
     generic_norm,
     generic_norm_power,
     hermitian_inner,
+    unit_disk,
 )
 from .hartogs import HartogsDomain
 from . import jsonio
@@ -69,8 +71,8 @@ def _gaussian_rate(domain: HartogsDomain) -> float:
 
 def _norm_power_rate(domain: HartogsDomain) -> float:
     form = domain.weight.form
-    if not isinstance(form, GenericNormPower) or domain.base.kind not in (
-            DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
+    if not isinstance(form, GenericNormPower) or \
+            domain.base.kind is not DomainKind.UNIT_BALL:
         raise ValueError("target is not a generic-norm-weighted Hartogs "
                          "domain over the disk or ball")
     return form.mu * domain.weight.power_exponent
@@ -137,7 +139,7 @@ class MobiusMap:
         base = self.target.base
         if np.all(a == 0):
             return z.copy()
-        if base.kind is DomainKind.UNIT_DISK:
+        if base.dim == 1:
             return (z - a) / (1.0 - np.conj(a[0]) * z)
         # involutive ball Moebius exchanging 0 and a
         na2 = float(np.sum(np.abs(a) ** 2))
@@ -153,7 +155,7 @@ class MobiusMap:
         base = self.target.base
         if np.all(a == 0):
             return np.ones(np.shape(z)[:-1], dtype=complex)
-        if base.kind is DomainKind.UNIT_DISK:
+        if base.dim == 1:
             return ((1.0 - abs(a[0]) ** 2)
                     / (1.0 - np.conj(a[0]) * z[..., 0]) ** 2)
         n = base.dim
@@ -219,7 +221,7 @@ def make_ch_map(domain: HartogsDomain, a, fiber_unitary=None) -> MobiusMap:
 
 def thullen_mobius(domain: HartogsDomain, a: complex) -> MobiusMap:
     """The disk specialization with one fiber dimension."""
-    if domain.base.kind is not DomainKind.UNIT_DISK or domain.fiber_dim != 1:
+    if domain.base != unit_disk() or domain.fiber_dim != 1:
         raise ValueError("Thullen maps live over the disk with fiber dim 1")
     return make_ch_map(domain, [a])
 
@@ -275,7 +277,7 @@ def inverse(aut: AutomorphismSpec) -> AutomorphismSpec:
                                tuple(-np.asarray(aut.v, dtype=complex)), aut.mu)
     if isinstance(aut, MobiusMap):
         Uinv = tuple(map(tuple, aut._U().conj().T))
-        if aut.target.base.kind is DomainKind.UNIT_DISK:
+        if aut.target.base.dim == 1:
             return MobiusMap(aut.target,
                              tuple(-np.asarray(aut.a, dtype=complex)),
                              aut.mu, Uinv)
@@ -423,12 +425,26 @@ def map_to_json(aut: AutomorphismSpec) -> dict:
 
 
 def map_from_json(obj: dict, domain: HartogsDomain) -> AutomorphismSpec:
+    """The map that ``map_to_json`` wrote, on the given domain.  A
+    translation or Moebius map takes its rate from the domain's weight, so
+    a ``mu`` field other than that rate is refused."""
     kind = obj["kind"]
     n, m = domain.base.dim, domain.fiber_dim
 
     def matrix(field: str, dim: int) -> np.ndarray:
         return jsonio.as_cmatrix(obj[field], (dim, dim),
                                  f"{kind} map field {field!r}")
+
+    def point(field: str) -> np.ndarray:
+        return jsonio.as_cpoint(obj[field], f"{kind} map field {field!r}")
+
+    def with_rate(aut):
+        mu = obj.get("mu", aut.mu)
+        if type(mu) not in (int, float) or mu != aut.mu:
+            raise ValueError(f"{kind} map field 'mu' is {mu!r}, but the "
+                             f"weight's rate is {aut.mu!r}; give that rate "
+                             "or leave the field out")
+        return aut
 
     if kind == "base_unitary":
         U = _check_unitary(matrix("matrix", n), n, "base unitary")
@@ -437,10 +453,10 @@ def map_from_json(obj: dict, domain: HartogsDomain) -> AutomorphismSpec:
         U = _check_unitary(matrix("matrix", m), m, "fiber unitary")
         return FiberUnitary(domain, tuple(map(tuple, U)))
     if kind == "translation":
-        return make_fbh_map(domain, "translation", v=jsonio.as_cpoint(obj["v"]))
+        return with_rate(make_fbh_map(domain, "translation", v=point("v")))
     if kind == "mobius":
         U = matrix("fiber_unitary", m) if "fiber_unitary" in obj else None
-        return make_ch_map(domain, jsonio.as_cpoint(obj["a"]), U)
+        return with_rate(make_ch_map(domain, point("a"), U))
     if kind == "composite":
         return Composite(domain, tuple(map_from_json(p, domain)
                                        for p in obj["parts"]))

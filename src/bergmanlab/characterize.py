@@ -169,27 +169,19 @@ def _legendre_to_monomial(coeffs: np.ndarray) -> np.ndarray:
 _CONDITION_LIMIT = 1e12
 
 
-def recover_weight(table: MomentTable, basis: str | None = None,
-                   ridge: float = 0.0) -> RecoveredWeight:
+def recover_weight(table: MomentTable, ridge: float = 0.0) -> RecoveredWeight:
     """Invert the diagonal (radial) moment sequence m_k = <z^k, z^k>.
 
-    One complex variable only.  The profile is expanded in shifted Legendre
-    polynomials on [0, 1] (bounded base) or Laguerre functions
-    L_j(t) e^(-t) on [0, inf), and fitted by least squares with optional
-    ridge damping; with ridge = 0 a well-conditioned system reproduces
-    polynomial profiles of degree <= d exactly.
+    One complex variable only.  The profile is expanded in the base's own
+    basis, shifted Legendre polynomials on [0, 1] (bounded base) or Laguerre
+    functions L_j(t) e^(-t) on [0, inf) (C^1), and fitted by least squares
+    with optional ridge damping; with ridge = 0 a well-conditioned system
+    reproduces polynomial profiles of degree <= d exactly.
     """
     base = table.weight.base
     if base.dim != 1:
         raise ValueError("radial moment recovery is wired for n = 1")
-    if basis is None:
-        basis = "shifted_legendre" if base.bounded else "laguerre"
-    if basis not in ("shifted_legendre", "laguerre"):
-        raise ValueError(f"unknown basis {basis!r}")
-    if basis == "shifted_legendre" and not base.bounded:
-        raise ValueError("shifted Legendre basis needs a bounded base")
-    if basis == "laguerre" and base.bounded:
-        raise ValueError("the Laguerre basis lives on the full space")
+    basis = "shifted_legendre" if base.bounded else "laguerre"
 
     d = table.degree
     m = np.real(np.diag(table.moments.entries)).astype(float)
@@ -233,21 +225,26 @@ class SubCheck:
                 "residual": self.residual}
 
 
+# a characterization matches when the worst relative deviation from
+# c * model is at most MATCH_TOL, mismatches when it exceeds MISMATCH_TOL,
+# and is inconclusive in between
+MATCH_TOL = 1e-8
+MISMATCH_TOL = 1e-6
+
+
 @dataclass
 class CharacterizationReport:
     verdict: str             # "match" | "mismatch" | "inconclusive"
     c: float | None
     degree: int
     max_deviation: float
-    match_tol: float
-    mismatch_tol: float
     checks: list[SubCheck] = field(default_factory=list)
     witness: tuple | None = None
 
     def as_dict(self) -> dict:
         out = {"verdict": self.verdict, "c": self.c, "degree": self.degree,
                "max_deviation": self.max_deviation,
-               "match_tol": self.match_tol, "mismatch_tol": self.mismatch_tol,
+               "match_tol": MATCH_TOL, "mismatch_tol": MISMATCH_TOL,
                "checks": [c.as_dict() for c in self.checks]}
         if self.witness is not None:
             z, w = self.witness
@@ -272,9 +269,8 @@ def _sample_points(n: int, rmax: float, npts: int, seed: int) -> np.ndarray:
 
 
 def _proportionality_report(series: KernelModel, reference, points,
-                            degree: int, match_tol: float,
-                            mismatch_tol: float,
-                            power_law: bool = False) -> CharacterizationReport:
+                            degree: int, power_law: bool = False
+                            ) -> CharacterizationReport:
     """Worst relative deviation of K from c R over all pairs of points, c
     fitted at points[0] = 0.  ``power_law`` adds K(z, z) = K(0, 0) R(z, z),
     the generic-norm power law, read off the same grids as R(0, 0) = 1.
@@ -301,9 +297,9 @@ def _proportionality_report(series: KernelModel, reference, points,
     worst_diag = float(dev.diagonal().max())
     worst_off = float(dev[~np.eye(len(dev), dtype=bool)].max(initial=0.0))
 
-    if worst <= match_tol:
+    if worst <= MATCH_TOL:
         verdict = "match"
-    elif worst > mismatch_tol:
+    elif worst > MISMATCH_TOL:
         verdict = "mismatch"
     else:
         verdict = "inconclusive"
@@ -324,14 +320,12 @@ def _proportionality_report(series: KernelModel, reference, points,
             "K_q^m(z0,z0) = K_q^m(0,0) * N(z0,z0)^(-m*mu-g)",
             float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))))
     return CharacterizationReport(verdict, float(c), degree, float(worst),
-                                  match_tol, mismatch_tol, checks,
-                                  None if verdict == "match"
+                                  checks, None if verdict == "match"
                                   else (points[i], points[j]))
 
 
 def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
-                     rmax: float | None = None, npts: int = 12, seed: int = 0,
-                     match_tol: float = 1e-8, mismatch_tol: float = 1e-6
+                     rmax: float | None = None, npts: int = 12, seed: int = 0
                      ) -> CharacterizationReport:
     """Does the weighted kernel of p^m on C^n match the Gaussian model?
 
@@ -350,13 +344,11 @@ def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
         # keeps the rank-10 truncation tail below the match tolerance
         rmax = 0.9 / math.sqrt(m * mu)
     points = _sample_points(p.base.dim, rmax, npts, seed)
-    return _proportionality_report(series, reference, points, degree,
-                                   match_tol, mismatch_tol)
+    return _proportionality_report(series, reference, points, degree)
 
 
 def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
-                    rmax: float = 0.55, npts: int = 12, seed: int = 0,
-                    match_tol: float = 1e-8, mismatch_tol: float = 1e-6
+                    rmax: float = 0.55, npts: int = 12, seed: int = 0
                     ) -> CharacterizationReport:
     """Does the weighted kernel of q^m match the generic-norm power model?
 
@@ -365,7 +357,7 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
     K(z0, z0) = K(0, 0) N(z0, z0)^(-m mu - g) reported as a named sub-check.
     """
     base = q.base
-    if base.kind not in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
+    if base.kind is not DomainKind.UNIT_BALL:
         raise ValueError("the generic-norm characterization needs disk/ball")
     if m < 1 or mu <= 0:
         raise ValueError("need m >= 1 and mu > 0")
@@ -373,7 +365,7 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
     reference = PowerKernel(base, m * mu)
     points = _sample_points(base.dim, rmax, npts, seed)
     return _proportionality_report(series, reference, points, degree,
-                                   match_tol, mismatch_tol, power_law=True)
+                                   power_law=True)
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +461,14 @@ class FamilyConditionReport:
                 "maps": [m.as_dict() for m in self.maps]}
 
 
-# sampled base points on which each map must keep the zero section
+# sampled base points, drawn with seed 0, on which each map must keep the
+# zero section
 _FIBER_CHECKS = 5
 
 
 def family_condition_check(domain: HartogsDomain,
                            maps: list[AutomorphismSpec], degree: int, *,
-                           tol: float = 1e-9,
-                           seed: int = 0) -> FamilyConditionReport:
+                           tol: float = 1e-9) -> FamilyConditionReport:
     """Check the shared-constant Jacobian/kernel condition over a map family.
 
     Each map must preserve the zero section (its fiber component vanishes
@@ -494,7 +486,7 @@ def family_condition_check(domain: HartogsDomain,
     m = domain.fiber_dim
     series = kernel_from_gram(gram_auto(domain.weight.pow(m), degree))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     check_pts = sample_cube(rng, domain.base.dim, 0.3, _FIBER_CHECKS)
     zero_fibers = np.zeros((_FIBER_CHECKS, m), dtype=complex)
 

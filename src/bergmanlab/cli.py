@@ -114,7 +114,7 @@ class ConfigError(Exception):
 
 _SCHEMA: dict[str, type] = {
     "domain": str, "weight": str, "weight2": str,
-    "kernel": str, "map": str, "family": str, "basis": str, "method": str,
+    "kernel": str, "map": str, "family": str, "method": str,
     "points_file": str, "out": str, "format": str,
     "mu": float, "tolerance": float, "radius": float, "rmax": float,
     "ridge": float, "step": float,
@@ -242,7 +242,8 @@ def _point_list(obj: dict, key: str, path: str) -> list:
     if not isinstance(points, list):
         raise ConfigError(f"{path}: {key!r} must hold a list of points, "
                           f"not {type(points).__name__}")
-    return [jsonio.as_cpoint(p) for p in points]
+    return [jsonio.as_cpoint(p, f"points file {path} field {key!r} entry {i}")
+            for i, p in enumerate(points)]
 
 
 def _decode(parse, what: str, text: str, *args):
@@ -532,10 +533,7 @@ def _cmd_recover_weight(cfg: dict):
     domain = _domain_of(cfg)
     weight = _weight_of(cfg, domain)
     table = moment_table(weight, cfg["degree"])
-    basis = cfg.get("basis")
-    if basis is not None:
-        basis = basis.replace("-", "_")
-    rec = recover_weight(table, basis=basis, ridge=cfg.get("ridge", 0.0))
+    rec = recover_weight(table, ridge=cfg.get("ridge", 0.0))
     report = {"command": "recover-weight", "basis": rec.basis,
               "degree": cfg["degree"], "ridge": cfg.get("ridge", 0.0),
               "coefficients": [float(c) for c in rec.coefficients],
@@ -614,13 +612,14 @@ _OPTIONS = {
     "m": dict(help="fiber dimension / weight power"),
     "n": dict(help="complex dimension of the C^n base"),
     "method": dict(choices=["auto", "exact", "quadrature", "montecarlo"]),
-    "basis": dict(choices=["shifted-legendre", "laguerre"]),
     "family": dict(choices=["fbh", "thullen"]),
     "normalize": dict(help="rescale both weights to unit mass first"),
 }
 
-# the descriptor form of each domain kind, as --domain help names it
-_FORMS = {DomainKind.UNIT_DISK: "disk", DomainKind.UNIT_BALL: "ball:N",
+# the descriptor form of each domain kind, as --domain help names it; the
+# disk is ball:1, so a command takes it by ball:N or ball:1 and names it
+# "disk" besides
+_FORMS = {DomainKind.UNIT_BALL: "ball:N",
           DomainKind.TYPE_I_MATRIX_BALL: "typei:PxQ",
           DomainKind.FULL_SPACE: "cn:N"}
 _RADIAL = ("disk", "ball:N", "cn:N")
@@ -644,7 +643,7 @@ _COMMANDS = {
     "kernel-eval": _Command(
         _cmd_kernel_eval, "evaluate a kernel model on points or a grid",
         "kernel weight m degree closed_form points_file grid radius",
-        tuple(_FORMS.values())),
+        ("disk", *_FORMS.values())),
     "frc-check": _Command(
         _cmd_frc_check, "fiber series vs the closed ball-kernel oracle "
                         "(disk, weight 1 - |z|^2)",
@@ -660,7 +659,7 @@ _COMMANDS = {
         "weight weight2 degree normalize tolerance", _RADIAL),
     "recover-weight": _Command(
         _cmd_recover_weight, "invert radial moments to a weight profile",
-        "weight degree basis ridge", ("disk", "ball:1", "cn:1")),
+        "weight degree ridge", ("disk", "ball:1", "cn:1")),
     "characterize-fbh": _Command(
         _cmd_characterize_fbh,
         "is the weighted kernel a Gaussian model kernel?",

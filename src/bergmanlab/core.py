@@ -1,9 +1,10 @@
 """Model domains, weights of integration, and multi-index bookkeeping.
 
-Supported base domains: the unit disk, the unit ball in C^n, type-I matrix
-balls {Z in C^(p x q) : I - Z Z* > 0}, and the full space C^n.  Each bounded
-domain carries its generic norm N(z, w) and genus g, together with the Hua
-polynomial chi giving the normalization integral
+Supported base domains: the unit ball in C^n, type-I matrix balls
+{Z in C^(p x q) : I - Z Z* > 0}, and the full space C^n.  The unit disk is
+the ball B^1: ``unit_disk()`` and ``unit_ball(1)`` are one value.  Each
+bounded domain carries its generic norm N(z, w) and genus g, together with
+the Hua polynomial chi giving the normalization integral
 
     integral_D N(z,z)^mu dV(z) = chi(0)/chi(mu) * Vol(D).
 
@@ -19,6 +20,7 @@ to call concurrently from any number of threads.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,7 +31,6 @@ from numpy.polynomial import polynomial as npoly
 
 
 class DomainKind(Enum):
-    UNIT_DISK = "disk"
     UNIT_BALL = "ball"
     TYPE_I_MATRIX_BALL = "typeI"
     FULL_SPACE = "fullspace"
@@ -94,8 +95,6 @@ class DomainSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("domain dimension must be >= 1")
-        if self.kind is DomainKind.UNIT_DISK and self.dim != 1:
-            raise ValueError("unit disk has complex dimension 1")
         if self.kind is DomainKind.TYPE_I_MATRIX_BALL:
             if self.shape is None or self.shape[0] * self.shape[1] != self.dim:
                 raise ValueError("type-I ball needs shape (p, q) with p*q = dim")
@@ -106,8 +105,6 @@ class DomainSpec:
 
     @property
     def genus(self) -> int:
-        if self.kind is DomainKind.UNIT_DISK:
-            return 2
         if self.kind is DomainKind.UNIT_BALL:
             return self.dim + 1
         if self.kind is DomainKind.TYPE_I_MATRIX_BALL:
@@ -115,21 +112,18 @@ class DomainSpec:
             return p + q
         raise ValueError("the full space has no genus")
 
-    @property
+    @functools.cached_property
     def hua(self) -> HuaPolynomial:
-        if self.kind is DomainKind.UNIT_DISK:
-            return HuaPolynomial((1.0, 1.0))
+        """Built on first use and kept on this domain value."""
         if self.kind is DomainKind.UNIT_BALL:
             return _hua_ball(self.dim)
         if self.kind is DomainKind.TYPE_I_MATRIX_BALL:
             return _hua_type_i(*self.shape)
         raise ValueError("the full space has no Hua polynomial")
 
-    @property
+    @functools.cached_property
     def volume(self) -> float:
-        """Euclidean volume of the bounded domain."""
-        if self.kind is DomainKind.UNIT_DISK:
-            return math.pi
+        """Euclidean volume of the bounded domain, kept like ``hua``."""
         if self.kind is DomainKind.UNIT_BALL:
             return math.pi ** self.dim / math.factorial(self.dim)
         if self.kind is DomainKind.TYPE_I_MATRIX_BALL:
@@ -147,12 +141,11 @@ class DomainSpec:
 
 
 def unit_disk() -> DomainSpec:
-    return DomainSpec(DomainKind.UNIT_DISK, 1)
+    """The unit disk, the ball B^1."""
+    return unit_ball(1)
 
 
 def unit_ball(n: int) -> DomainSpec:
-    if n == 1:
-        return unit_disk()
     return DomainSpec(DomainKind.UNIT_BALL, n)
 
 
@@ -389,7 +382,7 @@ def generic_norm_factors(domain: DomainSpec, z, w) -> np.ndarray:
     """
     Z, one_z = as_point_rows(z, domain.dim)
     W, one_w = as_point_rows(w, domain.dim)
-    if domain.kind in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
+    if domain.kind is DomainKind.UNIT_BALL:
         factors = 1.0 - hermitian_inner(Z, W)[:, None]
     elif domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         Wh = _as_matrix(domain, W).conj().swapaxes(-1, -2)
@@ -422,10 +415,6 @@ def generic_norm_power(domain: DomainSpec, z, w, exponent: complex):
     return np.exp(exponent * np.sum(principal_log(factors), axis=-1))
 
 
-def genus(domain: DomainSpec) -> int:
-    return domain.genus
-
-
 def hua_normalization(domain: DomainSpec, mu: float) -> float:
     """c_{D,mu} = chi(0)/chi(mu) * Vol(D) = integral_D N(z,z)^mu dV(z)."""
     if mu < 0:
@@ -441,7 +430,7 @@ def contains(domain: DomainSpec, z):
     Z, one = as_point_rows(z, domain.dim)
     if domain.kind is DomainKind.FULL_SPACE:
         defect = np.full(len(Z), -1.0)
-    elif domain.kind in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
+    elif domain.kind is DomainKind.UNIT_BALL:
         defect = np.sum(np.abs(Z) ** 2, axis=1) - 1.0
     else:
         smax = np.linalg.svd(_as_matrix(domain, Z), compute_uv=False)[:, 0]

@@ -51,19 +51,20 @@ def cpoint(z) -> list[list[float]]:
     return [cnum(c) for c in np.atleast_1d(np.asarray(z, dtype=complex))]
 
 
-def as_cpoint(obj) -> np.ndarray:
-    """A point is either one [re, im] pair or a list of them."""
+def as_cpoint(obj, what: str = "point") -> np.ndarray:
+    """A point is either one [re, im] pair or a list of them; anything else
+    is a ValueError naming ``what``."""
     try:
         arr = np.asarray(obj, dtype=float)
     except TypeError as exc:
-        raise ValueError(f"point must hold numbers: {exc}") from exc
+        raise ValueError(f"{what} must hold numbers: {exc}") from exc
     if arr.ndim == 1 and arr.size == 2:
         return np.array([complex(arr[0], arr[1])])
     if arr.ndim == 2 and arr.shape[1] == 2:
         out = np.empty(len(arr), dtype=complex)
         out.real, out.imag = arr[:, 0], arr[:, 1]
         return out
-    raise ValueError("point must be [re, im] or a list of [re, im] pairs")
+    raise ValueError(f"{what} must be [re, im] or a list of [re, im] pairs")
 
 
 def float_reprs(values: np.ndarray) -> np.ndarray:

@@ -135,8 +135,7 @@ class PowerKernel:
         return self.scale * np.exp(-self.exponent * logs)
 
 
-_RADIAL_KINDS = (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL,
-                 DomainKind.FULL_SPACE)
+_RADIAL_KINDS = (DomainKind.UNIT_BALL, DomainKind.FULL_SPACE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +223,7 @@ def weighted_kernel_closed_form(weight: Weight) -> KernelModel:
         n = base.dim
         return FockKernel(mu_eff, n, (mu_eff / math.pi) ** n / weight.scale)
     if isinstance(form, GenericNormPower):
-        if base.kind not in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL,
-                             DomainKind.TYPE_I_MATRIX_BALL):
+        if not base.bounded:
             raise ValueError("generic-norm kernels need a bounded symmetric base")
         s = form.mu * power
         return PowerKernel(base, s,

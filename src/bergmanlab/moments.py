@@ -54,9 +54,13 @@ from .core import (
     PolynomialRadial,
     RadialProfile,
     Weight,
+    full_space,
+    matrix_ball,
     monomial_rows,
     multiindex_enumerate,
     sample_ball_polar,
+    unit_ball,
+    unit_disk,
     weight_radial_fn,
 )
 from . import jsonio
@@ -347,7 +351,7 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
                                             for j in range(top + 1)])
     if not isinstance(form, (GenericNormPower, PolynomialRadial)):
         raise NoClosedForm("no closed-form moments for this weight form")
-    if domain.kind not in (DomainKind.UNIT_DISK, DomainKind.UNIT_BALL):
+    if domain.kind is not DomainKind.UNIT_BALL:
         raise NoClosedForm("closed-form generic-norm and polynomial moments: "
                            "disk/ball only")
     if isinstance(form, GenericNormPower):
@@ -724,16 +728,10 @@ def describe_weight(weight: Weight) -> str:
     return out if scale == 1.0 else f"{scale:g}*{out}"
 
 
-_KIND_TO_JSON = {
-    DomainKind.UNIT_DISK: "disk",
-    DomainKind.UNIT_BALL: "ball",
-    DomainKind.TYPE_I_MATRIX_BALL: "typeI",
-    DomainKind.FULL_SPACE: "fullspace",
-}
-
-
 def domain_to_json(domain: DomainSpec) -> dict:
-    out = {"kind": _KIND_TO_JSON[domain.kind], "dim": domain.dim}
+    """The domain's JSON; the ball B^1 is spelled "disk"."""
+    kind = "disk" if domain == unit_disk() else domain.kind.value
+    out = {"kind": kind, "dim": domain.dim}
     if domain.shape is not None:
         out["shape"] = list(domain.shape)
     return out
@@ -742,14 +740,17 @@ def domain_to_json(domain: DomainSpec) -> dict:
 def domain_from_json(obj: dict) -> DomainSpec:
     kind = obj["kind"]
     if kind == "disk":
-        return DomainSpec(DomainKind.UNIT_DISK, 1)
+        if obj.get("dim", 1) != 1:
+            raise ValueError(f"domain JSON of kind 'disk' has dim "
+                             f"{obj['dim']!r}; the disk has dimension 1")
+        return unit_disk()
     if kind == "ball":
-        return DomainSpec(DomainKind.UNIT_BALL, int(obj["dim"]))
+        return unit_ball(int(obj["dim"]))
     if kind == "typeI":
         p, q = obj["shape"]
-        return DomainSpec(DomainKind.TYPE_I_MATRIX_BALL, int(p) * int(q), (int(p), int(q)))
+        return matrix_ball(int(p), int(q))
     if kind == "fullspace":
-        return DomainSpec(DomainKind.FULL_SPACE, int(obj["dim"]))
+        return full_space(int(obj["dim"]))
     raise ValueError(f"unknown domain kind {kind!r}")
 
 

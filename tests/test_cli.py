@@ -1012,7 +1012,7 @@ READING_PATHS = {
          "--degree", "2", "--normalize", "--tolerance", "1e-8"]],
     "recover-weight": [
         ["--domain", "disk", "--weight", "poly:1,-2,1", "--degree", "4",
-         "--basis", "shifted-legendre", "--ridge", "0"]],
+         "--ridge", "0"]],
     "characterize-fbh": [
         ["--n", "1", "--weight", "gaussian:1", "--m", "1", "--mu", "1",
          "--degree", "10", "--rmax", "0.5", "--npts", "4", "--seed", "1"]],
@@ -1094,14 +1094,15 @@ def test_an_unread_flag_is_refused_by_name(capsys, tmp_path, cmd, flag):
 
 def test_accepted_pairs_are_the_read_ones():
     # 150 (command, flag) pairs were accepted before the table named
-    # exactly the flags each handler reads
+    # exactly the flags each handler reads, 114 before recover-weight's
+    # --basis, which could only repeat the base's own basis, was dropped
     parser = cli._build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     pairs = {(cmd, flag) for cmd, p in sub.choices.items()
              for a in p._actions for flag in a.option_strings[:1]
              if flag != "-h"}
-    assert len(pairs) == 114
+    assert len(pairs) == 113
     assert not pairs & set(UNREAD_PAIRS)
 
 
@@ -1232,6 +1233,103 @@ def test_a_malformed_unitary_names_its_map_and_field(capsys, kind, field,
     assert err == (f"config error: malformed JSON argument: {kind} map field "
                    f"{field!r} must be the 1x1 matrix as a row-major list of "
                    "1 [re, im] pairs\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["transform-check", "--domain", "cn:1", "--weight", "gaussian:1",
+      "--map", '{"kind":"translation","v":[[[1,0]]]}'],
+     "translation map field 'v'"),
+    (["jacobian-check", "--domain", "disk", "--weight", "npower:1",
+      "--map", '{"kind":"mobius","a":[1,2,3]}'],
+     "mobius map field 'a'")], ids=["translation", "mobius"])
+def test_a_malformed_map_point_names_its_map_and_field(capsys, argv,
+                                                      message):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {message} must be [re, im] or a list of "
+                   "[re, im] pairs\n")
+
+
+def test_a_malformed_file_point_names_its_file_and_field(capsys, tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text('{"z": [[0.1, 0.0]], "w": [[0.2, 0.0], [1, 2, 3]]}')
+    code, out, err = run_cli(["kernel-eval", "--domain", "disk", "--weight",
+                              "npower:1", "--points-file", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: points file {path} field 'w' entry 1 must be "
+                   "[re, im] or a list of [re, im] pairs\n")
+
+
+# a map's rate comes from the weight: a mu field must repeat it
+RATE_CASES = [("cn:1", "gaussian:1", "translation", "v", mu)
+              for mu in (5, -3, "x", True)] + \
+             [("disk", "npower:1.5", "mobius", "a", 1.0)]
+
+
+@pytest.mark.parametrize("domain,weight,kind,field,mu", RATE_CASES)
+def test_a_map_rate_other_than_the_weights_is_refused(capsys, domain, weight,
+                                                      kind, field, mu):
+    obj = {"kind": kind, field: [[0.4, 0.3]], "mu": mu}
+    rate = float(weight.split(":")[1])
+    argv = ["transform-check", "--domain", domain, "--weight", weight,
+            "--map", json.dumps(obj), "--tol", "1e-9"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {kind} map field 'mu' is {mu!r}, but the "
+                   f"weight's rate is {rate!r}; give that rate or leave the "
+                   "field out\n")
+    # the rate itself, as map_to_json writes it, or no mu at all is taken
+    for given in ({"mu": rate}, {}):
+        obj = {"kind": kind, field: [[0.4, 0.3]], **given}
+        argv[argv.index("--map") + 1] = json.dumps(obj)
+        assert run_cli(argv, capsys)[0] == 0, given
+
+
+def test_a_composite_part_rate_is_checked(capsys):
+    part = {"kind": "mobius", "a": [[0.3, 0.0]], "mu": 2.0}
+    code, out, err = run_cli(
+        ["transform-check", "--domain", "disk", "--weight", "npower:1",
+         "--map", json.dumps({"kind": "composite", "parts": [part]})], capsys)
+    assert (code, out) == (2, "")
+    assert "mobius map field 'mu' is 2.0, but the weight's rate is 1.0" in err
+
+
+@pytest.mark.parametrize("dim", [2, 0, "1"])
+def test_a_disk_json_of_another_dimension_is_refused(capsys, dim):
+    kernel = {"form": "power", "domain": {"kind": "disk", "dim": dim},
+              "mu": 1.0}
+    code, out, err = run_cli(["kernel-eval", "--kernel", json.dumps(kernel),
+                              "--grid", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: domain JSON of kind 'disk' has dim {dim!r}; the "
+                   "disk has dimension 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--weight", "npower:1.5", "--degree", "6"],
+    ["characterize-ch", "--weight", "npower:1", "--degree", "30"],
+    ["transform-check", "--weight", "npower:1", "--m", "2", "--map",
+     '{"kind":"mobius","a":[[0.3,0.2]]}']], ids=lambda a: a[0])
+def test_disk_and_ball_1_give_one_report(capsys, argv):
+    disk = run_cli(argv + ["--domain", "disk"], capsys)
+    ball = run_cli(argv + ["--domain", "ball:1"], capsys)
+    assert disk[0] == 0 and disk[2] == ""
+    assert ball == disk
+
+
+def test_recover_weight_takes_no_basis(capsys, tmp_path):
+    argv = ["recover-weight", "--domain", "disk", "--weight", "npower:1",
+            "--degree", "4"]
+    code, out, err = run_cli(argv + ["--basis", "laguerre"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: --basis laguerre\n" in err
+    config = tmp_path / "config.json"
+    config.write_text('{"basis": "shifted-legendre"}')
+    code, out, err = run_cli(argv + ["--config", str(config)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: unknown configuration key 'basis'\n"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["basis"] == "shifted_legendre"
 
 
 # ---------------------------------------------------------------------------

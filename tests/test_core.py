@@ -6,9 +6,11 @@ import pytest
 from scipy.integrate import quad, dblquad
 
 import bergmanlab as bl
+from bergmanlab.cli import parse_domain
 from bergmanlab.core import (MAX_POINTS, grlex_key, hermitian_inner,
                              monomial_values, sample_ball, sample_ball_polar,
                              weight_radial_fn)
+from bergmanlab.moments import domain_from_json, domain_to_json
 
 from conftest import interior_ball_points, interior_disk_points
 
@@ -99,13 +101,37 @@ class TestGenericNorm:
 
 class TestGenus:
     def test_values(self):
-        assert bl.genus(bl.unit_disk()) == 2
-        assert bl.genus(bl.unit_ball(3)) == 4
-        assert bl.genus(bl.matrix_ball(2, 2)) == 4
+        assert bl.unit_disk().genus == 2
+        assert bl.unit_ball(3).genus == 4
+        assert bl.matrix_ball(2, 2).genus == 4
 
     def test_fullspace_rejected(self):
         with pytest.raises(ValueError):
-            bl.genus(bl.full_space(2))
+            bl.full_space(2).genus
+
+
+class TestOneDisk:
+    """The disk is the ball B^1: every spelling of it gives one value,
+    written back as "disk"."""
+
+    def test_every_spelling_is_one_domain(self):
+        spellings = [bl.unit_disk(), bl.unit_ball(1), parse_domain("ball:1"),
+                     domain_from_json({"kind": "ball", "dim": 1}),
+                     domain_from_json({"kind": "disk", "dim": 1})]
+        assert all(d == bl.unit_disk() for d in spellings)
+        assert all(domain_to_json(d) == {"kind": "disk", "dim": 1}
+                   for d in spellings)
+        assert len(bl.DomainKind) == 3
+
+    def test_ball_formulas_at_one_dimension(self):
+        # the constants the disk had as a kind of its own, bit for bit
+        d = bl.unit_disk()
+        assert d.hua.coefficients == (1.0, 1.0)
+        assert d.volume == math.pi
+
+    def test_hua_polynomial_is_built_once_per_domain(self):
+        d = bl.unit_disk()
+        assert d.hua is d.hua
 
 
 class TestHuaNormalization:

@@ -130,7 +130,6 @@ OPTIONAL = {
     "--max-terms": count,
     "--method": st.sampled_from(["auto", "exact", "quadrature",
                                  "montecarlo"]),
-    "--basis": st.sampled_from(["shifted-legendre", "laguerre"]),
     "--family": st.sampled_from(["fbh", "thullen"]),
     "--kernel": inline_kernel,
     "--closed-form": st.none(),

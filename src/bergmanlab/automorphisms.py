@@ -424,12 +424,30 @@ def map_to_json(aut: AutomorphismSpec) -> dict:
     raise TypeError(f"unknown automorphism {aut!r}")
 
 
+# the fields each map kind reads besides "kind"
+_MAP_FIELDS = {
+    "base_unitary": ("matrix",),
+    "fiber_unitary": ("matrix",),
+    "translation": ("v", "mu"),
+    "mobius": ("a", "mu", "fiber_unitary"),
+    "composite": ("parts",),
+}
+
+
 def map_from_json(obj: dict, domain: HartogsDomain) -> AutomorphismSpec:
     """The map that ``map_to_json`` wrote, on the given domain.  A
     translation or Moebius map takes its rate from the domain's weight, so
-    a ``mu`` field other than that rate is refused."""
+    a ``mu`` field other than that rate is refused, and so is a field that
+    the map's kind does not read."""
     kind = obj["kind"]
     n, m = domain.base.dim, domain.fiber_dim
+    if kind not in _MAP_FIELDS:
+        raise ValueError(f"unknown map kind {kind!r}")
+    unread = sorted(set(obj) - {"kind", *_MAP_FIELDS[kind]})
+    if unread:
+        raise ValueError(f"{kind} map has the field(s) {', '.join(unread)}, "
+                         f"which it does not read; it reads kind, "
+                         f"{', '.join(_MAP_FIELDS[kind])}")
 
     def matrix(field: str, dim: int) -> np.ndarray:
         return jsonio.as_cmatrix(obj[field], (dim, dim),
@@ -457,7 +475,5 @@ def map_from_json(obj: dict, domain: HartogsDomain) -> AutomorphismSpec:
     if kind == "mobius":
         U = matrix("fiber_unitary", m) if "fiber_unitary" in obj else None
         return with_rate(make_ch_map(domain, point("a"), U))
-    if kind == "composite":
-        return Composite(domain, tuple(map_from_json(p, domain)
-                                       for p in obj["parts"]))
-    raise ValueError(f"unknown map kind {kind!r}")
+    return Composite(domain, tuple(map_from_json(p, domain)
+                                   for p in obj["parts"]))

@@ -189,15 +189,27 @@ def _effective(args: argparse.Namespace) -> dict:
 def parse_domain(spec: str) -> DomainSpec:
     """disk | ball:N | typei:PxQ | cn:N"""
     s = spec.strip().lower()
+    kind, _, rest = s.partition(":")
+
+    def sizes(count: int) -> list[int]:
+        try:
+            values = [int(part) for part in rest.split("x")]
+        except ValueError:
+            values = []
+        if len(values) != count:
+            form = "PxQ" if count == 2 else "N"
+            raise ConfigError(f"--domain {spec!r}: expected {kind}:{form} "
+                              f"with integer {' and '.join(form.split('x'))}")
+        return values
+
     if s == "disk":
         return unit_disk()
-    if s.startswith("ball:"):
-        return unit_ball(int(s.split(":", 1)[1]))
-    if s.startswith("typei:"):
-        p, q = s.split(":", 1)[1].split("x")
-        return matrix_ball(int(p), int(q))
-    if s.startswith("cn:"):
-        return full_space(int(s.split(":", 1)[1]))
+    if kind == "ball":
+        return unit_ball(*sizes(1))
+    if kind == "typei":
+        return matrix_ball(*sizes(2))
+    if kind == "cn":
+        return full_space(*sizes(1))
     raise ConfigError(f"cannot parse domain descriptor {spec!r}")
 
 

@@ -15,11 +15,17 @@ and restricting both fiber variables to zero leaves only the k = 0 term,
 
 The series is summed over arrays of point pairs, in passes over the first
 16, 32, 64, ... terms of the pairs that have not yet stopped, with a
-per-pair stop rule and geometric tail estimate.  The per-term weighted
-kernels come from a family: closed forms where available, where every term
-is scale_k exp(a_k L(z, z')) and the pair function L is computed once per
-pass for all its terms, or Gram-series reconstructions evaluated over all
-pairs one term at a time.
+per-pair stop rule and geometric tail estimate; a pair with
+<zeta, zeta'> = 0 is its k = 0 term and enters no pass.  A pass is one
+table of terms from a family of weighted kernels K_{D, p^(k+m)}.  Where
+they have closed forms, every term is C_k exp(a_k L(z, z')) <zeta, zeta'>^k
+with a_k = a_0 + mu k, so the table is geometric,
+
+    C_k E x^k,   E = exp(a_0 L),   x = exp(mu L) <zeta, zeta'>,
+
+from one L, E and x per pair and one array of constants C_k per pass (the
+ratio x of Yamamori, Complex Var. Elliptic Equ. 58 (2013)).  Gram-series
+families evaluate each term's series kernel over all pairs instead.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .core import (
     DomainSpec,
@@ -90,23 +97,44 @@ def pochhammer(k: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # weighted-kernel families K_{D, p^(k+m)}
 #
-# A family maps k to a kernel model (built on first use, cached per k) and
-# evaluates term indices over pairs: ``pair_values(Z, Z2, ks)`` returns
-# K_k(z_i, z'_i) with shape (len(Z), len(ks)).
+# A family maps k to a kernel model, the per-term model, and evaluates the
+# first K terms over pairs as one table: ``terms(Z, Z2, u, K)`` returns
+# K_k(z_i, z'_i) u_i^k with shape (len(Z), K).  ``usable_terms(K)`` says how
+# many of the first K terms can be formed, and gives the error the next one
+# raises.
+
+def _powers(x: np.ndarray, K: int) -> np.ndarray:
+    """1, x, ..., x^(K-1) per entry of x, by repeated multiplication."""
+    return np.cumprod(np.concatenate(
+        [np.ones((len(x), 1)), np.repeat(x[:, None], K - 1, axis=1)],
+        axis=1), axis=1)
+
 
 class ClosedFormFamily:
     """k -> closed-form K_{D, p^(k+m)}; needs a weight with closed kernels.
 
-    Every kernel of the family is scale_k exp(a_k L(z, z')): a Fock kernel
-    with a_k its rate and L = <z, z'> for Gaussian weights on C^n, a power
-    kernel with a_k its exponent g + mu_k and L = -log N(z, z') for
-    generic-norm weights.
+    Every kernel of the family is C_k exp(a_k L(z, z')) with a_k = a_0 + mu k:
+    a Fock kernel with L = <z, z'> and C_k = (s_k/pi)^n / c^(k+m) for
+    Gaussian weights on C^n, a power kernel with L = -log N(z, z') and
+    C_k = 1 / (c^(k+m) c_{D, s_k}) for generic-norm weights, where mu is
+    the rate of p (its form's mu times its power), s_k = mu (k+m), c is the
+    weight's scale and c_{D, s} its Hua normalization.  The series' terms
+    are therefore the geometric table C_k E x^k with E = exp(a_0 L) and
+    x = exp(mu L) <zeta, zeta'>.  The constructor builds the k = 0 model,
+    so a weight without closed kernels, or whose p^m leaves the float
+    range, is refused there.
     """
 
     def __init__(self, domain: HartogsDomain):
         self.domain = domain
-        self._cache: dict[int, KernelModel] = {}
-        weighted_kernel_closed_form(domain.weight)  # fail fast if unsupported
+        weight, m = domain.weight, domain.fiber_dim
+        # fail fast if unsupported; the k = 0 model is the first term
+        first = weighted_kernel_closed_form(weight.pow(m))
+        self._cache: dict[int, KernelModel] = {0: first}
+        self._gaussian = isinstance(weight.form, GaussianPower)
+        self._rate = first.mu if self._gaussian else first.exponent
+        self._step = weight.form.mu * weight.power_exponent
+        self._constants = np.empty(0)
 
     def __call__(self, k: int) -> KernelModel:
         if k not in self._cache:
@@ -115,24 +143,58 @@ class ClosedFormFamily:
                 self.domain.weight.pow(power))
         return self._cache[k]
 
-    def pair_values(self, Z, Z2, ks) -> np.ndarray:
-        models = [self(k) for k in ks]
-        scale = np.array([model.scale for model in models])
-        if isinstance(self.domain.weight.form, GaussianPower):
-            rate = np.array([model.mu for model in models])
+    def _constants_upto(self, K: int) -> np.ndarray:
+        """C_k for k < K, NaN where c^(k+m) or C_k leaves the positive
+        float range; computed for at least the first pass's terms."""
+        if len(self._constants) < K:
+            weight, m = self.domain.weight, self.domain.fiber_dim
+            base = self.domain.base
+            power = np.arange(m, max(K, _FIRST_TERMS) + m)
+            s = weight.form.mu * (weight.power_exponent * power)
+            with np.errstate(all="ignore"):
+                cpow = weight.scale ** power.astype(float)
+                if self._gaussian:
+                    C = (s / math.pi) ** base.dim / cpow
+                else:
+                    chi = np.asarray(base.hua.coefficients)
+                    hua = chi[0] / npoly.polyval(s, chi) * base.volume
+                    C = 1.0 / (cpow * hua)
+            C[~((cpow > 0) & (cpow < np.inf))] = np.nan
+            # the first term in the float order of its model
+            C[0] = self._cache[0].scale
+            self._constants = C
+        return self._constants[:K]
+
+    def usable_terms(self, K: int) -> tuple[int, Exception | None]:
+        C = self._constants_upto(K)
+        bad = np.flatnonzero(~(np.isfinite(C) & (C > 0)))
+        if not bad.size:
+            return K, None
+        k = int(bad[0])
+        try:
+            self(k)   # its model raises the error that names the cause
+        except (ArithmeticError, ValueError) as exc:
+            return k, exc
+        return k, ValueError(f"the constant of fiber-series term {k} leaves "
+                             "the float range")
+
+    def terms(self, Z, Z2, u, K: int) -> np.ndarray:
+        if self._gaussian:
             L = hermitian_inner(Z, Z2)
         else:
-            rate = np.array([model.exponent for model in models])
             logs = principal_log(generic_norm_factors(self.domain.base, Z, Z2))
             L = -np.sum(logs, axis=-1)
-        return scale * np.exp(rate * L[:, None])
+        E = np.exp(self._rate * L)
+        x = np.exp(self._step * L) * u
+        return (self._constants_upto(K) * E[:, None]) * _powers(x, K)
 
 
 class SeriesFamily:
     """k -> Gram-series K_{D, p^(k+m)} at a fixed truncation degree.
 
     Grams are assembled lazily (closed-form moments when available, radial
-    quadrature otherwise) and cached per k.
+    quadrature otherwise) and cached per k; a table evaluates each term's
+    series kernel over all pairs.
     """
 
     def __init__(self, domain: HartogsDomain, degree: int):
@@ -147,11 +209,19 @@ class SeriesFamily:
                 self.domain.weight.pow(power), self.degree))
         return self._cache[k]
 
-    def pair_values(self, Z, Z2, ks) -> np.ndarray:
-        out = np.empty((len(Z), len(ks)), dtype=complex)
-        for j, k in enumerate(ks):
-            out[:, j] = self(k).eval_pairs(Z, Z2)
-        return out
+    def usable_terms(self, K: int) -> tuple[int, Exception | None]:
+        for k in range(K):
+            try:
+                self(k)
+            except (ArithmeticError, ValueError) as exc:
+                return k, exc
+        return K, None
+
+    def terms(self, Z, Z2, u, K: int) -> np.ndarray:
+        out = np.empty((len(Z), K), dtype=complex)
+        for k in range(K):
+            out[:, k] = self(k).eval_pairs(Z, Z2)
+        return out * _powers(u, K)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +271,13 @@ _FIRST_TERMS = 16
 MAX_TERM_TABLE = 1 << 21
 
 
+def fiber_coefficients(m: int, K: int) -> np.ndarray:
+    """pi^(-m) (k+1)_m for k < K, the factors of the fiber series' terms."""
+    rising = np.prod(np.arange(K, dtype=float)[:, None]
+                     + np.arange(1.0, m + 1), axis=1)
+    return math.pi ** (-m) * rising
+
+
 def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
                    max_terms: int = 200, tol: float = 1e-12) -> FrcPairs:
     """Sum the fiber series for K_Omega at k pairs of interior points.
@@ -209,16 +286,16 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     of shape (k, m); pair i is (Z[i], ZETA[i]) and (Z2[i], ZETA2[i]).
     ``kernel_family`` is a ClosedFormFamily or SeriesFamily for
     K_{D, p^(k+m)}.  A pass evaluates the first 16, 32, 64, ... terms of
-    the pairs that have not stopped, as one array.  A pair stops once five
-    consecutive terms are below tol relative to its running partial sum,
-    or at max_terms, flagged as non-converged; its tail estimate
-    extrapolates its last term geometrically.  The k = 0 term uses the
-    convention <zeta,zeta'>^0 = 1 even at <zeta,zeta'> = 0, which the
-    zero-fiber restriction identity forces, and such a pair stops after
-    it.  A term index whose constants leave the float range raises only if
-    some pair still needs it, and a partial sum that leaves it raises
-    FloatingPointError; terms evaluated past a pair's stop may overflow.
-    A pass whose pairs x terms table would hold more than
+    the pairs that have not stopped, as one table of the family.  A pair
+    stops once five consecutive terms are below tol relative to its
+    running partial sum, or at max_terms, flagged as non-converged; its
+    tail estimate extrapolates its last term geometrically.  A pair with
+    <zeta,zeta'> = 0 is its k = 0 term, by the convention
+    <zeta,zeta'>^0 = 1 that the zero-fiber restriction identity forces,
+    and enters no pass.  A term index whose constants leave the float range
+    raises only if some pair still needs it, and a partial sum that leaves
+    it raises FloatingPointError; terms evaluated past a pair's stop may
+    overflow.  A pass whose pairs x terms table would hold more than
     ``MAX_TERM_TABLE`` entries is refused before it is allocated.
     """
     (z, zeta), (z2, zeta2) = points, points2
@@ -234,24 +311,28 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     u = hermitian_inner(ZETA, ZETA2)
     count = len(u)
     zero = u == 0
-    inv_pi_m = math.pi ** (-m)
-    coef: list[float] = []
     # a pair that sums no term: value 0 and no ratio
     out = FrcPairs(np.zeros(count, dtype=complex), np.zeros(count, dtype=int),
                    np.where(zero, 0.0, np.inf), zero.copy(),
                    np.full(count, np.nan))
-    active = np.arange(count)
+    if max_terms > 0 and zero.any():
+        # every term past k = 0 vanishes
+        usable, error = kernel_family.usable_terms(1)
+        if usable == 0:
+            raise error
+        z0 = np.flatnonzero(zero)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = fiber_coefficients(m, 1) * kernel_family.terms(
+                Z[z0], Z2[z0], u[z0], 1)
+        if not np.isfinite(first).all():
+            raise FloatingPointError("a fiber-series partial sum leaves "
+                                     "the float range")
+        out.value[z0] = first[:, 0]
+        out.terms_used[z0] = 1
+    active = np.flatnonzero(~zero)
     width = _FIRST_TERMS
     while active.size and max_terms > 0:
-        K = min(width, max_terms)
-        pending = None
-        for k in range(len(coef), K):
-            try:
-                kernel_family(k)
-                coef.append(inv_pi_m * pochhammer(k, m))
-            except (ArithmeticError, ValueError) as exc:
-                K, pending = k, exc
-                break
+        K, pending = kernel_family.usable_terms(min(width, max_terms))
         if K == 0:
             raise pending
         if active.size * K > MAX_TERM_TABLE:
@@ -262,12 +343,8 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
         # terms past a pair's stop are never used, so they may leave the
         # float range; the used ones are checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            # u^k by repeated multiplication, then c_k K_k(z, z') u^k
-            upows = np.cumprod(np.concatenate(
-                [np.ones((len(a), 1)), np.repeat(u[a, None], K - 1, axis=1)],
-                axis=1), axis=1)
-            T = np.array(coef[:K]) * kernel_family.pair_values(
-                Z[a], Z2[a], range(K)) * upows
+            T = fiber_coefficients(m, K) * kernel_family.terms(
+                Z[a], Z2[a], u[a], K)
             sums = np.cumsum(T, axis=1)
             mags = np.abs(T)
             small = mags < tol * np.maximum(np.abs(sums), 1e-300)
@@ -278,7 +355,6 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
         # consecutive small terms ending at each index
         streaks = idx - np.maximum.accumulate(np.where(small, -1, idx), axis=1)
         stop = streaks >= 5
-        stop[:, 0] |= zero[a]   # every later term vanishes
         last_seen = np.maximum.accumulate(np.where(seen, idx, -1), axis=1)
 
         stops = stop.any(axis=1)
@@ -292,16 +368,16 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
         last = last_seen[rows, j]
         ratio = np.where(last >= 0, ratios[rows, np.maximum(last, 0)], np.nan)
         mag = mags[rows, j]
-        converged = (streaks[rows, j] >= 5) | (mag == 0.0) | zero[d]
+        converged = (streaks[rows, j] >= 5) | (mag == 0.0)
         tail = np.where(converged, 0.0, np.inf)
-        geometric = (ratio < 1.0) & ~zero[d]
+        geometric = ratio < 1.0
         tail[geometric] = (mag[geometric] * ratio[geometric]
                            / (1.0 - ratio[geometric]))
         out.value[d] = sums[rows, j]
         out.terms_used[d] = j + 1
         out.tail_estimate[d] = tail
         out.converged[d] = converged
-        out.last_ratio[d] = np.where(zero[d], np.nan, ratio)
+        out.last_ratio[d] = ratio
         active = a[~done]
         if pending is not None and active.size:
             raise pending

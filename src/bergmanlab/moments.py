@@ -738,19 +738,29 @@ def domain_to_json(domain: DomainSpec) -> dict:
 
 
 def domain_from_json(obj: dict) -> DomainSpec:
+    """The domain ``domain_to_json`` wrote.  A ``dim`` or ``shape`` entry
+    that is not a whole number is refused by name, not truncated."""
     kind = obj["kind"]
+
+    def size(field: str, value) -> int:
+        if type(value) is int or (type(value) is float
+                                  and value.is_integer()):
+            return int(value)
+        raise ValueError(f"domain JSON of kind {kind!r} has {field} "
+                         f"{value!r}; it must be a whole number")
+
     if kind == "disk":
         if obj.get("dim", 1) != 1:
             raise ValueError(f"domain JSON of kind 'disk' has dim "
                              f"{obj['dim']!r}; the disk has dimension 1")
         return unit_disk()
     if kind == "ball":
-        return unit_ball(int(obj["dim"]))
+        return unit_ball(size("dim", obj["dim"]))
     if kind == "typeI":
         p, q = obj["shape"]
-        return matrix_ball(int(p), int(q))
+        return matrix_ball(size("shape", p), size("shape", q))
     if kind == "fullspace":
-        return full_space(int(obj["dim"]))
+        return full_space(size("dim", obj["dim"]))
     raise ValueError(f"unknown domain kind {kind!r}")
 
 

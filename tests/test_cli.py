@@ -15,6 +15,7 @@ import pytest
 import bergmanlab as bl
 from bergmanlab import cli, jsonio
 from bergmanlab.cli import main, parse_domain, parse_weight, load_config, ConfigError
+from bergmanlab.moments import domain_from_json
 
 from conftest import child_env, dense_kernel
 
@@ -1303,6 +1304,57 @@ def test_a_disk_json_of_another_dimension_is_refused(capsys, dim):
     assert (code, out) == (2, "")
     assert err == (f"error: domain JSON of kind 'disk' has dim {dim!r}; the "
                    "disk has dimension 1\n")
+
+
+@pytest.mark.parametrize("domain,field,value", [
+    ({"kind": "ball", "dim": 1.9}, "dim", 1.9),
+    ({"kind": "fullspace", "dim": 2.5}, "dim", 2.5),
+    ({"kind": "ball", "dim": "2"}, "dim", "2"),
+    ({"kind": "typeI", "dim": 4, "shape": [2, 2.5]}, "shape", 2.5)],
+    ids=["ball", "fullspace", "string", "typeI"])
+def test_a_domain_json_size_that_is_not_whole_is_refused(capsys, domain,
+                                                        field, value):
+    kernel = {"form": "power", "domain": domain, "mu": 1.0}
+    code, out, err = run_cli(["kernel-eval", "--kernel", json.dumps(kernel),
+                              "--grid", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: domain JSON of kind {domain['kind']!r} has "
+                   f"{field} {value!r}; it must be a whole number\n")
+    # a whole float is the integer it spells
+    assert domain_from_json({"kind": "ball", "dim": 2.0}) == bl.unit_ball(2)
+
+
+@pytest.mark.parametrize("map_obj,unread,reads", [
+    ({"kind": "base_unitary", "matrix": [[1, 0]], "mu": 7}, "mu",
+     "kind, matrix"),
+    ({"kind": "translation", "v": [[0.1, 0.2]], "a": [[0.1, 0.0]]}, "a",
+     "kind, v, mu"),
+    ({"kind": "composite", "parts": [], "mu": 1, "v": [[0, 0]]}, "mu, v",
+     "kind, parts")], ids=["base_unitary", "translation", "composite"])
+def test_a_map_field_its_kind_does_not_read_is_refused(capsys, map_obj,
+                                                      unread, reads):
+    code, out, err = run_cli(["transform-check", "--domain", "cn:1",
+                              "--weight", "gaussian:1", "--map",
+                              json.dumps(map_obj)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {map_obj['kind']} map has the field(s) "
+                   f"{unread}, which it does not read; it reads {reads}\n")
+
+
+@pytest.mark.parametrize("spec,form", [
+    ("ball:1.5", "ball:N with integer N"), ("cn:2.0", "cn:N with integer N"),
+    ("ball:", "ball:N with integer N"),
+    ("typei:2x1.5", "typei:PxQ with integer P and Q"),
+    ("typei:2", "typei:PxQ with integer P and Q")])
+def test_a_domain_size_that_is_not_an_integer_is_a_config_error(capsys, spec,
+                                                               form):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"--domain {spec!r}: expected {form}")):
+        parse_domain(spec)
+    code, out, err = run_cli(["gram", "--domain", spec, "--weight",
+                              "npower:1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: --domain {spec!r}: expected {form}\n"
 
 
 @pytest.mark.parametrize("argv", [

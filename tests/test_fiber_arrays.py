@@ -7,17 +7,20 @@ rule applied term by term.  It stays here as the oracle.  The structural
 tests count calls, not time, so the scalar loops cannot come back unseen."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bergmanlab as bl
 from bergmanlab import automorphisms as am
-from bergmanlab import cli, kernels
+from bergmanlab import cli, hartogs, kernels
+from bergmanlab.core import hermitian_inner
 from bergmanlab.hartogs import (
     ClosedFormFamily,
     HartogsDomain,
     SeriesFamily,
+    fiber_coefficients,
     frc_eval,
     frc_eval_pairs,
     pochhammer,
@@ -185,24 +188,29 @@ def test_a_pass_past_the_term_table_limit_is_refused(monkeypatch):
 
 
 class _LeavesFloatRange:
-    """A family whose kernels are inf from k = 3 on."""
+    """A family whose terms are <zeta, zeta'>^k up to k = 7 and inf from
+    k = 8 on, all within the first pass of 16 terms."""
 
-    def __call__(self, k):
-        return None
+    def usable_terms(self, K):
+        return K, None
 
-    def pair_values(self, Z, Z2, ks):
-        ks = np.asarray(ks)
-        return np.tile(np.where(ks < 3, 1.0, np.inf), (len(Z), 1))
+    def terms(self, Z, Z2, u, K):
+        k = np.arange(K)
+        return np.where(k < 8, u[:, None] ** k, np.inf)
 
 
 def test_only_used_terms_must_stay_in_float_range():
     H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), 1)
     z = np.array([[0.1]])
     with np.errstate(all="raise"):
-        # <zeta, zeta'> = 0 uses the k = 0 term only; the terms evaluated
-        # past it overflow unseen
+        # <zeta, zeta'> = 0 uses the k = 0 term only
         got = frc_eval_pairs(H, (z, [[0.5]]), (z, [[0.0]]), _LeavesFloatRange())
         assert got.pair(0) == bl.FrcResult(1 / math.pi, 1, 0.0, True, None)
+        # <zeta, zeta'> = 1e-6 stops at k = 7; the terms evaluated past it
+        # overflow unseen
+        got = frc_eval_pairs(H, (z, [[1e-3]]), (z, [[1e-3]]),
+                             _LeavesFloatRange())
+        assert got.terms_used.tolist() == [8] and got.converged.all()
         with pytest.raises(FloatingPointError, match="float range"):
             frc_eval_pairs(H, (z, [[0.5]]), (z, [[0.5]]), _LeavesFloatRange())
 
@@ -212,6 +220,77 @@ def test_pairs_need_as_many_points_on_each_side():
     (Z, ZETA), (Z2, ZETA2) = _pairs(domain, 4, seed=0)
     with pytest.raises(ValueError, match="as many points"):
         frc_eval_pairs(domain, (Z, ZETA), (Z2[:3], ZETA2[:3]), family)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form term table
+
+CLOSED = [name for name in CASES if not name.startswith("series")]
+
+
+@pytest.mark.parametrize("name", CLOSED)
+def test_closed_form_table_matches_per_term_models(name):
+    """pi^(-m) (k+1)_m K_k(z, z') u^k from the table against the same term
+    from a kernel model of weight p^(k+m) built for it."""
+    domain, family = _case(name)
+    (Z, ZETA), (Z2, ZETA2) = _pairs(domain, 12, seed=CASES.index(name))
+    m, K = domain.fiber_dim, 24
+    u = hermitian_inner(ZETA, ZETA2)
+    got = fiber_coefficients(m, K) * family.terms(Z, Z2, u, K)
+    for k in range(K):
+        model = kernels.weighted_kernel_closed_form(domain.weight.pow(k + m))
+        want = (math.pi ** -m * pochhammer(k, m)
+                * np.diagonal(model.eval_grid(Z, Z2)) * u ** k)
+        assert (np.abs(got[:, k] - want) <= 1e-14 * np.abs(want)).all(), k
+
+
+def _mpmath_series(term, u, tol=1e-32):
+    """sum_k term(k) u^k in mpmath until five consecutive terms are below
+    tol relative to the partial sum."""
+    mp = pytest.importorskip("mpmath")
+    total, small, k = mp.mpc(0), 0, 0
+    while small < 5:
+        t = term(k) * mp.mpc(u) ** k
+        total += t
+        small = small + 1 if abs(t) < tol * abs(total) else 0
+        k += 1
+    return total
+
+
+@pytest.mark.parametrize("family_name", ["fbh-cn2", "ch-ball2"])
+def test_fiber_series_against_an_mpmath_sum(family_name):
+    """The summed table against the series in 40-digit arithmetic, with
+    each term's kernel from its textbook formula: (s/pi)^n e^(s <z,z'>) for
+    e^(-mu|z|^2) on C^n, and Gamma(n+s+1)/(pi^n Gamma(s+1))
+    (1 - <z,z'>)^-(n+1+s) for (1-|z|^2)^mu on the ball, s = mu (k+m)."""
+    mp = pytest.importorskip("mpmath")
+    n, m, mu = 2, 2, 1.3
+    if family_name == "fbh-cn2":
+        domain = HartogsDomain(bl.full_space(n), bl.gaussian_weight(n, mu), m)
+    else:
+        ball = bl.unit_ball(n)
+        domain = HartogsDomain(ball, bl.generic_norm_weight(ball, mu), m)
+    (Z, ZETA), (Z2, ZETA2) = _pairs(domain, 8, seed=11)
+    got = frc_eval_pairs(domain, (Z, ZETA), (Z2, ZETA2),
+                         ClosedFormFamily(domain), tol=1e-15)
+    assert got.converged.all()
+    with mp.workdps(40):
+        for i in range(len(Z)):
+            L = mp.mpc(complex(np.vdot(Z2[i], Z[i])))
+            u = complex(np.vdot(ZETA2[i], ZETA[i]))
+
+            def term(k):
+                s = mu * (k + m)
+                if family_name == "fbh-cn2":
+                    kernel = (s / mp.pi) ** n * mp.exp(s * L)
+                else:
+                    kernel = (mp.gamma(n + s + 1) / (mp.pi ** n
+                                                     * mp.gamma(s + 1))
+                              * (1 - L) ** -(n + 1 + s))
+                return mp.rf(k + 1, m) / mp.pi ** m * kernel
+
+            want = complex(_mpmath_series(term, u))
+            assert abs(got.value[i] - want) <= 1e-13 * abs(want), i
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +407,47 @@ def test_frc_check_makes_no_scalar_kernel_call(monkeypatch, capsys):
         assert len(series) == 2
     assert power == []
     capsys.readouterr()
+
+
+def test_frc_check_builds_no_kernel_per_term(monkeypatch, capsys):
+    """The family's constructor builds the k = 0 model, which fails fast
+    for a weight without closed kernels; every other term comes from the
+    table, and the 20 zero-fiber restriction pairs take one column of it."""
+    built = []
+    for owner in (kernels, hartogs, cli):
+        built.append(_count_calls(monkeypatch, owner,
+                                  "weighted_kernel_closed_form"))
+    tables = []
+    terms = ClosedFormFamily.terms
+
+    def recording(family, Z, Z2, u, K):
+        tables.append((len(Z), K))
+        return terms(family, Z, Z2, u, K)
+
+    monkeypatch.setattr(ClosedFormFamily, "terms", recording)
+    for argv in (["frc-check"], ["frc-check", "--m", "3", "--pairs", "200"]):
+        for calls in built + [tables]:
+            calls.clear()
+        assert cli.main(argv) == 0
+        assert sum(map(len, built)) <= 1
+        assert tables[-1] == (20, 1)
+    capsys.readouterr()
+
+
+def test_seed_5_fiber_automorphism_verdicts_keep_their_exit_codes(
+        monkeypatch, tmp_path, capsys):
+    """Every verdict of one seed-5 pass of the benchmark's
+    fiber-automorphism workload, and the inputs it checks apart as
+    defects, exits with the code the workload expects."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "verdictbench"))
+    import workloads
+    work = workloads.generate("fiber-automorphism", 5, tmp_path)
+    verdicts = work.verdicts + work.defects
+    assert len(work.defects) > 0
+    got = [cli.main(list(v.argv)) for v in verdicts]
+    capsys.readouterr()
+    assert got == [v.expect for v in verdicts]
 
 
 @pytest.mark.parametrize("command", ["jacobian-check", "transform-check"])

@@ -16,9 +16,15 @@ Generators (all preserve the zero section {zeta = 0}):
 
 The action, the fiber factors and the closed-form Jacobian determinants on
 the zero section take one point or (k, dim) rows of points; one point is
-the 1-row view of the same array expressions.  The Jacobians come with a
-finite-difference oracle that also checks holomorphy via the Cauchy-Riemann
-defect, so a buggy non-holomorphic map is detected rather than assumed away.
+the 1-row view of the same array expressions.  A translation or Moebius
+map whose point parameter (``v`` or ``a``) holds (k, n) rows is a stack of
+k maps: row i maps point row i, the pairing of ``hermitian_inner``, and
+one point is mapped by each row.  A single map is the unstacked parameter
+broadcast through the same expressions.  The rate, the fiber unitary and
+the target are shared by the rows; composites and ``map_to_json`` take
+single maps only.  The Jacobians come with a finite-difference oracle that
+also checks holomorphy via the Cauchy-Riemann defect, so a buggy
+non-holomorphic map is detected rather than assumed away.
 
 The transformation law K(x, y) = J(x) conj(J(y)) K(F x, F y), restricted to
 the zero section, is evaluated through the fiber-restriction identity
@@ -43,6 +49,7 @@ from .core import (
     generic_norm,
     generic_norm_power,
     hermitian_inner,
+    per_entry,
     unit_disk,
 )
 from .hartogs import HartogsDomain
@@ -78,6 +85,11 @@ def _norm_power_rate(domain: HartogsDomain) -> float:
     return form.mu * domain.weight.power_exponent
 
 
+def _param(rows: np.ndarray) -> tuple:
+    """The frozen form of a point parameter: one point or (k, n) rows."""
+    return tuple(rows) if rows.ndim == 1 else tuple(map(tuple, rows))
+
+
 @dataclass(frozen=True)
 class BaseUnitary:
     target: HartogsDomain
@@ -98,22 +110,27 @@ class FiberUnitary:
 
 @dataclass(frozen=True)
 class FockTranslation:
-    """(z, zeta) -> (z - v, k_v(z) zeta) with the Gaussian rate of the target."""
+    """(z, zeta) -> (z - v, k_v(z) zeta) with the Gaussian rate of the
+    target; v of shape (k, n) is a stack of k translations."""
 
     target: HartogsDomain
     v: tuple
     mu: float
 
+    def _v(self) -> np.ndarray:
+        return np.asarray(self.v, dtype=complex)
+
     def fiber_factor(self, z: np.ndarray):
-        """k_v(z), one value per row of z."""
-        v = np.asarray(self.v, dtype=complex)
+        """k_v(z), one value per row of z (and of v, for a stack)."""
+        v = self._v()
         return np.exp(self.mu * hermitian_inner(z, v)
-                      - 0.5 * self.mu * float(np.sum(np.abs(v) ** 2)))
+                      - 0.5 * self.mu * np.sum(np.abs(v) ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """Base Moebius phi with phi(a) = 0 plus the induced fiber factor."""
+    """Base Moebius phi with phi(a) = 0 plus the induced fiber factor; a of
+    shape (k, n) is a stack of k maps, and a row a = 0 is the identity."""
 
     target: HartogsDomain
     a: tuple
@@ -127,42 +144,41 @@ class MobiusMap:
         return np.asarray(self.fiber_unitary, dtype=complex)
 
     def fiber_factor(self, z: np.ndarray):
-        """N(a,a)^(mu/2) N(z,a)^(-mu), one value per row of z."""
+        """N(a,a)^(mu/2) N(z,a)^(-mu), one value per row of z (and of a)."""
         a = self._a()
         base = self.target.base
         naa = generic_norm(base, a, a).real
-        return naa ** (self.mu / 2.0) * generic_norm_power(base, z, a, -self.mu)
+        return (per_entry(lambda t: t ** (self.mu / 2.0), naa)
+                * generic_norm_power(base, z, a, -self.mu))
 
     def base_apply(self, z: np.ndarray) -> np.ndarray:
-        """phi(z) for one point or each row of z."""
+        """phi(z) for one point or each row of z; z itself where a = 0."""
         a = self._a()
-        base = self.target.base
-        if np.all(a == 0):
-            return z.copy()
-        if base.dim == 1:
-            return (z - a) / (1.0 - np.conj(a[0]) * z)
-        # involutive ball Moebius exchanging 0 and a
-        na2 = float(np.sum(np.abs(a) ** 2))
-        s = math.sqrt(1.0 - na2)
+        identity = ~np.any(a, axis=-1)[..., None]
+        if self.target.base.dim == 1:
+            return np.where(identity, z, (z - a) / (1.0 - np.conj(a) * z))
+        # involutive ball Moebius exchanging 0 and a; na2 = 1 on identity
+        # rows keeps their discarded value finite
+        na2 = np.sum(np.abs(a) ** 2, axis=-1)[..., None]
+        s = np.sqrt(1.0 - na2)
         za = hermitian_inner(z, a)[..., None]
-        Pz = (za / na2) * a
+        Pz = (za / np.where(identity, 1.0, na2)) * a
         Qz = z - Pz
-        return (a - Pz - s * Qz) / (1.0 - za)
+        return np.where(identity, z, (a - Pz - s * Qz) / (1.0 - za))
 
     def base_jacobian(self, z: np.ndarray):
-        """det J(phi, z), one value per row of z."""
+        """det J(phi, z), one value per row of z; 1 where a = 0."""
         a = self._a()
-        base = self.target.base
-        if np.all(a == 0):
-            return np.ones(np.shape(z)[:-1], dtype=complex)
-        if base.dim == 1:
-            return ((1.0 - abs(a[0]) ** 2)
-                    / (1.0 - np.conj(a[0]) * z[..., 0]) ** 2)
-        n = base.dim
-        na2 = float(np.sum(np.abs(a) ** 2))
-        s = math.sqrt(1.0 - na2)
-        return ((-1.0) ** n * s ** (n + 1)
-                / (1.0 - hermitian_inner(z, a)) ** (n + 1))
+        n = self.target.base.dim
+        identity = ~np.any(a, axis=-1)
+        if n == 1:
+            det = (per_entry(lambda t: 1.0 - abs(t) ** 2, a[..., 0])
+                   / (1.0 - np.conj(a[..., 0]) * z[..., 0]) ** 2)
+        else:
+            s = np.sqrt(1.0 - np.sum(np.abs(a) ** 2, axis=-1))
+            det = (per_entry(lambda t: (-1.0) ** n * t ** (n + 1), s)
+                   / (1.0 - hermitian_inner(z, a)) ** (n + 1))
+        return np.where(identity, 1.0 + 0j, det)
 
 
 @dataclass(frozen=True)
@@ -171,29 +187,76 @@ class Composite:
     parts: tuple
 
     def __post_init__(self):
-        for p in self.parts:
+        for i, p in enumerate(self.parts):
             if p.target != self.target:
                 raise ValueError("composite parts must share one target domain")
+            if stack_rows(p):
+                raise ValueError(f"composite part {i} is a stack of "
+                                 f"{stack_rows(p)} {type(p).__name__} rows; "
+                                 "a composite takes single maps")
 
 
 AutomorphismSpec = BaseUnitary | FiberUnitary | FockTranslation | MobiusMap | Composite
 
 
+def stack_rows(aut: AutomorphismSpec) -> int:
+    """k for a translation or Moebius map whose point parameter holds k
+    rows (a stack of k maps), 0 for a single map."""
+    if isinstance(aut, FockTranslation):
+        param = aut.v
+    elif isinstance(aut, MobiusMap):
+        param = aut.a
+    else:
+        return 0
+    return len(param) if np.ndim(param) == 2 else 0
+
+
+def repeat_rows(aut: AutomorphismSpec, count: int) -> AutomorphismSpec:
+    """The stack with each row repeated count times in place, so that its
+    k maps meet count points each as k * count row pairs; a single map,
+    which maps every row, as it is."""
+    if not stack_rows(aut):
+        return aut
+    if isinstance(aut, FockTranslation):
+        return FockTranslation(aut.target,
+                               _param(np.repeat(aut._v(), count, axis=0)),
+                               aut.mu)
+    return MobiusMap(aut.target, _param(np.repeat(aut._a(), count, axis=0)),
+                     aut.mu, aut.fiber_unitary)
+
+
 # ---------------------------------------------------------------------------
 # constructors
+
+def _point_param(p, dim: int, what: str) -> np.ndarray:
+    """A generator's point parameter: one point of C^dim, or (k, dim) rows
+    standing for k maps, each row checked and a bad one named."""
+    if np.ndim(p) <= 1:
+        return as_point(p, dim)
+    rows = np.asarray(p, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != dim or not len(rows):
+        raise ValueError(f"{what} rows must have shape (k, {dim}) with "
+                         f"k >= 1, got shape {rows.shape}")
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{what} row {int(np.argmax(bad))} has non-finite "
+                         "entries")
+    return rows
+
 
 def make_fbh_map(domain: HartogsDomain, kind: str, *, v=None, matrix=None
                  ) -> AutomorphismSpec:
     """Generators of Gaussian-weighted Hartogs domains over C^n.
 
-    ``kind`` is "translation" (needs v), "base_unitary" or "fiber_unitary"
-    (need matrix).  The translation's fiber factor is the normalized
+    ``kind`` is "translation" (needs v: one point, or (k, n) rows for a
+    stack of k translations), "base_unitary" or "fiber_unitary" (need
+    matrix).  The translation's fiber factor is the normalized
     Gaussian-space kernel k_v at the weight's decay rate.
     """
     mu = _gaussian_rate(domain)
     if kind == "translation":
-        vv = as_point(v, domain.base.dim)
-        return FockTranslation(domain, tuple(vv), mu)
+        vv = _point_param(v, domain.base.dim, "translation")
+        return FockTranslation(domain, _param(vv), mu)
     if kind == "base_unitary":
         U = _check_unitary(matrix, domain.base.dim, "base unitary")
         return BaseUnitary(domain, tuple(map(tuple, U)))
@@ -206,81 +269,116 @@ def make_fbh_map(domain: HartogsDomain, kind: str, *, v=None, matrix=None
 def make_ch_map(domain: HartogsDomain, a, fiber_unitary=None) -> MobiusMap:
     """Moebius generator of a generic-norm-weighted Hartogs domain.
 
-    ``a`` is the interior base point sent to 0; the fiber unitary defaults
-    to the identity.  The disk uses (z - a)/(1 - conj(a) z); the ball the
+    ``a`` is the interior base point sent to 0, or (k, n) rows of them for
+    a stack of k maps; the fiber unitary, shared by the rows, defaults to
+    the identity.  The disk uses (z - a)/(1 - conj(a) z); the ball the
     standard involutive Moebius exchanging 0 and a.
     """
     mu = _norm_power_rate(domain)
-    av = as_point(a, domain.base.dim)
-    if contains(domain.base, av) >= 0:
-        raise ValueError("Moebius center must be an interior base point")
+    av = _point_param(a, domain.base.dim, "Moebius center")
+    outside = np.flatnonzero(np.atleast_1d(contains(domain.base, av)) >= 0)
+    if outside.size:
+        row = f" row {outside[0]}" if av.ndim == 2 else ""
+        raise ValueError(f"Moebius center{row} must be an interior base point")
     U = np.eye(domain.fiber_dim, dtype=complex) if fiber_unitary is None \
         else _check_unitary(fiber_unitary, domain.fiber_dim, "fiber unitary")
-    return MobiusMap(domain, tuple(av), mu, tuple(map(tuple, U)))
+    return MobiusMap(domain, _param(av), mu, tuple(map(tuple, U)))
 
 
-def thullen_mobius(domain: HartogsDomain, a: complex) -> MobiusMap:
-    """The disk specialization with one fiber dimension."""
+def thullen_mobius(domain: HartogsDomain, a) -> MobiusMap:
+    """The disk specialization with one fiber dimension; ``a`` is one
+    complex center, or k of them for a stack of k maps."""
     if domain.base != unit_disk() or domain.fiber_dim != 1:
         raise ValueError("Thullen maps live over the disk with fiber dim 1")
-    return make_ch_map(domain, [a])
+    return make_ch_map(domain, np.reshape(a, np.shape(a) + (1,)))
 
 
 # ---------------------------------------------------------------------------
 # action, inverses, base points
+
+def _rows(aut: AutomorphismSpec, z, dim: int) -> tuple[np.ndarray, bool]:
+    """``as_point_rows`` for the map: a stack of k maps takes k point rows
+    or one point, and gives rows either way."""
+    Z, one = as_point_rows(z, dim)
+    k = stack_rows(aut)
+    if not k:
+        return Z, one
+    if len(Z) not in (1, k):
+        raise ValueError(f"a stack of {k} maps takes {k} point rows or one "
+                         f"point, not {len(Z)} rows")
+    return Z, False
+
+
+def _base_image(aut: AutomorphismSpec, Z: np.ndarray) -> np.ndarray:
+    """phi_1 on point rows."""
+    if isinstance(aut, BaseUnitary):
+        return Z @ aut._U().T
+    if isinstance(aut, FiberUnitary):
+        return Z.copy()
+    if isinstance(aut, FockTranslation):
+        return Z - aut._v()
+    if isinstance(aut, MobiusMap):
+        return aut.base_apply(Z)
+    if isinstance(aut, Composite):
+        for part in aut.parts:
+            Z = _base_image(part, Z)
+        return Z
+    raise TypeError(f"unknown automorphism {aut!r}")
+
+
+def _fiber_image(aut: AutomorphismSpec, Z: np.ndarray, ZETA: np.ndarray):
+    """phi_2 of a generator on point rows: its fiber block, linear in zeta."""
+    if isinstance(aut, BaseUnitary):
+        return ZETA.copy()
+    if isinstance(aut, FiberUnitary):
+        return ZETA @ aut._U().T
+    if isinstance(aut, FockTranslation):
+        return aut.fiber_factor(Z)[:, None] * ZETA
+    if isinstance(aut, MobiusMap):
+        return aut.fiber_factor(Z)[:, None] * (ZETA @ aut._U().T)
+    raise TypeError(f"unknown automorphism {aut!r}")
+
 
 def apply(aut: AutomorphismSpec, point) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the map at (z, zeta); composites apply left to right.
 
     z and zeta are one point each, or (k, n) and (k, m) rows of points
     mapped at once; one point is the 1-row view of the same expressions.
+    A stack maps point row i by its row i.
     """
     z, zeta = point
-    Z, one = as_point_rows(z, aut.target.base.dim)
+    Z, one = _rows(aut, z, aut.target.base.dim)
     ZETA, _ = as_point_rows(zeta, aut.target.fiber_dim)
-    if isinstance(aut, BaseUnitary):
-        out = Z @ aut._U().T, ZETA.copy()
-    elif isinstance(aut, FiberUnitary):
-        out = Z.copy(), ZETA @ aut._U().T
-    elif isinstance(aut, FockTranslation):
-        out = (Z - np.asarray(aut.v, dtype=complex),
-               aut.fiber_factor(Z)[:, None] * ZETA)
-    elif isinstance(aut, MobiusMap):
-        out = (aut.base_apply(Z),
-               aut.fiber_factor(Z)[:, None] * (ZETA @ aut._U().T))
-    elif isinstance(aut, Composite):
+    if isinstance(aut, Composite):
         out = Z, ZETA
         for part in aut.parts:
             out = apply(part, out)
     else:
-        raise TypeError(f"unknown automorphism {aut!r}")
+        out = _base_image(aut, Z), _fiber_image(aut, Z, ZETA)
     return (out[0][0], out[1][0]) if one else out
 
 
 def base_apply(aut: AutomorphismSpec, z) -> np.ndarray:
     """The base component of the action (the zero section is preserved),
-    at one point or each row of z."""
-    Z, one = as_point_rows(z, aut.target.base.dim)
-    out, _ = apply(aut, (Z, np.zeros((len(Z), aut.target.fiber_dim),
-                                     dtype=complex)))
+    at one point or each row of z; no fiber factor is formed."""
+    Z, one = _rows(aut, z, aut.target.base.dim)
+    out = _base_image(aut, Z)
     return out[0] if one else out
 
 
 def inverse(aut: AutomorphismSpec) -> AutomorphismSpec:
-    """Exact algebraic inverse of a generator or composite."""
+    """Exact algebraic inverse of a generator or composite; of a stack, the
+    stack of the row inverses."""
     if isinstance(aut, BaseUnitary):
         return BaseUnitary(aut.target, tuple(map(tuple, aut._U().conj().T)))
     if isinstance(aut, FiberUnitary):
         return FiberUnitary(aut.target, tuple(map(tuple, aut._U().conj().T)))
     if isinstance(aut, FockTranslation):
-        return FockTranslation(aut.target,
-                               tuple(-np.asarray(aut.v, dtype=complex)), aut.mu)
+        return FockTranslation(aut.target, _param(-aut._v()), aut.mu)
     if isinstance(aut, MobiusMap):
         Uinv = tuple(map(tuple, aut._U().conj().T))
         if aut.target.base.dim == 1:
-            return MobiusMap(aut.target,
-                             tuple(-np.asarray(aut.a, dtype=complex)),
-                             aut.mu, Uinv)
+            return MobiusMap(aut.target, _param(-aut._a()), aut.mu, Uinv)
         return MobiusMap(aut.target, aut.a, aut.mu, Uinv)
     if isinstance(aut, Composite):
         return Composite(aut.target, tuple(inverse(p) for p in reversed(aut.parts)))
@@ -288,14 +386,14 @@ def inverse(aut: AutomorphismSpec) -> AutomorphismSpec:
 
 
 def zero_preimage(aut: AutomorphismSpec) -> np.ndarray:
-    """The base point z0 with phi_1(z0) = 0."""
+    """The base point z0 with phi_1(z0) = 0; (k, n) rows for a stack."""
     n = aut.target.base.dim
     if isinstance(aut, (BaseUnitary, FiberUnitary)):
         return np.zeros(n, dtype=complex)
     if isinstance(aut, FockTranslation):
-        return np.asarray(aut.v, dtype=complex)
+        return aut._v()
     if isinstance(aut, MobiusMap):
-        return np.asarray(aut.a, dtype=complex)
+        return aut._a()
     if isinstance(aut, Composite):
         return base_apply(inverse(aut), np.zeros(n, dtype=complex))
     raise TypeError(f"unknown automorphism {aut!r}")
@@ -306,14 +404,14 @@ def zero_preimage(aut: AutomorphismSpec) -> np.ndarray:
 
 def jacobian_base_slice(aut: AutomorphismSpec, z):
     """Closed-form full Jacobian determinant at (z, 0), one value per row
-    of z (a complex number for one point).
+    of z (a complex number for one point) and, for a stack, per map row.
 
     Unitaries contribute det U; translations k_v(z)^m; Moebius maps
     N(a,a)^(m mu/2) N(z,a)^(-m mu) det J(phi, z) det U'.  Composites chain
     through the base orbit, which is valid because every generator fixes
     the zero section with a fiber block linear in zeta.
     """
-    Z, one = as_point_rows(z, aut.target.base.dim)
+    Z, one = _rows(aut, z, aut.target.base.dim)
     m = aut.target.fiber_dim
     if isinstance(aut, (BaseUnitary, FiberUnitary)):
         jac = np.full(len(Z), complex(np.linalg.det(aut._U())))
@@ -326,7 +424,7 @@ def jacobian_base_slice(aut: AutomorphismSpec, z):
         jac = np.ones(len(Z), dtype=complex)
         for part in aut.parts:
             jac = jac * jacobian_base_slice(part, Z)
-            Z = base_apply(part, Z)
+            Z = _base_image(part, Z)
     else:
         raise TypeError(f"unknown automorphism {aut!r}")
     return complex(jac[0]) if one else jac
@@ -409,6 +507,9 @@ def transform_residual(aut: AutomorphismSpec, slice_kernel, points) -> float:
 # serialization
 
 def map_to_json(aut: AutomorphismSpec) -> dict:
+    if stack_rows(aut):
+        raise ValueError(f"map_to_json writes single maps; this is a stack "
+                         f"of {stack_rows(aut)} {type(aut).__name__} rows")
     if isinstance(aut, BaseUnitary):
         return {"kind": "base_unitary", "matrix": jsonio.cmatrix(aut._U())}
     if isinstance(aut, FiberUnitary):

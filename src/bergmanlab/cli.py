@@ -422,6 +422,13 @@ def _cmd_frc_check(cfg: dict):
     are summed in one batched call and checked against the oracle at once.
     """
     m = cfg["m"]
+    # an arithmetic limit of the oracle, refused like the other float-range
+    # failures (an "error:" line, exit 2) but before anything is drawn
+    if m >= 170:
+        raise ValueError(f"--m {m}: the ball oracle's constant "
+                         "(m+1)!/pi^(m+1) starts from (m+1)!, which leaves "
+                         "the float range from 171! on; frc-check takes "
+                         "--m up to 169")
     tol = cfg["tolerance"]
     domain = HartogsDomain(unit_disk(), generic_norm_weight(unit_disk(), 1.0), m)
     family = ClosedFormFamily(domain)
@@ -591,19 +598,26 @@ def _cmd_family_check(cfg: dict):
     family = cfg.get("family", "fbh")
     rng = np.random.default_rng(cfg["seed"])
     count = _count(cfg, "points", 6)
+    # the families as stacks of maps: fbh is the identity and one stack of
+    # count translations over C^n, thullen one stack of count Moebius maps
     if family == "fbh":
         n = cfg["n"]
         domain = HartogsDomain(full_space(n), gaussian_weight(n, cfg["mu"]),
                                cfg["m"])
         maps = [make_fbh_map(domain, "base_unitary",
-                             matrix=np.eye(n, dtype=complex))]
-        maps += [make_fbh_map(domain, "translation", v=v)
-                 for v in sample_cube(rng, n, 0.8, count) / math.sqrt(n)]
+                             matrix=np.eye(n, dtype=complex)),
+                make_fbh_map(domain, "translation",
+                             v=sample_cube(rng, n, 0.8, count) / math.sqrt(n))]
     elif family == "thullen":
+        # the Thullen domain is the disk with one fiber dimension
+        for key in ("n", "m"):
+            if cfg[key] != 1:
+                raise ConfigError(f"--{key} {cfg[key]}: the thullen family "
+                                  f"is fixed at n = m = 1; give --{key} 1 "
+                                  "or leave it out")
         domain = HartogsDomain(unit_disk(),
                                generic_norm_weight(unit_disk(), cfg["mu"]), 1)
-        maps = [thullen_mobius(domain, z[0])
-                for z in sample_ball(rng, 1, 0.6, count)]
+        maps = [thullen_mobius(domain, sample_ball(rng, 1, 0.6, count)[:, 0])]
     else:
         raise ConfigError(f"unknown family {family!r}; use fbh or thullen")
     rep = family_condition_check(domain, maps, cfg["degree"],

@@ -196,6 +196,15 @@ def as_point_rows(z, dim: int) -> tuple[np.ndarray, bool]:
     return as_points(z, dim), False
 
 
+def per_entry(f, x) -> np.ndarray:
+    """The real function f over the entries of x, each a Python number.
+    A per-map constant such as N(a,a)^(mu/2) or |J|^2 is formed this way
+    on the rows of a stack of maps, because numpy's vectorized power and
+    complex abs round some entries apart from Python's, and each row must
+    equal its single map bit for bit."""
+    return np.asarray(f(np.asarray(x).astype(object)), dtype=float)
+
+
 # largest number of points one draw may hold: a draw allocates its count x
 # 2n doubles up front, before a point is accepted or used
 MAX_POINTS = 1 << 20
@@ -331,11 +340,6 @@ def multiindex_enumerate(n: int, d: int) -> list[tuple[int, ...]]:
     for deg in range(d + 1):
         out.extend(_compositions(n, deg))
     return out
-
-
-def grlex_key(alpha: tuple[int, ...]):
-    """Sort key realizing the global grlex order."""
-    return (sum(alpha), tuple(-a for a in alpha))
 
 
 def monomial_rows(exponents, points) -> np.ndarray:

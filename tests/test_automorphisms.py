@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bergmanlab as bl
 from bergmanlab.hartogs import HartogsDomain, hartogs_contains
@@ -360,3 +362,147 @@ class TestMapSerialization:
         x = ([0.1j], [0.2])
         a, b = am.apply(comp, x), am.apply(comp2, x)
         assert abs(a[1][0] - b[1][0]) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# stacks: a translation or Moebius map with k point rows is k maps
+
+# the base of each stacked kind, its fiber dimension, and whether its rows
+# are Moebius centers (drawn inside the ball) or translation vectors
+STACK_KINDS = {"cn:1": (1, 1, False), "cn:2": (2, 2, False),
+               "disk": (1, 1, True), "ball:2": (2, 2, True)}
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=complex).tobytes()
+
+
+def _stack_and_singles(kind, rows, mu, phase):
+    """The stack of the rows on the kind's domain and its single maps."""
+    n, m, mobius = STACK_KINDS[kind]
+    rows = np.asarray(rows, dtype=complex)
+    if not mobius:
+        H = fbh(n=n, m=m, mu=mu)
+        return (am.make_fbh_map(H, "translation", v=rows),
+                [am.make_fbh_map(H, "translation", v=r) for r in rows])
+    base = DISK if n == 1 else bl.unit_ball(n)
+    H = cartan_hartogs(base, mu=mu, m=m)
+    # ball:2 carries a fiber unitary shared by the rows
+    U = None if m == 1 else np.diag(np.exp([1j * phase, -2j * phase]))
+    return (am.make_ch_map(H, rows, U),
+            [am.make_ch_map(H, r, U) for r in rows])
+
+
+@st.composite
+def stacks(draw):
+    kind = draw(st.sampled_from(sorted(STACK_KINDS)))
+    n, m, mobius = STACK_KINDS[kind]
+    k = draw(st.integers(1, 5))
+    # |a|^2 <= 2n * 0.35^2 < 1 keeps every center inside the ball
+    coord = st.floats(-0.35, 0.35)
+    pair = st.tuples(coord, coord).map(lambda p: complex(*p))
+    row = st.lists(pair, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, k - 1))] = [0j] * n
+    points = draw(st.lists(row, min_size=k, max_size=k))
+    fibers = draw(st.lists(st.lists(pair, min_size=m, max_size=m),
+                           min_size=k, max_size=k))
+    return (kind, rows, points, fibers, draw(st.floats(0.5, 2.0)),
+            draw(st.floats(-3.0, 3.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(stacks())
+# a 1-row stack, and a row a = 0 beside others, on both Moebius kinds
+@example(("disk", [[0.2 - 0.1j]], [[0.1j]], [[0.3]], 1.5, 0.0))
+@example(("ball:2", [[0.3, -0.2j], [0j, 0j], [0.1j, 0.25]],
+          [[0.1, 0.2j], [-0.3, 0.1], [0.05j, -0.2]],
+          [[0.1, 0.2j], [0.3, 0.0], [0.0, -0.1j]], 1.0, 0.7))
+@example(("cn:2", [[0j, 0j]], [[0.3, 0.1j]], [[0.2, 0.1]], 0.8, 0.0))
+def test_a_stack_equals_its_single_maps_bit_for_bit(case):
+    # row i of the stack against single map i on the same point rows, so
+    # that both see one ZETA @ U.T product (a matrix product's rounding
+    # depends on its row count)
+    kind, rows, points, fibers, mu, phase = case
+    stack, singles = _stack_and_singles(kind, rows, mu, phase)
+    k = len(singles)
+    assert am.stack_rows(stack) == k and not am.stack_rows(singles[0])
+    x = np.asarray(points, complex), np.asarray(fibers, complex)
+
+    def same_rows(f, maps=singles, of=stack, point=x):
+        got = f(of, point)
+        assert _bits(got) == _bits([f(s, point)[i]
+                                    for i, s in enumerate(maps)])
+
+    same_rows(lambda aut, p: am.apply(aut, p)[0])
+    same_rows(lambda aut, p: am.apply(aut, p)[1])
+    same_rows(lambda aut, p: am.base_apply(aut, p[0]))
+    same_rows(lambda aut, p: am.jacobian_base_slice(aut, p[0]))
+    assert _bits(am.zero_preimage(stack)) == _bits(
+        [am.zero_preimage(s) for s in singles])
+    # one point is mapped by every row
+    one = x[0][0], x[1][0]
+    img = am.apply(stack, one)
+    assert _bits(img[0]) == _bits([am.apply(s, one)[0] for s in singles])
+    assert _bits(img[1]) == _bits([am.apply(s, one)[1] for s in singles])
+
+    inverses = [am.inverse(s) for s in singles]
+    inv = am.inverse(stack)
+    assert _bits(am.zero_preimage(inv)) == _bits(
+        [am.zero_preimage(s) for s in inverses])
+    same_rows(lambda aut, p: am.apply(aut, p)[0], inverses, inv)
+    same_rows(lambda aut, p: am.apply(aut, p)[1], inverses, inv)
+
+
+class TestStacks:
+    def test_rows_must_pair_with_points(self):
+        stack, _ = _stack_and_singles("disk", [[0.1], [0.2j]], 1.0, 0.0)
+        with pytest.raises(ValueError, match="stack of 2 maps takes 2"):
+            am.apply(stack, ([[0.1], [0.2], [0.3]], [[0.0]] * 3))
+
+    def test_constructors_name_the_bad_row(self):
+        H = cartan_hartogs(DISK)
+        with pytest.raises(ValueError, match="center row 2 must be an "
+                                             "interior base point"):
+            am.make_ch_map(H, [[0.1], [0.5j], [1.2]])
+        with pytest.raises(ValueError, match="translation row 1 has "
+                                             "non-finite entries"):
+            am.make_fbh_map(fbh(n=2), "translation",
+                            v=[[0.1, 0.2], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
+            am.make_fbh_map(fbh(n=2), "translation", v=[[0.1, 0.2, 0.3]])
+
+    @pytest.mark.parametrize("kind", ["disk", "ball:2"])
+    def test_a_zero_row_is_the_exact_identity(self, kind):
+        n = STACK_KINDS[kind][0]
+        rows = [[0.3] + [0.1j] * (n - 1), [0j] * n]
+        stack, _ = _stack_and_singles(kind, rows, 1.5, 0.0)
+        Z = np.array([[0.2 - 0.1j] * n, [0.4 + 0.3j] + [-0.2] * (n - 1)])
+        assert np.array_equal(am.base_apply(stack, Z)[1], Z[1])
+        assert am.jacobian_base_slice(stack, Z)[1] == 1.0
+        assert am.base_apply(stack, Z)[0][0] != Z[0][0]
+
+    def test_thullen_takes_k_centers(self):
+        H = cartan_hartogs(DISK)
+        stack = am.thullen_mobius(H, [0.3, -0.2j])
+        assert am.stack_rows(stack) == 2
+        assert am.stack_rows(am.thullen_mobius(H, 0.3)) == 0
+
+    def test_composite_and_json_refuse_a_stack(self):
+        H = fbh()
+        stack = am.make_fbh_map(H, "translation", v=[[0.1], [0.2]])
+        with pytest.raises(ValueError, match="part 1 is a stack of 2 "
+                                             "FockTranslation rows"):
+            am.Composite(H, (am.make_fbh_map(H, "translation", v=[0.3]),
+                             stack))
+        with pytest.raises(ValueError, match="stack of 2 FockTranslation"):
+            am.map_to_json(stack)
+
+    def test_repeat_rows_keeps_row_order(self):
+        stack, _ = _stack_and_singles("cn:1", [[0.1], [0.2j]], 1.0, 0.0)
+        rep = am.repeat_rows(stack, 3)
+        assert np.array_equal(am.zero_preimage(rep),
+                              [[0.1], [0.1], [0.1], [0.2j], [0.2j], [0.2j]])
+        single = am.make_fbh_map(fbh(), "translation", v=[0.1])
+        assert am.repeat_rows(single, 3) is single

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -328,6 +329,35 @@ class TestFamilyCondition:
         ))
         rep = ch.family_condition_check(H, [comp], 24)
         assert rep.passed
+
+    @pytest.mark.parametrize("family", ["fbh", "thullen"])
+    def test_stacks_give_the_records_of_their_single_maps(self, family):
+        rng = np.random.default_rng(21)
+        if family == "fbh":
+            H = HartogsDomain(bl.full_space(2), bl.gaussian_weight(2, 0.7), 2)
+            V = (rng.uniform(-0.5, 0.5, (6, 2))
+                 + 1j * rng.uniform(-0.5, 0.5, (6, 2)))
+            first = [am.make_fbh_map(H, "base_unitary", matrix=np.eye(2)),
+                     am.make_fbh_map(H, "fiber_unitary",
+                                     matrix=np.diag(np.exp([0.3j, -0.2j])))]
+            last = [am.Composite(H, (am.make_fbh_map(H, "translation",
+                                                     v=[0.1, 0.2j]),
+                                     am.make_fbh_map(H, "translation",
+                                                     v=[-0.3j, 0.1])))]
+            stack = am.make_fbh_map(H, "translation", v=V)
+            singles = [am.make_fbh_map(H, "translation", v=v) for v in V]
+            degree = 30
+        else:
+            H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.3), 1)
+            A = np.array(interior_disk_points(rng, 6, 0.6))
+            first, last = [am.thullen_mobius(H, 0.0)], []
+            stack = am.thullen_mobius(H, A)
+            singles = [am.thullen_mobius(H, a) for a in A]
+            degree = 40
+        got = ch.family_condition_check(H, first + [stack] + last, degree)
+        want = ch.family_condition_check(H, first + singles + last, degree)
+        assert len(got.maps) == len(first) + 6 + len(last)
+        assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
 
     def test_foreign_map_rejected(self):
         H1 = HartogsDomain(C1, bl.gaussian_weight(1, 1.0), 1)

@@ -286,6 +286,41 @@ def test_arithmetic_failure_is_an_error_not_a_verdict(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("flags,flag", [
+    (["--n", "3"], "--n 3"), (["--m", "2"], "--m 2"),
+    (["--n", "1", "--m", "4"], "--m 4")])
+def test_thullen_family_refuses_other_dimensions(capsys, tmp_path, flags,
+                                                 flag):
+    """The Thullen domain is the disk with one fiber dimension; another
+    --n or --m, by flag or config key, is refused by name."""
+    argv = ["family-check", "--family", "thullen", "--degree", "30"]
+    code, out, err = run_cli(argv + flags, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {flag}: the thullen family is "
+                          "fixed at n = m = 1")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({flags[-2][2:]: int(flags[-1])}))
+    assert run_cli(argv + ["--config", str(config)], capsys)[:2] == (2, "")
+    ok = run_cli(argv + ["--n", "1", "--m", "1"], capsys)
+    assert ok[0] == 0 and ok[1] == run_cli(argv, capsys)[1]
+
+
+@pytest.mark.parametrize("m", ["170", "171", "100000000000"])
+def test_frc_check_refuses_a_fiber_dimension_past_the_float_range(capsys, m):
+    code, out, err = run_cli(["frc-check", "--m", m, "--pairs", "3"], capsys)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"error: --m {m}: the ball oracle's constant "
+                        r"\(m\+1\)!/pi\^\(m\+1\) [^\n]*float range[^\n]*"
+                        r"--m up to 169\n", err)
+
+
+def test_frc_check_at_m_169_keeps_its_partial_sum_refusal(capsys):
+    code, out, err = run_cli(["frc-check", "--m", "169", "--pairs", "3"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: a fiber-series partial sum leaves the float range\n"
+
+
 # counts past what one draw or one verdict grid may hold
 OVERSIZED_COUNTS = [
     (["frc-check", "--pairs", "1000000000"], "pairs"),

@@ -7,12 +7,16 @@ from scipy.integrate import quad, dblquad
 
 import bergmanlab as bl
 from bergmanlab.cli import parse_domain
-from bergmanlab.core import (MAX_POINTS, grlex_key, hermitian_inner,
-                             monomial_values, sample_ball, sample_ball_polar,
-                             weight_radial_fn)
+from bergmanlab.core import (MAX_POINTS, hermitian_inner, monomial_values,
+                             sample_ball, sample_ball_polar, weight_radial_fn)
 from bergmanlab.moments import domain_from_json, domain_to_json
 
 from conftest import interior_ball_points, interior_disk_points
+
+
+def grlex_key(alpha: tuple[int, ...]):
+    """Sort key realizing the global grlex order."""
+    return (sum(alpha), tuple(-a for a in alpha))
 
 
 class TestMultiIndex:

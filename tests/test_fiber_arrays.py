@@ -14,7 +14,7 @@ import pytest
 
 import bergmanlab as bl
 from bergmanlab import automorphisms as am
-from bergmanlab import cli, hartogs, kernels
+from bergmanlab import characterize, cli, hartogs, kernels
 from bergmanlab.core import hermitian_inner
 from bergmanlab.hartogs import (
     ClosedFormFamily,
@@ -453,14 +453,36 @@ def test_seed_5_fiber_automorphism_verdicts_keep_their_exit_codes(
 @pytest.mark.parametrize("command", ["jacobian-check", "transform-check"])
 def test_map_checks_apply_once_per_stage_not_per_point(command, monkeypatch,
                                                        capsys):
+    # a stage maps its points through apply, or through base_apply when it
+    # needs only the base component, as transform-check does
     calls = _count_calls(monkeypatch, am, "apply")
+    base_calls = _count_calls(monkeypatch, am, "base_apply")
     aut = ('{"kind": "composite", "parts": [{"kind": "mobius", "a": '
            '[[0.2, 0.1]]}, {"kind": "mobius", "a": [[-0.1, 0.3]]}]}')
     counts = []
     for points in ("5", "20"):
         calls.clear()
+        base_calls.clear()
         assert cli.main([command, "--domain", "disk", "--weight", "npower:1.5",
                          "--m", "2", "--map", aut, "--points", points]) == 0
-        counts.append(len(calls))
+        counts.append(len(calls) + len(base_calls))
     assert counts[0] == counts[1] > 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,entries", [
+    (["--family", "fbh", "--n", "2", "--m", "2", "--degree", "30"], 2),
+    (["--family", "thullen", "--mu", "1.5", "--degree", "40"], 1),
+])
+def test_family_check_maps_each_entry_once_whatever_its_points(
+        argv, entries, monkeypatch, capsys):
+    """fbh is [identity, k-row translation stack], thullen [k-row Moebius
+    stack]: one apply and one jacobian_base_slice per entry, for any k."""
+    applied = _count_calls(monkeypatch, characterize, "apply_map")
+    jacobians = _count_calls(monkeypatch, characterize, "jacobian_base_slice")
+    for points in ("2", "6", "40"):
+        applied.clear()
+        jacobians.clear()
+        assert cli.main(["family-check", *argv, "--points", points]) == 0
+        assert (len(applied), len(jacobians)) == (entries, entries)
     capsys.readouterr()

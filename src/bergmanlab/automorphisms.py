@@ -33,6 +33,7 @@ K_Omega((z,0),(w,0)) = (m!/pi^m) K_{D, p^m}(z, w).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -309,10 +310,24 @@ def _rows(aut: AutomorphismSpec, z, dim: int) -> tuple[np.ndarray, bool]:
     return Z, False
 
 
+def _rows_by(A: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """A @ U.T for point rows A, summed over j in one fixed order of real
+    products: a matrix product rounds a row differently alone than inside a
+    stack, and this sum maps every row the same way."""
+    parts = [(A.real[:, j, None], A.imag[:, j, None], U.real[:, j],
+              U.imag[:, j]) for j in range(U.shape[1])]
+    out = np.empty((len(A), len(U)), dtype=complex)
+    out.real = functools.reduce(np.add, (a * c - b * d
+                                         for a, b, c, d in parts))
+    out.imag = functools.reduce(np.add, (a * d + b * c
+                                         for a, b, c, d in parts))
+    return out
+
+
 def _base_image(aut: AutomorphismSpec, Z: np.ndarray) -> np.ndarray:
     """phi_1 on point rows."""
     if isinstance(aut, BaseUnitary):
-        return Z @ aut._U().T
+        return _rows_by(Z, aut._U())
     if isinstance(aut, FiberUnitary):
         return Z.copy()
     if isinstance(aut, FockTranslation):
@@ -331,11 +346,11 @@ def _fiber_image(aut: AutomorphismSpec, Z: np.ndarray, ZETA: np.ndarray):
     if isinstance(aut, BaseUnitary):
         return ZETA.copy()
     if isinstance(aut, FiberUnitary):
-        return ZETA @ aut._U().T
+        return _rows_by(ZETA, aut._U())
     if isinstance(aut, FockTranslation):
         return aut.fiber_factor(Z)[:, None] * ZETA
     if isinstance(aut, MobiusMap):
-        return aut.fiber_factor(Z)[:, None] * (ZETA @ aut._U().T)
+        return aut.fiber_factor(Z)[:, None] * _rows_by(ZETA, aut._U())
     raise TypeError(f"unknown automorphism {aut!r}")
 
 
@@ -464,12 +479,6 @@ def jacobian_fd_matrix(aut: AutomorphismSpec, point, h: float = 1e-5):
         raise ValueError(f"map is not holomorphic: CR defect "
                          f"{cr_defect.max():.2e}")
     return (J[0], float(cr_defect[0])) if one else (J, cr_defect)
-
-
-def jacobian_fd(aut: AutomorphismSpec, point, h: float = 1e-5) -> complex:
-    """Finite-difference determinant oracle for jacobian_base_slice."""
-    J, _ = jacobian_fd_matrix(aut, point, h)
-    return complex(np.linalg.det(J))
 
 
 # ---------------------------------------------------------------------------

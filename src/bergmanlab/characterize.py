@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import laguerre, legendre
@@ -52,16 +53,13 @@ from .core import (
 )
 from .moments import Gram, gram_auto
 from .kernels import FockKernel, KernelModel, PowerKernel, kernel_from_gram
-from .hartogs import HartogsDomain
-from .automorphisms import (
-    AutomorphismSpec,
-    apply as apply_map,
-    base_apply,
-    jacobian_base_slice,
-    repeat_rows,
-    zero_preimage,
-)
 from . import jsonio
+
+if TYPE_CHECKING:
+    # family_condition_check imports the maps when it runs, so the other
+    # verdicts load neither module
+    from .automorphisms import AutomorphismSpec
+    from .hartogs import HartogsDomain
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +128,6 @@ class RecoveredWeight:
     weight: Weight
     residual: float
     condition: float
-
-    def eval_profile(self, t):
-        """Evaluate the recovered radial profile w(t)."""
-        return _profile_from_coeffs(self.basis, self.coefficients, t)
 
 
 def _design_shifted_legendre(degree: int) -> np.ndarray:
@@ -488,6 +482,9 @@ def family_condition_check(domain: HartogsDomain,
     one ``apply``, one ``base_apply`` and one ``jacobian_base_slice`` over
     all its rows, and gives its k records in row order.
     """
+    from .automorphisms import (apply as apply_map, base_apply,
+                                jacobian_base_slice, repeat_rows,
+                                zero_preimage)
     if not maps:
         raise ValueError("need at least one map")
     n, m = domain.base.dim, domain.fiber_dim

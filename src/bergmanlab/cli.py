@@ -79,30 +79,8 @@ from .kernels import (
     kernel_to_json,
     weighted_kernel_closed_form,
 )
-from .hartogs import (
-    ClosedFormFamily,
-    HartogsDomain,
-    ball_kernel,
-    frc_eval_pairs,
-    frc_restriction_check,
-)
-from .automorphisms import (
-    jacobian_base_slice,
-    jacobian_fd_matrix,
-    map_from_json,
-    make_fbh_map,
-    thullen_mobius,
-    transform_residual,
-)
-from .characterize import (
-    boundary_inequality_check,
-    characterize_ch,
-    characterize_fbh,
-    family_condition_check,
-    moment_mismatch,
-    moment_table,
-    recover_weight,
-)
+# hartogs, automorphisms and characterize are imported by the handlers that
+# use them, so that a command loads only the modules it runs
 
 
 class ConfigError(Exception):
@@ -421,6 +399,8 @@ def _cmd_frc_check(cfg: dict):
     in closed form; the series must reproduce it pair by pair.  All pairs
     are summed in one batched call and checked against the oracle at once.
     """
+    from .hartogs import (ClosedFormFamily, HartogsDomain, ball_kernel,
+                          frc_eval_pairs, frc_restriction_check)
     m = cfg["m"]
     # an arithmetic limit of the oracle, refused like the other float-range
     # failures (an "error:" line, exit 2) but before anything is drawn
@@ -478,6 +458,8 @@ def _cmd_frc_check(cfg: dict):
 
 def _hartogs_and_map(cfg: dict):
     """The Hartogs domain of --domain, --weight and --m, and --map on it."""
+    from .automorphisms import map_from_json
+    from .hartogs import HartogsDomain
     domain = _domain_of(cfg)
     H = HartogsDomain(domain, _weight_of(cfg, domain), cfg["m"])
     if "map" not in cfg:
@@ -487,6 +469,7 @@ def _hartogs_and_map(cfg: dict):
 
 @_ARITHMETIC_RAISES
 def _cmd_transform_check(cfg: dict):
+    from .automorphisms import transform_residual
     H, aut = _hartogs_and_map(cfg)
     # the closed kernel of the slice weight where one exists, else its
     # radial series
@@ -511,6 +494,7 @@ def _cmd_transform_check(cfg: dict):
 
 @_ARITHMETIC_RAISES
 def _cmd_jacobian_check(cfg: dict):
+    from .automorphisms import jacobian_base_slice, jacobian_fd_matrix
     H, aut = _hartogs_and_map(cfg)
     rng = np.random.default_rng(cfg["seed"])
     count = _count(cfg, "points", 20)
@@ -531,6 +515,7 @@ def _cmd_jacobian_check(cfg: dict):
 
 
 def _cmd_moment_mismatch(cfg: dict):
+    from .characterize import moment_mismatch
     domain = _domain_of(cfg)
     w1 = _weight_of(cfg, domain, "weight")
     w2 = _weight_of(cfg, domain, "weight2")
@@ -549,6 +534,7 @@ def _cmd_moment_mismatch(cfg: dict):
 
 
 def _cmd_recover_weight(cfg: dict):
+    from .characterize import moment_table, recover_weight
     domain = _domain_of(cfg)
     weight = _weight_of(cfg, domain)
     table = moment_table(weight, cfg["degree"])
@@ -562,6 +548,7 @@ def _cmd_recover_weight(cfg: dict):
 
 
 def _cmd_characterize_fbh(cfg: dict):
+    from .characterize import characterize_fbh
     domain = full_space(cfg["n"])
     weight = _weight_of(cfg, domain)
     kwargs = {k: cfg[k] for k in ("rmax", "npts") if k in cfg}
@@ -572,6 +559,7 @@ def _cmd_characterize_fbh(cfg: dict):
 
 
 def _cmd_characterize_ch(cfg: dict):
+    from .characterize import characterize_ch
     domain = _domain_of(cfg, default="disk")
     weight = _weight_of(cfg, domain)
     kwargs = {k: cfg[k] for k in ("rmax", "npts") if k in cfg}
@@ -582,6 +570,7 @@ def _cmd_characterize_ch(cfg: dict):
 
 
 def _cmd_boundary_check(cfg: dict):
+    from .characterize import boundary_inequality_check
     domain = full_space(cfg["n"])
     weight = _weight_of(cfg, domain)
     rng = np.random.default_rng(cfg["seed"])
@@ -595,6 +584,9 @@ def _cmd_boundary_check(cfg: dict):
 
 
 def _cmd_family_check(cfg: dict):
+    from .automorphisms import make_fbh_map, thullen_mobius
+    from .characterize import family_condition_check
+    from .hartogs import HartogsDomain
     family = cfg.get("family", "fbh")
     rng = np.random.default_rng(cfg["seed"])
     count = _count(cfg, "points", 6)

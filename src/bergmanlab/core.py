@@ -365,12 +365,6 @@ def monomial_rows(exponents, points) -> np.ndarray:
     return rows
 
 
-def monomial_values(basis: list[tuple[int, ...]], points) -> np.ndarray:
-    """Evaluate all basis monomials at points, shape (npoints, nbasis): the
-    transposed (column-major) view of ``monomial_rows``."""
-    return monomial_rows(basis, points).T
-
-
 # ---------------------------------------------------------------------------
 # generic norm, genus, containment
 

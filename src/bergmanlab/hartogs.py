@@ -24,8 +24,7 @@ with a_k = a_0 + mu k, so the table is geometric,
     C_k E x^k,   E = exp(a_0 L),   x = exp(mu L) <zeta, zeta'>,
 
 from one L, E and x per pair and one array of constants C_k per pass (the
-ratio x of Yamamori, Complex Var. Elliptic Equ. 58 (2013)).  Gram-series
-families evaluate each term's series kernel over all pairs instead.
+ratio x of Yamamori, Complex Var. Elliptic Equ. 58 (2013)).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .core import (
     DomainSpec,
     GaussianPower,
     Weight,
-    as_point,
     as_point_rows,
     as_points,
     contains,
@@ -82,16 +80,6 @@ def hartogs_contains(domain: HartogsDomain, z, zeta):
         raise ValueError("base point outside the open base domain")
     defect = np.sum(np.abs(ZETA) ** 2, axis=1) - weight_eval(domain.weight, Z)
     return float(defect[0]) if one else defect
-
-
-def pochhammer(k: int, m: int) -> int:
-    """Rising factorial (k+1)(k+2)...(k+m)."""
-    if k < 0 or m < 1:
-        raise ValueError("need k >= 0 and m >= 1")
-    out = 1
-    for i in range(1, m + 1):
-        out *= k + i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,41 +177,6 @@ class ClosedFormFamily:
         return (self._constants_upto(K) * E[:, None]) * _powers(x, K)
 
 
-class SeriesFamily:
-    """k -> Gram-series K_{D, p^(k+m)} at a fixed truncation degree.
-
-    Grams are assembled lazily (closed-form moments when available, radial
-    quadrature otherwise) and cached per k; a table evaluates each term's
-    series kernel over all pairs.
-    """
-
-    def __init__(self, domain: HartogsDomain, degree: int):
-        self.domain = domain
-        self.degree = degree
-        self._cache: dict[int, KernelModel] = {}
-
-    def __call__(self, k: int) -> KernelModel:
-        if k not in self._cache:
-            power = k + self.domain.fiber_dim
-            self._cache[k] = kernel_from_gram(gram_auto(
-                self.domain.weight.pow(power), self.degree))
-        return self._cache[k]
-
-    def usable_terms(self, K: int) -> tuple[int, Exception | None]:
-        for k in range(K):
-            try:
-                self(k)
-            except (ArithmeticError, ValueError) as exc:
-                return k, exc
-        return K, None
-
-    def terms(self, Z, Z2, u, K: int) -> np.ndarray:
-        out = np.empty((len(Z), K), dtype=complex)
-        for k in range(K):
-            out[:, k] = self(k).eval_pairs(Z, Z2)
-        return out * _powers(u, K)
-
-
 # ---------------------------------------------------------------------------
 # the series
 
@@ -284,12 +237,12 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
 
     ``points`` and ``points2`` are (Z, ZETA) with Z of shape (k, n) and ZETA
     of shape (k, m); pair i is (Z[i], ZETA[i]) and (Z2[i], ZETA2[i]).
-    ``kernel_family`` is a ClosedFormFamily or SeriesFamily for
-    K_{D, p^(k+m)}.  A pass evaluates the first 16, 32, 64, ... terms of
-    the pairs that have not stopped, as one table of the family.  A pair
-    stops once five consecutive terms are below tol relative to its
-    running partial sum, or at max_terms, flagged as non-converged; its
-    tail estimate extrapolates its last term geometrically.  A pair with
+    ``kernel_family`` is a ClosedFormFamily for K_{D, p^(k+m)}.  A pass
+    evaluates the first 16, 32, 64, ... terms of the pairs that have not
+    stopped, as one table of the family.  A pair stops once five
+    consecutive terms are below tol relative to its running partial sum,
+    or at max_terms, flagged as non-converged; its tail estimate
+    extrapolates its last term geometrically.  A pair with
     <zeta,zeta'> = 0 is its k = 0 term, by the convention
     <zeta,zeta'>^0 = 1 that the zero-fiber restriction identity forces,
     and enters no pass.  A term index whose constants leave the float range
@@ -385,20 +338,6 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     return out
 
 
-def frc_eval(domain: HartogsDomain, point, point2, kernel_family,
-             max_terms: int = 200, tol: float = 1e-12) -> FrcResult:
-    """Sum the fiber series for K_Omega at one pair of interior points: the
-    one-pair view of ``frc_eval_pairs``, same stop rule and tail estimate.
-    """
-    def rows(pt):
-        z, zeta = pt
-        return (as_point(z, domain.base.dim)[None, :],
-                as_point(zeta, domain.fiber_dim)[None, :])
-
-    return frc_eval_pairs(domain, rows(point), rows(point2), kernel_family,
-                          max_terms, tol).pair(0)
-
-
 def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,
                           reference: KernelModel | None = None,
                           degree: int = 40):
@@ -406,12 +345,12 @@ def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,
 
     Compares K_Omega((z,0),(z',0)) against (m!/pi^m) K_{D, p^m}(z, z').  One
     pair of base points gives one residual; (k, n) rows of pairs give k
-    residuals.  ``kernel_omega`` is called once, with the base points as
-    given and zero fibers of the same form, ((z, 0), (z', 0)), and returns a
-    value per pair: e.g. the ``value`` of ``frc_eval`` for one pair or of
-    ``frc_eval_pairs`` for rows.  The reference weighted kernel is built
-    from a Gram series at ``degree`` unless one is supplied.  Each residual
-    is relative, or absolute where the reference vanishes.
+    residuals.  ``kernel_omega`` is called once, with (k, n) base rows and
+    (k, m) zero fibers, ((Z, 0), (Z', 0)), and returns a value per pair:
+    e.g. the ``value`` of ``frc_eval_pairs``.  The reference weighted
+    kernel is built from a Gram series at ``degree`` unless one is
+    supplied.  Each residual is relative, or absolute where the reference
+    vanishes.
     """
     m = domain.fiber_dim
     Z, one = as_point_rows(z, domain.base.dim)
@@ -422,10 +361,7 @@ def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,
         reference = kernel_from_gram(
             gram_auto(domain.weight.pow(m), degree))
 
-    if one:
-        lhs = kernel_omega((Z[0], zeros[0]), (Z2[0], zeros[0]))
-    else:
-        lhs = kernel_omega((Z, zeros), (Z2, zeros))
+    lhs = kernel_omega((Z, zeros), (Z2, zeros))
     ref = math.factorial(m) / math.pi ** m * np.diagonal(
         reference.eval_grid(Z, Z2))
     size = np.abs(ref)

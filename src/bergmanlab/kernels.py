@@ -40,23 +40,16 @@ from numpy.polynomial import polynomial as npoly
 from .core import (
     DomainKind,
     DomainSpec,
-    as_point,
     as_points,
     full_space,
     hermitian_inner,
     hua_normalization,
     principal_log,
-    weight_radial_fn,
     GaussianPower,
     GenericNormPower,
     Weight,
 )
-from .moments import (
-    RadialGram,
-    domain_from_json,
-    domain_to_json,
-    quadrature_points_1d,
-)
+from .moments import RadialGram, domain_from_json, domain_to_json
 
 
 def _grid_entry(model, z, w) -> complex:
@@ -66,12 +59,12 @@ def _grid_entry(model, z, w) -> complex:
                                    np.reshape(w, (1, -1)))[0, 0])
 
 
-def _check_scale(scale: float) -> None:
-    """A closed-form kernel's constant must be finite and positive, as a
-    weight's is; a reproducing kernel has K(z, z) > 0."""
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"kernel scale must be finite and positive, "
-                         f"not {scale!r}")
+def _check_positive(what: str, value: float) -> None:
+    """A closed-form kernel's constant and rate must be finite and
+    positive, as a weight's are; a reproducing kernel has K(z, z) > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"kernel {what} must be finite and positive, "
+                         f"not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +76,8 @@ class FockKernel:
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_scale(self.scale)
+        _check_positive("scale", self.scale)
+        _check_positive("mu", self.mu)
 
     @property
     def domain(self) -> DomainSpec:
@@ -108,7 +102,8 @@ class PowerKernel:
     def __post_init__(self):
         if not self.base.bounded:
             raise ValueError("power kernels need a bounded symmetric base")
-        _check_scale(self.scale)
+        _check_positive("scale", self.scale)
+        _check_positive("mu", self.mu)
 
     @property
     def domain(self) -> DomainSpec:
@@ -197,18 +192,6 @@ class RadialSeriesKernel:
 KernelModel = FockKernel | PowerKernel | RadialSeriesKernel
 
 
-def fock_kernel(mu: float, n: int = 1) -> FockKernel:
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return FockKernel(mu, n)
-
-
-def power_kernel(domain: DomainSpec, mu: float, scale: float = 1.0) -> PowerKernel:
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return PowerKernel(domain, mu, scale)
-
-
 def weighted_kernel_closed_form(weight: Weight) -> KernelModel:
     """Raw-dV weighted Bergman kernel of (base, weight) where one is known.
 
@@ -273,51 +256,6 @@ def kernel_from_gram(gram: RadialGram) -> RadialSeriesKernel:
                 f"the float range")
     return RadialSeriesKernel(gram.domain, d, c,
                               weight_label=gram.weight_label)
-
-
-# ---------------------------------------------------------------------------
-# evaluation helpers
-
-def normalized_kernel(model: KernelModel, z, w) -> complex:
-    """k_w(z) = K(z, w)/sqrt(K(w, w)); needs a positive diagonal at w."""
-    kww = model.eval(w, w)
-    if kww.real <= 0 or abs(kww.imag) > 1e-9 * abs(kww.real):
-        raise ValueError("kernel diagonal is not positive at the center point")
-    return model.eval(z, w) / math.sqrt(kww.real)
-
-
-def reproducing_residual(model: RadialSeriesKernel, poly: dict, z,
-                         weight: Weight) -> float:
-    """| f(z) - integral f(w) K(z, w) p(w) dV(w) | for a polynomial f.
-
-    ``poly`` maps exponent multi-indices to coefficients; its degree should
-    stay at least two below the series cap so the truncated kernel still
-    reproduces it.  The integral uses the same product rule as the Gram
-    assembly for this (domain, weight, degree) triple.
-    """
-    base = model.base
-    if base.dim != 1:
-        raise ValueError("reproducing-property checks are wired for n = 1")
-    if weight.base != base:
-        raise ValueError("weight base mismatch")
-    z = as_point(z, base.dim)
-
-    pts, wq = quadrature_points_1d(base, weight, model.degree)
-    pts2 = pts[:, None]
-
-    terms = [(alpha[0] if isinstance(alpha, tuple) else int(alpha), c)
-             for alpha, c in poly.items()]
-    fvals = np.zeros(pts.shape[0], dtype=complex)
-    for k, c in terms:
-        fvals += c * pts ** k
-    fz = complex(sum(c * complex(z[0]) ** k for k, c in terms))
-
-    pvals = weight_radial_fn(weight)(np.abs(pts) ** 2)
-
-    kzw = model.eval_grid(z[None, :], pts2)[0]  # K(z, w_s)
-
-    integral = complex(np.sum(fvals * kzw * pvals * wq))
-    return abs(fz - integral)
 
 
 # ---------------------------------------------------------------------------

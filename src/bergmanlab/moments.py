@@ -71,12 +71,9 @@ from . import jsonio
 # nodes on [0, 1] per complex dimension, the full space ``fullspace_nodes``
 # Gauss-Laguerre nodes, and tabulated full-space profiles ``table_nodes``
 # Gauss-Legendre nodes up to their last knot, whose neglected tail must stay
-# below ``tail_rtol``.  ``angular_margin`` fixes the equispaced angular node
-# count of the explicit points of ``quadrature_points_1d`` at
-# 2*degree + margin, enough to annihilate every angular frequency a monomial
-# pair of degree <= d can produce, with margin.
-QUADRATURE = {"radial_nodes": 64, "angular_margin": 8, "fullspace_nodes": 96,
-              "table_nodes": 256, "tail_rtol": 1e-12}
+# below ``tail_rtol``.
+QUADRATURE = {"radial_nodes": 64, "fullspace_nodes": 96, "table_nodes": 256,
+              "tail_rtol": 1e-12}
 
 # Relative size of the most negative eigenvalue of a unit-diagonal Gram
 # matrix that still counts as roundoff around a positive semidefinite one.
@@ -401,24 +398,6 @@ def _shell_factor(alpha: tuple[int, ...]) -> float:
     return factor
 
 
-def moment_exact(domain: DomainSpec, weight: Weight, alpha, beta) -> complex:
-    """Closed-form <z^alpha, z^beta> for supported (domain, weight) pairs.
-
-    Supported: Gaussian powers on C^n, generic-norm powers on disk/ball,
-    and radial polynomial weights on disk/ball (all radial, so the result
-    vanishes unless alpha == beta).  Raises ValueError otherwise.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    beta = tuple(int(b) for b in beta)
-    n = domain.dim
-    if len(alpha) != n or len(beta) != n:
-        raise ValueError("multi-index length must match the domain dimension")
-    moments = _exact_moments(domain, weight, sum(alpha) + n - 1)
-    if alpha != beta:
-        return 0.0 + 0.0j
-    return complex(_shell_factor(alpha) * moments[-1])
-
-
 def gram_exact(domain: DomainSpec, weight: Weight, degree: int) -> RadialGram:
     """The Gram matrix of closed-form moments; raises ValueError where the
     (domain, weight) pair has none."""
@@ -518,24 +497,6 @@ def _radial_rule(domain: DomainSpec, weight: Weight,
         _fullspace_tail_check(weight, degree, n, t_max, abs(ref) + 1e-300)
         return s, ws
     raise ValueError("weight not integrable against a full-space rule")
-
-
-def quadrature_points_1d(domain: DomainSpec, weight: Weight, degree: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit product-rule nodes z_s and plain-dV weights for n = 1.
-
-    These are the radial nodes the Gram assembly integrates over (in
-    t = |z|^2) times equispaced angles, exposed so reproducing-property
-    checks can integrate against exactly the same radial discretization.
-    """
-    if domain.dim != 1:
-        raise ValueError("explicit quadrature points are provided for n = 1 only")
-    t, wt = _radial_rule(domain, weight, degree)
-    M = 2 * degree + QUADRATURE["angular_margin"]
-    thetas = 2.0 * np.pi * np.arange(M) / M
-    pts = (np.sqrt(t)[:, None] * np.exp(1j * thetas)[None, :]).reshape(-1)
-    # dV = dt d(theta) / 2 in t = |z|^2
-    return pts, np.repeat(wt, M) * (math.pi / M)
 
 
 def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int) -> RadialGram:
@@ -700,13 +661,9 @@ def gram_validate(gram: Gram) -> GramDiagnostics:
     )
 
 
-def weight_mass(weight: Weight) -> float:
-    """Total integral <1, 1> of the weight over its base domain."""
-    return float(gram_auto(weight, 0).entries[0, 0].real)
-
-
 def unit_mass_weight(weight: Weight) -> Weight:
-    return weight.scaled(1.0 / weight_mass(weight))
+    """The weight rescaled to total integral <1, 1> = 1 over its base."""
+    return weight.scaled(1.0 / float(gram_auto(weight, 0).entries[0, 0].real))
 
 
 # ---------------------------------------------------------------------------

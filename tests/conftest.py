@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import bergmanlab as bl
-from bergmanlab import core
+from bergmanlab import core, moments
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +29,7 @@ def perturbed_gaussian_weight(perturbed_gaussian_csv):
 class dense_kernel:
     """The orthonormal expansion sum_k e_k(z) conj(e_k(w)) of a Gram's dense
     ``entries``: the Cholesky factor of the unit-diagonal matrix, inverted,
-    over ``core.monomial_values``.  The oracle of the radial series."""
+    over the monomial rows.  The oracle of the radial series."""
 
     def __init__(self, gram):
         self.base = self.domain = gram.domain
@@ -41,7 +42,7 @@ class dense_kernel:
     def basis_values(self, points):
         """e_k(z) for every point and k, shape (npoints, rank)."""
         pts = core.as_points(points, self.base.dim)
-        return core.monomial_values(self.index_map, pts) @ self.coeff.T
+        return core.monomial_rows(self.index_map, pts).T @ self.coeff.T
 
     def eval_grid(self, zs, ws):
         return self.basis_values(zs) @ self.basis_values(ws).conj().T
@@ -59,11 +60,58 @@ class dense_kernel:
                       axis=1)
 
 
+# the equispaced angles of ``quadrature_points_1d`` number 2 * degree + this
+# margin, enough to annihilate every angular frequency a monomial pair of
+# degree <= degree can produce
+ANGULAR_MARGIN = 8
+
+
+def quadrature_points_1d(domain, weight, degree):
+    """Explicit product-rule nodes z_s and plain-dV weights for n = 1: the
+    radial nodes the Gram assembly integrates over (in t = |z|^2) times
+    equispaced angles, so a reproducing-property check integrates against
+    exactly the same radial discretization."""
+    if domain.dim != 1:
+        raise ValueError("explicit quadrature points are for n = 1 only")
+    t, wt = moments._radial_rule(domain, weight, degree)
+    M = 2 * degree + ANGULAR_MARGIN
+    thetas = 2.0 * np.pi * np.arange(M) / M
+    pts = (np.sqrt(t)[:, None] * np.exp(1j * thetas)[None, :]).reshape(-1)
+    # dV = dt d(theta) / 2 in t = |z|^2
+    return pts, np.repeat(wt, M) * (math.pi / M)
+
+
+def reproducing_residual(model, poly, z, weight):
+    """| f(z) - integral f(w) K(z, w) p(w) dV(w) | for a polynomial f on
+    a one-dimensional base: a correctness check of the series kernel.
+
+    ``poly`` maps exponent multi-indices to coefficients; its degree should
+    stay at least two below the series cap so the truncated kernel still
+    reproduces it.  The integral uses the radial rule of the Gram assembly
+    for this (domain, weight, degree) triple.
+    """
+    base = model.base
+    if base.dim != 1:
+        raise ValueError("reproducing-property checks are wired for n = 1")
+    if weight.base != base:
+        raise ValueError("weight base mismatch")
+    z = core.as_point(z, base.dim)
+    pts, wq = quadrature_points_1d(base, weight, model.degree)
+    terms = [(alpha[0] if isinstance(alpha, tuple) else int(alpha), c)
+             for alpha, c in poly.items()]
+    fvals = np.zeros(pts.shape[0], dtype=complex)
+    for k, c in terms:
+        fvals += c * pts ** k
+    fz = complex(sum(c * complex(z[0]) ** k for k, c in terms))
+    pvals = core.weight_radial_fn(weight)(np.abs(pts) ** 2)
+    kzw = model.eval_grid(z[None, :], pts[:, None])[0]  # K(z, w_s)
+    return abs(fz - complex(np.sum(fvals * kzw * pvals * wq)))
+
+
 def one_table_montecarlo(domain, weight, degree, samples, seed):
     """Reference Monte Carlo Gram: the draw calls and chunks of
     ``gram_montecarlo``, each chunk reduced over one (samples, B) monomial
     table.  Returns the symmetrized mean and the standard errors."""
-    from bergmanlab import moments
     n = domain.dim
     basis = core.multiindex_enumerate(n, degree)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -82,7 +130,7 @@ def one_table_montecarlo(domain, weight, degree, samples, seed):
         dens = (np.full(m, 1.0 / moments._ball_volume(n)) if domain.bounded
                 else np.exp(-t / sigma2) / (np.pi * sigma2) ** n)
         f = core.weight_radial_fn(weight)(t) / dens
-        V = core.monomial_values(basis, pts)
+        V = core.monomial_rows(basis, pts).T
         sum_x = sum_x + (V * f[:, None]).T @ V.conj()
         A2 = np.abs(V) ** 2
         sum_abs2 = sum_abs2 + (A2 * f[:, None] ** 2).T @ A2

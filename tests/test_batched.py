@@ -60,12 +60,12 @@ def _models():
         bl.gram_exact(ball2, bl.generic_norm_weight(ball2, 2.0), 10))
     disk_pts = [np.array([z]) for z in interior_disk_points(rng, 5)]
     models = [
-        ("fock-n1", bl.fock_kernel(1.3, 1), _full_space_points(rng, 1, 5, 2.0)),
-        ("fock-n2", bl.fock_kernel(0.7, 2), _full_space_points(rng, 2, 5, 2.0)),
-        ("power-disk", bl.power_kernel(DISK, 1.5, 0.3), disk_pts),
-        ("power-ball2", bl.power_kernel(ball2, 2.0),
+        ("fock-n1", bl.FockKernel(1.3, 1), _full_space_points(rng, 1, 5, 2.0)),
+        ("fock-n2", bl.FockKernel(0.7, 2), _full_space_points(rng, 2, 5, 2.0)),
+        ("power-disk", bl.PowerKernel(DISK, 1.5, 0.3), disk_pts),
+        ("power-ball2", bl.PowerKernel(ball2, 2.0),
          interior_ball_points(rng, 2, 5)),
-        ("power-typei", bl.power_kernel(bl.matrix_ball(2, 2), 1.0),
+        ("power-typei", bl.PowerKernel(bl.matrix_ball(2, 2), 1.0),
          _type_i_points(rng, 4)),
         # the raw-measure kernel of 0.3 exp(-1.5|z|^2): a FockKernel whose
         # scale field is (1.5/pi)^2 / 0.3
@@ -74,7 +74,7 @@ def _models():
          _full_space_points(rng, 2, 5)),
         ("series-disk", series_disk, disk_pts),
         ("series-ball2", series_ball, interior_ball_points(rng, 2, 5, 0.6)),
-        ("power-typei2x3", bl.power_kernel(bl.matrix_ball(2, 3), 0.5, 1.7),
+        ("power-typei2x3", bl.PowerKernel(bl.matrix_ball(2, 3), 0.5, 1.7),
          _type_i_points(rng, 4, 6)),
     ]
     points = {name: pts for name, _, pts in models}
@@ -190,7 +190,7 @@ def test_grid_rejects_wrong_shapes(name, model, pts):
                          ids=["disk", "ball2", "typei"])
 def test_power_grid_rejects_branch_cut(domain, mu):
     # N(z, z) = 0 on the boundary: the factor 1 - |z|^2 sits on the cut
-    K = bl.power_kernel(domain, mu)
+    K = bl.PowerKernel(domain, mu)
     edge = np.zeros(domain.dim, dtype=complex)
     edge[0] = 1.0
     inner = np.zeros(domain.dim, dtype=complex)
@@ -198,7 +198,7 @@ def test_power_grid_rejects_branch_cut(domain, mu):
         K.eval(edge, edge)
     with pytest.raises(ValueError, match="branch cut"):
         K.eval_grid([inner, edge], [inner, edge])
-    scaled = bl.power_kernel(domain, mu, 2.0)
+    scaled = bl.PowerKernel(domain, mu, 2.0)
     with pytest.raises(ValueError, match="branch cut"):
         scaled.eval_grid([edge], [edge])
 
@@ -338,7 +338,7 @@ def test_radial_verdict_makes_no_factorization(monkeypatch, capsys):
     from bergmanlab import cli, core, moments
     calls = []
     for owner, name in ((np.linalg, "cholesky"), (np.linalg, "solve"),
-                        (core, "monomial_values"),
+                        (moments, "monomial_rows"),
                         (core, "multiindex_enumerate"),
                         (moments, "multiindex_enumerate"),
                         (moments, "_shell_factor")):

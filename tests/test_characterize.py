@@ -79,7 +79,8 @@ class TestRecoverWeight:
         rec = ch.recover_weight(ch.moment_table(bl.gaussian_weight(1, 1.0), 10))
         assert rec.basis == "laguerre"
         ts = np.linspace(0.0, 20.0, 4001)
-        err = np.trapezoid(np.abs(rec.eval_profile(ts) - np.exp(-ts)), ts)
+        profile = ch._profile_from_coeffs(rec.basis, rec.coefficients, ts)
+        err = np.trapezoid(np.abs(profile - np.exp(-ts)), ts)
         assert err <= 1e-6
 
     def test_recovery_discrimination_consistency(self):

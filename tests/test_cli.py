@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import math
@@ -533,12 +534,11 @@ class TestOutputs:
         assert code == 0
         assert json.loads(out)["method"] == {
             "kind": "quadrature",
-            "scheme": {"radial_nodes": 64, "angular_margin": 8,
-                       "fullspace_nodes": 96, "table_nodes": 256,
-                       "tail_rtol": 1e-12}}
+            "scheme": {"radial_nodes": 64, "fullspace_nodes": 96,
+                       "table_nodes": 256, "tail_rtol": 1e-12}}
 
     def test_kernel_json_argument(self, capsys, tmp_path):
-        kj = json.dumps(bl.kernel_to_json(bl.fock_kernel(1.0, 1)))
+        kj = json.dumps(bl.kernel_to_json(bl.FockKernel(1.0, 1)))
         pts = tmp_path / "pts.json"
         pts.write_text(json.dumps({"z": [[0.0, 0.0]], "w": [[1.0, 0.0]]}))
         code, out, _ = run_cli(
@@ -549,35 +549,71 @@ class TestOutputs:
 
 
 # the cheapest verdict of each benchmark workload, a tabulated weight's
-# among them; "TABLE" stands for the path of a CSV table
+# among them, with the package modules its command does not run; "TABLE"
+# stands for the path of a CSV table
 NO_SCIPY_VERDICTS = {
-    "characterize-ch": ["characterize-ch", "--domain", "disk", "--weight",
-                        "npower:1", "--degree", "16"],
-    "frc-check": ["frc-check", "--m", "1", "--pairs", "50"],
-    "gram-quadrature": ["gram", "--domain", "cn:1", "--weight", "gaussian:1",
-                        "--degree", "10", "--method", "quadrature"],
-    "recover-weight": ["recover-weight", "--domain", "disk", "--weight",
-                       "table:TABLE", "--degree", "4"],
+    "characterize-ch": (["characterize-ch", "--domain", "disk", "--weight",
+                         "npower:1", "--degree", "16"],
+                        {"automorphisms", "hartogs"}),
+    "frc-check": (["frc-check", "--m", "1", "--pairs", "50"],
+                  {"automorphisms", "characterize"}),
+    "gram-quadrature": (["gram", "--domain", "cn:1", "--weight", "gaussian:1",
+                         "--degree", "10", "--method", "quadrature"],
+                        {"automorphisms", "hartogs", "characterize"}),
+    "recover-weight": (["recover-weight", "--domain", "disk", "--weight",
+                        "table:TABLE", "--degree", "4"],
+                       {"automorphisms", "hartogs"}),
 }
 
 
-@pytest.mark.parametrize("argv", NO_SCIPY_VERDICTS.values(),
+@pytest.mark.parametrize("argv,unused", NO_SCIPY_VERDICTS.values(),
                          ids=NO_SCIPY_VERDICTS.keys())
-def test_verdict_process_loads_no_scipy(tmp_path, argv):
-    # a fresh verdict process imports numpy and the standard library only
+def test_verdict_process_loads_no_scipy(tmp_path, argv, unused):
+    # a fresh verdict process imports numpy and the standard library only,
+    # and of the package only the modules its command runs
     table = tmp_path / "table.csv"
     table.write_text("t,value\n" + "".join(
         f"{k / 20!r},{(1 - k / 20) ** 2 * (1 + k / 40)!r}\n"
         for k in range(21)))
     argv = [a.replace("TABLE", str(table)) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from bergmanlab.cli import main; "
-         "code = main(sys.argv[1:]); "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
-         " file=sys.stderr); sys.exit(code)", *argv],
+        [sys.executable, "-c", "import json, sys; "
+         "from bergmanlab.cli import main; code = main(sys.argv[1:]); "
+         "loaded = sorted(sys.modules); "
+         "print(json.dumps([m for m in loaded if m.split('.')[0] == 'scipy']),"
+         " json.dumps([m.split('.')[1] for m in loaded"
+         " if m.startswith('bergmanlab.')]), sep='\\n', file=sys.stderr); "
+         "sys.exit(code)", *argv],
         capture_output=True, env=child_env("1"), cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    assert proc.stderr.decode().strip() == "[]"
+    scipy, package = proc.stderr.decode().splitlines()
+    assert json.loads(scipy) == []
+    loaded = set(json.loads(package))
+    assert "moments" in loaded and not loaded & unused, loaded
+
+
+# public names deleted because no command ran them, by defining module
+REMOVED_NAMES = {
+    "core": ("monomial_values",),
+    "moments": ("moment_exact", "weight_mass", "quadrature_points_1d"),
+    "kernels": ("fock_kernel", "power_kernel", "normalized_kernel",
+                "reproducing_residual"),
+    "hartogs": ("SeriesFamily", "frc_eval", "pochhammer"),
+    "automorphisms": ("jacobian_fd",),
+}
+
+
+def test_every_public_name_resolves_to_its_module():
+    for module, names in bl._EXPORTS.items():
+        defining = importlib.import_module(f"bergmanlab.{module}")
+        for name in names:
+            assert getattr(bl, name) is vars(defining)[name], name
+    assert set(bl.__all__) == set(bl._MODULE_OF) <= set(dir(bl))
+    for module, names in REMOVED_NAMES.items():
+        defining = importlib.import_module(f"bergmanlab.{module}")
+        for name in names:
+            assert not hasattr(bl, name) and not hasattr(defining, name)
+    assert not hasattr(bl.RecoveredWeight, "eval_profile")
 
 
 # help, every command's help and usage errors: the parser built for the
@@ -937,6 +973,21 @@ def test_kernel_json_scale_is_checked(capsys, kernel):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: kernel scale must be finite and positive")
+
+
+@pytest.mark.parametrize("mu", ["-1", "0"])
+@pytest.mark.parametrize("form", [
+    '"form": "fock", "n": 1',
+    '"form": "power", "domain": {"kind": "disk", "dim": 1}',
+], ids=["fock", "power"])
+def test_kernel_json_mu_is_checked(capsys, form, mu):
+    # a closed-form kernel's rate read from JSON must be positive, as the
+    # rate of every weight is
+    code, out, err = run_cli(["kernel-eval", "--kernel", f'{{{form}, "mu": '
+                              f'{mu}}}', "--grid", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: kernel mu must be finite and positive, not " \
+                  f"{float(mu)!r}\n"
 
 
 def test_weight_scale_overflow_is_named(capsys):

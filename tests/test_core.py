@@ -7,7 +7,7 @@ from scipy.integrate import quad, dblquad
 
 import bergmanlab as bl
 from bergmanlab.cli import parse_domain
-from bergmanlab.core import (MAX_POINTS, hermitian_inner, monomial_values,
+from bergmanlab.core import (MAX_POINTS, hermitian_inner, monomial_rows,
                              sample_ball, sample_ball_polar, weight_radial_fn)
 from bergmanlab.moments import domain_from_json, domain_to_json
 
@@ -41,7 +41,7 @@ class TestMultiIndex:
     def test_monomial_values(self):
         basis = bl.multiindex_enumerate(2, 2)
         z = np.array([[0.5 + 0.5j, 2.0]])
-        vals = monomial_values(basis, z)[0]
+        vals = monomial_rows(basis, z).T[0]
         expected = [1, 0.5 + 0.5j, 2.0, (0.5 + 0.5j) ** 2, (0.5 + 0.5j) * 2, 4.0]
         assert np.allclose(vals, expected, rtol=0, atol=1e-15)
 

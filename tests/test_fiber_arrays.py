@@ -1,9 +1,9 @@
 """The fiber series and the automorphism action over point arrays, against
 the per-term and per-point loops they replaced.
 
-``_scalar_frc`` is the loop ``frc_eval`` ran before it became the one-pair
-view of ``frc_eval_pairs``: one kernel ``eval`` per term and pair, the stop
-rule applied term by term.  It stays here as the oracle.  The structural
+``_scalar_frc`` is the loop the one-pair fiber series ran before
+``frc_eval_pairs``: one kernel ``eval`` per term and pair, the stop rule
+applied term by term.  It stays here as the oracle.  The structural
 tests count calls, not time, so the scalar loops cannot come back unseen."""
 
 import math
@@ -14,16 +14,13 @@ import pytest
 
 import bergmanlab as bl
 from bergmanlab import automorphisms as am
-from bergmanlab import characterize, cli, hartogs, kernels
+from bergmanlab import cli, hartogs, kernels
 from bergmanlab.core import hermitian_inner
 from bergmanlab.hartogs import (
     ClosedFormFamily,
     HartogsDomain,
-    SeriesFamily,
     fiber_coefficients,
-    frc_eval,
     frc_eval_pairs,
-    pochhammer,
 )
 
 DISK = bl.unit_disk()
@@ -39,7 +36,7 @@ def _scalar_frc(domain, point, point2, family, max_terms=200, tol=1e-12):
     partial, upow = 0j, 1 + 0j
     streak, prev_mag, ratio, terms = 0, None, None, 0
     for k in range(max_terms):
-        term = inv_pi_m * pochhammer(k, m) * family(k).eval(z, z2) * upow
+        term = inv_pi_m * math.perm(k + m, m) * family(k).eval(z, z2) * upow
         partial += term
         terms = k + 1
         mag = abs(term)
@@ -111,17 +108,13 @@ def _case(name):
         "gaussian-c2-scaled": (bl.full_space(2),
                                bl.gaussian_weight(2, 0.8).scaled(1.7), 2),
         "typei-2x2": (typei, bl.generic_norm_weight(typei, 1.0), 1),
-        "series-disk": (DISK, bl.generic_norm_weight(DISK, 1.0), 1),
     }
-    base, weight, m = cases[name]
-    domain = HartogsDomain(base, weight, m)
-    family = SeriesFamily(domain, 30) if name.startswith("series") \
-        else ClosedFormFamily(domain)
-    return domain, family
+    domain = HartogsDomain(*cases[name])
+    return domain, ClosedFormFamily(domain)
 
 
 CASES = ["disk-m1", "disk-m2", "disk-m3", "ball2", "gaussian-c1",
-         "gaussian-c2-scaled", "typei-2x2", "series-disk"]
+         "gaussian-c2-scaled", "typei-2x2"]
 # (max_terms, tol): converging sums, and cuts that stop before five small
 # terms, one of them before any ratio exists (inf tails)
 LIMITS = [(200, 1e-12), (200, 1e-14), (4, 1e-14), (1, 1e-12)]
@@ -149,9 +142,10 @@ def test_pairs_match_per_term_loop(name, limits):
             # the last terms carry the roundoff of the whole sum
             assert abs(one.tail_estimate - tail) <= 1e-12 * tail \
                 + 1e-14 * abs(value)
-        # frc_eval is the one-pair view of the same sums
-        view = frc_eval(domain, (Z[i], ZETA[i]), (Z2[i], ZETA2[i]), family,
-                        max_terms, tol)
+        # one pair alone sums as it does among the others
+        view = frc_eval_pairs(domain, (Z[i:i + 1], ZETA[i:i + 1]),
+                              (Z2[i:i + 1], ZETA2[i:i + 1]), family,
+                              max_terms, tol).pair(0)
         assert view == one
     assert got.terms_used[:3].tolist() == [1, 1, 1]
     if max_terms == 1:
@@ -225,10 +219,7 @@ def test_pairs_need_as_many_points_on_each_side():
 # ---------------------------------------------------------------------------
 # the closed-form term table
 
-CLOSED = [name for name in CASES if not name.startswith("series")]
-
-
-@pytest.mark.parametrize("name", CLOSED)
+@pytest.mark.parametrize("name", CASES)
 def test_closed_form_table_matches_per_term_models(name):
     """pi^(-m) (k+1)_m K_k(z, z') u^k from the table against the same term
     from a kernel model of weight p^(k+m) built for it."""
@@ -239,7 +230,7 @@ def test_closed_form_table_matches_per_term_models(name):
     got = fiber_coefficients(m, K) * family.terms(Z, Z2, u, K)
     for k in range(K):
         model = kernels.weighted_kernel_closed_form(domain.weight.pow(k + m))
-        want = (math.pi ** -m * pochhammer(k, m)
+        want = (math.pi ** -m * math.perm(k + m, m)
                 * np.diagonal(model.eval_grid(Z, Z2)) * u ** k)
         assert (np.abs(got[:, k] - want) <= 1e-14 * np.abs(want)).all(), k
 
@@ -364,6 +355,31 @@ def test_action_over_rows_matches_per_point_calls(name):
         _close(jac[i], one_jac, 1e-14)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_unitaries_map_a_row_alone_as_inside_a_stack(dim):
+    """A unitary maps each row of a stack bit for bit as it maps that row
+    alone; a matrix product rounds a row by the size of its stack."""
+    rng = np.random.default_rng(dim)
+    ball = bl.unit_ball(dim)
+    fbh = HartogsDomain(bl.full_space(dim), bl.gaussian_weight(dim, 1.0), dim)
+    ch = HartogsDomain(ball, bl.generic_norm_weight(ball, 1.0), dim)
+    for _ in range(20):
+        count = int(rng.integers(2, 7))
+        Z, ZETA = (0.4 / dim * (rng.standard_normal((count, dim))
+                                + 1j * rng.standard_normal((count, dim)))
+                   for _ in range(2))
+        for aut in (am.make_fbh_map(fbh, "base_unitary",
+                                    matrix=_unitary(rng, dim)),
+                    am.make_fbh_map(fbh, "fiber_unitary",
+                                    matrix=_unitary(rng, dim)),
+                    am.make_ch_map(ch, np.full(dim, 0.1), _unitary(rng, dim))):
+            stack = am.apply(aut, (Z, ZETA))
+            for i in range(count):
+                alone = am.apply(aut, (Z[i], ZETA[i]))
+                for one, rows in zip(alone, stack):
+                    assert one.tobytes() == rows[i].tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_fd_jacobians_over_rows_match_per_point_calls(name):
     aut = MAPS[name]
@@ -399,7 +415,7 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_frc_check_makes_no_scalar_kernel_call(monkeypatch, capsys):
     power = _count_calls(monkeypatch, kernels.PowerKernel, "eval")
-    series = _count_calls(monkeypatch, cli, "frc_eval_pairs")
+    series = _count_calls(monkeypatch, hartogs, "frc_eval_pairs")
     for pairs in ("10", "50"):
         series.clear()
         assert cli.main(["frc-check", "--m", "2", "--pairs", pairs]) == 0
@@ -478,8 +494,8 @@ def test_family_check_maps_each_entry_once_whatever_its_points(
         argv, entries, monkeypatch, capsys):
     """fbh is [identity, k-row translation stack], thullen [k-row Moebius
     stack]: one apply and one jacobian_base_slice per entry, for any k."""
-    applied = _count_calls(monkeypatch, characterize, "apply_map")
-    jacobians = _count_calls(monkeypatch, characterize, "jacobian_base_slice")
+    applied = _count_calls(monkeypatch, am, "apply")
+    jacobians = _count_calls(monkeypatch, am, "jacobian_base_slice")
     for points in ("2", "6", "40"):
         applied.clear()
         jacobians.clear()

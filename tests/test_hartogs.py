@@ -7,12 +7,11 @@ import bergmanlab as bl
 from bergmanlab.hartogs import (
     ClosedFormFamily,
     HartogsDomain,
-    SeriesFamily,
     ball_kernel,
-    frc_eval,
+    fiber_coefficients,
+    frc_eval_pairs,
     frc_restriction_check,
     hartogs_contains,
-    pochhammer,
 )
 
 from conftest import interior_disk_points
@@ -57,23 +56,23 @@ class TestContains:
 
 
 class TestPochhammer:
+    # (k+1)_m, the rising factorial in the k-th fiber-series factor
     @pytest.mark.parametrize("k,m,expected", [(0, 1, 1), (0, 2, 2), (2, 3, 60),
                                               (5, 1, 6), (3, 4, 840)])
     def test_values(self, k, m, expected):
-        assert pochhammer(k, m) == expected
+        assert fiber_coefficients(m, k + 1)[k] == math.pi ** (-m) * expected
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            pochhammer(-1, 1)
-        with pytest.raises(ValueError):
-            pochhammer(0, 0)
+        # the series needs m >= 1; its term indices start at k = 0
+        with pytest.raises(ValueError, match="fiber dimension"):
+            HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), 0)
 
 
 class TestForelliRudinSeries:
     def test_origin_value_is_ball_kernel(self):
         H = disk_hartogs()
         fam = ClosedFormFamily(H)
-        res = frc_eval(H, ([0], [0]), ([0], [0]), fam)
+        res = frc_eval_pairs(H, ([[0]], [[0]]), ([[0]], [[0]]), fam).pair(0)
         assert res.value.real == pytest.approx(2 / math.pi ** 2, rel=1e-14)
         assert res.converged
 
@@ -81,7 +80,7 @@ class TestForelliRudinSeries:
         H = fbh(m=2, mu=1.0)
         fam = ClosedFormFamily(H)
         z = np.array([0.4 + 0.1j])
-        res = frc_eval(H, (z, [0, 0]), (z, [0, 0]), fam)
+        res = frc_eval_pairs(H, ([z], [[0, 0]]), ([z], [[0, 0]]), fam).pair(0)
         ref = (math.factorial(2) / math.pi ** 2) * fam(0).eval(z, z)
         assert res.value == pytest.approx(ref, rel=1e-14)
         assert res.terms_used == 1
@@ -98,7 +97,8 @@ class TestForelliRudinSeries:
             th = 2 * np.pi * rng.random(2)
             zeta = [r1 * math.sqrt(1 - abs(z) ** 2) * np.exp(1j * th[0])]
             zeta2 = [r2 * math.sqrt(1 - abs(z2) ** 2) * np.exp(1j * th[1])]
-            res = frc_eval(H, ([z], zeta), ([z2], zeta2), fam, tol=1e-14)
+            res = frc_eval_pairs(H, ([[z]], [zeta]), ([[z2]], [zeta2]), fam,
+                                 tol=1e-14).pair(0)
             ref = oracle(np.array([z, zeta[0]]), np.array([z2, zeta2[0]]))
             worst = max(worst, abs(res.value - ref) / abs(ref))
         assert worst <= 1e-8
@@ -113,7 +113,8 @@ class TestForelliRudinSeries:
             zeta = [r * math.sqrt(1 - abs(z) ** 2)]
             zeta2 = [r * math.sqrt(1 - abs(z2) ** 2)]
             # |<zeta, zeta'>| = 0.99 rho sqrt(p(z) p(z'))
-            res = frc_eval(H, ([z], zeta), ([z2], zeta2), fam, tol=1e-12)
+            res = frc_eval_pairs(H, ([[z]], [zeta]), ([[z2]], [zeta2]), fam,
+                                 tol=1e-12).pair(0)
             assert res.converged
             assert res.last_ratio is not None
             assert res.last_ratio <= rho + 0.1
@@ -123,25 +124,16 @@ class TestForelliRudinSeries:
         fam = ClosedFormFamily(H)
         z = [0.0]
         zeta = [0.97]
-        res = frc_eval(H, (z, zeta), (z, zeta), fam, max_terms=30)
+        res = frc_eval_pairs(H, ([z], [zeta]), ([z], [zeta]), fam,
+                             max_terms=30).pair(0)
         assert not res.converged
         assert res.tail_estimate > 0
-
-    def test_series_family_agrees_with_closed_forms(self):
-        H = disk_hartogs()
-        closed = ClosedFormFamily(H)
-        series = SeriesFamily(H, degree=36)
-        z, z2 = np.array([0.25 + 0.1j]), np.array([-0.2 + 0.15j])
-        zeta, zeta2 = [0.3], [0.25j]
-        a = frc_eval(H, (z, zeta), (z2, zeta2), closed, tol=1e-14)
-        b = frc_eval(H, (z, zeta), (z2, zeta2), series, tol=1e-14)
-        assert abs(a.value - b.value) / abs(a.value) <= 1e-9
 
     def test_requires_interior_points(self):
         H = disk_hartogs()
         fam = ClosedFormFamily(H)
         with pytest.raises(ValueError):
-            frc_eval(H, ([0.6], [0.8]), ([0], [0]), fam)
+            frc_eval_pairs(H, ([[0.6]], [[0.8]]), ([[0]], [[0]]), fam)
 
 
 class TestRestrictionIdentity:
@@ -149,14 +141,16 @@ class TestRestrictionIdentity:
         H = disk_hartogs()
         fam = ClosedFormFamily(H)
         res = frc_restriction_check(
-            H, [0], [0], lambda a, b: frc_eval(H, a, b, fam).value)
+            H, [0], [0],
+            lambda a, b: frc_eval_pairs(H, a, b, fam).value)
         assert res <= 1e-14
 
     def test_fbh_closed_family_vs_gram_reference(self):
         H = fbh(m=1)
         fam = ClosedFormFamily(H)
         res = frc_restriction_check(
-            H, [0.3], [0.3], lambda a, b: frc_eval(H, a, b, fam).value,
+            H, [0.3], [0.3],
+            lambda a, b: frc_eval_pairs(H, a, b, fam).value,
             degree=30)
         assert res <= 1e-10
 
@@ -164,7 +158,8 @@ class TestRestrictionIdentity:
         H = disk_hartogs(m=2)
         fam = ClosedFormFamily(H)
         res = frc_restriction_check(
-            H, [0.2], [0.1], lambda a, b: frc_eval(H, a, b, fam).value,
+            H, [0.2], [0.1],
+            lambda a, b: frc_eval_pairs(H, a, b, fam).value,
             degree=40)
         assert res <= 1e-8
 

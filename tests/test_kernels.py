@@ -11,7 +11,7 @@ import bergmanlab as bl
 from bergmanlab import kernels
 from bergmanlab.core import hermitian_inner, sample_ball
 
-from conftest import dense_kernel
+from conftest import dense_kernel, reproducing_residual
 
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
@@ -25,22 +25,22 @@ def fock_measure_weight(n, mu):
 
 class TestClosedForms:
     def test_fock_origin(self):
-        K = bl.fock_kernel(1.0, 1)
+        K = bl.FockKernel(1.0, 1)
         assert K.eval([0], [0]) == 1.0
 
     def test_fock_growth_against_series(self):
-        K = bl.fock_kernel(2.0, 1)
+        K = bl.FockKernel(2.0, 1)
         val = K.eval([1.0], [1.0])
         assert val.real == pytest.approx(math.e ** 2, rel=1e-12)
         series = bl.kernel_from_gram(bl.gram_exact(C1, fock_measure_weight(1, 2.0), 30))
         assert series.eval([1.0], [1.0]).real == pytest.approx(val.real, rel=1e-10)
 
     def test_fock_complex_argument(self):
-        K = bl.fock_kernel(1.0, 1)
+        K = bl.FockKernel(1.0, 1)
         assert K.eval([1.0], [1j]) == pytest.approx(cmath.exp(-1j), rel=1e-15)
 
     def test_power_kernel_pre_normalization(self):
-        K = bl.power_kernel(DISK, 1.0)
+        K = bl.PowerKernel(DISK, 1.0)
         assert K.eval([0], [0]) == 1.0
         assert K.eval([0.5], [0]) == 1.0  # N(z, 0) = 1
 
@@ -56,7 +56,7 @@ class TestClosedForms:
 
     def test_type_i_power_kernel_branch(self):
         dom = bl.matrix_ball(2, 2)
-        K = bl.power_kernel(dom, 1.0)
+        K = bl.PowerKernel(dom, 1.0)
         Z = np.array([0.3, 0.1j, -0.2, 0.25])
         W = np.array([0.1, 0.2, 0.05j, -0.1])
         v = K.eval(Z, W)
@@ -236,66 +236,68 @@ class TestSeriesAgainstClosedForm:
         assert a == pytest.approx(np.conj(b), rel=1e-14)
 
 
+def normalized_fock(mu, v):
+    """k_v(z) = K(z, v)/sqrt(K(v, v)) of the Fock kernel exp(mu <z, w>):
+    the fiber factor of the translation by v."""
+    H = bl.HartogsDomain(C1, bl.gaussian_weight(1, mu), 1)
+    return bl.make_fbh_map(H, "translation", v=v).fiber_factor
+
+
 class TestNormalizedKernel:
     def test_fock_diagonal_halves_rate(self):
-        K = bl.fock_kernel(2.0, 1)
-        got = bl.normalized_kernel(K, [1.0], [1.0])
+        got = normalized_fock(2.0, [1.0])(np.array([[1.0]]))[0]
         assert got == pytest.approx(math.e, rel=1e-14)
 
     def test_fock_offdiagonal_formula(self):
-        K = bl.fock_kernel(1.0, 1)
-        got = bl.normalized_kernel(K, [0.0], [1.0])
+        got = normalized_fock(1.0, [1.0])(np.array([[0.0]]))[0]
         assert got == pytest.approx(math.exp(-0.5), rel=1e-14)
 
     def test_constant_center(self):
         K = bl.kernel_from_gram(bl.gram_exact(DISK, bl.polynomial_weight(DISK, [1.0]), 0))
-        got = bl.normalized_kernel(K, [0.4], [0.0])
+        got = K.eval([0.4], [0.0]) / math.sqrt(K.eval([0.0], [0.0]).real)
         assert got == pytest.approx((1 / math.pi) / math.sqrt(1 / math.pi), rel=1e-14)
 
     def test_center_value_is_sqrt_of_diagonal(self):
-        K = bl.fock_kernel(1.3, 1)
+        K = bl.FockKernel(1.3, 1)
         rng = np.random.default_rng(6)
         for _ in range(10):
             w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
             kww = K.eval(w, w).real
-            assert abs(bl.normalized_kernel(K, w, w)) == pytest.approx(
-                math.sqrt(kww), rel=4e-16)
+            assert abs(normalized_fock(1.3, w)(np.array([w]))[0]) == \
+                pytest.approx(math.sqrt(kww), rel=4e-16)
 
     def test_rejects_nonpositive_center(self):
-        K = bl.fock_kernel(1.0, 1)
-        with pytest.raises(ValueError):
-            # a fake model with vanishing diagonal
-            class Z:
-                domain = C1
-                def eval(self, z, w):
-                    return 0.0 + 0.0j
-            bl.normalized_kernel(Z(), [0], [0])
+        # a model whose diagonal K(w, w) is not positive is refused when it
+        # is built, so no normalization meets one
+        gram = bl.RadialGram(DISK, 0, np.array([0.0]), {"kind": "exact"})
+        with pytest.raises(ValueError, match="not strictly positive"):
+            bl.kernel_from_gram(gram)
 
 
 class TestReproducingResidual:
     def test_constants_reproduced(self):
         w = bl.generic_norm_weight(DISK, 1.0)
         K = bl.kernel_from_gram(bl.gram_exact(DISK, w, 10))
-        res = bl.reproducing_residual(K, {(0,): 1.0}, [0.0], w)
+        res = reproducing_residual(K, {(0,): 1.0}, [0.0], w)
         assert res <= 1e-12
 
     def test_cubic_in_gaussian_space(self):
         w = bl.gaussian_weight(1, 1.0)
         K = bl.kernel_from_gram(bl.gram_exact(C1, w, 20))
-        res = bl.reproducing_residual(K, {(3,): 1.0}, [0.3], w)
+        res = reproducing_residual(K, {(3,): 1.0}, [0.3], w)
         assert res <= 1e-10
 
     def test_full_degree_edge_reported(self):
         w = bl.generic_norm_weight(DISK, 1.0)
         K = bl.kernel_from_gram(bl.gram_exact(DISK, w, 10))
-        res = bl.reproducing_residual(K, {(10,): 1.0}, [0.5], w)
+        res = reproducing_residual(K, {(10,): 1.0}, [0.5], w)
         assert np.isfinite(res)  # reported, not asserted small
 
 
 # kernels of every model, each written by kernel_to_json and read back
 ROUND_TRIP = [
-    lambda: bl.fock_kernel(1.5, 2),
-    lambda: bl.power_kernel(DISK, 2.0, 0.5),
+    lambda: bl.FockKernel(1.5, 2),
+    lambda: bl.PowerKernel(DISK, 2.0, 0.5),
     lambda: bl.weighted_kernel_closed_form(bl.gaussian_weight(1, 2.0)),
     lambda: bl.kernel_from_gram(
         bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8)),

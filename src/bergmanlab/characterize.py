@@ -51,7 +51,7 @@ from .core import (
     sample_cube,
     weight_eval,
 )
-from .moments import Gram, gram_auto
+from .moments import RadialGram, gram_auto
 from .kernels import FockKernel, KernelModel, PowerKernel, kernel_from_gram
 from . import jsonio
 
@@ -69,14 +69,14 @@ if TYPE_CHECKING:
 class MomentTable:
     weight: Weight
     degree: int
-    moments: Gram
+    moments: RadialGram
     mass: float
 
 
 def moment_table(weight: Weight, degree: int) -> MomentTable:
     """Gram matrix of the weight, closed-form when available."""
     gram = gram_auto(weight, degree)
-    mass = float(gram.entries[0, 0].real)
+    mass = float(gram.diagonal[0])
     if mass <= 0:
         raise ValueError("weight has non-positive mass")
     return MomentTable(weight, degree, gram, mass)
@@ -84,7 +84,7 @@ def moment_table(weight: Weight, degree: int) -> MomentTable:
 
 @dataclass
 class MismatchResult:
-    difference: np.ndarray
+    difference: np.ndarray      # the diagonal of the difference matrix
     frobenius: float
     max_abs: float
     degree: int
@@ -100,13 +100,14 @@ def moment_mismatch(w1: Weight, w2: Weight, degree: int) -> MismatchResult:
 
     A zero difference (to tolerance) is the rank-d necessary condition for
     the two weighted kernels to coincide; any entry beyond tolerance is a
-    certified discrepancy witness.
+    certified discrepancy witness.  Both tables are diagonal, so the
+    difference is that of their diagonals.
     """
     if w1.base != w2.base:
         raise ValueError("weights live on different base domains")
     t1 = moment_table(w1, degree)
     t2 = moment_table(w2, degree)
-    diff = t1.moments.entries - t2.moments.entries
+    diff = t1.moments.diagonal - t2.moments.diagonal
     return MismatchResult(diff, float(np.linalg.norm(diff)),
                           float(np.max(np.abs(diff))), degree)
 
@@ -181,7 +182,7 @@ def recover_weight(table: MomentTable, ridge: float = 0.0) -> RecoveredWeight:
     basis = "shifted_legendre" if base.bounded else "laguerre"
 
     d = table.degree
-    m = np.real(np.diag(table.moments.entries)).astype(float)
+    m = table.moments.diagonal
     A = (_design_shifted_legendre(d) if basis == "shifted_legendre"
          else _design_laguerre(d))
     cond = float(np.linalg.cond(A))

@@ -63,6 +63,7 @@ from .core import (
     unit_disk,
 )
 from .moments import (
+    RadialGram,
     describe_weight,
     gram_auto,
     gram_exact,
@@ -267,15 +268,26 @@ def _domain_of(cfg: dict, default: str | None = None) -> DomainSpec:
 
 
 def _matrix_rows(matrix: np.ndarray):
-    """CSV rows (i, j, re, im) of a complex matrix as strings, equal
+    """CSV lines "i,j,re,im" of a complex matrix, one per entry, equal
     entries sharing one repr; made only when a CSV report consumes them."""
-    yield ("i", "j", "re", "im")
+    yield "i,j,re,im"
     rows, cols = matrix.shape
     index = [str(k) for k in range(max(rows, cols))]
     parts = np.stack((matrix.real, matrix.imag)).reshape(2, -1)
     re, im = jsonio.float_reprs(parts).tolist()
     i_cells = chain.from_iterable(repeat(i, cols) for i in index[:rows])
-    yield from zip(i_cells, index[:cols] * rows, re, im)
+    yield from map(",".join, zip(i_cells, index[:cols] * rows, re, im))
+
+
+def _diagonal_rows(diagonal: np.ndarray):
+    """The CSV lines ``_matrix_rows`` writes for diag(diagonal), joined
+    into one text per matrix row, without forming the matrix."""
+    yield "i,j,re,im"
+    cells = [f",{j},0.0,0.0" for j in range(len(diagonal))]
+    for i, re in enumerate(jsonio.float_reprs(diagonal).tolist()):
+        zero, cells[i] = cells[i], f",{i},{re},0.0"
+        yield str(i) + ("\n" + str(i)).join(cells)
+        cells[i] = zero
 
 
 def _count(cfg: dict, key: str, default: int, points_each: int = 1) -> int:
@@ -309,7 +321,7 @@ def _weight_of(cfg: dict, domain: DomainSpec, key: str = "weight") -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# commands; each returns (report dict, failed flag, payload for csv)
+# commands; each returns (report dict, failed flag, CSV lines or None)
 
 def _cmd_gram(cfg: dict):
     domain = _domain_of(cfg)
@@ -328,7 +340,10 @@ def _cmd_gram(cfg: dict):
                                cfg.get("samples", 100_000), cfg["seed"])
     else:
         raise ConfigError(f"unknown gram method {method!r}")
-    rows = _matrix_rows(gram.entries)
+    if isinstance(gram, RadialGram):
+        rows = _diagonal_rows(gram.diagonal)
+    else:
+        rows = _matrix_rows(gram.entries)
     if cfg["format"] == "csv":
         # the entries alone: no JSON report, no spectrum for its diagnostics
         return None, False, rows
@@ -369,16 +384,16 @@ def _cmd_kernel_eval(cfg: dict):
     ws = as_points(ws, n)
     grid = model.eval_grid(zs, ws).tolist()
 
-    rows = [("re(z)", "im(z)", "re(w)", "im(w)", "re(K)", "im(K)")]
+    rows = ["re(z),im(z),re(w),im(w),re(K),im(K)"]
     values = []
     for z, krow in zip(zs.tolist(), grid):
         for w, k in zip(ws.tolist(), krow):
             values.append({"z": jsonio.cpoint(z), "w": jsonio.cpoint(w),
                            "K": jsonio.cnum(k)})
             if n == 1:
-                rows.append((repr(z[0].real), repr(z[0].imag),
-                             repr(w[0].real), repr(w[0].imag),
-                             repr(k.real), repr(k.imag)))
+                rows.append(",".join((repr(z[0].real), repr(z[0].imag),
+                                      repr(w[0].real), repr(w[0].imag),
+                                      repr(k.real), repr(k.imag))))
     report = {"command": "kernel-eval", "kernel": kernel_to_json(model),
               "values": values}
     return report, False, rows if n == 1 else None
@@ -530,7 +545,7 @@ def _cmd_moment_mismatch(cfg: dict):
               "normalized": bool(cfg.get("normalize", False)),
               "tolerance": tol,
               "verdict": "mismatch" if mismatched else "match"}
-    return report, mismatched, _matrix_rows(res.difference)
+    return report, mismatched, _diagonal_rows(res.difference)
 
 
 def _cmd_recover_weight(cfg: dict):
@@ -721,11 +736,12 @@ def _add_flag(parser: argparse.ArgumentParser, key: str, **options) -> None:
 
 def emit_report(report: dict, fmt: str, path: str | None,
                 csv_rows=None) -> None:
-    """Write the report as canonical JSON or CSV to path or stdout."""
+    """Write the report as canonical JSON, or its CSV lines, to path or
+    stdout."""
     if fmt == "csv":
         if csv_rows is None:
             raise ConfigError("this command has no CSV representation; use json")
-        text = "\n".join(map(",".join, csv_rows)) + "\n"
+        text = "\n".join(csv_rows) + "\n"
     else:
         text = jsonio.canonical_dumps(report) + "\n"
     if path:

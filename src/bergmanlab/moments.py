@@ -17,8 +17,10 @@ the shell reduction
 
 (polar coordinates t_j = |z_j|^2 per coordinate, then the Dirichlet
 integral over each shell t_1 + ... + t_n = s).  Such a Gram is a
-``RadialGram``: it holds R_0..R_{degree+n-1} and builds the dense matrix
-only where ``entries`` is read.  The moments come from one
+``RadialGram``: it holds R_0..R_{degree+n-1}, and its ``diagonal``, the
+B = C(n+degree, n) values above in grlex order, is all of the matrix that
+its diagnostics, reports and verdicts read; no dense B x B array of it is
+ever formed.  The moments come from one
 of two routes: closed forms (Gaussian and generic-norm powers) and
 Gauss-Legendre rules exact for the degree of a polynomial weight
 (``gram_exact``), or a 1-D Gauss rule in s -- Legendre on [0, 1], Laguerre
@@ -116,9 +118,10 @@ class RadialGram:
     """The diagonal Gram matrix of a radial weight on the disk, the ball or
     C^n, held as its moments R_0..R_{degree+n-1}.
 
-    ``index_map`` and ``entries`` are built by the shell reduction on first
-    read, so nothing of size C(n+degree, n) exists until a caller needs the
-    matrix itself.
+    ``index_map`` and ``diagonal`` (the shell reduction of the moments, one
+    value per monomial) are built on first read, so nothing of size
+    C(n+degree, n) exists until a caller needs the diagonal; the matrix is
+    that diagonal and zeros elsewhere, and is never built.
     """
 
     domain: DomainSpec
@@ -139,12 +142,13 @@ class RadialGram:
         return multiindex_enumerate(self.domain.dim, self.degree)
 
     @cached_property
-    def entries(self) -> np.ndarray:
-        n, basis = self.domain.dim, self.index_map
-        G = np.zeros((len(basis), len(basis)), dtype=complex)
-        for i, a in enumerate(basis):
-            G[i, i] = _shell_factor(a) * self.moments[sum(a) + n - 1]
-        return G
+    def diagonal(self) -> np.ndarray:
+        """G[alpha][alpha] = pi^n alpha!/(|alpha|+n-1)! * R_{|alpha|+n-1}
+        in grlex order, read-only."""
+        n, R = self.domain.dim, self.moments
+        diagonal = np.array([_shell_factor(a) * R[sum(a) + n - 1]
+                             for a in self.index_map], dtype=float)
+        return _read_only(diagonal)[0]
 
 
 Gram = GramMatrix | RadialGram
@@ -511,8 +515,15 @@ def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int) -> RadialGr
     if weight.base != domain:
         raise ValueError("weight is attached to a different base domain")
     s, ws = _radial_rule(domain, weight, degree)
-    moments = _power_sums(s, ws * weight_radial_fn(weight)(s),
-                          degree + domain.dim - 1)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused by name
+        moments = _power_sums(s, ws * weight_radial_fn(weight)(s),
+                              degree + domain.dim - 1)
+    outside = ~np.isfinite(moments)
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise ValueError(f"the quadrature moment R_{j} of "
+                         f"{describe_weight(weight)} is {moments[j]}, outside "
+                         f"the float range")
     return RadialGram(domain, degree, moments,
                       {"kind": "quadrature", "scheme": dict(QUADRATURE)},
                       describe_weight(weight))
@@ -624,13 +635,31 @@ def _equilibrate(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return (scaled + scaled.conj().T) / 2.0, s
 
 
+def _diagonal_diagnostics(d: np.ndarray) -> GramDiagnostics:
+    """The report of the diagonal matrix diag(d), read off its entries: its
+    eigenvalues are the entries, and it factors exactly when all are > 0."""
+    lam_min, lam_max = float(d.min()), float(d.max())
+    return GramDiagnostics(
+        hermitian_defect=0.0,
+        lambda_min=lam_min,
+        lambda_max=lam_max,
+        condition=lam_max / lam_min if lam_min > 0 else math.inf,
+        radial_offdiag_max=0.0,
+        cholesky_ok=bool(lam_min > 0),
+        psd_tol=PSD_TOL,
+    )
+
+
 def gram_validate(gram: Gram) -> GramDiagnostics:
     """Finite-rank health report: Hermitian defect, spectrum range,
     condition number, and how far off-diagonal mass strays for radial
-    weights.  Always succeeds; ``cholesky_ok`` flags factorizability,
-    decided by a trial factorization of the unit-diagonal rescaling (the
-    raw spectrum of a Gram matrix spans too many orders for eigenvalue
-    signs alone to be trustworthy)."""
+    weights.  Always succeeds; ``cholesky_ok`` flags factorizability.  A
+    ``RadialGram`` is diagonal and its report is read off the diagonal; for
+    a dense Gram it is decided by a trial factorization of the
+    unit-diagonal rescaling (the raw spectrum of a Gram matrix spans too
+    many orders for eigenvalue signs alone to be trustworthy)."""
+    if isinstance(gram, RadialGram):
+        return _diagonal_diagnostics(gram.diagonal)
     G = gram.entries
     herm = float(np.max(np.abs(G - G.conj().T))) if G.size else 0.0
     H = (G + G.conj().T) / 2.0
@@ -663,7 +692,7 @@ def gram_validate(gram: Gram) -> GramDiagnostics:
 
 def unit_mass_weight(weight: Weight) -> Weight:
     """The weight rescaled to total integral <1, 1> = 1 over its base."""
-    return weight.scaled(1.0 / float(gram_auto(weight, 0).entries[0, 0].real))
+    return weight.scaled(1.0 / float(gram_auto(weight, 0).diagonal[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -722,11 +751,18 @@ def domain_from_json(obj: dict) -> DomainSpec:
 
 
 def gram_to_json(gram: Gram) -> dict:
+    """The Gram's report; the entries of a ``RadialGram`` are a
+    ``jsonio.DiagonalMatrix``, which ``jsonio.canonical_dumps`` writes as
+    the dense row-major list of [re, im] pairs."""
+    if isinstance(gram, RadialGram):
+        entries = jsonio.DiagonalMatrix(gram.diagonal)
+    else:
+        entries = jsonio.cmatrix(gram.entries)
     out = {
         "n": gram.domain.dim,
         "degree": gram.degree,
         "order": "grlex",
-        "entries": jsonio.cmatrix(gram.entries),
+        "entries": entries,
         "method": gram.method,
         "domain": domain_to_json(gram.domain),
         "weight": gram.weight_label,

@@ -28,14 +28,17 @@ def perturbed_gaussian_weight(perturbed_gaussian_csv):
 
 class dense_kernel:
     """The orthonormal expansion sum_k e_k(z) conj(e_k(w)) of a Gram's dense
-    ``entries``: the Cholesky factor of the unit-diagonal matrix, inverted,
-    over the monomial rows.  The oracle of the radial series."""
+    matrix (``entries``, or np.diag of a radial Gram's ``diagonal``): the
+    Cholesky factor of the unit-diagonal matrix, inverted, over the
+    monomial rows.  The oracle of the radial series."""
 
     def __init__(self, gram):
         self.base = self.domain = gram.domain
         self.index_map = gram.index_map
-        s = 1.0 / np.sqrt(np.real(np.diag(gram.entries)))
-        scaled = gram.entries * s[:, None] * s[None, :]
+        G = (np.diag(gram.diagonal).astype(complex)
+             if isinstance(gram, moments.RadialGram) else gram.entries)
+        s = 1.0 / np.sqrt(np.real(np.diag(G)))
+        scaled = G * s[:, None] * s[None, :]
         L = np.linalg.cholesky((scaled + scaled.conj().T) / 2.0)
         self.coeff = np.linalg.solve(L, np.eye(len(s), dtype=complex)) * s
 

@@ -106,9 +106,11 @@ def test_a3_quadrature_fidelity():
     for domain, weight, _ in cases:
         Ge = bl.gram_exact(domain, weight, 10)
         Gq = bl.gram_quadrature(domain, weight, 10)
-        d = np.sqrt(np.abs(np.real(np.diag(Ge.entries))))
-        scale = 1.0 + np.outer(d, d)
-        worst = max(worst, float(np.max(np.abs(Gq.entries - Ge.entries) / scale)))
+        # both Grams are diagonal; entry (a, a) has the scale d_a d_a
+        d = np.sqrt(np.abs(Ge.diagonal))
+        scale = 1.0 + d * d
+        worst = max(worst,
+                    float(np.max(np.abs(Gq.diagonal - Ge.diagonal) / scale)))
     ok = worst <= 1e-12
     report("A3", ok, f"gram_quadrature vs gram_exact, d<=10: "
                      f"max scaled defect {worst:.3e} (<=1e-12)")

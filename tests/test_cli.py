@@ -666,6 +666,11 @@ EMISSION_ARGV = [
     ["gram", "--domain", "disk", "--weight", "npower:1.5", "--degree", "12"],
     ["gram", "--domain", "disk", "--weight", "npower:1.5", "--degree", "12",
      "--format", "csv"],
+    ["gram", "--domain", "ball:2", "--weight", "npower:1.3", "--degree", "16"],
+    ["gram", "--domain", "ball:2", "--weight", "npower:1.3", "--degree", "16",
+     "--format", "csv"],
+    ["gram", "--domain", "cn:1", "--weight", "gaussian:1", "--degree", "30",
+     "--method", "quadrature"],
     ["gram", "--domain", "ball:2", "--weight", "npower:0.5", "--degree", "6",
      "--method", "quadrature"],
     ["gram", "--domain", "ball:2", "--weight", "npower:0.5", "--degree", "6",
@@ -683,6 +688,9 @@ EMISSION_ARGV = [
     ["moment-mismatch", "--domain", "disk", "--weight", "poly:1,-2,1",
      "--weight2", "npower:3", "--degree", "8", "--normalize",
      "--format", "csv"],
+    ["moment-mismatch", "--domain", "disk", "--weight", "poly:1,-2,1",
+     "--weight2", "npower:3", "--degree", "12", "--normalize",
+     "--format", "csv"],
     ["kernel-eval", "--domain", "disk", "--weight", "npower:1",
      "--degree", "6", "--grid", "5", "--format", "csv"],
     ["frc-check", "--pairs", "3", "--seed", "2"],
@@ -691,45 +699,72 @@ EMISSION_ARGV = [
 ]
 
 
+def _dense_report(obj):
+    """The report with each ``jsonio.DiagonalMatrix`` in it expanded to the
+    dense row-major list of [re, im] pairs of its matrix."""
+    if isinstance(obj, jsonio.DiagonalMatrix):
+        matrix = np.diag(obj.diagonal).astype(complex)
+        return [[z.real, z.imag] for z in matrix.reshape(-1).tolist()]
+    if isinstance(obj, dict):
+        return {k: _dense_report(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_dense_report(v) for v in obj]
+    return obj
+
+
+def _cell_rows(matrix):
+    """The CSV lines (i, j, repr(re), repr(im)) of every cell of a dense
+    complex matrix, with their header."""
+    return ["i,j,re,im"] + [
+        f"{i},{j},{z.real!r},{z.imag!r}"
+        for i, row in enumerate(matrix.tolist()) for j, z in enumerate(row)]
+
+
 @pytest.mark.parametrize("argv", EMISSION_ARGV, ids=" ".join)
 def test_reports_are_the_reference_encodings(capsys, monkeypatch, argv):
     """The emitted bytes are those of json.dumps(sort_keys, indent=2) of the
-    report, or of the per-cell CSV join over (i, j, repr(re), repr(im)),
-    computed here from the same report objects."""
+    report, every diagonal matrix in it expanded to its dense [re, im] list,
+    or of the per-cell CSV join over (i, j, repr(re), repr(im)) of the
+    dense matrix (np.diag of a diagonal), computed here from the same
+    report objects."""
     seen = {}
-    matrix_rows, emit = cli._matrix_rows, cli.emit_report
+    matrix_rows, diagonal_rows = cli._matrix_rows, cli._diagonal_rows
+    emit = cli.emit_report
 
     def record_matrix(matrix):
         seen["matrix"] = matrix
         return matrix_rows(matrix)
 
+    def record_diagonal(diagonal):
+        seen["matrix"] = np.diag(diagonal).astype(complex)
+        return diagonal_rows(diagonal)
+
     def record_emit(report, fmt, path, csv_rows=None):
-        seen["rows"] = None if csv_rows is None else list(csv_rows)
         seen["report"] = report
-        emit(report, fmt, path, seen["rows"])
+        emit(report, fmt, path, csv_rows)
 
     monkeypatch.setattr(cli, "_matrix_rows", record_matrix)
+    monkeypatch.setattr(cli, "_diagonal_rows", record_diagonal)
     monkeypatch.setattr(cli, "emit_report", record_emit)
     code, out, err = run_cli(argv, capsys)
     assert code in (0, 1) and err == ""
     if "csv" not in argv:
-        expected = json.dumps(seen["report"], sort_keys=True, indent=2,
-                              allow_nan=False)
+        expected = json.dumps(_dense_report(seen["report"]), sort_keys=True,
+                              indent=2, allow_nan=False)
+    elif "matrix" in seen:
+        expected = "\n".join(_cell_rows(seen["matrix"]))
     else:
-        rows = seen["rows"]
-        if "matrix" in seen:
-            rows = [("i", "j", "re", "im")] + [
-                (i, j, repr(z.real), repr(z.imag))
-                for i, row in enumerate(seen["matrix"].tolist())
-                for j, z in enumerate(row)]
-        expected = "\n".join(",".join(str(c) for c in row) for row in rows)
+        # a kernel grid: one line per value of the report
+        expected = "\n".join(["re(z),im(z),re(w),im(w),re(K),im(K)"] + [
+            ",".join(map(repr, (*v["z"][0], *v["w"][0], *v["K"])))
+            for v in seen["report"]["values"]])
     assert out == expected + "\n"
 
 
 def test_csv_gram_builds_no_json_report(capsys, monkeypatch):
     """A CSV gram writes the entries alone: neither the JSON report nor the
     spectrum of its diagnostics is computed, and the bytes are the per-cell
-    join of the Gram's entries."""
+    join of the Gram's entries (of np.diag of a radial Gram's diagonal)."""
     def refuse(*args):
         raise AssertionError("called for a CSV report")
 
@@ -748,11 +783,30 @@ def test_csv_gram_builds_no_json_report(capsys, monkeypatch):
                 "quadrature": lambda: bl.gram_quadrature(domain, weight, 6),
                 "montecarlo": lambda: bl.gram_montecarlo(domain, weight, 6,
                                                          2000, 0)}[method]()
-        rows = [("i", "j", "re", "im")] + [
-            (str(i), str(j), repr(z.real), repr(z.imag))
-            for i, row in enumerate(gram.entries.tolist())
-            for j, z in enumerate(row)]
-        assert out == "\n".join(map(",".join, rows)) + "\n"
+        matrix = (gram.entries if isinstance(gram, bl.GramMatrix)
+                  else np.diag(gram.diagonal).astype(complex))
+        assert out == "\n".join(_cell_rows(matrix)) + "\n"
+
+
+def test_json_radial_gram_factors_nothing(capsys, monkeypatch):
+    """A radial gram's diagnostics are read off its diagonal: its JSON
+    report computes no spectrum and no Cholesky factor, which a dense Monte
+    Carlo Gram's diagnostics still do."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was factored")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    for method in ("auto", "exact", "quadrature"):
+        code, out, err = run_cli(
+            ["gram", "--domain", "ball:2", "--weight", "npower:1.5",
+             "--degree", "8", "--method", method], capsys)
+        assert (code, err) == (0, "")
+        assert strict_json(out)["diagnostics"]["cholesky_ok"] is True
+    disk = bl.unit_disk()
+    with pytest.raises(AssertionError, match="factored"):
+        bl.gram_validate(bl.gram_montecarlo(
+            disk, bl.generic_norm_weight(disk, 1.0), 2, 100, 0))
 
 
 def strict_json(text):
@@ -996,6 +1050,17 @@ def test_weight_scale_overflow_is_named(capsys):
          "--m", "2", "--degree", "2"], capsys)
     assert code == 2 and out == ""
     assert err == "error: weight scale 1e+200 overflows at power 2\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_quadrature_moment_outside_the_float_range_is_named(capsys, fmt):
+    # the node powers s^j overflow from j = 56; the closed form is finite
+    code, out, err = run_cli(
+        ["gram", "--domain", "cn:1", "--weight", "gaussian:0.001",
+         "--degree", "64", "--method", "quadrature", "--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: the quadrature moment R_56 of exp(-0.001|z|^2) "
+                   "is inf, outside the float range\n")
 
 
 class TestNonFiniteDiagnostics:

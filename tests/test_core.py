@@ -261,8 +261,8 @@ class TestWeightScale:
         a, m, b = 1.7, 3, 0.4
         w = weight.scaled(a).pow(m).scaled(b)
         c = b * a ** m
-        G = bl.gram_exact(w.base, w, 6).entries
-        ref = c * bl.gram_exact(w.base, weight.pow(m), 6).entries
+        G = bl.gram_exact(w.base, w, 6).diagonal
+        ref = c * bl.gram_exact(w.base, weight.pow(m), 6).diagonal
         assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
         t = np.linspace(0.0, 0.9, 7)
         got = weight_radial_fn(w)(t)

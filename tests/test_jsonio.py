@@ -4,7 +4,9 @@
 ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` does, and
 raise the same error, with the same text, where that call raises.  Float
 lists and [re, im] pair lists are drawn both shorter and longer than the
-cut-off above which they are written over whole arrays.
+cut-off above which they are written over whole arrays.  A
+``DiagonalMatrix`` is written as the dense row-major [re, im] list of its
+matrix, which the reference expands it to.
 """
 
 import json
@@ -25,8 +27,21 @@ NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.inf),
 LONG = (jsonio._BULK_MIN, 3 * jsonio._BULK_MIN)
 
 
+def dense(obj):
+    """``obj`` with every ``DiagonalMatrix`` expanded to the [re, im] list
+    of np.diag of its diagonal."""
+    if isinstance(obj, jsonio.DiagonalMatrix):
+        matrix = np.diag(obj.diagonal).astype(complex).reshape(-1)
+        return [[z.real, z.imag] for z in matrix.tolist()]
+    if isinstance(obj, dict):
+        return {k: dense(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [dense(v) for v in obj]
+    return obj
+
+
 def reference(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(dense(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 def floats(non_finite: bool):
@@ -65,7 +80,9 @@ def documents(non_finite: bool = False):
         # ints, bools and None next to floats: not a bulk list
         st.lists(st.one_of(value, st.integers(), st.booleans(), st.none()),
                  min_size=LONG[0], max_size=LONG[1]),
-        st.just([]), st.just({}), st.just(()))
+        st.just([]), st.just({}), st.just(()),
+        st.lists(value, max_size=6).map(
+            lambda d: jsonio.DiagonalMatrix(np.array(d, dtype=float))))
     return st.recursive(
         leaves,
         lambda children: st.one_of(

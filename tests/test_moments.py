@@ -17,12 +17,25 @@ DISK = bl.unit_disk()
 C1 = bl.full_space(1)
 
 
-def scale_matrix(G):
-    """Natural per-entry scale sqrt(G_aa G_bb): quadrature errors and
-    off-diagonal leakage are meaningful relative to it, not absolutely,
-    because Gaussian moments span many orders of magnitude."""
-    d = np.sqrt(np.abs(np.real(np.diag(G))))
+def scale_matrix(diagonal):
+    """Natural per-entry scale sqrt(G_aa G_bb) of the Gram with this
+    diagonal: quadrature errors and off-diagonal leakage are meaningful
+    relative to it, not absolutely, because Gaussian moments span many
+    orders of magnitude."""
+    d = np.sqrt(np.abs(diagonal))
     return np.outer(d, d)
+
+
+def tensor_rule_gram(domain, weight, degree):
+    """The dense Gram matrix of the monomials z^0..z^degree on a
+    one-dimensional base by the product rule of ``quadrature_points_1d``
+    (the radial nodes times equispaced angles): every entry, off-diagonal
+    ones included, integrated over the plane rather than assumed."""
+    pts, wq = quadrature_points_1d(domain, weight, degree)
+    from bergmanlab.core import weight_radial_fn
+    f = wq * weight_radial_fn(weight)(np.abs(pts) ** 2)
+    V = pts[None, :] ** np.arange(degree + 1)[:, None]
+    return (V * f) @ V.conj().T
 
 
 def moment(weight, alpha):
@@ -30,7 +43,7 @@ def moment(weight, alpha):
     rule for a polynomial weight has the nodes of that top moment."""
     gram = bl.gram_exact(weight.base, weight, sum(alpha))
     i = gram.index_map.index(tuple(alpha))
-    return gram.entries[i, i]
+    return gram.diagonal[i]
 
 
 class TestMomentExact:
@@ -49,8 +62,13 @@ class TestMomentExact:
         assert got.real == pytest.approx(math.pi ** 2 / 24, rel=1e-14)
 
     def test_radial_weights_have_zero_cross_moments(self):
-        G = bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 2.0), 3).entries
-        assert G[1, 3] == 0
+        # the diagonal is the whole Gram: the plane rule's cross moment
+        # <z, z^3> vanishes to roundoff, its diagonal is the closed form's
+        w = bl.generic_norm_weight(DISK, 2.0)
+        d = bl.gram_exact(DISK, w, 3).diagonal
+        G = tensor_rule_gram(DISK, w, 3)
+        assert abs(G[1, 3]) <= 1e-16 * math.sqrt(d[1] * d[3])
+        assert np.max(np.abs(np.diag(G) - d) / d) <= 1e-14
 
     def test_polynomial_matches_norm_power_for_integer_exponent(self):
         poly = bl.polynomial_weight(DISK, [1.0, -2.0, 1.0])  # (1 - t)^2
@@ -70,7 +88,7 @@ class TestMomentExact:
         for k in range(31):
             with mpmath.workdps(40):
                 ref = float(mpmath.pi * mpmath.beta(k + 1, s + 1))
-            assert abs(G.entries[k, k].real - ref) <= 1e-13 * ref
+            assert abs(G.diagonal[k] - ref) <= 1e-13 * ref
 
     def test_unsupported_pairs_raise(self):
         with pytest.raises(ValueError):
@@ -149,17 +167,17 @@ class TestGramQuadrature:
         (bl.full_space(4), bl.gaussian_weight(4, 1.5)),
     ])
     def test_matches_exact_moments(self, domain, weight):
-        Gq = bl.gram_quadrature(domain, weight, 10)
-        Ge = bl.gram_exact(domain, weight, 10)
-        defect = np.abs(Gq.entries - Ge.entries) / (1.0 + scale_matrix(Ge.entries))
+        q = bl.gram_quadrature(domain, weight, 10).diagonal
+        e = bl.gram_exact(domain, weight, 10).diagonal
+        defect = np.abs(q - e) / (1.0 + np.diag(scale_matrix(e)))
         assert defect.max() <= 1e-12
 
     def test_ball_two_dimensional(self):
         b2 = bl.unit_ball(2)
         w = bl.generic_norm_weight(b2, 1.0)
-        Gq = bl.gram_quadrature(b2, w, 6)
-        Ge = bl.gram_exact(b2, w, 6)
-        defect = np.abs(Gq.entries - Ge.entries) / (1.0 + scale_matrix(Ge.entries))
+        q = bl.gram_quadrature(b2, w, 6).diagonal
+        e = bl.gram_exact(b2, w, 6).diagonal
+        defect = np.abs(q - e) / (1.0 + np.diag(scale_matrix(e)))
         assert defect.max() <= 1e-12
 
     # Diagonal relative errors, rounded to four digits, of the nested
@@ -182,35 +200,38 @@ class TestGramQuadrature:
             self, n, mu, degree, nested_error):
         ball = bl.unit_ball(n)
         w = bl.generic_norm_weight(ball, mu)
-        q = np.real(np.diag(bl.gram_quadrature(ball, w, degree).entries))
-        e = np.real(np.diag(bl.gram_exact(ball, w, degree).entries))
+        q = bl.gram_quadrature(ball, w, degree).diagonal
+        e = bl.gram_exact(ball, w, degree).diagonal
         assert np.max(np.abs(q - e) / e) <= nested_error
 
     def test_unit_weight_degree_zero_gives_area(self):
         G = bl.gram_quadrature(DISK, bl.polynomial_weight(DISK, [1.0]), 0)
-        assert G.entries[0, 0].real == pytest.approx(math.pi, rel=1e-14)
+        assert G.diagonal[0] == pytest.approx(math.pi, rel=1e-14)
 
     def test_gaussian_mass(self):
         G = bl.gram_quadrature(C1, bl.gaussian_weight(1, 1.0), 6)
-        assert abs(G.entries[0, 0] - math.pi) <= 1e-12 * math.pi
+        assert abs(G.diagonal[0] - math.pi) <= 1e-12 * math.pi
 
     def test_hermitian_as_stored(self):
+        # a real diagonal is all a radial Gram stores
         G = bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8)
-        assert np.array_equal(G.entries, G.entries.conj().T)
+        assert G.diagonal.dtype == np.float64 and G.diagonal.shape == (9,)
+        assert not G.diagonal.flags.writeable
 
     def test_radial_sparsity(self):
-        G = bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 10)
-        off = np.abs(G.entries - np.diag(np.diag(G.entries)))
-        assert off.max() <= 1e-12
-        Gg = bl.gram_quadrature(C1, bl.gaussian_weight(1, 1.0), 10)
-        rel = np.abs(Gg.entries - np.diag(np.diag(Gg.entries)))
-        rel = rel / scale_matrix(Gg.entries)
-        assert rel.max() <= 1e-12
+        # the plane rule's off-diagonal entries vanish against the scale of
+        # the diagonal, and its diagonal is the 1-D rule's
+        for domain, weight in ((DISK, bl.generic_norm_weight(DISK, 1.0)),
+                               (C1, bl.gaussian_weight(1, 1.0))):
+            d = bl.gram_quadrature(domain, weight, 10).diagonal
+            G = tensor_rule_gram(domain, weight, 10)
+            rel = np.abs(G - np.diag(d)) / scale_matrix(d)
+            assert rel.max() <= 1e-12
 
     def test_gram_scales_linearly_in_weight(self):
         w = bl.generic_norm_weight(DISK, 1.0)
-        G1 = bl.gram_quadrature(DISK, w, 6).entries
-        G2 = bl.gram_quadrature(DISK, w.scaled(3.5), 6).entries
+        G1 = bl.gram_quadrature(DISK, w, 6).diagonal
+        G2 = bl.gram_quadrature(DISK, w.scaled(3.5), 6).diagonal
         assert np.max(np.abs(G2 - 3.5 * G1)) <= 1e-14 * np.max(np.abs(G2))
 
     def test_type_i_unsupported(self):
@@ -224,9 +245,8 @@ class TestGramQuadrature:
         knots = np.linspace(0.0, 60.0, 601)
         w = bl.Weight(bl.full_space(n),
                       bl.RadialProfile(tuple(knots), tuple(np.exp(-knots))))
-        q = np.real(np.diag(bl.gram_quadrature(w.base, w, 6).entries))
-        e = np.real(np.diag(bl.gram_exact(
-            w.base, bl.gaussian_weight(n, 1.0), 6).entries))
+        q = bl.gram_quadrature(w.base, w, 6).diagonal
+        e = bl.gram_exact(w.base, bl.gaussian_weight(n, 1.0), 6).diagonal
         assert np.max(np.abs(q - e) / e) <= 1e-5
 
     def test_nondecaying_fullspace_table_rejected(self):
@@ -251,9 +271,9 @@ class TestRadialGram:
         assert isinstance(gram, bl.RadialGram)
         assert gram.moments.shape == (64 + 3,)
         assert gram.size == math.comb(3 + 64, 3) == 47905
-        assert "index_map" not in vars(gram) and "entries" not in vars(gram)
+        assert "index_map" not in vars(gram) and "diagonal" not in vars(gram)
         with pytest.raises(ValueError, match="needs 47905 monomials"):
-            gram.entries
+            gram.diagonal
 
     @pytest.mark.parametrize("weight", [
         bl.generic_norm_weight(bl.unit_ball(2), 1.5),
@@ -263,11 +283,13 @@ class TestRadialGram:
         gram = bl.gram_exact(weight.base, weight, 6)
         assert gram.index_map == bl.multiindex_enumerate(weight.base.dim, 6)
         assert gram.size == len(gram.index_map)
-        G = gram.entries
-        assert gram.entries is G
+        d = gram.diagonal
+        assert gram.diagonal is d and d.shape == (gram.size,)
+        n = weight.base.dim
         for i, a in enumerate(gram.index_map):
-            assert G[i, i] == moment(weight, a)
-        assert not np.any(G - np.diag(np.diag(G)))
+            assert d[i] == moment(weight, a)
+            assert d[i] == (moments._shell_factor(a)
+                            * gram.moments[sum(a) + n - 1])
 
     @pytest.mark.parametrize("build,weight", [
         (bl.gram_exact, bl.polynomial_weight(bl.unit_ball(20000), [1.0, -1.0])),
@@ -434,13 +456,37 @@ class TestGramValidate:
         assert 1.0 < diag.condition < math.inf
         assert diag.cholesky_ok
 
+    @pytest.mark.parametrize("build", [bl.gram_exact, bl.gram_quadrature])
+    @pytest.mark.parametrize("domain,weight,degree", [
+        ("disk", "npower:1.5", 12), ("disk", "poly:1,-3", 6),
+        ("ball:2", "npower:0.7", 10), ("ball:3", "poly:1,0.5", 5),
+        ("cn:1", "gaussian:1", 24), ("cn:2", "gaussian:1.5", 6),
+    ])
+    def test_diagonal_report_is_the_dense_one(self, build, domain, weight,
+                                              degree):
+        # read off the diagonal, bit for bit (repr keeps -0.0, NaN and the
+        # type apart) what the spectrum and trial factorization of the dense
+        # matrix give; poly:1,-3 has negative moments, so an infinite
+        # condition and no factorization
+        from bergmanlab.cli import parse_domain, parse_weight
+        base = parse_domain(domain)
+        G = build(base, parse_weight(weight, base), degree)
+        dense = GramMatrix(base, degree, G.index_map,
+                           np.diag(G.diagonal).astype(complex), G.method)
+        got, ref = bl.gram_validate(G), bl.gram_validate(dense)
+        assert ({k: repr(v) for k, v in vars(got).items()}
+                == {k: repr(v) for k, v in vars(ref).items()})
+        if weight == "poly:1,-3":
+            assert got.condition == math.inf and not got.cholesky_ok
+
 
 class TestSerialization:
     def test_gram_round_trip(self):
         G = bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 6)
-        obj = json.loads(json.dumps(bl.gram_to_json(G)))
+        obj = json.loads(jsonio.canonical_dumps(bl.gram_to_json(G)))
         assert np.array_equal(
-            G.entries, jsonio.as_cmatrix(obj["entries"], (G.size, G.size)))
+            np.diag(G.diagonal),
+            jsonio.as_cmatrix(obj["entries"], (G.size, G.size)))
         assert obj["degree"] == G.degree
         assert obj["domain"] == {"kind": "disk", "dim": 1}
 
@@ -479,5 +525,5 @@ class TestMass:
 
     def test_unit_mass(self):
         w = bl.unit_mass_weight(bl.generic_norm_weight(DISK, 2.0))
-        assert bl.gram_auto(w, 0).entries[0, 0].real == pytest.approx(
+        assert bl.gram_auto(w, 0).diagonal[0] == pytest.approx(
             1.0, rel=1e-13)

@@ -16,8 +16,10 @@ wall-clock data, so a fixed configuration and seed reproduce byte-identical
 output; BLAS threading is controlled by the usual OMP_NUM_THREADS /
 OPENBLAS_NUM_THREADS variables and does not affect report contents, except
 that ``gram --method montecarlo`` sums its samples in cache-sized blocks
-with BLAS matrix products, so its entries are reproducible bit for bit at a
-fixed thread count and can change in the last digit with the thread count.
+of weighted monomial rows W with the BLAS products (sign f * W) W^H and,
+for the standard errors of a JSON report, |W|^2 (|W|^2)^T, so its entries
+are reproducible bit for bit at a fixed thread count and can change in the
+last digit with the thread count.
 
 ``bergmanlab batch FILE|-`` runs many verdicts in one process: each
 non-empty line of FILE (``-``: standard input) is the JSON list of one
@@ -336,8 +338,10 @@ def _cmd_gram(cfg: dict):
     elif method == "quadrature":
         gram = gram_quadrature(domain, weight, cfg["degree"])
     elif method == "montecarlo":
+        # a CSV report holds the entries alone, without standard errors
         gram = gram_montecarlo(domain, weight, cfg["degree"],
-                               cfg.get("samples", 100_000), cfg["seed"])
+                               cfg.get("samples", 100_000), cfg["seed"],
+                               stderr=cfg["format"] == "json")
     else:
         raise ConfigError(f"unknown gram method {method!r}")
     if isinstance(gram, RadialGram):
@@ -760,7 +764,8 @@ def _build_parser(names: tuple = _EVERY) -> argparse.ArgumentParser:
     reads the terminal width when it is printed.  Built with one of them,
     it still names every command in its usage line, so its usage errors
     read as those of the whole table.  A flag is never abbreviated, so one
-    the command does not take is refused by name."""
+    the command does not take is refused by name.  ``commands`` maps each
+    name to its command's own parser."""
     p = argparse.ArgumentParser(
         prog="bergmanlab",
         description="Weighted Bergman kernels, Hartogs domain series, "
@@ -769,17 +774,19 @@ def _build_parser(names: tuple = _EVERY) -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True,
                            metavar=None if len(names) == len(_EVERY)
                            else every)
+    p.commands = {}
     for name in names:
         if name == "batch":
-            sub.add_parser(
+            sp = p.commands[name] = sub.add_parser(
                 "batch", allow_abbrev=False,
-                help="run one command line per line of FILE in this process"
-            ).add_argument("file", metavar="FILE|-",
-                           help="JSON lists of command-line words, one per "
-                                "line; - reads standard input")
+                help="run one command line per line of FILE in this process")
+            sp.add_argument("file", metavar="FILE|-",
+                            help="JSON lists of command-line words, one per "
+                                 "line; - reads standard input")
             continue
         command = _COMMANDS[name]
-        sp = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        sp = p.commands[name] = sub.add_parser(name, help=command.help,
+                                               allow_abbrev=False)
         for key in ("config", "out", "format"):
             _add_flag(sp, key)
         if command.domains:
@@ -841,14 +848,26 @@ def _run_batch(path: str) -> int:
     return worst
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The command line's namespace.  A known command's words go to that
+    command's own parser; only words it leaves over go through the whole
+    parser, which reports them as unrecognized with its usage line.  -h
+    and unknown commands get the parser of every command."""
+    if argv[:1] and argv[0] in _EVERY:
+        parser = _build_parser((argv[0],))
+        args, rest = parser.commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(cmd=argv[0]))
+        if not rest:
+            return args
+    else:
+        parser = _build_parser()
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only the invoked command's parser; -h and unknown commands get all
-    first = tuple(argv[:1])
-    parser = _build_parser(first) if first and first[0] in _EVERY \
-        else _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.cmd == "batch":

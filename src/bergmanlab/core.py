@@ -226,16 +226,32 @@ def sample_cube(rng, n: int, radius: float, count: int) -> np.ndarray:
     return c[:, 0] + 1j * c[:, 1]
 
 
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """The sum of squares of each row of a real (m, w) array, added in the
+    order of ``np.linalg.norm``'s reduction: left to right below 8 columns,
+    where NumPy's pairwise sum is sequential, and by ``np.add.reduce`` from
+    8 on.  Below 8 columns only one column of squares is held at a time."""
+    if x.shape[1] >= 8:
+        return np.add.reduce(x * x, axis=1)
+    out = x[:, 0] * x[:, 0]
+    square = np.empty_like(out)
+    for j in range(1, x.shape[1]):
+        out += np.multiply(x[:, j], x[:, j], out=square)
+    return out
+
+
 def sample_ball_polar(rng, n: int, radius: float, count: int) -> np.ndarray:
     """count points drawn uniformly from the closed ball of the given radius
     in C^n, as a (count, n) array: a normal direction in R^(2n), real parts
     first, scaled to the radius radius * U^(1/(2n))."""
     _check_draw(count)
     g = rng.standard_normal((count, 2 * n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = rng.random(count) ** (1.0 / (2 * n))
-    pts = g * (radius * r)[:, None]
-    return pts[:, :n] + 1j * pts[:, n:]
+    g /= np.sqrt(squared_norms(g))[:, None]
+    scale = (radius * rng.random(count) ** (1.0 / (2 * n)))[:, None]
+    pts = np.empty((count, n), dtype=complex)
+    np.multiply(g[:, :n], scale, out=pts.real)
+    np.multiply(g[:, n:], scale, out=pts.imag)
+    return pts
 
 
 def sample_ball(rng, n: int, radius: float, count: int) -> np.ndarray:
@@ -340,29 +356,6 @@ def multiindex_enumerate(n: int, d: int) -> list[tuple[int, ...]]:
     for deg in range(d + 1):
         out.extend(_compositions(n, deg))
     return out
-
-
-def monomial_rows(exponents, points) -> np.ndarray:
-    """Evaluate basis monomials at points as rows, shape (nbasis, npoints).
-
-    ``exponents`` holds one multi-index per monomial, as a list of tuples
-    or an (nbasis, n) integer array.  The coordinate power table is built
-    once per call; each coordinate then contributes one fancy index into
-    it, multiplied into the rows in place.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    npts, n = pts.shape
-    A = np.asarray(exponents, dtype=np.intp).reshape(-1, n)
-    # pows[j, k] = z_j^k per point
-    pows = np.empty((n, int(A.max(initial=0)) + 1, npts), dtype=complex)
-    pows[:, 0, :] = 1.0
-    cols = np.ascontiguousarray(pts.T)
-    for k in range(1, pows.shape[1]):
-        np.multiply(pows[:, k - 1, :], cols, out=pows[:, k, :])
-    rows = pows[0, A[:, 0]]
-    for j in range(1, n):
-        rows *= pows[j, A[:, j]]
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,17 @@ on C^n, Legendre up to the last knot of a tabulated profile
 exists; ``kernels.kernel_from_gram`` turns the moments into the kernel
 series.  Importance-sampled Monte Carlo with per-entry standard errors
 (``gram_montecarlo``) estimates the dense matrix directly, a
-``GramMatrix``.  A ``GramMatrix`` holds
-no moments and has no kernel; ``gram_validate`` reports its health.
+``GramMatrix``: per block of samples, its weighted monomial rows
+W = sqrt|f| z^alpha give sum f w w^H as (sign f * W) W^H and the squared
+moduli of the standard errors as A A^T with A = |W|^2, two BLAS products.
+A ``GramMatrix`` holds no moments and has no kernel; ``gram_validate``
+reports its health.
 
 Assembly is deterministic: node sets and summation order are fixed by
 ``QUADRATURE`` and by the seed.  The radial routes are independent of any
 threading in the BLAS; the Monte Carlo sums are BLAS matrix products, whose
-last digit can change with the thread count.
+last digit can change with the thread count (a fixed-order product costs
+several times the BLAS one at these sizes).
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ from .core import (
     Weight,
     full_space,
     matrix_ball,
-    monomial_rows,
     multiindex_enumerate,
     sample_ball_polar,
+    squared_norms,
     unit_ball,
     unit_disk,
     weight_radial_fn,
@@ -92,6 +96,9 @@ MC_CHUNK_BYTES = 256 * 2 ** 20
 # rows (16 bytes per monomial and point), so a block's rows stay in cache
 # through its two products; a block never holds fewer than 4 points per
 # monomial, since thinner B x k x B products lose their BLAS efficiency.
+# With rows built degree by degree (n * degree small products per block),
+# budgets of 64 KiB to 1 MiB time within noise of each other at B = 5..45,
+# and none beats this one.
 _MC_BLOCK_BYTES = 256 * 2 ** 10
 
 
@@ -144,10 +151,18 @@ class RadialGram:
     @cached_property
     def diagonal(self) -> np.ndarray:
         """G[alpha][alpha] = pi^n alpha!/(|alpha|+n-1)! * R_{|alpha|+n-1}
-        in grlex order, read-only."""
+        in grlex order, read-only; an entry that overflows is refused by
+        name."""
         n, R = self.domain.dim, self.moments
-        diagonal = np.array([_shell_factor(a) * R[sum(a) + n - 1]
-                             for a in self.index_map], dtype=float)
+        with np.errstate(over="ignore"):   # refused by name below
+            diagonal = np.array([_shell_factor(a) * R[sum(a) + n - 1]
+                                 for a in self.index_map], dtype=float)
+        outside = ~np.isfinite(diagonal)
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise ValueError(f"the Gram entry at {self.index_map[j]} of "
+                             f"{self.weight_label} is {diagonal[j]}, outside "
+                             f"the float range")
         return _read_only(diagonal)[0]
 
 
@@ -310,6 +325,32 @@ def _moment_outside(weight: Weight, j: int, log_r: float) -> ValueError:
                       f"exp({log_r:.1f}), outside the float range")
 
 
+def _scaled_moments(weight: Weight, moments: np.ndarray) -> np.ndarray:
+    """scale * R_j for positive normal R_j; one that overflows is refused by
+    name."""
+    with np.errstate(over="ignore"):   # an infinite product is refused below
+        out = weight.scale * moments
+    outside = ~np.isfinite(out)
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise _moment_outside(weight, j, math.log(weight.scale)
+                              + math.log(moments[j]))
+    return out
+
+
+def _finite_moments(weight: Weight, moments: np.ndarray,
+                    route: str = "") -> np.ndarray:
+    """The moments, or a refusal by name of the first one outside the
+    float range."""
+    outside = ~np.isfinite(moments)
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise ValueError(f"the {route}moment R_{j} of "
+                         f"{describe_weight(weight)} is {moments[j]}, outside "
+                         f"the float range")
+    return moments
+
+
 def _moment_from_log(weight: Weight, j: int, log_r: float) -> float:
     """R_j = exp(log_r); one outside the normal float range is refused by
     name."""
@@ -347,9 +388,8 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
     form, power = weight.form, weight.power_exponent
     if isinstance(form, GaussianPower):
         mu = form.mu * power
-        with np.errstate(over="ignore"):   # an infinite R_j is refused by name
-            return weight.scale * np.array([_gaussian_moment(weight, mu, j)
-                                            for j in range(top + 1)])
+        return _scaled_moments(weight, np.array(
+            [_gaussian_moment(weight, mu, j) for j in range(top + 1)]))
     if not isinstance(form, (GenericNormPower, PolynomialRadial)):
         raise NoClosedForm("no closed-form moments for this weight form")
     if domain.kind is not DomainKind.UNIT_BALL:
@@ -372,11 +412,13 @@ def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
                     log_r = (math.lgamma(j + 1) + math.lgamma(s + 1)
                              - math.lgamma(j + s + 2))
                     raise _moment_outside(weight, j, log_r)
-        return weight.scale * out
+        return _scaled_moments(weight, out)
     nodes = (top + power * (len(form.coefficients) - 1)) // 2 + 1
     _check_power_table(top, nodes)
     s, w = _gauss01(nodes)
-    return _power_sums(s, w * weight_radial_fn(weight)(s), top)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused by name
+        moments = _power_sums(s, w * weight_radial_fn(weight)(s), top)
+    return _finite_moments(weight, moments)
 
 
 def _shell_factor(alpha: tuple[int, ...]) -> float:
@@ -518,12 +560,7 @@ def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int) -> RadialGr
     with np.errstate(over="ignore", invalid="ignore"):   # refused by name
         moments = _power_sums(s, ws * weight_radial_fn(weight)(s),
                               degree + domain.dim - 1)
-    outside = ~np.isfinite(moments)
-    if outside.any():
-        j = int(np.argmax(outside))
-        raise ValueError(f"the quadrature moment R_{j} of "
-                         f"{describe_weight(weight)} is {moments[j]}, outside "
-                         f"the float range")
+    moments = _finite_moments(weight, moments, "quadrature ")
     return RadialGram(domain, degree, moments,
                       {"kind": "quadrature", "scheme": dict(QUADRATURE)},
                       describe_weight(weight))
@@ -547,30 +584,52 @@ def _ball_volume(n: int) -> float:
     return math.pi ** n / math.factorial(n)
 
 
-def _block_sums(exponents: np.ndarray, pts: np.ndarray, f: np.ndarray):
-    """One block's sums of f w w^H and of f^2 |w|^2 (|w|^2)^T over its
-    samples, where w are the (B, k) monomial rows at its points."""
-    W = monomial_rows(exponents, pts)
-    A2 = W.real ** 2 + W.imag ** 2
-    abs2 = (A2 * f ** 2) @ A2.T
-    del A2
-    Wc = W.conj()
-    W *= f
-    return W @ Wc.T, abs2
+def _row_plan(n: int, degree: int) -> list[tuple[int, int, int, int]]:
+    """How the grlex monomial rows follow from the rows before them: a list
+    of (dst, src, count, j), meaning rows dst..dst+count are z_j times rows
+    src..src+count.  The degree-g rows are, for j = 1..n, z_j times the
+    trailing degree-(g-1) rows that use only z_j..z_n, one contiguous
+    slice each, so a degree takes n products."""
+    plan, top = [], 1     # rows [.., top) are built; row 0 is degree 0
+    for g in range(1, degree + 1):
+        dst = top
+        for j in range(n):
+            count = math.comb(g - 1 + n - 1 - j, n - 1 - j)
+            plan.append((dst, top - count, count, j))
+            dst += count
+        top = dst
+    return plan
+
+
+def _weighted_rows(plan, pts: np.ndarray, root: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """The (B, k) rows root * z^alpha at k points, in grlex order, written
+    into ``out`` degree by degree from row 0 = root."""
+    cols = np.ascontiguousarray(pts.T)
+    out[0] = root
+    for dst, src, count, j in plan:
+        np.multiply(out[src:src + count], cols[j], out=out[dst:dst + count])
+    return out
 
 
 def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
-                    samples: int, seed: int) -> GramMatrix:
-    """Importance-sampled Gram estimate with per-entry standard errors.
+                    samples: int, seed: int, stderr: bool = True
+                    ) -> GramMatrix:
+    """Importance-sampled Gram estimate, with per-entry standard errors
+    unless ``stderr`` is False (then ``GramMatrix.stderr`` is None).
 
     Uniform proposal on bounded domains, complex-Gaussian proposal on the
     full space.  The generator is counter-based (Philox keyed by the seed)
     and draws its samples in a fixed-order pass of chunks sized by the
     basis (``MC_CHUNK_BYTES``).  Each chunk is summed over blocks of
-    monomial rows small enough to stay in cache (``_MC_BLOCK_BYTES``); the
-    block sums are BLAS matrix products, so the estimate is reproducible
-    bit for bit for a given seed at a given BLAS thread count, whose
-    change can move its last digit.
+    monomial rows small enough to stay in cache (``_MC_BLOCK_BYTES``).  A
+    block's rows are W = sqrt|f| z^alpha, with f the weight over the
+    proposal density, so its sums are two BLAS products: sum f w w^H is
+    (s W) W^H with s = sign f (applied only where some f < 0), and
+    sum f^2 |w|^2 (|w|^2)^T is A A^T with A = |W|^2.  The estimate is
+    reproducible bit for bit for a given seed at a given BLAS thread count,
+    whose change can move its last digit.  Sums that leave the float range
+    are refused by name.
     """
     if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         raise ValueError("Monte Carlo sampling supports disk/ball/full space")
@@ -579,40 +638,57 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
     n = domain.dim
     basis = multiindex_enumerate(n, degree)
     B = len(basis)
-    exponents = np.array(basis, dtype=np.intp)
+    plan = _row_plan(n, degree)
     rng = np.random.Generator(np.random.Philox(key=seed))
     wfun = weight_radial_fn(weight)
+    mu = None if domain.bounded else _gaussian_decay(weight)
+    sigma2 = 1.0 / mu if mu is not None else 1.0
 
     chunk = max(1, min(200_000, MC_CHUNK_BYTES // (64 * B)))
     block = max(4 * B, _MC_BLOCK_BYTES // (16 * B))
+    W = np.empty((B, min(block, chunk, samples)), dtype=complex)
+    Wc = np.empty_like(W)
     sum_x = np.zeros((B, B), dtype=complex)
-    sum_abs2 = np.zeros((B, B), dtype=float)
+    sum_abs2 = np.zeros((B, B), dtype=float) if stderr else None
     done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        if domain.bounded:
-            pts = sample_ball_polar(rng, n, 1.0, m)
-            t = np.sum(np.abs(pts) ** 2, axis=1)
-            dens = np.full(m, 1.0 / _ball_volume(n))
-        else:
-            mu = _gaussian_decay(weight)
-            sigma2 = 1.0 / mu if mu is not None else 1.0
-            pts = math.sqrt(sigma2 / 2.0) * (
-                rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-            t = np.sum(np.abs(pts) ** 2, axis=1)
-            dens = np.exp(-t / sigma2) / (math.pi * sigma2) ** n
-        f = wfun(t) / dens
-        for lo in range(0, m, block):
-            x, abs2 = _block_sums(exponents, pts[lo:lo + block],
-                                  f[lo:lo + block])
-            sum_x += x
-            sum_abs2 += abs2
-        done += m
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while done < samples:
+            m = min(chunk, samples - done)
+            if domain.bounded:
+                pts = sample_ball_polar(rng, n, 1.0, m)
+            else:
+                c = math.sqrt(sigma2 / 2.0)
+                pts = np.empty((m, n), dtype=complex)
+                np.multiply(rng.standard_normal((m, n)), c, out=pts.real)
+                np.multiply(rng.standard_normal((m, n)), c, out=pts.imag)
+            t = squared_norms(pts.view(float))
+            dens = 1.0 / _ball_volume(n) if domain.bounded else \
+                np.exp(-t / sigma2) / (math.pi * sigma2) ** n
+            f = wfun(t) / dens
+            for lo in range(0, m, block):
+                fk = f[lo:lo + block]
+                k = len(fk)
+                Wk = _weighted_rows(plan, pts[lo:lo + k], np.sqrt(np.abs(fk)),
+                                    W[:, :k])
+                if stderr:
+                    A = np.square(Wk.real)
+                    A += np.square(Wk.imag)
+                    sum_abs2 += A @ A.T
+                np.conjugate(Wk, out=Wc[:, :k])
+                if (fk < 0).any():
+                    Wk *= np.sign(fk)
+                sum_x += Wk @ Wc[:, :k].T
+            done += m
 
-    mean = sum_x / samples
-    var = np.maximum(sum_abs2 / samples - np.abs(mean) ** 2, 0.0)
-    se = np.sqrt(var / samples)
-    G = (mean + mean.conj().T) / 2.0
+        mean = sum_x / samples
+        G = (mean + mean.conj().T) / 2.0
+        se = None
+        if stderr:
+            var = np.maximum(sum_abs2 / samples - np.abs(mean) ** 2, 0.0)
+            se = np.sqrt(var / samples)
+    if not (np.isfinite(G).all() and (se is None or np.isfinite(se).all())):
+        raise ValueError(f"the Monte Carlo sums of {describe_weight(weight)} "
+                         f"at degree {degree} leave the float range")
     return GramMatrix(domain, degree, basis, G,
                       {"kind": "montecarlo", "seed": int(seed),
                        "samples": int(samples)},

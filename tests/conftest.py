@@ -26,6 +26,31 @@ def perturbed_gaussian_weight(perturbed_gaussian_csv):
     return bl.load_radial_profile(perturbed_gaussian_csv, bl.full_space(1))
 
 
+def monomial_rows(exponents, points) -> np.ndarray:
+    """Evaluate basis monomials at points as rows, shape (nbasis, npoints):
+    the reference for the Monte Carlo Gram's weighted rows and the dense
+    kernel oracle.
+
+    ``exponents`` holds one multi-index per monomial, as a list of tuples
+    or an (nbasis, n) integer array.  The coordinate power table is built
+    once per call; each coordinate then contributes one fancy index into
+    it, multiplied into the rows in place.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    npts, n = pts.shape
+    A = np.asarray(exponents, dtype=np.intp).reshape(-1, n)
+    # pows[j, k] = z_j^k per point
+    pows = np.empty((n, int(A.max(initial=0)) + 1, npts), dtype=complex)
+    pows[:, 0, :] = 1.0
+    cols = np.ascontiguousarray(pts.T)
+    for k in range(1, pows.shape[1]):
+        np.multiply(pows[:, k - 1, :], cols, out=pows[:, k, :])
+    rows = pows[0, A[:, 0]]
+    for j in range(1, n):
+        rows *= pows[j, A[:, j]]
+    return rows
+
+
 class dense_kernel:
     """The orthonormal expansion sum_k e_k(z) conj(e_k(w)) of a Gram's dense
     matrix (``entries``, or np.diag of a radial Gram's ``diagonal``): the
@@ -45,7 +70,7 @@ class dense_kernel:
     def basis_values(self, points):
         """e_k(z) for every point and k, shape (npoints, rank)."""
         pts = core.as_points(points, self.base.dim)
-        return core.monomial_rows(self.index_map, pts).T @ self.coeff.T
+        return monomial_rows(self.index_map, pts).T @ self.coeff.T
 
     def eval_grid(self, zs, ws):
         return self.basis_values(zs) @ self.basis_values(ws).conj().T
@@ -133,7 +158,7 @@ def one_table_montecarlo(domain, weight, degree, samples, seed):
         dens = (np.full(m, 1.0 / moments._ball_volume(n)) if domain.bounded
                 else np.exp(-t / sigma2) / (np.pi * sigma2) ** n)
         f = core.weight_radial_fn(weight)(t) / dens
-        V = core.monomial_rows(basis, pts).T
+        V = monomial_rows(basis, pts).T
         sum_x = sum_x + (V * f[:, None]).T @ V.conj()
         A2 = np.abs(V) ** 2
         sum_abs2 = sum_abs2 + (A2 * f[:, None] ** 2).T @ A2

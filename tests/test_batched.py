@@ -338,7 +338,7 @@ def test_radial_verdict_makes_no_factorization(monkeypatch, capsys):
     from bergmanlab import cli, core, moments
     calls = []
     for owner, name in ((np.linalg, "cholesky"), (np.linalg, "solve"),
-                        (moments, "monomial_rows"),
+                        (moments, "_weighted_rows"),
                         (core, "multiindex_enumerate"),
                         (moments, "multiindex_enumerate"),
                         (moments, "_shell_factor")):

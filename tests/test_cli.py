@@ -621,7 +621,9 @@ def test_every_public_name_resolves_to_its_module():
 PARSER_CASES = ([["--help"], ["-h", "gram"], [], ["bogus"], ["--degree", "3"],
                  ["gram", "--bogus"], ["gram", "extra"],
                  ["gram", "--degree", "x"], ["gram", "--method", "nope"],
-                 ["frc-check", "--pairs"], ["family-check", "--fam", "x"]]
+                 ["frc-check", "--pairs"], ["family-check", "--fam", "x"],
+                 ["gram", "--he"], ["gram", "--degree=3", "--bogus=1"],
+                 ["gram", "--degree", "3", "--", "x"]]
                 + [[cmd, "--help"] for cmd in cli._COMMANDS])
 
 
@@ -861,17 +863,21 @@ class TestKernelEvalGrid:
         assert len(kernel["c"]) == 13
         assert kernel["c"][0] == pytest.approx(2 / math.pi, rel=1e-15)
 
-    @pytest.mark.parametrize("domain,weight", [
-        ("disk", "poly:1,-2"),                    # R_0 = 0
-        ("cn:1", "scaled:1e300:gaussian:0.001"),  # R_1 = inf
+    @pytest.mark.parametrize("domain,weight,error", [
+        # R_0 = 0
+        ("disk", "poly:1,-2", "Gram diagonal is not strictly positive"),
+        # scale * R_2 = 1e300 * 2e9 overflows
+        ("cn:1", "scaled:1e300:gaussian:0.001",
+         "the moment R_2 of 1e+300*exp(-0.001|z|^2) is exp(712.2), outside "
+         "the float range"),
     ], ids=["zero", "infinite"])
-    def test_bad_moments_are_refused_by_name(self, capsys, domain, weight):
+    def test_bad_moments_are_refused_by_name(self, capsys, domain, weight,
+                                             error):
         code, out, err = run_cli(
             ["kernel-eval", "--domain", domain, "--weight", weight,
              "--degree", "4", "--grid", "2"], capsys)
         assert code == 2 and out == ""
-        assert err.strip().splitlines()[-1] == \
-            "error: Gram diagonal is not strictly positive"
+        assert err.strip().splitlines() == [f"error: {error}"]
 
     @pytest.mark.parametrize("c", ["[1, -1]", "[1, 2, 3]"])
     def test_radial_kernel_json_is_checked(self, capsys, c):
@@ -1061,6 +1067,33 @@ def test_a_quadrature_moment_outside_the_float_range_is_named(capsys, fmt):
     assert (code, out) == (2, "")
     assert err == ("error: the quadrature moment R_56 of exp(-0.001|z|^2) "
                    "is inf, outside the float range\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv,error", [
+    # R_2 = 2!/0.001^3 is finite; the scale 1e300 takes it, and the Monte
+    # Carlo sums of the same weight, past the float range
+    (["--domain", "cn:1", "--weight", "scaled:1e300:gaussian:0.001"],
+     "the moment R_2 of 1e+300*exp(-0.001|z|^2) is exp(712.2), outside the "
+     "float range"),
+    (["--domain", "cn:1", "--weight", "scaled:1e300:gaussian:0.001",
+      "--method", "montecarlo", "--samples", "100"],
+     "the Monte Carlo sums of 1e+300*exp(-0.001|z|^2) at degree 2 leave the "
+     "float range"),
+    (["--domain", "disk", "--weight", "scaled:1e300:poly:1e10"],
+     "the moment R_0 of 1e+300*poly(1e+10) is inf, outside the float range"),
+    # R_0 = 1e308/1.0001 is finite, the shell factor pi takes it past
+    (["--domain", "disk", "--weight", "scaled:1e308:npower:0.0001"],
+     "the Gram entry at (0,) of 1e+308*N(z,z)^0.0001 is inf, outside the "
+     "float range"),
+], ids=["gaussian", "montecarlo", "polynomial", "shell-factor"])
+def test_a_scaled_gram_outside_the_float_range_is_named(capsys, argv, error,
+                                                         fmt):
+    code, out, err = run_cli(["gram", *argv, "--degree", "2",
+                              "--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {error}\n"
 
 
 class TestNonFiniteDiagnostics:

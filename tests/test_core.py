@@ -7,11 +7,11 @@ from scipy.integrate import quad, dblquad
 
 import bergmanlab as bl
 from bergmanlab.cli import parse_domain
-from bergmanlab.core import (MAX_POINTS, hermitian_inner, monomial_rows,
-                             sample_ball, sample_ball_polar, weight_radial_fn)
+from bergmanlab.core import (MAX_POINTS, hermitian_inner, sample_ball,
+                             sample_ball_polar, weight_radial_fn)
 from bergmanlab.moments import domain_from_json, domain_to_json
 
-from conftest import interior_ball_points, interior_disk_points
+from conftest import interior_ball_points, interior_disk_points, monomial_rows
 
 
 def grlex_key(alpha: tuple[int, ...]):
@@ -433,17 +433,20 @@ class TestSampleBall:
                 sample_ball(rng, n, 1.0, MAX_POINTS + 1)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_polar_draws_keep_the_monte_carlo_stream(self, n):
         # the Monte Carlo Gram's proposal: a normal direction, real parts
-        # first, times U^(1/(2n)) in the unit ball
+        # first, times U^(1/(2n)) in the unit ball; its norm is summed in
+        # the order of np.linalg.norm, sequential below 8 coordinates and
+        # pairwise from 8 on (n >= 4)
         key = 11
-        got = sample_ball_polar(np.random.Generator(np.random.Philox(key=key)),
-                                n, 1.0, 500)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        g = rng.standard_normal((500, 2 * n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = rng.random(500) ** (1.0 / (2 * n))
-        pts = g * r[:, None]
-        want = pts[:, :n] + 1j * pts[:, n:]
-        assert got.tobytes() == want.tobytes()
+        for count in (0, 1, 500, 30_000):
+            got = sample_ball_polar(
+                np.random.Generator(np.random.Philox(key=key)), n, 1.0, count)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            g = rng.standard_normal((count, 2 * n))
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            r = rng.random(count) ** (1.0 / (2 * n))
+            pts = g * r[:, None]
+            want = pts[:, :n] + 1j * pts[:, n:]
+            assert got.tobytes() == want.tobytes()

@@ -384,7 +384,10 @@ _MC_CASES = {"disk": (DISK, bl.generic_norm_weight(DISK, 1.0), 6),
                        bl.generic_norm_weight(bl.unit_ball(2), 0.5), 5),
              "ball3": (bl.unit_ball(3),
                        bl.polynomial_weight(bl.unit_ball(3), [1.0, 0.5]), 3),
-             "cn2": (bl.full_space(2), bl.gaussian_weight(2, 1.5), 4)}
+             "cn2": (bl.full_space(2), bl.gaussian_weight(2, 1.5), 4),
+             # 1 - 3t changes sign at t = 1/3
+             "disk-signed": (DISK, bl.polynomial_weight(DISK, [1.0, -3.0]),
+                             5)}
 
 
 class TestBlockedMonteCarlo:
@@ -396,6 +399,11 @@ class TestBlockedMonteCarlo:
     def _assert_matches_one_table(domain, weight, degree, samples):
         G = bl.gram_montecarlo(domain, weight, degree, samples, seed=5)
         ref, se = one_table_montecarlo(domain, weight, degree, samples, 5)
+        # the entries do not depend on whether standard errors are summed
+        bare = bl.gram_montecarlo(domain, weight, degree, samples, seed=5,
+                                  stderr=False)
+        assert bare.stderr is None
+        assert bare.entries.tobytes() == G.entries.tobytes()
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(G.entries - ref)) <= 1e-13 * scale
         if samples == 1:

@@ -226,27 +226,14 @@ def sample_cube(rng, n: int, radius: float, count: int) -> np.ndarray:
     return c[:, 0] + 1j * c[:, 1]
 
 
-def squared_norms(x: np.ndarray) -> np.ndarray:
-    """The sum of squares of each row of a real (m, w) array, added in the
-    order of ``np.linalg.norm``'s reduction: left to right below 8 columns,
-    where NumPy's pairwise sum is sequential, and by ``np.add.reduce`` from
-    8 on.  Below 8 columns only one column of squares is held at a time."""
-    if x.shape[1] >= 8:
-        return np.add.reduce(x * x, axis=1)
-    out = x[:, 0] * x[:, 0]
-    square = np.empty_like(out)
-    for j in range(1, x.shape[1]):
-        out += np.multiply(x[:, j], x[:, j], out=square)
-    return out
-
-
 def sample_ball_polar(rng, n: int, radius: float, count: int) -> np.ndarray:
     """count points drawn uniformly from the closed ball of the given radius
     in C^n, as a (count, n) array: a normal direction in R^(2n), real parts
     first, scaled to the radius radius * U^(1/(2n))."""
     _check_draw(count)
     g = rng.standard_normal((count, 2 * n))
-    g /= np.sqrt(squared_norms(g))[:, None]
+    # the row sums of squares np.linalg.norm takes, in its order
+    g /= np.sqrt(np.add.reduce(g * g, axis=1))[:, None]
     scale = (radius * rng.random(count) ** (1.0 / (2 * n)))[:, None]
     pts = np.empty((count, n), dtype=complex)
     np.multiply(g[:, :n], scale, out=pts.real)

@@ -64,7 +64,6 @@ from .core import (
     matrix_ball,
     multiindex_enumerate,
     sample_ball_polar,
-    squared_norms,
     unit_ball,
     unit_disk,
     weight_radial_fn,
@@ -661,7 +660,8 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
                 pts = np.empty((m, n), dtype=complex)
                 np.multiply(rng.standard_normal((m, n)), c, out=pts.real)
                 np.multiply(rng.standard_normal((m, n)), c, out=pts.imag)
-            t = squared_norms(pts.view(float))
+            re_im = pts.view(float)
+            t = np.add.reduce(re_im * re_im, axis=1)
             dens = 1.0 / _ball_volume(n) if domain.bounded else \
                 np.exp(-t / sigma2) / (math.pi * sigma2) ** n
             f = wfun(t) / dens

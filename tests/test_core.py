@@ -436,9 +436,7 @@ class TestSampleBall:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_polar_draws_keep_the_monte_carlo_stream(self, n):
         # the Monte Carlo Gram's proposal: a normal direction, real parts
-        # first, times U^(1/(2n)) in the unit ball; its norm is summed in
-        # the order of np.linalg.norm, sequential below 8 coordinates and
-        # pairwise from 8 on (n >= 4)
+        # first, times U^(1/(2n)) in the unit ball
         key = 11
         for count in (0, 1, 500, 30_000):
             got = sample_ball_polar(

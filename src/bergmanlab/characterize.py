@@ -257,10 +257,21 @@ MAX_NPTS = 1024
 
 def _sample_points(n: int, rmax: float, npts: int, seed: int) -> np.ndarray:
     """The origin, then npts - 1 seeded draws from the ball of radius rmax
-    in C^n; npts above ``MAX_NPTS`` is refused before anything is drawn."""
+    in C^n; npts above ``MAX_NPTS`` is refused before anything is drawn.
+    c is fitted at the origin, so a verdict needs a point besides it:
+    npts < 2 and rmax <= 0 are refused, as every deviation would be 0 by
+    construction."""
     if npts > MAX_NPTS:
         raise ValueError(f"npts = {npts} exceeds MAX_NPTS = {MAX_NPTS}: the "
                          "verdict tables its kernels over npts x npts pairs")
+    if npts < 2:
+        raise ValueError(f"npts = {npts} leaves the origin, where c is "
+                         "fitted, as the only sample point, so every "
+                         "deviation is 0 by construction; npts must be >= 2")
+    if not rmax > 0:
+        raise ValueError(f"rmax = {rmax!r} puts every sample point at the "
+                         "origin, where c is fitted, so every deviation is 0 "
+                         "by construction; rmax must be > 0")
     rng = np.random.default_rng(seed)
     return np.concatenate([np.zeros((1, n), dtype=complex),
                            sample_ball(rng, n, rmax, npts - 1)])

@@ -415,8 +415,11 @@ def _cmd_frc_check(cfg: dict):
 
     The Hartogs domain over the disk with weight 1 - |z|^2 and fiber
     dimension m is the unit ball of C^(1+m), whose Bergman kernel is known
-    in closed form; the series must reproduce it pair by pair.  All pairs
-    are summed in one batched call and checked against the oracle at once.
+    in closed form; the series must reproduce it pair by pair.  The pairs
+    and the 20 zero-fiber restriction pairs, appended as rows with zero
+    fibers, are summed in one batched call; the pairs are checked against
+    the oracle at once and the restriction pairs against the closed kernel
+    of the slice weight.
     """
     from .hartogs import (ClosedFormFamily, HartogsDomain, ball_kernel,
                           frc_eval_pairs, frc_restriction_check)
@@ -436,33 +439,39 @@ def _cmd_frc_check(cfg: dict):
     pairs = _count(cfg, "pairs", 100, points_each=2)
 
     # per pair the base points z, z', then the radius ratios |zeta|/
-    # sqrt(1 - |z|^2) < 0.7, then the phases of zeta and zeta'
+    # sqrt(1 - |z|^2) < 0.7, then the phases of zeta and zeta'; then the
+    # base points of the restriction pairs
     z = sample_ball(rng, 1, 0.9, 2 * pairs).reshape(pairs, 2)
     ratio = 0.7 * rng.random((pairs, 2))
     phase = np.exp(2j * np.pi * rng.random((pairs, 2 * m))).reshape(pairs, 2, m)
+    rest = sample_ball(rng, 1, 0.5, 2 * 20).reshape(20, 2)
     zeta = ((ratio * np.sqrt(1.0 - np.abs(z) ** 2))[:, :, None] * phase
             / math.sqrt(m))
     Z, Z2, ZETA, ZETA2 = z[:, :1], z[:, 1:], zeta[:, 0], zeta[:, 1]
-    res = frc_eval_pairs(domain, (Z, ZETA), (Z2, ZETA2), family,
-                         max_terms=cfg.get("max_terms", 200), tol=1e-14)
-    all_converged = bool(res.converged.all())
+    zeros = np.zeros((20, m), dtype=complex)
+    res = frc_eval_pairs(domain, (np.concatenate([Z, rest[:, :1]]),
+                                  np.concatenate([ZETA, zeros])),
+                         (np.concatenate([Z2, rest[:, 1:]]),
+                          np.concatenate([ZETA2, zeros])),
+                         family, max_terms=cfg.get("max_terms", 200),
+                         tol=1e-14)
+    all_converged = bool(res.converged[:pairs].all())
     # the reported pair is the first to need the most terms; the errors
     # all sit at roundoff, where ulp noise would decide an argmax
-    first_most = int(np.argmax(res.terms_used))
+    first_most = int(np.argmax(res.terms_used[:pairs]))
     terms_max = int(res.terms_used[first_most])
     worst_eval = res.pair(first_most).as_dict()
     ref = oracle(np.concatenate([Z, ZETA], axis=1),
                  np.concatenate([Z2, ZETA2], axis=1))
-    worst = float(np.max(np.abs(res.value - ref) / np.abs(ref)))
+    worst = float(np.max(np.abs(res.value[:pairs] - ref) / np.abs(ref)))
 
     # zero-fiber restriction against the closed kernel of (1 - |z|^2)^m,
     # (m+1)/pi (1 - z conj(z'))^-(m+2), its constant written out rather than
-    # taken from the Hua normalization the family's k = 0 term uses
+    # taken from the Hua normalization the family's k = 0 term uses; the
+    # series values are those of the rows appended above
     reference = PowerKernel(domain.base, float(m), (m + 1) / math.pi)
-    rest = sample_ball(rng, 1, 0.5, 2 * 20).reshape(20, 2)
     worst_rest = float(np.max(frc_restriction_check(
-        domain, rest[:, :1], rest[:, 1:],
-        lambda a, b: frc_eval_pairs(domain, a, b, family).value,
+        domain, rest[:, :1], rest[:, 1:], lambda *_: res.value[pairs:],
         reference=reference)))
 
     passed = worst <= tol and worst_rest <= tol and all_converged

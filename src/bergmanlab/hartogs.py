@@ -13,18 +13,21 @@ and restricting both fiber variables to zero leaves only the k = 0 term,
 
     K_Omega((z, 0), (z', 0)) = (m!/pi^m) K_{D, p^m}(z, z').
 
-The series is summed over arrays of point pairs, in passes over the first
-16, 32, 64, ... terms of the pairs that have not yet stopped, with a
-per-pair stop rule and geometric tail estimate; a pair with
-<zeta, zeta'> = 0 is its k = 0 term and enters no pass.  A pass is one
-table of terms from a family of weighted kernels K_{D, p^(k+m)}.  Where
-they have closed forms, every term is C_k exp(a_k L(z, z')) <zeta, zeta'>^k
-with a_k = a_0 + mu k, so the table is geometric,
+The series is summed over arrays of point pairs, with a per-pair stop rule
+and geometric tail estimate; a pair with <zeta, zeta'> = 0 is its k = 0
+term and enters no pass.  A pass is one table of terms, from a family of
+weighted kernels K_{D, p^(k+m)}, over the pairs that have not yet stopped.
+Where the kernels have closed forms, every term is
+C_k exp(a_k L(z, z')) <zeta, zeta'>^k with a_k = a_0 + mu k, so the table
+is geometric,
 
     C_k E x^k,   E = exp(a_0 L),   x = exp(mu L) <zeta, zeta'>,
 
-from one L, E and x per pair and one array of constants C_k per pass (the
-ratio x of Yamamori, Complex Var. Elliptic Equ. 58 (2013)).
+from one base (E, x) per pair, formed once for all passes, and one array
+of constants C_k (the ratio x of Yamamori, Complex Var. Elliptic Equ. 58
+(2013)).  The first pass takes 16 terms; each later one at least doubles
+them, and takes as many as the last terms of the pairs still summing,
+shrinking at their last ratios, say the stop rule needs.
 """
 
 from __future__ import annotations
@@ -86,16 +89,20 @@ def hartogs_contains(domain: HartogsDomain, z, zeta):
 # weighted-kernel families K_{D, p^(k+m)}
 #
 # A family maps k to a kernel model, the per-term model, and evaluates the
-# first K terms over pairs as one table: ``terms(Z, Z2, u, K)`` returns
-# K_k(z_i, z'_i) u_i^k with shape (len(Z), K).  ``usable_terms(K)`` says how
-# many of the first K terms can be formed, and gives the error the next one
-# raises.
+# first K terms over pairs as one table in two steps: ``bases(Z, Z2, u)``
+# gives each pair's base (E, x), and ``table(E, x, K)`` turns bases into
+# the terms K_k(z_i, z'_i) u_i^k, with shape (len(E), K).  Entry (i, k)
+# depends on base i alone and is the same for every K > k, so the bases of
+# all pairs are formed once and each pass tabulates a slice of them.
+# ``usable_terms(K)`` says how many of the first K terms can be formed, and
+# gives the error the next one raises.
 
 def _powers(x: np.ndarray, K: int) -> np.ndarray:
     """1, x, ..., x^(K-1) per entry of x, by repeated multiplication."""
-    return np.cumprod(np.concatenate(
-        [np.ones((len(x), 1)), np.repeat(x[:, None], K - 1, axis=1)],
-        axis=1), axis=1)
+    P = np.empty((len(x), K), dtype=complex)
+    P[:, 0] = 1.0
+    P[:, 1:] = x[:, None]
+    return np.cumprod(P, axis=1, out=P)
 
 
 class ClosedFormFamily:
@@ -133,11 +140,12 @@ class ClosedFormFamily:
 
     def _constants_upto(self, K: int) -> np.ndarray:
         """C_k for k < K, NaN where c^(k+m) or C_k leaves the positive
-        float range; computed for at least the first pass's terms."""
+        float range; computed for at least the terms of a first pass and
+        the second pass that most series need after it."""
         if len(self._constants) < K:
             weight, m = self.domain.weight, self.domain.fiber_dim
             base = self.domain.base
-            power = np.arange(m, max(K, _FIRST_TERMS) + m)
+            power = np.arange(m, max(K, 4 * _FIRST_TERMS) + m)
             s = weight.form.mu * (weight.power_exponent * power)
             with np.errstate(all="ignore"):
                 cpow = weight.scale ** power.astype(float)
@@ -166,14 +174,17 @@ class ClosedFormFamily:
         return k, ValueError(f"the constant of fiber-series term {k} leaves "
                              "the float range")
 
-    def terms(self, Z, Z2, u, K: int) -> np.ndarray:
+    def bases(self, Z, Z2, u) -> tuple[np.ndarray, np.ndarray]:
+        """E = exp(a_0 L) and x = exp(mu L) u, one entry per pair."""
         if self._gaussian:
             L = hermitian_inner(Z, Z2)
         else:
             logs = principal_log(generic_norm_factors(self.domain.base, Z, Z2))
             L = -np.sum(logs, axis=-1)
-        E = np.exp(self._rate * L)
-        x = np.exp(self._step * L) * u
+        return np.exp(self._rate * L), np.exp(self._step * L) * u
+
+    def table(self, E, x, K: int) -> np.ndarray:
+        """C_k E x^k for k < K, one row per pair."""
         return (self._constants_upto(K) * E[:, None]) * _powers(x, K)
 
 
@@ -216,12 +227,14 @@ class FrcPairs:
                          None if math.isnan(ratio) else ratio)
 
 
-# term indices of the first pass; each later pass doubles them for the
-# pairs that have not stopped
+# term indices of the first pass; each later pass at least doubles them for
+# the pairs that have not stopped
 _FIRST_TERMS = 16
 # largest pairs x terms table of a pass: a dozen arrays of its shape, the
 # complex ones 32 MiB each, are live at once
 MAX_TERM_TABLE = 1 << 21
+# consecutive terms below tol that stop a pair
+_STREAK = 5
 
 
 def fiber_coefficients(m: int, K: int) -> np.ndarray:
@@ -231,18 +244,51 @@ def fiber_coefficients(m: int, K: int) -> np.ndarray:
     return math.pi ** (-m) * rising
 
 
+def _terms_needed(before: np.ndarray, last: np.ndarray,
+                  partial: np.ndarray, K: int, tol: float) -> float:
+    """Terms the pairs still summing after a K-term pass need, from the
+    magnitudes of their last two terms and their partial sums: each last
+    term shrinks at its last ratio until it is below tol relative to the
+    partial sum, and _STREAK - 1 more terms stop the pair.  The largest
+    over the pairs, or 0 where some pair's terms do not shrink yet."""
+    with np.errstate(all="ignore"):
+        ratio = last / before
+        more = np.log(tol * partial / last) / np.log(ratio)
+    need = float(np.max(more))
+    if not (ratio < 1.0).all() or not math.isfinite(need):
+        return 0.0
+    return K + need + _STREAK - 1
+
+
+def _next_width(width: int, need: float, pairs: int, max_terms: int) -> int:
+    """Terms of the pass after one of ``width`` terms: twice as many, or
+    the fewest further doublings that reach ``need``.  A
+    width past twice the last is taken only while ``pairs`` rows of it fit
+    MAX_TERM_TABLE, and none past max_terms, so no pass is refused that
+    doubling would have run.  Every width is a width doubling reaches,
+    and a pair's terms do not depend on the width, so the results do not
+    either."""
+    width *= 2
+    while (width < min(need, max_terms)
+           and pairs * min(2 * width, max_terms) <= MAX_TERM_TABLE):
+        width *= 2
+    return width
+
+
 def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
                    max_terms: int = 200, tol: float = 1e-12) -> FrcPairs:
     """Sum the fiber series for K_Omega at k pairs of interior points.
 
     ``points`` and ``points2`` are (Z, ZETA) with Z of shape (k, n) and ZETA
     of shape (k, m); pair i is (Z[i], ZETA[i]) and (Z2[i], ZETA2[i]).
-    ``kernel_family`` is a ClosedFormFamily for K_{D, p^(k+m)}.  A pass
-    evaluates the first 16, 32, 64, ... terms of the pairs that have not
-    stopped, as one table of the family.  A pair stops once five
-    consecutive terms are below tol relative to its running partial sum,
-    or at max_terms, flagged as non-converged; its tail estimate
-    extrapolates its last term geometrically.  A pair with
+    ``kernel_family`` is a ClosedFormFamily for K_{D, p^(k+m)}.  Each
+    pair's base is formed once; a pass tabulates the first K terms of the
+    pairs that have not stopped, K = 16 in the first pass and at least
+    twice the last in each later one (see ``_next_width``).  A pair stops
+    once five consecutive terms are below tol relative to its running
+    partial sum, or at max_terms, flagged as non-converged; its tail
+    estimate extrapolates its last term geometrically.  A pair's result
+    does not depend on the passes it went through.  A pair with
     <zeta,zeta'> = 0 is its k = 0 term, by the convention
     <zeta,zeta'>^0 = 1 that the zero-fiber restriction identity forces,
     and enters no pass.  A term index whose constants leave the float range
@@ -268,23 +314,31 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     out = FrcPairs(np.zeros(count, dtype=complex), np.zeros(count, dtype=int),
                    np.where(zero, 0.0, np.inf), zero.copy(),
                    np.full(count, np.nan))
-    if max_terms > 0 and zero.any():
-        # every term past k = 0 vanishes
+    if max_terms < 1 or not count:
+        return out
+    z0 = np.flatnonzero(zero)
+    if z0.size:
         usable, error = kernel_family.usable_terms(1)
         if usable == 0:
             raise error
-        z0 = np.flatnonzero(zero)
-        with np.errstate(over="ignore", invalid="ignore"):
-            first = fiber_coefficients(m, 1) * kernel_family.terms(
-                Z[z0], Z2[z0], u[z0], 1)
+    # terms past a pair's stop are never used, so they may leave the float
+    # range; the used ones are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, x = kernel_family.bases(Z, Z2, u)
+        if z0.size:
+            # every term past k = 0 vanishes
+            first = fiber_coefficients(m, 1) * kernel_family.table(
+                E[z0], x[z0], 1)
+    if z0.size:
         if not np.isfinite(first).all():
             raise FloatingPointError("a fiber-series partial sum leaves "
                                      "the float range")
         out.value[z0] = first[:, 0]
         out.terms_used[z0] = 1
     active = np.flatnonzero(~zero)
+    E, x = E[active], x[active]
     width = _FIRST_TERMS
-    while active.size and max_terms > 0:
+    while active.size:
         K, pending = kernel_family.usable_terms(min(width, max_terms))
         if K == 0:
             raise pending
@@ -292,50 +346,72 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
             raise ValueError(f"{active.size} pairs x {K} terms exceed the "
                              f"MAX_TERM_TABLE = {MAX_TERM_TABLE} entries of "
                              "one fiber-series pass")
-        a, idx = active, np.arange(K)
-        # terms past a pair's stop are never used, so they may leave the
-        # float range; the used ones are checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            T = fiber_coefficients(m, K) * kernel_family.terms(
-                Z[a], Z2[a], u[a], K)
+            T = fiber_coefficients(m, K) * kernel_family.table(E, x, K)
             sums = np.cumsum(T, axis=1)
             mags = np.abs(T)
             small = mags < tol * np.maximum(np.abs(sums), 1e-300)
-            # |term_k / term_(k-1)| where the previous term is nonzero
-            seen = np.concatenate([np.zeros((len(a), 1), dtype=bool),
-                                   mags[:, :-1] > 0], axis=1)
-            ratios = mags / np.where(seen, np.roll(mags, 1, axis=1), 1.0)
-        # consecutive small terms ending at each index
-        streaks = idx - np.maximum.accumulate(np.where(small, -1, idx), axis=1)
-        stop = streaks >= 5
-        last_seen = np.maximum.accumulate(np.where(seen, idx, -1), axis=1)
-
-        stops = stop.any(axis=1)
-        done = stops | (K == max_terms)
-        last_used = np.where(stops, stop.argmax(axis=1), K - 1)
-        if not np.isfinite(sums[idx <= last_used[:, None]]).all():
+        # a pair stops at the last of its first _STREAK consecutive small
+        # terms
+        if K >= _STREAK:
+            run = small[:, _STREAK - 1:] & small[:, _STREAK - 2:K - 1]
+            for back in range(2, _STREAK):
+                run &= small[:, _STREAK - 1 - back:K - back]
+            stops = run.any(axis=1)
+            last_used = np.where(stops, run.argmax(axis=1) + _STREAK - 1,
+                                 K - 1)
+        else:
+            stops = np.zeros(len(active), dtype=bool)
+            last_used = np.full(len(active), K - 1)
+        # a complex partial sum that leaves the float range stays inf or
+        # NaN, so the last used one is finite exactly when all before it are
+        if not np.isfinite(sums[np.arange(len(active)), last_used]).all():
             raise FloatingPointError("a fiber-series partial sum leaves "
                                      "the float range")
-        d, rows = a[done], np.flatnonzero(done)
+        done = stops | (K == max_terms)
+        rows = np.flatnonzero(done)
         j = last_used[rows]
-        last = last_seen[rows, j]
-        ratio = np.where(last >= 0, ratios[rows, np.maximum(last, 0)], np.nan)
         mag = mags[rows, j]
-        converged = (streaks[rows, j] >= 5) | (mag == 0.0)
+        ratio = _last_ratio(mags, rows, j)
+        converged = stops[rows] | (mag == 0.0)
         tail = np.where(converged, 0.0, np.inf)
         geometric = ratio < 1.0
         tail[geometric] = (mag[geometric] * ratio[geometric]
                            / (1.0 - ratio[geometric]))
+        d = active[rows]
         out.value[d] = sums[rows, j]
         out.terms_used[d] = j + 1
         out.tail_estimate[d] = tail
         out.converged[d] = converged
         out.last_ratio[d] = ratio
-        active = a[~done]
-        if pending is not None and active.size:
+        left = np.flatnonzero(~done)
+        if pending is not None and left.size:
             raise pending
-        width *= 2
+        if left.size:
+            need = _terms_needed(mags[left, -2], mags[left, -1],
+                                 np.abs(sums[left, -1]), K, tol)
+            width = _next_width(width, need, left.size, max_terms)
+        active, E, x = active[left], E[left], x[left]
     return out
+
+
+def _last_ratio(mags: np.ndarray, rows: np.ndarray,
+                j: np.ndarray) -> np.ndarray:
+    """|T_l / T_(l-1)| of each row at the last l <= j whose previous term
+    is nonzero, NaN where there is none."""
+    last = j.copy()
+    gap = np.flatnonzero((j == 0) | (mags[rows, np.maximum(j - 1, 0)] == 0))
+    if gap.size:
+        idx = np.arange(mags.shape[1])
+        nonzero = (mags[rows[gap]] > 0) & (idx < j[gap, None])
+        before = np.max(np.where(nonzero, idx, -1), axis=1)
+        last[gap] = np.where(before >= 0, before + 1, -1)
+    ratio = np.full(len(rows), np.nan)
+    seen = np.flatnonzero(last >= 0)
+    r, l = rows[seen], last[seen]
+    with np.errstate(over="ignore"):
+        ratio[seen] = mags[r, l] / mags[r, l - 1]
+    return ratio
 
 
 def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,

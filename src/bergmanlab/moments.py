@@ -151,11 +151,20 @@ class RadialGram:
     def diagonal(self) -> np.ndarray:
         """G[alpha][alpha] = pi^n alpha!/(|alpha|+n-1)! * R_{|alpha|+n-1}
         in grlex order, read-only; an entry that overflows is refused by
-        name."""
-        n, R = self.domain.dim, self.moments
+        name.  The shell factor depends on the multiset of alpha only and
+        is formed once per multiset."""
+        n = self.domain.dim
+        factors: dict[tuple[int, ...], float] = {}
+        shell, top = [], []
+        for a in self.index_map:
+            key = tuple(sorted(a))
+            factor = factors.get(key)
+            if factor is None:
+                factor = factors[key] = _shell_factor(a)
+            shell.append(factor)
+            top.append(sum(a) + n - 1)
         with np.errstate(over="ignore"):   # refused by name below
-            diagonal = np.array([_shell_factor(a) * R[sum(a) + n - 1]
-                                 for a in self.index_map], dtype=float)
+            diagonal = np.array(shell) * np.asarray(self.moments)[top]
         outside = ~np.isfinite(diagonal)
         if outside.any():
             j = int(np.argmax(outside))

@@ -322,6 +322,35 @@ def test_frc_check_at_m_169_keeps_its_partial_sum_refusal(capsys):
     assert err == "error: a fiber-series partial sum leaves the float range\n"
 
 
+# characterizations whose only sample point is the origin, where c is fitted
+ORIGIN_ONLY = [
+    (["characterize-ch", "--domain", "disk", "--weight", "poly:1,-0.5",
+      "--degree", "8", "--rmax", "0", "--npts", "5"], "rmax"),
+    (["characterize-ch", "--domain", "disk", "--weight", "poly:1,-0.5",
+      "--degree", "8", "--npts", "1"], "npts"),
+    (["characterize-fbh", "--n", "1", "--weight", "gaussian:1", "--mu", "2",
+      "--degree", "8", "--rmax", "0"], "rmax"),
+    (["characterize-fbh", "--n", "1", "--weight", "gaussian:1", "--mu", "2",
+      "--degree", "8", "--npts", "1"], "npts"),
+]
+
+
+@pytest.mark.parametrize("argv,key", ORIGIN_ONLY,
+                         ids=[f"{a[0]}-{k}" for a, k in ORIGIN_ONLY])
+def test_a_characterization_at_the_origin_alone_is_refused(capsys, argv,
+                                                           key):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"error: {key} = [^\n]*origin, where c is fitted"
+                        rf"[^\n]*; {key} must be [^\n]*\n", err)
+
+
+def test_two_sample_points_still_give_a_verdict(capsys):
+    code, out, err = run_cli(ORIGIN_ONLY[1][0][:-1] + ["2"], capsys)
+    assert code == 1 and err == ""
+    assert json.loads(out)["verdict"] == "mismatch"
+
+
 # counts past what one draw or one verdict grid may hold
 OVERSIZED_COUNTS = [
     (["frc-check", "--pairs", "1000000000"], "pairs"),

@@ -15,9 +15,10 @@ import pytest
 import bergmanlab as bl
 from bergmanlab import automorphisms as am
 from bergmanlab import cli, hartogs, kernels
-from bergmanlab.core import hermitian_inner
+from bergmanlab.core import hermitian_inner, sample_ball
 from bergmanlab.hartogs import (
     ClosedFormFamily,
+    FrcPairs,
     HartogsDomain,
     fiber_coefficients,
     frc_eval_pairs,
@@ -188,9 +189,12 @@ class _LeavesFloatRange:
     def usable_terms(self, K):
         return K, None
 
-    def terms(self, Z, Z2, u, K):
+    def bases(self, Z, Z2, u):
+        return np.ones(len(u)), u
+
+    def table(self, E, x, K):
         k = np.arange(K)
-        return np.where(k < 8, u[:, None] ** k, np.inf)
+        return np.where(k < 8, x[:, None] ** k, np.inf)
 
 
 def test_only_used_terms_must_stay_in_float_range():
@@ -216,6 +220,101 @@ def test_pairs_need_as_many_points_on_each_side():
         frc_eval_pairs(domain, (Z, ZETA), (Z2[:3], ZETA2[:3]), family)
 
 
+def _frc_check_pairs(m, count, seed):
+    """count pairs drawn as frc-check draws them, and 20 restriction pairs
+    of base points with zero fibers."""
+    rng = np.random.default_rng(seed)
+    z = sample_ball(rng, 1, 0.9, 2 * count).reshape(count, 2)
+    ratio = 0.7 * rng.random((count, 2))
+    phase = np.exp(2j * np.pi * rng.random((count, 2 * m))).reshape(count, 2, m)
+    zeta = ((ratio * np.sqrt(1.0 - np.abs(z) ** 2))[:, :, None] * phase
+            / math.sqrt(m))
+    rest = sample_ball(rng, 1, 0.5, 40).reshape(20, 2)
+    zeros = np.zeros((20, m), dtype=complex)
+    return ((z[:, :1], zeta[:, 0]), (z[:, 1:], zeta[:, 1]),
+            (rest[:, :1], zeros), (rest[:, 1:], zeros))
+
+
+def _bits(res):
+    return [field.tobytes() for field in (res.value, res.terms_used,
+                                          res.tail_estimate, res.converged,
+                                          res.last_ratio)]
+
+
+def _joined(*parts):
+    return FrcPairs(*(np.concatenate(fields)
+                      for fields in zip(*(vars(p).values() for p in parts))))
+
+
+@pytest.mark.parametrize("max_terms", [1, 2, 5, 16, 17, 33, 200])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_appended_zero_fiber_rows_sum_as_in_their_own_call(m, max_terms):
+    """Pairs with zero-fiber rows appended give, field for field and bit
+    for bit, what the pairs alone and the zero-fiber rows alone give."""
+    H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), m)
+    family = ClosedFormFamily(H)
+    (Z, ZETA), (Z2, ZETA2), rest, rest2 = _frc_check_pairs(m, 60, seed=m)
+    both = frc_eval_pairs(H, (np.concatenate([Z, rest[0]]),
+                              np.concatenate([ZETA, rest[1]])),
+                          (np.concatenate([Z2, rest2[0]]),
+                           np.concatenate([ZETA2, rest2[1]])),
+                          family, max_terms, 1e-14)
+    alone = frc_eval_pairs(H, (Z, ZETA), (Z2, ZETA2), family, max_terms, 1e-14)
+    zero = frc_eval_pairs(H, rest, rest2, family)
+    assert _bits(both) == _bits(_joined(alone, zero))
+    assert both.terms_used[60:].tolist() == [1] * 20
+
+
+@pytest.mark.parametrize("max_terms", [1, 2, 5, 16, 17, 33, 200])
+@pytest.mark.parametrize("name", CASES)
+def test_sized_passes_give_what_doubling_gives(name, max_terms, monkeypatch):
+    domain, family = _case(name)
+    points, points2 = _pairs(domain, 40, seed=CASES.index(name))
+    sized = frc_eval_pairs(domain, points, points2, family, max_terms, 1e-14)
+    monkeypatch.setattr(hartogs, "_next_width", lambda width, *_: 2 * width)
+    doubled = frc_eval_pairs(domain, points, points2, family, max_terms,
+                             1e-14)
+    assert _bits(sized) == _bits(doubled)
+
+
+def test_sizing_saves_passes_but_no_refusal(monkeypatch):
+    """The frc-check draw needs about 40 terms: doubling takes passes of
+    16, 32 and 64 terms, the sized passes 16 and 64.  Under any table
+    limit the sized passes refuse exactly what doubling refuses, with the
+    same message, and otherwise give the same bits."""
+    H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), 1)
+    family = ClosedFormFamily(H)
+    points, points2, _, _ = _frc_check_pairs(1, 30, seed=4)
+    widths = []
+    table = ClosedFormFamily.table
+
+    def recording(family, E, x, K):
+        widths.append(K)
+        return table(family, E, x, K)
+
+    def outcome():
+        try:
+            return _bits(frc_eval_pairs(H, points, points2, family, 200,
+                                        1e-14))
+        except ValueError as exc:
+            return str(exc)
+
+    monkeypatch.setattr(ClosedFormFamily, "table", recording)
+    sized = outcome()
+    assert widths == [16, 64]
+    outcomes = []
+    for limit in range(16 * 30, 64 * 30 + 1, 16):
+        monkeypatch.setattr(hartogs, "MAX_TERM_TABLE", limit)
+        outcomes.append(outcome())
+    monkeypatch.setattr(hartogs, "_next_width", lambda width, *_: 2 * width)
+    widths.clear()
+    assert outcome() == sized and widths == [16, 32, 64]
+    for i, limit in enumerate(range(16 * 30, 64 * 30 + 1, 16)):
+        monkeypatch.setattr(hartogs, "MAX_TERM_TABLE", limit)
+        assert outcome() == outcomes[i], limit
+    assert {type(o) for o in outcomes} == {str, list}
+
+
 # ---------------------------------------------------------------------------
 # the closed-form term table
 
@@ -227,7 +326,7 @@ def test_closed_form_table_matches_per_term_models(name):
     (Z, ZETA), (Z2, ZETA2) = _pairs(domain, 12, seed=CASES.index(name))
     m, K = domain.fiber_dim, 24
     u = hermitian_inner(ZETA, ZETA2)
-    got = fiber_coefficients(m, K) * family.terms(Z, Z2, u, K)
+    got = fiber_coefficients(m, K) * family.table(*family.bases(Z, Z2, u), K)
     for k in range(K):
         model = kernels.weighted_kernel_closed_form(domain.weight.pow(k + m))
         want = (math.pi ** -m * math.perm(k + m, m)
@@ -419,8 +518,8 @@ def test_frc_check_makes_no_scalar_kernel_call(monkeypatch, capsys):
     for pairs in ("10", "50"):
         series.clear()
         assert cli.main(["frc-check", "--m", "2", "--pairs", pairs]) == 0
-        # one call sums every pair, one every zero-fiber restriction pair
-        assert len(series) == 2
+        # one call sums every pair and every zero-fiber restriction pair
+        assert len(series) == 1
     assert power == []
     capsys.readouterr()
 
@@ -428,25 +527,26 @@ def test_frc_check_makes_no_scalar_kernel_call(monkeypatch, capsys):
 def test_frc_check_builds_no_kernel_per_term(monkeypatch, capsys):
     """The family's constructor builds the k = 0 model, which fails fast
     for a weight without closed kernels; every other term comes from the
-    table, and the 20 zero-fiber restriction pairs take one column of it."""
+    tables, and the 20 zero-fiber restriction pairs take a one-column
+    table of their own before the passes."""
     built = []
     for owner in (kernels, hartogs, cli):
         built.append(_count_calls(monkeypatch, owner,
                                   "weighted_kernel_closed_form"))
-    tables = []
-    terms = ClosedFormFamily.terms
+    tables, bases = [], _count_calls(monkeypatch, ClosedFormFamily, "bases")
+    table = ClosedFormFamily.table
 
-    def recording(family, Z, Z2, u, K):
-        tables.append((len(Z), K))
-        return terms(family, Z, Z2, u, K)
+    def recording(family, E, x, K):
+        tables.append((len(E), K))
+        return table(family, E, x, K)
 
-    monkeypatch.setattr(ClosedFormFamily, "terms", recording)
+    monkeypatch.setattr(ClosedFormFamily, "table", recording)
     for argv in (["frc-check"], ["frc-check", "--m", "3", "--pairs", "200"]):
-        for calls in built + [tables]:
+        for calls in built + [tables, bases]:
             calls.clear()
         assert cli.main(argv) == 0
         assert sum(map(len, built)) <= 1
-        assert tables[-1] == (20, 1)
+        assert tables[0] == (20, 1) and len(bases) == 1
     capsys.readouterr()
 
 

@@ -364,12 +364,17 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
     Tests K_{q^m}(z, w) = c * N(z, w)^(-m mu - g) on a seeded sample of the
     bounded base, with the diagonal power law
     K(z0, z0) = K(0, 0) N(z0, z0)^(-m mu - g) reported as a named sub-check.
+    rmax >= 1 is refused before the Gram is formed.
     """
     base = q.base
     if base.kind is not DomainKind.UNIT_BALL:
         raise ValueError("the generic-norm characterization needs disk/ball")
     if m < 1 or mu <= 0:
         raise ValueError("need m >= 1 and mu > 0")
+    if not rmax < 1:
+        raise ValueError(f"rmax = {rmax!r} lets sample points reach the "
+                         "boundary of the unit ball, where the kernels blow "
+                         "up, or leave it; rmax must be < 1")
     series = kernel_from_gram(gram_auto(q.pow(m), degree))
     reference = PowerKernel(base, m * mu)
     points = _sample_points(base.dim, rmax, npts, seed)

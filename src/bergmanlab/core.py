@@ -226,18 +226,60 @@ def sample_cube(rng, n: int, radius: float, count: int) -> np.ndarray:
     return c[:, 0] + 1j * c[:, 1]
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """The row sums of a (k, L) float array, L >= 1, bit for bit those of
+    ``np.add.reduce(x, axis=1)``, added a column at a time.
+
+    numpy enters its inner loop once per row, about 20 ns each, which is
+    the whole cost for rows of a few entries; a column is one call over
+    all k rows.  The order is numpy's: below 8 entries 0.0 + x_0, then the
+    others left to right; at 8, ((x_0 + x_1) + (x_2 + x_3)) +
+    ((x_4 + x_5) + (x_6 + x_7)) added to the 0.0 the output starts from.
+    Past 8 entries the columns are no faster than numpy's own loop, and
+    the rows go to it."""
+    L = x.shape[1]
+    if L > 8:
+        return np.add.reduce(x, axis=1)
+    if L == 8:
+        r = x[:, 0::2] + x[:, 1::2]
+        r = r[:, 0::2] + r[:, 1::2]
+        s = r[:, 0] + r[:, 1]
+        s += 0.0
+        return s
+    s = 0.0 + x[:, 0]
+    for j in range(1, L):
+        s += x[:, j]
+    return s
+
+
 def sample_ball_polar(rng, n: int, radius: float, count: int) -> np.ndarray:
     """count points drawn uniformly from the closed ball of the given radius
     in C^n, as a (count, n) array: a normal direction in R^(2n), real parts
     first, scaled to the radius radius * U^(1/(2n))."""
     _check_draw(count)
     g = rng.standard_normal((count, 2 * n))
-    # the row sums of squares np.linalg.norm takes, in its order
-    g /= np.sqrt(np.add.reduce(g * g, axis=1))[:, None]
-    scale = (radius * rng.random(count) ** (1.0 / (2 * n)))[:, None]
+    # the row norms np.linalg.norm takes, in its order
+    norm = np.sqrt(_row_sums(g * g))
+    # each coordinate is (g / norm) * scale.  Rows this short cost numpy a
+    # loop entry each, so they go a column at a time; the direction is
+    # freed before the scale is drawn, so the draw holds no more at once
+    # than g, its squares and the points
     pts = np.empty((count, n), dtype=complex)
-    np.multiply(g[:, :n], scale, out=pts.real)
-    np.multiply(g[:, n:], scale, out=pts.imag)
+    parts = (pts.real, pts.imag)
+    if n < 4:
+        for j in range(2 * n):
+            np.divide(g[:, j], norm, out=parts[j // n][:, j % n])
+    else:
+        np.divide(g[:, :n], norm[:, None], out=parts[0])
+        np.divide(g[:, n:], norm[:, None], out=parts[1])
+    del g, norm
+    scale = radius * rng.random(count) ** (1.0 / (2 * n))
+    xy = pts.view(float)
+    if n < 4:
+        for col in xy.T:
+            col *= scale
+    else:
+        xy *= scale[:, None]
     return pts
 
 
@@ -589,10 +631,17 @@ def weight_eval(weight: Weight, z):
     base form is evaluated and checked before the power and the scale are
     applied; a value beyond the float range raises.
     """
-    base, form = weight.base, weight.form
-    Z, one = as_point_rows(z, base.dim)
-    if (contains(base, Z) >= 0).any():
+    Z, one = as_point_rows(z, weight.base.dim)
+    if (contains(weight.base, Z) >= 0).any():
         raise ValueError("point outside the open base domain")
+    out = _weight_rows(weight, Z)
+    return float(out[0]) if one else out
+
+
+def _weight_rows(weight: Weight, Z: np.ndarray) -> np.ndarray:
+    """``weight_eval`` at (k, dim) rows already validated and checked to
+    lie in the open base domain."""
+    base, form = weight.base, weight.form
     if base.kind is DomainKind.TYPE_I_MATRIX_BALL:
         if not isinstance(form, GenericNormPower):
             raise ValueError("type-I weights are evaluated for generic-norm "
@@ -608,7 +657,7 @@ def weight_eval(weight: Weight, z):
     if not np.isfinite(out).all():
         raise ValueError(f"weight value overflows at scale {weight.scale!r} "
                          f"and power {weight.power_exponent}")
-    return float(out[0]) if one else out
+    return out
 
 
 def weight_radial_fn(weight: Weight):

@@ -42,13 +42,13 @@ from .core import (
     DomainSpec,
     GaussianPower,
     Weight,
+    _weight_rows,
     as_point_rows,
     as_points,
     contains,
     generic_norm_factors,
     hermitian_inner,
     principal_log,
-    weight_eval,
 )
 from .kernels import KernelModel, kernel_from_gram, weighted_kernel_closed_form
 from .moments import gram_auto
@@ -81,7 +81,7 @@ def hartogs_contains(domain: HartogsDomain, z, zeta):
     ZETA, _ = as_point_rows(zeta, domain.fiber_dim)
     if (contains(domain.base, Z) >= 0).any():
         raise ValueError("base point outside the open base domain")
-    defect = np.sum(np.abs(ZETA) ** 2, axis=1) - weight_eval(domain.weight, Z)
+    defect = np.sum(np.abs(ZETA) ** 2, axis=1) - _weight_rows(domain.weight, Z)
     return float(defect[0]) if one else defect
 
 

@@ -60,6 +60,7 @@ from .core import (
     PolynomialRadial,
     RadialProfile,
     Weight,
+    _row_sums,
     full_space,
     matrix_ball,
     multiindex_enumerate,
@@ -670,7 +671,7 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
                 np.multiply(rng.standard_normal((m, n)), c, out=pts.real)
                 np.multiply(rng.standard_normal((m, n)), c, out=pts.imag)
             re_im = pts.view(float)
-            t = np.add.reduce(re_im * re_im, axis=1)
+            t = _row_sums(re_im * re_im)
             dens = 1.0 / _ball_volume(n) if domain.bounded else \
                 np.exp(-t / sigma2) / (math.pi * sigma2) ** n
             f = wfun(t) / dens

@@ -345,6 +345,35 @@ def test_a_characterization_at_the_origin_alone_is_refused(capsys, argv,
                         rf"[^\n]*; {key} must be [^\n]*\n", err)
 
 
+@pytest.mark.parametrize("domain", ["disk", "ball:2"])
+@pytest.mark.parametrize("rmax", ["1", "1.0", "1.5", "1e300"])
+def test_a_characterization_past_the_unit_ball_is_refused(capsys, domain,
+                                                           rmax, monkeypatch):
+    # the draws would reach the boundary, where the kernels blow up, or
+    # leave the ball; refused before a point is drawn
+    from bergmanlab import characterize
+
+    def no_draw(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(characterize, "sample_ball", no_draw)
+    code, out, err = run_cli(["characterize-ch", "--domain", domain,
+                              "--weight", "npower:1", "--degree", "8",
+                              "--rmax", rmax, "--npts", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: rmax = {re.escape(repr(float(rmax)))} lets "
+                        r"sample points reach the boundary of the unit "
+                        r"ball[^\n]*; rmax must be < 1\n", err)
+
+
+def test_a_radius_just_inside_the_unit_ball_still_gives_a_verdict(capsys):
+    code, out, err = run_cli(["characterize-ch", "--domain", "disk",
+                              "--weight", "npower:1", "--degree", "8",
+                              "--rmax", "0.999", "--npts", "5"], capsys)
+    assert code == 1 and err == ""
+    assert json.loads(out)["verdict"] == "mismatch"
+
+
 def test_two_sample_points_still_give_a_verdict(capsys):
     code, out, err = run_cli(ORIGIN_ONLY[1][0][:-1] + ["2"], capsys)
     assert code == 1 and err == ""

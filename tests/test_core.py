@@ -7,8 +7,8 @@ from scipy.integrate import quad, dblquad
 
 import bergmanlab as bl
 from bergmanlab.cli import parse_domain
-from bergmanlab.core import (MAX_POINTS, hermitian_inner, sample_ball,
-                             sample_ball_polar, weight_radial_fn)
+from bergmanlab.core import (MAX_POINTS, _row_sums, hermitian_inner,
+                             sample_ball, sample_ball_polar, weight_radial_fn)
 from bergmanlab.moments import domain_from_json, domain_to_json
 
 from conftest import interior_ball_points, interior_disk_points, monomial_rows
@@ -369,6 +369,37 @@ class TestRadialProfileCsv:
                            "t,value\n0,1\n0.2,1\n0.4,1\n0.6,1\n")
         with pytest.raises(ValueError, match="cover"):
             bl.load_radial_profile(path)
+
+
+class TestRowSums:
+    """Column-wise row sums in numpy's own order: the same bits as
+    ``np.add.reduce(x, axis=1)``, which sums each row on its own."""
+
+    @pytest.mark.parametrize("width", range(1, 41))
+    def test_bit_for_bit_numpy_row_sums(self, width):
+        rng = np.random.default_rng(width)
+        for rows in (0, 1, 2, 7, 300, 5000):
+            # magnitudes 10^-6 .. 10^6 make the order of the additions
+            # show in the last bits, and signed zeros in the sign of a zero
+            x = rng.standard_normal((rows, width)) \
+                * 10.0 ** rng.integers(-6, 7, (rows, width))
+            x[rng.random((rows, width)) < 0.1] = -0.0
+            x[::3] = -0.0
+            x[1::5, ::2] = 0.0
+            want = np.add.reduce(x, axis=1)
+            assert _row_sums(x).tobytes() == want.tobytes()
+            assert _row_sums(x * x).tobytes() == \
+                np.add.reduce(x * x, axis=1).tobytes()
+
+    def test_at_eight_columns_the_order_is_not_left_to_right(self):
+        # numpy's eight partial sums round apart from a plain running sum
+        x = np.random.default_rng(8).standard_normal((20_000, 8))
+        plain = x[:, 0].copy()
+        for j in range(1, 8):
+            plain += x[:, j]
+        want = np.add.reduce(x, axis=1)
+        assert plain.tobytes() != want.tobytes()
+        assert _row_sums(x).tobytes() == want.tobytes()
 
 
 class TestSampleBall:

@@ -524,6 +524,28 @@ def test_frc_check_makes_no_scalar_kernel_call(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_frc_eval_pairs_checks_each_side_in_its_base_once(m, monkeypatch):
+    # hartogs_contains tests the base once per side and evaluates the
+    # weight on the rows it has checked
+    from bergmanlab import core
+    calls = []
+    original = core.contains
+
+    def counting(domain, z):
+        calls.append(len(z))
+        return original(domain, z)
+
+    monkeypatch.setattr(core, "contains", counting)
+    monkeypatch.setattr(hartogs, "contains", counting)
+    H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), m)
+    rng = np.random.default_rng(m)
+    Z, Z2 = sample_ball(rng, 1, 0.5, 30), sample_ball(rng, 1, 0.5, 30)
+    ZETA, ZETA2 = sample_ball(rng, m, 0.3, 30), sample_ball(rng, m, 0.3, 30)
+    frc_eval_pairs(H, (Z, ZETA), (Z2, ZETA2), ClosedFormFamily(H))
+    assert calls == [30, 30]
+
+
 def test_frc_check_builds_no_kernel_per_term(monkeypatch, capsys):
     """The family's constructor builds the k = 0 model, which fails fast
     for a weight without closed kernels; every other term comes from the

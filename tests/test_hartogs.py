@@ -47,6 +47,17 @@ class TestContains:
         with pytest.raises(ValueError):
             hartogs_contains(disk_hartogs(), [1.5], [0.0])
 
+    @pytest.mark.parametrize("H", [disk_hartogs(mu=1.5, m=2), fbh(n=2, m=1)],
+                             ids=["disk", "fbh"])
+    def test_rows_keep_the_bits_of_weight_eval(self, H):
+        rng = np.random.default_rng(3)
+        n, m = H.base.dim, H.fiber_dim
+        Z = rng.uniform(-0.4, 0.4, (50, n)) + 1j * rng.uniform(-0.4, 0.4, (50, n))
+        ZETA = rng.uniform(-0.2, 0.2, (50, m)) + 0j
+        want = np.sum(np.abs(ZETA) ** 2, axis=1) - bl.weight_eval(H.weight, Z)
+        assert hartogs_contains(H, Z, ZETA).tobytes() == want.tobytes()
+        assert hartogs_contains(H, Z[7], ZETA[7]) == want[7]
+
     def test_strictly_increasing_in_fiber_norm(self):
         H = fbh(m=2)
         rs = np.linspace(0.0, 1.2, 25)

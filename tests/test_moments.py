@@ -365,6 +365,35 @@ class TestGramMonteCarlo:
         assert G.size == 231
         assert peak <= budget + 8 * 2 ** 20
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("bounded", [True, False],
+                             ids=["ball", "full-space"])
+    def test_t_is_the_numpy_row_sum_of_squares(self, n, bounded,
+                                                monkeypatch):
+        # t = |z|^2 is summed by columns, and must keep the bits of
+        # np.add.reduce over each draw's real and imaginary parts
+        domain = bl.unit_ball(n) if bounded else bl.full_space(n)
+        weight = (bl.generic_norm_weight(domain, 1.5) if bounded
+                  else bl.gaussian_weight(n, 1.5))
+        points, ts = [], []
+        weighted_rows = moments._weighted_rows
+        radial_fn = moments.weight_radial_fn
+
+        def record_points(plan, pts, *args):
+            points.append(pts.copy())
+            return weighted_rows(plan, pts, *args)
+
+        def record_t(w):
+            fn = radial_fn(w)
+            return lambda t: (ts.append(t.copy()), fn(t))[1]
+
+        monkeypatch.setattr(moments, "_weighted_rows", record_points)
+        monkeypatch.setattr(moments, "weight_radial_fn", record_t)
+        bl.gram_montecarlo(domain, weight, 2, 3_001, seed=n, stderr=False)
+        x = np.concatenate(points).view(float)
+        assert np.concatenate(ts).tobytes() == \
+            np.add.reduce(x * x, axis=1).tobytes()
+
     def test_deterministic_given_seed(self):
         a = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
                                50_000, seed=9)

@@ -14,7 +14,7 @@ import pytest
 
 import bergmanlab as bl
 from bergmanlab import automorphisms as am
-from bergmanlab import cli, hartogs, kernels
+from bergmanlab import cli, core, hartogs, kernels
 from bergmanlab.core import hermitian_inner, sample_ball
 from bergmanlab.hartogs import (
     ClosedFormFamily,
@@ -528,7 +528,6 @@ def test_frc_check_makes_no_scalar_kernel_call(monkeypatch, capsys):
 def test_frc_eval_pairs_checks_each_side_in_its_base_once(m, monkeypatch):
     # hartogs_contains tests the base once per side and evaluates the
     # weight on the rows it has checked
-    from bergmanlab import core
     calls = []
     original = core.contains
 

@@ -228,24 +228,16 @@ def sample_cube(rng, n: int, radius: float, count: int) -> np.ndarray:
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """The row sums of a (k, L) float array, L >= 1, bit for bit those of
-    ``np.add.reduce(x, axis=1)``, added a column at a time.
+    ``np.add.reduce(x, axis=1)``.
 
     numpy enters its inner loop once per row, about 20 ns each, which is
     the whole cost for rows of a few entries; a column is one call over
-    all k rows.  The order is numpy's: below 8 entries 0.0 + x_0, then the
-    others left to right; at 8, ((x_0 + x_1) + (x_2 + x_3)) +
-    ((x_4 + x_5) + (x_6 + x_7)) added to the 0.0 the output starts from.
-    Past 8 entries the columns are no faster than numpy's own loop, and
-    the rows go to it."""
+    all k rows.  Below 8 entries numpy adds 0.0 + x_0, then the others
+    left to right, and so do the columns here; from 8 entries numpy sums
+    pairwise, and the rows go to it."""
     L = x.shape[1]
-    if L > 8:
+    if L >= 8:
         return np.add.reduce(x, axis=1)
-    if L == 8:
-        r = x[:, 0::2] + x[:, 1::2]
-        r = r[:, 0::2] + r[:, 1::2]
-        s = r[:, 0] + r[:, 1]
-        s += 0.0
-        return s
     s = 0.0 + x[:, 0]
     for j in range(1, L):
         s += x[:, j]
@@ -260,26 +252,16 @@ def sample_ball_polar(rng, n: int, radius: float, count: int) -> np.ndarray:
     g = rng.standard_normal((count, 2 * n))
     # the row norms np.linalg.norm takes, in its order
     norm = np.sqrt(_row_sums(g * g))
-    # each coordinate is (g / norm) * scale.  Rows this short cost numpy a
-    # loop entry each, so they go a column at a time; the direction is
-    # freed before the scale is drawn, so the draw holds no more at once
-    # than g, its squares and the points
+    # each coordinate is (g / norm) * scale, a column at a time; the
+    # direction is freed before the scale is drawn
     pts = np.empty((count, n), dtype=complex)
     parts = (pts.real, pts.imag)
-    if n < 4:
-        for j in range(2 * n):
-            np.divide(g[:, j], norm, out=parts[j // n][:, j % n])
-    else:
-        np.divide(g[:, :n], norm[:, None], out=parts[0])
-        np.divide(g[:, n:], norm[:, None], out=parts[1])
+    for j in range(2 * n):
+        np.divide(g[:, j], norm, out=parts[j // n][:, j % n])
     del g, norm
     scale = radius * rng.random(count) ** (1.0 / (2 * n))
-    xy = pts.view(float)
-    if n < 4:
-        for col in xy.T:
-            col *= scale
-    else:
-        xy *= scale[:, None]
+    for col in pts.view(float).T:
+        col *= scale
     return pts
 
 

@@ -391,16 +391,6 @@ class TestRowSums:
             assert _row_sums(x * x).tobytes() == \
                 np.add.reduce(x * x, axis=1).tobytes()
 
-    def test_at_eight_columns_the_order_is_not_left_to_right(self):
-        # numpy's eight partial sums round apart from a plain running sum
-        x = np.random.default_rng(8).standard_normal((20_000, 8))
-        plain = x[:, 0].copy()
-        for j in range(1, 8):
-            plain += x[:, j]
-        want = np.add.reduce(x, axis=1)
-        assert plain.tobytes() != want.tobytes()
-        assert _row_sums(x).tobytes() == want.tobytes()
-
 
 class TestSampleBall:
     @pytest.mark.parametrize("n", [2, 3, 5])

@@ -44,7 +44,7 @@ _EXPORTS = {
         "zero_preimage"),
     "characterize": (
         "BoundaryReport", "CharacterizationReport", "FamilyConditionReport",
-        "MomentTable", "RecoveredWeight", "boundary_inequality_check",
+        "RecoveredWeight", "boundary_inequality_check",
         "characterize_ch", "characterize_fbh", "family_condition_check",
         "moment_mismatch", "moment_table", "recover_weight"),
 }

@@ -65,21 +65,13 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # moment tables and mismatch
 
-@dataclass
-class MomentTable:
-    weight: Weight
-    degree: int
-    moments: RadialGram
-    mass: float
-
-
-def moment_table(weight: Weight, degree: int) -> MomentTable:
-    """Gram matrix of the weight, closed-form when available."""
+def moment_table(weight: Weight, degree: int) -> RadialGram:
+    """Gram matrix of the weight, closed-form when available; a weight of
+    non-positive mass is refused."""
     gram = gram_auto(weight, degree)
-    mass = float(gram.diagonal[0])
-    if mass <= 0:
+    if gram.diagonal[0] <= 0:
         raise ValueError("weight has non-positive mass")
-    return MomentTable(weight, degree, gram, mass)
+    return gram
 
 
 @dataclass
@@ -107,7 +99,7 @@ def moment_mismatch(w1: Weight, w2: Weight, degree: int) -> MismatchResult:
         raise ValueError("weights live on different base domains")
     t1 = moment_table(w1, degree)
     t2 = moment_table(w2, degree)
-    diff = t1.moments.diagonal - t2.moments.diagonal
+    diff = t1.diagonal - t2.diagonal
     return MismatchResult(diff, float(np.linalg.norm(diff)),
                           float(np.max(np.abs(diff))), degree)
 
@@ -167,7 +159,7 @@ def _legendre_to_monomial(coeffs: np.ndarray) -> np.ndarray:
 _CONDITION_LIMIT = 1e12
 
 
-def recover_weight(table: MomentTable, ridge: float = 0.0) -> RecoveredWeight:
+def recover_weight(table: RadialGram, ridge: float = 0.0) -> RecoveredWeight:
     """Invert the diagonal (radial) moment sequence m_k = <z^k, z^k>.
 
     One complex variable only.  The profile is expanded in the base's own
@@ -176,13 +168,13 @@ def recover_weight(table: MomentTable, ridge: float = 0.0) -> RecoveredWeight:
     with optional ridge damping; with ridge = 0 a well-conditioned system
     reproduces polynomial profiles of degree <= d exactly.
     """
-    base = table.weight.base
+    base = table.domain
     if base.dim != 1:
         raise ValueError("radial moment recovery is wired for n = 1")
     basis = "shifted_legendre" if base.bounded else "laguerre"
 
     d = table.degree
-    m = table.moments.diagonal
+    m = table.diagonal
     A = (_design_shifted_legendre(d) if basis == "shifted_legendre"
          else _design_laguerre(d))
     cond = float(np.linalg.cond(A))

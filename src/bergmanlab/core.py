@@ -430,14 +430,18 @@ def contains(domain: DomainSpec, z):
     positive outside.  The full space contains everything (defect -1).
     One point gives a float, (k, dim) rows of points k defects."""
     Z, one = as_point_rows(z, domain.dim)
-    if domain.kind is DomainKind.FULL_SPACE:
-        defect = np.full(len(Z), -1.0)
-    elif domain.kind is DomainKind.UNIT_BALL:
-        defect = np.sum(np.abs(Z) ** 2, axis=1) - 1.0
-    else:
-        smax = np.linalg.svd(_as_matrix(domain, Z), compute_uv=False)[:, 0]
-        defect = smax ** 2 - 1.0
+    defect = _contains_rows(domain, Z)
     return float(defect[0]) if one else defect
+
+
+def _contains_rows(domain: DomainSpec, Z: np.ndarray) -> np.ndarray:
+    """``contains`` at (k, dim) rows already validated."""
+    if domain.kind is DomainKind.FULL_SPACE:
+        return np.full(len(Z), -1.0)
+    if domain.kind is DomainKind.UNIT_BALL:
+        return np.sum(np.abs(Z) ** 2, axis=1) - 1.0
+    smax = np.linalg.svd(_as_matrix(domain, Z), compute_uv=False)[:, 0]
+    return smax ** 2 - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +618,7 @@ def weight_eval(weight: Weight, z):
     applied; a value beyond the float range raises.
     """
     Z, one = as_point_rows(z, weight.base.dim)
-    if (contains(weight.base, Z) >= 0).any():
+    if (_contains_rows(weight.base, Z) >= 0).any():
         raise ValueError("point outside the open base domain")
     out = _weight_rows(weight, Z)
     return float(out[0]) if one else out

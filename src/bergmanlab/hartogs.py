@@ -15,8 +15,9 @@ and restricting both fiber variables to zero leaves only the k = 0 term,
 
 The series is summed over arrays of point pairs, with a per-pair stop rule
 and geometric tail estimate; a pair with <zeta, zeta'> = 0 is its k = 0
-term and enters no pass.  A pass is one table of terms, from a family of
-weighted kernels K_{D, p^(k+m)}, over the pairs that have not yet stopped.
+term and stops there, in the first pass.  A pass is one table of terms,
+from a family of weighted kernels K_{D, p^(k+m)}, over the pairs that have
+not yet stopped.
 Where the kernels have closed forms, every term is
 C_k exp(a_k L(z, z')) <zeta, zeta'>^k with a_k = a_0 + mu k, so the table
 is geometric,
@@ -42,10 +43,10 @@ from .core import (
     DomainSpec,
     GaussianPower,
     Weight,
+    _contains_rows,
     _weight_rows,
     as_point_rows,
     as_points,
-    contains,
     generic_norm_factors,
     hermitian_inner,
     principal_log,
@@ -79,23 +80,28 @@ def hartogs_contains(domain: HartogsDomain, z, zeta):
     """
     Z, one = as_point_rows(z, domain.base.dim)
     ZETA, _ = as_point_rows(zeta, domain.fiber_dim)
-    if (contains(domain.base, Z) >= 0).any():
-        raise ValueError("base point outside the open base domain")
-    defect = np.sum(np.abs(ZETA) ** 2, axis=1) - _weight_rows(domain.weight, Z)
+    defect = _hartogs_contains_rows(domain, Z, ZETA)
     return float(defect[0]) if one else defect
+
+
+def _hartogs_contains_rows(domain: HartogsDomain, Z: np.ndarray,
+                           ZETA: np.ndarray) -> np.ndarray:
+    """``hartogs_contains`` at (k, n) and (k, m) rows already validated."""
+    if (_contains_rows(domain.base, Z) >= 0).any():
+        raise ValueError("base point outside the open base domain")
+    return np.sum(np.abs(ZETA) ** 2, axis=1) - _weight_rows(domain.weight, Z)
 
 
 # ---------------------------------------------------------------------------
 # weighted-kernel families K_{D, p^(k+m)}
 #
-# A family maps k to a kernel model, the per-term model, and evaluates the
-# first K terms over pairs as one table in two steps: ``bases(Z, Z2, u)``
-# gives each pair's base (E, x), and ``table(E, x, K)`` turns bases into
-# the terms K_k(z_i, z'_i) u_i^k, with shape (len(E), K).  Entry (i, k)
-# depends on base i alone and is the same for every K > k, so the bases of
-# all pairs are formed once and each pass tabulates a slice of them.
-# ``usable_terms(K)`` says how many of the first K terms can be formed, and
-# gives the error the next one raises.
+# A family evaluates the first K terms over pairs as one table in two
+# steps: ``bases(Z, Z2, u)`` gives each pair's base (E, x), and
+# ``table(E, x, K)`` turns bases into the terms K_k(z_i, z'_i) u_i^k, with
+# shape (len(E), K).  Entry (i, k) depends on base i alone and is the same
+# for every K > k, so the bases of all pairs are formed once and each pass
+# tabulates a slice of them.  ``usable_terms(K)`` says how many of the
+# first K terms can be formed, and gives the error the next one raises.
 
 def _powers(x: np.ndarray, K: int) -> np.ndarray:
     """1, x, ..., x^(K-1) per entry of x, by repeated multiplication."""
@@ -106,7 +112,8 @@ def _powers(x: np.ndarray, K: int) -> np.ndarray:
 
 
 class ClosedFormFamily:
-    """k -> closed-form K_{D, p^(k+m)}; needs a weight with closed kernels.
+    """The closed-form kernels K_{D, p^(k+m)} of a weight with closed
+    kernels, as one table of terms.
 
     Every kernel of the family is C_k exp(a_k L(z, z')) with a_k = a_0 + mu k:
     a Fock kernel with L = <z, z'> and C_k = (s_k/pi)^n / c^(k+m) for
@@ -123,20 +130,14 @@ class ClosedFormFamily:
     def __init__(self, domain: HartogsDomain):
         self.domain = domain
         weight, m = domain.weight, domain.fiber_dim
-        # fail fast if unsupported; the k = 0 model is the first term
+        # fail fast if unsupported; the k = 0 model gives the first
+        # constant, in its own float order, and the rate
         first = weighted_kernel_closed_form(weight.pow(m))
-        self._cache: dict[int, KernelModel] = {0: first}
+        self._first_constant = first.scale
         self._gaussian = isinstance(weight.form, GaussianPower)
         self._rate = first.mu if self._gaussian else first.exponent
         self._step = weight.form.mu * weight.power_exponent
         self._constants = np.empty(0)
-
-    def __call__(self, k: int) -> KernelModel:
-        if k not in self._cache:
-            power = k + self.domain.fiber_dim
-            self._cache[k] = weighted_kernel_closed_form(
-                self.domain.weight.pow(power))
-        return self._cache[k]
 
     def _constants_upto(self, K: int) -> np.ndarray:
         """C_k for k < K, NaN where c^(k+m) or C_k leaves the positive
@@ -156,8 +157,7 @@ class ClosedFormFamily:
                     hua = chi[0] / npoly.polyval(s, chi) * base.volume
                     C = 1.0 / (cpow * hua)
             C[~((cpow > 0) & (cpow < np.inf))] = np.nan
-            # the first term in the float order of its model
-            C[0] = self._cache[0].scale
+            C[0] = self._first_constant
             self._constants = C
         return self._constants[:K]
 
@@ -168,7 +168,9 @@ class ClosedFormFamily:
             return K, None
         k = int(bad[0])
         try:
-            self(k)   # its model raises the error that names the cause
+            # its model raises the error that names the cause
+            weighted_kernel_closed_form(
+                self.domain.weight.pow(k + self.domain.fiber_dim))
         except (ArithmeticError, ValueError) as exc:
             return k, exc
         return k, ValueError(f"the constant of fiber-series term {k} leaves "
@@ -291,11 +293,12 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     does not depend on the passes it went through.  A pair with
     <zeta,zeta'> = 0 is its k = 0 term, by the convention
     <zeta,zeta'>^0 = 1 that the zero-fiber restriction identity forces,
-    and enters no pass.  A term index whose constants leave the float range
-    raises only if some pair still needs it, and a partial sum that leaves
-    it raises FloatingPointError; terms evaluated past a pair's stop may
-    overflow.  A pass whose pairs x terms table would hold more than
-    ``MAX_TERM_TABLE`` entries is refused before it is allocated.
+    and stops at k = 0 in the first pass.  A term index whose constants
+    leave the float range raises only if some pair still needs it, and a
+    partial sum that leaves it raises FloatingPointError; terms evaluated
+    past a pair's stop may overflow.  A pass whose pairs x terms table
+    would hold more than ``MAX_TERM_TABLE`` entries, zero-fiber pairs
+    included, is refused before it is allocated.
     """
     (z, zeta), (z2, zeta2) = points, points2
     n, m = domain.base.dim, domain.fiber_dim
@@ -303,8 +306,8 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     ZETA, ZETA2 = as_points(zeta, m), as_points(zeta2, m)
     if not len(Z) == len(Z2) == len(ZETA) == len(ZETA2):
         raise ValueError("pairs need as many points on each side")
-    if (hartogs_contains(domain, Z, ZETA) >= 0).any() or \
-            (hartogs_contains(domain, Z2, ZETA2) >= 0).any():
+    if (_hartogs_contains_rows(domain, Z, ZETA) >= 0).any() or \
+            (_hartogs_contains_rows(domain, Z2, ZETA2) >= 0).any():
         raise ValueError("points must be strictly inside the Hartogs domain")
 
     u = hermitian_inner(ZETA, ZETA2)
@@ -316,27 +319,11 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
                    np.full(count, np.nan))
     if max_terms < 1 or not count:
         return out
-    z0 = np.flatnonzero(zero)
-    if z0.size:
-        usable, error = kernel_family.usable_terms(1)
-        if usable == 0:
-            raise error
     # terms past a pair's stop are never used, so they may leave the float
     # range; the used ones are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         E, x = kernel_family.bases(Z, Z2, u)
-        if z0.size:
-            # every term past k = 0 vanishes
-            first = fiber_coefficients(m, 1) * kernel_family.table(
-                E[z0], x[z0], 1)
-    if z0.size:
-        if not np.isfinite(first).all():
-            raise FloatingPointError("a fiber-series partial sum leaves "
-                                     "the float range")
-        out.value[z0] = first[:, 0]
-        out.terms_used[z0] = 1
-    active = np.flatnonzero(~zero)
-    E, x = E[active], x[active]
+    active = np.arange(count)
     width = _FIRST_TERMS
     while active.size:
         K, pending = kernel_family.usable_terms(min(width, max_terms))
@@ -363,6 +350,9 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
         else:
             stops = np.zeros(len(active), dtype=bool)
             last_used = np.full(len(active), K - 1)
+        # every term past k = 0 of a zero-fiber pair vanishes
+        stops |= zero[active]
+        last_used[zero[active]] = 0
         # a complex partial sum that leaves the float range stays inf or
         # NaN, so the last used one is finite exactly when all before it are
         if not np.isfinite(sums[np.arange(len(active)), last_used]).all():

@@ -42,7 +42,6 @@ from .core import (
     DomainSpec,
     as_points,
     full_space,
-    hermitian_inner,
     hua_normalization,
     principal_log,
     GaussianPower,
@@ -175,12 +174,6 @@ class RadialSeriesKernel:
         Z = as_points(zs, self.base.dim)
         W = as_points(ws, self.base.dim)
         return npoly.polyval(Z @ W.conj().T, self.c)
-
-    def eval_pairs(self, zs, ws) -> np.ndarray:
-        """K(z_i, w_i) for paired rows, shape (len(zs),)."""
-        Z = as_points(zs, self.base.dim)
-        W = as_points(ws, self.base.dim)
-        return npoly.polyval(hermitian_inner(Z, W), self.c)
 
     def diagonal(self, zs) -> np.ndarray:
         """K(z_i, z_i) for all points, real, shape (len(zs),)."""

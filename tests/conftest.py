@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bergmanlab as bl
-from bergmanlab import core, moments
+from bergmanlab import core, kernels, moments
 
 
 @pytest.fixture(scope="session")
@@ -83,9 +83,13 @@ class dense_kernel:
         E = self.basis_values(zs)
         return np.sum(E.real ** 2 + E.imag ** 2, axis=1)
 
-    def eval_pairs(self, zs, ws):
-        return np.sum(self.basis_values(zs) * self.basis_values(ws).conj(),
-                      axis=1)
+
+def fiber_term_model(domain, k):
+    """The kernel model of K_{D, p^(k+m)}, the k-th term of the fiber
+    series of a Hartogs domain, built for that term from the closed form
+    of the weight p^(k+m): the per-term oracle of the series' tables."""
+    return kernels.weighted_kernel_closed_form(
+        domain.weight.pow(k + domain.fiber_dim))
 
 
 # the equispaced angles of ``quadrature_points_1d`` number 2 * degree + this

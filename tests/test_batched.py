@@ -141,18 +141,6 @@ def test_series_diagonal_equals_eval(name):
         model.diagonal(np.zeros((2, model.domain.dim + 1)))
 
 
-@pytest.mark.parametrize("name", ["series-disk", "series-ball2",
-                                  "radial-disk", "radial-ball2"])
-def test_series_pairs_equal_eval(name):
-    _, model, pts = MODELS[IDS.index(name)]
-    ws = pts[1:] + pts[:1]
-    pairs = model.eval_pairs(pts, ws)
-    assert pairs.shape == (len(pts),)
-    for value, z, w in zip(pairs, pts, ws):
-        ref = _reference(model, z, w)
-        assert abs(value - ref) <= 1e-13 * abs(ref)
-
-
 @pytest.mark.parametrize("name,model,pts", MODELS, ids=IDS)
 def test_empty_point_sets(name, model, pts):
     assert model.eval_grid([], pts).shape == (0, len(pts))

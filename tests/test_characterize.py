@@ -27,7 +27,7 @@ class TestMomentMismatch:
         w = bl.generic_norm_weight(DISK, 1.0)
         c = 1.7
         res = ch.moment_mismatch(w.scaled(c), w, 8)
-        table = ch.moment_table(w, 8).moments.diagonal
+        table = ch.moment_table(w, 8).diagonal
         assert np.max(np.abs(res.difference - (c - 1.0) * table)) \
             <= 1e-14 * np.max(np.abs(table))
 

@@ -2,9 +2,10 @@
 the per-term and per-point loops they replaced.
 
 ``_scalar_frc`` is the loop the one-pair fiber series ran before
-``frc_eval_pairs``: one kernel ``eval`` per term and pair, the stop rule
-applied term by term.  It stays here as the oracle.  The structural
-tests count calls, not time, so the scalar loops cannot come back unseen."""
+``frc_eval_pairs``: one kernel ``eval`` per term and pair, each from a
+model built for its term, the stop rule applied term by term.  It stays
+here as the oracle.  The structural tests count calls, not time, so the
+scalar loops cannot come back unseen."""
 
 import math
 from pathlib import Path
@@ -24,12 +25,15 @@ from bergmanlab.hartogs import (
     frc_eval_pairs,
 )
 
+from conftest import fiber_term_model
+
 DISK = bl.unit_disk()
 
 
 def _scalar_frc(domain, point, point2, family, max_terms=200, tol=1e-12):
     """(value, terms_used, tail_estimate, converged, last_ratio) of one pair
-    from the per-term loop."""
+    from the per-term loop.  The terms come from ``fiber_term_model``, not
+    from ``family``, the family under test."""
     (z, zeta), (z2, zeta2) = point, point2
     m = domain.fiber_dim
     u = complex(np.dot(zeta, np.conj(zeta2)))
@@ -37,7 +41,8 @@ def _scalar_frc(domain, point, point2, family, max_terms=200, tol=1e-12):
     partial, upow = 0j, 1 + 0j
     streak, prev_mag, ratio, terms = 0, None, None, 0
     for k in range(max_terms):
-        term = inv_pi_m * math.perm(k + m, m) * family(k).eval(z, z2) * upow
+        term = (inv_pi_m * math.perm(k + m, m)
+                * fiber_term_model(domain, k).eval(z, z2) * upow)
         partial += term
         terms = k + 1
         mag = abs(term)
@@ -180,6 +185,12 @@ def test_a_pass_past_the_term_table_limit_is_refused(monkeypatch):
     with pytest.raises(ValueError, match=r"^5 pairs x 16 terms exceed the "
                        r"MAX_TERM_TABLE = 64 entries"):
         frc_eval_pairs(H, (z, zeta), (z, zeta), family)
+    # a zero-fiber pair is a row of the first pass like any other
+    zero = zeta.copy()
+    zero[4] = 0.0
+    with pytest.raises(ValueError, match=r"^5 pairs x 16 terms exceed the "
+                       r"MAX_TERM_TABLE = 64 entries"):
+        frc_eval_pairs(H, (z, zero), (z, zeta), family)
 
 
 class _LeavesFloatRange:
@@ -328,7 +339,7 @@ def test_closed_form_table_matches_per_term_models(name):
     u = hermitian_inner(ZETA, ZETA2)
     got = fiber_coefficients(m, K) * family.table(*family.bases(Z, Z2, u), K)
     for k in range(K):
-        model = kernels.weighted_kernel_closed_form(domain.weight.pow(k + m))
+        model = fiber_term_model(domain, k)
         want = (math.pi ** -m * math.perm(k + m, m)
                 * np.diagonal(model.eval_grid(Z, Z2)) * u ** k)
         assert (np.abs(got[:, k] - want) <= 1e-14 * np.abs(want)).all(), k
@@ -526,17 +537,17 @@ def test_frc_check_makes_no_scalar_kernel_call(monkeypatch, capsys):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_frc_eval_pairs_checks_each_side_in_its_base_once(m, monkeypatch):
-    # hartogs_contains tests the base once per side and evaluates the
-    # weight on the rows it has checked
+    # each side's base is tested once and the weight evaluated on the rows
+    # that have been checked
     calls = []
-    original = core.contains
+    original = core._contains_rows
 
-    def counting(domain, z):
-        calls.append(len(z))
-        return original(domain, z)
+    def counting(domain, Z):
+        calls.append(len(Z))
+        return original(domain, Z)
 
-    monkeypatch.setattr(core, "contains", counting)
-    monkeypatch.setattr(hartogs, "contains", counting)
+    monkeypatch.setattr(core, "_contains_rows", counting)
+    monkeypatch.setattr(hartogs, "_contains_rows", counting)
     H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), m)
     rng = np.random.default_rng(m)
     Z, Z2 = sample_ball(rng, 1, 0.5, 30), sample_ball(rng, 1, 0.5, 30)
@@ -545,11 +556,34 @@ def test_frc_eval_pairs_checks_each_side_in_its_base_once(m, monkeypatch):
     assert calls == [30, 30]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_frc_eval_pairs_validates_each_point_array_once(m, monkeypatch):
+    # the four point arrays once each, and the generic-norm factors' two
+    # sides once each; the rows checked in the domain are not validated
+    # again
+    calls = []
+    original = core.as_points
+
+    def counting(zs, dim):
+        calls.append(1)
+        return original(zs, dim)
+
+    monkeypatch.setattr(core, "as_points", counting)
+    monkeypatch.setattr(hartogs, "as_points", counting)
+    H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), m)
+    family = ClosedFormFamily(H)
+    rng = np.random.default_rng(m)
+    Z, Z2 = sample_ball(rng, 1, 0.5, 30), sample_ball(rng, 1, 0.5, 30)
+    ZETA, ZETA2 = sample_ball(rng, m, 0.3, 30), sample_ball(rng, m, 0.3, 30)
+    frc_eval_pairs(H, (Z, ZETA), (Z2, ZETA2), family)
+    assert len(calls) == 6
+
+
 def test_frc_check_builds_no_kernel_per_term(monkeypatch, capsys):
     """The family's constructor builds the k = 0 model, which fails fast
     for a weight without closed kernels; every other term comes from the
-    tables, and the 20 zero-fiber restriction pairs take a one-column
-    table of their own before the passes."""
+    tables, and the 20 zero-fiber restriction pairs are rows of the first
+    pass, whose bases are formed with the others'."""
     built = []
     for owner in (kernels, hartogs, cli):
         built.append(_count_calls(monkeypatch, owner,
@@ -562,12 +596,13 @@ def test_frc_check_builds_no_kernel_per_term(monkeypatch, capsys):
         return table(family, E, x, K)
 
     monkeypatch.setattr(ClosedFormFamily, "table", recording)
-    for argv in (["frc-check"], ["frc-check", "--m", "3", "--pairs", "200"]):
+    for argv, pairs in ((["frc-check"], 100),
+                        (["frc-check", "--m", "3", "--pairs", "200"], 200)):
         for calls in built + [tables, bases]:
             calls.clear()
         assert cli.main(argv) == 0
         assert sum(map(len, built)) <= 1
-        assert tables[0] == (20, 1) and len(bases) == 1
+        assert tables[0] == (pairs + 20, 16) and len(bases) == 1
     capsys.readouterr()
 
 

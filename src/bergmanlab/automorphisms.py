@@ -15,16 +15,16 @@ Generators (all preserve the zero section {zeta = 0}):
 * finite compositions of the above.
 
 The action, the fiber factors and the closed-form Jacobian determinants on
-the zero section take one point or (k, dim) rows of points; one point is
-the 1-row view of the same array expressions.  A translation or Moebius
-map whose point parameter (``v`` or ``a``) holds (k, n) rows is a stack of
-k maps: row i maps point row i, the pairing of ``hermitian_inner``, and
-one point is mapped by each row.  A single map is the unstacked parameter
-broadcast through the same expressions.  The rate, the fiber unitary and
-the target are shared by the rows; composites and ``map_to_json`` take
-single maps only.  The Jacobians come with a finite-difference oracle that
-also checks holomorphy via the Cauchy-Riemann defect, so a buggy
-non-holomorphic map is detected rather than assumed away.
+the zero section take (k, dim) rows of points; a single point is one row.
+The point parameter of a translation or Moebius map (``v`` or ``a``) holds
+(k, n) rows, a stack of k maps: row i maps point row i, the pairing of
+``hermitian_inner``, and one point row is mapped by each map row.  A
+single map is a one-row stack, which maps every point row.  The rate, the
+fiber unitary and the target are shared by the rows; composites and
+``map_to_json`` take single maps only.  The Jacobians come with a
+finite-difference oracle that also checks holomorphy via the
+Cauchy-Riemann defect, so a buggy non-holomorphic map is detected rather
+than assumed away.
 
 The transformation law K(x, y) = J(x) conj(J(y)) K(F x, F y), restricted to
 the zero section, is evaluated through the fiber-restriction identity
@@ -43,8 +43,6 @@ from .core import (
     DomainKind,
     GaussianPower,
     GenericNormPower,
-    as_point,
-    as_point_rows,
     as_points,
     contains,
     generic_norm,
@@ -87,8 +85,8 @@ def _norm_power_rate(domain: HartogsDomain) -> float:
 
 
 def _param(rows: np.ndarray) -> tuple:
-    """The frozen form of a point parameter: one point or (k, n) rows."""
-    return tuple(rows) if rows.ndim == 1 else tuple(map(tuple, rows))
+    """The frozen form of a point parameter's (k, n) rows."""
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ class FockTranslation:
         return np.asarray(self.v, dtype=complex)
 
     def fiber_factor(self, z: np.ndarray):
-        """k_v(z), one value per row of z (and of v, for a stack)."""
+        """k_v(z), one value per row of z (and of v)."""
         v = self._v()
         return np.exp(self.mu * hermitian_inner(z, v)
                       - 0.5 * self.mu * np.sum(np.abs(v) ** 2, axis=-1))
@@ -153,7 +151,7 @@ class MobiusMap:
                 * generic_norm_power(base, z, a, -self.mu))
 
     def base_apply(self, z: np.ndarray) -> np.ndarray:
-        """phi(z) for one point or each row of z; z itself where a = 0."""
+        """phi(z) for each row of z; z itself where a = 0."""
         a = self._a()
         identity = ~np.any(a, axis=-1)[..., None]
         if self.target.base.dim == 1:
@@ -191,7 +189,7 @@ class Composite:
         for i, p in enumerate(self.parts):
             if p.target != self.target:
                 raise ValueError("composite parts must share one target domain")
-            if stack_rows(p):
+            if stack_rows(p) > 1:
                 raise ValueError(f"composite part {i} is a stack of "
                                  f"{stack_rows(p)} {type(p).__name__} rows; "
                                  "a composite takes single maps")
@@ -202,21 +200,20 @@ AutomorphismSpec = BaseUnitary | FiberUnitary | FockTranslation | MobiusMap | Co
 
 def stack_rows(aut: AutomorphismSpec) -> int:
     """k for a translation or Moebius map whose point parameter holds k
-    rows (a stack of k maps), 0 for a single map."""
+    rows (a stack of k maps), 1 for a single map, a unitary or a
+    composite."""
     if isinstance(aut, FockTranslation):
-        param = aut.v
-    elif isinstance(aut, MobiusMap):
-        param = aut.a
-    else:
-        return 0
-    return len(param) if np.ndim(param) == 2 else 0
+        return len(aut.v)
+    if isinstance(aut, MobiusMap):
+        return len(aut.a)
+    return 1
 
 
 def repeat_rows(aut: AutomorphismSpec, count: int) -> AutomorphismSpec:
     """The stack with each row repeated count times in place, so that its
     k maps meet count points each as k * count row pairs; a single map,
     which maps every row, as it is."""
-    if not stack_rows(aut):
+    if stack_rows(aut) == 1:
         return aut
     if isinstance(aut, FockTranslation):
         return FockTranslation(aut.target,
@@ -230,10 +227,8 @@ def repeat_rows(aut: AutomorphismSpec, count: int) -> AutomorphismSpec:
 # constructors
 
 def _point_param(p, dim: int, what: str) -> np.ndarray:
-    """A generator's point parameter: one point of C^dim, or (k, dim) rows
-    standing for k maps, each row checked and a bad one named."""
-    if np.ndim(p) <= 1:
-        return as_point(p, dim)
+    """A generator's point parameter: (k, dim) rows standing for k maps,
+    each row checked and a bad one named."""
     rows = np.asarray(p, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] != dim or not len(rows):
         raise ValueError(f"{what} rows must have shape (k, {dim}) with "
@@ -249,8 +244,8 @@ def make_fbh_map(domain: HartogsDomain, kind: str, *, v=None, matrix=None
                  ) -> AutomorphismSpec:
     """Generators of Gaussian-weighted Hartogs domains over C^n.
 
-    ``kind`` is "translation" (needs v: one point, or (k, n) rows for a
-    stack of k translations), "base_unitary" or "fiber_unitary" (need
+    ``kind`` is "translation" (needs v: (k, n) rows for a stack of k
+    translations, one row for one), "base_unitary" or "fiber_unitary" (need
     matrix).  The translation's fiber factor is the normalized
     Gaussian-space kernel k_v at the weight's decay rate.
     """
@@ -270,16 +265,16 @@ def make_fbh_map(domain: HartogsDomain, kind: str, *, v=None, matrix=None
 def make_ch_map(domain: HartogsDomain, a, fiber_unitary=None) -> MobiusMap:
     """Moebius generator of a generic-norm-weighted Hartogs domain.
 
-    ``a`` is the interior base point sent to 0, or (k, n) rows of them for
-    a stack of k maps; the fiber unitary, shared by the rows, defaults to
-    the identity.  The disk uses (z - a)/(1 - conj(a) z); the ball the
+    ``a`` holds (k, n) rows of interior base points sent to 0, one row for
+    one map and k for a stack of k maps; the fiber unitary, shared by the
+    rows, defaults to the identity.  The disk uses (z - a)/(1 - conj(a) z); the ball the
     standard involutive Moebius exchanging 0 and a.
     """
     mu = _norm_power_rate(domain)
     av = _point_param(a, domain.base.dim, "Moebius center")
-    outside = np.flatnonzero(np.atleast_1d(contains(domain.base, av)) >= 0)
+    outside = np.flatnonzero(contains(domain.base, av) >= 0)
     if outside.size:
-        row = f" row {outside[0]}" if av.ndim == 2 else ""
+        row = f" row {outside[0]}" if len(av) > 1 else ""
         raise ValueError(f"Moebius center{row} must be an interior base point")
     U = np.eye(domain.fiber_dim, dtype=complex) if fiber_unitary is None \
         else _check_unitary(fiber_unitary, domain.fiber_dim, "fiber unitary")
@@ -287,27 +282,25 @@ def make_ch_map(domain: HartogsDomain, a, fiber_unitary=None) -> MobiusMap:
 
 
 def thullen_mobius(domain: HartogsDomain, a) -> MobiusMap:
-    """The disk specialization with one fiber dimension; ``a`` is one
-    complex center, or k of them for a stack of k maps."""
+    """The disk specialization with one fiber dimension; ``a`` holds k
+    complex centers for a stack of k maps, one for one map."""
     if domain.base != unit_disk() or domain.fiber_dim != 1:
         raise ValueError("Thullen maps live over the disk with fiber dim 1")
-    return make_ch_map(domain, np.reshape(a, np.shape(a) + (1,)))
+    return make_ch_map(domain, np.reshape(a, (-1, 1)))
 
 
 # ---------------------------------------------------------------------------
 # action, inverses, base points
 
-def _rows(aut: AutomorphismSpec, z, dim: int) -> tuple[np.ndarray, bool]:
-    """``as_point_rows`` for the map: a stack of k maps takes k point rows
-    or one point, and gives rows either way."""
-    Z, one = as_point_rows(z, dim)
+def _rows(aut: AutomorphismSpec, z) -> np.ndarray:
+    """``as_points`` for the map's base: a stack of k > 1 maps takes k
+    point rows or one."""
+    Z = as_points(z, aut.target.base.dim)
     k = stack_rows(aut)
-    if not k:
-        return Z, one
-    if len(Z) not in (1, k):
-        raise ValueError(f"a stack of {k} maps takes {k} point rows or one "
-                         f"point, not {len(Z)} rows")
-    return Z, False
+    if k > 1 and len(Z) not in (1, k):
+        raise ValueError(f"a stack of {k} maps takes {k} point rows or one, "
+                         f"not {len(Z)} rows")
+    return Z
 
 
 def _rows_by(A: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -357,28 +350,24 @@ def _fiber_image(aut: AutomorphismSpec, Z: np.ndarray, ZETA: np.ndarray):
 def apply(aut: AutomorphismSpec, point) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the map at (z, zeta); composites apply left to right.
 
-    z and zeta are one point each, or (k, n) and (k, m) rows of points
-    mapped at once; one point is the 1-row view of the same expressions.
-    A stack maps point row i by its row i.
+    z and zeta are (k, n) and (k, m) rows of points, mapped at once.  A
+    stack maps point row i by its row i.
     """
     z, zeta = point
-    Z, one = _rows(aut, z, aut.target.base.dim)
-    ZETA, _ = as_point_rows(zeta, aut.target.fiber_dim)
+    Z = _rows(aut, z)
+    ZETA = as_points(zeta, aut.target.fiber_dim)
     if isinstance(aut, Composite):
         out = Z, ZETA
         for part in aut.parts:
             out = apply(part, out)
-    else:
-        out = _base_image(aut, Z), _fiber_image(aut, Z, ZETA)
-    return (out[0][0], out[1][0]) if one else out
+        return out
+    return _base_image(aut, Z), _fiber_image(aut, Z, ZETA)
 
 
 def base_apply(aut: AutomorphismSpec, z) -> np.ndarray:
     """The base component of the action (the zero section is preserved),
-    at one point or each row of z; no fiber factor is formed."""
-    Z, one = _rows(aut, z, aut.target.base.dim)
-    out = _base_image(aut, Z)
-    return out[0] if one else out
+    at each row of z; no fiber factor is formed."""
+    return _base_image(aut, _rows(aut, z))
 
 
 def inverse(aut: AutomorphismSpec) -> AutomorphismSpec:
@@ -401,16 +390,16 @@ def inverse(aut: AutomorphismSpec) -> AutomorphismSpec:
 
 
 def zero_preimage(aut: AutomorphismSpec) -> np.ndarray:
-    """The base point z0 with phi_1(z0) = 0; (k, n) rows for a stack."""
-    n = aut.target.base.dim
+    """The base point z0 with phi_1(z0) = 0, one row per map row."""
+    origin = np.zeros((1, aut.target.base.dim), dtype=complex)
     if isinstance(aut, (BaseUnitary, FiberUnitary)):
-        return np.zeros(n, dtype=complex)
+        return origin
     if isinstance(aut, FockTranslation):
         return aut._v()
     if isinstance(aut, MobiusMap):
         return aut._a()
     if isinstance(aut, Composite):
-        return base_apply(inverse(aut), np.zeros(n, dtype=complex))
+        return base_apply(inverse(aut), origin)
     raise TypeError(f"unknown automorphism {aut!r}")
 
 
@@ -419,14 +408,14 @@ def zero_preimage(aut: AutomorphismSpec) -> np.ndarray:
 
 def jacobian_base_slice(aut: AutomorphismSpec, z):
     """Closed-form full Jacobian determinant at (z, 0), one value per row
-    of z (a complex number for one point) and, for a stack, per map row.
+    of z and, for a stack, per map row.
 
     Unitaries contribute det U; translations k_v(z)^m; Moebius maps
     N(a,a)^(m mu/2) N(z,a)^(-m mu) det J(phi, z) det U'.  Composites chain
     through the base orbit, which is valid because every generator fixes
     the zero section with a fiber block linear in zeta.
     """
-    Z, one = _rows(aut, z, aut.target.base.dim)
+    Z = _rows(aut, z)
     m = aut.target.fiber_dim
     if isinstance(aut, (BaseUnitary, FiberUnitary)):
         jac = np.full(len(Z), complex(np.linalg.det(aut._U())))
@@ -442,22 +431,21 @@ def jacobian_base_slice(aut: AutomorphismSpec, z):
             Z = _base_image(part, Z)
     else:
         raise TypeError(f"unknown automorphism {aut!r}")
-    return complex(jac[0]) if one else jac
+    return jac
 
 
 def jacobian_fd_matrix(aut: AutomorphismSpec, point, h: float = 1e-5):
     """Central finite-difference holomorphic Jacobian of the full map.
 
-    Returns the (n+m) x (n+m) matrix of dF_i/dx_j and the largest
-    Cauchy-Riemann defect |dF/d conj(x)| seen; a defect above 1e-6 raises,
-    because it means the map under test is not holomorphic.  For (k, n)
-    and (k, m) rows of points it returns k matrices and k defects.  The
-    4 (n+m) steps +-h, +-ih along each coordinate of every point go through
-    one ``apply``.
+    For (k, n) and (k, m) rows of points it returns k (n+m) x (n+m)
+    matrices of dF_i/dx_j and the k largest Cauchy-Riemann defects
+    |dF/d conj(x)| seen; a defect above 1e-6 raises, because it means the
+    map under test is not holomorphic.  The 4 (n+m) steps +-h, +-ih along
+    each coordinate of every point go through one ``apply``.
     """
     z, zeta = point
-    Z, one = as_point_rows(z, aut.target.base.dim)
-    ZETA, _ = as_point_rows(zeta, aut.target.fiber_dim)
+    Z = as_points(z, aut.target.base.dim)
+    ZETA = as_points(zeta, aut.target.fiber_dim)
     X0 = np.concatenate([Z, ZETA], axis=1)
     n = aut.target.base.dim
     count, dim = X0.shape
@@ -478,7 +466,7 @@ def jacobian_fd_matrix(aut: AutomorphismSpec, point, h: float = 1e-5):
     if (cr_defect > 1e-6).any():
         raise ValueError(f"map is not holomorphic: CR defect "
                          f"{cr_defect.max():.2e}")
-    return (J[0], float(cr_defect[0])) if one else (J, cr_defect)
+    return J, cr_defect
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +504,7 @@ def transform_residual(aut: AutomorphismSpec, slice_kernel, points) -> float:
 # serialization
 
 def map_to_json(aut: AutomorphismSpec) -> dict:
-    if stack_rows(aut):
+    if stack_rows(aut) > 1:
         raise ValueError(f"map_to_json writes single maps; this is a stack "
                          f"of {stack_rows(aut)} {type(aut).__name__} rows")
     if isinstance(aut, BaseUnitary):
@@ -524,10 +512,10 @@ def map_to_json(aut: AutomorphismSpec) -> dict:
     if isinstance(aut, FiberUnitary):
         return {"kind": "fiber_unitary", "matrix": jsonio.cmatrix(aut._U())}
     if isinstance(aut, FockTranslation):
-        return {"kind": "translation", "v": jsonio.cpoint(np.asarray(aut.v)),
+        return {"kind": "translation", "v": jsonio.cpoint(aut._v()[0]),
                 "mu": aut.mu}
     if isinstance(aut, MobiusMap):
-        return {"kind": "mobius", "a": jsonio.cpoint(np.asarray(aut.a)),
+        return {"kind": "mobius", "a": jsonio.cpoint(aut._a()[0]),
                 "mu": aut.mu, "fiber_unitary": jsonio.cmatrix(aut._U())}
     if isinstance(aut, Composite):
         return {"kind": "composite", "parts": [map_to_json(p) for p in aut.parts]}
@@ -564,7 +552,12 @@ def map_from_json(obj: dict, domain: HartogsDomain) -> AutomorphismSpec:
                                  f"{kind} map field {field!r}")
 
     def point(field: str) -> np.ndarray:
-        return jsonio.as_cpoint(obj[field], f"{kind} map field {field!r}")
+        what = f"{kind} map field {field!r}"
+        p = jsonio.as_cpoint(obj[field], what)
+        if len(p) != n or not np.isfinite(p).all():
+            raise ValueError(f"{what} must be a point of C^{n}: {n} [re, im] "
+                             "pairs of finite numbers")
+        return p[None, :]
 
     def with_rate(aut):
         mu = obj.get("mu", aut.mu)

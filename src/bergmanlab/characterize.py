@@ -417,7 +417,7 @@ def boundary_inequality_check(p: Weight, mu: float, samples,
                          "range: the largest exponent mu max|z|^2 is "
                          f"{float(np.max(exponent[past])):.6g}, and exp "
                          "overflows above 709.78")
-    p0 = weight_eval(p, np.zeros(n, dtype=complex))
+    p0 = weight_eval(p, np.zeros((1, n), dtype=complex))[0]
     with np.errstate(over="ignore"):
         g = weight_eval(p, Z) * growth
     excess = g - p0
@@ -506,7 +506,7 @@ def family_condition_check(domain: HartogsDomain,
     for aut in maps:
         if aut.target != domain:
             raise ValueError("map does not act on the supplied Hartogs domain")
-        z0 = zero_preimage(aut).reshape(-1, n)
+        z0 = zero_preimage(aut)
         k = len(z0)
         # every map meets every check point: row i of the repeated stack
         # maps check point i mod _FIBER_CHECKS

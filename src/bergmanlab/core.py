@@ -162,19 +162,10 @@ def full_space(n: int) -> DomainSpec:
 # ---------------------------------------------------------------------------
 # points
 
-def as_point(z, dim: int) -> np.ndarray:
-    """Validate and convert a point of C^dim to a 1-d complex array."""
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if arr.ndim != 1 or arr.size != dim:
-        raise ValueError(f"expected a point of C^{dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("point has non-finite entries")
-    return arr
-
-
 def as_points(zs, dim: int) -> np.ndarray:
     """Validate and convert a set of points of C^dim to a (k, dim) complex
-    array; the whole set is checked at once and an empty list gives k = 0."""
+    array; the whole set is checked at once and an empty list gives k = 0.
+    Rows are the one point format: a single point is a (1, dim) array."""
     arr = np.asarray(zs, dtype=complex)
     if arr.shape == (0,):
         arr = arr.reshape(0, dim)
@@ -184,16 +175,6 @@ def as_points(zs, dim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("point set has non-finite entries")
     return arr
-
-
-def as_point_rows(z, dim: int) -> tuple[np.ndarray, bool]:
-    """Points as rows: one point of C^dim becomes a validated (1, dim) array
-    and the flag True, a (k, dim) point array goes through ``as_points`` and
-    gives False.  A function written over rows returns its 1-row view when
-    the flag is set, so one point and many take the same path."""
-    if np.ndim(z) <= 1:
-        return as_point(z, dim)[None, :], True
-    return as_points(z, dim), False
 
 
 def per_entry(f, x) -> np.ndarray:
@@ -298,7 +279,7 @@ def sample_ball(rng, n: int, radius: float, count: int) -> np.ndarray:
 
 
 def _as_matrix(domain: DomainSpec, z: np.ndarray) -> np.ndarray:
-    """Points of C^(pq), one or rows, as p x q matrices."""
+    """(k, pq) point rows as (k, p, q) matrices."""
     p, q = domain.shape
     return z.reshape(z.shape[:-1] + (p, q))
 
@@ -378,20 +359,17 @@ def generic_norm_factors(domain: DomainSpec, z, w) -> np.ndarray:
     For disk/ball there is a single factor 1 - <z, w>; for type-I balls the
     lambda_i are the eigenvalues of Z W*.  On interior points every factor
     lies in the open right half-plane, so principal logarithms per factor
-    give an unambiguous branch for complex powers of N.  Two points give
-    one row of factors; rows of points, paired with as many rows or with
-    one point, give one row of factors per pair.
+    give an unambiguous branch for complex powers of N.  Rows of points,
+    paired with as many rows or with one row, give one row of factors per
+    pair.
     """
-    Z, one_z = as_point_rows(z, domain.dim)
-    W, one_w = as_point_rows(w, domain.dim)
+    Z, W = as_points(z, domain.dim), as_points(w, domain.dim)
     if domain.kind is DomainKind.UNIT_BALL:
-        factors = 1.0 - hermitian_inner(Z, W)[:, None]
-    elif domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
+        return 1.0 - hermitian_inner(Z, W)[:, None]
+    if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         Wh = _as_matrix(domain, W).conj().swapaxes(-1, -2)
-        factors = 1.0 - np.linalg.eigvals(_as_matrix(domain, Z) @ Wh)
-    else:
-        raise ValueError("the full space has no generic norm")
-    return factors[0] if one_z and one_w else factors
+        return 1.0 - np.linalg.eigvals(_as_matrix(domain, Z) @ Wh)
+    raise ValueError("the full space has no generic norm")
 
 
 def generic_norm(domain: DomainSpec, z, w):
@@ -428,10 +406,8 @@ def hua_normalization(domain: DomainSpec, mu: float) -> float:
 def contains(domain: DomainSpec, z):
     """Continuous boundary defect: negative inside, 0 on the boundary,
     positive outside.  The full space contains everything (defect -1).
-    One point gives a float, (k, dim) rows of points k defects."""
-    Z, one = as_point_rows(z, domain.dim)
-    defect = _contains_rows(domain, Z)
-    return float(defect[0]) if one else defect
+    (k, dim) rows of points give k defects."""
+    return _contains_rows(domain, as_points(z, domain.dim))
 
 
 def _contains_rows(domain: DomainSpec, Z: np.ndarray) -> np.ndarray:
@@ -610,18 +586,17 @@ def polynomial_weight(domain: DomainSpec, coefficients) -> Weight:
 def weight_eval(weight: Weight, z):
     """Evaluate the weight at interior points; strictly positive there.
 
-    One point gives a float, (k, dim) rows of points k values.  Weights on
-    disk, ball and C^n go through ``weight_radial_fn`` at t = |z|^2.  On
-    type-I bases, which are not radial in |z|^2, generic-norm powers are
-    evaluated through det(I - Z Z*); other forms are refused there.  The
-    base form is evaluated and checked before the power and the scale are
-    applied; a value beyond the float range raises.
+    (k, dim) rows of points give k values.  Weights on disk, ball and C^n
+    go through ``weight_radial_fn`` at t = |z|^2.  On type-I bases, which
+    are not radial in |z|^2, generic-norm powers are evaluated through
+    det(I - Z Z*); other forms are refused there.  The base form is
+    evaluated and checked before the power and the scale are applied; a
+    value beyond the float range raises.
     """
-    Z, one = as_point_rows(z, weight.base.dim)
+    Z = as_points(z, weight.base.dim)
     if (_contains_rows(weight.base, Z) >= 0).any():
         raise ValueError("point outside the open base domain")
-    out = _weight_rows(weight, Z)
-    return float(out[0]) if one else out
+    return _weight_rows(weight, Z)
 
 
 def _weight_rows(weight: Weight, Z: np.ndarray) -> np.ndarray:

@@ -45,7 +45,6 @@ from .core import (
     Weight,
     _contains_rows,
     _weight_rows,
-    as_point_rows,
     as_points,
     generic_norm_factors,
     hermitian_inner,
@@ -74,14 +73,11 @@ class HartogsDomain:
 def hartogs_contains(domain: HartogsDomain, z, zeta):
     """|zeta|^2 - p(z): negative inside, zero on the fiber boundary.
 
-    One point (z, zeta) gives a float; (k, n) and (k, m) rows of points
-    give k values.  Raises if a z leaves the open base domain; the fiber is
-    empty there.
+    (k, n) and (k, m) rows of points (z, zeta) give k values.  Raises if a
+    z leaves the open base domain; the fiber is empty there.
     """
-    Z, one = as_point_rows(z, domain.base.dim)
-    ZETA, _ = as_point_rows(zeta, domain.fiber_dim)
-    defect = _hartogs_contains_rows(domain, Z, ZETA)
-    return float(defect[0]) if one else defect
+    return _hartogs_contains_rows(domain, as_points(z, domain.base.dim),
+                                  as_points(zeta, domain.fiber_dim))
 
 
 def _hartogs_contains_rows(domain: HartogsDomain, Z: np.ndarray,
@@ -286,9 +282,10 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     ``kernel_family`` is a ClosedFormFamily for K_{D, p^(k+m)}.  Each
     pair's base is formed once; a pass tabulates the first K terms of the
     pairs that have not stopped, K = 16 in the first pass and at least
-    twice the last in each later one (see ``_next_width``).  A pair stops
-    once five consecutive terms are below tol relative to its running
-    partial sum, or at max_terms, flagged as non-converged; its tail
+    twice the last in each later one (see ``_next_width``); ``max_terms``
+    below 1 is refused.  A pair stops once five consecutive terms are
+    below tol relative to its running partial sum, or at max_terms,
+    flagged as non-converged; its tail
     estimate extrapolates its last term geometrically.  A pair's result
     does not depend on the passes it went through.  A pair with
     <zeta,zeta'> = 0 is its k = 0 term, by the convention
@@ -300,6 +297,8 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     would hold more than ``MAX_TERM_TABLE`` entries, zero-fiber pairs
     included, is refused before it is allocated.
     """
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1, not {max_terms}")
     (z, zeta), (z2, zeta2) = points, points2
     n, m = domain.base.dim, domain.fiber_dim
     Z, Z2 = as_points(z, n), as_points(z2, n)
@@ -313,11 +312,11 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     u = hermitian_inner(ZETA, ZETA2)
     count = len(u)
     zero = u == 0
-    # a pair that sums no term: value 0 and no ratio
+    # every field of a pair is set by the pass that stops it
     out = FrcPairs(np.zeros(count, dtype=complex), np.zeros(count, dtype=int),
-                   np.where(zero, 0.0, np.inf), zero.copy(),
-                   np.full(count, np.nan))
-    if max_terms < 1 or not count:
+                   np.zeros(count), np.zeros(count, dtype=bool),
+                   np.zeros(count))
+    if not count:
         return out
     # terms past a pair's stop are never used, so they may leave the float
     # range; the used ones are checked below
@@ -409,18 +408,17 @@ def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,
                           degree: int = 40):
     """Residual of the zero-fiber restriction identity.
 
-    Compares K_Omega((z,0),(z',0)) against (m!/pi^m) K_{D, p^m}(z, z').  One
-    pair of base points gives one residual; (k, n) rows of pairs give k
-    residuals.  ``kernel_omega`` is called once, with (k, n) base rows and
-    (k, m) zero fibers, ((Z, 0), (Z', 0)), and returns a value per pair:
+    Compares K_Omega((z,0),(z',0)) against (m!/pi^m) K_{D, p^m}(z, z'):
+    (k, n) rows of pairs of base points give k residuals.
+    ``kernel_omega`` is called once, with (k, n) base rows and (k, m) zero
+    fibers, ((Z, 0), (Z', 0)), and returns a value per pair:
     e.g. the ``value`` of ``frc_eval_pairs``.  The reference weighted
     kernel is built from a Gram series at ``degree`` unless one is
     supplied.  Each residual is relative, or absolute where the reference
     vanishes.
     """
     m = domain.fiber_dim
-    Z, one = as_point_rows(z, domain.base.dim)
-    Z2, _ = as_point_rows(z2, domain.base.dim)
+    Z, Z2 = as_points(z, domain.base.dim), as_points(z2, domain.base.dim)
     zeros = np.zeros((len(Z), m), dtype=complex)
 
     if reference is None:
@@ -431,22 +429,19 @@ def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,
     ref = math.factorial(m) / math.pi ** m * np.diagonal(
         reference.eval_grid(Z, Z2))
     size = np.abs(ref)
-    residual = np.abs(lhs - ref) / np.where(size < 1e-300, 1.0, size)
-    return float(residual[0]) if one else residual
+    return np.abs(lhs - ref) / np.where(size < 1e-300, 1.0, size)
 
 
 def ball_kernel(n: int):
     """Closed-form Bergman kernel of the unit ball in C^n (raw volume),
     K(Z, W) = n!/pi^n (1 - <Z, W>)^(-(n+1)); the oracle for the original
     Forelli-Rudin case, where the Hartogs domain over the disk with weight
-    1 - |z|^2 is the ball of one dimension higher.  One pair of points
-    gives a complex value, (k, n) rows of pairs k values."""
+    1 - |z|^2 is the ball of one dimension higher.  (k, n) rows of pairs
+    of points give k values."""
     c = math.factorial(n) / math.pi ** n
 
     def kernel(Z, W):
-        Z, one = as_point_rows(Z, n)
-        W, _ = as_point_rows(W, n)
-        values = c * (1.0 - hermitian_inner(Z, W)) ** (-(n + 1))
-        return complex(values[0]) if one else values
+        Z, W = as_points(Z, n), as_points(W, n)
+        return c * (1.0 - hermitian_inner(Z, W)) ** (-(n + 1))
 
     return kernel

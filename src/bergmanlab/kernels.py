@@ -25,7 +25,7 @@ constants.
 
 Every model has one evaluation path, ``eval_grid(zs, ws)``, which returns
 K(z_i, w_j) with shape (len(zs), len(ws)) and validates each point set
-once; ``eval(z, w)`` is its 1x1 view, the (0, 0) entry of a one-point grid.
+once; points are (k, dim) rows, a single point one row.
 Kernel models are immutable after construction; evaluation is pure.
 """
 
@@ -51,13 +51,6 @@ from .core import (
 from .moments import RadialGram, domain_from_json, domain_to_json
 
 
-def _grid_entry(model, z, w) -> complex:
-    """K(z, w) as the (0, 0) entry of a 1x1 ``eval_grid``; each kernel
-    model binds it as its ``eval``."""
-    return complex(model.eval_grid(np.reshape(z, (1, -1)),
-                                   np.reshape(w, (1, -1)))[0, 0])
-
-
 def _check_positive(what: str, value: float) -> None:
     """A closed-form kernel's constant and rate must be finite and
     positive, as a weight's are; a reproducing kernel has K(z, z) > 0."""
@@ -81,8 +74,6 @@ class FockKernel:
     @property
     def domain(self) -> DomainSpec:
         return full_space(self.n)
-
-    eval = _grid_entry
 
     def eval_grid(self, zs, ws) -> np.ndarray:
         Z = as_points(zs, self.n)
@@ -111,8 +102,6 @@ class PowerKernel:
     @property
     def exponent(self) -> float:
         return self.base.genus + self.mu
-
-    eval = _grid_entry
 
     def eval_grid(self, zs, ws) -> np.ndarray:
         Z = as_points(zs, self.base.dim)
@@ -166,8 +155,6 @@ class RadialSeriesKernel:
     @property
     def domain(self) -> DomainSpec:
         return self.base
-
-    eval = _grid_entry
 
     def eval_grid(self, zs, ws) -> np.ndarray:
         """K(z_i, w_j) for all pairs, shape (len(zs), len(ws))."""

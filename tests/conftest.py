@@ -75,13 +75,14 @@ class dense_kernel:
     def eval_grid(self, zs, ws):
         return self.basis_values(zs) @ self.basis_values(ws).conj().T
 
-    def eval(self, z, w):
-        return complex(self.eval_grid(np.reshape(z, (1, -1)),
-                                      np.reshape(w, (1, -1)))[0, 0])
-
     def diagonal(self, zs):
         E = self.basis_values(zs)
         return np.sum(E.real ** 2 + E.imag ** 2, axis=1)
+
+
+def kernel_at(model, z, w) -> complex:
+    """K(z, w) at one pair of points: the (0, 0) entry of a 1x1 grid."""
+    return complex(model.eval_grid(np.reshape(z, (1, -1)), np.reshape(w, (1, -1)))[0, 0])
 
 
 def fiber_term_model(domain, k):
@@ -127,7 +128,7 @@ def reproducing_residual(model, poly, z, weight):
         raise ValueError("reproducing-property checks are wired for n = 1")
     if weight.base != base:
         raise ValueError("weight base mismatch")
-    z = core.as_point(z, base.dim)
+    z = core.as_points(np.reshape(z, (1, -1)), base.dim)[0]
     pts, wq = quadrature_points_1d(base, weight, model.degree)
     terms = [(alpha[0] if isinstance(alpha, tuple) else int(alpha), c)
              for alpha, c in poly.items()]

@@ -1,12 +1,14 @@
 """The batched evaluation protocol: ``eval_grid`` on every kernel model and
 the verdicts built on it, against scalar-loop oracles.
 
-``eval`` is the 1x1 view of ``eval_grid``, so the oracles take their kernel
-values from the scalar closed forms in ``core`` (``generic_norm_power``,
-exp(mu <z, w>)) and from the orthonormal basis expansion instead."""
+``eval_grid`` is every model's one evaluation path, so the oracles take
+their kernel values pair by pair from the closed forms in ``core``
+(``generic_norm_power`` at one row, exp(mu <z, w>)) and from the
+orthonormal basis expansion instead."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,11 @@ import bergmanlab as bl
 from bergmanlab import automorphisms as am
 from bergmanlab import characterize as ch
 from bergmanlab.core import hermitian_inner, sample_ball
-from bergmanlab.hartogs import HartogsDomain
+from bergmanlab.hartogs import (
+    HartogsDomain,
+    frc_restriction_check,
+    hartogs_contains,
+)
 
 from conftest import dense_kernel, interior_ball_points, interior_disk_points
 
@@ -99,8 +105,8 @@ def _reference(model, z, w) -> complex:
         return model.scale * cmath.exp(model.mu * hermitian_inner(
             np.asarray(z), np.asarray(w)))
     if isinstance(model, bl.PowerKernel):
-        return model.scale * bl.generic_norm_power(model.base, z, w,
-                                                   -model.exponent)
+        return model.scale * bl.generic_norm_power(model.base, [z], [w],
+                                                   -model.exponent)[0]
     return _scalar_series(model, z, w)
 
 
@@ -113,17 +119,17 @@ def test_grid_equals_pairwise_eval(name, model, pts):
         for j, w in enumerate(ws):
             ref = _reference(model, z, w)
             assert abs(grid[i, j] - ref) <= 1e-13 * abs(ref), (i, j)
-            assert abs(model.eval(z, w) - ref) <= 1e-13 * abs(ref), (i, j)
 
 
 def test_scalar_series_eval_matches_basis_expansion():
     _, model, pts = MODELS[IDS.index("series-ball2")]
-    for z in pts:
-        for w in pts:
+    grid = model.eval_grid(pts, pts)
+    for i, z in enumerate(pts):
+        for j, w in enumerate(pts):
             ez = model.basis_values(np.asarray(z)[None, :])[0]
             ew = model.basis_values(np.asarray(w)[None, :])[0]
             ref = complex(np.dot(ez, ew.conj()))
-            assert abs(model.eval(z, w) - ref) <= 1e-13 * abs(ref)
+            assert abs(grid[i, j] - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("name", ["series-disk", "series-ball2",
@@ -153,7 +159,7 @@ def test_grid_rejects_non_finite_points(name, model, pts, bad):
     broken = [np.array(p, dtype=complex) for p in pts]
     broken[-1][0] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        model.eval(broken[-1], pts[0])
+        model.eval_grid(broken[-1:], pts[:1])
     with pytest.raises(ValueError, match="non-finite"):
         model.eval_grid(broken, pts)
     with pytest.raises(ValueError, match="non-finite"):
@@ -164,7 +170,7 @@ def test_grid_rejects_non_finite_points(name, model, pts, bad):
 def test_grid_rejects_wrong_shapes(name, model, pts):
     dim = model.domain.dim
     with pytest.raises(ValueError):
-        model.eval(np.zeros(dim + 1), pts[0])
+        model.eval_grid(np.zeros((1, dim + 1)), pts[:1])
     with pytest.raises(ValueError, match="shape"):
         model.eval_grid(np.zeros((3, dim + 1)), pts)
     with pytest.raises(ValueError, match="shape"):
@@ -183,7 +189,7 @@ def test_power_grid_rejects_branch_cut(domain, mu):
     edge[0] = 1.0
     inner = np.zeros(domain.dim, dtype=complex)
     with pytest.raises(ValueError, match="branch cut"):
-        K.eval(edge, edge)
+        K.eval_grid([edge], [edge])
     with pytest.raises(ValueError, match="branch cut"):
         K.eval_grid([inner, edge], [inner, edge])
     scaled = bl.PowerKernel(domain, mu, 2.0)
@@ -276,7 +282,7 @@ def test_characterize_ch_matches_scalar_oracle(base, q, m, mu, degree, expected)
     diag_worst = 0.0
     for z in points:
         lhs = _scalar_series(series, z, z).real
-        rhs = k00 * bl.generic_norm(base, z, z).real ** expo
+        rhs = k00 * bl.generic_norm(base, [z], [z])[0].real ** expo
         diag_worst = max(diag_worst, abs(lhs - rhs) / abs(rhs))
     residual = {s.name: s.residual for s in rep.checks}
     assert abs(residual["diagonal_power_law"] - diag_worst) <= 1e-12
@@ -351,7 +357,7 @@ def _fbh_family(n):
     H = HartogsDomain(bl.full_space(n), bl.gaussian_weight(n, 1.0), 1)
     rng = np.random.default_rng(4)
     maps = [am.make_fbh_map(H, "base_unitary", matrix=np.eye(n, dtype=complex))]
-    maps += [am.make_fbh_map(H, "translation", v=v)
+    maps += [am.make_fbh_map(H, "translation", v=[v])
              for v in _full_space_points(rng, n, 5, 1.6)]
     return H, maps, 24
 
@@ -372,11 +378,11 @@ def test_family_condition_matches_scalar_oracle(family):
     series = dense_kernel(bl.gram_auto(H.weight.pow(H.fiber_dim), degree))
     ratios = []
     for aut, rec in zip(maps, rep.maps):
-        z0 = am.zero_preimage(aut)
+        (z0,) = am.zero_preimage(aut)
         kdiag = _scalar_series(series, z0, z0).real
         assert np.array_equal(rec.z0, z0)
         assert rec.kernel_diag == pytest.approx(kdiag, rel=1e-13)
-        ratios.append(abs(am.jacobian_base_slice(aut, z0)) ** 2 / kdiag)
+        ratios.append(abs(am.jacobian_base_slice(aut, [z0])[0]) ** 2 / kdiag)
     worst = max(abs(r / ratios[0] - 1.0) for r in ratios)
     assert rep.passed
     assert rep.constant == pytest.approx(ratios[0], rel=1e-13)
@@ -386,18 +392,18 @@ def test_family_condition_matches_scalar_oracle(family):
 def test_family_condition_validates_every_map_before_evaluating():
     H, maps, degree = _fbh_family(1)
     foreign = HartogsDomain(C1, bl.gaussian_weight(1, 2.0), 1)
-    maps.append(am.make_fbh_map(foreign, "translation", v=[0.2]))
+    maps.append(am.make_fbh_map(foreign, "translation", v=[[0.2]]))
     with pytest.raises(ValueError, match="does not act"):
         ch.family_condition_check(H, maps, degree)
 
 
 def _scalar_transform_residual(aut, kernel, points):
-    """The pairwise loop of scalar ``eval`` calls that transform_residual
-    replaced."""
+    """The pairwise loop of scalar kernel values that transform_residual
+    replaced, each point mapped by its own one-row call."""
     m = aut.target.fiber_dim
     c = math.factorial(m) / math.pi ** m
-    jacs = [am.jacobian_base_slice(aut, p) for p in points]
-    imgs = [am.base_apply(aut, p) for p in points]
+    jacs = [am.jacobian_base_slice(aut, [p])[0] for p in points]
+    imgs = [am.base_apply(aut, [p])[0] for p in points]
     worst = 0.0
     for i, zi in enumerate(points):
         for j, zj in enumerate(points):
@@ -414,16 +420,16 @@ def _transform_case(name):
     rng = np.random.default_rng(21)
     if name == "disk":
         H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.5), 2)
-        aut = am.make_ch_map(H, [0.3 - 0.2j])
+        aut = am.make_ch_map(H, [[0.3 - 0.2j]])
         pts = [[z] for z in interior_disk_points(rng, 7, 0.6)]
     elif name == "ball2":
         ball2 = bl.unit_ball(2)
         H = HartogsDomain(ball2, bl.generic_norm_weight(ball2, 2.0), 1)
-        aut = am.make_ch_map(H, [0.2 + 0.1j, -0.3j])
+        aut = am.make_ch_map(H, [[0.2 + 0.1j, -0.3j]])
         pts = interior_ball_points(rng, 2, 7, 0.6)
     else:
         H = HartogsDomain(bl.full_space(2), bl.gaussian_weight(2, 1.0), 2)
-        aut = am.make_fbh_map(H, "translation", v=[0.3 + 0.1j, -0.2])
+        aut = am.make_fbh_map(H, "translation", v=[[0.3 + 0.1j, -0.2]])
         pts = _full_space_points(rng, 2, 7, 1.5)
     same = bl.weighted_kernel_closed_form(H.weight.pow(H.fiber_dim))
     other = bl.weighted_kernel_closed_form(H.weight.pow(H.fiber_dim + 1))
@@ -451,3 +457,47 @@ def test_transform_residual_truncated_series_matches_scalar_oracle():
     got = am.transform_residual(aut, series, pts)
     ref = _scalar_transform_residual(aut, dense, pts)
     assert abs(got - ref) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# one point format: (k, dim) rows, a single point one row
+
+DISK_H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), 1)
+DISK_MAP = am.make_ch_map(DISK_H, [[0.3]])
+# each call with the point under test in one slot and one row elsewhere
+ROW_CALLS = {
+    "contains": lambda p: bl.contains(DISK, p),
+    "weight_eval": lambda p: bl.weight_eval(DISK_H.weight, p),
+    "generic_norm": lambda p: bl.generic_norm(DISK, p, [[0.1]]),
+    "hartogs_contains": lambda p: hartogs_contains(DISK_H, p, [[0.1]]),
+    "frc_restriction_check": lambda p: frc_restriction_check(
+        DISK_H, p, [[0.1]], lambda *_: 0.0,
+        reference=bl.PowerKernel(DISK, 1.0)),
+    "apply": lambda p: am.apply(DISK_MAP, (p, [[0.1]])),
+    "base_apply": lambda p: am.base_apply(DISK_MAP, p),
+    "jacobian_base_slice": lambda p: am.jacobian_base_slice(DISK_MAP, p),
+    "jacobian_fd_matrix": lambda p: am.jacobian_fd_matrix(DISK_MAP,
+                                                          (p, [[0.0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CALLS))
+def test_a_bare_point_is_refused_by_shape(name):
+    call = ROW_CALLS[name]
+    with pytest.raises(ValueError, match=re.escape(
+            "expected points of C^1 as shape (k, 1), got shape (1,)")):
+        call([0.2])
+    # its one-row form gives one entry in each result
+    out = call([[0.2]])
+    for part in out if isinstance(out, tuple) else (out,):
+        assert len(part) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: am.make_fbh_map(HartogsDomain(C1, bl.gaussian_weight(1, 1.0), 1),
+                            "translation", v=[0.2]),
+    lambda: am.make_ch_map(DISK_H, [0.2])], ids=["translation", "mobius"])
+def test_a_map_parameter_is_refused_as_a_bare_point(make):
+    with pytest.raises(ValueError, match=re.escape(
+            "rows must have shape (k, 1) with k >= 1, got shape (1,)")):
+        make()

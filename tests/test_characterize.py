@@ -254,11 +254,11 @@ class TestBoundaryInequality:
     def _per_sample(p, mu, samples, tol=1e-10):
         """The verdict one sample at a time: (p(0), worst, witness)."""
         n = p.base.dim
-        p0 = bl.weight_eval(p, np.zeros(n, dtype=complex))
+        p0 = bl.weight_eval(p, np.zeros((1, n), dtype=complex))[0]
         worst, witness, amount = 0.0, None, 0.0
         for z in samples:
             z = np.asarray(z, dtype=complex)
-            g = bl.weight_eval(p, z) * math.exp(mu * float(np.sum(abs(z) ** 2)))
+            g = bl.weight_eval(p, [z])[0] * math.exp(mu * float(np.sum(abs(z) ** 2)))
             worst = max(worst, abs(g - p0))
             if g > p0 * (1.0 + tol) and g - p0 > amount:
                 amount, witness = g - p0, z
@@ -303,7 +303,7 @@ class TestBoundaryInequality:
 class TestFamilyCondition:
     def test_fbh_generators_share_one_constant(self):
         H = HartogsDomain(C1, bl.gaussian_weight(1, 1.0), 1)
-        maps = [am.make_fbh_map(H, "translation", v=[v])
+        maps = [am.make_fbh_map(H, "translation", v=[[v]])
                 for v in (0.3 + 0.2j, -0.5j, 0.7, 0.2 - 0.6j, 0.05)]
         maps.append(am.make_fbh_map(H, "base_unitary", matrix=[[np.exp(0.9j)]]))
         maps.append(am.make_fbh_map(H, "fiber_unitary", matrix=[[np.exp(-0.4j)]]))
@@ -326,7 +326,7 @@ class TestFamilyCondition:
         H = HartogsDomain(C1, bl.gaussian_weight(1, 1.0), 1)
         comp = am.Composite(H, (
             am.make_fbh_map(H, "base_unitary", matrix=[[np.exp(0.3j)]]),
-            am.make_fbh_map(H, "translation", v=[0.4]),
+            am.make_fbh_map(H, "translation", v=[[0.4]]),
         ))
         rep = ch.family_condition_check(H, [comp], 24)
         assert rep.passed
@@ -342,11 +342,11 @@ class TestFamilyCondition:
                      am.make_fbh_map(H, "fiber_unitary",
                                      matrix=np.diag(np.exp([0.3j, -0.2j])))]
             last = [am.Composite(H, (am.make_fbh_map(H, "translation",
-                                                     v=[0.1, 0.2j]),
+                                                     v=[[0.1, 0.2j]]),
                                      am.make_fbh_map(H, "translation",
-                                                     v=[-0.3j, 0.1])))]
+                                                     v=[[-0.3j, 0.1]])))]
             stack = am.make_fbh_map(H, "translation", v=V)
-            singles = [am.make_fbh_map(H, "translation", v=v) for v in V]
+            singles = [am.make_fbh_map(H, "translation", v=[v]) for v in V]
             degree = 30
         else:
             H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.3), 1)
@@ -363,13 +363,13 @@ class TestFamilyCondition:
     def test_foreign_map_rejected(self):
         H1 = HartogsDomain(C1, bl.gaussian_weight(1, 1.0), 1)
         H2 = HartogsDomain(C1, bl.gaussian_weight(1, 2.0), 1)
-        tr = am.make_fbh_map(H2, "translation", v=[0.2])
+        tr = am.make_fbh_map(H2, "translation", v=[[0.2]])
         with pytest.raises(ValueError):
             ch.family_condition_check(H1, [tr], 10)
 
     def test_report_carries_rank(self):
         H = HartogsDomain(C1, bl.gaussian_weight(1, 1.0), 1)
         rep = ch.family_condition_check(
-            H, [am.make_fbh_map(H, "translation", v=[0.3])], 18)
+            H, [am.make_fbh_map(H, "translation", v=[[0.3]])], 18)
         assert rep.degree == 18
         assert "K_{D,p^m}" in rep.identity

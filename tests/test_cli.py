@@ -18,7 +18,7 @@ from bergmanlab import cli, jsonio
 from bergmanlab.cli import main, parse_domain, parse_weight, load_config, ConfigError
 from bergmanlab.moments import domain_from_json
 
-from conftest import child_env, dense_kernel
+from conftest import child_env, dense_kernel, kernel_at
 
 
 def run_cli(args, capsys):
@@ -39,13 +39,13 @@ class TestDescriptors:
     def test_weights(self):
         c1 = bl.full_space(1)
         w = parse_weight("gaussian:2", c1)
-        assert bl.weight_eval(w, [0]) == 1.0
+        assert bl.weight_eval(w, [[0]])[0] == 1.0
         w = parse_weight("npower:1.5", bl.unit_disk())
-        assert bl.weight_eval(w, [0.5]) == pytest.approx(0.75 ** 1.5)
+        assert bl.weight_eval(w, [[0.5]])[0] == pytest.approx(0.75 ** 1.5)
         w = parse_weight("poly:1,-1", bl.unit_disk())
-        assert bl.weight_eval(w, [0.5]) == pytest.approx(0.75)
+        assert bl.weight_eval(w, [[0.5]])[0] == pytest.approx(0.75)
         w = parse_weight("scaled:2:poly:1", bl.unit_disk())
-        assert bl.weight_eval(w, [0.1]) == pytest.approx(2.0)
+        assert bl.weight_eval(w, [[0.1]])[0] == pytest.approx(2.0)
 
 
 class TestConfig:
@@ -582,7 +582,7 @@ class TestOutputs:
         K2 = dense_kernel(bl.GramMatrix(G1.domain, obj["degree"],
                                         G1.index_map, entries, obj["method"]))
         for z in (0.1, 0.4 - 0.2j, 0.55j):
-            a, b = K1.eval([z], [z]), K2.eval([z], [z])
+            a, b = kernel_at(K1, [z], [z]), kernel_at(K2, [z], [z])
             assert abs(a - b) <= 1e-15 * abs(a)
 
     def test_gram_quadrature_method_block(self, capsys):
@@ -895,8 +895,8 @@ class TestKernelEvalGrid:
         for entry, (z, w) in zip(values, pairs):
             assert entry["z"] == z and entry["w"] == w
             ref = model.scale * bl.generic_norm_power(
-                bl.unit_ball(2), [complex(*c) for c in z],
-                [complex(*c) for c in w], -(3 + 1.5))
+                bl.unit_ball(2), [[complex(*c) for c in z]],
+                [[complex(*c) for c in w]], -(3 + 1.5))[0]
             assert abs(complex(*entry["K"]) - ref) <= 1e-13 * abs(ref)
 
     def test_grid_csv_holds_plain_numbers(self, capsys):
@@ -1493,6 +1493,25 @@ def test_a_malformed_map_point_names_its_map_and_field(capsys, argv,
                    "[re, im] pairs\n")
 
 
+@pytest.mark.parametrize("domain,weight,kind,field,point", [
+    ("disk", "npower:1", "mobius", "a", [[0.3, 0.1], [0.1, 0.0]]),
+    ("disk", "npower:1", "mobius", "a", [[math.inf, 0.1]]),
+    ("cn:2", "gaussian:1", "translation", "v", [[0.3, 0.1]]),
+    ("cn:2", "gaussian:1", "translation", "v", [[0.3, 0.1], [math.nan, 0]]),
+], ids=["mobius-length", "mobius-inf", "translation-length",
+        "translation-nan"])
+def test_a_map_point_off_its_base_names_its_map_and_field(
+        capsys, domain, weight, kind, field, point):
+    n = 1 if domain == "disk" else 2
+    code, out, err = run_cli(["transform-check", "--domain", domain,
+                              "--weight", weight, "--map",
+                              json.dumps({"kind": kind, field: point})],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {kind} map field {field!r} must be a point of "
+                   f"C^{n}: {n} [re, im] pairs of finite numbers\n")
+
+
 def test_a_malformed_file_point_names_its_file_and_field(capsys, tmp_path):
     path = tmp_path / "points.json"
     path.write_text('{"z": [[0.1, 0.0]], "w": [[0.2, 0.0], [1, 2, 3]]}')
@@ -1526,6 +1545,37 @@ def test_a_map_rate_other_than_the_weights_is_refused(capsys, domain, weight,
         obj = {"kind": kind, field: [[0.4, 0.3]], **given}
         argv[argv.index("--map") + 1] = json.dumps(obj)
         assert run_cli(argv, capsys)[0] == 0, given
+
+
+def _transform_report(residual):
+    return ('{\n  "command": "transform-check",\n  "max_rel_residual": '
+            f'{residual},\n  "passed": true,\n  "points": 8,\n  "seed": 0,'
+            '\n  "tolerance": 1e-08\n}\n')
+
+
+# a JSON point is one map, read as a one-row stack; the reports are the
+# bytes the one-point calling convention gave
+@pytest.mark.parametrize("domain,weight,m,obj,residual", [
+    ("cn:2", "gaussian:1", "2",
+     {"kind": "translation", "v": [[0.4, 0.3], [-0.2, 0.1]]},
+     "5.3766711343097e-16"),
+    ("ball:2", "npower:1.5", "1",
+     {"kind": "mobius", "a": [[0.3, 0.0], [0.0, -0.2]]},
+     "2.235926778058378e-15"),
+    ("disk", "npower:1", "1", {"kind": "mobius", "a": [0.3, 0.1]},
+     "8.374456756625504e-16"),
+    ("disk", "npower:1", "1",
+     {"kind": "composite", "parts": [{"kind": "mobius", "a": [[0.3, 0.1]]},
+                                     {"kind": "fiber_unitary",
+                                      "matrix": [[0, 1]]}]},
+     "8.374456756625504e-16"),
+], ids=["translation-cn2", "mobius-ball2", "mobius-disk-pair", "composite"])
+def test_a_json_map_point_keeps_its_report_bytes(capsys, domain, weight, m,
+                                                 obj, residual):
+    code, out, err = run_cli(["transform-check", "--domain", domain,
+                              "--weight", weight, "--m", m, "--map",
+                              json.dumps(obj)], capsys)
+    assert (code, out, err) == (0, _transform_report(residual), "")
 
 
 def test_a_composite_part_rate_is_checked(capsys):

@@ -49,13 +49,13 @@ class TestMultiIndex:
 class TestGenericNorm:
     def test_disk_values(self):
         d = bl.unit_disk()
-        assert bl.generic_norm(d, [0], [0]) == 1.0
-        assert bl.generic_norm(d, [0.5], [0.5]) == pytest.approx(0.75, abs=0)
+        assert bl.generic_norm(d, [[0]], [[0]])[0] == 1.0
+        assert bl.generic_norm(d, [[0.5]], [[0.5]])[0] == pytest.approx(0.75, abs=0)
 
     def test_ball_inner_product(self):
         b = bl.unit_ball(2)
         z = np.array([0.3, 0.4j])
-        assert bl.generic_norm(b, z, z) == pytest.approx(0.75)
+        assert bl.generic_norm(b, [z], [z])[0] == pytest.approx(0.75)
 
     def test_type_i_matches_determinant(self):
         dom = bl.matrix_ball(2, 2)
@@ -65,7 +65,7 @@ class TestGenericNorm:
                  + 1j * rng.uniform(-0.4, 0.4, (2, 2)))
             W = (rng.uniform(-0.4, 0.4, (2, 2))
                  + 1j * rng.uniform(-0.4, 0.4, (2, 2)))
-            got = bl.generic_norm(dom, Z.reshape(-1), W.reshape(-1))
+            got = bl.generic_norm(dom, Z.reshape(1, -1), W.reshape(1, -1))[0]
             ref = np.linalg.det(np.eye(2) - Z @ W.conj().T)
             assert abs(got - ref) < 1e-13
 
@@ -79,28 +79,28 @@ class TestGenericNorm:
         for _ in range(200):
             z = sampler(rng)
             w = sampler(rng)
-            nzw = bl.generic_norm(domain, z, w)
-            nwz = bl.generic_norm(domain, w, z)
+            nzw = bl.generic_norm(domain, [z], [w])[0]
+            nwz = bl.generic_norm(domain, [w], [z])[0]
             assert nzw == np.conj(nwz)
-            nzz = bl.generic_norm(domain, z, z)
+            nzz = bl.generic_norm(domain, [z], [z])[0]
             assert abs(nzz.imag) < 1e-15
             assert 0.0 < nzz.real <= 1.0
-        zero = np.zeros(domain.dim)
-        assert bl.generic_norm(domain, zero, zero) == 1.0
+        zero = np.zeros((1, domain.dim))
+        assert bl.generic_norm(domain, zero, zero)[0] == 1.0
 
     def test_type_i_diagonal_range(self):
         dom = bl.matrix_ball(2, 2)
         rng = np.random.default_rng(5)
         for _ in range(200):
             Z = (rng.uniform(-0.35, 0.35, 4) + 1j * rng.uniform(-0.35, 0.35, 4))
-            if bl.contains(dom, Z) >= 0:
+            if bl.contains(dom, [Z])[0] >= 0:
                 continue
-            nzz = bl.generic_norm(dom, Z, Z)
+            nzz = bl.generic_norm(dom, [Z], [Z])[0]
             assert 0.0 < nzz.real <= 1.0 and abs(nzz.imag) < 1e-14
 
     def test_fullspace_has_no_norm(self):
         with pytest.raises(ValueError):
-            bl.generic_norm(bl.full_space(1), [0], [0])
+            bl.generic_norm(bl.full_space(1), [[0]], [[0]])
 
 
 class TestGenus:
@@ -183,16 +183,16 @@ class TestHuaNormalization:
 class TestWeightEval:
     def test_gaussian_at_origin(self):
         w = bl.gaussian_weight(1, 1.0)
-        assert bl.weight_eval(w, [0]) == 1.0
+        assert bl.weight_eval(w, [[0]])[0] == 1.0
 
     def test_norm_power_square(self):
         w = bl.generic_norm_weight(bl.unit_disk(), 2.0)
-        assert bl.weight_eval(w, [0.5]) == pytest.approx(0.5625, rel=1e-15)
+        assert bl.weight_eval(w, [[0.5]])[0] == pytest.approx(0.5625, rel=1e-15)
 
     def test_lazy_power(self):
         w = bl.gaussian_weight(1, 2.0).pow(3)
-        assert bl.weight_eval(w, [1.0]) == pytest.approx(math.exp(-6), rel=1e-13)
-        assert bl.weight_eval(w, [1.0]) == pytest.approx(
+        assert bl.weight_eval(w, [[1.0]])[0] == pytest.approx(math.exp(-6), rel=1e-13)
+        assert bl.weight_eval(w, [[1.0]])[0] == pytest.approx(
             math.exp(-2.0) ** 3, rel=1e-13)
 
     def test_power_is_pointwise_power(self):
@@ -200,24 +200,24 @@ class TestWeightEval:
         base = bl.generic_norm_weight(bl.unit_disk(), 1.5)
         cubed = base.pow(3)
         for z in interior_disk_points(rng, 25):
-            v = bl.weight_eval(base, [z])
-            assert abs(bl.weight_eval(cubed, [z]) - v ** 3) <= 1e-14 * v ** 3
+            v = bl.weight_eval(base, [[z]])[0]
+            assert abs(bl.weight_eval(cubed, [[z]])[0] - v ** 3) <= 1e-14 * v ** 3
 
     def test_scaled(self):
         w = bl.polynomial_weight(bl.unit_disk(), [1.0, -1.0]).scaled(2.5)
-        assert bl.weight_eval(w, [0.5]) == pytest.approx(2.5 * 0.75)
+        assert bl.weight_eval(w, [[0.5]])[0] == pytest.approx(2.5 * 0.75)
 
     def test_outside_domain_rejected(self):
         w = bl.generic_norm_weight(bl.unit_disk(), 1.0)
         with pytest.raises(ValueError):
-            bl.weight_eval(w, [1.2])
+            bl.weight_eval(w, [[1.2]])
 
     def test_nonpositive_table_rejected_on_eval(self):
         prof = bl.RadialProfile((0.0, 0.4, 0.8, 1.2), (1.0, 0.5, -0.2, -0.5))
         w = bl.Weight(bl.unit_disk(), prof)
-        assert bl.weight_eval(w, [0.1]) > 0
+        assert bl.weight_eval(w, [[0.1]])[0] > 0
         with pytest.raises(ValueError):
-            bl.weight_eval(w, [0.95])
+            bl.weight_eval(w, [[0.95]])
 
 
 class TestWeightScale:
@@ -244,7 +244,7 @@ class TestWeightScale:
     def test_value_out_of_float_range_is_named(self):
         w = bl.polynomial_weight(bl.unit_disk(), [1e10]).scaled(1e300)
         with pytest.raises(ValueError, match="weight value overflows"):
-            bl.weight_eval(w, [0.1])
+            bl.weight_eval(w, [[0.1]])
 
     def test_fields(self):
         w = bl.gaussian_weight(1, 2.0).scaled(3.0).pow(2).scaled(0.5)
@@ -273,9 +273,9 @@ class TestWeightScale:
         pts = interior_disk_points(rng, 5) if n == 1 else \
             interior_ball_points(rng, n, 5)
         for z in pts:
-            z = np.atleast_1d(z)
-            ref = c * bl.weight_eval(weight, z) ** m
-            assert abs(bl.weight_eval(w, z) - ref) <= 1e-14 * ref
+            z = np.reshape(z, (1, -1))
+            ref = c * bl.weight_eval(weight, z)[0] ** m
+            assert abs(bl.weight_eval(w, z)[0] - ref) <= 1e-14 * ref
 
     def test_scaled_power_scaled_type_i(self):
         dom = bl.matrix_ball(2, 2)
@@ -286,31 +286,32 @@ class TestWeightScale:
         nzz = np.linalg.det(np.eye(2) - z.reshape(2, 2)
                             @ z.reshape(2, 2).conj().T).real
         ref = b * a ** m * nzz ** (1.5 * m)
-        assert abs(bl.weight_eval(w, z) - ref) <= 1e-14 * ref
+        assert abs(bl.weight_eval(w, [z])[0] - ref) <= 1e-14 * ref
 
 
 class TestContains:
     def test_disk(self):
         d = bl.unit_disk()
-        assert bl.contains(d, [0]) == -1.0
-        assert bl.contains(d, [1.0]) == 0.0
-        assert bl.contains(d, [1.1]) > 0
+        assert bl.contains(d, [[0]])[0] == -1.0
+        assert bl.contains(d, [[1.0]])[0] == 0.0
+        assert bl.contains(d, [[1.1]])[0] > 0
 
     def test_fullspace_everything_inside(self):
-        assert bl.contains(bl.full_space(2), [5.0, 3.0j]) == -1.0
+        assert bl.contains(bl.full_space(2), [[5.0, 3.0j]])[0] == -1.0
 
     def test_type_i_largest_singular_value(self):
         dom = bl.matrix_ball(2, 2)
         Z = np.diag([0.5, 0.9]).reshape(-1)
-        assert bl.contains(dom, Z) == pytest.approx(0.81 - 1.0)
+        assert bl.contains(dom, [Z])[0] == pytest.approx(0.81 - 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            bl.contains(bl.unit_ball(2), [0.1])
+            bl.contains(bl.unit_ball(2), [[0.1]])
 
 
 class TestRowsOfPoints:
-    """One point is the 1-row view of the same array path."""
+    """Each row of a (k, dim) array gives what its own one-row call
+    gives."""
 
     @pytest.mark.parametrize("domain,weight", [
         (bl.unit_disk(), bl.generic_norm_weight(bl.unit_disk(), 1.5)),
@@ -328,16 +329,16 @@ class TestRowsOfPoints:
         values = bl.weight_eval(weight, Z)
         inner = hermitian_inner(Z, W)
         for i in range(len(Z)):
-            assert defects[i] == bl.contains(domain, Z[i])
-            assert abs(values[i] - bl.weight_eval(weight, Z[i])) \
+            assert defects[i] == bl.contains(domain, Z[i:i + 1])[0]
+            assert abs(values[i] - bl.weight_eval(weight, Z[i:i + 1])[0]) \
                 <= 1e-15 * values[i]
             assert inner[i] == hermitian_inner(Z[i], W[i])
             assert inner[i] == np.conj(hermitian_inner(W[i], Z[i]))
         if domain.bounded:
             norms = bl.generic_norm(domain, Z, W)
             for i in range(len(Z)):
-                assert abs(norms[i] - bl.generic_norm(domain, Z[i], W[i])) \
-                    <= 1e-15
+                assert abs(norms[i] - bl.generic_norm(domain, Z[i:i + 1],
+                                                      W[i:i + 1])[0]) <= 1e-15
 
 
 class TestRadialProfileCsv:
@@ -350,8 +351,8 @@ class TestRadialProfileCsv:
                            "t,value\n0.0,1.0\n0.4,0.6\n0.8,0.3\n1.2,0.1\n")
         w = bl.load_radial_profile(path)
         assert w.base == bl.unit_disk()
-        assert bl.weight_eval(w, [0.0]) == pytest.approx(1.0)
-        assert 0.3 < bl.weight_eval(w, [math.sqrt(0.5)]) < 0.6
+        assert bl.weight_eval(w, [[0.0]])[0] == pytest.approx(1.0)
+        assert 0.3 < bl.weight_eval(w, [[math.sqrt(0.5)]])[0] < 0.6
 
     def test_header_required(self, tmp_path):
         path = self._write(tmp_path / "w.csv", "x,y\n0,1\n0.5,1\n1,1\n1.5,1\n")

@@ -2,7 +2,7 @@
 the per-term and per-point loops they replaced.
 
 ``_scalar_frc`` is the loop the one-pair fiber series ran before
-``frc_eval_pairs``: one kernel ``eval`` per term and pair, each from a
+``frc_eval_pairs``: one kernel value per term and pair, each from a
 model built for its term, the stop rule applied term by term.  It stays
 here as the oracle.  The structural tests count calls, not time, so the
 scalar loops cannot come back unseen."""
@@ -25,7 +25,7 @@ from bergmanlab.hartogs import (
     frc_eval_pairs,
 )
 
-from conftest import fiber_term_model
+from conftest import fiber_term_model, kernel_at
 
 DISK = bl.unit_disk()
 
@@ -42,7 +42,7 @@ def _scalar_frc(domain, point, point2, family, max_terms=200, tol=1e-12):
     streak, prev_mag, ratio, terms = 0, None, None, 0
     for k in range(max_terms):
         term = (inv_pi_m * math.perm(k + m, m)
-                * fiber_term_model(domain, k).eval(z, z2) * upow)
+                * kernel_at(fiber_term_model(domain, k), z, z2) * upow)
         partial += term
         terms = k + 1
         mag = abs(term)
@@ -231,6 +231,36 @@ def test_pairs_need_as_many_points_on_each_side():
         frc_eval_pairs(domain, (Z, ZETA), (Z2[:3], ZETA2[:3]), family)
 
 
+def _zero_fiber_pair():
+    """The disk with weight 1 - |z|^2 and m = 1 at z = 0.2, z' = 0.1,
+    zeta = 0, zeta' = 0.3: a zero-fiber pair, whose series is its nonzero
+    k = 0 term."""
+    H = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.0), 1)
+    return H, ([[0.2]], [[0.0]]), ([[0.1]], [[0.3]]), ClosedFormFamily(H)
+
+
+@pytest.mark.parametrize("max_terms", [0, -1])
+def test_fewer_than_one_term_is_refused(max_terms):
+    H, points, points2, family = _zero_fiber_pair()
+    with pytest.raises(ValueError, match=f"^max_terms must be >= 1, not "
+                                         f"{max_terms}$"):
+        frc_eval_pairs(H, points, points2, family, max_terms)
+    # before the points are looked at
+    with pytest.raises(ValueError, match="^max_terms must be >= 1"):
+        frc_eval_pairs(H, ([[2.0]], [[0.0]]), points2, family, max_terms)
+
+
+def test_one_term_sums_a_zero_fiber_pair():
+    H, points, points2, family = _zero_fiber_pair()
+    got = frc_eval_pairs(H, points, points2, family, 1)
+    assert got.pair(0) == bl.FrcResult(0.21530396272458285 + 0j, 1, 0.0,
+                                       True, None)
+    empty = np.zeros((0, 1), dtype=complex)
+    none = frc_eval_pairs(H, (empty, empty), (empty, empty), family)
+    assert [(f.shape, f.dtype) for f in vars(none).values()] == [
+        ((0,), np.dtype(t)) for t in (complex, int, float, bool, float)]
+
+
 def _frc_check_pairs(m, count, seed):
     """count pairs drawn as frc-check draws them, and 20 restriction pairs
     of base points with zero fibers."""
@@ -409,24 +439,24 @@ def _maps():
     disk = HartogsDomain(DISK, bl.generic_norm_weight(DISK, 1.5), 2)
     ball = HartogsDomain(bl.unit_ball(2), bl.generic_norm_weight(
         bl.unit_ball(2), 1.0), 2)
-    translation = am.make_fbh_map(fbh, "translation", v=[0.3 - 0.2j, 0.1j])
+    translation = am.make_fbh_map(fbh, "translation", v=[[0.3 - 0.2j, 0.1j]])
     return {
         "base-unitary": am.make_fbh_map(fbh, "base_unitary",
                                         matrix=_unitary(rng, 2)),
         "fiber-unitary": am.make_fbh_map(fbh, "fiber_unitary",
                                          matrix=_unitary(rng, 2)),
         "translation": translation,
-        "mobius-disk": am.make_ch_map(disk, [0.35 + 0.15j], _unitary(rng, 2)),
-        "mobius-disk-center": am.make_ch_map(disk, [0.0]),
-        "mobius-ball": am.make_ch_map(ball, [0.25, -0.2j], _unitary(rng, 2)),
-        "mobius-ball-center": am.make_ch_map(ball, [0.0, 0.0]),
+        "mobius-disk": am.make_ch_map(disk, [[0.35 + 0.15j]], _unitary(rng, 2)),
+        "mobius-disk-center": am.make_ch_map(disk, [[0.0]]),
+        "mobius-ball": am.make_ch_map(ball, [[0.25, -0.2j]], _unitary(rng, 2)),
+        "mobius-ball-center": am.make_ch_map(ball, [[0.0, 0.0]]),
         "composite-fbh": am.Composite(fbh, (
             translation,
             am.make_fbh_map(fbh, "base_unitary", matrix=_unitary(rng, 2)),
             am.make_fbh_map(fbh, "fiber_unitary", matrix=_unitary(rng, 2)))),
         "composite-disk": am.Composite(disk, (
-            am.make_ch_map(disk, [0.2 - 0.1j]),
-            am.make_ch_map(disk, [-0.3j], _unitary(rng, 2)))),
+            am.make_ch_map(disk, [[0.2 - 0.1j]]),
+            am.make_ch_map(disk, [[-0.3j]], _unitary(rng, 2)))),
     }
 
 
@@ -456,13 +486,13 @@ def test_action_over_rows_matches_per_point_calls(name):
     base = am.base_apply(aut, Z)
     jac = am.jacobian_base_slice(aut, Z)
     for i in range(len(Z)):
-        one_z, one_zeta = am.apply(aut, (Z[i], ZETA[i]))
+        (one_z,), (one_zeta,) = am.apply(aut, (Z[i:i + 1], ZETA[i:i + 1]))
         _close(out_z[i], one_z, 1e-14)
         _close(out_zeta[i], one_zeta, 1e-14)
-        _close(base[i], am.base_apply(aut, Z[i]), 1e-14)
-        one_jac = am.jacobian_base_slice(aut, Z[i])
-        assert isinstance(one_jac, complex)
-        _close(jac[i], one_jac, 1e-14)
+        _close(base[i], am.base_apply(aut, Z[i:i + 1])[0], 1e-14)
+        one_jac = am.jacobian_base_slice(aut, Z[i:i + 1])
+        assert one_jac.shape == (1,)
+        _close(jac[i], one_jac[0], 1e-14)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -482,12 +512,13 @@ def test_unitaries_map_a_row_alone_as_inside_a_stack(dim):
                                     matrix=_unitary(rng, dim)),
                     am.make_fbh_map(fbh, "fiber_unitary",
                                     matrix=_unitary(rng, dim)),
-                    am.make_ch_map(ch, np.full(dim, 0.1), _unitary(rng, dim))):
+                    am.make_ch_map(ch, np.full((1, dim), 0.1),
+                                   _unitary(rng, dim))):
             stack = am.apply(aut, (Z, ZETA))
             for i in range(count):
-                alone = am.apply(aut, (Z[i], ZETA[i]))
+                alone = am.apply(aut, (Z[i:i + 1], ZETA[i:i + 1]))
                 for one, rows in zip(alone, stack):
-                    assert one.tobytes() == rows[i].tobytes()
+                    assert one[0].tobytes() == rows[i].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
@@ -500,7 +531,8 @@ def test_fd_jacobians_over_rows_match_per_point_calls(name):
     assert J.shape == (len(Z), dim, dim) and cr.shape == (len(Z),)
     closed = am.jacobian_base_slice(aut, Z)
     for i in range(len(Z)):
-        one_J, one_cr = am.jacobian_fd_matrix(aut, (Z[i], zeros[i]))
+        (one_J,), (one_cr,) = am.jacobian_fd_matrix(
+            aut, (Z[i:i + 1], zeros[i:i + 1]))
         # a step of 1e-5 turns last-digit differences of the map into
         # differences near 1e-11 of the quotients
         _close(J[i], one_J, 1e-9)
@@ -524,14 +556,16 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_frc_check_makes_no_scalar_kernel_call(monkeypatch, capsys):
-    power = _count_calls(monkeypatch, kernels.PowerKernel, "eval")
+    power = _count_calls(monkeypatch, kernels.PowerKernel, "eval_grid")
     series = _count_calls(monkeypatch, hartogs, "frc_eval_pairs")
     for pairs in ("10", "50"):
+        power.clear()
         series.clear()
         assert cli.main(["frc-check", "--m", "2", "--pairs", pairs]) == 0
-        # one call sums every pair and every zero-fiber restriction pair
+        # one call sums every pair and every zero-fiber restriction pair,
+        # and one grid gives every restriction pair's reference value
         assert len(series) == 1
-    assert power == []
+        assert len(power) == 1
     capsys.readouterr()
 
 

@@ -11,7 +11,7 @@ import bergmanlab as bl
 from bergmanlab import kernels
 from bergmanlab.core import hermitian_inner, sample_ball
 
-from conftest import dense_kernel, reproducing_residual
+from conftest import dense_kernel, kernel_at, reproducing_residual
 
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
@@ -26,40 +26,40 @@ def fock_measure_weight(n, mu):
 class TestClosedForms:
     def test_fock_origin(self):
         K = bl.FockKernel(1.0, 1)
-        assert K.eval([0], [0]) == 1.0
+        assert kernel_at(K, [0], [0]) == 1.0
 
     def test_fock_growth_against_series(self):
         K = bl.FockKernel(2.0, 1)
-        val = K.eval([1.0], [1.0])
+        val = kernel_at(K, [1.0], [1.0])
         assert val.real == pytest.approx(math.e ** 2, rel=1e-12)
         series = bl.kernel_from_gram(bl.gram_exact(C1, fock_measure_weight(1, 2.0), 30))
-        assert series.eval([1.0], [1.0]).real == pytest.approx(val.real, rel=1e-10)
+        assert kernel_at(series, [1.0], [1.0]).real == pytest.approx(val.real, rel=1e-10)
 
     def test_fock_complex_argument(self):
         K = bl.FockKernel(1.0, 1)
-        assert K.eval([1.0], [1j]) == pytest.approx(cmath.exp(-1j), rel=1e-15)
+        assert kernel_at(K, [1.0], [1j]) == pytest.approx(cmath.exp(-1j), rel=1e-15)
 
     def test_power_kernel_pre_normalization(self):
         K = bl.PowerKernel(DISK, 1.0)
-        assert K.eval([0], [0]) == 1.0
-        assert K.eval([0.5], [0]) == 1.0  # N(z, 0) = 1
+        assert kernel_at(K, [0], [0]) == 1.0
+        assert kernel_at(K, [0.5], [0]) == 1.0  # N(z, 0) = 1
 
     def test_raw_weighted_kernel_constants(self):
         K = bl.weighted_kernel_closed_form(bl.generic_norm_weight(DISK, 1.0))
-        assert K.eval([0], [0]).real == pytest.approx(2 / math.pi, rel=1e-15)
+        assert kernel_at(K, [0], [0]).real == pytest.approx(2 / math.pi, rel=1e-15)
         Kg = bl.weighted_kernel_closed_form(bl.gaussian_weight(1, 1.0))
-        assert Kg.eval([0], [0]).real == pytest.approx(1 / math.pi, rel=1e-15)
+        assert kernel_at(Kg, [0], [0]).real == pytest.approx(1 / math.pi, rel=1e-15)
 
     def test_scaled_weight_scales_kernel_inversely(self):
         K = bl.weighted_kernel_closed_form(bl.generic_norm_weight(DISK, 1.0).scaled(4.0))
-        assert K.eval([0], [0]).real == pytest.approx(0.5 / math.pi, rel=1e-14)
+        assert kernel_at(K, [0], [0]).real == pytest.approx(0.5 / math.pi, rel=1e-14)
 
     def test_type_i_power_kernel_branch(self):
         dom = bl.matrix_ball(2, 2)
         K = bl.PowerKernel(dom, 1.0)
         Z = np.array([0.3, 0.1j, -0.2, 0.25])
         W = np.array([0.1, 0.2, 0.05j, -0.1])
-        v = K.eval(Z, W)
+        v = kernel_at(K, Z, W)
         ref = np.linalg.det(np.eye(2) - Z.reshape(2, 2) @ W.reshape(2, 2).conj().T) ** (-5.0)
         assert v == pytest.approx(ref, rel=1e-12)
 
@@ -68,17 +68,17 @@ class TestKernelFromGram:
     def test_fock_gram_value(self):
         G = bl.gram_exact(C1, fock_measure_weight(1, 1.0), 25)
         K = bl.kernel_from_gram(G)
-        assert abs(K.eval([0.5], [0.5]) - math.exp(0.25)) <= 1e-10
+        assert abs(kernel_at(K, [0.5], [0.5]) - math.exp(0.25)) <= 1e-10
 
     def test_disk_weighted_origin(self):
         G = bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 1.0), 30)
         K = bl.kernel_from_gram(G)
-        assert K.eval([0], [0]).real == pytest.approx(2 / math.pi, rel=1e-13)
+        assert kernel_at(K, [0], [0]).real == pytest.approx(2 / math.pi, rel=1e-13)
 
     def test_degree_zero_reproduces_constants(self):
         G = bl.gram_exact(DISK, bl.polynomial_weight(DISK, [1.0]), 0)
         K = bl.kernel_from_gram(G)
-        assert K.eval([0.3], [0.1j]) == pytest.approx(1 / math.pi, rel=1e-15)
+        assert kernel_at(K, [0.3], [0.1j]) == pytest.approx(1 / math.pi, rel=1e-15)
 
 
 RADIAL_CASES = [
@@ -105,14 +105,11 @@ class TestRadialSeriesKernel:
         assert K.c.shape == (degree + 1,)
         n = domain.dim
         rng = np.random.default_rng(31)
-        pts = [np.zeros(n, dtype=complex),
-               *sample_ball(rng, n, radius, 7)]
+        pts = np.concatenate([np.zeros((1, n), dtype=complex),
+                              sample_ball(rng, n, radius, 7)])
         ref = dense.eval_grid(pts, pts)
         grid = K.eval_grid(pts, pts)
         assert np.all(np.abs(grid - ref) <= 1e-13 * np.abs(ref))
-        for i, z in enumerate(pts):
-            for j, w in enumerate(pts):
-                assert abs(K.eval(z, w) - ref[i, j]) <= 1e-13 * abs(ref[i, j])
         diag, ref_diag = K.diagonal(pts), dense.diagonal(pts)
         assert diag.dtype == float
         assert np.all(np.abs(diag - ref_diag) <= 1e-13 * ref_diag)
@@ -157,7 +154,7 @@ class TestSeriesAgainstClosedForm:
             z *= 1.5 / max(1.0, float(np.sqrt(np.sum(np.abs(z) ** 2))))
             w = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
             w *= 1.5 / max(1.0, float(np.sqrt(np.sum(np.abs(w) ** 2))))
-            kv, rv = K.eval(z, w), cmath.exp(mu * hermitian_inner(z, w))
+            kv, rv = kernel_at(K, z, w), cmath.exp(mu * hermitian_inner(z, w))
             assert abs(kv - rv) / abs(rv) <= 1e-8
 
     # the degree-30 truncation supports 1e-8 relative accuracy out to radius
@@ -176,18 +173,18 @@ class TestSeriesAgainstClosedForm:
             z *= 0.6 * rng.random() ** 0.5 / float(np.sqrt(np.sum(np.abs(z) ** 2)))
             w = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
             w *= 0.6 / float(np.sqrt(np.sum(np.abs(w) ** 2)))
-            kv = K.eval(z, w)
-            rv = scale * bl.generic_norm_power(domain, z, w,
-                                               -(domain.genus + s))
+            kv = kernel_at(K, z, w)
+            rv = scale * bl.generic_norm_power(domain, [z], [w],
+                                               -(domain.genus + s))[0]
             assert abs(kv - rv) / abs(rv) <= 1e-8
 
     def test_diagonal_monotone_in_degree(self):
-        pts = [np.array([z]) for z in (0.2, 0.5 + 0.3j, -0.6j, 0.65)]
+        pts = np.array([[0.2], [0.5 + 0.3j], [-0.6j], [0.65]])
         prev = None
         for d in (5, 10, 20, 30):
             K = bl.kernel_from_gram(
                 bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 1.0), d))
-            diag = [K.eval(z, z).real for z in pts]
+            diag = np.diagonal(K.eval_grid(pts, pts)).real
             if prev is not None:
                 assert all(b >= a - 1e-15 for a, b in zip(prev, diag))
             prev = diag
@@ -201,7 +198,7 @@ class TestSeriesAgainstClosedForm:
             z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
             if abs(z) < 0.7:
                 pts.append(np.array([z]))
-        M = np.array([[K.eval(a, b) for b in pts] for a in pts])
+        M = K.eval_grid(pts, pts)
         eigs = np.linalg.eigvalsh((M + M.conj().T) / 2)
         assert eigs[0] >= -1e-10 * np.linalg.norm(M)
 
@@ -222,14 +219,14 @@ class TestSeriesAgainstClosedForm:
         for _ in range(25):
             z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
             w = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-            a, b = Kc.eval([z], [w]), Ke.eval([z], [w])
+            a, b = kernel_at(Kc, [z], [w]), kernel_at(Ke, [z], [w])
             assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
 
     def test_hermitian_symmetry(self):
         K = bl.kernel_from_gram(
             bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 2.0), 10))
-        a = K.eval([0.3 + 0.2j], [0.1 - 0.5j])
-        b = K.eval([0.1 - 0.5j], [0.3 + 0.2j])
+        a = kernel_at(K, [0.3 + 0.2j], [0.1 - 0.5j])
+        b = kernel_at(K, [0.1 - 0.5j], [0.3 + 0.2j])
         assert a == pytest.approx(np.conj(b), rel=1e-14)
 
 
@@ -242,16 +239,16 @@ def normalized_fock(mu, v):
 
 class TestNormalizedKernel:
     def test_fock_diagonal_halves_rate(self):
-        got = normalized_fock(2.0, [1.0])(np.array([[1.0]]))[0]
+        got = normalized_fock(2.0, [[1.0]])(np.array([[1.0]]))[0]
         assert got == pytest.approx(math.e, rel=1e-14)
 
     def test_fock_offdiagonal_formula(self):
-        got = normalized_fock(1.0, [1.0])(np.array([[0.0]]))[0]
+        got = normalized_fock(1.0, [[1.0]])(np.array([[0.0]]))[0]
         assert got == pytest.approx(math.exp(-0.5), rel=1e-14)
 
     def test_constant_center(self):
         K = bl.kernel_from_gram(bl.gram_exact(DISK, bl.polynomial_weight(DISK, [1.0]), 0))
-        got = K.eval([0.4], [0.0]) / math.sqrt(K.eval([0.0], [0.0]).real)
+        got = kernel_at(K, [0.4], [0.0]) / math.sqrt(kernel_at(K, [0.0], [0.0]).real)
         assert got == pytest.approx((1 / math.pi) / math.sqrt(1 / math.pi), rel=1e-14)
 
     def test_center_value_is_sqrt_of_diagonal(self):
@@ -259,8 +256,8 @@ class TestNormalizedKernel:
         rng = np.random.default_rng(6)
         for _ in range(10):
             w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
-            kww = K.eval(w, w).real
-            assert abs(normalized_fock(1.3, w)(np.array([w]))[0]) == \
+            kww = kernel_at(K, w, w).real
+            assert abs(normalized_fock(1.3, [w])(np.array([w]))[0]) == \
                 pytest.approx(math.sqrt(kww), rel=4e-16)
 
     def test_rejects_nonpositive_center(self):
@@ -362,7 +359,7 @@ class TestKernelSerialization:
         for _ in range(10):
             z = (rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.4, 0.4, n))
             w = (rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.4, 0.4, n))
-            a, b = K.eval(z, w), K2.eval(z, w)
+            a, b = kernel_at(K, z, w), kernel_at(K2, z, w)
             assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
 
     def test_radial_form(self):

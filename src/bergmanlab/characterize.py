@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import laguerre, legendre
-from numpy.polynomial import polynomial as npoly
 
 from .core import (
     DomainKind,
@@ -147,11 +146,62 @@ def _design_laguerre(degree: int) -> np.ndarray:
     return A
 
 
+# coefficient arithmetic on plain arrays, each step as the numpy.polynomial
+# helper it stands for computes it: polyadd, polysub and polymul, each
+# trimming the trailing zeros of its result (polyutils.trimseq)
+
+def _coef_trim(c: np.ndarray) -> np.ndarray:
+    nonzero = np.flatnonzero(c)
+    return c[:nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _coef_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if len(a) > len(b):
+        a, b = b, a
+    out = b.copy()
+    out[:len(a)] += a
+    return _coef_trim(out)
+
+
+def _coef_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if len(a) > len(b):
+        out = a.copy()
+        out[:len(b)] -= b
+    else:
+        out = -b
+        out[:len(a)] += a
+    return _coef_trim(out)
+
+
+def _coef_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _coef_trim(np.convolve(a, b))
+
+
 def _legendre_to_monomial(coeffs: np.ndarray) -> np.ndarray:
-    """Monomial coefficients in t of sum_j coeffs[j] P_j(2t - 1)."""
-    series = legendre.Legendre(coeffs, domain=[0.0, 1.0])
-    return series.convert(kind=npoly.Polynomial, domain=[-1.0, 1.0],
-                          window=[-1.0, 1.0]).coef
+    """Monomial coefficients in t of sum_j coeffs[j] P_j(2t - 1).
+
+    The Clenshaw recursion of ``legendre.legval`` at x = 2t - 1 on
+    coefficient arrays, with the operations ``Legendre(coeffs, domain=[0,
+    1]).convert(kind=Polynomial)`` performs in the same order, so the
+    result is that conversion's ``coef`` bit for bit and length for length.
+    """
+    c = np.array(coeffs, dtype=float, ndmin=1)
+    x = np.array([-1.0, 2.0])
+    if len(c) <= 2:
+        c0, c1 = c[:1], c[1:] if len(c) == 2 else np.zeros(1)
+    else:
+        # the step of coefficient k: c0 <- c_k - c1 (k+1)/(k+2) and
+        # c1 <- c0 + c1 x (2k+3)/(k+2); legval takes the first one on
+        # scalars, the later ones on series
+        k = len(c) - 3
+        c0 = c[k:k + 1] - c[-1] * ((k + 1) / (k + 2))
+        c1 = _coef_add(c[k + 1:k + 2], _coef_mul(_coef_mul(c[-1:], x),
+                                                 [(2 * k + 3) / (k + 2)]))
+        for k in range(k - 1, -1, -1):
+            c0, c1 = (_coef_sub(c[k:k + 1], _coef_mul(c1, [(k + 1) / (k + 2)])),
+                      _coef_add(c0, _coef_mul(_coef_mul(c1, x),
+                                              [(2 * k + 3) / (k + 2)])))
+    return _coef_add(c0, _coef_mul(c1, x))
 
 
 # condition number of the unridged moment system above which recovery

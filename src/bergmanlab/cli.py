@@ -38,6 +38,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from itertools import chain, repeat
@@ -421,8 +422,9 @@ def _cmd_frc_check(cfg: dict):
     the oracle at once and the restriction pairs against the closed kernel
     of the slice weight.
     """
-    from .hartogs import (ClosedFormFamily, HartogsDomain, ball_kernel,
-                          frc_eval_pairs, frc_restriction_check)
+    from .hartogs import (_FIRST_TERMS, MAX_TERM_TABLE, ClosedFormFamily,
+                          HartogsDomain, ball_kernel, frc_eval_pairs,
+                          frc_restriction_check)
     m = cfg["m"]
     # an arithmetic limit of the oracle, refused like the other float-range
     # failures (an "error:" line, exit 2) but before anything is drawn
@@ -437,6 +439,16 @@ def _cmd_frc_check(cfg: dict):
     oracle = ball_kernel(1 + m)
     rng = np.random.default_rng(cfg["seed"])
     pairs = _count(cfg, "pairs", 100, points_each=2)
+    # the pairs and the restriction pairs are the rows of the series' first
+    # pass, whose table is refused past MAX_TERM_TABLE entries
+    first = min(_FIRST_TERMS, cfg.get("max_terms", 200))
+    most = MAX_TERM_TABLE // first - 20
+    if pairs > most:
+        raise ValueError(f"--pairs {pairs} and the 20 zero-fiber restriction "
+                         f"pairs make {pairs + 20} rows x {first} terms, more "
+                         f"than the MAX_TERM_TABLE = {MAX_TERM_TABLE} entries "
+                         "of the fiber series' first pass; frc-check takes "
+                         f"--pairs up to {most}")
 
     # per pair the base points z, z', then the radius ratios |zeta|/
     # sqrt(1 - |z|^2) < 0.7, then the phases of zeta and zeta'; then the
@@ -750,17 +762,26 @@ def _add_flag(parser: argparse.ArgumentParser, key: str, **options) -> None:
 def emit_report(report: dict, fmt: str, path: str | None,
                 csv_rows=None) -> None:
     """Write the report as canonical JSON, or its CSV lines, to path or
-    stdout."""
+    stdout.  The file is opened only once the whole text is built, so a
+    refused report leaves none; it is truncated if it exists, else created
+    with mode 0o666 less the umask as ``open`` creates it, and written by
+    ``os.write`` until every byte is out."""
     if fmt == "csv":
         if csv_rows is None:
             raise ConfigError("this command has no CSV representation; use json")
         text = "\n".join(csv_rows) + "\n"
     else:
         text = jsonio.canonical_dumps(report) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    data = text.encode()    # reports are ASCII
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

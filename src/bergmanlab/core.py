@@ -467,6 +467,8 @@ class RadialProfile:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 4 or t.size != v.size:
             raise ValueError("radial profile needs >= 4 matching knots/values")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValueError("radial profile knots and values must be finite")
         if t[0] > 1e-12:
             raise ValueError("radial profile must start at t = 0")
         if np.any(np.diff(t) <= 0):
@@ -648,8 +650,10 @@ def weight_radial_fn(weight: Weight):
 def load_radial_profile(path, base: DomainSpec | None = None) -> Weight:
     """Load a tabulated radial weight from CSV with header ``t,value``.
 
-    Knots must be strictly increasing decimal floats starting at 0.  If
-    ``base`` is omitted the profile is attached to the unit disk.
+    Knots must be strictly increasing decimal floats starting at 0, and
+    knots and values finite; a table of fewer than 4 data rows, or a row
+    that is not two finite numbers, is refused naming the file and line.
+    If ``base`` is omitted the profile is attached to the unit disk.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -662,8 +666,18 @@ def load_radial_profile(path, base: DomainSpec | None = None) -> Weight:
             continue
         if len(row) != 2:
             raise ValueError(f"{path}:{lineno}: expected two columns")
-        ts.append(float(row[0]))
-        vs.append(float(row[1]))
+        try:
+            t, v = float(row[0]), float(row[1])
+        except ValueError:
+            t = v = math.nan
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise ValueError(f"{path}:{lineno}: expected two finite numbers, "
+                             f"not {','.join(row)!r}")
+        ts.append(t)
+        vs.append(v)
+    if len(ts) < 4:
+        raise ValueError(f"{path}: a radial profile needs at least 4 data "
+                         f"rows, not {len(ts)}")
     base = base if base is not None else unit_disk()
     if base.bounded and ts[-1] < 1.0:
         raise ValueError(f"{path}: table must cover t in [0, 1] on a bounded base")

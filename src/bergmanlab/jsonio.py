@@ -4,6 +4,7 @@ and the canonical report encoder."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -79,9 +80,15 @@ def as_cpoint(obj, what: str = "point") -> np.ndarray:
 
 def float_reprs(values: np.ndarray) -> np.ndarray:
     """``float.__repr__`` of every element of a float array, as an object
-    array of the same shape.  Each distinct bit pattern is formatted once,
-    so equal entries share one string and -0.0 stays apart from 0.0."""
+    array of the same shape, equal entries sharing one string and -0.0
+    apart from 0.0.  An array of at most ``_DIRECT_MAX`` values is
+    formatted value by value, its strings shared by interning them; in a
+    longer one each distinct bit pattern is formatted once."""
     values = np.asarray(values, dtype=np.float64)
+    if values.size <= _DIRECT_MAX:
+        texts = map(float.__repr__, values.reshape(-1).tolist())
+        return np.array(list(map(sys.intern, texts)),
+                        dtype=object).reshape(values.shape)
     bits, inverse = np.unique(values.reshape(-1).view(np.uint64),
                               return_inverse=True)
     texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
@@ -110,6 +117,10 @@ def canonical_dumps(obj) -> str:
 # array operations, a shorter one item by item: about where the fixed cost
 # of the numpy calls falls below that of the per-item path for pairs
 _BULK_MIN = 16
+# ``float_reprs`` formats an array of at most this many values directly: the
+# sort of ``numpy.unique`` costs more than it saves up to about 48 equal
+# values, and more than a dozen microseconds per array of distinct ones
+_DIRECT_MAX = 32
 
 
 def _float_text(x) -> str:

@@ -4,6 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import legendre
+from numpy.polynomial import polynomial as npoly
 
 import bergmanlab as bl
 from bergmanlab import characterize as ch
@@ -107,6 +111,25 @@ class TestRecoverWeight:
         table = ch.moment_table(bl.generic_norm_weight(b2, 1.0), 3)
         with pytest.raises(ValueError, match="n = 1"):
             ch.recover_weight(table)
+
+
+COEFFICIENTS = st.one_of(st.floats(-1e6, 1e6),
+                         st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(COEFFICIENTS, min_size=1, max_size=65),
+       st.integers(0, 64))
+def test_legendre_to_monomial_is_numpys_conversion_bit_for_bit(coeffs,
+                                                                trailing):
+    """Coefficients of degree 0 to 64, exact zeros and trailing zeros
+    included: the coefficients and their count are numpy's."""
+    c = np.array((coeffs + [0.0] * trailing)[:65])
+    want = legendre.Legendre(c, domain=[0.0, 1.0]).convert(
+        kind=npoly.Polynomial, domain=[-1.0, 1.0], window=[-1.0, 1.0]).coef
+    got = ch._legendre_to_monomial(c)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCharacterizeFbh:

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -1796,3 +1797,187 @@ def test_batch_equals_fresh_runs_of_every_workload_template(monkeypatch,
         out = Path(v.out).read_bytes() if v.out else None
         assert r["line"] == number
         assert (r["exit_code"], r["stdout"], r["stderr"], out) == f, v.argv
+
+
+# ---------------------------------------------------------------------------
+# report files
+
+# (command line, exit code): JSON and CSV reports of gram, a Monte Carlo
+# Gram and recover-weight
+OUT_ARGV = [
+    (["gram", "--domain", "disk", "--weight", "npower:1.5", "--degree", "6"],
+     0),
+    (["gram", "--domain", "ball:2", "--weight", "npower:1", "--degree", "8",
+      "--format", "csv"], 0),
+    (["gram", "--domain", "disk", "--weight", "npower:1", "--degree", "4",
+      "--method", "montecarlo", "--samples", "2000", "--format", "csv"], 0),
+    (["recover-weight", "--domain", "disk", "--weight", "poly:1,-0.5,0.25",
+      "--degree", "6"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,code", OUT_ARGV, ids=lambda a: " ".join(a)
+                         if isinstance(a, list) else str(a))
+def test_an_out_file_holds_the_bytes_written_to_stdout(capsys, tmp_path, argv,
+                                                       code):
+    path = tmp_path / "report"
+    _, out, err = run_cli(argv, capsys)
+    assert run_cli([*argv, "--out", str(path)], capsys) == (code, "", err)
+    assert path.read_bytes() == out.encode()
+
+
+def test_an_out_file_is_written_in_as_many_calls_as_it_takes(capsys, tmp_path,
+                                                              monkeypatch):
+    argv, _ = OUT_ARGV[0]
+    _, out, _ = run_cli(argv, capsys)
+    write = os.write
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", short_write)
+    path = tmp_path / "report.json"
+    assert run_cli([*argv, "--out", str(path)], capsys) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+    assert len(calls) == -(-len(out) // 7)
+
+
+def test_an_existing_longer_out_file_is_truncated_and_keeps_its_mode(
+        capsys, tmp_path):
+    argv, _ = OUT_ARGV[1]
+    _, out, _ = run_cli(argv, capsys)
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"x" * (4 * len(out)))
+    path.chmod(0o600)
+    assert run_cli([*argv, "--out", str(path)], capsys) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+    assert path.stat().st_mode & 0o777 == 0o600
+
+
+def test_a_new_out_file_gets_the_mode_open_gives_it(capsys, tmp_path):
+    argv, _ = OUT_ARGV[0]
+    old = os.umask(0o027)
+    try:
+        assert run_cli([*argv, "--out", str(tmp_path / "r.json")],
+                       capsys)[0] == 0
+        with open(tmp_path / "o.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "o.json").stat().st_mode & 0o777 == 0o640
+
+
+def test_an_unwritable_out_path_is_an_error_line(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    argv, _ = OUT_ARGV[0]
+    code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_a_report_refused_for_a_non_finite_float_writes_no_file(capsys,
+                                                                tmp_path):
+    # exp(800) leaves the float range: the report's K is inf, which
+    # canonical JSON refuses after the kernel values are computed
+    argv = ["kernel-eval", "--kernel", '{"form":"fock","mu":800,"n":1}',
+            "--grid", "2", "--radius", "1"]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_bytes(b"kept")
+    for path in (new, old):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: Out of range float values are not JSON "
+                       "compliant: inf\n")
+    assert not new.exists()
+    assert old.read_bytes() == b"kept"
+
+
+# ---------------------------------------------------------------------------
+# tabulated weights refused by file and line
+
+def _table_verdict(capsys, tmp_path, text, argv=None):
+    """Exit code, stdout and stderr of a verdict on the table ``text``,
+    with every warning an error."""
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    argv = argv or ["recover-weight", "--domain", "disk", "--degree", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (*run_cli([*argv, "--weight", f"table:{path}"], capsys), path)
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_a_table_of_fewer_than_four_rows_is_refused(capsys, tmp_path, rows):
+    text = "t,value\n" + "".join(f"{k / 2},{1 - k / 4}\n" for k in range(rows))
+    code, out, err, path = _table_verdict(capsys, tmp_path, text)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: a radial profile needs at least 4 data "
+                   f"rows, not {rows}\n")
+
+
+def test_a_table_value_of_nan_is_refused_by_line(capsys, tmp_path):
+    code, out, err, path = _table_verdict(
+        capsys, tmp_path, "t,value\n0,1\n0.3,nan\n1,0.5\n2,0.1\n")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}:3: expected two finite numbers, "
+                   "not '0.3,nan'\n")
+
+
+def test_a_table_value_of_inf_is_refused_by_line(capsys, tmp_path):
+    code, out, err, path = _table_verdict(
+        capsys, tmp_path, "t,value\n0,1\n0.3,inf\n1,0.5\n2,0.1\n")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}:3: expected two finite numbers, "
+                   "not '0.3,inf'\n")
+
+
+def test_a_last_knot_of_inf_is_refused_by_line(capsys, tmp_path):
+    code, out, err, path = _table_verdict(
+        capsys, tmp_path, "t,value\n0,1\n0.3,0.5\n1,0.5\ninf,0.1\n",
+        ["gram", "--domain", "disk", "--degree", "4", "--format", "csv"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}:5: expected two finite numbers, "
+                   "not 'inf,0.1'\n")
+
+
+def test_a_table_cell_that_is_no_number_is_refused_by_line(capsys, tmp_path):
+    code, out, err, path = _table_verdict(
+        capsys, tmp_path, "t,value\n0,1\n0.3,0.5\n1,0.5\n2,x\n")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:5: expected two finite numbers, not '2,x'\n"
+
+
+def test_a_profile_of_non_finite_knots_or_values_is_refused():
+    for knots, values in [((0.0, 0.5, 1.0, math.inf), (1.0, 1.0, 1.0, 1.0)),
+                          ((0.0, 0.5, 1.0, 2.0), (1.0, math.nan, 1.0, 1.0))]:
+        with pytest.raises(ValueError, match="^radial profile knots and "
+                                             "values must be finite$"):
+            bl.RadialProfile(knots, values)
+
+
+# ---------------------------------------------------------------------------
+# frc-check's first pass
+
+@pytest.mark.parametrize("extra,pairs,first,most", [
+    ((), 131053, 16, 131052),
+    (("--max-terms", "8"), 262125, 8, 262124),
+])
+def test_frc_check_refuses_pairs_past_one_first_pass_before_drawing(
+        capsys, monkeypatch, extra, pairs, first, most):
+    def draw(*args):
+        raise AssertionError("points were drawn")
+
+    monkeypatch.setattr(cli, "sample_ball", draw)
+    code, out, err = run_cli(["frc-check", "--pairs", str(pairs), *extra],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --pairs {pairs} and the 20 zero-fiber "
+                   f"restriction pairs make {pairs + 20} rows x {first} "
+                   "terms, more than the MAX_TERM_TABLE = 2097152 entries "
+                   "of the fiber series' first pass; frc-check takes "
+                   f"--pairs up to {most}\n")

@@ -161,6 +161,35 @@ def test_float_reprs_share_one_string_per_bit_pattern():
     assert texts[0, 0] is texts[1, 1]
 
 
+def unique_float_reprs(values: np.ndarray) -> np.ndarray:
+    """``float_reprs`` as it formatted every array before short ones were
+    formatted value by value: each distinct bit pattern once."""
+    bits, inverse = np.unique(values.reshape(-1).view(np.uint64),
+                              return_inverse=True)
+    texts = np.array(list(map(float.__repr__,
+                              bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse.reshape(values.shape)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(jsonio._DIRECT_MAX - 3, jsonio._DIRECT_MAX + 3),
+       st.sampled_from([(-1,), (-1, 2), (2, -1)]))
+def test_float_reprs_on_both_sides_of_the_direct_limit(data, size, shape):
+    """The strings of the deduplicating path, -0.0, subnormals and
+    non-finite values included, one string per distinct text."""
+    if len(shape) == 2:
+        size += size % 2
+    pool = data.draw(st.lists(floats(True).map(float), min_size=1,
+                              max_size=size))
+    values = np.array(data.draw(st.lists(st.sampled_from(pool),
+                                         min_size=size, max_size=size)))
+    values = values.reshape(shape)
+    texts = jsonio.float_reprs(values)
+    assert texts.dtype == object and texts.shape == values.shape
+    assert texts.tolist() == unique_float_reprs(values).tolist()
+    assert len(set(map(id, texts.flat))) == len(set(texts.flat))
+
+
 def test_cmatrix_is_row_major_pairs():
     m = np.array([[1 + 2j, -0.0], [3.5, 1j]])
     assert jsonio.cmatrix(m) == [[1.0, 2.0], [-0.0, 0.0], [3.5, 0.0],

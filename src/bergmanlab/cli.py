@@ -439,9 +439,10 @@ def _cmd_frc_check(cfg: dict):
     oracle = ball_kernel(1 + m)
     rng = np.random.default_rng(cfg["seed"])
     pairs = _count(cfg, "pairs", 100, points_each=2)
+    max_terms = cfg.get("max_terms", 200)
     # the pairs and the restriction pairs are the rows of the series' first
     # pass, whose table is refused past MAX_TERM_TABLE entries
-    first = min(_FIRST_TERMS, cfg.get("max_terms", 200))
+    first = min(_FIRST_TERMS, max_terms)
     most = MAX_TERM_TABLE // first - 20
     if pairs > most:
         raise ValueError(f"--pairs {pairs} and the 20 zero-fiber restriction "
@@ -465,7 +466,7 @@ def _cmd_frc_check(cfg: dict):
                                   np.concatenate([ZETA, zeros])),
                          (np.concatenate([Z2, rest[:, 1:]]),
                           np.concatenate([ZETA2, zeros])),
-                         family, max_terms=cfg.get("max_terms", 200),
+                         family, max_terms=max_terms,
                          tol=1e-14)
     all_converged = bool(res.converged[:pairs].all())
     # the reported pair is the first to need the most terms; the errors

@@ -117,9 +117,9 @@ def canonical_dumps(obj) -> str:
 # array operations, a shorter one item by item: about where the fixed cost
 # of the numpy calls falls below that of the per-item path for pairs
 _BULK_MIN = 16
-# ``float_reprs`` formats an array of at most this many values directly: the
-# sort of ``numpy.unique`` costs more than it saves up to about 48 equal
-# values, and more than a dozen microseconds per array of distinct ones
+# ``float_reprs`` formats an array of at most this many values directly:
+# below about 40 values that is faster than the sort of ``numpy.unique``
+# even when all are equal, and distinct values gain up to 64 and beyond
 _DIRECT_MAX = 32
 
 

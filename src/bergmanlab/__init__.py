@@ -26,8 +26,8 @@ _EXPORTS = {
         "matrix_ball", "multiindex_enumerate", "polynomial_weight",
         "unit_ball", "unit_disk", "weight_eval"),
     "moments": (
-        "GramMatrix", "RadialGram", "gram_auto", "gram_exact",
-        "gram_montecarlo", "gram_quadrature", "gram_to_json", "gram_validate",
+        "RadialGram", "gram_auto", "gram_exact", "gram_montecarlo",
+        "gram_quadrature", "gram_to_json", "gram_validate",
         "unit_mass_weight"),
     "kernels": (
         "FockKernel", "PowerKernel", "RadialSeriesKernel", "kernel_from_gram",

@@ -14,12 +14,7 @@ Reports are canonical JSON (sorted keys, complex numbers as [re, im]) or
 CSV for matrix/grid payloads, written to --out or stdout.  Reports carry no
 wall-clock data, so a fixed configuration and seed reproduce byte-identical
 output; BLAS threading is controlled by the usual OMP_NUM_THREADS /
-OPENBLAS_NUM_THREADS variables and does not affect report contents, except
-that ``gram --method montecarlo`` sums its samples in cache-sized blocks
-of weighted monomial rows W with the BLAS products (sign f * W) W^H and,
-for the standard errors of a JSON report, |W|^2 (|W|^2)^T, so its entries
-are reproducible bit for bit at a fixed thread count and can change in the
-last digit with the thread count.
+OPENBLAS_NUM_THREADS variables and does not affect report contents.
 
 ``bergmanlab batch FILE|-`` runs many verdicts in one process: each
 non-empty line of FILE (``-``: standard input) is the JSON list of one
@@ -41,7 +36,6 @@ import math
 import os
 import sys
 import warnings
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -66,7 +60,6 @@ from .core import (
     unit_disk,
 )
 from .moments import (
-    RadialGram,
     describe_weight,
     gram_auto,
     gram_exact,
@@ -270,20 +263,8 @@ def _domain_of(cfg: dict, default: str | None = None) -> DomainSpec:
     return domain
 
 
-def _matrix_rows(matrix: np.ndarray):
-    """CSV lines "i,j,re,im" of a complex matrix, one per entry, equal
-    entries sharing one repr; made only when a CSV report consumes them."""
-    yield "i,j,re,im"
-    rows, cols = matrix.shape
-    index = [str(k) for k in range(max(rows, cols))]
-    parts = np.stack((matrix.real, matrix.imag)).reshape(2, -1)
-    re, im = jsonio.float_reprs(parts).tolist()
-    i_cells = chain.from_iterable(repeat(i, cols) for i in index[:rows])
-    yield from map(",".join, zip(i_cells, index[:cols] * rows, re, im))
-
-
 def _diagonal_rows(diagonal: np.ndarray):
-    """The CSV lines ``_matrix_rows`` writes for diag(diagonal), joined
+    """The CSV lines "i,j,re,im" of diag(diagonal), one per entry, joined
     into one text per matrix row, without forming the matrix."""
     yield "i,j,re,im"
     cells = [f",{j},0.0,0.0" for j in range(len(diagonal))]
@@ -339,18 +320,13 @@ def _cmd_gram(cfg: dict):
     elif method == "quadrature":
         gram = gram_quadrature(domain, weight, cfg["degree"])
     elif method == "montecarlo":
-        # a CSV report holds the entries alone, without standard errors
         gram = gram_montecarlo(domain, weight, cfg["degree"],
-                               cfg.get("samples", 100_000), cfg["seed"],
-                               stderr=cfg["format"] == "json")
+                               cfg.get("samples", 100_000), cfg["seed"])
     else:
         raise ConfigError(f"unknown gram method {method!r}")
-    if isinstance(gram, RadialGram):
-        rows = _diagonal_rows(gram.diagonal)
-    else:
-        rows = _matrix_rows(gram.entries)
+    rows = _diagonal_rows(gram.diagonal)
     if cfg["format"] == "csv":
-        # the entries alone: no JSON report, no spectrum for its diagnostics
+        # the entries alone: no JSON report, no diagnostics
         return None, False, rows
     report = gram_to_json(gram)
     report["command"] = "gram"
@@ -387,7 +363,13 @@ def _cmd_kernel_eval(cfg: dict):
         zs = ws = np.linspace(-radius, radius, count).reshape(count, 1)
     zs = as_points(zs, n)
     ws = as_points(ws, n)
-    grid = model.eval_grid(zs, ws).tolist()
+    kernel = kernel_to_json(model)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            grid = model.eval_grid(zs, ws).tolist()
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"the {kernel['form']} kernel is not finite "
+                                 f"on these points ({exc})") from None
 
     rows = ["re(z),im(z),re(w),im(w),re(K),im(K)"]
     values = []
@@ -399,8 +381,7 @@ def _cmd_kernel_eval(cfg: dict):
                 rows.append(",".join((repr(z[0].real), repr(z[0].imag),
                                       repr(w[0].real), repr(w[0].imag),
                                       repr(k.real), repr(k.imag))))
-    report = {"command": "kernel-eval", "kernel": kernel_to_json(model),
-              "values": values}
+    report = {"command": "kernel-eval", "kernel": kernel, "values": values}
     return report, False, rows if n == 1 else None
 
 

@@ -301,8 +301,7 @@ def hermitian_inner(z, w):
 # multi-indices (graded lexicographic order, globally fixed)
 
 # largest monomial basis C(n+d, n) that may be enumerated: every base of
-# dimension <= 2 at the largest degree, 64.  A dense complex Gram matrix over
-# it takes 70 MiB, and its factorizations a few times more.
+# dimension <= 2 at the largest degree, 64
 MAX_BASIS = math.comb(2 + 64, 2)
 
 
@@ -327,14 +326,9 @@ def _compositions(n: int, total: int):
         a[i + 1] = last + 1
 
 
-def multiindex_enumerate(n: int, d: int) -> list[tuple[int, ...]]:
-    """All exponent multi-indices of length n and degree <= d in grlex order.
-
-    Grlex compares total degree first and breaks ties lexicographically with
-    the leading variable largest, e.g. for n = 2: (0,0), (1,0), (0,1),
-    (2,0), (1,1), (0,2), ...  The count is C(n+d, n); a count above
-    ``MAX_BASIS`` is refused before anything is enumerated.
-    """
+def _basis_size(n: int, d: int) -> int:
+    """C(n+d, n) multi-indices of length n and degree <= d, or a refusal
+    past ``MAX_BASIS``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 0:
@@ -344,6 +338,18 @@ def multiindex_enumerate(n: int, d: int) -> list[tuple[int, ...]]:
         raise ValueError(
             f"degree {d} in {n} complex dimensions needs {size} "
             f"monomials; a monomial basis may have at most {MAX_BASIS}")
+    return size
+
+
+def multiindex_enumerate(n: int, d: int) -> list[tuple[int, ...]]:
+    """All exponent multi-indices of length n and degree <= d in grlex order.
+
+    Grlex compares total degree first and breaks ties lexicographically with
+    the leading variable largest, e.g. for n = 2: (0,0), (1,0), (0,1),
+    (2,0), (1,1), (0,2), ...  The count is C(n+d, n); a count above
+    ``MAX_BASIS`` is refused before anything is enumerated.
+    """
+    _basis_size(n, d)
     out = []
     for deg in range(d + 1):
         out.extend(_compositions(n, deg))

@@ -258,17 +258,13 @@ def _terms_needed(before: np.ndarray, last: np.ndarray,
     return K + need + _STREAK - 1
 
 
-def _next_width(width: int, need: float, pairs: int, max_terms: int) -> int:
+def _next_width(width: int, need: float, max_terms: int) -> int:
     """Terms of the pass after one of ``width`` terms: twice as many, or
-    the fewest further doublings that reach ``need``.  A
-    width past twice the last is taken only while ``pairs`` rows of it fit
-    MAX_TERM_TABLE, and none past max_terms, so no pass is refused that
-    doubling would have run.  Every width is a width doubling reaches,
-    and a pair's terms do not depend on the width, so the results do not
-    either."""
+    the fewest further doublings that reach ``need``, and none past
+    max_terms.  Every width is a width doubling reaches, and a pair's
+    terms do not depend on the width, so the results do not either."""
     width *= 2
-    while (width < min(need, max_terms)
-           and pairs * min(2 * width, max_terms) <= MAX_TERM_TABLE):
+    while width < min(need, max_terms):
         width *= 2
     return width
 
@@ -293,9 +289,10 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
     and stops at k = 0 in the first pass.  A term index whose constants
     leave the float range raises only if some pair still needs it, and a
     partial sum that leaves it raises FloatingPointError; terms evaluated
-    past a pair's stop may overflow.  A pass whose pairs x terms table
-    would hold more than ``MAX_TERM_TABLE`` entries, zero-fiber pairs
-    included, is refused before it is allocated.
+    past a pair's stop may overflow.  A first pass of more than
+    ``MAX_TERM_TABLE`` pairs x terms, zero-fiber pairs included, is refused
+    before it is allocated; a later one of K terms is summed in blocks of
+    at most MAX_TERM_TABLE // K pairs.
     """
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, not {max_terms}")
@@ -328,60 +325,72 @@ def frc_eval_pairs(domain: HartogsDomain, points, points2, kernel_family,
         K, pending = kernel_family.usable_terms(min(width, max_terms))
         if K == 0:
             raise pending
-        if active.size * K > MAX_TERM_TABLE:
+        # the first pass is one table, a later one row blocks that fit it
+        if width == _FIRST_TERMS and active.size * K > MAX_TERM_TABLE:
             raise ValueError(f"{active.size} pairs x {K} terms exceed the "
                              f"MAX_TERM_TABLE = {MAX_TERM_TABLE} entries of "
                              "one fiber-series pass")
-        with np.errstate(over="ignore", invalid="ignore"):
-            T = fiber_coefficients(m, K) * kernel_family.table(E, x, K)
-            sums = np.cumsum(T, axis=1)
-            mags = np.abs(T)
-            small = mags < tol * np.maximum(np.abs(sums), 1e-300)
-        # a pair stops at the last of its first _STREAK consecutive small
-        # terms
-        if K >= _STREAK:
-            run = small[:, _STREAK - 1:] & small[:, _STREAK - 2:K - 1]
-            for back in range(2, _STREAK):
-                run &= small[:, _STREAK - 1 - back:K - back]
-            stops = run.any(axis=1)
-            last_used = np.where(stops, run.argmax(axis=1) + _STREAK - 1,
-                                 K - 1)
-        else:
-            stops = np.zeros(len(active), dtype=bool)
-            last_used = np.full(len(active), K - 1)
-        # every term past k = 0 of a zero-fiber pair vanishes
-        stops |= zero[active]
-        last_used[zero[active]] = 0
-        # a complex partial sum that leaves the float range stays inf or
-        # NaN, so the last used one is finite exactly when all before it are
-        if not np.isfinite(sums[np.arange(len(active)), last_used]).all():
-            raise FloatingPointError("a fiber-series partial sum leaves "
-                                     "the float range")
-        done = stops | (K == max_terms)
-        rows = np.flatnonzero(done)
-        j = last_used[rows]
-        mag = mags[rows, j]
-        ratio = _last_ratio(mags, rows, j)
-        converged = stops[rows] | (mag == 0.0)
-        tail = np.where(converged, 0.0, np.inf)
-        geometric = ratio < 1.0
-        tail[geometric] = (mag[geometric] * ratio[geometric]
-                           / (1.0 - ratio[geometric]))
-        d = active[rows]
-        out.value[d] = sums[rows, j]
-        out.terms_used[d] = j + 1
-        out.tail_estimate[d] = tail
-        out.converged[d] = converged
-        out.last_ratio[d] = ratio
+        step = max(1, MAX_TERM_TABLE // K)
+        done, last, partial = map(np.concatenate, zip(*(
+            _fiber_pass(out, kernel_family, m, K, tol, max_terms, zero,
+                        active[lo:lo + step], E[lo:lo + step], x[lo:lo + step])
+            for lo in range(0, active.size, step))))
         left = np.flatnonzero(~done)
         if pending is not None and left.size:
             raise pending
         if left.size:
-            need = _terms_needed(mags[left, -2], mags[left, -1],
-                                 np.abs(sums[left, -1]), K, tol)
-            width = _next_width(width, need, left.size, max_terms)
+            need = _terms_needed(last[left, -2], last[left, -1],
+                                 partial[left], K, tol)
+            width = _next_width(width, need, max_terms)
         active, E, x = active[left], E[left], x[left]
     return out
+
+
+def _fiber_pass(out, kernel_family, m, K, tol, max_terms, zero, active, E, x):
+    """Write the results of the pairs ``active`` that stop within K terms
+    into ``out``; per pair, whether it stopped, the magnitudes of its last
+    two terms and that of its partial sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = fiber_coefficients(m, K) * kernel_family.table(E, x, K)
+        sums = np.cumsum(T, axis=1)
+        mags = np.abs(T)
+        small = mags < tol * np.maximum(np.abs(sums), 1e-300)
+    # a pair stops at the last of its first _STREAK consecutive small
+    # terms
+    if K >= _STREAK:
+        run = small[:, _STREAK - 1:] & small[:, _STREAK - 2:K - 1]
+        for back in range(2, _STREAK):
+            run &= small[:, _STREAK - 1 - back:K - back]
+        stops = run.any(axis=1)
+        last_used = np.where(stops, run.argmax(axis=1) + _STREAK - 1, K - 1)
+    else:
+        stops = np.zeros(len(active), dtype=bool)
+        last_used = np.full(len(active), K - 1)
+    # every term past k = 0 of a zero-fiber pair vanishes
+    stops |= zero[active]
+    last_used[zero[active]] = 0
+    # a complex partial sum that leaves the float range stays inf or NaN,
+    # so the last used one is finite exactly when all before it are
+    if not np.isfinite(sums[np.arange(len(active)), last_used]).all():
+        raise FloatingPointError("a fiber-series partial sum leaves "
+                                 "the float range")
+    done = stops | (K == max_terms)
+    rows = np.flatnonzero(done)
+    j = last_used[rows]
+    mag = mags[rows, j]
+    ratio = _last_ratio(mags, rows, j)
+    converged = stops[rows] | (mag == 0.0)
+    tail = np.where(converged, 0.0, np.inf)
+    geometric = ratio < 1.0
+    tail[geometric] = (mag[geometric] * ratio[geometric]
+                       / (1.0 - ratio[geometric]))
+    d = active[rows]
+    out.value[d] = sums[rows, j]
+    out.terms_used[d] = j + 1
+    out.tail_estimate[d] = tail
+    out.converged[d] = converged
+    out.last_ratio[d] = ratio
+    return done, mags[:, -2:], np.abs(sums[:, -1])
 
 
 def _last_ratio(mags: np.ndarray, rows: np.ndarray,

@@ -12,11 +12,10 @@ Two closed forms and one reconstruction:
 * ``RadialSeriesKernel(base, degree, c)`` evaluates the power series
   sum_{k <= degree} c_k <z, w>^k in one variable: the raw-dV weighted
   Bergman kernel at finite rank of a radial weight on the disk, the ball
-  or C^n, built from the moments of a ``RadialGram``.  Every supported
+  or C^n, built from the moments of a ``RadialGram``, whichever route
+  (closed form, quadrature or Monte Carlo) gave them.  Every supported
   weight on those bases is radial, so this is the one way a Gram becomes a
-  kernel; a dense ``GramMatrix`` (a Monte Carlo estimate) holds no
-  moments and has no kernel here, and type-I bases have their closed form
-  only.
+  kernel; type-I bases have their closed form only.
 
 Raw-measure closed forms carry their normalization in the ``scale`` field
 of the closed form, so that exactly one measure convention (raw dV) is used
@@ -205,13 +204,8 @@ def kernel_from_gram(gram: RadialGram) -> RadialSeriesKernel:
     moments R_{n-1}.. are, so positivity is the only check a factorization
     would make.  Where (k+n-1)!/k! or pi^n leaves the float range, c_k is
     formed in log space instead, and a c_k outside the float range is
-    refused by name.  A dense ``GramMatrix`` (a Monte Carlo estimate) holds
-    no moments and is refused.
+    refused by name.
     """
-    if not isinstance(gram, RadialGram):
-        raise ValueError("only a radial Gram has a kernel: a dense "
-                         "GramMatrix (a Monte Carlo estimate) holds no "
-                         "moments")
     n, d = gram.domain.dim, gram.degree
     R = gram.moments[n - 1:d + n]
     if not (np.isfinite(R).all() and (R > 0).all()):

@@ -20,26 +20,18 @@ integral over each shell t_1 + ... + t_n = s).  Such a Gram is a
 ``RadialGram``: it holds R_0..R_{degree+n-1}, and its ``diagonal``, the
 B = C(n+degree, n) values above in grlex order, is all of the matrix that
 its diagnostics, reports and verdicts read; no dense B x B array of it is
-ever formed.  The moments come from one
-of two routes: closed forms (Gaussian and generic-norm powers) and
-Gauss-Legendre rules exact for the degree of a polynomial weight
-(``gram_exact``), or a 1-D Gauss rule in s -- Legendre on [0, 1], Laguerre
-on C^n, Legendre up to the last knot of a tabulated profile
-(``gram_quadrature``).  ``gram_auto`` takes the closed form where one
-exists; ``kernels.kernel_from_gram`` turns the moments into the kernel
-series.  Importance-sampled Monte Carlo with per-entry standard errors
-(``gram_montecarlo``) estimates the dense matrix directly, a
-``GramMatrix``: per block of samples, its weighted monomial rows
-W = sqrt|f| z^alpha give sum f w w^H as (sign f * W) W^H and the squared
-moduli of the standard errors as A A^T with A = |W|^2, two BLAS products.
-A ``GramMatrix`` holds no moments and has no kernel; ``gram_validate``
-reports its health.
+ever formed.  The moments come from one of three routes: closed forms
+(Gaussian and generic-norm powers) and Gauss-Legendre rules exact for the
+degree of a polynomial weight (``gram_exact``), a 1-D Gauss rule in s --
+Legendre on [0, 1], Laguerre on C^n, Legendre up to the last knot of a
+tabulated profile (``gram_quadrature``), or importance-sampled Monte Carlo
+with one standard error per moment (``gram_montecarlo``).  ``gram_auto``
+takes the closed form where one exists; ``kernels.kernel_from_gram`` turns
+the moments into the kernel series.
 
 Assembly is deterministic: node sets and summation order are fixed by
-``QUADRATURE`` and by the seed.  The radial routes are independent of any
-threading in the BLAS; the Monte Carlo sums are BLAS matrix products, whose
-last digit can change with the thread count (a fixed-order product costs
-several times the BLAS one at these sizes).
+``QUADRATURE`` and by the seed, and no sum is a BLAS product, so no route
+depends on the threading of the BLAS.
 """
 
 from __future__ import annotations
@@ -60,6 +52,7 @@ from .core import (
     PolynomialRadial,
     RadialProfile,
     Weight,
+    _basis_size,
     _row_sums,
     full_space,
     matrix_ball,
@@ -82,42 +75,14 @@ QUADRATURE = {"radial_nodes": 64, "fullspace_nodes": 96, "table_nodes": 256,
               "tail_rtol": 1e-12}
 
 # Relative size of the most negative eigenvalue of a unit-diagonal Gram
-# matrix that still counts as roundoff around a positive semidefinite one.
+# matrix that would still count as roundoff, stated in every report.
 PSD_TOL = 1e-10
 
-# Monte Carlo samples are drawn in chunks of at most 200 000, sized as if
-# each sample held 64 bytes per monomial within this many bytes.  The
-# budget fixes only the draw stream, which a seed's points depend on; a
-# chunk holds O(n) arrays per sample (points, weights), while its monomial
-# values live one block of rows at a time (``_MC_BLOCK_BYTES``).
+# Monte Carlo samples are drawn in chunks of at most 200 000 within this
+# many bytes, at 48 n + 64 bytes per sample in C^n: its n complex
+# coordinates and 2n normal draws and squares, then a few floats.  The
+# budget fixes the draw stream, which a seed's points depend on.
 MC_CHUNK_BYTES = 256 * 2 ** 20
-
-# A draw chunk is summed over blocks of about this many bytes of monomial
-# rows (16 bytes per monomial and point), so a block's rows stay in cache
-# through its two products; a block never holds fewer than 4 points per
-# monomial, since thinner B x k x B products lose their BLAS efficiency.
-# With rows built degree by degree (n * degree small products per block),
-# budgets of 64 KiB to 1 MiB time within noise of each other at B = 5..45,
-# and none beats this one.
-_MC_BLOCK_BYTES = 256 * 2 ** 10
-
-
-@dataclass
-class GramMatrix:
-    """Hermitian matrix of monomial inner products up to a degree cap, held
-    dense: the Monte Carlo estimate."""
-
-    domain: DomainSpec
-    degree: int
-    index_map: list[tuple[int, ...]]
-    entries: np.ndarray
-    method: dict
-    stderr: np.ndarray | None = None
-    weight_label: str = ""
-
-    @property
-    def size(self) -> int:
-        return len(self.index_map)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +94,12 @@ class RadialGram:
     value per monomial) are built on first read, so nothing of size
     C(n+degree, n) exists until a caller needs the diagonal; the matrix is
     that diagonal and zeros elsewhere, and is never built.
+
+    A Monte Carlo Gram estimates R_{n-1}..R_{degree+n-1} only, all that
+    ``diagonal`` and ``kernels.kernel_from_gram`` read, and holds NaN below:
+    R_j would weight the samples by t^(j-n+1), t = |z|^2, of infinite
+    variance for j <= (n-2)/2 (R_0 at every n >= 2).  Its ``stderr`` holds
+    the standard errors of the estimates, in order; other routes have none.
     """
 
     domain: DomainSpec
@@ -136,9 +107,7 @@ class RadialGram:
     moments: np.ndarray
     method: dict
     weight_label: str = ""
-
-    # closed forms and quadrature carry no sampling error
-    stderr = None
+    stderr: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -174,8 +143,6 @@ class RadialGram:
                              f"the float range")
         return _read_only(diagonal)[0]
 
-
-Gram = GramMatrix | RadialGram
 
 
 @dataclass
@@ -589,79 +556,36 @@ def gram_auto(weight: Weight, degree: int) -> RadialGram:
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-def _ball_volume(n: int) -> float:
-    return math.pi ** n / math.factorial(n)
-
-
-def _row_plan(n: int, degree: int) -> list[tuple[int, int, int, int]]:
-    """How the grlex monomial rows follow from the rows before them: a list
-    of (dst, src, count, j), meaning rows dst..dst+count are z_j times rows
-    src..src+count.  The degree-g rows are, for j = 1..n, z_j times the
-    trailing degree-(g-1) rows that use only z_j..z_n, one contiguous
-    slice each, so a degree takes n products."""
-    plan, top = [], 1     # rows [.., top) are built; row 0 is degree 0
-    for g in range(1, degree + 1):
-        dst = top
-        for j in range(n):
-            count = math.comb(g - 1 + n - 1 - j, n - 1 - j)
-            plan.append((dst, top - count, count, j))
-            dst += count
-        top = dst
-    return plan
-
-
-def _weighted_rows(plan, pts: np.ndarray, root: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """The (B, k) rows root * z^alpha at k points, in grlex order, written
-    into ``out`` degree by degree from row 0 = root."""
-    cols = np.ascontiguousarray(pts.T)
-    out[0] = root
-    for dst, src, count, j in plan:
-        np.multiply(out[src:src + count], cols[j], out=out[dst:dst + count])
-    return out
-
-
 def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
-                    samples: int, seed: int, stderr: bool = True
-                    ) -> GramMatrix:
-    """Importance-sampled Gram estimate, with per-entry standard errors
-    unless ``stderr`` is False (then ``GramMatrix.stderr`` is None).
+                    samples: int, seed: int) -> RadialGram:
+    """The Gram of importance-sampled moments R_{n-1}..R_{degree+n-1}, each
+    with its standard error.
 
     Uniform proposal on bounded domains, complex-Gaussian proposal on the
-    full space.  The generator is counter-based (Philox keyed by the seed)
-    and draws its samples in a fixed-order pass of chunks sized by the
-    basis (``MC_CHUNK_BYTES``).  Each chunk is summed over blocks of
-    monomial rows small enough to stay in cache (``_MC_BLOCK_BYTES``).  A
-    block's rows are W = sqrt|f| z^alpha, with f the weight over the
-    proposal density, so its sums are two BLAS products: sum f w w^H is
-    (s W) W^H with s = sign f (applied only where some f < 0), and
-    sum f^2 |w|^2 (|w|^2)^T is A A^T with A = |W|^2.  The estimate is
-    reproducible bit for bit for a given seed at a given BLAS thread count,
-    whose change can move its last digit.  Sums that leave the float range
-    are refused by name.
+    full space, drawn by a Philox generator keyed by the seed in chunks
+    (``MC_CHUNK_BYTES``).  With t = |z|^2 and f the weight over the
+    proposal density, the mean of f t^k is pi^n/(n-1)! R_{k+n-1} on the
+    ball and on C^n alike (shells of volume pi^n s^(n-1)/(n-1)! ds).  Each
+    chunk adds sum f t^k and sum (f t^k)^2 for k = 0..degree, fixed-order
+    1-D sums over one running power array, so the estimate is the same bit
+    for bit at any BLAS thread count.  A basis past ``MAX_BASIS`` is
+    refused before anything is drawn, sums outside the float range by name.
     """
     if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         raise ValueError("Monte Carlo sampling supports disk/ball/full space")
     if samples < 1:
         raise ValueError("need at least one sample")
     n = domain.dim
-    basis = multiindex_enumerate(n, degree)
-    B = len(basis)
-    plan = _row_plan(n, degree)
+    _basis_size(n, degree)
     rng = np.random.Generator(np.random.Philox(key=seed))
     wfun = weight_radial_fn(weight)
     mu = None if domain.bounded else _gaussian_decay(weight)
     sigma2 = 1.0 / mu if mu is not None else 1.0
 
-    chunk = max(1, min(200_000, MC_CHUNK_BYTES // (64 * B)))
-    block = max(4 * B, _MC_BLOCK_BYTES // (16 * B))
-    W = np.empty((B, min(block, chunk, samples)), dtype=complex)
-    Wc = np.empty_like(W)
-    sum_x = np.zeros((B, B), dtype=complex)
-    sum_abs2 = np.zeros((B, B), dtype=float) if stderr else None
-    done = 0
+    chunk = max(1, min(200_000, MC_CHUNK_BYTES // (48 * n + 64)))
+    sums, squares = np.zeros(degree + 1), np.zeros(degree + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while done < samples:
+        for done in range(0, samples, chunk):
             m = min(chunk, samples - done)
             if domain.bounded:
                 pts = sample_ball_polar(rng, n, 1.0, m)
@@ -670,60 +594,39 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
                 pts = np.empty((m, n), dtype=complex)
                 np.multiply(rng.standard_normal((m, n)), c, out=pts.real)
                 np.multiply(rng.standard_normal((m, n)), c, out=pts.imag)
-            re_im = pts.view(float)
-            t = _row_sums(re_im * re_im)
-            dens = 1.0 / _ball_volume(n) if domain.bounded else \
+            t = _row_sums(np.square(pts.view(float)))
+            del pts
+            dens = math.factorial(n) / math.pi ** n if domain.bounded else \
                 np.exp(-t / sigma2) / (math.pi * sigma2) ** n
-            f = wfun(t) / dens
-            for lo in range(0, m, block):
-                fk = f[lo:lo + block]
-                k = len(fk)
-                Wk = _weighted_rows(plan, pts[lo:lo + k], np.sqrt(np.abs(fk)),
-                                    W[:, :k])
-                if stderr:
-                    A = np.square(Wk.real)
-                    A += np.square(Wk.imag)
-                    sum_abs2 += A @ A.T
-                np.conjugate(Wk, out=Wc[:, :k])
-                if (fk < 0).any():
-                    Wk *= np.sign(fk)
-                sum_x += Wk @ Wc[:, :k].T
-            done += m
+            # f t^k for k = 0, 1, ..., degree in place
+            power, square = wfun(t) / dens, np.empty(m)
+            for k in range(degree + 1):
+                sums[k] += power.sum()
+                squares[k] += np.multiply(power, power, out=square).sum()
+                power *= t
 
-        mean = sum_x / samples
-        G = (mean + mean.conj().T) / 2.0
-        se = None
-        if stderr:
-            var = np.maximum(sum_abs2 / samples - np.abs(mean) ** 2, 0.0)
-            se = np.sqrt(var / samples)
-    if not (np.isfinite(G).all() and (se is None or np.isfinite(se).all())):
+        mean = sums / samples
+        se = np.sqrt(np.maximum(squares / samples - mean ** 2, 0.0) / samples)
+        shell = _shell_factor((0,) * n)     # pi^n/(n-1)!
+        estimate, se = mean / shell, se / shell
+    if not (np.isfinite(estimate).all() and np.isfinite(se).all()):
         raise ValueError(f"the Monte Carlo sums of {describe_weight(weight)} "
                          f"at degree {degree} leave the float range")
-    return GramMatrix(domain, degree, basis, G,
+    return RadialGram(domain, degree,
+                      np.concatenate([np.full(n - 1, np.nan), estimate]),
                       {"kind": "montecarlo", "seed": int(seed),
                        "samples": int(samples)},
-                      stderr=se, weight_label=describe_weight(weight))
+                      describe_weight(weight), stderr=se)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics and mass
 
-def _equilibrate(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Symmetric scaling to unit diagonal; None when the diagonal is not
-    strictly positive.  Gram diagonals span many orders of magnitude
-    (Gaussian moments grow like k!), and eigenvalue computations are only
-    trustworthy after this normalization."""
-    d = np.real(np.diag(entries))
-    if entries.size == 0 or np.any(d <= 0):
-        return None
-    s = 1.0 / np.sqrt(d)
-    scaled = entries * s[:, None] * s[None, :]
-    return (scaled + scaled.conj().T) / 2.0, s
-
-
-def _diagonal_diagnostics(d: np.ndarray) -> GramDiagnostics:
-    """The report of the diagonal matrix diag(d), read off its entries: its
-    eigenvalues are the entries, and it factors exactly when all are > 0."""
+def gram_validate(gram: RadialGram) -> GramDiagnostics:
+    """Health report of the diagonal matrix, read off its entries: they
+    are its eigenvalues, it is Hermitian without off-diagonal mass, and it
+    factors exactly when all are > 0 (``cholesky_ok``)."""
+    d = gram.diagonal
     lam_min, lam_max = float(d.min()), float(d.max())
     return GramDiagnostics(
         hermitian_defect=0.0,
@@ -732,46 +635,6 @@ def _diagonal_diagnostics(d: np.ndarray) -> GramDiagnostics:
         condition=lam_max / lam_min if lam_min > 0 else math.inf,
         radial_offdiag_max=0.0,
         cholesky_ok=bool(lam_min > 0),
-        psd_tol=PSD_TOL,
-    )
-
-
-def gram_validate(gram: Gram) -> GramDiagnostics:
-    """Finite-rank health report: Hermitian defect, spectrum range,
-    condition number, and how far off-diagonal mass strays for radial
-    weights.  Always succeeds; ``cholesky_ok`` flags factorizability.  A
-    ``RadialGram`` is diagonal and its report is read off the diagonal; for
-    a dense Gram it is decided by a trial factorization of the
-    unit-diagonal rescaling (the raw spectrum of a Gram matrix spans too
-    many orders for eigenvalue signs alone to be trustworthy)."""
-    if isinstance(gram, RadialGram):
-        return _diagonal_diagnostics(gram.diagonal)
-    G = gram.entries
-    herm = float(np.max(np.abs(G - G.conj().T))) if G.size else 0.0
-    H = (G + G.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(H)
-    lam_min = float(eigs[0])
-    lam_max = float(eigs[-1])
-    cond = float(lam_max / lam_min) if lam_min > 0 else math.inf
-    off = G - np.diag(np.diag(G))
-
-    ok = False
-    eq = _equilibrate(G)
-    if eq is not None:
-        scaled, _ = eq
-        try:
-            np.linalg.cholesky(scaled)
-            ok = True
-        except np.linalg.LinAlgError:
-            se = np.linalg.eigvalsh(scaled)
-            ok = bool(se[0] > -PSD_TOL * max(float(se[-1]), 1e-300))
-    return GramDiagnostics(
-        hermitian_defect=herm,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        condition=cond,
-        radial_offdiag_max=float(np.max(np.abs(off))) if G.size else 0.0,
-        cholesky_ok=ok,
         psd_tol=PSD_TOL,
     )
 
@@ -836,25 +699,21 @@ def domain_from_json(obj: dict) -> DomainSpec:
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def gram_to_json(gram: Gram) -> dict:
-    """The Gram's report; the entries of a ``RadialGram`` are a
-    ``jsonio.DiagonalMatrix``, which ``jsonio.canonical_dumps`` writes as
-    the dense row-major list of [re, im] pairs."""
-    if isinstance(gram, RadialGram):
-        entries = jsonio.DiagonalMatrix(gram.diagonal)
-    else:
-        entries = jsonio.cmatrix(gram.entries)
+def gram_to_json(gram: RadialGram) -> dict:
+    """The Gram's report.  Its entries are a ``jsonio.DiagonalMatrix``,
+    which ``jsonio.canonical_dumps`` writes as the dense row-major list of
+    [re, im] pairs.  A Monte Carlo Gram adds its ``seed`` and its
+    ``stderr``: the degree + 1 standard errors of R_{n-1}..R_{degree+n-1},
+    in order."""
     out = {
         "n": gram.domain.dim,
         "degree": gram.degree,
         "order": "grlex",
-        "entries": entries,
+        "entries": jsonio.DiagonalMatrix(gram.diagonal),
         "method": gram.method,
         "domain": domain_to_json(gram.domain),
         "weight": gram.weight_label,
     }
-    if gram.method.get("kind") == "montecarlo":
-        out["seed"] = gram.method.get("seed")
-    if gram.stderr is not None:
-        out["stderr"] = gram.stderr.reshape(-1).tolist()
+    if gram.stderr is not None:     # Monte Carlo
+        out["seed"], out["stderr"] = gram.method["seed"], gram.stderr.tolist()
     return out

@@ -28,8 +28,7 @@ def perturbed_gaussian_weight(perturbed_gaussian_csv):
 
 def monomial_rows(exponents, points) -> np.ndarray:
     """Evaluate basis monomials at points as rows, shape (nbasis, npoints):
-    the reference for the Monte Carlo Gram's weighted rows and the dense
-    kernel oracle.
+    the rows of the dense Gram oracle and of the dense kernel oracle.
 
     ``exponents`` holds one multi-index per monomial, as a list of tuples
     or an (nbasis, n) integer array.  The coordinate power table is built
@@ -53,15 +52,15 @@ def monomial_rows(exponents, points) -> np.ndarray:
 
 class dense_kernel:
     """The orthonormal expansion sum_k e_k(z) conj(e_k(w)) of a Gram's dense
-    matrix (``entries``, or np.diag of a radial Gram's ``diagonal``): the
+    matrix (``matrix``, by default np.diag of the Gram's ``diagonal``): the
     Cholesky factor of the unit-diagonal matrix, inverted, over the
     monomial rows.  The oracle of the radial series."""
 
-    def __init__(self, gram):
+    def __init__(self, gram, matrix=None):
         self.base = self.domain = gram.domain
         self.index_map = gram.index_map
-        G = (np.diag(gram.diagonal).astype(complex)
-             if isinstance(gram, moments.RadialGram) else gram.entries)
+        G = (np.diag(gram.diagonal).astype(complex) if matrix is None
+             else matrix)
         s = 1.0 / np.sqrt(np.real(np.diag(G)))
         scaled = G * s[:, None] * s[None, :]
         L = np.linalg.cholesky((scaled + scaled.conj().T) / 2.0)
@@ -141,35 +140,36 @@ def reproducing_residual(model, poly, z, weight):
     return abs(fz - complex(np.sum(fvals * kzw * pvals * wq)))
 
 
-def one_table_montecarlo(domain, weight, degree, samples, seed):
-    """Reference Monte Carlo Gram: the draw calls and chunks of
-    ``gram_montecarlo``, each chunk reduced over one (samples, B) monomial
-    table.  Returns the symmetrized mean and the standard errors."""
+def reference_montecarlo(domain, weight, degree, samples, seed):
+    """Reference Monte Carlo moments: the draw calls and chunks of
+    ``gram_montecarlo``, then one (samples, degree + 1) table of f t^k
+    over all points, each column summed with math.fsum.  Returns the
+    estimates of R_{n-1}..R_{degree+n-1} and their standard errors."""
     n = domain.dim
-    basis = core.multiindex_enumerate(n, degree)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    chunk = max(1, min(200_000, moments.MC_CHUNK_BYTES // (64 * len(basis))))
+    chunk = max(1, min(200_000, moments.MC_CHUNK_BYTES // (48 * n + 64)))
     mu = None if domain.bounded else moments._gaussian_decay(weight)
     sigma2 = 1.0 / mu if mu is not None else 1.0
-    sum_x = sum_abs2 = 0.0
+    draws = []
     for done in range(0, samples, chunk):
         m = min(chunk, samples - done)
         if domain.bounded:
-            pts = core.sample_ball_polar(rng, n, 1.0, m)
+            draws.append(core.sample_ball_polar(rng, n, 1.0, m))
         else:
-            pts = np.sqrt(sigma2 / 2.0) * (rng.standard_normal((m, n))
-                                           + 1j * rng.standard_normal((m, n)))
-        t = np.sum(np.abs(pts) ** 2, axis=1)
-        dens = (np.full(m, 1.0 / moments._ball_volume(n)) if domain.bounded
-                else np.exp(-t / sigma2) / (np.pi * sigma2) ** n)
-        f = core.weight_radial_fn(weight)(t) / dens
-        V = monomial_rows(basis, pts).T
-        sum_x = sum_x + (V * f[:, None]).T @ V.conj()
-        A2 = np.abs(V) ** 2
-        sum_abs2 = sum_abs2 + (A2 * f[:, None] ** 2).T @ A2
-    mean = sum_x / samples
-    var = np.maximum(sum_abs2 / samples - np.abs(mean) ** 2, 0.0)
-    return (mean + mean.conj().T) / 2.0, np.sqrt(var / samples)
+            draws.append(np.sqrt(sigma2 / 2.0)
+                         * (rng.standard_normal((m, n))
+                            + 1j * rng.standard_normal((m, n))))
+    t = np.sum(np.abs(np.concatenate(draws)) ** 2, axis=1)
+    dens = (np.full(samples, math.factorial(n) / math.pi ** n)
+            if domain.bounded
+            else np.exp(-t / sigma2) / (np.pi * sigma2) ** n)
+    f = core.weight_radial_fn(weight)(t) / dens
+    X = f[:, None] * t[:, None] ** np.arange(degree + 1)
+    mean = np.array([math.fsum(col) for col in X.T]) / samples
+    second = np.array([math.fsum(col) for col in (X * X).T]) / samples
+    var = np.maximum(second - mean ** 2, 0.0)
+    c = math.factorial(n - 1) / math.pi ** n
+    return c * mean, c * np.sqrt(var / samples)
 
 
 def interior_disk_points(rng, count, radius=0.9):

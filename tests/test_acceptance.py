@@ -372,6 +372,8 @@ def test_a15_determinism(tmp_path):
          "--tolerance", "1e-8"],
         ["characterize-fbh", "--mu", "1", "--m", "1", "--weight",
          "gaussian:1", "--degree", "20", "--seed", "0"],
+        ["gram", "--domain", "disk", "--weight", "npower:1", "--degree", "5",
+         "--method", "montecarlo", "--samples", "5000", "--seed", "3"],
     ]
     ok = True
     for args in configs:
@@ -386,5 +388,6 @@ def test_a15_determinism(tmp_path):
         # same configuration, two fresh processes at 1 and 4 BLAS threads
         ok = ok and outs[0] == outs[1]
     report("A15", ok, "byte-identical reports across repeated runs and "
-                      "thread counts (frc-check, characterize-fbh)")
+                      "thread counts (frc-check, characterize-fbh, "
+                      "Monte Carlo gram)")
     assert ok

@@ -328,11 +328,10 @@ def test_verdict_grids_hold_npts_points(monkeypatch, verdict):
 
 def test_radial_verdict_makes_no_factorization(monkeypatch, capsys):
     # a radial Gram gives its kernel as one series in <z, w>: no Cholesky,
-    # no triangular inverse, no monomial table, and no dense Gram matrix
+    # no triangular inverse and no monomial table
     from bergmanlab import cli, core, moments
     calls = []
     for owner, name in ((np.linalg, "cholesky"), (np.linalg, "solve"),
-                        (moments, "_weighted_rows"),
                         (core, "multiindex_enumerate"),
                         (moments, "multiindex_enumerate"),
                         (moments, "_shell_factor")):

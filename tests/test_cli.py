@@ -288,6 +288,20 @@ def test_arithmetic_failure_is_an_error_not_a_verdict(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_a_kernel_grid_that_overflows_is_refused_by_form(tmp_path):
+    # exp(800 <z, w>) leaves the float range at z = w = 1: one error line
+    # naming the kernel form and the overflow, with no numpy warning before
+    # it on the stderr of a fresh process
+    proc = subprocess.run(
+        [sys.executable, "-m", "bergmanlab.cli", "kernel-eval", "--kernel",
+         '{"form":"fock","mu":800,"n":1}', "--grid", "2", "--radius", "1"],
+        capture_output=True, text=True, env=child_env("1"),
+        cwd=str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the fock kernel is not finite on these "
+                           "points (overflow encountered in exp)\n")
+
+
 @pytest.mark.parametrize("flags,flag", [
     (["--n", "3"], "--n 3"), (["--m", "2"], "--m 2"),
     (["--n", "1", "--m", "4"], "--m 4")])
@@ -580,8 +594,7 @@ class TestOutputs:
                                 bl.generic_norm_weight(bl.unit_disk(), 1.0), 8)
         entries = jsonio.as_cmatrix(obj["entries"], (G1.size, G1.size))
         K1 = bl.kernel_from_gram(G1)
-        K2 = dense_kernel(bl.GramMatrix(G1.domain, obj["degree"],
-                                        G1.index_map, entries, obj["method"]))
+        K2 = dense_kernel(G1, entries)
         for z in (0.1, 0.4 - 0.2j, 0.55j):
             a, b = kernel_at(K1, [z], [z]), kernel_at(K2, [z], [z])
             assert abs(a - b) <= 1e-15 * abs(a)
@@ -720,9 +733,9 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-# reports written by the bulk encoders: Grams of every shape (diagonal
-# quadrature Grams, a dense Monte Carlo Gram with its standard errors),
-# moment differences, a kernel grid and small verdict reports
+# reports written by the bulk encoders: Grams of every route (closed-form,
+# quadrature, Monte Carlo with its standard errors), moment differences, a
+# kernel grid and small verdict reports
 EMISSION_ARGV = [
     ["gram", "--domain", "disk", "--weight", "npower:1.5", "--degree", "12"],
     ["gram", "--domain", "disk", "--weight", "npower:1.5", "--degree", "12",
@@ -789,12 +802,8 @@ def test_reports_are_the_reference_encodings(capsys, monkeypatch, argv):
     dense matrix (np.diag of a diagonal), computed here from the same
     report objects."""
     seen = {}
-    matrix_rows, diagonal_rows = cli._matrix_rows, cli._diagonal_rows
+    diagonal_rows = cli._diagonal_rows
     emit = cli.emit_report
-
-    def record_matrix(matrix):
-        seen["matrix"] = matrix
-        return matrix_rows(matrix)
 
     def record_diagonal(diagonal):
         seen["matrix"] = np.diag(diagonal).astype(complex)
@@ -804,7 +813,6 @@ def test_reports_are_the_reference_encodings(capsys, monkeypatch, argv):
         seen["report"] = report
         emit(report, fmt, path, csv_rows)
 
-    monkeypatch.setattr(cli, "_matrix_rows", record_matrix)
     monkeypatch.setattr(cli, "_diagonal_rows", record_diagonal)
     monkeypatch.setattr(cli, "emit_report", record_emit)
     code, out, err = run_cli(argv, capsys)
@@ -825,7 +833,7 @@ def test_reports_are_the_reference_encodings(capsys, monkeypatch, argv):
 def test_csv_gram_builds_no_json_report(capsys, monkeypatch):
     """A CSV gram writes the entries alone: neither the JSON report nor the
     spectrum of its diagnostics is computed, and the bytes are the per-cell
-    join of the Gram's entries (of np.diag of a radial Gram's diagonal)."""
+    join of the Gram's entries, np.diag of its diagonal."""
     def refuse(*args):
         raise AssertionError("called for a CSV report")
 
@@ -844,30 +852,25 @@ def test_csv_gram_builds_no_json_report(capsys, monkeypatch):
                 "quadrature": lambda: bl.gram_quadrature(domain, weight, 6),
                 "montecarlo": lambda: bl.gram_montecarlo(domain, weight, 6,
                                                          2000, 0)}[method]()
-        matrix = (gram.entries if isinstance(gram, bl.GramMatrix)
-                  else np.diag(gram.diagonal).astype(complex))
+        matrix = np.diag(gram.diagonal).astype(complex)
         assert out == "\n".join(_cell_rows(matrix)) + "\n"
 
 
 def test_json_radial_gram_factors_nothing(capsys, monkeypatch):
-    """A radial gram's diagnostics are read off its diagonal: its JSON
-    report computes no spectrum and no Cholesky factor, which a dense Monte
-    Carlo Gram's diagnostics still do."""
+    """A gram's diagnostics are read off its diagonal, whatever its route:
+    its JSON report computes no spectrum and no Cholesky factor."""
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix was factored")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    for method in ("auto", "exact", "quadrature"):
+    for method in ("auto", "exact", "quadrature", "montecarlo"):
         code, out, err = run_cli(
             ["gram", "--domain", "ball:2", "--weight", "npower:1.5",
-             "--degree", "8", "--method", method], capsys)
+             "--degree", "8", "--method", method, "--samples", "2000"],
+            capsys)
         assert (code, err) == (0, "")
         assert strict_json(out)["diagnostics"]["cholesky_ok"] is True
-    disk = bl.unit_disk()
-    with pytest.raises(AssertionError, match="factored"):
-        bl.gram_validate(bl.gram_montecarlo(
-            disk, bl.generic_norm_weight(disk, 1.0), 2, 100, 0))
 
 
 def strict_json(text):
@@ -1880,19 +1883,23 @@ def test_an_unwritable_out_path_is_an_error_line(capsys, tmp_path):
 
 def test_a_report_refused_for_a_non_finite_float_writes_no_file(capsys,
                                                                 tmp_path):
-    # exp(800) leaves the float range: the report's K is inf, which
-    # canonical JSON refuses after the kernel values are computed
+    # exp(800) leaves the float range: the kernel value K would be inf,
+    # and the kernel grid is refused before any report is built
     argv = ["kernel-eval", "--kernel", '{"form":"fock","mu":800,"n":1}',
             "--grid", "2", "--radius", "1"]
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     old.write_bytes(b"kept")
     for path in (new, old):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+        code, out, err = run_cli([*argv, "--out", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert err == ("error: Out of range float values are not JSON "
-                       "compliant: inf\n")
+        assert err == ("error: the fock kernel is not finite on these "
+                       "points (overflow encountered in exp)\n")
+    # a report that canonical JSON refuses is refused before a file is
+    # opened
+    for path in (new, old):
+        with pytest.raises(ValueError, match="^Out of range float values "
+                                             "are not JSON compliant: inf$"):
+            cli.emit_report({"K": math.inf}, "json", str(path))
     assert not new.exists()
     assert old.read_bytes() == b"kept"
 
@@ -1981,3 +1988,16 @@ def test_frc_check_refuses_pairs_past_one_first_pass_before_drawing(
                    "terms, more than the MAX_TERM_TABLE = 2097152 entries "
                    "of the fiber series' first pass; frc-check takes "
                    f"--pairs up to {most}\n")
+
+
+def test_frc_check_sums_a_later_pass_past_the_table_in_row_blocks(
+        capsys, monkeypatch):
+    # 2 020 rows fill the first pass of 16 terms at this limit, so every
+    # later pass is wider than one table: its row blocks give the report
+    # of the default limit, which sums each pass as one table
+    from bergmanlab import hartogs
+    argv = ["frc-check", "--m", "1", "--pairs", "2000"]
+    code, expected, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(hartogs, "MAX_TERM_TABLE", 16 * 2020)
+    assert run_cli(argv, capsys) == (0, expected, "")

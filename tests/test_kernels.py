@@ -130,16 +130,18 @@ class TestRadialSeriesKernel:
         gram.moments[0] = np.nan
         assert np.isfinite(bl.kernel_from_gram(gram).c).all()
 
-    def test_grams_without_moments_stay_dense(self):
-        gram = bl.gram_auto(bl.generic_norm_weight(DISK, 1.0), 6)
-        assert isinstance(gram, bl.RadialGram)
-        mc = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
-                                1000, 0)
-        assert isinstance(mc, bl.GramMatrix)
-        # a dense Gram holds no moments, so it has no kernel
-        with pytest.raises(ValueError, match="only a radial Gram has a "
-                                             "kernel"):
-            bl.kernel_from_gram(mc)
+    def test_a_montecarlo_gram_has_a_kernel(self):
+        # a Monte Carlo Gram holds moments from R_(n-1) on, all the series
+        # reads: its kernel is the series of those moments, near the
+        # closed-form Gram's
+        ball = bl.unit_ball(2)
+        weight = bl.generic_norm_weight(ball, 1.0)
+        mc = bl.gram_montecarlo(ball, weight, 4, 200_000, 0)
+        assert isinstance(mc, bl.RadialGram) and np.isnan(mc.moments[0])
+        K = bl.kernel_from_gram(mc)
+        exact = bl.kernel_from_gram(bl.gram_exact(ball, weight, 4))
+        assert K.c.shape == (5,)
+        assert np.all(np.abs(K.c - exact.c) <= 0.02 * exact.c)
 
 
 class TestSeriesAgainstClosedForm:

@@ -3,15 +3,17 @@ import math
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bergmanlab as bl
 from bergmanlab import jsonio, moments
-from bergmanlab.moments import GramMatrix, describe_weight
+from bergmanlab.moments import describe_weight
 
-from conftest import one_table_montecarlo, quadrature_points_1d
+from conftest import (monomial_rows, quadrature_points_1d,
+                      reference_montecarlo)
 
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
@@ -320,50 +322,112 @@ class TestRadialGram:
             bl.gram_auto(weight, 30)
 
 
+def tensor_gram(domain, weight, degree):
+    """The dense Gram matrix of the monomials of degree <= degree on the
+    disk, a ball or C^n, every entry integrated by a tensor rule in the
+    polar coordinates z_j = sqrt(t_j) e^(i theta_j) of each coordinate,
+    dV = prod dt_j dtheta_j / 2, rather than by the shell reduction.
+
+    (t_1..t_n) = s (v_1, (1 - v_1) v_2, ..., prod (1 - v_i)), with
+    Jacobian s^(n-1) prod_i (1 - v_i)^(n-2-i); s takes a Gauss rule exact
+    for s^j w(s), j <= degree + n - 1 (Legendre on [0, 1] for a weight of
+    degree <= 10 in s, Laguerre for a Gaussian on C^n), each v_i
+    Gauss-Legendre on [0, 1], each theta_j degree + 1 equispaced angles,
+    which integrate every angular frequency of a monomial pair to zero."""
+    n, top = domain.dim, degree + domain.dim - 1
+    if domain.bounded:
+        x, wx = np.polynomial.legendre.leggauss(top // 2 + 6)
+        s, ws = (x + 1.0) / 2.0, wx / 2.0
+    else:
+        mu = weight.form.mu * weight.power_exponent
+        x, wx = np.polynomial.laguerre.laggauss(top // 2 + 1)
+        s, ws = x / mu, wx * np.exp(x) / mu
+    ws = ws * moments.weight_radial_fn(weight)(s) * s ** (n - 1)
+    v, wv = np.polynomial.legendre.leggauss(degree // 2 + n)
+    v, wv = (v + 1.0) / 2.0, wv / 2.0
+    M = degree + 1
+    theta = 2.0 * np.pi * np.arange(M) / M
+    grid = np.meshgrid(s, *[v] * (n - 1), *[theta] * n, indexing="ij")
+    w = np.prod(np.meshgrid(ws, *[wv] * (n - 1), *[np.full(M, np.pi / M)] * n,
+                            indexing="ij"), axis=0)
+    t, rest = [], grid[0]
+    for i, vi in enumerate(grid[1:n]):
+        t.append(rest * vi)
+        w = w * (1.0 - vi) ** (n - 2 - i)
+        rest = rest * (1.0 - vi)
+    t.append(rest)
+    pts = np.stack([np.sqrt(tj) * np.exp(1j * th)
+                    for tj, th in zip(t, grid[n:])], axis=-1).reshape(-1, n)
+    V = monomial_rows(bl.multiindex_enumerate(n, degree), pts)
+    return (V * w.reshape(-1)) @ V.conj().T
+
+
+@pytest.mark.parametrize("domain,weight,degree", [
+    (DISK, bl.generic_norm_weight(DISK, 1.0), 8),
+    (bl.unit_ball(2), bl.polynomial_weight(bl.unit_ball(2), [1.0, -0.5]), 6),
+    (bl.unit_ball(3), bl.polynomial_weight(bl.unit_ball(3), [1.0, 0.5]), 4),
+    (bl.full_space(2), bl.gaussian_weight(2, 1.5), 5),
+], ids=["disk", "ball2", "ball3", "cn2"])
+def test_shell_reduction_is_the_dense_gram(domain, weight, degree):
+    # G_aa = pi^n a!/(|a|+n-1)! R_(|a|+n-1), every other entry 0: the
+    # dense Gram integrated entry by entry against the reduction of the
+    # closed-form moments
+    d = bl.gram_exact(domain, weight, degree).diagonal
+    G = tensor_gram(domain, weight, degree)
+    assert np.all(np.abs(np.diag(G) - d) <= 1e-13 * d)
+    off = G - np.diag(np.diag(G))
+    assert np.all(np.abs(off) <= 1e-14 * scale_matrix(d))
+
+
 class TestGramMonteCarlo:
     def test_disk_area_within_three_se(self):
+        # weight 1 over the uniform density is constant: no sampling error
         G = bl.gram_montecarlo(DISK, bl.polynomial_weight(DISK, [1.0]), 0,
                                10 ** 6, seed=42)
-        err = abs(G.entries[0, 0].real - math.pi)
-        assert err <= max(3 * G.stderr[0, 0], 1e-12)
+        err = abs(G.diagonal[0] - math.pi)
+        assert err <= max(3 * math.pi * G.stderr[0], 1e-12)
 
     def test_radial_offdiagonals_within_three_se(self):
-        G = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
-                               10 ** 6, seed=7)
-        B = G.size
-        for i in range(B):
-            for j in range(B):
-                if i != j:
-                    assert abs(G.entries[i, j]) <= 3 * G.stderr[i, j] + 1e-12
+        # the report's dense matrix holds the off-diagonal 0 the shell
+        # reduction gives, and every moment is within three standard
+        # errors of the closed form
+        weight = bl.generic_norm_weight(DISK, 1.0)
+        G = bl.gram_montecarlo(DISK, weight, 2, 10 ** 6, seed=7)
+        obj = json.loads(jsonio.canonical_dumps(bl.gram_to_json(G)))
+        dense = jsonio.as_cmatrix(obj["entries"], (G.size, G.size))
+        assert np.array_equal(dense, np.diag(G.diagonal))
+        exact = bl.gram_exact(DISK, weight, 2).moments
+        assert np.all(np.abs(G.moments - exact) <= 3 * G.stderr)
 
     def test_gaussian_second_moment(self):
         G = bl.gram_montecarlo(C1, bl.gaussian_weight(1, 2.0), 2, 10 ** 6,
                                seed=3)
-        err = abs(G.entries[1, 1].real - math.pi / 4)
-        assert err <= 3 * G.stderr[1, 1]
+        err = abs(G.diagonal[1] - math.pi / 4)
+        assert err <= 3 * math.pi * G.stderr[1]
 
     def test_standard_error_scales_like_sqrt_n(self):
         w = bl.generic_norm_weight(DISK, 1.0)
         se1 = bl.gram_montecarlo(DISK, w, 2, 200_000, seed=11).stderr
         se2 = bl.gram_montecarlo(DISK, w, 2, 400_000, seed=12).stderr
+        assert se1.shape == se2.shape == (3,)
         ratio = np.mean(se1 / se2)
         assert abs(ratio - math.sqrt(2)) <= 0.1 * math.sqrt(2)
 
     def test_chunk_fits_the_byte_budget(self, monkeypatch):
-        # ball:2 at degree 20 has 231 monomials: one 8 000-sample chunk
-        # would hold about 90 MB of per-sample arrays
-        budget = 16 * 2 ** 20
+        # 1 MiB holds 5 041 ball:3 samples at 48 * 3 + 64 bytes each, so
+        # 60 000 samples take 12 chunks, each within the budget
+        budget = 2 ** 20
         monkeypatch.setattr(moments, "MC_CHUNK_BYTES", budget)
-        ball = bl.unit_ball(2)
+        ball = bl.unit_ball(3)
         tracemalloc.start()
         try:
             G = bl.gram_montecarlo(ball, bl.generic_norm_weight(ball, 1.0),
-                                   20, 8_000, seed=5)
+                                   20, 60_000, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert G.size == 231
-        assert peak <= budget + 8 * 2 ** 20
+        assert G.moments.shape == (23,)
+        assert peak <= budget
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("bounded", [True, False],
@@ -371,26 +435,30 @@ class TestGramMonteCarlo:
     def test_t_is_the_numpy_row_sum_of_squares(self, n, bounded,
                                                 monkeypatch):
         # t = |z|^2 is summed by columns, and must keep the bits of
-        # np.add.reduce over each draw's real and imaginary parts
+        # np.add.reduce over the real and imaginary parts of the points
+        # the seed's generator draws: the polar draw on the ball, real
+        # parts then imaginary parts of complex normals on C^n
         domain = bl.unit_ball(n) if bounded else bl.full_space(n)
         weight = (bl.generic_norm_weight(domain, 1.5) if bounded
                   else bl.gaussian_weight(n, 1.5))
-        points, ts = [], []
-        weighted_rows = moments._weighted_rows
+        ts = []
         radial_fn = moments.weight_radial_fn
-
-        def record_points(plan, pts, *args):
-            points.append(pts.copy())
-            return weighted_rows(plan, pts, *args)
 
         def record_t(w):
             fn = radial_fn(w)
             return lambda t: (ts.append(t.copy()), fn(t))[1]
 
-        monkeypatch.setattr(moments, "_weighted_rows", record_points)
         monkeypatch.setattr(moments, "weight_radial_fn", record_t)
-        bl.gram_montecarlo(domain, weight, 2, 3_001, seed=n, stderr=False)
-        x = np.concatenate(points).view(float)
+        bl.gram_montecarlo(domain, weight, 2, 3_001, seed=n)
+        rng = np.random.Generator(np.random.Philox(key=n))
+        if bounded:
+            points = bl.core.sample_ball_polar(rng, n, 1.0, 3_001)
+        else:
+            c = math.sqrt(1.0 / 1.5 / 2.0)
+            points = np.empty((3_001, n), dtype=complex)
+            points.real = rng.standard_normal((3_001, n)) * c
+            points.imag = rng.standard_normal((3_001, n)) * c
+        x = points.view(float)
         assert np.concatenate(ts).tobytes() == \
             np.add.reduce(x * x, axis=1).tobytes()
 
@@ -399,13 +467,54 @@ class TestGramMonteCarlo:
                                50_000, seed=9)
         b = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
                                50_000, seed=9)
-        assert np.array_equal(a.entries, b.entries)
-        assert np.array_equal(a.stderr, b.stderr)
+        assert a.moments.tobytes() == b.moments.tobytes()
+        assert a.stderr.tobytes() == b.stderr.tobytes()
+
+    def test_lower_moments_are_not_estimated(self):
+        # R_0 and R_1 of ball:3 would weight the samples by t^-2 and t^-1,
+        # the first of infinite variance; neither is estimated
+        ball = bl.unit_ball(3)
+        G = bl.gram_montecarlo(ball, bl.generic_norm_weight(ball, 1.0), 4,
+                               1_000, seed=2)
+        assert G.moments.shape == (7,) and G.stderr.shape == (5,)
+        assert np.isnan(G.moments[:2]).all()
+        assert np.isfinite(G.moments[2:]).all()
+        assert np.isfinite(G.diagonal).all()
+
+    def test_workload_moments_are_within_four_se(self, monkeypatch,
+                                                 tmp_path):
+        # every seed-5/13 Monte Carlo Gram of the benchmark: drawn in one
+        # chunk, and each moment within 4 standard errors of the closed form
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                        / "verdictbench"))
+        import workloads
+        from bergmanlab.cli import parse_domain, parse_weight
+        argvs = [v.argv for seed in (5, 13)
+                 for v in workloads.generate("moment-assembly", seed,
+                                             tmp_path).verdicts
+                 if v.template == "gram-montecarlo"]
+        assert len(argvs) == 20
+        for argv in argvs:
+            opt = dict(zip(argv[1::2], argv[2::2]))
+            domain = parse_domain(opt["--domain"])
+            weight = parse_weight(opt["--weight"], domain)
+            degree, samples = int(opt["--degree"]), int(opt["--samples"])
+            assert samples <= moments.MC_CHUNK_BYTES // (48 * domain.dim + 64)
+            G = bl.gram_montecarlo(domain, weight, degree, samples,
+                                   int(opt["--seed"]))
+            exact = bl.gram_exact(domain, weight, degree).moments
+            n = domain.dim
+            assert np.all(np.abs(G.moments[n - 1:] - exact[n - 1:])
+                          <= 4 * G.stderr), argv
 
 
-def _mc_block(domain, degree):
-    B = len(bl.multiindex_enumerate(domain.dim, degree))
-    return max(4 * B, moments._MC_BLOCK_BYTES // (16 * B))
+# a draw budget of a few hundred samples per chunk
+_CHUNK_BYTES = 2 ** 16
+
+
+def _mc_block(domain):
+    """The draw chunk of ``gram_montecarlo`` at the budget _CHUNK_BYTES."""
+    return _CHUNK_BYTES // (48 * domain.dim + 64)
 
 
 _MC_CASES = {"disk": (DISK, bl.generic_norm_weight(DISK, 1.0), 6),
@@ -420,57 +529,91 @@ _MC_CASES = {"disk": (DISK, bl.generic_norm_weight(DISK, 1.0), 6),
 
 
 class TestBlockedMonteCarlo:
-    """The block-summed estimate against one table per draw chunk: the
-    same points, so entries agree to roundoff (other samples would move
-    them by about 1e-3)."""
+    """The moments summed chunk by chunk against one reference table of
+    f t^k over the same points, each moment summed exactly: they agree to
+    roundoff (other samples would move them by about 1e-3)."""
 
     @staticmethod
     def _assert_matches_one_table(domain, weight, degree, samples):
         G = bl.gram_montecarlo(domain, weight, degree, samples, seed=5)
-        ref, se = one_table_montecarlo(domain, weight, degree, samples, 5)
-        # the entries do not depend on whether standard errors are summed
-        bare = bl.gram_montecarlo(domain, weight, degree, samples, seed=5,
-                                  stderr=False)
-        assert bare.stderr is None
-        assert bare.entries.tobytes() == G.entries.tobytes()
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(G.entries - ref)) <= 1e-13 * scale
+        ref, se = reference_montecarlo(domain, weight, degree, samples, 5)
+        n = domain.dim
+        assert np.isnan(G.moments[:n - 1]).all()
+        got = G.moments[n - 1:]
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+        # a standard error below 1e-7 of its moment is the roundoff of the
+        # cancellation in E[x^2] - E[x]^2: one sample, or f constant
+        # (Gaussian weight and proposal of one decay on C^n at k = 0)
+        tiny = se <= 1e-7 * np.abs(ref)
+        assert np.all(G.stderr[tiny] <= 1e-7 * np.abs(ref[tiny]))
+        assert np.all(np.abs(G.stderr - se)[~tiny] <= 1e-10 * se[~tiny])
         if samples == 1:
-            # one sample's variance is zero up to the roundoff of its
-            # cancellation, in either grouping of the sums
-            assert np.max(G.stderr) <= 1e-7 * scale
-            assert np.max(se) <= 1e-7 * scale
-        else:
-            assert np.all(np.abs(G.stderr - se) <= 1e-12 * se)
+            assert tiny.all()
 
     @pytest.mark.parametrize("case", sorted(_MC_CASES))
     @pytest.mark.parametrize("where", ["one", "block-1", "block+1",
                                        "ragged"])
-    def test_matches_one_table(self, case, where):
+    def test_matches_one_table(self, case, where, monkeypatch):
+        monkeypatch.setattr(moments, "MC_CHUNK_BYTES", _CHUNK_BYTES)
         domain, weight, degree = _MC_CASES[case]
-        block = _mc_block(domain, degree)
+        block = _mc_block(domain)
         samples = {"one": 1, "block-1": block - 1, "block+1": block + 1,
                    "ragged": 2 * block + block // 3}[where]
         self._assert_matches_one_table(domain, weight, degree, samples)
 
     def test_matches_one_table_across_draw_chunks(self):
-        # 231 monomials: chunks of 18 157 draws, so three chunks
-        ball = bl.unit_ball(2)
-        self._assert_matches_one_table(ball, bl.generic_norm_weight(ball, 1.0),
-                                       20, 40_000)
+        # at the default budget a chunk holds the 200 000 samples of the
+        # cap: 400 001 samples take three chunks
+        self._assert_matches_one_table(DISK, bl.generic_norm_weight(DISK, 1.0),
+                                       3, 400_001)
 
     def test_peak_memory_is_a_few_blocks(self):
-        # one chunk-wide table of 18 157 x 231 values would take 67 MB
+        # one running power per chunk: the peak is a few chunk-sized
+        # arrays and does not grow with the degree (a table of 20 000 x 861
+        # monomial values at degree 40 would take 276 MB)
         ball = bl.unit_ball(2)
-        tracemalloc.start()
+        weight = bl.generic_norm_weight(ball, 1.0)
+        peaks = []
+        for degree in (2, 40):
+            tracemalloc.start()
+            try:
+                bl.gram_montecarlo(ball, weight, degree, 20_000, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 ** 12
+        assert peaks[1] <= 20_000 * (48 * 2 + 64)
+
+
+def dense_diagnostics(G):
+    """The health report of a dense Gram matrix G from its spectrum and a
+    trial Cholesky factorization of its unit-diagonal rescaling (the raw
+    spectrum spans too many orders for eigenvalue signs alone): the
+    reference of the report a diagonal Gram reads off its entries."""
+    H = (G + G.conj().T) / 2.0
+    eigs = np.linalg.eigvalsh(H)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    d = np.real(np.diag(G))
+    ok = False
+    if not np.any(d <= 0):
+        s = 1.0 / np.sqrt(d)
+        scaled = G * s[:, None] * s[None, :]
+        scaled = (scaled + scaled.conj().T) / 2.0
         try:
-            G = bl.gram_montecarlo(ball, bl.generic_norm_weight(ball, 1.0),
-                                   20, 20_000, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert G.size == 231
-        assert peak < 16 * 2 ** 20
+            np.linalg.cholesky(scaled)
+            ok = True
+        except np.linalg.LinAlgError:
+            se = np.linalg.eigvalsh(scaled)
+            ok = bool(se[0] > -moments.PSD_TOL * max(float(se[-1]), 1e-300))
+    return moments.GramDiagnostics(
+        hermitian_defect=float(np.max(np.abs(G - G.conj().T))),
+        lambda_min=lam_min,
+        lambda_max=lam_max,
+        condition=float(lam_max / lam_min) if lam_min > 0 else math.inf,
+        radial_offdiag_max=float(np.max(np.abs(G - np.diag(np.diag(G))))),
+        cholesky_ok=ok,
+        psd_tol=moments.PSD_TOL,
+    )
 
 
 class TestGramValidate:
@@ -482,8 +625,8 @@ class TestGramValidate:
         assert diag.radial_offdiag_max == 0.0
 
     def test_identity_condition_one(self):
-        basis = bl.multiindex_enumerate(1, 2)
-        G = GramMatrix(DISK, 2, basis, np.eye(3, dtype=complex), {"kind": "exact"})
+        # R_k = 1/pi on the disk: G_kk = pi R_k = 1
+        G = bl.RadialGram(DISK, 2, np.full(3, 1.0 / math.pi), {"kind": "exact"})
         diag = bl.gram_validate(G)
         assert diag.condition == pytest.approx(1.0)
 
@@ -508,9 +651,8 @@ class TestGramValidate:
         from bergmanlab.cli import parse_domain, parse_weight
         base = parse_domain(domain)
         G = build(base, parse_weight(weight, base), degree)
-        dense = GramMatrix(base, degree, G.index_map,
-                           np.diag(G.diagonal).astype(complex), G.method)
-        got, ref = bl.gram_validate(G), bl.gram_validate(dense)
+        got = bl.gram_validate(G)
+        ref = dense_diagnostics(np.diag(G.diagonal).astype(complex))
         assert ({k: repr(v) for k, v in vars(got).items()}
                 == {k: repr(v) for k, v in vars(ref).items()})
         if weight == "poly:1,-3":
@@ -528,12 +670,17 @@ class TestSerialization:
         assert obj["domain"] == {"kind": "disk", "dim": 1}
 
     def test_montecarlo_round_trip_keeps_stderr(self):
+        # one standard error per estimated moment, R_0 and R_1 on the disk
         G = bl.gram_montecarlo(DISK, bl.polynomial_weight(DISK, [1.0]), 1,
                                10_000, seed=1)
-        obj = bl.gram_to_json(G)
-        stderr = np.asarray(obj["stderr"], dtype=float).reshape(G.size, G.size)
-        assert np.array_equal(G.stderr, stderr)
-        assert obj["method"]["seed"] == 1
+        obj = json.loads(jsonio.canonical_dumps(bl.gram_to_json(G)))
+        assert obj["stderr"] == G.stderr.tolist() and len(obj["stderr"]) == 2
+        assert np.array_equal(
+            np.diag(G.diagonal),
+            jsonio.as_cmatrix(obj["entries"], (G.size, G.size)))
+        assert obj["method"] == {"kind": "montecarlo", "samples": 10_000,
+                                 "seed": 1}
+        assert obj["seed"] == 1
 
     def test_weight_description(self):
         w = bl.gaussian_weight(2, 1.5).pow(2).scaled(0.5)

@@ -288,13 +288,16 @@ def test_arithmetic_failure_is_an_error_not_a_verdict(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_a_kernel_grid_that_overflows_is_refused_by_form(tmp_path):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_kernel_grid_that_overflows_is_refused_by_form(tmp_path, fmt):
     # exp(800 <z, w>) leaves the float range at z = w = 1: one error line
     # naming the kernel form and the overflow, with no numpy warning before
-    # it on the stderr of a fresh process
+    # it on the stderr of a fresh process (a CSV report held inf and NaN
+    # cells and exited 0)
     proc = subprocess.run(
         [sys.executable, "-m", "bergmanlab.cli", "kernel-eval", "--kernel",
-         '{"form":"fock","mu":800,"n":1}', "--grid", "2", "--radius", "1"],
+         '{"form":"fock","mu":800,"n":1}', "--grid", "2", "--radius", "1",
+         "--format", fmt],
         capture_output=True, text=True, env=child_env("1"),
         cwd=str(tmp_path))
     assert (proc.returncode, proc.stdout) == (2, "")

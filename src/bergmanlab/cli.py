@@ -20,9 +20,13 @@ OPENBLAS_NUM_THREADS variables and does not affect report contents.
 non-empty line of FILE (``-``: standard input) is the JSON list of one
 command line, and each gives one JSON line holding its line number, exit
 code, standard output and standard error text, in input order.  The batch
-exits with the largest exit code of its lines (0 for no lines).  Between
-verdicts the process keeps only each command's argument parser and the
-quadrature rules per node count, neither of which changes a report.
+exits with the largest exit code of its lines (0 for no lines).  A plain
+command line -- a verdict command and its flags, each with its value -- is
+decoded from the command table and builds no argument parser; argparse
+reads every other line and writes all help, usage and error text.  Between
+verdicts the process keeps only each command's flag table, the argument
+parser of a command that needed one, and the quadrature rules per node
+count, none of which changes a report.
 """
 
 from __future__ import annotations
@@ -114,14 +118,14 @@ def _validate_value(key: str, value):
         raise ConfigError(f"key {key!r} must be finite")
     if key == "degree" and not 0 <= value <= 64:
         raise ConfigError("key 'degree' must lie in [0, 64]")
-    if key == "tolerance" and value <= 0:
-        raise ConfigError("key 'tolerance' must be positive")
+    if key in ("tolerance", "step") and value <= 0:
+        raise ConfigError(f"key {key!r} must be positive")
     if key in ("samples", "pairs", "points", "grid", "npts", "max_terms",
                "m", "n") and value < 1:
         raise ConfigError(f"key {key!r} must be >= 1")
     if key == "format" and value not in ("json", "csv"):
         raise ConfigError("key 'format' must be 'json' or 'csv'")
-    if key in ("ridge", "step", "mu", "radius", "rmax") and value < 0:
+    if key in ("ridge", "mu", "radius", "rmax", "seed") and value < 0:
         raise ConfigError(f"key {key!r} must be >= 0")
     return value
 
@@ -720,22 +724,34 @@ _COMMANDS = {
 _EVERY = (*_COMMANDS, "batch")
 
 
+@functools.cache
+def _flags(name: str) -> tuple:
+    """The keys of the command's flags, in the order its parser adds them:
+    --config, --out, --format, --domain if it takes one, then the
+    configuration keys its handler reads."""
+    command = _COMMANDS[name]
+    return ("config", "out", "format", *("domain",) * bool(command.domains),
+            *command.keys.split())
+
+
 def _keys(name: str) -> set:
     """The configuration keys the command reads."""
-    command = _COMMANDS[name]
-    keys = set(command.keys.split()) | {"out", "format"}
-    return keys | {"domain"} if command.domains else keys
+    return set(_flags(name)) - {"config"}
+
+
+def _flag_words(key: str) -> list:
+    """The words of a key's flag: --key-name, and --tol for tolerance."""
+    return ["--" + key.replace("_", "-")] + ["--tol"] * (key == "tolerance")
 
 
 def _add_flag(parser: argparse.ArgumentParser, key: str, **options) -> None:
     """The flag of a configuration key, typed as _SCHEMA types the key."""
-    names = ["--" + key.replace("_", "-")] + ["--tol"] * (key == "tolerance")
     kind = _SCHEMA.get(key, str)     # --config has no key
     if kind is bool:
         options.update(action="store_true", default=None)
     elif kind is not str:
         options["type"] = kind
-    parser.add_argument(*names, **options, **_OPTIONS.get(key, {}))
+    parser.add_argument(*_flag_words(key), **options, **_OPTIONS.get(key, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -799,13 +815,54 @@ def _build_parser(names: tuple = _EVERY) -> argparse.ArgumentParser:
         command = _COMMANDS[name]
         sp = p.commands[name] = sub.add_parser(name, help=command.help,
                                                allow_abbrev=False)
-        for key in ("config", "out", "format"):
-            _add_flag(sp, key)
-        if command.domains:
-            _add_flag(sp, "domain", help=" | ".join(command.domains))
-        for key in command.keys.split():
-            _add_flag(sp, key)
+        for key in _flags(name):
+            options = {"help": " | ".join(command.domains)} \
+                if key == "domain" else {}
+            _add_flag(sp, key, **options)
     return p
+
+
+@functools.cache
+def _flag_table(name: str) -> dict:
+    """Every flag word of the command -> its key, the type _SCHEMA gives
+    the key, and the values _OPTIONS allows it (None: any value)."""
+    return {word: (key, _SCHEMA.get(key, str),
+                   _OPTIONS.get(key, {}).get("choices"))
+            for key in _flags(name) for word in _flag_words(key)}
+
+
+def _decode_plain(name: str, words: list) -> argparse.Namespace | None:
+    """The namespace the command's parser gives for words of the form
+    (--flag VALUE | --bool-flag)*, read off its flag table without
+    building the parser: each value converted by its key's type and
+    checked against its choices, the last repeat winning, every flag not
+    given None.  None for any other words -- a flag the command does not
+    take, --flag=value, -h, a stray word, a missing value, one that starts
+    with "-", or one its type or choices refuse -- which only argparse
+    answers."""
+    table = _flag_table(name)
+    values = dict.fromkeys(_flags(name))
+    words = iter(words)
+    for word in words:
+        flag = table.get(word)
+        if flag is None:
+            return None
+        key, kind, choices = flag
+        if kind is bool:
+            values[key] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        if kind is not str:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[key] = value
+    return argparse.Namespace(cmd=name, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -861,10 +918,17 @@ def _run_batch(path: str) -> int:
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """The command line's namespace.  A known command's words go to that
+    """The command line's namespace.  A plain line of a verdict command,
+    only its flags with their values, is decoded from the flag table and
+    builds no parser.  Any other line of a known command goes to that
     command's own parser; only words it leaves over go through the whole
     parser, which reports them as unrecognized with its usage line.  -h
-    and unknown commands get the parser of every command."""
+    and unknown commands get the parser of every command.  So argparse
+    alone writes help, usage and error text."""
+    if argv[:1] and argv[0] in _COMMANDS:
+        args = _decode_plain(argv[0], argv[1:])
+        if args is not None:
+            return args
     if argv[:1] and argv[0] in _EVERY:
         parser = _build_parser((argv[0],))
         args, rest = parser.commands[argv[0]].parse_known_args(

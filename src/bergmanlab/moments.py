@@ -568,13 +568,18 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
     ball and on C^n alike (shells of volume pi^n s^(n-1)/(n-1)! ds).  Each
     chunk adds sum f t^k and sum (f t^k)^2 for k = 0..degree, fixed-order
     1-D sums over one running power array, so the estimate is the same bit
-    for bit at any BLAS thread count.  A basis past ``MAX_BASIS`` is
-    refused before anything is drawn, sums outside the float range by name.
+    for bit at any BLAS thread count.  A basis past ``MAX_BASIS`` and a
+    seed outside the Philox key range [0, 2**128) are refused before
+    anything is drawn, sums outside the float range by name.
     """
     if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         raise ValueError("Monte Carlo sampling supports disk/ball/full space")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed {seed}: the Monte Carlo draw keys its Philox "
+                         "generator by the seed, which takes 0 <= seed < "
+                         "2**128")
     n = domain.dim
     _basis_size(n, degree)
     rng = np.random.Generator(np.random.Philox(key=seed))

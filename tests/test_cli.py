@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import importlib
 import io
 import json
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bergmanlab as bl
 from bergmanlab import cli, jsonio
@@ -1681,6 +1684,131 @@ def test_recover_weight_takes_no_basis(capsys, tmp_path):
     assert err == "config error: unknown configuration key 'basis'\n"
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and json.loads(out)["basis"] == "shifted_legendre"
+
+
+# ---------------------------------------------------------------------------
+# plain command lines, decoded from the flag table
+
+def _own_actions():
+    """Per command, its parser's flag words, -h among them, each with the
+    action it triggers."""
+    commands = cli._build_parser().commands
+    return {cmd: {word: action for action in commands[cmd]._actions
+                  for word in action.option_strings}
+            for cmd in cli._COMMANDS}
+
+
+_OWN = _own_actions()
+_EVERY_FLAG = sorted({word for words in _OWN.values() for word in words})
+# values its type takes, per flag type
+_GOOD_VALUES = {int: ["0", "3", "64", " 2", "1_0"],
+                float: ["0", "0.5", "1e-8", "3", "inf", "nan", "1e400"],
+                None: ["npower:1", "disk", "x", " -1", "a b"]}
+# values of every flag type, values a type or choices refuse, an empty
+# one, and dash-led ones
+_ANY_VALUES = ["3", "0.5", "nan", "x", "", "json", "csv", "xml", "auto",
+               "montecarlo", "fbh", "thullen", "-1", "-0.5", "-x", "-",
+               "--degree", "-h"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and a word list of its own flags, each with a value its
+    type takes, where it takes one; half of them with one more chunk among
+    the words: an unread or unknown flag, -h, --flag=value, a stray word,
+    or a flag with a value of any kind (a bool flag then with a word)."""
+    cmd = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    own = _OWN[cmd]
+    words = []
+    for flag in draw(st.lists(st.sampled_from(sorted(own)), max_size=8)):
+        action = own[flag]
+        if action.nargs != 0:
+            good = list(action.choices or _GOOD_VALUES[action.type])
+            words += [flag, draw(st.sampled_from(good))]
+        elif flag not in ("-h", "--help") or draw(st.booleans()):
+            words.append(flag)
+    if draw(st.booleans()):
+        flag = st.one_of(st.sampled_from(sorted(own)), st.sampled_from(
+            _EVERY_FLAG + ["--bogus", "--deg", "--tol", "-d"]))
+        value = st.sampled_from(_ANY_VALUES)
+        chunk = draw(st.one_of(
+            st.tuples(flag, value), st.tuples(flag), st.tuples(value),
+            st.tuples(st.builds("{}={}".format, flag, value))))
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = chunk
+    return cmd, words
+
+
+def _typed(args: argparse.Namespace) -> dict:
+    # repr tells 1 from 1.0 and takes nan as itself
+    return {key: repr(value) for key, value in vars(args).items()}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_command_lines())
+def test_the_decoder_declines_or_gives_the_parsers_namespace(line):
+    cmd, words = line
+    args = cli._decode_plain(cmd, words)
+    if args is None:
+        return
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            expected, rest = cli._build_parser().commands[
+                cmd].parse_known_args(words, argparse.Namespace(cmd=cmd))
+    except SystemExit:
+        pytest.fail(f"decoded, but the parser refuses {words}: "
+                    f"{stderr.getvalue()}")
+    assert (rest, stderr.getvalue()) == ([], "")
+    assert _typed(args) == _typed(expected)
+
+
+def test_plain_benchmark_lines_build_no_parser(monkeypatch, tmp_path):
+    """Every seed-5/13 benchmark command line is decoded from the flag
+    table, to the namespace the whole parser gives, without building it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "verdictbench"))
+    import workloads
+    argvs = []
+    for seed in (5, 13):
+        for name in workloads.WORKLOADS:
+            work = workloads.generate(name, seed, tmp_path)
+            argvs += [v.argv for v in work.verdicts + work.defects]
+            argvs.append(work.setup_argv)
+    cli._build_parser.cache_clear()
+    decoded = [cli._parse(list(argv)) for argv in argvs]
+    info = cli._build_parser.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+    parser = cli._build_parser()
+    for argv, args in zip(argvs, decoded):
+        assert _typed(args) == _typed(parser.parse_args(argv)), argv
+
+
+_MC_GRAM = ["gram", "--domain", "disk", "--weight", "npower:1", "--method",
+            "montecarlo", "--samples", "10"]
+_JACOBIAN = ["jacobian-check", "--domain", "disk", "--weight", "npower:1",
+             "--map", _MOBIUS, "--points", "2"]
+
+
+@pytest.mark.parametrize("argv,key,value,error", [
+    (["frc-check", "--pairs", "3"], "seed", -1,
+     "config error: key 'seed' must be >= 0"),
+    (_MC_GRAM, "seed", -1, "config error: key 'seed' must be >= 0"),
+    (_MC_GRAM, "seed", 2 ** 128,
+     f"error: seed {2 ** 128}: the Monte Carlo draw keys its Philox "
+     "generator by the seed, which takes 0 <= seed < 2**128"),
+    (_JACOBIAN, "step", 0, "config error: key 'step' must be positive"),
+    (_JACOBIAN, "step", 0.0, "config error: key 'step' must be positive"),
+], ids=["frc-seed", "mc-seed", "mc-seed-2**128", "step-0", "step-0.0"])
+def test_a_seed_or_step_out_of_range_is_refused_by_name(capsys, tmp_path,
+                                                         argv, key, value,
+                                                         error):
+    code, out, err = run_cli(argv + [f"--{key}", str(value)], capsys)
+    assert (code, out, err) == (2, "", error + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(argv + ["--config", str(config)], capsys)
+    assert (code, out, err) == (2, "", error + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,15 @@ class TestGramMonteCarlo:
         assert a.moments.tobytes() == b.moments.tobytes()
         assert a.stderr.tobytes() == b.stderr.tobytes()
 
+    def test_a_seed_outside_the_philox_key_range_is_refused(self):
+        weight = bl.generic_norm_weight(DISK, 1.0)
+        for seed in (-1, 2 ** 128):
+            with pytest.raises(ValueError, match=rf"^seed {seed}: .* takes "
+                                                 r"0 <= seed < 2\*\*128$"):
+                bl.gram_montecarlo(DISK, weight, 2, 10, seed)
+        G = bl.gram_montecarlo(DISK, weight, 2, 10, 2 ** 128 - 1)
+        assert np.isfinite(G.moments).all()
+
     def test_lower_moments_are_not_estimated(self):
         # R_0 and R_1 of ball:3 would weight the samples by t^-2 and t^-1,
         # the first of infinite variance; neither is estimated

@@ -250,16 +250,35 @@ def kernel_to_json(model: KernelModel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> KernelModel:
+    """The model ``kernel_to_json`` wrote.  An ``n`` or ``degree`` that is
+    not a whole number, and a ``mu`` or ``scale`` that is not a JSON number,
+    is refused by name, not truncated or parsed."""
     form = obj["form"]
+
+    def whole(field: str) -> int:
+        value = obj[field]
+        if type(value) is int or (type(value) is float
+                                  and value.is_integer()):
+            return int(value)
+        raise ValueError(f"kernel JSON of form {form!r} has {field} "
+                         f"{value!r}; it must be a whole number")
+
+    def number(field: str) -> float:
+        value = obj[field]
+        if type(value) in (int, float):
+            return float(value)
+        raise ValueError(f"kernel JSON of form {form!r} has {field} "
+                         f"{value!r}; it must be a number")
+
+    scale = number("scale") if "scale" in obj else 1.0
     if form == "fock":
-        return FockKernel(float(obj["mu"]), int(obj["n"]),
-                          float(obj.get("scale", 1.0)))
+        return FockKernel(number("mu"), whole("n"), scale)
     if form == "power":
-        return PowerKernel(domain_from_json(obj["domain"]), float(obj["mu"]),
-                           float(obj.get("scale", 1.0)))
+        return PowerKernel(domain_from_json(obj["domain"]), number("mu"),
+                           scale)
     if form == "radial":
         return RadialSeriesKernel(domain_from_json(obj["domain"]),
-                                  int(obj["degree"]),
+                                  whole("degree"),
                                   np.array(obj["c"], dtype=float),
                                   weight_label=obj.get("weight", ""))
     raise ValueError(f"unknown kernel form {form!r}; supported forms: fock, "

@@ -21,8 +21,9 @@ integral over each shell t_1 + ... + t_n = s).  Such a Gram is a
 B = C(n+degree, n) values above in grlex order, is all of the matrix that
 its diagnostics, reports and verdicts read; no dense B x B array of it is
 ever formed.  The moments come from one of three routes: closed forms
-(Gaussian and generic-norm powers) and Gauss-Legendre rules exact for the
-degree of a polynomial weight (``gram_exact``), a 1-D Gauss rule in s --
+(Gaussian and generic-norm powers, each moment an exact ratio of integers
+rounded once) and Gauss-Legendre rules exact for the degree of a
+polynomial weight (``gram_exact``), a 1-D Gauss rule in s --
 Legendre on [0, 1], Laguerre on C^n, Legendre up to the last knot of a
 tabulated profile (``gram_quadrature``), or importance-sampled Monte Carlo
 with one standard error per moment (``gram_montecarlo``).  ``gram_auto``
@@ -289,31 +290,6 @@ def _power_sums(s: np.ndarray, f: np.ndarray, top: int) -> np.ndarray:
     return np.sum(powers * f[None, :], axis=1)
 
 
-# j! converts to a float up to j = 170; a Gaussian moment past it, or one
-# whose power mu^(j+1) leaves the float range, is formed in log space
-# instead, a generic-norm moment by recurrence
-_FLOAT_FACTORIAL = 170
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _moment_outside(weight: Weight, j: int, log_r: float) -> ValueError:
-    return ValueError(f"the moment R_{j} of {describe_weight(weight)} is "
-                      f"exp({log_r:.1f}), outside the float range")
-
-
-def _scaled_moments(weight: Weight, moments: np.ndarray) -> np.ndarray:
-    """scale * R_j for positive normal R_j; one that overflows is refused by
-    name."""
-    with np.errstate(over="ignore"):   # an infinite product is refused below
-        out = weight.scale * moments
-    outside = ~np.isfinite(out)
-    if outside.any():
-        j = int(np.argmax(outside))
-        raise _moment_outside(weight, j, math.log(weight.scale)
-                              + math.log(moments[j]))
-    return out
-
-
 def _finite_moments(weight: Weight, moments: np.ndarray,
                     route: str = "") -> np.ndarray:
     """The moments, or a refusal by name of the first one outside the
@@ -327,68 +303,57 @@ def _finite_moments(weight: Weight, moments: np.ndarray,
     return moments
 
 
-def _moment_from_log(weight: Weight, j: int, log_r: float) -> float:
-    """R_j = exp(log_r); one outside the normal float range is refused by
-    name."""
-    value = math.exp(log_r) if log_r < _LOG_FLOAT_MAX else math.inf
-    if not sys.float_info.min <= value < math.inf:
-        raise _moment_outside(weight, j, log_r)
-    return value
+def _rounded_moments(weight: Weight, top: int, shift: int) -> np.ndarray:
+    """R_j = scale j!/prod_{i=1..j+1}(mu + shift i) for j = 0..top, mu the
+    rate of the weight's power: j!/mu^(j+1) for a Gaussian (shift 0),
+    B(j+1, mu+1) for a generic norm (shift 1).
 
-
-def _gaussian_moment(weight: Weight, mu: float, j: int) -> float:
-    """R_j = j!/mu^(j+1)."""
-    if j <= _FLOAT_FACTORIAL:
+    Every float is a dyadic rational, so with mu = c/d and scale = p/q each
+    R_j is the ratio of the integers p j! d^(j+1) and q prod(c + shift i d),
+    which ``/`` rounds once, to the nearest float.  The first R_j outside
+    the normal float range is refused by name, with its exponent
+    log(num) - log(den), finite for integers of any size.
+    """
+    c, d = weight.form.mu.as_integer_ratio()
+    c *= weight.power_exponent
+    num, den = weight.scale.as_integer_ratio()
+    out = np.empty(top + 1)
+    for j in range(top + 1):
+        num *= max(j, 1) * d
+        den *= c + shift * (j + 1) * d
         try:
-            power = mu ** (j + 1)
-        except OverflowError:
-            power = math.inf
-        if sys.float_info.min <= power < math.inf:
-            return math.factorial(j) / power
-    return _moment_from_log(weight, j,
-                            math.lgamma(j + 1) - (j + 1) * math.log(mu))
+            out[j] = num / den
+        except OverflowError:       # past the largest float
+            out[j] = math.inf
+        if not sys.float_info.min <= out[j] < math.inf:
+            raise ValueError(f"the moment R_{j} of {describe_weight(weight)} "
+                             f"is exp({math.log(num) - math.log(den):.1f}), "
+                             f"outside the float range")
+    return out
 
 
 def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
     """Closed-form R_0..R_top; raises ValueError where none exists.
 
     Gaussian powers on C^n and generic-norm powers on disk/ball have closed
-    forms, formed past ``_FLOAT_FACTORIAL`` in log space (Gaussian) or by
-    recurrence (generic norm).  A polynomial weight on disk/ball is
-    integrated by a Gauss-Legendre rule with enough nodes to be exact for
-    s^top p(s)^m: the weights are positive and the weight is evaluated as
-    it is everywhere else, so no alternating coefficient sum can cancel.
+    forms, exact ratios of integers rounded once (``_rounded_moments``).  A
+    polynomial weight on disk/ball is integrated by a Gauss-Legendre rule
+    with enough nodes to be exact for s^top p(s)^m: the weights are
+    positive and the weight is evaluated as it is everywhere else, so no
+    alternating coefficient sum can cancel.
     """
     if weight.base != domain:
         raise ValueError("weight is attached to a different base domain")
     form, power = weight.form, weight.power_exponent
     if isinstance(form, GaussianPower):
-        mu = form.mu * power
-        return _scaled_moments(weight, np.array(
-            [_gaussian_moment(weight, mu, j) for j in range(top + 1)]))
+        return _rounded_moments(weight, top, shift=0)
     if not isinstance(form, (GenericNormPower, PolynomialRadial)):
         raise NoClosedForm("no closed-form moments for this weight form")
     if domain.kind is not DomainKind.UNIT_BALL:
         raise NoClosedForm("closed-form generic-norm and polynomial moments: "
                            "disk/ball only")
     if isinstance(form, GenericNormPower):
-        # R_j = B(j+1, s+1) = j!/prod_{i=1..j+1}(s+i); past the product's
-        # range R_j = R_(j-1) j/(s+j+1), a few roundings a step where an
-        # lgamma difference loses digits with the size of its terms
-        s = form.mu * power
-        out = np.empty(top + 1)
-        denom = 1.0
-        for j in range(top + 1):
-            denom *= s + j + 1
-            if j <= _FLOAT_FACTORIAL and denom < math.inf:
-                out[j] = math.factorial(j) / denom
-            else:
-                out[j] = out[j - 1] * j / (s + j + 1) if j else 0.0
-                if out[j] < sys.float_info.min:
-                    log_r = (math.lgamma(j + 1) + math.lgamma(s + 1)
-                             - math.lgamma(j + s + 2))
-                    raise _moment_outside(weight, j, log_r)
-        return _scaled_moments(weight, out)
+        return _rounded_moments(weight, top, shift=1)
     nodes = (top + power * (len(form.coefficients) - 1)) // 2 + 1
     _check_power_table(top, nodes)
     s, w = _gauss01(nodes)

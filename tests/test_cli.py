@@ -1063,6 +1063,29 @@ class TestJsonArguments:
             "error: unknown kernel form 'series'; supported forms: fock, "
             "power, radial"]
 
+    @pytest.mark.parametrize("kernel,error", [
+        ({"form": "fock", "mu": "2", "n": 1}, "has mu '2'; it must be a number"),
+        ({"form": "fock", "mu": 2.0, "n": 1.7},
+         "has n 1.7; it must be a whole number"),
+        ({"form": "fock", "mu": 2.0, "n": True},
+         "has n True; it must be a whole number"),
+        ({"form": "fock", "mu": 2.0, "n": 1, "scale": "1"},
+         "has scale '1'; it must be a number"),
+        ({"form": "power", "domain": {"kind": "disk", "dim": 1},
+          "mu": [1.0]}, "has mu [1.0]; it must be a number"),
+        ({"form": "radial", "domain": {"kind": "disk", "dim": 1},
+          "degree": 1.9, "c": [1.0, 2.0]},
+         "has degree 1.9; it must be a whole number"),
+    ], ids=["fock-mu", "fock-n", "fock-n-bool", "fock-scale", "power-mu",
+            "radial-degree"])
+    def test_kernel_fields_are_checked(self, capsys, kernel, error):
+        # a field is refused, not truncated (1.7 -> 1) or parsed ("2" -> 2.0)
+        code, out, err = run_cli(["kernel-eval", "--kernel",
+                                  json.dumps(kernel)], capsys)
+        form = kernel["form"]
+        assert (code, out) == (2, "")
+        assert err == f"error: kernel JSON of form {form!r} {error}\n"
+
     def test_kernel_file_list(self, capsys, list_file):
         code, _, err = run_cli(["kernel-eval", "--kernel", list_file], capsys)
         assert code == 2
@@ -1124,6 +1147,17 @@ def test_weight_scale_overflow_is_named(capsys):
          "--m", "2", "--degree", "2"], capsys)
     assert code == 2 and out == ""
     assert err == "error: weight scale 1e+200 overflows at power 2\n"
+
+
+def test_a_closed_form_moment_outside_the_float_range_is_named(capsys):
+    # R_49 = 49!/0.00001^50 is the first past the float range; its
+    # exponent log(49!) + 50 log(1e5) is named, finite
+    code, out, err = run_cli(
+        ["gram", "--domain", "cn:1", "--weight", "gaussian:0.00001",
+         "--degree", "60", "--format", "csv"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: the moment R_49 of exp(-1e-05|z|^2) is "
+                   "exp(720.2), outside the float range\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -102,35 +102,19 @@ class TestMomentExact:
 
 
 class TestMomentsPastTheFactorialRange:
-    """j! leaves the float range from j = 171, and mu^(j+1) or the j + 1
-    factors of a generic-norm moment may leave it before: such Gaussian
-    moments are formed in log space, such generic-norm moments by the
-    recurrence R_j = R_(j-1) j/(s+j+1), and one outside the float range is
-    named."""
-
-    @staticmethod
-    def tolerance(j, *log_terms):
-        # j + 1 roundings of the product, or exp of a sum of lgamma values
-        # each within a few ulps of its magnitude
-        return 8 * sys.float_info.epsilon * (j + 1 + sum(map(abs, log_terms)))
+    """Closed-form moments are exact ratios of integers rounded once, so
+    each equals the correctly rounded value, past j = 170 where j! leaves
+    the float range and past the range of mu^(j+1) alike; the first one
+    outside the normal float range is named."""
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 7.25, 40.0])
     def test_generic_norm_moments_against_mpmath(self, s):
         mpmath = pytest.importorskip("mpmath")
         ball = bl.unit_ball(400)
         R = moments._exact_moments(ball, bl.generic_norm_weight(ball, s), 420)
-        denom = 1.0
-        for j in range(421):
-            denom *= s + j + 1
-            if j <= 170 and denom < math.inf:
-                # the product form, bit for bit where it holds
-                assert R[j] == math.factorial(j) / denom
-            with mpmath.workdps(40):
-                ref = float(mpmath.beta(j + 1, s + 1))
-            # a few roundings per factor or recurrence step; measured at
-            # most 0.1 eps (j + 1) for these s
-            tol = sys.float_info.epsilon * (j + 1) / 4
-            assert abs(R[j] - ref) <= tol * ref, j
+        with mpmath.workdps(60):
+            ref = [float(mpmath.beta(j + 1, s + 1)) for j in range(421)]
+        assert R.tolist() == ref
 
     # mu^(j+1) overflows from j = 153 at mu = 100, j! from j = 171
     @pytest.mark.parametrize("mu,top", [(3.0, 215), (100.0, 300)])
@@ -138,16 +122,35 @@ class TestMomentsPastTheFactorialRange:
         mpmath = pytest.importorskip("mpmath")
         cn = bl.full_space(2)
         R = moments._exact_moments(cn, bl.gaussian_weight(2, mu), top)
-        for j in range(top + 1):
-            with mpmath.workdps(40):
-                ref = float(mpmath.factorial(j) / mpmath.mpf(mu) ** (j + 1))
-            tol = self.tolerance(j, math.lgamma(j + 1),
-                                 (j + 1) * math.log(mu))
-            assert abs(R[j] - ref) <= tol * ref, j
+        with mpmath.workdps(60):
+            ref = [float(mpmath.factorial(j) / mpmath.mpf(mu) ** (j + 1))
+                   for j in range(top + 1)]
+        assert R.tolist() == ref
+
+    # the scale and the power's rate m mu enter the ratio exactly: 0.1 is
+    # not dyadic, and the float 3 * 0.1 is not 3 times it
+    @pytest.mark.parametrize("spec,top", [
+        ("scaled:0.3:gaussian:0.1", 120),
+        ("scaled:1e-3:npower:7.1", 200),
+    ])
+    def test_scaled_powers_against_mpmath(self, spec, top):
+        mpmath = pytest.importorskip("mpmath")
+        from bergmanlab.cli import parse_weight
+        gaussian = "gaussian" in spec
+        base = C1 if gaussian else DISK
+        weight = parse_weight(spec, base).pow(3)
+        R = moments._exact_moments(base, weight, top)
+        with mpmath.workdps(60):
+            mu = weight.power_exponent * mpmath.mpf(weight.form.mu)
+            ref = [float(mpmath.mpf(weight.scale)
+                         * (mpmath.factorial(j) / mu ** (j + 1) if gaussian
+                            else mpmath.beta(j + 1, mu + 1)))
+                   for j in range(top + 1)]
+        assert R.tolist() == ref
 
     @pytest.mark.parametrize("weight,j", [
         (bl.gaussian_weight(2, 3.0), 216),
-        (bl.gaussian_weight(2, 1e-3), 102),
+        (bl.gaussian_weight(2, 1e-3), 70),
         (bl.generic_norm_weight(bl.unit_ball(2), 1e4), 132),
     ])
     def test_a_moment_outside_the_float_range_is_named(self, weight, j):

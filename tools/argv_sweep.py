@@ -44,12 +44,11 @@ SEEDS = (5, 13)
 TMP_MASK = b"<tmp>"
 
 
-def _digest(data: bytes, tmp: bytes) -> str:
-    return hashlib.sha256(data.replace(tmp, TMP_MASK)).hexdigest()
-
-
-def _run(cli, argv: tuple[str, ...], tmp: bytes) -> str:
-    """Exit code and the three digests of one argv, as one field string."""
+def _capture(cli, argv: tuple[str, ...],
+             tmp: bytes) -> tuple[str, bytes, bytes, bytes | None]:
+    """Exit code, stdout, stderr and ``--out`` report (None where the argv
+    names none or none was written) of one argv, the temporary directory
+    masked."""
     out = argv[argv.index("--out") + 1] if "--out" in argv else ""
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
@@ -58,15 +57,18 @@ def _run(cli, argv: tuple[str, ...], tmp: bytes) -> str:
             rc = str(cli.main(list(argv)))
     except Exception:  # the sweep records a traceback, it does not stop
         rc = "raised"
-    report = "-"
+    report = None
     if out and Path(out).exists():
-        report = _digest(Path(out).read_bytes(), tmp)
+        report = Path(out).read_bytes().replace(tmp, TMP_MASK)
         Path(out).unlink()
-    return " ".join((rc, _digest(stdout.getvalue().encode(), tmp),
-                     _digest(stderr.getvalue().encode(), tmp), report))
+    return (rc, stdout.getvalue().encode().replace(tmp, TMP_MASK),
+            stderr.getvalue().encode().replace(tmp, TMP_MASK), report)
 
 
-def sweep(checkout: Path) -> None:
+def outputs(checkout: Path):
+    """(seed, workload, index, argv, captured) for every argv in sweep
+    order, ``captured`` as ``_capture`` gives it, run through the
+    checkout's ``cli.main``."""
     src = checkout.resolve() / "src"
     sys.path.insert(0, str(src))
     cli = importlib.import_module("bergmanlab.cli")
@@ -84,8 +86,14 @@ def sweep(checkout: Path) -> None:
                          for i, v in enumerate(wl.defects)]
                 runs.append(("setup", wl.setup_argv))
                 for index, argv in runs:
-                    print(seed, name, index, argv[0], _run(cli, argv, tmp),
-                          flush=True)
+                    yield seed, name, index, argv, _capture(cli, argv, tmp)
+
+
+def sweep(checkout: Path) -> None:
+    for seed, name, index, argv, (rc, *streams) in outputs(checkout):
+        digests = ("-" if data is None else hashlib.sha256(data).hexdigest()
+                   for data in streams)
+        print(seed, name, index, argv[0], rc, *digests, flush=True)
 
 
 def main(argv: list[str]) -> int:

@@ -305,8 +305,9 @@ def _finite_moments(weight: Weight, moments: np.ndarray,
 
 def _rounded_moments(weight: Weight, top: int, shift: int) -> np.ndarray:
     """R_j = scale j!/prod_{i=1..j+1}(mu + shift i) for j = 0..top, mu the
-    rate of the weight's power: j!/mu^(j+1) for a Gaussian (shift 0),
-    B(j+1, mu+1) for a generic norm (shift 1).
+    rate of the weight's power (the form's rate times the exponent m):
+    j!/mu^(j+1) for a Gaussian (shift 0), B(j+1, mu+1) for a generic norm
+    (shift 1).
 
     Every float is a dyadic rational, so with mu = c/d and scale = p/q each
     R_j is the ratio of the integers p j! d^(j+1) and q prod(c + shift i d),

@@ -107,10 +107,11 @@ def differences(old, new, path: str = ""):
 
 def _paths(paths: list[str]) -> str:
     """The paths, those that differ only in array indices listed once."""
-    groups = Counter(re.sub(r"\[\d+\]", "[*]", p) for p in paths)
-    exact = {re.sub(r"\[\d+\]", "[*]", p): p for p in paths}
-    return ", ".join(exact[g] if count == 1 else f"{g} ({count})"
-                     for g, count in groups.items())
+    groups: dict[str, list[str]] = {}
+    for p in paths:
+        groups.setdefault(re.sub(r"\[\d+\]", "[*]", p), []).append(p)
+    return ", ".join(same[0] if len(same) == 1 else f"{g} ({len(same)})"
+                     for g, same in groups.items())
 
 
 def describe(stream: str, old: bytes | None, new: bytes | None) -> str:

@@ -26,9 +26,8 @@ _EXPORTS = {
         "matrix_ball", "multiindex_enumerate", "polynomial_weight",
         "unit_ball", "unit_disk", "weight_eval"),
     "moments": (
-        "RadialGram", "gram_auto", "gram_exact", "gram_montecarlo",
-        "gram_quadrature", "gram_to_json", "gram_validate",
-        "unit_mass_weight"),
+        "RadialGram", "gram_exact", "gram_montecarlo", "gram_quadrature",
+        "gram_to_json", "gram_validate", "unit_mass_weight"),
     "kernels": (
         "FockKernel", "PowerKernel", "RadialSeriesKernel", "kernel_from_gram",
         "kernel_from_json", "kernel_to_json", "weighted_kernel_closed_form"),

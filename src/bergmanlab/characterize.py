@@ -50,7 +50,7 @@ from .core import (
     sample_cube,
     weight_eval,
 )
-from .moments import RadialGram, gram_auto
+from .moments import RadialGram, gram_exact
 from .kernels import FockKernel, KernelModel, PowerKernel, kernel_from_gram
 from . import jsonio
 
@@ -65,9 +65,9 @@ if TYPE_CHECKING:
 # moment tables and mismatch
 
 def moment_table(weight: Weight, degree: int) -> RadialGram:
-    """Gram matrix of the weight, closed-form when available; a weight of
-    non-positive mass is refused."""
-    gram = gram_auto(weight, degree)
+    """Gram matrix of the weight's exact moments; a weight of non-positive
+    mass is refused."""
+    gram = gram_exact(weight, degree)
     if gram.diagonal[0] <= 0:
         raise ValueError("weight has non-positive mass")
     return gram
@@ -389,7 +389,7 @@ def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
         raise ValueError("the Gaussian-model characterization lives on C^n")
     if m < 1 or mu <= 0:
         raise ValueError("need m >= 1 and mu > 0")
-    series = kernel_from_gram(gram_auto(p.pow(m), degree))
+    series = kernel_from_gram(gram_exact(p.pow(m), degree))
     reference = FockKernel(m * mu, p.base.dim)
     if rmax is None:
         # keeps the rank-10 truncation tail below the match tolerance
@@ -417,7 +417,7 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
         raise ValueError(f"rmax = {rmax!r} lets sample points reach the "
                          "boundary of the unit ball, where the kernels blow "
                          "up, or leave it; rmax must be < 1")
-    series = kernel_from_gram(gram_auto(q.pow(m), degree))
+    series = kernel_from_gram(gram_exact(q.pow(m), degree))
     reference = PowerKernel(base, m * mu)
     points = _sample_points(base.dim, rmax, npts, seed)
     return _proportionality_report(series, reference, points, degree,
@@ -547,7 +547,7 @@ def family_condition_check(domain: HartogsDomain,
     if not maps:
         raise ValueError("need at least one map")
     n, m = domain.base.dim, domain.fiber_dim
-    series = kernel_from_gram(gram_auto(domain.weight.pow(m), degree))
+    series = kernel_from_gram(gram_exact(domain.weight.pow(m), degree))
 
     rng = np.random.default_rng(0)
     check_pts = sample_cube(rng, n, 0.3, _FIBER_CHECKS)

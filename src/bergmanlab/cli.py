@@ -65,7 +65,6 @@ from .core import (
 )
 from .moments import (
     describe_weight,
-    gram_auto,
     gram_exact,
     gram_montecarlo,
     gram_quadrature,
@@ -317,14 +316,12 @@ def _cmd_gram(cfg: dict):
     if cfg["m"] > 1:
         weight = weight.pow(cfg["m"])
     method = cfg.get("method", "auto")
-    if method == "auto":
-        gram = gram_auto(weight, cfg["degree"])
-    elif method == "exact":
-        gram = gram_exact(domain, weight, cfg["degree"])
+    if method in ("auto", "exact"):
+        gram = gram_exact(weight, cfg["degree"])
     elif method == "quadrature":
-        gram = gram_quadrature(domain, weight, cfg["degree"])
+        gram = gram_quadrature(weight, cfg["degree"])
     elif method == "montecarlo":
-        gram = gram_montecarlo(domain, weight, cfg["degree"],
+        gram = gram_montecarlo(weight, cfg["degree"],
                                cfg.get("samples", 100_000), cfg["seed"])
     else:
         raise ConfigError(f"unknown gram method {method!r}")
@@ -349,7 +346,7 @@ def _cmd_kernel_eval(cfg: dict):
         if cfg.get("closed_form"):
             model = weighted_kernel_closed_form(weight)
         else:
-            model = kernel_from_gram(gram_auto(weight, cfg["degree"]))
+            model = kernel_from_gram(gram_exact(weight, cfg["degree"]))
 
     n = model.domain.dim
     if "points_file" in cfg:
@@ -503,7 +500,7 @@ def _cmd_transform_check(cfg: dict):
     try:
         slice_kernel = weighted_kernel_closed_form(w)
     except ValueError:
-        slice_kernel = kernel_from_gram(gram_auto(w, cfg["degree"]))
+        slice_kernel = kernel_from_gram(gram_exact(w, cfg["degree"]))
     rng = np.random.default_rng(cfg["seed"])
     count = _count(cfg, "points", 8)
     radius = cfg.get("radius", 0.6 if H.base.bounded else 1.0)

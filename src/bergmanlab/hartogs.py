@@ -51,7 +51,7 @@ from .core import (
     principal_log,
 )
 from .kernels import KernelModel, kernel_from_gram, weighted_kernel_closed_form
-from .moments import gram_auto
+from .moments import gram_exact
 from . import jsonio
 
 
@@ -432,7 +432,7 @@ def frc_restriction_check(domain: HartogsDomain, z, z2, kernel_omega,
 
     if reference is None:
         reference = kernel_from_gram(
-            gram_auto(domain.weight.pow(m), degree))
+            gram_exact(domain.weight.pow(m), degree))
 
     lhs = kernel_omega((Z, zeros), (Z2, zeros))
     ref = math.factorial(m) / math.pi ** m * np.diagonal(

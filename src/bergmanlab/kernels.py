@@ -251,8 +251,10 @@ def kernel_to_json(model: KernelModel) -> dict:
 
 def kernel_from_json(obj: dict) -> KernelModel:
     """The model ``kernel_to_json`` wrote.  An ``n`` or ``degree`` that is
-    not a whole number, and a ``mu`` or ``scale`` that is not a JSON number,
-    is refused by name, not truncated or parsed."""
+    not a whole number, a ``mu``, ``scale`` or entry of ``c`` that is not a
+    JSON number, and a ``weight`` label that is not a string, is refused by
+    name, not truncated or parsed.  A nested list in ``c`` is left to the
+    kernel's count of coefficients."""
     form = obj["form"]
 
     def whole(field: str) -> int:
@@ -277,9 +279,16 @@ def kernel_from_json(obj: dict) -> KernelModel:
         return PowerKernel(domain_from_json(obj["domain"]), number("mu"),
                            scale)
     if form == "radial":
+        c, label = obj["c"], obj.get("weight", "")
+        for i, value in enumerate(c if type(c) is list else [c]):
+            if type(value) not in (int, float, list):
+                raise ValueError(f"kernel JSON of form {form!r} has c[{i}] "
+                                 f"{value!r}; it must be a number")
+        if type(label) is not str:
+            raise ValueError(f"kernel JSON of form {form!r} has weight "
+                             f"{label!r}; it must be a string")
         return RadialSeriesKernel(domain_from_json(obj["domain"]),
-                                  whole("degree"),
-                                  np.array(obj["c"], dtype=float),
-                                  weight_label=obj.get("weight", ""))
+                                  whole("degree"), np.array(c, dtype=float),
+                                  weight_label=label)
     raise ValueError(f"unknown kernel form {form!r}; supported forms: fock, "
                      "power, radial")

@@ -20,15 +20,15 @@ integral over each shell t_1 + ... + t_n = s).  Such a Gram is a
 ``RadialGram``: it holds R_0..R_{degree+n-1}, and its ``diagonal``, the
 B = C(n+degree, n) values above in grlex order, is all of the matrix that
 its diagnostics, reports and verdicts read; no dense B x B array of it is
-ever formed.  The moments come from one of three routes: closed forms
-(Gaussian and generic-norm powers, each moment an exact ratio of integers
-rounded once) and Gauss-Legendre rules exact for the degree of a
-polynomial weight (``gram_exact``), a 1-D Gauss rule in s --
-Legendre on [0, 1], Laguerre on C^n, Legendre up to the last knot of a
-tabulated profile (``gram_quadrature``), or importance-sampled Monte Carlo
-with one standard error per moment (``gram_montecarlo``).  ``gram_auto``
-takes the closed form where one exists; ``kernels.kernel_from_gram`` turns
-the moments into the kernel series.
+ever formed.  Each route takes the weight alone, over its base: exact
+moments by the form's own method (``gram_exact``: Gaussian and generic-norm
+powers as ratios of integers rounded once, polynomial and tabulated cubic
+profiles by a Gauss-Legendre rule per piece exact for its degree), a 1-D
+Gauss rule in s as the cross-check -- Legendre on [0, 1], Laguerre on C^n,
+Legendre up to the last knot of a table (``gram_quadrature``) -- or
+importance-sampled Monte Carlo with one standard error per moment
+(``gram_montecarlo``); ``kernels.kernel_from_gram`` turns the moments into
+the kernel series.
 
 Assembly is deterministic: node sets and summation order are fixed by
 ``QUADRATURE`` and by the seed, and no sum is a BLAS product, so no route
@@ -143,7 +143,6 @@ class RadialGram:
                              f"{self.weight_label} is {diagonal[j]}, outside "
                              f"the float range")
         return _read_only(diagonal)[0]
-
 
 
 @dataclass
@@ -269,11 +268,6 @@ def _log_gammaincc(a: int, x: float) -> float:
     return math.log1p(-math.exp(log_last) * float(np.sum(rising)))
 
 
-class NoClosedForm(ValueError):
-    """The (domain, weight) pair has no closed-form moments: the one refusal
-    of ``gram_exact`` after which ``gram_auto`` turns to quadrature."""
-
-
 def _check_power_table(top: int, nodes: int) -> None:
     """Refuse the (top + 1) x nodes table of node powers s_i^j before the
     nodes are computed; it may hold as many numbers as a dense Gram matrix
@@ -285,9 +279,13 @@ def _check_power_table(top: int, nodes: int) -> None:
 
 
 def _power_sums(s: np.ndarray, f: np.ndarray, top: int) -> np.ndarray:
-    """sum_i f_i s_i^j for j = 0..top, each a fixed-order pairwise sum."""
-    powers = s[None, :] ** np.arange(top + 1)[:, None]
-    return np.sum(powers * f[None, :], axis=1)
+    """sum_i f_i s_i^j for j = 0..top, each a fixed-order pairwise sum; row
+    j is row j-1 times s, so a small f keeps a large s^j in range."""
+    powers = np.empty((top + 1, s.size))
+    powers[0] = f
+    for j in range(top):
+        np.multiply(powers[j], s, out=powers[j + 1])
+    return np.sum(powers, axis=1)
 
 
 def _finite_moments(weight: Weight, moments: np.ndarray,
@@ -333,34 +331,48 @@ def _rounded_moments(weight: Weight, top: int, shift: int) -> np.ndarray:
     return out
 
 
-def _exact_moments(domain: DomainSpec, weight: Weight, top: int) -> np.ndarray:
-    """Closed-form R_0..R_top; raises ValueError where none exists.
+def _piecewise_moments(weight: Weight, breaks: np.ndarray, degree: int,
+                       top: int) -> np.ndarray:
+    """R_0..R_top of a form of the given degree in s between consecutive
+    breaks, by a Gauss-Legendre rule per interval exact for s^top p(s)^m:
+    the rule's weights are positive and the weight is evaluated as it is
+    everywhere else, so no alternating coefficient sum can cancel."""
+    nodes = (top + weight.power_exponent * degree) // 2 + 1
+    _check_power_table(top, nodes * (len(breaks) - 1))
+    x, w = _gauss01(nodes)
+    start, width = breaks[:-1, None], np.diff(breaks)[:, None]
+    s, ws = (start + width * x).ravel(), (width * w).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):   # refused by name
+        moments = _power_sums(s, ws * weight_radial_fn(weight)(s), top)
+    return _finite_moments(weight, moments)
 
-    Gaussian powers on C^n and generic-norm powers on disk/ball have closed
-    forms, exact ratios of integers rounded once (``_rounded_moments``).  A
-    polynomial weight on disk/ball is integrated by a Gauss-Legendre rule
-    with enough nodes to be exact for s^top p(s)^m: the weights are
-    positive and the weight is evaluated as it is everywhere else, so no
-    alternating coefficient sum can cancel.
-    """
-    if weight.base != domain:
-        raise ValueError("weight is attached to a different base domain")
-    form, power = weight.form, weight.power_exponent
+
+def _exact_moments(weight: Weight, top: int) -> np.ndarray:
+    """R_0..R_top by the moment method of the weight's form, or a
+    ValueError.  Gaussian and generic-norm powers are ratios of integers
+    (``_rounded_moments``); a polynomial is one piece on [0, 1], a table a
+    cubic per knot interval up to 1 on disk/ball, or up to its last knot on
+    C^n behind the tail test (``_piecewise_moments``)."""
+    form, domain = weight.form, weight.base
     if isinstance(form, GaussianPower):
         return _rounded_moments(weight, top, shift=0)
-    if not isinstance(form, (GenericNormPower, PolynomialRadial)):
-        raise NoClosedForm("no closed-form moments for this weight form")
-    if domain.kind is not DomainKind.UNIT_BALL:
-        raise NoClosedForm("closed-form generic-norm and polynomial moments: "
-                           "disk/ball only")
+    if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
+        raise ValueError("no radial moments on type-I matrix balls")
     if isinstance(form, GenericNormPower):
         return _rounded_moments(weight, top, shift=1)
-    nodes = (top + power * (len(form.coefficients) - 1)) // 2 + 1
-    _check_power_table(top, nodes)
-    s, w = _gauss01(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):   # refused by name
-        moments = _power_sums(s, w * weight_radial_fn(weight)(s), top)
-    return _finite_moments(weight, moments)
+    if isinstance(form, PolynomialRadial):
+        if not domain.bounded:
+            raise ValueError("a polynomial weight is not integrable on C^n")
+        return _piecewise_moments(weight, np.array([0.0, 1.0]),
+                                  len(form.coefficients) - 1, top)
+    knots = np.asarray(form.knots, dtype=float)
+    if domain.bounded:
+        return _piecewise_moments(weight, np.append(knots[knots < 1.0], 1.0),
+                                  3, top)
+    moments = _piecewise_moments(weight, knots, 3, top)
+    _fullspace_tail_check(weight, top - domain.dim + 1, float(knots[-1]),
+                          abs(float(moments[top])) + 1e-300)
+    return moments
 
 
 def _shell_factor(alpha: tuple[int, ...]) -> float:
@@ -386,11 +398,12 @@ def _shell_factor(alpha: tuple[int, ...]) -> float:
     return factor
 
 
-def gram_exact(domain: DomainSpec, weight: Weight, degree: int) -> RadialGram:
-    """The Gram matrix of closed-form moments; raises ValueError where the
-    (domain, weight) pair has none."""
-    moments = _exact_moments(domain, weight, degree + domain.dim - 1)
-    return RadialGram(domain, degree, moments, {"kind": "exact"},
+def gram_exact(weight: Weight, degree: int) -> RadialGram:
+    """The Gram matrix of the weight's exact moments over its base; raises
+    ValueError where the pair has none.  A rule refused for its size is
+    refused, not replaced by a coarser one."""
+    moments = _exact_moments(weight, degree + weight.base.dim - 1)
+    return RadialGram(weight.base, degree, moments, {"kind": "exact"},
                       describe_weight(weight))
 
 
@@ -403,12 +416,8 @@ def _gaussian_decay(weight: Weight) -> float | None:
     return None
 
 
-def _profile_of(weight: Weight) -> RadialProfile | None:
-    return weight.form if isinstance(weight.form, RadialProfile) else None
-
-
-def _fullspace_tail_check(weight: Weight, degree: int, n: int,
-                          t_max: float, current_scale: float) -> None:
+def _fullspace_tail_check(weight: Weight, degree: int, t_max: float,
+                          current_scale: float) -> None:
     """Reject full-space rules whose radial truncation is not negligible.
 
     For Gaussian decay mu the neglected mass of t^(d+n-1) e^(-mu t) beyond
@@ -416,7 +425,7 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
     profiles an exponential decay rate lam is fitted to the last knots, and
     the tail of scale * p^m continues scale * v_end^m at the rate m * lam.
     """
-    a = degree + n  # the largest radial moment is R_{degree+n-1}
+    a = degree + weight.base.dim  # the largest moment is R_{degree+n-1}
     mu = _gaussian_decay(weight)
     if mu is not None:
         rel = math.exp(_log_gammaincc(a, mu * t_max))
@@ -426,11 +435,8 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
                 f"of the degree-{degree} moments beyond the last Laguerre "
                 f"node t = {t_max:.3g} exceeds 1e-16")
         return
-    prof = _profile_of(weight)
-    if prof is None:
-        raise ValueError("weight is not integrable against a full-space rule")
-    tk = np.asarray(prof.knots[-2:], dtype=float)
-    vk = np.asarray(prof.values[-2:], dtype=float)
+    tk = np.asarray(weight.form.knots[-2:], dtype=float)
+    vk = np.asarray(weight.form.values[-2:], dtype=float)
     if vk[-1] <= 0.0:
         return  # table ends at zero: compactly supported truncation
     if vk[0] <= vk[1]:
@@ -450,8 +456,7 @@ def _fullspace_tail_check(weight: Weight, degree: int, n: int,
             f"relative tail exp({log_tail - log_ref:.1f}) beyond its table")
 
 
-def _radial_rule(domain: DomainSpec, weight: Weight,
-                 degree: int) -> tuple[np.ndarray, np.ndarray]:
+def _radial_rule(weight: Weight, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s = |z|^2 and plain-ds weights of the 1-D radial rule.
 
     No rule has fewer nodes than integrate s^(degree+n-1) exactly.  On
@@ -460,10 +465,10 @@ def _radial_rule(domain: DomainSpec, weight: Weight,
     with the weight s^(n-1) of the shell, and 64 nodes left ball:2 and
     ball:3 short of the accuracy of the nested tensor rules they replaced.
     """
-    n = domain.dim
+    n = weight.base.dim
     top = degree + n - 1
     floor = top // 2 + 1
-    if domain.bounded:
+    if weight.base.bounded:
         nodes = max(n * QUADRATURE["radial_nodes"], floor)
         _check_power_table(top, nodes)
         return _gauss01(nodes)
@@ -473,59 +478,46 @@ def _radial_rule(domain: DomainSpec, weight: Weight,
         _check_power_table(top, nodes)
         x, log_we = _gauss_laguerre(nodes)
         s, ws = x / mu, np.exp(log_we) / mu
-        _fullspace_tail_check(weight, degree, n, float(s[-1]), 1.0)
+        _fullspace_tail_check(weight, degree, float(s[-1]), 1.0)
         return s, ws
-    prof = _profile_of(weight)
-    if prof is not None:
-        t_max = float(prof.knots[-1])
+    if isinstance(weight.form, RadialProfile):
+        t_max = float(weight.form.knots[-1])
         _check_power_table(top, QUADRATURE["table_nodes"])
         x, w = _gauss01(QUADRATURE["table_nodes"])
-        s, ws = x * t_max, w * t_max
-        ref = float(np.sum(ws * weight_radial_fn(weight)(s) * s ** top))
-        _fullspace_tail_check(weight, degree, n, t_max, abs(ref) + 1e-300)
-        return s, ws
+        return x * t_max, w * t_max
     raise ValueError("weight not integrable against a full-space rule")
 
 
-def gram_quadrature(domain: DomainSpec, weight: Weight, degree: int) -> RadialGram:
+def gram_quadrature(weight: Weight, degree: int) -> RadialGram:
     """Assemble the Gram matrix from radial moments by 1-D quadrature in s.
 
-    A numerical route independent of the closed forms: the moments R_j are
-    sums over the nodes of ``_radial_rule``, and the shell reduction makes
-    every off-diagonal entry exactly zero.
+    A numerical route independent of the exact moments: the moments R_j
+    are sums over the nodes of ``_radial_rule``, and the shell reduction
+    makes every off-diagonal entry exactly zero.
     """
+    domain = weight.base
     if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         raise ValueError("no quadrature scheme for type-I matrix balls")
-    if weight.base != domain:
-        raise ValueError("weight is attached to a different base domain")
-    s, ws = _radial_rule(domain, weight, degree)
+    s, ws = _radial_rule(weight, degree)
+    top = degree + domain.dim - 1
     with np.errstate(over="ignore", invalid="ignore"):   # refused by name
-        moments = _power_sums(s, ws * weight_radial_fn(weight)(s),
-                              degree + domain.dim - 1)
+        moments = _power_sums(s, ws * weight_radial_fn(weight)(s), top)
+    if isinstance(weight.form, RadialProfile) and not domain.bounded:
+        _fullspace_tail_check(weight, degree, float(weight.form.knots[-1]),
+                              abs(float(moments[top])) + 1e-300)
     moments = _finite_moments(weight, moments, "quadrature ")
     return RadialGram(domain, degree, moments,
                       {"kind": "quadrature", "scheme": dict(QUADRATURE)},
                       describe_weight(weight))
 
 
-def gram_auto(weight: Weight, degree: int) -> RadialGram:
-    """The closed-form Gram where the weight admits one, else the quadrature
-    Gram; ``gram.method["kind"]`` records the route taken.  A closed form
-    refused for its size is refused here too, not replaced by a coarser
-    rule."""
-    try:
-        return gram_exact(weight.base, weight, degree)
-    except NoClosedForm:
-        return gram_quadrature(weight.base, weight, degree)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
-                    samples: int, seed: int) -> RadialGram:
-    """The Gram of importance-sampled moments R_{n-1}..R_{degree+n-1}, each
-    with its standard error.
+def gram_montecarlo(weight: Weight, degree: int, samples: int,
+                    seed: int) -> RadialGram:
+    """The Gram over the weight's base of importance-sampled moments
+    R_{n-1}..R_{degree+n-1}, each with its standard error.
 
     Uniform proposal on bounded domains, complex-Gaussian proposal on the
     full space, drawn by a Philox generator keyed by the seed in chunks
@@ -538,6 +530,7 @@ def gram_montecarlo(domain: DomainSpec, weight: Weight, degree: int,
     seed outside the Philox key range [0, 2**128) are refused before
     anything is drawn, sums outside the float range by name.
     """
+    domain = weight.base
     if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
         raise ValueError("Monte Carlo sampling supports disk/ball/full space")
     if samples < 1:
@@ -612,7 +605,7 @@ def gram_validate(gram: RadialGram) -> GramDiagnostics:
 
 def unit_mass_weight(weight: Weight) -> Weight:
     """The weight rescaled to total integral <1, 1> = 1 over its base."""
-    return weight.scaled(1.0 / float(gram_auto(weight, 0).diagonal[0]))
+    return weight.scaled(1.0 / float(gram_exact(weight, 0).diagonal[0]))
 
 
 # ---------------------------------------------------------------------------

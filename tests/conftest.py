@@ -105,7 +105,7 @@ def quadrature_points_1d(domain, weight, degree):
     exactly the same radial discretization."""
     if domain.dim != 1:
         raise ValueError("explicit quadrature points are for n = 1 only")
-    t, wt = moments._radial_rule(domain, weight, degree)
+    t, wt = moments._radial_rule(weight, degree)
     M = 2 * degree + ANGULAR_MARGIN
     thetas = 2.0 * np.pi * np.arange(M) / M
     pts = (np.sqrt(t)[:, None] * np.exp(1j * thetas)[None, :]).reshape(-1)

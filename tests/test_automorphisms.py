@@ -323,7 +323,7 @@ class TestTransformationLaw:
         H = cartan_hartogs(DISK, mu=1.0)
         mob = am.thullen_mobius(H, 0.2)
         K = bl.kernel_from_gram(
-            bl.gram_exact(DISK, H.weight, 40))
+            bl.gram_exact(H.weight, 40))
         pts = [[0.1], [0.2 - 0.1j], [0.15j]]
         assert am.transform_residual(mob, K, pts) <= 1e-9
 

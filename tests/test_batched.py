@@ -61,9 +61,9 @@ def _models():
     rng = np.random.default_rng(11)
     ball2 = bl.unit_ball(2)
     radial_disk, series_disk = _series_pair(
-        bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 1.0), 16))
+        bl.gram_exact(bl.generic_norm_weight(DISK, 1.0), 16))
     radial_ball, series_ball = _series_pair(
-        bl.gram_exact(ball2, bl.generic_norm_weight(ball2, 2.0), 10))
+        bl.gram_exact(bl.generic_norm_weight(ball2, 2.0), 10))
     disk_pts = [np.array([z]) for z in interior_disk_points(rng, 5)]
     models = [
         ("fock-n1", bl.FockKernel(1.3, 1), _full_space_points(rng, 1, 5, 2.0)),
@@ -269,7 +269,7 @@ CH_CASES = [
 @pytest.mark.parametrize("base,q,m,mu,degree,expected", CH_CASES)
 def test_characterize_ch_matches_scalar_oracle(base, q, m, mu, degree, expected):
     rep = ch.characterize_ch(q, m, mu, degree, seed=3)
-    series = dense_kernel(bl.gram_auto(q.pow(m), degree))
+    series = dense_kernel(bl.gram_exact(q.pow(m), degree))
     reference = bl.PowerKernel(base, m * mu)
     points = _verdict_points(base.dim, 0.55, 12, 3)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
@@ -299,7 +299,7 @@ FBH_CASES = [
 @pytest.mark.parametrize("n,p,m,mu,expected", FBH_CASES)
 def test_characterize_fbh_matches_scalar_oracle(n, p, m, mu, expected):
     rep = ch.characterize_fbh(p, m, mu, 20, seed=297)
-    series = dense_kernel(bl.gram_auto(p.pow(m), 20))
+    series = dense_kernel(bl.gram_exact(p.pow(m), 20))
     reference = bl.FockKernel(m * mu, n)
     points = _verdict_points(n, 0.9 / math.sqrt(m * mu), 12, 297)
     oracle = _oracle_proportionality(series, reference, points, 1e-8, 1e-6)
@@ -374,7 +374,7 @@ def _thullen_family():
 def test_family_condition_matches_scalar_oracle(family):
     H, maps, degree = family()
     rep = ch.family_condition_check(H, maps, degree)
-    series = dense_kernel(bl.gram_auto(H.weight.pow(H.fiber_dim), degree))
+    series = dense_kernel(bl.gram_exact(H.weight.pow(H.fiber_dim), degree))
     ratios = []
     for aut, rec in zip(maps, rep.maps):
         (z0,) = am.zero_preimage(aut)
@@ -451,7 +451,7 @@ def test_transform_residual_matches_scalar_oracle(name):
 def test_transform_residual_truncated_series_matches_scalar_oracle():
     aut, _, _, pts = _transform_case("disk")
     w = aut.target.weight.pow(aut.target.fiber_dim)
-    series, dense = _series_pair(bl.gram_exact(DISK, w, 40))
+    series, dense = _series_pair(bl.gram_exact(w, 40))
     # the degree-40 truncation tail leaves a residual near 3e-8
     got = am.transform_residual(aut, series, pts)
     ref = _scalar_transform_residual(aut, dense, pts)

@@ -596,8 +596,7 @@ class TestOutputs:
             ["gram", "--domain", "disk", "--weight", "npower:1",
              "--degree", "8", "--method", "quadrature"], capsys)
         obj = json.loads(out)
-        G1 = bl.gram_quadrature(bl.unit_disk(),
-                                bl.generic_norm_weight(bl.unit_disk(), 1.0), 8)
+        G1 = bl.gram_quadrature(bl.generic_norm_weight(bl.unit_disk(), 1.0), 8)
         entries = jsonio.as_cmatrix(obj["entries"], (G1.size, G1.size))
         K1 = bl.kernel_from_gram(G1)
         K2 = dense_kernel(G1, entries)
@@ -614,6 +613,23 @@ class TestOutputs:
             "kind": "quadrature",
             "scheme": {"radial_nodes": 64, "fullspace_nodes": 96,
                        "table_nodes": 256, "tail_rtol": 1e-12}}
+
+    def test_a_table_gram_is_exact(self, capsys, tmp_path):
+        # a tabulated profile has exact moments: the auto and exact
+        # methods are one route, and the report says so
+        table = tmp_path / "table.csv"
+        table.write_text("t,value\n" + "".join(
+            f"{k / 10!r},{math.exp(-k / 10)!r}\n" for k in range(13)))
+        outs = []
+        for method in ("auto", "exact"):
+            code, out, err = run_cli(
+                ["gram", "--domain", "disk", "--weight", f"table:{table}",
+                 "--degree", "4", "--method", method, "--format", "json"],
+                capsys)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["method"] == {"kind": "exact"}
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_kernel_json_argument(self, capsys, tmp_path):
         kj = json.dumps(bl.kernel_to_json(bl.FockKernel(1.0, 1)))
@@ -852,12 +868,11 @@ def test_csv_gram_builds_no_json_report(capsys, monkeypatch):
                 "--format", "csv"]
         code, out, err = run_cli(argv, capsys)
         assert code == 0 and err == ""
-        domain = bl.unit_disk()
-        weight = bl.generic_norm_weight(domain, 1.5)
-        gram = {"auto": lambda: bl.gram_auto(weight, 6),
-                "quadrature": lambda: bl.gram_quadrature(domain, weight, 6),
-                "montecarlo": lambda: bl.gram_montecarlo(domain, weight, 6,
-                                                         2000, 0)}[method]()
+        weight = bl.generic_norm_weight(bl.unit_disk(), 1.5)
+        gram = {"auto": lambda: bl.gram_exact(weight, 6),
+                "quadrature": lambda: bl.gram_quadrature(weight, 6),
+                "montecarlo": lambda: bl.gram_montecarlo(
+                    weight, 6, 2000, 0)}[method]()
         matrix = np.diag(gram.diagonal).astype(complex)
         assert out == "\n".join(_cell_rows(matrix)) + "\n"
 
@@ -1162,13 +1177,30 @@ def test_a_closed_form_moment_outside_the_float_range_is_named(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_quadrature_moment_outside_the_float_range_is_named(capsys, fmt):
-    # the node powers s^j overflow from j = 56; the closed form is finite
+    # R_64 = 64!/0.0004^65 = exp(713.7) is the first moment past the float
+    # range, the one the exact route names too
     code, out, err = run_cli(
-        ["gram", "--domain", "cn:1", "--weight", "gaussian:0.001",
+        ["gram", "--domain", "cn:1", "--weight", "gaussian:0.0004",
          "--degree", "64", "--method", "quadrature", "--format", fmt], capsys)
     assert (code, out) == (2, "")
-    assert err == ("error: the quadrature moment R_56 of exp(-0.001|z|^2) "
+    assert err == ("error: the quadrature moment R_64 of exp(-0.0004|z|^2) "
                    "is inf, outside the float range\n")
+
+
+def test_a_quadrature_moment_near_the_float_range_is_kept(capsys):
+    # R_56 = 56!/0.001^57 = 7.1e245 is finite although the node power s^56
+    # at the last Laguerre node is not: the weight keeps each product f s^j
+    # in range, and every moment is within 4e-15 of the exact one
+    code, out, err = run_cli(
+        ["gram", "--domain", "cn:1", "--weight", "gaussian:0.001",
+         "--degree", "64", "--method", "quadrature", "--format", "csv"],
+        capsys)
+    assert (code, err) == (0, "")
+    got = np.array([float(row.split(",")[2])
+                    for row in out.splitlines()[1:]])[::66]
+    exact = bl.gram_exact(bl.gaussian_weight(1, 0.001), 64).diagonal
+    assert got.shape == exact.shape
+    assert np.all(np.abs(got - exact) <= 4e-15 * exact)
 
 
 @pytest.mark.filterwarnings("error")

@@ -32,7 +32,7 @@ class TestClosedForms:
         K = bl.FockKernel(2.0, 1)
         val = kernel_at(K, [1.0], [1.0])
         assert val.real == pytest.approx(math.e ** 2, rel=1e-12)
-        series = bl.kernel_from_gram(bl.gram_exact(C1, fock_measure_weight(1, 2.0), 30))
+        series = bl.kernel_from_gram(bl.gram_exact(fock_measure_weight(1, 2.0), 30))
         assert kernel_at(series, [1.0], [1.0]).real == pytest.approx(val.real, rel=1e-10)
 
     def test_fock_complex_argument(self):
@@ -66,17 +66,17 @@ class TestClosedForms:
 
 class TestKernelFromGram:
     def test_fock_gram_value(self):
-        G = bl.gram_exact(C1, fock_measure_weight(1, 1.0), 25)
+        G = bl.gram_exact(fock_measure_weight(1, 1.0), 25)
         K = bl.kernel_from_gram(G)
         assert abs(kernel_at(K, [0.5], [0.5]) - math.exp(0.25)) <= 1e-10
 
     def test_disk_weighted_origin(self):
-        G = bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 1.0), 30)
+        G = bl.gram_exact(bl.generic_norm_weight(DISK, 1.0), 30)
         K = bl.kernel_from_gram(G)
         assert kernel_at(K, [0], [0]).real == pytest.approx(2 / math.pi, rel=1e-13)
 
     def test_degree_zero_reproduces_constants(self):
-        G = bl.gram_exact(DISK, bl.polynomial_weight(DISK, [1.0]), 0)
+        G = bl.gram_exact(bl.polynomial_weight(DISK, [1.0]), 0)
         K = bl.kernel_from_gram(G)
         assert kernel_at(K, [0.3], [0.1j]) == pytest.approx(1 / math.pi, rel=1e-15)
 
@@ -98,7 +98,7 @@ class TestRadialSeriesKernel:
     @pytest.mark.parametrize("domain,weight,degree,radius", RADIAL_CASES,
                              ids=RADIAL_IDS)
     def test_matches_dense_oracle(self, domain, weight, degree, radius):
-        gram = bl.gram_auto(weight, degree)
+        gram = bl.gram_exact(weight, degree)
         K = bl.kernel_from_gram(gram)
         dense = dense_kernel(gram)
         assert isinstance(K, bl.RadialSeriesKernel)
@@ -118,7 +118,7 @@ class TestRadialSeriesKernel:
     @pytest.mark.parametrize("domain,weight,degree,radius", RADIAL_CASES[:2],
                              ids=RADIAL_IDS[:2])
     def test_bad_moment_is_refused(self, domain, weight, degree, radius, bad):
-        gram = bl.gram_auto(weight, degree)
+        gram = bl.gram_exact(weight, degree)
         gram.moments[domain.dim + 3] = bad
         with pytest.raises(ValueError,
                            match="Gram diagonal is not strictly positive"):
@@ -126,7 +126,7 @@ class TestRadialSeriesKernel:
 
     def test_unused_moments_are_not_read(self):
         # on ball:2 the series reads R_1.., so R_0 does not enter
-        gram = bl.gram_auto(bl.generic_norm_weight(bl.unit_ball(2), 1.0), 4)
+        gram = bl.gram_exact(bl.generic_norm_weight(bl.unit_ball(2), 1.0), 4)
         gram.moments[0] = np.nan
         assert np.isfinite(bl.kernel_from_gram(gram).c).all()
 
@@ -136,10 +136,10 @@ class TestRadialSeriesKernel:
         # closed-form Gram's
         ball = bl.unit_ball(2)
         weight = bl.generic_norm_weight(ball, 1.0)
-        mc = bl.gram_montecarlo(ball, weight, 4, 200_000, 0)
+        mc = bl.gram_montecarlo(weight, 4, 200_000, 0)
         assert isinstance(mc, bl.RadialGram) and np.isnan(mc.moments[0])
         K = bl.kernel_from_gram(mc)
-        exact = bl.kernel_from_gram(bl.gram_exact(ball, weight, 4))
+        exact = bl.kernel_from_gram(bl.gram_exact(weight, 4))
         assert K.c.shape == (5,)
         assert np.all(np.abs(K.c - exact.c) <= 0.02 * exact.c)
 
@@ -148,7 +148,7 @@ class TestSeriesAgainstClosedForm:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [1, 2])
     def test_fock_family(self, mu, n):
-        G = bl.gram_exact(bl.full_space(n), fock_measure_weight(n, mu), 30)
+        G = bl.gram_exact(fock_measure_weight(n, mu), 30)
         K = bl.kernel_from_gram(G)
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -164,7 +164,7 @@ class TestSeriesAgainstClosedForm:
     @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("domain", [DISK, bl.unit_ball(2)])
     def test_weighted_power_family(self, domain, s):
-        G = bl.gram_exact(domain, bl.generic_norm_weight(domain, s), 30)
+        G = bl.gram_exact(bl.generic_norm_weight(domain, s), 30)
         K = bl.kernel_from_gram(G)
         # the raw-dV kernel N(z, w)^(-g-s) / integral_D N(z, z)^s dV
         scale = 1.0 / bl.hua_normalization(domain, s)
@@ -185,7 +185,7 @@ class TestSeriesAgainstClosedForm:
         prev = None
         for d in (5, 10, 20, 30):
             K = bl.kernel_from_gram(
-                bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 1.0), d))
+                bl.gram_exact(bl.generic_norm_weight(DISK, 1.0), d))
             diag = np.diagonal(K.eval_grid(pts, pts)).real
             if prev is not None:
                 assert all(b >= a - 1e-15 for a, b in zip(prev, diag))
@@ -193,7 +193,7 @@ class TestSeriesAgainstClosedForm:
 
     def test_pointwise_kernel_matrix_psd(self):
         K = bl.kernel_from_gram(
-            bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 1.0), 12))
+            bl.gram_exact(bl.generic_norm_weight(DISK, 1.0), 12))
         rng = np.random.default_rng(4)
         pts = []
         while len(pts) < 10:
@@ -207,7 +207,7 @@ class TestSeriesAgainstClosedForm:
     def test_factorization_independence(self, monkeypatch):
         # the radial series needs no factorization, and agrees with the
         # Cholesky expansion of the same Gram
-        gram = bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 15)
+        gram = bl.gram_quadrature(bl.generic_norm_weight(DISK, 1.0), 15)
         Kc = dense_kernel(gram)
         tried = []
 
@@ -226,7 +226,7 @@ class TestSeriesAgainstClosedForm:
 
     def test_hermitian_symmetry(self):
         K = bl.kernel_from_gram(
-            bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 2.0), 10))
+            bl.gram_exact(bl.generic_norm_weight(DISK, 2.0), 10))
         a = kernel_at(K, [0.3 + 0.2j], [0.1 - 0.5j])
         b = kernel_at(K, [0.1 - 0.5j], [0.3 + 0.2j])
         assert a == pytest.approx(np.conj(b), rel=1e-14)
@@ -249,7 +249,7 @@ class TestNormalizedKernel:
         assert got == pytest.approx(math.exp(-0.5), rel=1e-14)
 
     def test_constant_center(self):
-        K = bl.kernel_from_gram(bl.gram_exact(DISK, bl.polynomial_weight(DISK, [1.0]), 0))
+        K = bl.kernel_from_gram(bl.gram_exact(bl.polynomial_weight(DISK, [1.0]), 0))
         got = kernel_at(K, [0.4], [0.0]) / math.sqrt(kernel_at(K, [0.0], [0.0]).real)
         assert got == pytest.approx((1 / math.pi) / math.sqrt(1 / math.pi), rel=1e-14)
 
@@ -273,19 +273,19 @@ class TestNormalizedKernel:
 class TestReproducingResidual:
     def test_constants_reproduced(self):
         w = bl.generic_norm_weight(DISK, 1.0)
-        K = bl.kernel_from_gram(bl.gram_exact(DISK, w, 10))
+        K = bl.kernel_from_gram(bl.gram_exact(w, 10))
         res = reproducing_residual(K, {(0,): 1.0}, [0.0], w)
         assert res <= 1e-12
 
     def test_cubic_in_gaussian_space(self):
         w = bl.gaussian_weight(1, 1.0)
-        K = bl.kernel_from_gram(bl.gram_exact(C1, w, 20))
+        K = bl.kernel_from_gram(bl.gram_exact(w, 20))
         res = reproducing_residual(K, {(3,): 1.0}, [0.3], w)
         assert res <= 1e-10
 
     def test_full_degree_edge_reported(self):
         w = bl.generic_norm_weight(DISK, 1.0)
-        K = bl.kernel_from_gram(bl.gram_exact(DISK, w, 10))
+        K = bl.kernel_from_gram(bl.gram_exact(w, 10))
         res = reproducing_residual(K, {(10,): 1.0}, [0.5], w)
         assert np.isfinite(res)  # reported, not asserted small
 
@@ -296,11 +296,11 @@ ROUND_TRIP = [
     lambda: bl.PowerKernel(DISK, 2.0, 0.5),
     lambda: bl.weighted_kernel_closed_form(bl.gaussian_weight(1, 2.0)),
     lambda: bl.kernel_from_gram(
-        bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8)),
+        bl.gram_quadrature(bl.generic_norm_weight(DISK, 1.0), 8)),
     lambda: bl.kernel_from_gram(bl.gram_quadrature(
-        bl.unit_ball(2), bl.generic_norm_weight(bl.unit_ball(2), 1.0), 8)),
+        bl.generic_norm_weight(bl.unit_ball(2), 1.0), 8)),
     lambda: bl.kernel_from_gram(
-        bl.gram_exact(bl.full_space(2), bl.gaussian_weight(2, 1.0), 12)),
+        bl.gram_exact(bl.gaussian_weight(2, 1.0), 12)),
 ]
 
 
@@ -366,7 +366,7 @@ class TestKernelSerialization:
 
     def test_radial_form(self):
         K = bl.kernel_from_gram(
-            bl.gram_exact(bl.unit_ball(2), bl.generic_norm_weight(
+            bl.gram_exact(bl.generic_norm_weight(
                 bl.unit_ball(2), 1.0), 5))
         obj = bl.kernel_to_json(K)
         assert obj == {"form": "radial", "domain": {"kind": "ball", "dim": 2},
@@ -387,6 +387,11 @@ class TestKernelSerialization:
         ({"degree": -1, "c": []}, "degree must be >= 0"),
         ({"domain": {"kind": "typeI", "shape": [2, 2]}},
          "disk, ball or C\\^n base"),
+        # coefficients and the label are read as JSON gave them, not parsed
+        ({"c": ["1", "2"]}, "has c\\[0\\] '1'; it must be a number"),
+        ({"c": [True, 2.0]}, "has c\\[0\\] True; it must be a number"),
+        ({"c": [1.0, None]}, "has c\\[1\\] None; it must be a number"),
+        ({"weight": 3}, "has weight 3; it must be a string"),
     ])
     def test_radial_form_is_checked(self, change, message):
         obj = {"form": "radial", "domain": {"kind": "disk", "dim": 1},

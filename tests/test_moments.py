@@ -43,7 +43,7 @@ def tensor_rule_gram(domain, weight, degree):
 def moment(weight, alpha):
     """<z^alpha, z^alpha> from the closed-form Gram of degree |alpha|, whose
     rule for a polynomial weight has the nodes of that top moment."""
-    gram = bl.gram_exact(weight.base, weight, sum(alpha))
+    gram = bl.gram_exact(weight, sum(alpha))
     i = gram.index_map.index(tuple(alpha))
     return gram.diagonal[i]
 
@@ -67,7 +67,7 @@ class TestMomentExact:
         # the diagonal is the whole Gram: the plane rule's cross moment
         # <z, z^3> vanishes to roundoff, its diagonal is the closed form's
         w = bl.generic_norm_weight(DISK, 2.0)
-        d = bl.gram_exact(DISK, w, 3).diagonal
+        d = bl.gram_exact(w, 3).diagonal
         G = tensor_rule_gram(DISK, w, 3)
         assert abs(G[1, 3]) <= 1e-16 * math.sqrt(d[1] * d[3])
         assert np.max(np.abs(np.diag(G) - d) / d) <= 1e-14
@@ -85,7 +85,7 @@ class TestMomentExact:
         # the expanded coefficients of (1 - t)^s alternate in sign and
         # cancel in any sum over them; the moments are pi B(k+1, s+1)
         mpmath = pytest.importorskip("mpmath")
-        G = bl.gram_exact(DISK, bl.polynomial_weight(DISK, [1.0, -1.0]).pow(s),
+        G = bl.gram_exact(bl.polynomial_weight(DISK, [1.0, -1.0]).pow(s),
                           30)
         for k in range(31):
             with mpmath.workdps(40):
@@ -93,12 +93,14 @@ class TestMomentExact:
             assert abs(G.diagonal[k] - ref) <= 1e-13 * ref
 
     def test_unsupported_pairs_raise(self):
-        with pytest.raises(ValueError):
-            bl.gram_exact(DISK, bl.gaussian_weight(1, 1.0), 0)
-        prof = bl.Weight(DISK, bl.RadialProfile((0, 0.5, 1.0, 1.5),
-                                                (1, 1, 1, 1)))
-        with pytest.raises(ValueError):
-            bl.gram_exact(DISK, prof, 0)
+        # the pairs without radial moments: a generic-norm power on a
+        # type-I matrix ball, which is not radial in |z|^2, and a
+        # polynomial on C^n, which is not integrable
+        typeI = bl.matrix_ball(2, 2)
+        with pytest.raises(ValueError, match="type-I"):
+            bl.gram_exact(bl.generic_norm_weight(typeI, 1.0), 0)
+        with pytest.raises(ValueError, match="not integrable on C\\^n"):
+            bl.gram_exact(bl.polynomial_weight(C1, [1.0, -1.0]), 0)
 
 
 class TestMomentsPastTheFactorialRange:
@@ -111,7 +113,7 @@ class TestMomentsPastTheFactorialRange:
     def test_generic_norm_moments_against_mpmath(self, s):
         mpmath = pytest.importorskip("mpmath")
         ball = bl.unit_ball(400)
-        R = moments._exact_moments(ball, bl.generic_norm_weight(ball, s), 420)
+        R = moments._exact_moments(bl.generic_norm_weight(ball, s), 420)
         with mpmath.workdps(60):
             ref = [float(mpmath.beta(j + 1, s + 1)) for j in range(421)]
         assert R.tolist() == ref
@@ -120,8 +122,7 @@ class TestMomentsPastTheFactorialRange:
     @pytest.mark.parametrize("mu,top", [(3.0, 215), (100.0, 300)])
     def test_gaussian_moments_against_mpmath(self, mu, top):
         mpmath = pytest.importorskip("mpmath")
-        cn = bl.full_space(2)
-        R = moments._exact_moments(cn, bl.gaussian_weight(2, mu), top)
+        R = moments._exact_moments(bl.gaussian_weight(2, mu), top)
         with mpmath.workdps(60):
             ref = [float(mpmath.factorial(j) / mpmath.mpf(mu) ** (j + 1))
                    for j in range(top + 1)]
@@ -139,7 +140,7 @@ class TestMomentsPastTheFactorialRange:
         gaussian = "gaussian" in spec
         base = C1 if gaussian else DISK
         weight = parse_weight(spec, base).pow(3)
-        R = moments._exact_moments(base, weight, top)
+        R = moments._exact_moments(weight, top)
         with mpmath.workdps(60):
             mu = weight.power_exponent * mpmath.mpf(weight.form.mu)
             ref = [float(mpmath.mpf(weight.scale)
@@ -157,7 +158,92 @@ class TestMomentsPastTheFactorialRange:
         label = re.escape(describe_weight(weight))
         with pytest.raises(ValueError, match=rf"^the moment R_{j} of {label} "
                            r"is exp\(-?\d+\.\d\), outside the float range$"):
-            moments._exact_moments(weight.base, weight, j + 5)
+            moments._exact_moments(weight, j + 5)
+
+
+def cubic_moments_mpmath(weight, top):
+    """R_0..R_top of scale * p^m, p the table's own piecewise cubic, in
+    60-digit mpmath: on [t_i, t_i + h] the piece c0 + c1 u + ... + c3 u^3,
+    u = s - t_i, is raised to the power m, and s^j = sum_k C(j, k)
+    t_i^(j-k) u^k is integrated against it term by term, up to 1 on
+    disk/ball and up to the last knot on C^n."""
+    mpmath = pytest.importorskip("mpmath")
+    knots, coef = weight.form._cubic
+    end = 1.0 if weight.base.bounded else float(knots[-1])
+    mpf = mpmath.mpf
+    with mpmath.workdps(60):
+        R = [mpf(0)] * (top + 1)
+        for i in range(len(knots) - 1):
+            if knots[i] >= end:
+                break
+            a = mpf(knots[i])
+            h = mpf(min(knots[i + 1], end)) - a
+            piece = [mpf(c) for c in coef[::-1, i]]
+            p = [mpf(1)]
+            for _ in range(weight.power_exponent):
+                p = [mpmath.fsum(p[l] * piece[r - l]
+                                 for l in range(len(p)) if 0 <= r - l <= 3)
+                     for r in range(len(p) + 3)]
+            # g_k = integral_0^h u^k p(u)^m du
+            g = [mpmath.fsum(c * h ** (k + l + 1) / (k + l + 1)
+                             for l, c in enumerate(p))
+                 for k in range(top + 1)]
+            apow = [a ** e for e in range(top + 1)]
+            for j in range(top + 1):
+                R[j] += mpmath.fsum(math.comb(j, k) * apow[j - k] * g[k]
+                                    for k in range(j + 1))
+        return [float(weight.scale * r) for r in R]
+
+
+def _table(base, knots, fn):
+    return bl.Weight(base, bl.RadialProfile(tuple(knots),
+                                            tuple(fn(t) for t in knots)))
+
+
+# sqrt(1 - t) on 11 knots, exp(-3t) on 6 knots past t = 1 (cut inside an
+# interval), and the perturbed Gaussian of the benchmark's characterize-fbh
+# tables: 240 knots out to t = 100
+TABLES = {
+    "disk": _table(DISK, [k / 10 for k in range(11)],
+                   lambda t: math.sqrt(1.0 - t)),
+    "ball2": _table(bl.unit_ball(2), [0.3 * k for k in range(6)],
+                    lambda t: math.exp(-3.0 * t)),
+    "cn1": _table(C1, [100.0 * (k / 239) ** 1.5 for k in range(240)],
+                  lambda t: math.exp(-t) * (1.0 + 0.3 * t / (1.0 + t))),
+}
+
+
+class TestTableMoments:
+    """A tabulated profile is a cubic between its knots: one Gauss-Legendre
+    rule per interval integrates s^j p(s)^m exactly, so the moments are
+    those of the cubic itself, to roundoff."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("case", sorted(TABLES))
+    def test_table_moments_against_mpmath(self, case, m):
+        weight = TABLES[case].pow(m)
+        top = 20
+        got = moments._exact_moments(weight, top)
+        ref = np.array(cubic_moments_mpmath(weight, top))
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    def test_a_table_tail_is_checked(self):
+        knots = tuple(np.linspace(0.0, 10.0, 50))
+        w = bl.Weight(C1, bl.RadialProfile(knots, tuple(1.0 for _ in knots)))
+        with pytest.raises(ValueError, match="table does not decay"):
+            bl.gram_exact(w, 4)
+
+
+def test_power_sums_are_the_power_table_to_roundoff():
+    # row j of the running products takes j roundings where s ** j takes
+    # about one: each positive sum moves by at most (j + 2) eps
+    rng = np.random.default_rng(3)
+    s, f = rng.random(500), rng.random(500)
+    top = 60
+    got = moments._power_sums(s, f, top)
+    ref = np.sum(s[None, :] ** np.arange(top + 1)[:, None] * f, axis=1)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - ref) <= (np.arange(top + 1) + 2) * eps * ref)
 
 
 class TestGramQuadrature:
@@ -172,16 +258,16 @@ class TestGramQuadrature:
         (bl.full_space(4), bl.gaussian_weight(4, 1.5)),
     ])
     def test_matches_exact_moments(self, domain, weight):
-        q = bl.gram_quadrature(domain, weight, 10).diagonal
-        e = bl.gram_exact(domain, weight, 10).diagonal
+        q = bl.gram_quadrature(weight, 10).diagonal
+        e = bl.gram_exact(weight, 10).diagonal
         defect = np.abs(q - e) / (1.0 + np.diag(scale_matrix(e)))
         assert defect.max() <= 1e-12
 
     def test_ball_two_dimensional(self):
         b2 = bl.unit_ball(2)
         w = bl.generic_norm_weight(b2, 1.0)
-        q = bl.gram_quadrature(b2, w, 6).diagonal
-        e = bl.gram_exact(b2, w, 6).diagonal
+        q = bl.gram_quadrature(w, 6).diagonal
+        e = bl.gram_exact(w, 6).diagonal
         defect = np.abs(q - e) / (1.0 + np.diag(scale_matrix(e)))
         assert defect.max() <= 1e-12
 
@@ -205,21 +291,21 @@ class TestGramQuadrature:
             self, n, mu, degree, nested_error):
         ball = bl.unit_ball(n)
         w = bl.generic_norm_weight(ball, mu)
-        q = bl.gram_quadrature(ball, w, degree).diagonal
-        e = bl.gram_exact(ball, w, degree).diagonal
+        q = bl.gram_quadrature(w, degree).diagonal
+        e = bl.gram_exact(w, degree).diagonal
         assert np.max(np.abs(q - e) / e) <= nested_error
 
     def test_unit_weight_degree_zero_gives_area(self):
-        G = bl.gram_quadrature(DISK, bl.polynomial_weight(DISK, [1.0]), 0)
+        G = bl.gram_quadrature(bl.polynomial_weight(DISK, [1.0]), 0)
         assert G.diagonal[0] == pytest.approx(math.pi, rel=1e-14)
 
     def test_gaussian_mass(self):
-        G = bl.gram_quadrature(C1, bl.gaussian_weight(1, 1.0), 6)
+        G = bl.gram_quadrature(bl.gaussian_weight(1, 1.0), 6)
         assert abs(G.diagonal[0] - math.pi) <= 1e-12 * math.pi
 
     def test_hermitian_as_stored(self):
         # a real diagonal is all a radial Gram stores
-        G = bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 8)
+        G = bl.gram_quadrature(bl.generic_norm_weight(DISK, 1.0), 8)
         assert G.diagonal.dtype == np.float64 and G.diagonal.shape == (9,)
         assert not G.diagonal.flags.writeable
 
@@ -228,21 +314,21 @@ class TestGramQuadrature:
         # the diagonal, and its diagonal is the 1-D rule's
         for domain, weight in ((DISK, bl.generic_norm_weight(DISK, 1.0)),
                                (C1, bl.gaussian_weight(1, 1.0))):
-            d = bl.gram_quadrature(domain, weight, 10).diagonal
+            d = bl.gram_quadrature(weight, 10).diagonal
             G = tensor_rule_gram(domain, weight, 10)
             rel = np.abs(G - np.diag(d)) / scale_matrix(d)
             assert rel.max() <= 1e-12
 
     def test_gram_scales_linearly_in_weight(self):
         w = bl.generic_norm_weight(DISK, 1.0)
-        G1 = bl.gram_quadrature(DISK, w, 6).diagonal
-        G2 = bl.gram_quadrature(DISK, w.scaled(3.5), 6).diagonal
+        G1 = bl.gram_quadrature(w, 6).diagonal
+        G2 = bl.gram_quadrature(w.scaled(3.5), 6).diagonal
         assert np.max(np.abs(G2 - 3.5 * G1)) <= 1e-14 * np.max(np.abs(G2))
 
     def test_type_i_unsupported(self):
         dom = bl.matrix_ball(2, 2)
         with pytest.raises(ValueError, match="quadrature"):
-            bl.gram_quadrature(dom, bl.generic_norm_weight(dom, 1.0), 2)
+            bl.gram_quadrature(bl.generic_norm_weight(dom, 1.0), 2)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_tabulated_gaussian_on_higher_dimensional_full_space(self, n):
@@ -250,8 +336,8 @@ class TestGramQuadrature:
         knots = np.linspace(0.0, 60.0, 601)
         w = bl.Weight(bl.full_space(n),
                       bl.RadialProfile(tuple(knots), tuple(np.exp(-knots))))
-        q = bl.gram_quadrature(w.base, w, 6).diagonal
-        e = bl.gram_exact(w.base, bl.gaussian_weight(n, 1.0), 6).diagonal
+        q = bl.gram_quadrature(w, 6).diagonal
+        e = bl.gram_exact(bl.gaussian_weight(n, 1.0), 6).diagonal
         assert np.max(np.abs(q - e) / e) <= 1e-5
 
     def test_nondecaying_fullspace_table_rejected(self):
@@ -259,7 +345,18 @@ class TestGramQuadrature:
         prof = bl.RadialProfile(knots, tuple(1.0 for _ in knots))
         w = bl.Weight(C1, prof)
         with pytest.raises(ValueError, match="tail"):
-            bl.gram_quadrature(C1, w, 4)
+            bl.gram_quadrature(w, 4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_wide_table_tail_is_measured_against_its_largest_moment(self):
+        # s^64 at the last knot t = 2e5 overflows, R_64 = 64! 2000^65 does
+        # not: the tail beyond the table is weighed against R_64, not inf
+        knots = np.linspace(0.0, 2e5, 801)
+        w = bl.Weight(C1, bl.RadialProfile(tuple(knots),
+                                           tuple(np.exp(-knots / 2000.0))))
+        for build in (bl.gram_exact, bl.gram_quadrature):
+            with pytest.raises(ValueError, match="relative tail exp"):
+                build(w, 64)
 
     def test_quadrature_points_match_gram_mass(self):
         w = bl.generic_norm_weight(DISK, 1.0)
@@ -272,7 +369,7 @@ class TestGramQuadrature:
 class TestRadialGram:
     def test_holds_only_its_moments(self):
         ball3 = bl.unit_ball(3)
-        gram = bl.gram_auto(bl.generic_norm_weight(ball3, 1.0), 64)
+        gram = bl.gram_exact(bl.generic_norm_weight(ball3, 1.0), 64)
         assert isinstance(gram, bl.RadialGram)
         assert gram.moments.shape == (64 + 3,)
         assert gram.size == math.comb(3 + 64, 3) == 47905
@@ -285,7 +382,7 @@ class TestRadialGram:
         bl.gaussian_weight(3, 0.7),
     ], ids=["ball2", "cn3"])
     def test_entries_are_the_shell_reduction(self, weight):
-        gram = bl.gram_exact(weight.base, weight, 6)
+        gram = bl.gram_exact(weight, 6)
         assert gram.index_map == bl.multiindex_enumerate(weight.base.dim, 6)
         assert gram.size == len(gram.index_map)
         d = gram.diagonal
@@ -296,17 +393,22 @@ class TestRadialGram:
             assert d[i] == (moments._shell_factor(a)
                             * gram.moments[sum(a) + n - 1])
 
-    @pytest.mark.parametrize("build,weight", [
-        (bl.gram_exact, bl.polynomial_weight(bl.unit_ball(20000), [1.0, -1.0])),
+    @pytest.mark.parametrize("build,weight,degree", [
+        (bl.gram_exact, bl.polynomial_weight(bl.unit_ball(20000), [1.0, -1.0]),
+         1),
         (bl.gram_quadrature,
-         bl.polynomial_weight(bl.unit_ball(20000), [1.0, -1.0])),
-        (bl.gram_quadrature, bl.gaussian_weight(3100, 1.0)),
+         bl.polynomial_weight(bl.unit_ball(20000), [1.0, -1.0]), 1),
+        (bl.gram_quadrature, bl.gaussian_weight(3100, 1.0), 1),
         (bl.gram_quadrature, bl.Weight(bl.full_space(18000), bl.RadialProfile(
             tuple(np.linspace(0.0, 60.0, 61)),
-            tuple(np.exp(-np.linspace(0.0, 60.0, 61)))))),
-    ], ids=["exact-poly", "legendre", "laguerre", "table"])
+            tuple(np.exp(-np.linspace(0.0, 60.0, 61))))), 1),
+        # 2000 intervals of 36 nodes, exact for s^64 cubic^2: 65 x 72000
+        (bl.gram_exact, bl.Weight(DISK, bl.RadialProfile(
+            tuple(np.linspace(0.0, 1.0, 2001)),
+            tuple(np.linspace(2.0, 1.0, 2001)))).pow(2), 64),
+    ], ids=["exact-poly", "legendre", "laguerre", "table", "exact-table"])
     def test_power_table_is_refused_before_its_nodes(self, monkeypatch,
-                                                     build, weight):
+                                                     build, weight, degree):
         # (d + n) x nodes powers beyond 2145^2 numbers: refused before the
         # Gauss nodes are computed
         def no_nodes(*args):
@@ -315,14 +417,15 @@ class TestRadialGram:
         monkeypatch.setattr(moments, "_gauss_laguerre", no_nodes)
         with pytest.raises(ValueError, match="table of node powers; it may "
                                              "hold at most 4601025 numbers"):
-            build(weight.base, weight, 1)
+            build(weight, degree)
 
     def test_auto_keeps_a_refused_closed_form(self):
         # (1 - t)^300000 at degree 30 needs 150016 exact nodes; the 128-node
-        # quadrature rule would give a mass off by eight orders
+        # quadrature rule would give a mass off by eight orders.  The exact
+        # route is the one of ``gram --method auto``: no rule replaces it
         weight = bl.polynomial_weight(bl.unit_ball(2), [1.0, -1.0]).pow(300000)
         with pytest.raises(ValueError, match="a 32 x 150016 table"):
-            bl.gram_auto(weight, 30)
+            bl.gram_exact(weight, 30)
 
 
 def tensor_gram(domain, weight, degree):
@@ -375,7 +478,7 @@ def test_shell_reduction_is_the_dense_gram(domain, weight, degree):
     # G_aa = pi^n a!/(|a|+n-1)! R_(|a|+n-1), every other entry 0: the
     # dense Gram integrated entry by entry against the reduction of the
     # closed-form moments
-    d = bl.gram_exact(domain, weight, degree).diagonal
+    d = bl.gram_exact(weight, degree).diagonal
     G = tensor_gram(domain, weight, degree)
     assert np.all(np.abs(np.diag(G) - d) <= 1e-13 * d)
     off = G - np.diag(np.diag(G))
@@ -385,7 +488,7 @@ def test_shell_reduction_is_the_dense_gram(domain, weight, degree):
 class TestGramMonteCarlo:
     def test_disk_area_within_three_se(self):
         # weight 1 over the uniform density is constant: no sampling error
-        G = bl.gram_montecarlo(DISK, bl.polynomial_weight(DISK, [1.0]), 0,
+        G = bl.gram_montecarlo(bl.polynomial_weight(DISK, [1.0]), 0,
                                10 ** 6, seed=42)
         err = abs(G.diagonal[0] - math.pi)
         assert err <= max(3 * math.pi * G.stderr[0], 1e-12)
@@ -395,23 +498,23 @@ class TestGramMonteCarlo:
         # reduction gives, and every moment is within three standard
         # errors of the closed form
         weight = bl.generic_norm_weight(DISK, 1.0)
-        G = bl.gram_montecarlo(DISK, weight, 2, 10 ** 6, seed=7)
+        G = bl.gram_montecarlo(weight, 2, 10 ** 6, seed=7)
         obj = json.loads(jsonio.canonical_dumps(bl.gram_to_json(G)))
         dense = jsonio.as_cmatrix(obj["entries"], (G.size, G.size))
         assert np.array_equal(dense, np.diag(G.diagonal))
-        exact = bl.gram_exact(DISK, weight, 2).moments
+        exact = bl.gram_exact(weight, 2).moments
         assert np.all(np.abs(G.moments - exact) <= 3 * G.stderr)
 
     def test_gaussian_second_moment(self):
-        G = bl.gram_montecarlo(C1, bl.gaussian_weight(1, 2.0), 2, 10 ** 6,
+        G = bl.gram_montecarlo(bl.gaussian_weight(1, 2.0), 2, 10 ** 6,
                                seed=3)
         err = abs(G.diagonal[1] - math.pi / 4)
         assert err <= 3 * math.pi * G.stderr[1]
 
     def test_standard_error_scales_like_sqrt_n(self):
         w = bl.generic_norm_weight(DISK, 1.0)
-        se1 = bl.gram_montecarlo(DISK, w, 2, 200_000, seed=11).stderr
-        se2 = bl.gram_montecarlo(DISK, w, 2, 400_000, seed=12).stderr
+        se1 = bl.gram_montecarlo(w, 2, 200_000, seed=11).stderr
+        se2 = bl.gram_montecarlo(w, 2, 400_000, seed=12).stderr
         assert se1.shape == se2.shape == (3,)
         ratio = np.mean(se1 / se2)
         assert abs(ratio - math.sqrt(2)) <= 0.1 * math.sqrt(2)
@@ -424,7 +527,7 @@ class TestGramMonteCarlo:
         ball = bl.unit_ball(3)
         tracemalloc.start()
         try:
-            G = bl.gram_montecarlo(ball, bl.generic_norm_weight(ball, 1.0),
+            G = bl.gram_montecarlo(bl.generic_norm_weight(ball, 1.0),
                                    20, 60_000, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -452,7 +555,7 @@ class TestGramMonteCarlo:
             return lambda t: (ts.append(t.copy()), fn(t))[1]
 
         monkeypatch.setattr(moments, "weight_radial_fn", record_t)
-        bl.gram_montecarlo(domain, weight, 2, 3_001, seed=n)
+        bl.gram_montecarlo(weight, 2, 3_001, seed=n)
         rng = np.random.Generator(np.random.Philox(key=n))
         if bounded:
             points = bl.core.sample_ball_polar(rng, n, 1.0, 3_001)
@@ -466,9 +569,9 @@ class TestGramMonteCarlo:
             np.add.reduce(x * x, axis=1).tobytes()
 
     def test_deterministic_given_seed(self):
-        a = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
+        a = bl.gram_montecarlo(bl.generic_norm_weight(DISK, 1.0), 2,
                                50_000, seed=9)
-        b = bl.gram_montecarlo(DISK, bl.generic_norm_weight(DISK, 1.0), 2,
+        b = bl.gram_montecarlo(bl.generic_norm_weight(DISK, 1.0), 2,
                                50_000, seed=9)
         assert a.moments.tobytes() == b.moments.tobytes()
         assert a.stderr.tobytes() == b.stderr.tobytes()
@@ -478,15 +581,15 @@ class TestGramMonteCarlo:
         for seed in (-1, 2 ** 128):
             with pytest.raises(ValueError, match=rf"^seed {seed}: .* takes "
                                                  r"0 <= seed < 2\*\*128$"):
-                bl.gram_montecarlo(DISK, weight, 2, 10, seed)
-        G = bl.gram_montecarlo(DISK, weight, 2, 10, 2 ** 128 - 1)
+                bl.gram_montecarlo(weight, 2, 10, seed)
+        G = bl.gram_montecarlo(weight, 2, 10, 2 ** 128 - 1)
         assert np.isfinite(G.moments).all()
 
     def test_lower_moments_are_not_estimated(self):
         # R_0 and R_1 of ball:3 would weight the samples by t^-2 and t^-1,
         # the first of infinite variance; neither is estimated
         ball = bl.unit_ball(3)
-        G = bl.gram_montecarlo(ball, bl.generic_norm_weight(ball, 1.0), 4,
+        G = bl.gram_montecarlo(bl.generic_norm_weight(ball, 1.0), 4,
                                1_000, seed=2)
         assert G.moments.shape == (7,) and G.stderr.shape == (5,)
         assert np.isnan(G.moments[:2]).all()
@@ -512,9 +615,9 @@ class TestGramMonteCarlo:
             weight = parse_weight(opt["--weight"], domain)
             degree, samples = int(opt["--degree"]), int(opt["--samples"])
             assert samples <= moments.MC_CHUNK_BYTES // (48 * domain.dim + 64)
-            G = bl.gram_montecarlo(domain, weight, degree, samples,
+            G = bl.gram_montecarlo(weight, degree, samples,
                                    int(opt["--seed"]))
-            exact = bl.gram_exact(domain, weight, degree).moments
+            exact = bl.gram_exact(weight, degree).moments
             n = domain.dim
             assert np.all(np.abs(G.moments[n - 1:] - exact[n - 1:])
                           <= 4 * G.stderr), argv
@@ -547,7 +650,7 @@ class TestBlockedMonteCarlo:
 
     @staticmethod
     def _assert_matches_one_table(domain, weight, degree, samples):
-        G = bl.gram_montecarlo(domain, weight, degree, samples, seed=5)
+        G = bl.gram_montecarlo(weight, degree, samples, seed=5)
         ref, se = reference_montecarlo(domain, weight, degree, samples, 5)
         n = domain.dim
         assert np.isnan(G.moments[:n - 1]).all()
@@ -589,7 +692,7 @@ class TestBlockedMonteCarlo:
         for degree in (2, 40):
             tracemalloc.start()
             try:
-                bl.gram_montecarlo(ball, weight, degree, 20_000, seed=5)
+                bl.gram_montecarlo(weight, degree, 20_000, seed=5)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -630,7 +733,7 @@ def dense_diagnostics(G):
 
 class TestGramValidate:
     def test_exact_disk_gram_clean(self):
-        diag = bl.gram_validate(bl.gram_exact(DISK, bl.generic_norm_weight(DISK, 1.0), 4))
+        diag = bl.gram_validate(bl.gram_exact(bl.generic_norm_weight(DISK, 1.0), 4))
         assert diag.hermitian_defect == 0.0
         assert diag.lambda_min > 0
         assert diag.cholesky_ok
@@ -643,7 +746,7 @@ class TestGramValidate:
         assert diag.condition == pytest.approx(1.0)
 
     def test_degree_30_gaussian_condition_finite(self):
-        G = bl.gram_exact(C1, bl.gaussian_weight(1, 1.0), 30)
+        G = bl.gram_exact(bl.gaussian_weight(1, 1.0), 30)
         diag = bl.gram_validate(G)
         assert 1.0 < diag.condition < math.inf
         assert diag.cholesky_ok
@@ -662,7 +765,7 @@ class TestGramValidate:
         # condition and no factorization
         from bergmanlab.cli import parse_domain, parse_weight
         base = parse_domain(domain)
-        G = build(base, parse_weight(weight, base), degree)
+        G = build(parse_weight(weight, base), degree)
         got = bl.gram_validate(G)
         ref = dense_diagnostics(np.diag(G.diagonal).astype(complex))
         assert ({k: repr(v) for k, v in vars(got).items()}
@@ -673,7 +776,7 @@ class TestGramValidate:
 
 class TestSerialization:
     def test_gram_round_trip(self):
-        G = bl.gram_quadrature(DISK, bl.generic_norm_weight(DISK, 1.0), 6)
+        G = bl.gram_quadrature(bl.generic_norm_weight(DISK, 1.0), 6)
         obj = json.loads(jsonio.canonical_dumps(bl.gram_to_json(G)))
         assert np.array_equal(
             np.diag(G.diagonal),
@@ -683,7 +786,7 @@ class TestSerialization:
 
     def test_montecarlo_round_trip_keeps_stderr(self):
         # one standard error per estimated moment, R_0 and R_1 on the disk
-        G = bl.gram_montecarlo(DISK, bl.polynomial_weight(DISK, [1.0]), 1,
+        G = bl.gram_montecarlo(bl.polynomial_weight(DISK, [1.0]), 1,
                                10_000, seed=1)
         obj = json.loads(jsonio.canonical_dumps(bl.gram_to_json(G)))
         assert obj["stderr"] == G.stderr.tolist() and len(obj["stderr"]) == 2
@@ -710,7 +813,7 @@ class TestMass:
         assert mass(bl.generic_norm_weight(DISK, 1.0)) == pytest.approx(
             math.pi / 2, rel=1e-14)
 
-    def test_weight_mass_quadrature_fallback(self):
+    def test_weight_mass_of_a_table(self):
         knots = np.linspace(0.0, 1.2, 25)
         prof = bl.RadialProfile(tuple(knots), tuple(np.exp(-knots)))
         w = bl.Weight(DISK, prof)
@@ -721,5 +824,5 @@ class TestMass:
 
     def test_unit_mass(self):
         w = bl.unit_mass_weight(bl.generic_norm_weight(DISK, 2.0))
-        assert bl.gram_auto(w, 0).diagonal[0] == pytest.approx(
+        assert bl.gram_exact(w, 0).diagonal[0] == pytest.approx(
             1.0, rel=1e-13)

@@ -32,7 +32,33 @@ def test_report_diff_names_the_paths_that_differ():
                                 json.dumps(new).encode())
     assert line == ("  stdout: 2 numbers differ, largest relative "
                     "difference 0.33: .checks[*].residual (2); 1 other "
-                    "values differ: .verdict")
+                    "values differ: .verdict", 1 / 3)
     csv = report_diff.describe("stdout", b"0,1.5\n1,2.5\n", b"0,1.5\n1,2\n")
     assert csv == ("  stdout: 1 numbers differ, largest relative difference "
-                   "0.2: [1][1]")
+                   "0.2: [1][1]", 0.2)
+
+
+def test_report_diff_summary_gives_each_groups_largest_difference(capsys):
+    gram, other, mismatch = ((5, "wl", f"pass/{i}", "gram") for i in range(3))
+    setup = (5, "wl", "setup", "recover-weight")
+    old = [(gram, ("0", b'{"a": [1.0, 2.0]}', b"", None)),
+           (other, ("0", b'{"a": [4.0]}', b"", None)),
+           (mismatch, ("1", b"0,0,1.0,0.0\n", b"", None)),
+           (setup, ("2", b"", b"", None))]
+    new = [(gram, ("0", b'{"a": [1.0, 2.5]}', b"", None)),
+           (other, ("0", b'{"a": [4.4]}', b"", None)),
+           (mismatch, ("1", b"0,0,1.0,0.0\n", b"", None)),
+           (setup, ("0", b"", b"", b"{}"))]
+    assert report_diff.report(old, new) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "5 wl pass/0 gram exit 0 -> 0",
+        "  stdout: 1 numbers differ, largest relative difference 0.2: .a[1]",
+        "5 wl pass/1 gram exit 0 -> 0",
+        "  stdout: 1 numbers differ, largest relative difference 0.091: "
+        ".a[0]",
+        "5 wl setup recover-weight exit 2 -> 0",
+        "  report: written by NEW only",
+        "3 of 4 argv differ, 1 in exit code",
+        "  wl gram: 2 of 3, largest relative difference 0.2",
+        "  wl recover-weight: 1 of 1",
+    ]

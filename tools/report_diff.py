@@ -18,8 +18,9 @@ stream that is not JSON (CSV rows, an error message) is read as lines of
 comma-separated fields, its paths ``[line][field]``.  Values other than
 numbers that differ, and arrays of different lengths, are counted and
 listed as other values.  Last comes a summary: the argv that differ, of
-all, by workload and command.  Exit status 0 when no output differs, 1
-otherwise, as with diff(1).
+all, by workload and command, with the largest relative difference among
+the numbers of each group where one differs.  Exit status 0 when no
+output differs, 1 otherwise, as with diff(1).
 """
 
 from __future__ import annotations
@@ -114,16 +115,19 @@ def _paths(paths: list[str]) -> str:
                      for g, same in groups.items())
 
 
-def describe(stream: str, old: bytes | None, new: bytes | None) -> str:
-    """One line on how a stream that differs differs."""
+def describe(stream: str, old: bytes | None,
+             new: bytes | None) -> tuple[str, float]:
+    """One line on how a stream that differs differs, and the largest
+    relative difference among its numbers that differ (0 where none
+    does)."""
     if old is None or new is None:
-        return f"  {stream}: written by {'OLD' if new is None else 'NEW'} only"
+        return (f"  {stream}: written by {'OLD' if new is None else 'NEW'} "
+                f"only", 0.0)
     found = list(differences(_parse(old), _parse(new)))
     numbers = [(p, r) for p, r in found if r is not None]
     others = [p for p, r in found if r is None]
-    parts = []
+    parts, largest = [], max((r for _, r in numbers), default=0.0)
     if numbers:
-        largest = max(r for _, r in numbers)
         parts.append(f"{len(numbers)} numbers differ, largest relative "
                      f"difference {largest:.2g}: "
                      f"{_paths([p for p, _ in numbers])}")
@@ -131,14 +135,14 @@ def describe(stream: str, old: bytes | None, new: bytes | None) -> str:
         parts.append(f"{len(others)} other values differ: {_paths(others)}")
     # bytes that parse alike (spacing, key order) still differ as bytes
     return f"  {stream}: " + ("; ".join(parts) or "the same values, "
-                              "other bytes")
+                              "other bytes"), largest
 
 
 def report(old: list, new: list) -> int:
     """Print the differing argv and the summary; the count that differ."""
     if [key for key, _ in old] != [key for key, _ in new]:
         raise SystemExit("the two checkouts ran different argv")
-    total, changed, exits = Counter(), Counter(), 0
+    total, changed, largest, exits = Counter(), Counter(), Counter(), 0
     for (key, (rc_old, *a)), (_, (rc_new, *b)) in zip(old, new):
         group = key[1], key[3]      # workload, command
         total[group] += 1
@@ -149,11 +153,15 @@ def report(old: list, new: list) -> int:
         print(*key, f"exit {rc_old} -> {rc_new}")
         for stream, x, y in zip(STREAMS, a, b):
             if x != y:
-                print(describe(stream, x, y))
+                line, rel = describe(stream, x, y)
+                print(line)
+                largest[group] = max(largest[group], rel)
     print(f"{sum(changed.values())} of {sum(total.values())} argv differ, "
           f"{exits} in exit code")
     for group, count in total.items():
-        print(f"  {' '.join(group)}: {changed[group]} of {count}")
+        rel = largest[group]
+        print(f"  {' '.join(group)}: {changed[group]} of {count}"
+              + (f", largest relative difference {rel:.2g}" if rel else ""))
     return sum(changed.values())
 
 

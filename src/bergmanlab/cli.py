@@ -11,7 +11,7 @@ pipelines and CI can consume them directly:
         overflow or invalid value as such a failure
 
 Reports are canonical JSON (sorted keys, complex numbers as [re, im]) or
-CSV for matrix/grid payloads, written to --out or stdout.  Reports carry no
+CSV for diagonal/grid payloads, written to --out or stdout.  Reports carry no
 wall-clock data, so a fixed configuration and seed reproduce byte-identical
 output; BLAS threading is controlled by the usual OMP_NUM_THREADS /
 OPENBLAS_NUM_THREADS variables and does not affect report contents.
@@ -191,6 +191,15 @@ def parse_domain(spec: str) -> DomainSpec:
     raise ConfigError(f"cannot parse domain descriptor {spec!r}")
 
 
+def _descriptor(domain: DomainSpec) -> str:
+    """The --domain descriptor ``parse_domain`` reads as the domain."""
+    if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
+        return "typei:{}x{}".format(*domain.shape)
+    if domain.kind is DomainKind.UNIT_BALL:
+        return "disk" if domain.dim == 1 else f"ball:{domain.dim}"
+    return f"cn:{domain.dim}"
+
+
 def parse_weight(spec: str, domain: DomainSpec) -> Weight:
     """gaussian:MU | npower:MU | poly:c0,c1,... | table:PATH | scaled:C:REST"""
     s = spec.strip()
@@ -205,6 +214,10 @@ def parse_weight(spec: str, domain: DomainSpec) -> Weight:
         return value
 
     if kind == "gaussian":
+        if domain.bounded:
+            raise ConfigError(f"weight descriptor {spec!r} is a Gaussian "
+                              f"weight, which lives on C^n, not on the "
+                              f"bounded --domain {_descriptor(domain)}")
         return gaussian_weight(domain.dim, number(rest))
     if kind == "npower":
         return generic_norm_weight(domain, number(rest))
@@ -266,15 +279,12 @@ def _domain_of(cfg: dict, default: str | None = None) -> DomainSpec:
     return domain
 
 
-def _diagonal_rows(diagonal: np.ndarray):
-    """The CSV lines "i,j,re,im" of diag(diagonal), one per entry, joined
-    into one text per matrix row, without forming the matrix."""
-    yield "i,j,re,im"
-    cells = [f",{j},0.0,0.0" for j in range(len(diagonal))]
-    for i, re in enumerate(jsonio.float_reprs(diagonal).tolist()):
-        zero, cells[i] = cells[i], f",{i},{re},0.0"
-        yield str(i) + ("\n" + str(i)).join(cells)
-        cells[i] = zero
+def _value_rows(values: np.ndarray):
+    """The CSV lines "i,value" of a diagonal, one per monomial in grlex
+    order, after their header; formatted only when read."""
+    yield "i,value"
+    for i, text in enumerate(jsonio.float_reprs(values).tolist()):
+        yield f"{i},{text}"
 
 
 def _count(cfg: dict, key: str, default: int, points_each: int = 1) -> int:
@@ -325,14 +335,13 @@ def _cmd_gram(cfg: dict):
                                cfg.get("samples", 100_000), cfg["seed"])
     else:
         raise ConfigError(f"unknown gram method {method!r}")
-    rows = _diagonal_rows(gram.diagonal)
     if cfg["format"] == "csv":
-        # the entries alone: no JSON report, no diagnostics
-        return None, False, rows
+        # the diagonal alone: no JSON report, no diagnostics
+        return None, False, _value_rows(gram.diagonal)
     report = gram_to_json(gram)
     report["command"] = "gram"
     report["diagnostics"] = gram_validate(gram).as_dict()
-    return report, False, rows
+    return report, False, None
 
 
 def _cmd_kernel_eval(cfg: dict):
@@ -553,7 +562,7 @@ def _cmd_moment_mismatch(cfg: dict):
               "normalized": bool(cfg.get("normalize", False)),
               "tolerance": tol,
               "verdict": "mismatch" if mismatched else "match"}
-    return report, mismatched, _diagonal_rows(res.difference)
+    return report, mismatched, _value_rows(res.difference)
 
 
 def _cmd_recover_weight(cfg: dict):

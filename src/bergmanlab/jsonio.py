@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -29,15 +28,6 @@ def cmatrix(m: np.ndarray) -> list[list[float]]:
     """Row-major flattening of a complex matrix into [re, im] pairs."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
     return np.stack((flat.real, flat.imag), 1).tolist()
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalMatrix:
-    """A square matrix given by its real diagonal, zero elsewhere, as a
-    report value: ``canonical_dumps`` writes it as it writes ``cmatrix`` of
-    the dense matrix, without forming that matrix."""
-
-    diagonal: np.ndarray
 
 
 def as_cmatrix(entries, shape, what: str = "matrix") -> np.ndarray:
@@ -101,8 +91,7 @@ def canonical_dumps(obj) -> str:
     ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``.
 
     ``obj`` is a report: dicts with str keys, lists, tuples, str, int,
-    float, bool and None, subclasses included, and ``DiagonalMatrix``
-    values, written as their dense [re, im] list.  A non-finite float
+    float, bool and None, subclasses included.  A non-finite float
     raises that call's ValueError, naming the first one in document order,
     and a value of another type its TypeError; a key that is not a str
     raises a TypeError.  A long list of floats or of [re, im] pairs is
@@ -164,26 +153,6 @@ def _bulk_text(items, nl: str) -> str | None:
             .join(pairs) + inner + "]" + nl + "]")
 
 
-def _diagonal_text(diagonal: np.ndarray, nl: str) -> str:
-    """The text of the dense row-major [re, im] list of diag(diagonal) at
-    the indentation ``nl``: B diagonal pairs, and between two of them the
-    B zero pairs that follow one diagonal entry in row-major order."""
-    values = np.asarray(diagonal, dtype=np.float64)
-    if not values.size:
-        return "[]"
-    finite = np.isfinite(values)
-    if not finite.all():
-        _float_text(float(values[finite.argmin()]))    # raises, naming it
-    inner = nl + "  "
-    row = inner + "  "
-    sep = "," + inner
-    zero = "[" + row + "0.0," + row + "0.0" + inner + "]"
-    pairs = ["[" + row + re + "," + row + "0.0" + inner + "]"
-             for re in float_reprs(values).tolist()]
-    gap = (sep + zero) * len(pairs) + sep
-    return "[" + inner + gap.join(pairs) + nl + "]"
-
-
 def _encode(o, nl: str, out: list[str]) -> None:
     """Append the text of ``o`` at the indentation ``nl`` (a newline and
     the spaces of the current level), testing types in json's order."""
@@ -228,8 +197,6 @@ def _encode(o, nl: str, out: list[str]) -> None:
             _encode(value, inner, out)
             sep = "," + inner
         out.append(nl + "}")
-    elif isinstance(o, DiagonalMatrix):
-        out.append(_diagonal_text(o.diagonal, nl))
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} "
                         "is not JSON serializable")

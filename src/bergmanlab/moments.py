@@ -91,9 +91,10 @@ class RadialGram:
     """The diagonal Gram matrix of a radial weight on the disk, the ball or
     C^n, held as its moments R_0..R_{degree+n-1}.
 
-    ``index_map`` and ``diagonal`` (the shell reduction of the moments, one
-    value per monomial) are built on first read, so nothing of size
-    C(n+degree, n) exists until a caller needs the diagonal; the matrix is
+    ``diagonal`` (the shell reduction of the moments, one value per
+    monomial, by array operations) and ``index_map`` (the multi-indices as
+    tuples, for readers that want them) are built on first read, so nothing
+    of size C(n+degree, n) exists until a caller needs it; the matrix is
     that diagonal and zeros elsewhere, and is never built.
 
     A Monte Carlo Gram estimates R_{n-1}..R_{degree+n-1} only, all that
@@ -122,24 +123,41 @@ class RadialGram:
     def diagonal(self) -> np.ndarray:
         """G[alpha][alpha] = pi^n alpha!/(|alpha|+n-1)! * R_{|alpha|+n-1}
         in grlex order, read-only; an entry that overflows is refused by
-        name.  The shell factor depends on the multiset of alpha only and
-        is formed once per multiset."""
+        name.
+
+        With N = (|alpha|+n-1)!/alpha!, an integer, the factor is
+        pi^n * (1/N) where N < 2^53 is exact in a float: the quotient
+        rounded once, as ``_shell_factor`` forms it.  The other rows, and
+        every row from n = 20 on, where N >= (n-1)! >= 2^53, take
+        ``_shell_factor`` itself, once per multiset of alpha.
+        """
         n = self.domain.dim
-        factors: dict[tuple[int, ...], float] = {}
-        shell, top = [], []
-        for a in self.index_map:
-            key = tuple(sorted(a))
-            factor = factors.get(key)
-            if factor is None:
-                factor = factors[key] = _shell_factor(a)
-            shell.append(factor)
-            top.append(sum(a) + n - 1)
+        _basis_size(n, self.degree)
+        moments = np.asarray(self.moments)
+        if n == 1:      # pi * k!/k! for every k
+            alphas, top, shell = None, slice(self.degree + 1), math.pi
+        else:
+            alphas, degrees, N = _grlex_shells(n, self.degree)
+            top = degrees + (n - 1)
+            shell = np.empty(top.size)
+            exact = N < 2.0 ** 53
+            if exact.any():
+                shell[exact] = math.pi ** n * (1.0 / N[exact])
+            factors: dict[tuple[int, ...], float] = {}
+            for i in np.flatnonzero(~exact).tolist():
+                a = tuple(alphas[i].tolist())
+                key = tuple(sorted(a))
+                factor = factors.get(key)
+                if factor is None:
+                    factor = factors[key] = _shell_factor(a)
+                shell[i] = factor
         with np.errstate(over="ignore"):   # refused by name below
-            diagonal = np.array(shell) * np.asarray(self.moments)[top]
+            diagonal = shell * moments[top]
         outside = ~np.isfinite(diagonal)
         if outside.any():
             j = int(np.argmax(outside))
-            raise ValueError(f"the Gram entry at {self.index_map[j]} of "
+            alpha = (j,) if alphas is None else tuple(alphas[j].tolist())
+            raise ValueError(f"the Gram entry at {alpha} of "
                              f"{self.weight_label} is {diagonal[j]}, outside "
                              f"the float range")
         return _read_only(diagonal)[0]
@@ -373,6 +391,44 @@ def _exact_moments(weight: Weight, top: int) -> np.ndarray:
     _fullspace_tail_check(weight, top - domain.dim + 1, float(knots[-1]),
                           abs(float(moments[top])) + 1e-300)
     return moments
+
+
+def _grlex_shells(n: int, degree: int) -> tuple[np.ndarray, ...]:
+    """The multi-indices of ``multiindex_enumerate(n, degree)`` as a (B, n)
+    integer array, their degrees, and N = (|alpha|+n-1)!/alpha! of each as
+    a float: exact where N < 2^53, and at least 2^53 where N is not.
+
+    In m variables the degree-k rows are the rows of degree <= k in m - 1
+    variables, in order, each behind the leading entry k minus its degree.
+    Column j is read off that recursion from the left: ``rows`` places each
+    suffix alpha[j:] among the (n-j)-variable rows and ``rest`` is its
+    degree.  N is the product of the binomials C(rest, alpha[j]) and of
+    (k+1)...(k+n-1), integers >= 1: a float product of them is exact while
+    below 2^53 and, rounding being monotone, never falls back below it.
+    """
+    ks = np.arange(degree + 1)
+    pascal = np.zeros((degree + 1, degree + 1), dtype=np.int64)
+    pascal[:, 0] = 1
+    for s in range(1, degree + 1):      # C(64, 32) < 2^63
+        pascal[s, 1:] = pascal[s - 1, 1:] + pascal[s - 1, :-1]
+    binomial = pascal.astype(float)
+    degrees = np.repeat(ks, [math.comb(k + n - 1, n - 1) for k in ks])
+    rows, rest = np.arange(degrees.size), degrees
+    alphas = np.empty((degrees.size, n), dtype=np.intp)
+    with np.errstate(over="ignore"):
+        N = np.prod(ks[:, None] + np.arange(1.0, n), axis=1)[degrees]
+        for j in range(n - 1):
+            m = n - j
+            # rows of degree <= k in m - 1 variables, and of degree < k in m
+            upto = np.array([math.comb(k + m - 1, m - 1) for k in ks])
+            below = np.cumsum(upto) - upto
+            inner = rows - below[rest]
+            inner_rest = np.searchsorted(upto, inner, side="right")
+            alphas[:, j] = rest - inner_rest
+            N *= binomial[rest, alphas[:, j]]
+            rows, rest = inner, inner_rest
+    alphas[:, -1] = rest
+    return alphas, degrees, N
 
 
 def _shell_factor(alpha: tuple[int, ...]) -> float:
@@ -664,16 +720,16 @@ def domain_from_json(obj: dict) -> DomainSpec:
 
 
 def gram_to_json(gram: RadialGram) -> dict:
-    """The Gram's report.  Its entries are a ``jsonio.DiagonalMatrix``,
-    which ``jsonio.canonical_dumps`` writes as the dense row-major list of
-    [re, im] pairs.  A Monte Carlo Gram adds its ``seed`` and its
-    ``stderr``: the degree + 1 standard errors of R_{n-1}..R_{degree+n-1},
-    in order."""
+    """The Gram's report: its ``diagonal``, the B values in grlex order,
+    and the ``moments`` R_{n-1}..R_{degree+n-1} that the diagonal and the
+    kernel read.  A Monte Carlo Gram adds its ``seed`` and its ``stderr``:
+    the standard errors of those moments, in order."""
     out = {
         "n": gram.domain.dim,
         "degree": gram.degree,
         "order": "grlex",
-        "entries": jsonio.DiagonalMatrix(gram.diagonal),
+        "diagonal": gram.diagonal.tolist(),
+        "moments": np.asarray(gram.moments)[gram.domain.dim - 1:].tolist(),
         "method": gram.method,
         "domain": domain_to_json(gram.domain),
         "weight": gram.weight_label,

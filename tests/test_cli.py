@@ -52,6 +52,33 @@ class TestDescriptors:
         assert bl.weight_eval(w, [[0.1]])[0] == pytest.approx(2.0)
 
 
+    @pytest.mark.parametrize("spec,domain", [
+        ("gaussian:1", "disk"), ("gaussian:0.5", "ball:2"),
+        ("scaled:2:gaussian:1", "typei:2x2"),
+    ])
+    def test_a_gaussian_on_a_bounded_domain_is_refused(self, spec, domain):
+        with pytest.raises(ConfigError) as exc:
+            parse_weight(spec, parse_domain(domain))
+        inner = spec.rpartition("scaled:2:")[2]
+        assert str(exc.value) == (f"weight descriptor {inner!r} is a "
+                                  f"Gaussian weight, which lives on C^n, not "
+                                  f"on the bounded --domain {domain}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--domain", "disk", "--weight", "gaussian:1"],
+    ["recover-weight", "--domain", "disk", "--weight", "scaled:3:gaussian:1"],
+    ["moment-mismatch", "--domain", "disk", "--weight", "gaussian:1",
+     "--weight2", "npower:1"],
+], ids=lambda argv: argv[0])
+def test_a_gaussian_on_a_bounded_domain_is_a_config_error(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == ("config error: weight descriptor 'gaussian:1' is a "
+                   "Gaussian weight, which lives on C^n, not on the bounded "
+                   "--domain disk\n")
+
+
 class TestConfig:
     def test_defaults_applied(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -486,14 +513,14 @@ class TestManyDimensions:
         code, out, _ = run_cli(["gram", "--domain", "ball:200", "--weight",
                                 "poly:1,-1", "--degree", "1"], capsys)
         assert code == 0
-        entries = json.loads(out)["entries"]
+        diagonal = json.loads(out)["diagonal"]
         import mpmath as mp
         with mp.workdps(30):
             for i, top in ((0, 199), (1, 200)):
                 # pi^n alpha!/(|alpha|+n-1)! * integral s^top (1 - s) ds
                 ref = (mp.pi ** 200 / mp.factorial(top)
                        / ((top + 1) * (top + 2)))
-                got = entries[i * 202][0]
+                got = diagonal[i]
                 assert abs(float((got - ref) / ref)) <= 1e-12
 
     def test_generic_norm_moments_past_the_factorial_range(self, capsys):
@@ -501,13 +528,13 @@ class TestManyDimensions:
         code, out, _ = run_cli(["gram", "--domain", "ball:200", "--weight",
                                 "npower:1", "--degree", "1"], capsys)
         assert code == 0
-        entries = json.loads(out)["entries"]
+        diagonal = json.loads(out)["diagonal"]
         import mpmath as mp
         with mp.workdps(30):
             for i, top in ((0, 199), (1, 200)):
                 # pi^n alpha!/(|alpha|+n-1)! * B(top + 1, 2)
                 ref = mp.pi ** 200 / mp.factorial(top) * mp.beta(top + 1, 2)
-                got = entries[i * 202][0]
+                got = diagonal[i]
                 assert abs(float((got - ref) / ref)) <= 1e-11
 
     def test_characterize_past_the_factorial_range_is_named(self, capsys):
@@ -548,8 +575,8 @@ class TestOutputs:
              "--degree", "3", "--format", "csv"], capsys)
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "i,j,re,im"
-        assert len(lines) == 1 + 16  # header + basis^2
+        assert lines[0] == "i,value"
+        assert len(lines) == 1 + 4  # header + basis
 
     @pytest.mark.parametrize("argv,code", [
         (["gram", "--domain", "disk", "--weight", "npower:1"], 0),
@@ -561,9 +588,10 @@ class TestOutputs:
                               capsys)
         assert got == code
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert len(rows) == 9
-        for i, j, re, im in rows:
-            float(re), float(im)
+        assert len(rows) == 3
+        for k, (i, value) in enumerate(rows):
+            assert int(i) == k
+            float(value)
 
     def test_kernel_grid_csv(self, capsys):
         code, out, _ = run_cli(
@@ -597,12 +625,88 @@ class TestOutputs:
              "--degree", "8", "--method", "quadrature"], capsys)
         obj = json.loads(out)
         G1 = bl.gram_quadrature(bl.generic_norm_weight(bl.unit_disk(), 1.0), 8)
-        entries = jsonio.as_cmatrix(obj["entries"], (G1.size, G1.size))
+        # the dense matrix rebuilt from the report, through the dense
+        # monomial oracle
+        matrix = np.diag(obj["diagonal"]).astype(complex)
+        assert len(obj["moments"]) == 9 and obj["moments"] == \
+            G1.moments.tolist()
         K1 = bl.kernel_from_gram(G1)
-        K2 = dense_kernel(G1, entries)
+        K2 = dense_kernel(G1, matrix)
         for z in (0.1, 0.4 - 0.2j, 0.55j):
             a, b = kernel_at(K1, [z], [z]), kernel_at(K2, [z], [z])
             assert abs(a - b) <= 1e-15 * abs(a)
+
+    @pytest.mark.parametrize("argv", [
+        ["--domain", "ball:2", "--weight", "npower:1.3", "--degree", "6",
+         "--method", "quadrature"],
+        ["--domain", "ball:3", "--weight", "poly:1,0.5", "--degree", "4"],
+        ["--domain", "cn:2", "--weight", "gaussian:1.5", "--degree", "5"],
+    ], ids=lambda argv: argv[1])
+    def test_report_diagonal_rebuilds_the_dense_oracle(self, capsys, argv):
+        # np.diag of the reported diagonal through the dense monomial
+        # oracle gives the radial series kernel of the same Gram
+        code, out, _ = run_cli(["gram", *argv], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        domain = parse_domain(argv[1])
+        weight = parse_weight(argv[3], domain)
+        gram = (bl.gram_quadrature if "quadrature" in argv
+                else bl.gram_exact)(weight, int(argv[5]))
+        n = domain.dim
+        assert obj["diagonal"] == gram.diagonal.tolist()
+        assert obj["moments"] == gram.moments[n - 1:].tolist()
+        assert len(obj["moments"]) == gram.degree + 1
+        oracle = dense_kernel(gram, np.diag(obj["diagonal"]).astype(complex))
+        series = bl.kernel_from_gram(gram)
+        z = np.full((1, n), 0.3 - 0.1j) / math.sqrt(n)
+        w = np.full((1, n), -0.2 + 0.25j) / math.sqrt(n)
+        a, b = kernel_at(series, z, w), kernel_at(oracle, z, w)
+        assert abs(a - b) <= 1e-13 * abs(a)
+
+    def test_montecarlo_report_is_strict_json_with_its_moments(self, capsys):
+        code, out, _ = run_cli(
+            ["gram", "--domain", "ball:3", "--weight", "npower:1",
+             "--degree", "4", "--method", "montecarlo", "--samples", "3000"],
+            capsys)
+        assert code == 0
+        obj = strict_json(out)
+        assert len(obj["moments"]) == len(obj["stderr"]) == 4 + 1
+        assert all(math.isfinite(v) for v in obj["moments"])
+        assert len(obj["diagonal"]) == math.comb(3 + 4, 3)
+
+    @pytest.mark.parametrize("argv,size", [
+        (["gram", "--domain", "ball:2", "--weight", "npower:1",
+          "--degree", "5"], math.comb(2 + 5, 2)),
+        (["moment-mismatch", "--domain", "ball:3", "--weight", "npower:1",
+          "--weight2", "npower:2", "--degree", "3"], math.comb(3 + 3, 3)),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_csv_has_one_line_per_monomial(self, capsys, argv, size):
+        _, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        lines = out.splitlines()
+        assert lines[0] == "i,value" and len(lines) == 1 + size
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            [str(i) for i in range(size)]
+
+    def test_a_degree_64_report_is_small(self, capsys):
+        # 2 145 values and 65 moments, not the 2 145^2 cells of the matrix
+        code, out, _ = run_cli(["gram", "--domain", "ball:2", "--weight",
+                                "npower:1.3", "--degree", "64"], capsys)
+        assert code == 0 and len(out) < 200_000
+        assert len(json.loads(out)["diagonal"]) == bl.gram_exact(
+            parse_weight("npower:1.3", bl.unit_ball(2)), 64).size
+
+    def test_the_log_space_shell_factor_is_the_formula(self, capsys):
+        # at n = 200 every factor pi^200 alpha!/(|alpha|+199)! is formed in
+        # log space, below the normal float range of the integer quotient
+        code, out, _ = run_cli(["gram", "--domain", "ball:200", "--weight",
+                                "poly:1,-1", "--degree", "1"], capsys)
+        assert code == 0
+        got = json.loads(out)["diagonal"]
+        R = bl.gram_exact(parse_weight("poly:1,-1", bl.unit_ball(200)),
+                          1).moments
+        ref = [bl.moments._shell_factor(a) * R[sum(a) + 199]
+               for a in bl.multiindex_enumerate(200, 1)]
+        assert got == ref
 
     def test_gram_quadrature_method_block(self, capsys):
         code, out, _ = run_cli(
@@ -795,55 +899,37 @@ EMISSION_ARGV = [
 ]
 
 
-def _dense_report(obj):
-    """The report with each ``jsonio.DiagonalMatrix`` in it expanded to the
-    dense row-major list of [re, im] pairs of its matrix."""
-    if isinstance(obj, jsonio.DiagonalMatrix):
-        matrix = np.diag(obj.diagonal).astype(complex)
-        return [[z.real, z.imag] for z in matrix.reshape(-1).tolist()]
-    if isinstance(obj, dict):
-        return {k: _dense_report(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_dense_report(v) for v in obj]
-    return obj
-
-
-def _cell_rows(matrix):
-    """The CSV lines (i, j, repr(re), repr(im)) of every cell of a dense
-    complex matrix, with their header."""
-    return ["i,j,re,im"] + [
-        f"{i},{j},{z.real!r},{z.imag!r}"
-        for i, row in enumerate(matrix.tolist()) for j, z in enumerate(row)]
+def _value_lines(values):
+    """The CSV lines "i,repr(value)" of a diagonal, with their header."""
+    return ["i,value"] + [f"{i},{v!r}" for i, v in enumerate(values.tolist())]
 
 
 @pytest.mark.parametrize("argv", EMISSION_ARGV, ids=" ".join)
 def test_reports_are_the_reference_encodings(capsys, monkeypatch, argv):
     """The emitted bytes are those of json.dumps(sort_keys, indent=2) of the
-    report, every diagonal matrix in it expanded to its dense [re, im] list,
-    or of the per-cell CSV join over (i, j, repr(re), repr(im)) of the
-    dense matrix (np.diag of a diagonal), computed here from the same
-    report objects."""
+    report, or of the per-monomial CSV join over (i, repr(value)) of a
+    diagonal, computed here from the same report objects."""
     seen = {}
-    diagonal_rows = cli._diagonal_rows
+    value_rows = cli._value_rows
     emit = cli.emit_report
 
-    def record_diagonal(diagonal):
-        seen["matrix"] = np.diag(diagonal).astype(complex)
-        return diagonal_rows(diagonal)
+    def record_values(values):
+        seen["diagonal"] = np.array(values)
+        return value_rows(values)
 
     def record_emit(report, fmt, path, csv_rows=None):
         seen["report"] = report
         emit(report, fmt, path, csv_rows)
 
-    monkeypatch.setattr(cli, "_diagonal_rows", record_diagonal)
+    monkeypatch.setattr(cli, "_value_rows", record_values)
     monkeypatch.setattr(cli, "emit_report", record_emit)
     code, out, err = run_cli(argv, capsys)
     assert code in (0, 1) and err == ""
     if "csv" not in argv:
-        expected = json.dumps(_dense_report(seen["report"]), sort_keys=True,
-                              indent=2, allow_nan=False)
-    elif "matrix" in seen:
-        expected = "\n".join(_cell_rows(seen["matrix"]))
+        expected = json.dumps(seen["report"], sort_keys=True, indent=2,
+                              allow_nan=False)
+    elif "diagonal" in seen:
+        expected = "\n".join(_value_lines(seen["diagonal"]))
     else:
         # a kernel grid: one line per value of the report
         expected = "\n".join(["re(z),im(z),re(w),im(w),re(K),im(K)"] + [
@@ -853,9 +939,9 @@ def test_reports_are_the_reference_encodings(capsys, monkeypatch, argv):
 
 
 def test_csv_gram_builds_no_json_report(capsys, monkeypatch):
-    """A CSV gram writes the entries alone: neither the JSON report nor the
-    spectrum of its diagnostics is computed, and the bytes are the per-cell
-    join of the Gram's entries, np.diag of its diagonal."""
+    """A CSV gram writes the diagonal alone: neither the JSON report nor the
+    spectrum of its diagnostics is computed, and the bytes are the
+    per-monomial join of the Gram's diagonal."""
     def refuse(*args):
         raise AssertionError("called for a CSV report")
 
@@ -873,8 +959,7 @@ def test_csv_gram_builds_no_json_report(capsys, monkeypatch):
                 "quadrature": lambda: bl.gram_quadrature(weight, 6),
                 "montecarlo": lambda: bl.gram_montecarlo(
                     weight, 6, 2000, 0)}[method]()
-        matrix = np.diag(gram.diagonal).astype(complex)
-        assert out == "\n".join(_cell_rows(matrix)) + "\n"
+        assert out == "\n".join(_value_lines(gram.diagonal)) + "\n"
 
 
 def test_json_radial_gram_factors_nothing(capsys, monkeypatch):
@@ -1196,8 +1281,8 @@ def test_a_quadrature_moment_near_the_float_range_is_kept(capsys):
          "--degree", "64", "--method", "quadrature", "--format", "csv"],
         capsys)
     assert (code, err) == (0, "")
-    got = np.array([float(row.split(",")[2])
-                    for row in out.splitlines()[1:]])[::66]
+    got = np.array([float(row.split(",")[1])
+                    for row in out.splitlines()[1:]])
     exact = bl.gram_exact(bl.gaussian_weight(1, 0.001), 64).diagonal
     assert got.shape == exact.shape
     assert np.all(np.abs(got - exact) <= 4e-15 * exact)

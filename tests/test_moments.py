@@ -10,6 +10,7 @@ import pytest
 
 import bergmanlab as bl
 from bergmanlab import jsonio, moments
+from bergmanlab.core import MAX_BASIS
 from bergmanlab.moments import describe_weight
 
 from conftest import (monomial_rows, quadrature_points_1d,
@@ -46,6 +47,13 @@ def moment(weight, alpha):
     gram = bl.gram_exact(weight, sum(alpha))
     i = gram.index_map.index(tuple(alpha))
     return gram.diagonal[i]
+
+
+def per_monomial_diagonal(n, degree, R):
+    """The reference diagonal: the shell factor of each multi-index, one
+    monomial at a time, times its moment."""
+    return np.array([moments._shell_factor(a) * R[sum(a) + n - 1]
+                     for a in bl.multiindex_enumerate(n, degree)])
 
 
 class TestMomentExact:
@@ -393,6 +401,45 @@ class TestRadialGram:
             assert d[i] == (moments._shell_factor(a)
                             * gram.moments[sum(a) + n - 1])
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_diagonal_is_the_per_monomial_formula_bit_for_bit(self, n):
+        # at every degree inside MAX_BASIS: the diagonal of degree d is the
+        # prefix of the top degree's, grlex being graded
+        top = max(d for d in range(MAX_BASIS)
+                  if math.comb(n + d, n) <= MAX_BASIS)
+        R = np.random.default_rng(n).uniform(0.1, 3.0, top + n)
+        ref = per_monomial_diagonal(n, top, R)
+        for d in range(top + 1):
+            got = bl.RadialGram(bl.unit_ball(n), d, R[:d + n], {}).diagonal
+            assert got.size == math.comb(n + d, n)
+            assert got.tobytes() == ref[:got.size].tobytes()
+
+    def test_shell_integers_past_two_to_the_53_take_the_formula(self):
+        # ball:2 at degree 64: N = (k+1) C(k, a) >= 2^53 on the middle rows
+        alphas, degrees, N = moments._grlex_shells(2, 64)
+        assert [tuple(a) for a in alphas.tolist()] == \
+            bl.multiindex_enumerate(2, 64)
+        assert degrees.tolist() == alphas.sum(axis=1).tolist()
+        exact = [math.factorial(sum(a) + 1) // math.prod(map(math.factorial,
+                                                             a))
+                 for a in alphas.tolist()]
+        large = np.array(exact) >= 2 ** 53
+        assert 0 < large.sum() < len(exact)
+        assert np.all((N >= 2.0 ** 53) == large)
+        assert N[~large].tolist() == np.array(exact)[~large].tolist()
+        R = np.linspace(0.5, 2.0, 66)
+        got = bl.RadialGram(bl.unit_ball(2), 64, R, {}).diagonal
+        assert got.tobytes() == per_monomial_diagonal(2, 64, R).tobytes()
+
+    def test_an_entry_outside_the_float_range_names_its_multi_index(self):
+        # R_2 * pi^2 alpha!/(|alpha|+1)! overflows at |alpha| = 1 only
+        R = np.array([1.0, 1.0, 1e308, 1.0])
+        gram = bl.RadialGram(bl.unit_ball(2), 2, R, {}, "w")
+        with pytest.raises(ValueError) as exc:
+            gram.diagonal
+        assert str(exc.value) == ("the Gram entry at (1, 0) of w is inf, "
+                                  "outside the float range")
+
     @pytest.mark.parametrize("build,weight,degree", [
         (bl.gram_exact, bl.polynomial_weight(bl.unit_ball(20000), [1.0, -1.0]),
          1),
@@ -494,14 +541,14 @@ class TestGramMonteCarlo:
         assert err <= max(3 * math.pi * G.stderr[0], 1e-12)
 
     def test_radial_offdiagonals_within_three_se(self):
-        # the report's dense matrix holds the off-diagonal 0 the shell
-        # reduction gives, and every moment is within three standard
-        # errors of the closed form
+        # the report's diagonal is the shell reduction, the matrix it
+        # stands for holds the off-diagonal 0, and every moment is within
+        # three standard errors of the closed form
         weight = bl.generic_norm_weight(DISK, 1.0)
         G = bl.gram_montecarlo(weight, 2, 10 ** 6, seed=7)
         obj = json.loads(jsonio.canonical_dumps(bl.gram_to_json(G)))
-        dense = jsonio.as_cmatrix(obj["entries"], (G.size, G.size))
-        assert np.array_equal(dense, np.diag(G.diagonal))
+        assert np.array_equal(np.diag(obj["diagonal"]), np.diag(G.diagonal))
+        assert obj["moments"] == G.moments.tolist()
         exact = bl.gram_exact(weight, 2).moments
         assert np.all(np.abs(G.moments - exact) <= 3 * G.stderr)
 
@@ -778,9 +825,8 @@ class TestSerialization:
     def test_gram_round_trip(self):
         G = bl.gram_quadrature(bl.generic_norm_weight(DISK, 1.0), 6)
         obj = json.loads(jsonio.canonical_dumps(bl.gram_to_json(G)))
-        assert np.array_equal(
-            np.diag(G.diagonal),
-            jsonio.as_cmatrix(obj["entries"], (G.size, G.size)))
+        assert obj["diagonal"] == G.diagonal.tolist()
+        assert obj["moments"] == G.moments.tolist()
         assert obj["degree"] == G.degree
         assert obj["domain"] == {"kind": "disk", "dim": 1}
 
@@ -790,9 +836,8 @@ class TestSerialization:
                                10_000, seed=1)
         obj = json.loads(jsonio.canonical_dumps(bl.gram_to_json(G)))
         assert obj["stderr"] == G.stderr.tolist() and len(obj["stderr"]) == 2
-        assert np.array_equal(
-            np.diag(G.diagonal),
-            jsonio.as_cmatrix(obj["entries"], (G.size, G.size)))
+        assert obj["moments"] == G.moments.tolist()
+        assert obj["diagonal"] == G.diagonal.tolist()
         assert obj["method"] == {"kind": "montecarlo", "samples": 10_000,
                                  "seed": 1}
         assert obj["seed"] == 1

@@ -141,7 +141,7 @@ class RadialGram:
             top = degrees + (n - 1)
             shell = np.empty(top.size)
             exact = N < 2.0 ** 53
-            if exact.any():
+            if exact.any():     # never from n = 20 on: pi^n overflows at 621
                 shell[exact] = math.pi ** n * (1.0 / N[exact])
             factors: dict[tuple[int, ...], float] = {}
             for i in np.flatnonzero(~exact).tolist():
@@ -409,7 +409,8 @@ def _grlex_shells(n: int, degree: int) -> tuple[np.ndarray, ...]:
     ks = np.arange(degree + 1)
     pascal = np.zeros((degree + 1, degree + 1), dtype=np.int64)
     pascal[:, 0] = 1
-    for s in range(1, degree + 1):      # C(64, 32) < 2^63
+    # from n = 2 on MAX_BASIS keeps degree <= 64, and C(64, 32) < 2^63
+    for s in range(1, degree + 1):
         pascal[s, 1:] = pascal[s - 1, 1:] + pascal[s - 1, :-1]
     binomial = pascal.astype(float)
     degrees = np.repeat(ks, [math.comb(k + n - 1, n - 1) for k in ks])

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import statistics
 import sys
 import tracemalloc
 from pathlib import Path
@@ -18,6 +19,17 @@ from conftest import (monomial_rows, quadrature_points_1d,
 
 DISK = bl.unit_disk()
 C1 = bl.full_space(1)
+
+# The family-wise false-alarm rate of each statistical Monte Carlo test: the
+# chance that an honest stream fails one of its bounds.
+FAMILY_ALPHA = 1e-3
+
+
+def bonferroni_z(count, alpha=FAMILY_ALPHA):
+    """The two-sided bound on each of ``count`` standard normal statistics
+    that all of them keep with probability at least 1 - alpha, by the union
+    bound: Phi^-1(1 - alpha / (2 count))."""
+    return statistics.NormalDist().inv_cdf(1.0 - alpha / (2 * count))
 
 
 def scale_matrix(diagonal):
@@ -643,10 +655,13 @@ class TestGramMonteCarlo:
         assert np.isfinite(G.moments[2:]).all()
         assert np.isfinite(G.diagonal).all()
 
-    def test_workload_moments_are_within_four_se(self, monkeypatch,
-                                                 tmp_path):
+    def test_workload_moments_are_within_the_family_wise_bound(
+            self, monkeypatch, tmp_path):
         # every seed-5/13 Monte Carlo Gram of the benchmark: drawn in one
-        # chunk, and each moment within 4 standard errors of the closed form
+        # chunk, and each moment within bonferroni_z of the moments checked
+        # (4.49 se for 140), so that an honest stream fails with
+        # probability at most FAMILY_ALPHA; a fixed 4 se over 140 moments
+        # would fail one in up to 0.9 % of honest streams
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                         / "verdictbench"))
         import workloads
@@ -656,6 +671,7 @@ class TestGramMonteCarlo:
                                              tmp_path).verdicts
                  if v.template == "gram-montecarlo"]
         assert len(argvs) == 20
+        checked = []
         for argv in argvs:
             opt = dict(zip(argv[1::2], argv[2::2]))
             domain = parse_domain(opt["--domain"])
@@ -666,8 +682,70 @@ class TestGramMonteCarlo:
                                    int(opt["--seed"]))
             exact = bl.gram_exact(weight, degree).moments
             n = domain.dim
-            assert np.all(np.abs(G.moments[n - 1:] - exact[n - 1:])
-                          <= 4 * G.stderr), argv
+            checked.append((argv, np.abs(G.moments[n - 1:] - exact[n - 1:]),
+                            G.stderr))
+        bound = bonferroni_z(sum(se.size for _, _, se in checked))
+        for argv, error, se in checked:
+            assert np.all(error <= bound * se), argv
+
+
+# the seed ensemble of the calibration tests
+_ENSEMBLE_SEEDS, _ENSEMBLE_SAMPLES = 1_000, 20_000
+
+
+class TestMonteCarloCalibration:
+    """The stated standard errors against the spread of a seed ensemble:
+    1 000 seeds of 20 000 samples each.  For each moment, z = (R^ - R)/se
+    is about standard normal over the seeds if the estimate is unbiased and
+    its se right, so its 2-se coverage, the share of seeds with |z| <= 2,
+    is a binomial share of P(|Z| <= 2) = 0.9545, and its mean over the
+    seeds is 0 with standard error 1/sqrt(1 000).  Each of the two
+    statistics of each moment is bounded at bonferroni_z of their count,
+    normal approximations both: a family-wise false-alarm rate of
+    FAMILY_ALPHA per case.  An se stated 10 % small moves the coverage to
+    0.928 and a bias of 0.3 se the mean to 0.3, both past their bounds; a
+    single stream sees neither."""
+
+    @staticmethod
+    def _assert_calibrated(weight, degree):
+        n = weight.base.dim
+        exact = bl.gram_exact(weight, degree).moments[n - 1:]
+        estimates = np.empty((_ENSEMBLE_SEEDS, degree + 1))
+        stderrs = np.empty_like(estimates)
+        for seed in range(_ENSEMBLE_SEEDS):
+            G = bl.gram_montecarlo(weight, degree, _ENSEMBLE_SAMPLES, seed)
+            estimates[seed], stderrs[seed] = G.moments[n - 1:], G.stderr
+        # f t^k constant (a Gaussian weight under its own proposal at
+        # k = 0): no sampling error, the estimate is the moment to roundoff
+        fixed = (stderrs == 0).all(axis=0)
+        assert np.all(np.abs(estimates[:, fixed] - exact[fixed])
+                      <= 4 * np.finfo(float).eps * np.abs(exact[fixed]))
+        assert np.all(stderrs[:, ~fixed] > 0)
+        z = (estimates[:, ~fixed] - exact[~fixed]) / stderrs[:, ~fixed]
+        bound = bonferroni_z(2 * z.shape[1])
+        p0 = math.erf(math.sqrt(2.0))
+        coverage = np.mean(np.abs(z) <= 2.0, axis=0)
+        assert np.all(np.abs(coverage - p0) <= bound * math.sqrt(
+            p0 * (1.0 - p0) / _ENSEMBLE_SEEDS)), coverage
+        mean_z = z.mean(axis=0)
+        assert np.all(np.abs(mean_z) <= bound / math.sqrt(_ENSEMBLE_SEEDS)), \
+            mean_z
+
+    @pytest.mark.parametrize("weight, degree", [
+        (bl.generic_norm_weight(DISK, 1.407), 5),
+        (bl.generic_norm_weight(bl.unit_ball(2), 0.8), 6),
+        (bl.generic_norm_weight(bl.unit_ball(3), 1.5), 4),
+        (bl.gaussian_weight(2, 1.3), 3),
+    ], ids=["disk", "ball2", "ball3", "cn2"])
+    def test_stated_stderr_covers_the_seed_spread(self, weight, degree):
+        self._assert_calibrated(weight, degree)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP 16: on C^n the stated se of the top "
+                              "moments under-covers (R_6 of gaussian:0.7 on "
+                              "cn:1: coverage 0.87, mean z -0.5)")
+    def test_stated_stderr_of_top_gaussian_moments(self):
+        self._assert_calibrated(bl.gaussian_weight(1, 0.7), 6)
 
 
 # a draw budget of a few hundred samples per chunk

@@ -54,11 +54,9 @@ from .core import (
     RadialProfile,
     Weight,
     _basis_size,
-    _row_sums,
     full_space,
     matrix_ball,
     multiindex_enumerate,
-    sample_ball_polar,
     unit_ball,
     unit_disk,
     weight_radial_fn,
@@ -79,11 +77,14 @@ QUADRATURE = {"radial_nodes": 64, "fullspace_nodes": 96, "table_nodes": 256,
 # matrix that would still count as roundoff, stated in every report.
 PSD_TOL = 1e-10
 
-# Monte Carlo samples are drawn in chunks of at most 200 000 within this
-# many bytes, at 48 n + 64 bytes per sample in C^n: its n complex
-# coordinates and 2n normal draws and squares, then a few floats.  The
-# budget fixes the draw stream, which a seed's points depend on.
+# Monte Carlo samples are drawn in chunks of at most 200 000 within
+# MC_CHUNK_BYTES, at MC_SAMPLE_BYTES per sample in any dimension: t = |z|^2
+# and its draw, the weight's values with their evaluation temporaries (a
+# tabulated profile's cubic holds the most, about 90 bytes), the density,
+# f t^k and its square.  A seed's t are the same at any chunking; the
+# chunks fix the order of the sums.
 MC_CHUNK_BYTES = 256 * 2 ** 20
+MC_SAMPLE_BYTES = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,16 +577,20 @@ def gram_montecarlo(weight: Weight, degree: int, samples: int,
     """The Gram over the weight's base of importance-sampled moments
     R_{n-1}..R_{degree+n-1}, each with its standard error.
 
-    Uniform proposal on bounded domains, complex-Gaussian proposal on the
-    full space, drawn by a Philox generator keyed by the seed in chunks
-    (``MC_CHUNK_BYTES``).  With t = |z|^2 and f the weight over the
-    proposal density, the mean of f t^k is pi^n/(n-1)! R_{k+n-1} on the
-    ball and on C^n alike (shells of volume pi^n s^(n-1)/(n-1)! ds).  Each
-    chunk adds sum f t^k and sum (f t^k)^2 for k = 0..degree, fixed-order
-    1-D sums over one running power array, so the estimate is the same bit
-    for bit at any BLAS thread count.  A basis past ``MAX_BASIS`` and a
-    seed outside the Philox key range [0, 2**128) are refused before
-    anything is drawn, sums outside the float range by name.
+    Uniform proposal on bounded domains, complex-Gaussian proposal of
+    variance sigma^2 = 1/mu per coordinate on the full space (mu the decay
+    of a Gaussian weight, else 1).  The estimate reads only t = |z|^2 of a
+    sample, so t is drawn from its own law under the proposal, U^(1/n) on
+    the unit ball and sigma^2 Gamma(n) on C^n, never the point: a Philox
+    generator keyed by the seed draws it in chunks (``MC_CHUNK_BYTES``).
+    With f the weight over the proposal density, the mean of f t^k is
+    pi^n/(n-1)! R_{k+n-1} on the ball and on C^n alike (shells of volume
+    pi^n s^(n-1)/(n-1)! ds).  Each chunk adds sum f t^k and sum (f t^k)^2
+    for k = 0..degree, fixed-order 1-D sums over one running power array,
+    so the estimate is the same bit for bit at any BLAS thread count.  A
+    basis past ``MAX_BASIS`` and a seed outside the Philox key range
+    [0, 2**128) are refused before anything is drawn, sums outside the
+    float range by name.
     """
     domain = weight.base
     if domain.kind is DomainKind.TYPE_I_MATRIX_BALL:
@@ -603,20 +608,15 @@ def gram_montecarlo(weight: Weight, degree: int, samples: int,
     mu = None if domain.bounded else _gaussian_decay(weight)
     sigma2 = 1.0 / mu if mu is not None else 1.0
 
-    chunk = max(1, min(200_000, MC_CHUNK_BYTES // (48 * n + 64)))
+    chunk = max(1, min(200_000, MC_CHUNK_BYTES // MC_SAMPLE_BYTES))
     sums, squares = np.zeros(degree + 1), np.zeros(degree + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for done in range(0, samples, chunk):
             m = min(chunk, samples - done)
-            if domain.bounded:
-                pts = sample_ball_polar(rng, n, 1.0, m)
-            else:
-                c = math.sqrt(sigma2 / 2.0)
-                pts = np.empty((m, n), dtype=complex)
-                np.multiply(rng.standard_normal((m, n)), c, out=pts.real)
-                np.multiply(rng.standard_normal((m, n)), c, out=pts.imag)
-            t = _row_sums(np.square(pts.view(float)))
-            del pts
+            # |z|^2 of a uniform point of the unit ball, of a complex
+            # Gaussian point of C^n
+            t = rng.random(m) ** (1.0 / n) if domain.bounded else \
+                rng.standard_gamma(n, m) * sigma2
             dens = math.factorial(n) / math.pi ** n if domain.bounded else \
                 np.exp(-t / sigma2) / (math.pi * sigma2) ** n
             # f t^k for k = 0, 1, ..., degree in place

@@ -141,25 +141,22 @@ def reproducing_residual(model, poly, z, weight):
 
 
 def reference_montecarlo(domain, weight, degree, samples, seed):
-    """Reference Monte Carlo moments: the draw calls and chunks of
-    ``gram_montecarlo``, then one (samples, degree + 1) table of f t^k
-    over all points, each column summed with math.fsum.  Returns the
+    """Reference Monte Carlo moments: the t of ``gram_montecarlo``'s draw
+    calls and chunks, then one (samples, degree + 1) table of f t^k over
+    all samples, each column summed with math.fsum.  Returns the
     estimates of R_{n-1}..R_{degree+n-1} and their standard errors."""
     n = domain.dim
     rng = np.random.Generator(np.random.Philox(key=seed))
-    chunk = max(1, min(200_000, moments.MC_CHUNK_BYTES // (48 * n + 64)))
+    chunk = max(1, min(200_000, moments.MC_CHUNK_BYTES
+                       // moments.MC_SAMPLE_BYTES))
     mu = None if domain.bounded else moments._gaussian_decay(weight)
     sigma2 = 1.0 / mu if mu is not None else 1.0
     draws = []
     for done in range(0, samples, chunk):
         m = min(chunk, samples - done)
-        if domain.bounded:
-            draws.append(core.sample_ball_polar(rng, n, 1.0, m))
-        else:
-            draws.append(np.sqrt(sigma2 / 2.0)
-                         * (rng.standard_normal((m, n))
-                            + 1j * rng.standard_normal((m, n))))
-    t = np.sum(np.abs(np.concatenate(draws)) ** 2, axis=1)
+        draws.append(rng.random(m) ** (1.0 / n) if domain.bounded
+                     else rng.standard_gamma(n, m) * sigma2)
+    t = np.concatenate(draws)
     dens = (np.full(samples, math.factorial(n) / math.pi ** n)
             if domain.bounded
             else np.exp(-t / sigma2) / (np.pi * sigma2) ** n)

@@ -579,8 +579,8 @@ class TestGramMonteCarlo:
         assert abs(ratio - math.sqrt(2)) <= 0.1 * math.sqrt(2)
 
     def test_chunk_fits_the_byte_budget(self, monkeypatch):
-        # 1 MiB holds 5 041 ball:3 samples at 48 * 3 + 64 bytes each, so
-        # 60 000 samples take 12 chunks, each within the budget
+        # 1 MiB holds 8 192 samples at MC_SAMPLE_BYTES = 128 each, so
+        # 60 000 samples take 8 chunks, each within the budget
         budget = 2 ** 20
         monkeypatch.setattr(moments, "MC_CHUNK_BYTES", budget)
         ball = bl.unit_ball(3)
@@ -599,10 +599,10 @@ class TestGramMonteCarlo:
                              ids=["ball", "full-space"])
     def test_t_is_the_numpy_row_sum_of_squares(self, n, bounded,
                                                 monkeypatch):
-        # t = |z|^2 is summed by columns, and must keep the bits of
-        # np.add.reduce over the real and imaginary parts of the points
-        # the seed's generator draws: the polar draw on the ball, real
-        # parts then imaginary parts of complex normals on C^n
+        # t = |z|^2 is drawn from its own law, not summed from a point: bit
+        # for bit U^(1/n) on the ball and sigma^2 Gamma(n) on C^n from one
+        # call of the seed's generator, though 3 001 samples take 12 chunks
+        monkeypatch.setattr(moments, "MC_CHUNK_BYTES", 2 ** 15)
         domain = bl.unit_ball(n) if bounded else bl.full_space(n)
         weight = (bl.generic_norm_weight(domain, 1.5) if bounded
                   else bl.gaussian_weight(n, 1.5))
@@ -615,17 +615,11 @@ class TestGramMonteCarlo:
 
         monkeypatch.setattr(moments, "weight_radial_fn", record_t)
         bl.gram_montecarlo(weight, 2, 3_001, seed=n)
+        assert len(ts) == 12
         rng = np.random.Generator(np.random.Philox(key=n))
-        if bounded:
-            points = bl.core.sample_ball_polar(rng, n, 1.0, 3_001)
-        else:
-            c = math.sqrt(1.0 / 1.5 / 2.0)
-            points = np.empty((3_001, n), dtype=complex)
-            points.real = rng.standard_normal((3_001, n)) * c
-            points.imag = rng.standard_normal((3_001, n)) * c
-        x = points.view(float)
-        assert np.concatenate(ts).tobytes() == \
-            np.add.reduce(x * x, axis=1).tobytes()
+        t = (rng.random(3_001) ** (1.0 / n) if bounded
+             else rng.standard_gamma(n, 3_001) * (1.0 / 1.5))
+        assert np.concatenate(ts).tobytes() == t.tobytes()
 
     def test_deterministic_given_seed(self):
         a = bl.gram_montecarlo(bl.generic_norm_weight(DISK, 1.0), 2,
@@ -677,7 +671,7 @@ class TestGramMonteCarlo:
             domain = parse_domain(opt["--domain"])
             weight = parse_weight(opt["--weight"], domain)
             degree, samples = int(opt["--degree"]), int(opt["--samples"])
-            assert samples <= moments.MC_CHUNK_BYTES // (48 * domain.dim + 64)
+            assert samples <= moments.MC_CHUNK_BYTES // moments.MC_SAMPLE_BYTES
             G = bl.gram_montecarlo(weight, degree, samples,
                                    int(opt["--seed"]))
             exact = bl.gram_exact(weight, degree).moments
@@ -752,9 +746,8 @@ class TestMonteCarloCalibration:
 _CHUNK_BYTES = 2 ** 16
 
 
-def _mc_block(domain):
-    """The draw chunk of ``gram_montecarlo`` at the budget _CHUNK_BYTES."""
-    return _CHUNK_BYTES // (48 * domain.dim + 64)
+# the draw chunk of ``gram_montecarlo`` at that budget
+_MC_BLOCK = _CHUNK_BYTES // moments.MC_SAMPLE_BYTES
 
 
 _MC_CASES = {"disk": (DISK, bl.generic_norm_weight(DISK, 1.0), 6),
@@ -796,7 +789,7 @@ class TestBlockedMonteCarlo:
     def test_matches_one_table(self, case, where, monkeypatch):
         monkeypatch.setattr(moments, "MC_CHUNK_BYTES", _CHUNK_BYTES)
         domain, weight, degree = _MC_CASES[case]
-        block = _mc_block(domain)
+        block = _MC_BLOCK
         samples = {"one": 1, "block-1": block - 1, "block+1": block + 1,
                    "ragged": 2 * block + block // 3}[where]
         self._assert_matches_one_table(domain, weight, degree, samples)
@@ -822,7 +815,7 @@ class TestBlockedMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2 ** 12
-        assert peaks[1] <= 20_000 * (48 * 2 + 64)
+        assert peaks[1] <= 20_000 * moments.MC_SAMPLE_BYTES
 
 
 def dense_diagnostics(G):

@@ -341,7 +341,26 @@ def _cmd_gram(cfg: dict):
     report = gram_to_json(gram)
     report["command"] = "gram"
     report["diagnostics"] = gram_validate(gram).as_dict()
+    if gram.stderr is not None:     # Monte Carlo
+        report["exact_check"] = _exact_check(weight, gram)
     return report, False, None
+
+
+def _exact_check(weight: Weight, gram) -> dict:
+    """A Monte Carlo Gram against the exact moments: the largest
+    |R^_j - R_j| / se_j over its moments and that j, a moment of se 0
+    compared exactly (0 where equal, else inf); or the exact route's
+    refusal."""
+    try:
+        exact = gram_exact(weight, gram.degree)
+    except ValueError as exc:
+        return {"refused": str(exc)}
+    n = gram.domain.dim
+    error = np.abs(gram.moments[n - 1:] - exact.moments[n - 1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(error == 0.0, 0.0, error / gram.stderr)
+    k = int(np.argmax(ratio))
+    return {"j": k + n - 1, "max_se_ratio": jsonio.rnum(float(ratio[k]))}
 
 
 def _cmd_kernel_eval(cfg: dict):

@@ -680,6 +680,58 @@ class TestOutputs:
         assert all(math.isfinite(v) for v in obj["moments"])
         assert len(obj["diagonal"]) == math.comb(3 + 4, 3)
 
+    def test_montecarlo_report_checks_its_moments_against_the_exact(
+            self, capsys):
+        # the largest |R^_j - R_j| / se_j and its j, the moments and the
+        # standard errors of the library's routes; the exit code is 0
+        code, out, _ = run_cli(
+            ["gram", "--domain", "disk", "--weight", "npower:1.407",
+             "--degree", "5", "--method", "montecarlo", "--samples",
+             "27000", "--seed", "901"], capsys)
+        assert code == 0
+        weight = bl.generic_norm_weight(bl.unit_disk(), 1.407)
+        G = bl.gram_montecarlo(weight, 5, 27_000, 901)
+        ratio = np.abs(G.moments - bl.gram_exact(weight, 5).moments) \
+            / G.stderr
+        assert strict_json(out)["exact_check"] == {
+            "j": int(np.argmax(ratio)), "max_se_ratio": float(ratio.max())}
+        assert strict_json(out)["exact_check"]["j"] == 1
+
+    @pytest.mark.parametrize("argv,check", [
+        # f = w / dens is constant at k = 0 under a Gaussian weight's own
+        # proposal, so se is 0; the 20 000 values sum to R_0 = 1 exactly,
+        # the 1 000 values to 1 + 2 ulp
+        (["--domain", "cn:1", "--weight", "gaussian:1", "--degree", "0",
+          "--samples", "20000"], {"j": 0, "max_se_ratio": 0.0}),
+        (["--domain", "cn:1", "--weight", "gaussian:1", "--degree", "0",
+          "--samples", "1000"], {"j": 0, "max_se_ratio": "inf"}),
+        # one sample states se 0 for an estimate that is not the moment
+        (["--domain", "ball:2", "--weight", "npower:1", "--degree", "1",
+          "--samples", "1"], {"j": 1, "max_se_ratio": "inf"}),
+    ], ids=["equal", "roundoff", "one-sample"])
+    def test_a_moment_of_se_zero_is_compared_exactly(self, capsys, argv,
+                                                      check):
+        code, out, _ = run_cli(["gram", *argv, "--method", "montecarlo"],
+                               capsys)
+        assert code == 0 and strict_json(out)["exact_check"] == check
+
+    def test_an_exact_refusal_is_named_by_the_check(self, capsys):
+        code, out, _ = run_cli(
+            ["gram", "--domain", "ball:2", "--weight", "poly:1,-1",
+             "--m", "300000", "--degree", "30", "--method", "montecarlo",
+             "--samples", "1000"], capsys)
+        assert code == 0
+        assert strict_json(out)["exact_check"] == {
+            "refused": "the moments R_0..R_31 need a 32 x 150016 table of "
+                       "node powers; it may hold at most 4601025 numbers"}
+
+    def test_only_montecarlo_reports_check_against_the_exact(self, capsys):
+        for method in ("auto", "quadrature"):
+            _, out, _ = run_cli(
+                ["gram", "--domain", "disk", "--weight", "npower:1",
+                 "--degree", "3", "--method", method], capsys)
+            assert "exact_check" not in strict_json(out)
+
     @pytest.mark.parametrize("argv,size", [
         (["gram", "--domain", "ball:2", "--weight", "npower:1",
           "--degree", "5"], math.comb(2 + 5, 2)),

@@ -14,8 +14,10 @@ of executable checks:
   Hausdorff case.
 * ``characterize_fbh`` / ``characterize_ch`` test whether the series kernel
   of p^m is a constant multiple of the model kernel (Gaussian exponential,
-  generic-norm power) that the domain's special automorphisms force, and
-  return Match(c) / Mismatch / Inconclusive verdicts with named sub-checks.
+  generic-norm power) that the domain's special automorphisms force, by
+  comparing the d + 1 series coefficients with the model's, and return
+  Match(c) / Mismatch / Inconclusive verdicts with named sub-checks; a
+  verdict other than Match adds a sampled witness pair.
 * ``boundary_inequality_check`` tests the boundary inequality
   p(z) |k_z(z)|^2 <= p(0) that translation automorphisms impose, with
   Equality exactly characterizing Gaussian decay.
@@ -33,6 +35,7 @@ report; no claim is made beyond the computed rank.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -51,7 +54,13 @@ from .core import (
     weight_eval,
 )
 from .moments import RadialGram, gram_exact
-from .kernels import FockKernel, KernelModel, PowerKernel, kernel_from_gram
+from .kernels import (
+    FockKernel,
+    KernelModel,
+    PowerKernel,
+    RadialSeriesKernel,
+    kernel_from_gram,
+)
 from . import jsonio
 
 if TYPE_CHECKING:
@@ -265,9 +274,9 @@ class SubCheck:
                 "residual": self.residual}
 
 
-# a characterization matches when the worst relative deviation from
-# c * model is at most MATCH_TOL, mismatches when it exceeds MISMATCH_TOL,
-# and is inconclusive in between
+# a characterization matches when the worst relative deviation of the
+# series coefficients from C times the model's is at most MATCH_TOL,
+# mismatches when it exceeds MISMATCH_TOL, and is inconclusive in between
 MATCH_TOL = 1e-8
 MISMATCH_TOL = 1e-6
 
@@ -279,7 +288,10 @@ class CharacterizationReport:
     degree: int
     max_deviation: float
     checks: list[SubCheck] = field(default_factory=list)
+    # verdicts other than Match: a sampled pair (z, w), and the k of the
+    # coefficient that shows the verdict
     witness: tuple | None = None
+    witness_k: int | None = None
 
     def as_dict(self) -> dict:
         out = {"verdict": self.verdict, "c": self.c, "degree": self.degree,
@@ -288,21 +300,22 @@ class CharacterizationReport:
                "checks": [c.as_dict() for c in self.checks]}
         if self.witness is not None:
             z, w = self.witness
-            out["witness"] = {"z": jsonio.cpoint(z), "w": jsonio.cpoint(w)}
+            out["witness"] = {"k": self.witness_k, "z": jsonio.cpoint(z),
+                              "w": jsonio.cpoint(w)}
         return out
 
 
-# most sample points of a characterize verdict: its kernels and deviations
-# are npts x npts grids, 16 MiB each at this size
+# most sample points of a characterize verdict: the sampled sub-checks of
+# a verdict other than Match table its kernels and deviations over
+# npts x npts pairs, 16 MiB each at this size
 MAX_NPTS = 1024
 
 
-def _sample_points(n: int, rmax: float, npts: int, seed: int) -> np.ndarray:
-    """The origin, then npts - 1 seeded draws from the ball of radius rmax
-    in C^n; npts above ``MAX_NPTS`` is refused before anything is drawn.
-    c is fitted at the origin, so a verdict needs a point besides it:
-    npts < 2 and rmax <= 0 are refused, as every deviation would be 0 by
-    construction."""
+def _check_sample(rmax: float, npts: int) -> None:
+    """Refuse, before any Gram is formed, a sample that could not be
+    drawn (npts above ``MAX_NPTS``) or that could show nothing: c is
+    fitted at the origin, so npts < 2 and rmax <= 0 leave every sampled
+    deviation 0 by construction."""
     if npts > MAX_NPTS:
         raise ValueError(f"npts = {npts} exceeds MAX_NPTS = {MAX_NPTS}: the "
                          "verdict tables its kernels over npts x npts pairs")
@@ -314,17 +327,50 @@ def _sample_points(n: int, rmax: float, npts: int, seed: int) -> np.ndarray:
         raise ValueError(f"rmax = {rmax!r} puts every sample point at the "
                          "origin, where c is fitted, so every deviation is 0 "
                          "by construction; rmax must be > 0")
+
+
+def _sample_points(n: int, rmax: float, npts: int, seed: int) -> np.ndarray:
+    """The origin, then npts - 1 seeded draws from the ball of radius rmax
+    in C^n (the arguments passed ``_check_sample``)."""
     rng = np.random.default_rng(seed)
     return np.concatenate([np.zeros((1, n), dtype=complex),
                            sample_ball(rng, n, rmax, npts - 1)])
 
 
-def _proportionality_report(series: KernelModel, reference, points,
-                            degree: int, power_law: bool = False
-                            ) -> CharacterizationReport:
-    """Worst relative deviation of K from c R over all pairs of points, c
-    fitted at points[0] = 0.  ``power_law`` adds K(z, z) = K(0, 0) R(z, z),
-    the generic-norm power law, read off the same grids as R(0, 0) = 1.
+def _model_coefficients(reference: FockKernel | PowerKernel,
+                        degree: int) -> np.ndarray:
+    """a_0..a_d, the series of the model kernel in x = <z, w> with a_0 = 1:
+    (e)_k/k! of N^(-e) = (1 - x)^(-e), e = g + mu (the binomial series),
+    and s^k/k! of exp(s x), s = mu, each by its running product
+    a_k = a_(k-1) (e + k - 1)/k or a_(k-1) s/k.  The first a_k outside the
+    normal float range is refused by name."""
+    k = np.arange(1.0, degree + 1)
+    pochhammer = isinstance(reference, PowerKernel)
+    if pochhammer:
+        rate, name = reference.exponent, "(e)_k/k! at e"
+        steps = (rate + (k - 1.0)) / k
+    else:
+        rate, name = reference.mu, "s^k/k! at s"
+        steps = rate / k
+    with np.errstate(over="ignore", under="ignore"):   # refused by name
+        a = np.concatenate([[1.0], np.cumprod(steps)])
+    outside = (a < sys.float_info.min) | (a == math.inf)
+    if outside.any():
+        j = int(np.argmax(outside))
+        log_a = (math.lgamma(rate + j) - math.lgamma(rate) if pochhammer
+                 else j * math.log(rate)) - math.lgamma(j + 1)
+        raise ValueError(f"the model series coefficient a_{j} = {name} = "
+                         f"{rate!r} is exp({log_a:.1f}), outside the float "
+                         f"range")
+    return a
+
+
+def _sampled_checks(series: RadialSeriesKernel, reference: KernelModel,
+                    c: float, points) -> tuple[list[SubCheck], tuple]:
+    """Worst relative deviation of K from c R over all pairs of points, on
+    the diagonal and off it, and the first pair of largest deviation in
+    row-major order as the witness.  c = c_0 is the fit at points[0] = 0,
+    where K = c_0 and R = 1.
 
     With c = m 2^e (``math.frexp``) the deviation is |K 2^-e - m R|/|m R|:
     scaling by 2^-e is exact, so c R need not be representable, and a
@@ -332,7 +378,6 @@ def _proportionality_report(series: KernelModel, reference, points,
     with np.errstate(all="ignore"):    # refused by name below instead
         K = series.eval_grid(points, points)
         R = reference.eval_grid(points, points)
-        c = K[0, 0].real / R[0, 0].real
         m, e = math.frexp(c)
         dev = np.abs(K * np.ldexp(1.0, -e) - m * R) / np.abs(m * R)
     if not R.all():
@@ -342,37 +387,50 @@ def _proportionality_report(series: KernelModel, reference, points,
         if not np.isfinite(grid).all():
             raise ValueError(f"the {what} is not finite on the sample grid")
 
-    # the first maximum in row-major order names the witness pair
     i, j = np.unravel_index(dev.argmax(), dev.shape)
-    worst = float(dev[i, j])
-    worst_diag = float(dev.diagonal().max())
-    worst_off = float(dev[~np.eye(len(dev), dtype=bool)].max(initial=0.0))
-
-    if worst <= MATCH_TOL:
-        verdict = "match"
-    elif worst > MISMATCH_TOL:
-        verdict = "mismatch"
-    else:
-        verdict = "inconclusive"
-
     checks = [
         SubCheck("kernel_proportionality_diagonal",
-                 "K_w(z,z) = c * K_model(z,z)", worst_diag),
+                 "K_w(z,z) = c * K_model(z,z)", float(dev.diagonal().max())),
         SubCheck("kernel_proportionality_offdiagonal",
-                 "K_w(z,w) = c * K_model(z,w), z != w", worst_off),
+                 "K_w(z,w) = c * K_model(z,w), z != w",
+                 float(dev[~np.eye(len(dev), dtype=bool)].max(initial=0.0))),
     ]
-    if power_law:
-        # K(0, 0) = m 2^e as for c
-        m, e = math.frexp(K[0, 0].real)
-        lhs = K.diagonal().real * np.ldexp(1.0, -e)
-        rhs = m * R.diagonal().real
-        checks.append(SubCheck(
-            "diagonal_power_law",
-            "K_q^m(z0,z0) = K_q^m(0,0) * N(z0,z0)^(-m*mu-g)",
-            float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))))
-    return CharacterizationReport(verdict, float(c), degree, float(worst),
-                                  checks, None if verdict == "match"
-                                  else (points[i], points[j]))
+    return checks, (points[i], points[j])
+
+
+def _characterize(series: RadialSeriesKernel,
+                  reference: FockKernel | PowerKernel, identity: str,
+                  rmax: float, npts: int, seed: int
+                  ) -> CharacterizationReport:
+    """K = C K_model at rank d exactly when c_k = C a_k for k <= d: C is
+    fitted at k = 0, C = c_0/a_0 = c_0, and the deviation is the worst
+    |c_k/(C a_k) - 1|.
+
+    A Match reads no sample.  Otherwise the witness k is the first k past
+    ``MISMATCH_TOL``, or the worst one, and npts points from the ball of
+    radius rmax (seeded by seed) give a witness pair and the sampled
+    proportionality residuals, reported as sub-checks that do not decide.
+    """
+    a = _model_coefficients(reference, series.degree)
+    c = float(series.c[0])
+    with np.errstate(over="ignore"):   # refused by name below
+        dev = np.abs(series.c / c / a - 1.0)
+    if not np.isfinite(dev).all():
+        k = int(np.argmax(~np.isfinite(dev)))
+        raise ValueError(f"the deviation of c_{k} from C * a_{k} (C = "
+                         f"{c:.3e}) is outside the float range")
+    worst = float(dev.max())
+    checks = [SubCheck("series_coefficient_proportionality", identity, worst)]
+    if worst <= MATCH_TOL:
+        return CharacterizationReport("match", c, series.degree, worst, checks)
+
+    past = np.flatnonzero(dev > MISMATCH_TOL)
+    k = int(past[0]) if past.size else int(dev.argmax())
+    points = _sample_points(series.base.dim, rmax, npts, seed)
+    sampled, pair = _sampled_checks(series, reference, c, points)
+    return CharacterizationReport(
+        "mismatch" if past.size else "inconclusive", c, series.degree, worst,
+        checks + sampled, pair, k)
 
 
 def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
@@ -380,22 +438,26 @@ def characterize_fbh(p: Weight, m: int, mu: float, degree: int, *,
                      ) -> CharacterizationReport:
     """Does the weighted kernel of p^m on C^n match the Gaussian model?
 
-    Builds the rank-d series kernel of p^m, fits c at the origin against
-    exp(m mu <z, w>), and measures the worst relative deviation over a
-    seeded sample ball.  Match forces p^m = const * exp(-m mu |z|^2) at
-    rank d; Mismatch carries a witness pair.
+    Compares the rank-d series coefficients c_k of p^m with those of
+    exp(m mu <z, w>), C (m mu)^k/k!.  Match states that the moments
+    R_{n-1}..R_{d+n-1} of p^m are C' times those of exp(-m mu |z|^2); a
+    Mismatch names its witness k and a witness pair sampled from the ball
+    of radius rmax (default 0.9/sqrt(m mu)).  rmax and npts are refused
+    before the Gram is formed where the sample could show nothing.
     """
     if p.base.bounded:
         raise ValueError("the Gaussian-model characterization lives on C^n")
     if m < 1 or mu <= 0:
         raise ValueError("need m >= 1 and mu > 0")
-    series = kernel_from_gram(gram_exact(p.pow(m), degree))
-    reference = FockKernel(m * mu, p.base.dim)
     if rmax is None:
-        # keeps the rank-10 truncation tail below the match tolerance
+        # keeps the rank-10 truncation tail of the sampled residuals below
+        # the match tolerance
         rmax = 0.9 / math.sqrt(m * mu)
-    points = _sample_points(p.base.dim, rmax, npts, seed)
-    return _proportionality_report(series, reference, points, degree)
+    _check_sample(rmax, npts)
+    series = kernel_from_gram(gram_exact(p.pow(m), degree))
+    return _characterize(series, FockKernel(m * mu, p.base.dim),
+                         "c_k(p^m) = C * s^k/k!, s = m*mu, k <= d",
+                         rmax, npts, seed)
 
 
 def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
@@ -403,10 +465,13 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
                     ) -> CharacterizationReport:
     """Does the weighted kernel of q^m match the generic-norm power model?
 
-    Tests K_{q^m}(z, w) = c * N(z, w)^(-m mu - g) on a seeded sample of the
-    bounded base, with the diagonal power law
-    K(z0, z0) = K(0, 0) N(z0, z0)^(-m mu - g) reported as a named sub-check.
-    rmax >= 1 is refused before the Gram is formed.
+    Compares the rank-d series coefficients c_k of q^m with those of
+    N(z, w)^(-e) = (1 - <z, w>)^(-e), e = m mu + g, which are
+    C (e)_k/k!; the diagonal power law K(z0, z0) = K(0, 0) N(z0, z0)^(-e)
+    follows from them.  A Mismatch names its witness k and a witness pair
+    sampled from the ball of radius rmax.  rmax >= 1, and rmax and npts
+    where the sample could show nothing, are refused before the Gram is
+    formed.
     """
     base = q.base
     if base.kind is not DomainKind.UNIT_BALL:
@@ -417,11 +482,11 @@ def characterize_ch(q: Weight, m: int, mu: float, degree: int, *,
         raise ValueError(f"rmax = {rmax!r} lets sample points reach the "
                          "boundary of the unit ball, where the kernels blow "
                          "up, or leave it; rmax must be < 1")
+    _check_sample(rmax, npts)
     series = kernel_from_gram(gram_exact(q.pow(m), degree))
-    reference = PowerKernel(base, m * mu)
-    points = _sample_points(base.dim, rmax, npts, seed)
-    return _proportionality_report(series, reference, points, degree,
-                                   power_law=True)
+    return _characterize(series, PowerKernel(base, m * mu),
+                         "c_k(q^m) = C * (e)_k/k!, e = m*mu + g, k <= d",
+                         rmax, npts, seed)
 
 
 # ---------------------------------------------------------------------------

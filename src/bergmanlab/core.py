@@ -487,6 +487,11 @@ class RadialProfile:
             raise ValueError("radial profile evaluated outside its table")
         return out
 
+    def on_intervals(self, i, x) -> np.ndarray:
+        """The cubic of knot interval i at x, for x known to lie in it:
+        the value ``__call__`` gives there, without the interval search."""
+        return _pchip_cubic(*self._cubic, i, np.asarray(x, dtype=float))
+
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:
     """One-sided three-point end slope, set to 0 or 3 m0 where it would
@@ -527,10 +532,16 @@ def _pchip_eval(t: np.ndarray, coef: np.ndarray, x) -> np.ndarray:
     holds t_i <= x < t_(i+1), the last one also its right end."""
     x = np.asarray(x, dtype=float)
     i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+    out = _pchip_cubic(t, coef, i, x)
+    return np.where((x >= t[0]) & (x <= t[-1]), out, np.nan)
+
+
+def _pchip_cubic(t: np.ndarray, coef: np.ndarray, i, x: np.ndarray
+                 ) -> np.ndarray:
+    """The cubic of interval i at x."""
     s = x - t[i]
     c3, c2, c1, c0 = coef[:, i]
-    out = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
-    return np.where((x >= t[0]) & (x <= t[-1]), out, np.nan)
+    return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
 
 WeightForm = GaussianPower | GenericNormPower | PolynomialRadial | RadialProfile

@@ -297,6 +297,18 @@ def _check_power_table(top: int, nodes: int) -> None:
             f"node powers; it may hold at most {MAX_BASIS ** 2} numbers")
 
 
+def _check_rule(top: int, nodes: int) -> None:
+    """Refuse a Gauss-Legendre rule whose Newton passes (``_gauss01``), each
+    a recurrence of nodes steps over about half the nodes, would take more
+    terms than ``MAX_BASIS``^2, before the rule is formed."""
+    half = (nodes + 1) // 2
+    if nodes * half > MAX_BASIS ** 2:
+        raise ValueError(
+            f"the moments R_0..R_{top} need a {nodes}-node Gauss-Legendre "
+            f"rule, whose recurrence takes {nodes} x {half} terms a Newton "
+            f"pass; it may take at most {MAX_BASIS ** 2}")
+
+
 def _power_sums(s: np.ndarray, f: np.ndarray, top: int) -> np.ndarray:
     """sum_i f_i s_i^j for j = 0..top, each a fixed-order pairwise sum; row
     j is row j-1 times s, so a small f keeps a large s^j in range."""
@@ -358,12 +370,25 @@ def _piecewise_moments(weight: Weight, breaks: np.ndarray, degree: int,
     everywhere else, so no alternating coefficient sum can cancel."""
     nodes = (top + weight.power_exponent * degree) // 2 + 1
     _check_power_table(top, nodes * (len(breaks) - 1))
+    _check_rule(top, nodes)
     x, w = _gauss01(nodes)
     start, width = breaks[:-1, None], np.diff(breaks)[:, None]
     s, ws = (start + width * x).ravel(), (width * w).ravel()
     with np.errstate(over="ignore", invalid="ignore"):   # refused by name
-        moments = _power_sums(s, ws * weight_radial_fn(weight)(s), top)
+        moments = _power_sums(s, ws * _piece_values(weight, s, nodes), top)
     return _finite_moments(weight, moments)
+
+
+def _piece_values(weight: Weight, s: np.ndarray, nodes: int) -> np.ndarray:
+    """The weight at the nodes s of ``_piecewise_moments``, nodes per piece.
+    A table's piece i lies in its knot interval i, so that interval's cubic
+    is evaluated directly, then powered and scaled as ``weight_radial_fn``
+    does: the same values, without a search for each node's interval."""
+    form = weight.form
+    if not isinstance(form, RadialProfile):
+        return weight_radial_fn(weight)(s)
+    piece = np.repeat(np.arange(s.size // nodes), nodes)
+    return weight.scale * form.on_intervals(piece, s) ** weight.power_exponent
 
 
 def _exact_moments(weight: Weight, top: int) -> np.ndarray:
@@ -386,6 +411,8 @@ def _exact_moments(weight: Weight, top: int) -> np.ndarray:
                                   len(form.coefficients) - 1, top)
     knots = np.asarray(form.knots, dtype=float)
     if domain.bounded:
+        if knots[-1] < 1.0:
+            raise ValueError("radial profile evaluated outside its table")
         return _piecewise_moments(weight, np.append(knots[knots < 1.0], 1.0),
                                   3, top)
     moments = _piecewise_moments(weight, knots, 3, top)
@@ -529,6 +556,7 @@ def _radial_rule(weight: Weight, degree: int) -> tuple[np.ndarray, np.ndarray]:
     if weight.base.bounded:
         nodes = max(n * QUADRATURE["radial_nodes"], floor)
         _check_power_table(top, nodes)
+        _check_rule(top, nodes)
         return _gauss01(nodes)
     mu = _gaussian_decay(weight)
     if mu is not None:

@@ -236,16 +236,19 @@ def _oracle_proportionality(series, reference, points, match_tol,
 
 
 def _assert_same_report(rep, oracle, points):
+    """The verdict is the coefficients'; the sampled residuals and witness
+    pair of a verdict other than Match are the scalar loop's, and a Match
+    samples nothing."""
     verdict, c, worst, worst_diag, worst_off, witness, devs = oracle
     assert rep.verdict == verdict
     assert rep.c == pytest.approx(c, rel=1e-13)
-    assert abs(rep.max_deviation - worst) <= 1e-12
     residual = {s.name: s.residual for s in rep.checks}
+    if verdict == "match":
+        assert rep.witness is None and rep.witness_k is None
+        assert set(residual) == {"series_coefficient_proportionality"}
+        return
     assert abs(residual["kernel_proportionality_diagonal"] - worst_diag) <= 1e-12
     assert abs(residual["kernel_proportionality_offdiagonal"] - worst_off) <= 1e-12
-    if verdict == "match":
-        assert rep.witness is None
-        return
     i, j = witness
     # K(w, z) = conj K(z, w) on both kernels, so (z, w) and (w, z) tie in
     # exact arithmetic and rounding alone orders them
@@ -276,17 +279,6 @@ def test_characterize_ch_matches_scalar_oracle(base, q, m, mu, degree, expected)
     assert oracle[0] == expected
     _assert_same_report(rep, oracle, points)
 
-    zero = np.zeros(base.dim, dtype=complex)
-    k00 = _scalar_series(series, zero, zero).real
-    expo = -(m * mu + base.genus)
-    diag_worst = 0.0
-    for z in points:
-        lhs = _scalar_series(series, z, z).real
-        rhs = k00 * bl.generic_norm(base, [z], [z])[0].real ** expo
-        diag_worst = max(diag_worst, abs(lhs - rhs) / abs(rhs))
-    residual = {s.name: s.residual for s in rep.checks}
-    assert abs(residual["diagonal_power_law"] - diag_worst) <= 1e-12
-
 
 FBH_CASES = [
     (1, bl.gaussian_weight(1, 1.0), 1, 1.0, "match"),
@@ -309,8 +301,8 @@ def test_characterize_fbh_matches_scalar_oracle(n, p, m, mu, expected):
 
 @pytest.mark.parametrize("verdict", ["ch", "fbh"])
 def test_verdict_grids_hold_npts_points(monkeypatch, verdict):
-    # the sampled points start at the origin: npts points, one npts x npts
-    # grid per kernel
+    # a match evaluates no kernel; the sampled points of a mismatch start
+    # at the origin: npts points, one npts x npts grid per kernel
     shapes = []
     for cls in (bl.RadialSeriesKernel, bl.PowerKernel, bl.FockKernel):
         def spy(self, zs, ws, original=cls.eval_grid):
@@ -318,12 +310,15 @@ def test_verdict_grids_hold_npts_points(monkeypatch, verdict):
             shapes.append(out.shape)
             return out
         monkeypatch.setattr(cls, "eval_grid", spy)
-    if verdict == "ch":
-        ch.characterize_ch(bl.generic_norm_weight(DISK, 1.0), 1, 1.0, 20,
-                           npts=12)
-    else:
-        ch.characterize_fbh(bl.gaussian_weight(1, 1.0), 1, 1.0, 20, npts=12)
-    assert shapes == [(12, 12), (12, 12)]
+    for mu, grids in ((1.0, []), (2.0, [(12, 12), (12, 12)])):
+        shapes.clear()
+        if verdict == "ch":
+            ch.characterize_ch(bl.generic_norm_weight(DISK, 1.0), 1, mu, 20,
+                               npts=12)
+        else:
+            ch.characterize_fbh(bl.gaussian_weight(1, 1.0), 1, mu, 20,
+                                npts=12)
+        assert shapes == grids
 
 
 def test_radial_verdict_makes_no_factorization(monkeypatch, capsys):
@@ -339,10 +334,13 @@ def test_radial_verdict_makes_no_factorization(monkeypatch, capsys):
             calls.append(_name)
             return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, spy)
-    # mismatch (1.45e-6): the degree-16 truncation tail exceeds the
-    # mismatch tolerance
+    # a match at degree 16, where the sampled truncation tail (1.45e-6)
+    # exceeds the mismatch tolerance, and a mismatch that samples its
+    # witness pair
     assert cli.main(["characterize-ch", "--domain", "ball:3", "--weight",
-                     "npower:1", "--degree", "16"]) == 1
+                     "npower:1", "--degree", "16"]) == 0
+    assert cli.main(["characterize-ch", "--domain", "ball:3", "--weight",
+                     "npower:1", "--mu", "2", "--degree", "16"]) == 1
     # at degree 64 the basis has 47905 monomials, which are never listed
     assert cli.main(["characterize-ch", "--domain", "ball:3", "--weight",
                      "npower:1", "--degree", "64"]) == 0

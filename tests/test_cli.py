@@ -288,12 +288,15 @@ ARITHMETIC_FAILURES = [
     # mu^(k+1) underflows to 0: the moments k!/mu^(k+1) leave the float range
     ["gram", "--domain", "cn:1", "--weight", "gaussian:1e-320",
      "--degree", "3"],
-    # N(z, z)^(-9002) overflows on the sample grid
-    ["characterize-ch", "--weight", "npower:3000", "--mu", "3000",
-     "--degree", "4", "--rmax", "0.55"],
-    # exp(2000 <z, w>) overflows on the sample grid
-    ["characterize-fbh", "--n", "1", "--weight", "gaussian:2000",
-     "--mu", "2000", "--degree", "4", "--rmax", "0.9"],
+    # the model coefficient a_46 = (e)_46/46! of N^(-e), e = 1e8 + 2,
+    # overflows, while the moments and the series coefficients do not
+    ["characterize-ch", "--weight", "scaled:1e300:npower:100000000",
+     "--mu", "100000000", "--degree", "64"],
+    # the model coefficient a_46 = s^46/46! of exp(s <z, w>), s = 1e8,
+    # overflows, while the moments and the series coefficients do not
+    ["characterize-fbh", "--n", "1", "--weight",
+     "scaled:1e300:gaussian:100000000", "--mu", "100000000",
+     "--degree", "64"],
     # the closed Jacobian k_v(z)^2 = exp(2000 <z, v> - ...) overflows
     ["jacobian-check", "--domain", "cn:1", "--weight", "gaussian:1000",
      "--m", "2", "--map", '{"kind": "translation", "v": [[0.5, 0.0]]}'],
@@ -415,11 +418,42 @@ def test_a_characterization_past_the_unit_ball_is_refused(capsys, domain,
 
 
 def test_a_radius_just_inside_the_unit_ball_still_gives_a_verdict(capsys):
-    code, out, err = run_cli(["characterize-ch", "--domain", "disk",
-                              "--weight", "npower:1", "--degree", "8",
-                              "--rmax", "0.999", "--npts", "5"], capsys)
+    # the coefficients decide: the model weight matches whatever the
+    # radius, and a non-model weight draws its witness pair from inside it
+    argv = ["characterize-ch", "--domain", "disk", "--degree", "8",
+            "--rmax", "0.999", "--npts", "5"]
+    code, out, err = run_cli(argv + ["--weight", "npower:1"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"] == "match"
+    code, out, err = run_cli(argv + ["--weight", "poly:1,-0.5"], capsys)
     assert code == 1 and err == ""
-    assert json.loads(out)["verdict"] == "mismatch"
+    rep = strict_json(out)
+    assert rep["verdict"] == "mismatch"
+    for key in ("z", "w"):
+        (re_, im), = rep["witness"][key]
+        assert abs(complex(re_, im)) < 0.999
+
+
+def test_a_model_weight_past_the_sampled_tail_matches(capsys):
+    # N^(-66) at degree 30 is far from its rank-30 truncation on the sample,
+    # but its d + 1 coefficients are the model's
+    code, out, err = run_cli(["characterize-ch", "--domain", "disk",
+                              "--weight", "npower:1", "--m", "64",
+                              "--degree", "30"], capsys)
+    assert (code, err) == (0, "")
+    rep = strict_json(out)
+    assert rep["verdict"] == "match" and rep["max_deviation"] <= 1e-13
+
+
+def test_a_tiny_radius_does_not_match_by_construction(capsys):
+    # the sampled deviations shrink like rmax^2; the coefficients do not
+    code, out, err = run_cli(["characterize-ch", "--domain", "disk",
+                              "--weight", "poly:1,-0.5", "--degree", "8",
+                              "--rmax", "1e-300", "--npts", "5"], capsys)
+    assert (code, err) == (1, "")
+    rep = strict_json(out)
+    assert rep["verdict"] == "mismatch" and rep["max_deviation"] > 0.7
+    assert rep["witness"]["k"] == 1
 
 
 def test_two_sample_points_still_give_a_verdict(capsys):
@@ -553,13 +587,27 @@ class TestManyDimensions:
         assert len(err.splitlines()) == 1
 
     def test_deviation_from_an_unrepresentable_c_reference(self, capsys):
-        # c = 5.9e277 and c * R overflows on the grid; K/(c R) does not
+        # poly:1,-1 is the model weight N^1: c = 5.9e277 times the model's
+        # coefficients, a match
         code, out, err = run_cli(["characterize-ch", "--domain", "ball:200",
                                   "--weight", "poly:1,-1", "--degree", "2"],
                                  capsys)
+        assert (code, err) == (0, "")
+        rep = strict_json(out)
+        assert rep["verdict"] == "match" and 5e277 < rep["c"] < 6e277
+        assert rep["max_deviation"] <= 1e-12
+        # c = 5.8e275 and c * R overflows on the sample grid of the
+        # mismatch's witness; K/(c R) does not
+        code, out, err = run_cli(["characterize-ch", "--domain", "ball:200",
+                                  "--weight", "poly:1,-0.5", "--degree", "2"],
+                                 capsys)
         assert (code, err) == (1, "")
         rep = strict_json(out)
-        assert rep["verdict"] == "mismatch" and 5e277 < rep["c"] < 6e277
+        assert rep["verdict"] == "mismatch" and 5e275 < rep["c"] < 6e275
+        assert [c["name"] for c in rep["checks"]] == [
+            "series_coefficient_proportionality",
+            "kernel_proportionality_diagonal",
+            "kernel_proportionality_offdiagonal"]
         assert all(math.isfinite(c["residual"]) for c in rep["checks"])
 
     def test_radial_coefficient_outside_the_float_range_is_named(self,

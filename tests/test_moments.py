@@ -247,6 +247,34 @@ class TestTableMoments:
         ref = np.array(cubic_moments_mpmath(weight, top))
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(TABLES) + ["fbh-table"])
+    def test_table_moments_are_those_of_the_knot_search_bit_for_bit(
+            self, case, m):
+        # each node's cubic taken from its piece, as from the interval
+        # search of RadialProfile.__call__ through weight_radial_fn
+        weight = (TABLES[case] if case in TABLES else _table(
+            C1, [125.0 * (k / 239) ** 1.5 for k in range(240)],
+            lambda t: math.exp(-0.8 * t) * (1.0 + 0.4 * t / (1.0 + t)))
+        ).pow(m).scaled(1.7)
+        knots = np.asarray(weight.form.knots)
+        breaks = (np.append(knots[knots < 1.0], 1.0) if weight.base.bounded
+                  else knots)
+        for top in (0, 7, 20, 30):
+            nodes = (top + 3 * weight.power_exponent) // 2 + 1
+            x, w = moments._gauss01(nodes)
+            start, width = breaks[:-1, None], np.diff(breaks)[:, None]
+            s, ws = (start + width * x).ravel(), (width * w).ravel()
+            ref = moments._power_sums(s, ws * moments.weight_radial_fn(weight)(s),
+                                      top)
+            got = moments._exact_moments(weight, top)
+            assert got.tobytes() == ref.tobytes()
+
+    def test_a_table_short_of_the_unit_ball_is_refused(self):
+        w = _table(DISK, [0.0, 0.2, 0.4, 0.6, 0.8], lambda t: 1.0 - t)
+        with pytest.raises(ValueError, match="outside its table"):
+            bl.gram_exact(w, 4)
+
     def test_a_table_tail_is_checked(self):
         knots = tuple(np.linspace(0.0, 10.0, 50))
         w = bl.Weight(C1, bl.RadialProfile(knots, tuple(1.0 for _ in knots)))
@@ -477,6 +505,33 @@ class TestRadialGram:
         with pytest.raises(ValueError, match="table of node powers; it may "
                                              "hold at most 4601025 numbers"):
             build(weight, degree)
+
+    @pytest.mark.parametrize("build,weight,degree,nodes", [
+        # (2 + 300000)//2 + 1 nodes: 3 x 150002 node powers pass the table
+        # guard, the rule's Newton recurrence does not
+        (bl.gram_exact, bl.polynomial_weight(DISK, [1.0, -1.0]).pow(300000),
+         2, 150002),
+        (bl.gram_quadrature,
+         bl.generic_norm_weight(bl.unit_ball(48), 1.0), 1, 3072),
+    ], ids=["exact-poly", "legendre"])
+    def test_a_rule_past_the_recurrence_budget_is_refused_before_its_nodes(
+            self, monkeypatch, build, weight, degree, nodes):
+        def no_nodes(*args):
+            raise AssertionError("nodes computed")
+        monkeypatch.setattr(moments, "_gauss01", no_nodes)
+        with pytest.raises(ValueError, match=(
+                rf"need a {nodes}-node Gauss-Legendre rule, whose recurrence "
+                rf"takes {nodes} x {(nodes + 1) // 2} terms a Newton pass; "
+                r"it may take at most 4601025")):
+            build(weight, degree)
+
+    def test_rules_within_the_recurrence_budget_are_formed(self):
+        # 3032 x 1516 <= 2145^2 < 3033 x 1517: 3032 nodes is the largest
+        # rule the budget admits
+        assert 3032 * 1516 <= 2145 ** 2 < 3033 * 1517
+        moments._check_rule(2, 3032)
+        with pytest.raises(ValueError, match="3033-node"):
+            moments._check_rule(2, 3033)
 
     def test_auto_keeps_a_refused_closed_form(self):
         # (1 - t)^300000 at degree 30 needs 150016 exact nodes; the 128-node

@@ -365,7 +365,7 @@ def test_model_coefficients_against_mpmath(pochhammer):
             x = mp.mpf(rate)
             want = [mp.rf(x, k) / mp.factorial(k) if pochhammer
                     else x ** k / mp.factorial(k) for k in range(65)]
-            for k, (got, ref) in enumerate(zip(a.tolist(), want)):
+            for k, (got, ref) in enumerate(zip(a, want)):
                 err = abs(mp.mpf(got) - ref) / mp.mpf(np.spacing(got))
                 assert err <= 2 * k, (rate, k, float(err))
 

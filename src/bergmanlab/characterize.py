@@ -56,7 +56,6 @@ from .core import (
 from .moments import RadialGram, gram_exact
 from .kernels import (
     FockKernel,
-    KernelModel,
     PowerKernel,
     RadialSeriesKernel,
     kernel_from_gram,
@@ -362,8 +361,9 @@ def _model_coefficients(reference: FockKernel | PowerKernel,
     return a
 
 
-def _sampled_checks(series: RadialSeriesKernel, reference: KernelModel,
-                    c: float, points) -> tuple[list[SubCheck], tuple]:
+def _sampled_checks(series: RadialSeriesKernel,
+                    reference: FockKernel | PowerKernel, c: float, points
+                    ) -> tuple[list[SubCheck], tuple]:
     """Worst relative deviation of K from c R over all pairs of points, on
     the diagonal and off it, and the first pair of largest deviation in
     row-major order as the witness.  c = c_0 is the fit at points[0] = 0,

@@ -285,10 +285,11 @@ def test_seed_5_characterize_verdicts_keep_their_deviations(
 
 
 # ROADMAP item 20's table: (base, weight, m, mu, degree), verdict, bounds on
-# the deviation and the witness k of a verdict other than Match.  The model
-# weights were Mismatch or Inconclusive on the sampled grid, where the
-# model's tail past rank d decided (npower:1 at m = 64 read 4.54e8); the
-# coefficients show them at roundoff.  poly:1,-0.5 matched at rmax 1e-300.
+# the deviation and the witness k of a verdict other than Match.  The first
+# five rows, model weights, were Mismatch or Inconclusive on the sampled
+# grid, where the model's tail past rank d decided (npower:1 at m = 64 read
+# 4.54e8); their coefficients agree to roundoff.  poly:1,-0.5 matched on
+# the grid at rmax 1e-300.
 def _fbh_table(eps, mu=1.0):
     """A Gaussian perturbed by 1 + eps t/(1 + t), tabulated as the
     benchmark's fbh-table inputs are."""
@@ -347,27 +348,22 @@ def test_item_20_table(kind, weight, m, mu, degree, verdict, low, high,
                          ids=["pochhammer", "exponential"])
 def test_model_coefficients_against_mpmath(pochhammer):
     """a_k = (e)_k/k! and s^k/k! by their running products are within 2k
-    ulp of the 50-digit values, for rates from 0.3 to 4e5 and k <= 64."""
+    ulp of the 50-digit values, for mu from 0.3 to 4e5 (e = mu + 2 on the
+    disk, s = mu) and k <= 64."""
     import mpmath as mp
     rng = np.random.default_rng(20)
-    rates = [0.3, 1.0, 2.0, 3.0, 66.0, 402.0, 1.407, 0.7, 1e3, 4e5,
-             *rng.uniform(0.5, 60.0, 12)]
-    for rate in rates:
-        if pochhammer:
-            # e = g + mu of the disk's model: mu = e - 2
-            model = bl.PowerKernel(DISK, float(rate) - 2.0) if rate > 2.0 \
-                else bl.PowerKernel(DISK, float(rate))
-            rate = model.exponent
-        else:
-            model = bl.FockKernel(float(rate), 1)
+    for mu in [0.3, 1.0, 2.0, 3.0, 64.0, 400.0, 1.407, 0.7, 1e3, 4e5,
+               *rng.uniform(0.5, 60.0, 12)]:
+        model = (bl.PowerKernel(DISK, float(mu)) if pochhammer
+                 else bl.FockKernel(float(mu), 1))
         a = ch._model_coefficients(model, 64)
         with mp.workdps(50):
-            x = mp.mpf(rate)
+            x = mp.mpf(model.exponent if pochhammer else model.mu)
             want = [mp.rf(x, k) / mp.factorial(k) if pochhammer
                     else x ** k / mp.factorial(k) for k in range(65)]
             for k, (got, ref) in enumerate(zip(a, want)):
                 err = abs(mp.mpf(got) - ref) / mp.mpf(np.spacing(got))
-                assert err <= 2 * k, (rate, k, float(err))
+                assert err <= 2 * k, (mu, k, float(err))
 
 
 def test_a_model_coefficient_outside_the_float_range_is_named():

@@ -396,6 +396,29 @@ def test_a_characterization_at_the_origin_alone_is_refused(capsys, argv,
                         rf"[^\n]*; {key} must be [^\n]*\n", err)
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["characterize-ch", "--weight", "npower:1", "--rmax", "0"], "rmax"),
+    (["characterize-ch", "--weight", "npower:1", "--npts", "1"], "npts"),
+    (["characterize-fbh", "--weight", "gaussian:1", "--rmax", "0"], "rmax"),
+    (["characterize-fbh", "--weight", "gaussian:1", "--npts", "1"], "npts"),
+    (["characterize-fbh", "--weight", "gaussian:1", "--npts", "1025"],
+     "npts"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+def test_a_sample_that_shows_nothing_is_refused_before_the_gram(
+        capsys, monkeypatch, argv, key):
+    # model weights match without drawing their sample, yet the sample's
+    # flags are refused first, whatever the verdict would be
+    from bergmanlab import characterize
+
+    def no_gram(*args):
+        raise AssertionError("a Gram was formed")
+
+    monkeypatch.setattr(characterize, "gram_exact", no_gram)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key} = ")
+
+
 @pytest.mark.parametrize("domain", ["disk", "ball:2"])
 @pytest.mark.parametrize("rmax", ["1", "1.0", "1.5", "1e300"])
 def test_a_characterization_past_the_unit_ball_is_refused(capsys, domain,
